@@ -2,7 +2,7 @@
 classification and metric-preserving time evolution for finite-dimensional
 pseudo-Hermitian Hamiltonians."""
 
-from . import cli, errors, evolution, krein, linalg, operators, serialization, spectral
+from . import errors, evolution, krein, linalg, operators, serialization, spectral
 from .evolution import (
     EvolutionRequest,
     MashhoonPapiniParams,

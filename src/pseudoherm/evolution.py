@@ -6,6 +6,11 @@ even when H is not Hermitian.  Transition probabilities are exposed only for
 positive definite metrics, where ``|<<final, U(t) initial>>|^2`` with
 metric-normalized states is a genuine probability.
 
+Both series step across the grid instead of exponentiating at every point:
+``psi(t_k) = exp(-i H (t_k - t_prev)) psi(t_prev)``, walking out from t = 0,
+with one ``expm`` per distinct floating-point gap (a 200-point ``linspace``
+grid has about ten).  ``Overflow`` is decided on max |t| over the grid.
+
 ``mashhoon_papini`` builds the two-level effective Hamiltonian
 
     H_eff = [[E, i r], [-i s, E]]
@@ -96,6 +101,29 @@ def metric_normalize(state, metric) -> np.ndarray:
     return linalg.as_vector(state) / np.sqrt(nrm)
 
 
+def _states(h, state, grid) -> np.ndarray:
+    """Columns ``U(t_k) state`` over a strictly increasing grid.
+
+    Walks out from t = 0, up through the points t >= 0 and down through the
+    points t < 0, one step propagator per distinct gap.  Walking from zero
+    keeps every gap within max |t|, so a grid is refused with ``Overflow``
+    exactly when a propagator at one of its points would be.
+    """
+    linalg.check_expm_bound(-1j * max(grid, key=abs) * h)
+    out = np.empty((state.shape[0], len(grid)), dtype=np.complex128, order="F")
+    steps = {}
+    first_nonneg = sum(t < 0 for t in grid)
+    for walk in (range(first_nonneg, len(grid)), range(first_nonneg - 1, -1, -1)):
+        psi, t_prev = state, 0.0
+        for k in walk:
+            gap = grid[k] - t_prev
+            if gap not in steps:
+                steps[gap] = propagator(h, gap)
+            psi = out[:, k] = steps[gap] @ psi
+            t_prev = grid[k]
+    return out
+
+
 def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
     """``|<<final, U(t) initial>>|^2`` over the time grid, with both states
     metric-normalized.  Requires a positive definite metric."""
@@ -105,11 +133,8 @@ def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
             "metrics; use krein_norm_series for indefinite ones")
     initial = metric_normalize(req.initial_state, req.metric)
     final = metric_normalize(final_state, req.metric)
-    out = []
-    for t in req.t_grid:
-        evolved = propagator(req.h, t) @ initial
-        out.append(float(abs(krein_inner(final, evolved, req.metric)) ** 2))
-    return out
+    amplitudes = (final.conj() @ req.metric) @ _states(req.h, initial, req.t_grid)
+    return (np.abs(amplitudes) ** 2).tolist()
 
 
 def krein_norm_series(req: EvolutionRequest) -> list[float]:
@@ -119,11 +144,8 @@ def krein_norm_series(req: EvolutionRequest) -> list[float]:
         raise NotPseudoHermitian(
             "H is not pseudo-Hermitian with respect to this metric; the Krein "
             "norm is not conserved")
-    out = []
-    for t in req.t_grid:
-        evolved = propagator(req.h, t) @ req.initial_state
-        out.append(krein_inner(evolved, evolved, req.metric).real)
-    return out
+    psi = _states(req.h, req.initial_state, req.t_grid)
+    return np.sum(psi.conj() * (req.metric @ psi), axis=0).real.tolist()
 
 
 def _chain(psi_vectors, phi_vectors) -> JordanChain:

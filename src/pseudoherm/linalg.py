@@ -120,13 +120,19 @@ def inv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return solve(a, np.eye(a.shape[0], dtype=np.complex128), tol)
 
 
-def expm(a) -> np.ndarray:
-    """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
+def check_expm_bound(a) -> np.ndarray:
+    """Validate ``A`` and refuse with ``Overflow`` when ``||A||_F`` exceeds
+    ``EXPM_NORM_BOUND``; returns ``A`` as a complex matrix."""
     a = as_cmatrix(a)
     norm = np.linalg.norm(a)
     if norm > EXPM_NORM_BOUND:
         raise Overflow(f"||A|| = {norm:.3e} exceeds expm bound {EXPM_NORM_BOUND:.0e}")
-    return sla.expm(a)
+    return a
+
+
+def expm(a) -> np.ndarray:
+    """Matrix exponential (scaling-and-squaring Pade, via scipy)."""
+    return sla.expm(check_expm_bound(a))
 
 
 def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:

@@ -1,10 +1,15 @@
 """CLI commands, document formats and the exit-code contract."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudoherm
 from pseudoherm import serialization
 from pseudoherm.cli import main
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
@@ -287,3 +292,15 @@ def test_tolerance_env_override(sixone, monkeypatch, capsys):
     assert main(["analyze", "--input", str(sixone)]) == 0
     rep = json.loads(capsys.readouterr().out)
     assert rep["tolerance"]["abs"] == 1e-10
+
+
+def test_module_entry_point_runs_without_runpy_warning():
+    src = str(Path(pseudoherm.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "pseudoherm.cli", "--help"],
+        capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert "evolve" in proc.stdout

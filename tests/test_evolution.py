@@ -3,8 +3,14 @@
 import numpy as np
 import pytest
 
-from pseudoherm import evolution
-from pseudoherm.errors import ClusterAmbiguity, IndefiniteMetric, NotPseudoHermitian
+from pseudoherm import evolution, linalg
+from pseudoherm.errors import (
+    ClusterAmbiguity,
+    IndefiniteMetric,
+    NotDiagonalizableReal,
+    NotPseudoHermitian,
+    Overflow,
+)
 from pseudoherm.evolution import (
     REGIME_COMPLEX,
     REGIME_JORDAN,
@@ -17,8 +23,16 @@ from pseudoherm.evolution import (
     propagator,
     transition_probability,
 )
+from pseudoherm.linalg import EXPM_NORM_BOUND
 from pseudoherm.operators import build_parity, build_positive_metric
-from pseudoherm.spectral import analyze, check_biorthonormal, reconstruct
+from pseudoherm.spectral import (
+    JordanBlockSpec,
+    SynthesisSpec,
+    analyze,
+    check_biorthonormal,
+    reconstruct,
+    synthesize,
+)
 
 
 def test_request_validation():
@@ -158,3 +172,84 @@ def test_regime_boundary_is_flagged_not_merged():
         analyze(h)
     # far from the boundary both structures are clean
     assert analyze(mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))[0]) is not None
+
+
+# --- stepped series against per-point propagators ---------------------------
+
+def _per_point(h, state, grid):
+    """Reference: one propagator per grid point."""
+    return np.column_stack([propagator(h, t) @ state for t in grid])
+
+
+def _synthesized_n32():
+    spec = SynthesisSpec(groups=tuple(JordanBlockSpec(k - 15.5 + 0.1 * np.sin(k), (1,))
+                                      for k in range(32)),
+                         basis_seed=3, basis_cond=100.0)
+    h, dec = synthesize(spec)
+    t_end = 0.8 * EXPM_NORM_BOUND / np.linalg.norm(h)
+    return h, dec, t_end
+
+
+def _agreement_cases():
+    for e, r, s in ((1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (1.0, 1.0, 0.0), (2.0, 0.0, 0.0)):
+        h, regime, dec = mashhoon_papini(MashhoonPapiniParams(e, r, s))
+        yield pytest.param(h, dec, tuple(np.linspace(0, 10, 200)), id=regime)
+    h, dec, t_end = _synthesized_n32()
+    yield pytest.param(h, dec, tuple(np.linspace(0, t_end, 200)), id="n32-linspace")
+    yield pytest.param(h, dec, tuple(np.geomspace(1e-3, t_end, 60)), id="n32-geomspace")
+    yield pytest.param(h, dec, tuple(np.linspace(-t_end / 2, t_end / 2, 101)),
+                       id="n32-negative-start")
+    yield pytest.param(h, dec, (0.3 * t_end,), id="n32-one-point")
+
+
+@pytest.mark.parametrize("h,dec,grid", _agreement_cases())
+def test_stepped_states_match_per_point_propagators(h, dec, grid):
+    rng = np.random.default_rng(5)
+    psi0 = rng.normal(size=dec.n) + 1j * rng.normal(size=dec.n)
+    ref = _per_point(h, psi0, grid)
+    got = evolution._states(h, psi0, grid)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+    try:
+        p_plus = build_positive_metric(dec)
+    except NotDiagonalizableReal:
+        return
+    final = rng.normal(size=dec.n) + 1j * rng.normal(size=dec.n)
+    req = EvolutionRequest(h=h, metric=p_plus, initial_state=psi0, t_grid=grid)
+    initial = evolution.metric_normalize(psi0, p_plus)
+    final_n = evolution.metric_normalize(final, p_plus)
+    want = np.abs(final_n.conj() @ p_plus @ _per_point(h, initial, grid)) ** 2
+    assert np.abs(np.array(transition_probability(req, final)) - want).max() <= 1e-10
+
+
+def test_linspace_grid_needs_few_expm_calls(monkeypatch):
+    h, _, t_end = _synthesized_n32()
+    calls = []
+    real_expm = linalg.expm
+    monkeypatch.setattr(linalg, "expm", lambda a: calls.append(1) or real_expm(a))
+    evolution._states(h, np.ones(32, dtype=complex), tuple(np.linspace(0, t_end, 200)))
+    assert 1 <= len(calls) <= 16
+
+
+def test_overflow_decided_on_the_far_end_of_the_grid():
+    # ||H||_F = 2: every gap of 1 is far inside EXPM_NORM_BOUND, t = 600 is not
+    h, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))
+    grid = tuple(np.linspace(0, 600, 601))
+    assert 1.0 * np.linalg.norm(h) < EXPM_NORM_BOUND < grid[-1] * np.linalg.norm(h)
+    req = EvolutionRequest(h=h, metric=build_positive_metric(dec),
+                           initial_state=[0, 1], t_grid=grid)
+    with pytest.raises(Overflow):
+        krein_norm_series(req)
+    with pytest.raises(Overflow):
+        transition_probability(req, [1, 0])
+
+
+def test_grid_across_zero_is_not_refused_for_its_gap():
+    # the gap from -t to t is past the bound, but every |t| is inside it
+    h, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))
+    t = 0.75 * EXPM_NORM_BOUND / np.linalg.norm(h)
+    req = EvolutionRequest(h=h, metric=build_positive_metric(dec),
+                           initial_state=[0, 1], t_grid=(-t, t))
+    probs = transition_probability(req, [1, 0])
+    want = 0.5 * (1 - np.cos(2 * np.array([-t, t])))
+    assert np.abs(np.array(probs) - want).max() < 1e-10
