@@ -1,9 +1,10 @@
 """Dense complex matrix kernel.
 
-Thin, tolerance-aware layer over numpy/scipy LAPACK wrappers: eigenvalues via
-the complex Schur form, SVD-based numerical rank, LU solves, and the matrix
-exponential.  Everything works on square ``complex128`` arrays of modest size
-(``N_MAX`` defaults to 64); matrices are treated as immutable values.
+Thin, tolerance-aware layer over numpy/scipy LAPACK wrappers: the complex
+Schur form and its eigenvalues, SVD-based numerical rank, LU solves, and the
+matrix exponential.  Everything works on square ``complex128`` arrays of
+modest size (``N_MAX`` defaults to 64); matrices are treated as immutable
+values.
 """
 
 from __future__ import annotations
@@ -68,11 +69,11 @@ def as_vector(v, n: int | None = None) -> np.ndarray:
     return w
 
 
-def eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues with multiplicity, from the complex Schur form.
+def schur(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """Complex Schur form ``A = Z T Z^dag``: ``T`` upper triangular, ``Z`` unitary.
 
-    The Schur factorization residual ``||A - Z T Z^dag||`` is checked against
-    the tolerance so a silent LAPACK failure cannot leak garbage downstream.
+    The factorization residual ``||A - Z T Z^dag||`` is checked against the
+    tolerance so a silent LAPACK failure cannot leak garbage downstream.
     """
     a = as_cmatrix(a)
     try:
@@ -82,7 +83,12 @@ def eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     resid = np.linalg.norm(a - z @ t @ z.conj().T)
     if resid > max(tol.scaled(a), 1e3 * np.finfo(float).eps * a.shape[0] * np.linalg.norm(a)):
         raise NonConvergence(f"Schur residual {resid:.3e} above tolerance")
-    return np.diag(t).copy()
+    return t, z
+
+
+def eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvalues with multiplicity: the diagonal of the Schur form."""
+    return np.diag(schur(a, tol)[0]).copy()
 
 
 def singular_values(a) -> np.ndarray:

@@ -12,6 +12,13 @@ extracts that structure from a raw matrix (``analyze``), builds matrices from
 a prescribed structure (``synthesize``), and verifies the chain-basis
 invariants.
 
+``analyze`` works on the complex Schur form ``H = Z T Z^dag``.  It clusters
+the diagonal of ``T`` by single linkage, then, for each cluster of size m,
+reorders the Schur form (LAPACK ``ztrsen``) so the cluster fills the leading
+m x m block ``T11``.  The rank staircase runs on ``T11 - center*I`` alone, and
+its chains map to chains of H through the leading m Schur vectors ``Z1``,
+since ``H Z1 = Z1 T11``.
+
 Eigenvalues are classified as real or as conjugate (+/-) pair members; a
 complex eigenvalue without a conjugate partner of identical block structure
 admits no generalized-parity treatment and is rejected with ``NotPaired``
@@ -23,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.linalg.lapack import ztrsen
 
 from . import linalg
 from .errors import (
@@ -301,63 +309,60 @@ def synthesize(spec: SynthesisSpec, *, allow_unpaired: bool = False,
 # analysis
 
 
-def _cluster(eigs: np.ndarray, delta: float):
-    """Single-linkage clustering of eigenvalues at link distance ``delta``."""
+def _cluster(eigs: np.ndarray, delta: float) -> list[np.ndarray]:
+    """Single-linkage clustering of eigenvalues at link distance ``delta``.
+
+    Returns index arrays: the connected components of the graph linking
+    eigenvalues at most ``delta`` apart, each in lexsort (real, imag) order,
+    listed in the lexsort order of their first members.
+    """
+    n = eigs.size
     order = np.lexsort((eigs.imag, eigs.real))
-    remaining = list(order)
-    clusters = []
-    while remaining:
-        seed = remaining.pop(0)
-        members = [seed]
-        grew = True
-        while grew:
-            grew = False
-            for idx in list(remaining):
-                if min(abs(eigs[idx] - eigs[m]) for m in members) <= delta:
-                    members.append(idx)
-                    remaining.remove(idx)
-                    grew = True
-        clusters.append(np.array([eigs[m] for m in members]))
-    return clusters
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    reach = (np.abs(eigs[:, None] - eigs[None, :]) <= delta).astype(np.float64)
+    while True:  # transitive closure by squaring: at most log2(n) rounds
+        grown = (reach @ reach > 0).astype(np.float64)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    # label each eigenvalue by the lexsort rank of its component's first member
+    label = np.where(reach > 0, rank[None, :], n).min(axis=1)
+    return [order[np.sort(rank[label == first])] for first in np.unique(label)]
 
 
-def _nullspace(a: np.ndarray, thresh: float) -> np.ndarray:
-    """Orthonormal basis of the numerical kernel (columns)."""
-    u, s, vh = np.linalg.svd(a)
-    nullity = int(np.count_nonzero(s <= thresh)) + (a.shape[1] - s.size)
-    if nullity == 0:
-        return np.zeros((a.shape[1], 0), dtype=np.complex128)
-    return vh[-nullity:].conj().T
+def _extract_chains(b: np.ndarray, tol: Tolerance):
+    """Jordan chains of the (numerically) nilpotent m x m matrix ``b``.
 
-
-def _extract_chains(b: np.ndarray, mult: int, tol: Tolerance):
-    """Jordan chains of the (numerically) nilpotent action of ``b``.
-
-    Uses the rank-of-powers staircase: ``w_k = nullity(b^k) - nullity(b^(k-1))``
-    counts blocks of size >= k; generators of height k are picked in
-    ``ker(b^k)`` independent of ``ker(b^(k-1))`` and of the height-k vectors
-    of longer chains already built.
+    ``analyze`` passes the leading block ``T11 - center*I`` of a Schur form
+    reordered to put one eigenvalue cluster of size m first, so all of ``b``
+    must be nilpotent.  Uses the rank-of-powers staircase:
+    ``w_k = nullity(b^k) - nullity(b^(k-1))`` counts blocks of size >= k; one
+    SVD of each power gives both its rank threshold
+    (``tol.abs + tol.rel * s_max``) and its kernel.  Generators of height k
+    are picked in ``ker(b^k)`` independent of ``ker(b^(k-1))`` and of the
+    height-k vectors of longer chains already built.
     """
     n = b.shape[0]
-    powers = [np.eye(n, dtype=np.complex128)]
+    power = np.eye(n, dtype=np.complex128)
     nullspaces = [np.zeros((n, 0), dtype=np.complex128)]
     nullities = [0]
     k = 0
-    while nullities[-1] < mult and k < n:
+    while nullities[-1] < n and k < n:
         k += 1
-        powers.append(powers[-1] @ b)
-        s = np.linalg.svd(powers[-1], compute_uv=False)
-        thresh = tol.abs + tol.rel * (s[0] if s.size else 0.0)
-        nullspaces.append(_nullspace(powers[-1], thresh))
-        nullities.append(nullspaces[-1].shape[1])
-    if nullities[-1] != mult:
+        power = power @ b
+        _, s, vh = np.linalg.svd(power)
+        nullity = int(np.count_nonzero(s <= tol.abs + tol.rel * s[0]))
+        nullspaces.append(vh[n - nullity:].conj().T)
+        nullities.append(nullity)
+    if nullities[-1] != n:
         raise ClusterAmbiguity(
             f"rank staircase saturates at nullity {nullities[-1]}, but the "
-            f"eigenvalue cluster has multiplicity {mult}; the cluster is not "
+            f"eigenvalue cluster has multiplicity {n}; the cluster is not "
             f"resolvable at this tolerance")
     depth = k
     weyr = [nullities[j] - nullities[j - 1] for j in range(1, depth + 1)]
-    if any(weyr[j] < weyr[j + 1] for j in range(depth - 1)) or sum(weyr) != mult:
+    if any(weyr[j] < weyr[j + 1] for j in range(depth - 1)):
         raise ClusterAmbiguity("inconsistent rank staircase for eigenvalue cluster")
 
     chains = []          # list of lists of vectors, heights 1..p (index 0 = eigvec)
@@ -422,12 +427,13 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *, cluster_tol: float | None = None
     """
     h = linalg.as_cmatrix(h)
     n = h.shape[0]
-    eigs = linalg.eigenvalues(h, tol)
+    t, z = linalg.schur(h, tol)
+    eigs = np.diag(t)
     delta = default_cluster_tol(h) if cluster_tol is None else float(cluster_tol)
 
     clusters = _cluster(eigs, delta)
-    centers = [c.mean() for c in clusters]
-    radii = [float(np.abs(c - c.mean()).max()) for c in clusters]
+    centers = [eigs[c].mean() for c in clusters]
+    radii = [float(np.abs(eigs[c] - center).max()) for c, center in zip(clusters, centers)]
     for i in range(len(clusters)):
         for j in range(i + 1, len(clusters)):
             gap = abs(centers[i] - centers[j])
@@ -445,12 +451,23 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *, cluster_tol: float | None = None
 
     raw_groups = []
     for c, center in zip(clusters, snapped):
-        chains = _extract_chains(h - center * np.eye(n), len(c), tol)
-        raw_groups.append((center, chains))
+        # move the cluster to the leading m x m block of the Schur form; the
+        # leading m Schur vectors span its invariant subspace, so chains of
+        # the block map to chains of H through them
+        select = np.zeros(n, dtype=np.int32)
+        select[c] = 1
+        t_re, z_re, _, m, _, _, info = ztrsen(select, t, z, job="N")
+        if info != 0 or m != c.size:
+            raise ClusterAmbiguity(
+                f"Schur reordering of the eigenvalue cluster at {center:.6g} "
+                f"failed (info={info}, {m} of {c.size} eigenvalues moved)")
+        chains = _extract_chains(t_re[:m, :m] - center * np.eye(m), tol)
+        basis = z_re[:, :m]
+        raw_groups.append((center, [[basis @ v for v in ch] for ch in chains]))
 
     # deterministic ordering: by real part, then |Im|, plus member first
-    raw_groups.sort(key=lambda t: (round(t[0].real, 9), round(abs(t[0].imag), 9),
-                                   -t[0].imag))
+    raw_groups.sort(key=lambda g: (round(g[0].real, 9), round(abs(g[0].imag), 9),
+                                   -g[0].imag))
 
     specs = [JordanBlockSpec(center, tuple(len(ch) for ch in chains))
              for center, chains in raw_groups]
@@ -458,7 +475,6 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *, cluster_tol: float | None = None
 
     # assemble S from gauge-fixed chains, invert for the dual chains
     cols = []
-    layout = []  # (group, chain) -> slice
     offset = 0
     fixed_chains = []
     for center, chains in raw_groups:

@@ -13,6 +13,7 @@ import pseudoherm
 from pseudoherm import serialization
 from pseudoherm.cli import main
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
+from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
 
 
 @pytest.fixture()
@@ -171,6 +172,17 @@ def test_check_command_passes_on_model(sixone, capsys):
     table = {row["check"]: row for row in rep["results"]["table"]}
     assert table["C^2 = 1"]["pass"]
     assert table["metric-reversing symmetries exist (paired blocks)"]["residual"] is False
+
+
+def test_check_passes_on_a_six_block(tmp_path, capsys):
+    # one Jordan block of size 6 among 26 simple real eigenvalues, n = 32
+    eigs = np.arange(27) - 13.0 + np.random.default_rng(1).uniform(-0.2, 0.2, 27)
+    spec = SynthesisSpec(groups=(JordanBlockSpec(eigs[0], (6,)),)
+                         + tuple(JordanBlockSpec(x, (1,)) for x in eigs[1:]),
+                         basis_seed=1, basis_cond=100.0)
+    path = _write_matrix(tmp_path, "six.json", synthesize(spec)[0])
+    assert main(["check", "--input", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["all_pass"]
 
 
 def test_check_reports_not_paired(tmp_path, capsys):

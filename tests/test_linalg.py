@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from pseudoherm import linalg
 from pseudoherm.errors import DimensionMismatch, Overflow, Singular
@@ -41,6 +42,33 @@ def test_eigenvalues_multiplicity():
     j = np.array([[2, 1], [0, 2]], dtype=np.complex128)
     w = linalg.eigenvalues(j)
     assert np.allclose(sorted(w.real), [2, 2], atol=1e-6)
+
+
+def _schur_fixtures():
+    rng = np.random.default_rng(7)
+    return [
+        np.array([[0, 0, 6], [1, 0, -11], [0, 1, 6]], dtype=np.complex128),
+        np.array([[2, 1], [0, 2]], dtype=np.complex128),
+        rng.normal(size=(6, 6)) + 1j * rng.normal(size=(6, 6)),
+        rng.normal(size=(64, 64)),
+    ]
+
+
+@pytest.mark.parametrize("a", _schur_fixtures())
+def test_schur_form(a):
+    t, z = linalg.schur(a)
+    n = a.shape[0]
+    assert np.array_equal(t, np.triu(t))
+    assert np.abs(z.conj().T @ z - np.eye(n)).max() <= 1e3 * n * np.finfo(float).eps
+    bound = max(linalg.DEFAULT_TOL.scaled(a),
+                1e3 * np.finfo(float).eps * n * np.linalg.norm(a))
+    assert np.linalg.norm(a - z @ t @ z.conj().T) <= bound
+
+
+@pytest.mark.parametrize("a", _schur_fixtures())
+def test_eigenvalues_are_the_schur_diagonal_bit_for_bit(a):
+    want = np.diag(sla.schur(np.asarray(a, dtype=np.complex128), output="complex")[0])
+    assert np.array_equal(linalg.eigenvalues(a), want)
 
 
 def test_rank_and_nullity():

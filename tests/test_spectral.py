@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from pseudoherm import spectral
-from pseudoherm.errors import ClusterAmbiguity, NotPaired
+from pseudoherm import operators, spectral
+from pseudoherm.errors import ClusterAmbiguity, NotPaired, PseudohermError
+from pseudoherm.linalg import DEFAULT_TOL
 from pseudoherm.spectral import (
     JordanBlockSpec,
     SynthesisSpec,
@@ -156,3 +157,122 @@ def test_basis_cond_is_respected():
     _, dec = synthesize(spec)
     s = dec.psi_matrix()
     assert np.isclose(np.linalg.cond(s), 50.0, rtol=1e-6)
+
+
+def _loop_cluster(eigs, delta):
+    """The quadratic single-linkage loop that ``_cluster`` replaces, kept as
+    its oracle: member index lists, seeded in lexsort (real, imag) order."""
+    order = np.lexsort((eigs.imag, eigs.real))
+    remaining = list(order)
+    clusters = []
+    while remaining:
+        seed = remaining.pop(0)
+        members = [seed]
+        grew = True
+        while grew:
+            grew = False
+            for idx in list(remaining):
+                if min(abs(eigs[idx] - eigs[m]) for m in members) <= delta:
+                    members.append(idx)
+                    remaining.remove(idx)
+                    grew = True
+        clusters.append(members)
+    return clusters
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_cluster_matches_single_linkage_loop(seed):
+    rng = np.random.default_rng(seed)
+    delta = 0.05
+    k = int(rng.integers(1, 30))
+    points = [rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)]
+    # chains linked only end to end, just under delta (joined) or just over
+    # it (split), a pair exactly delta apart (joined) and exact repeats
+    for step in (1 - 1e-9, 1 + 1e-9, 1 - 1e-9):
+        start = rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)
+        heading = np.exp(1j * rng.choice([0.0, 0.5 * np.pi, rng.uniform(0, 2 * np.pi)]))
+        points.append(start + heading * step * delta * np.arange(int(rng.integers(2, 9))))
+    points.append(3j + np.array([0.0, delta]))
+    points.append(np.repeat(points[0][:2], 2))
+    eigs = np.concatenate(points).astype(np.complex128)
+    rng.shuffle(eigs)
+    got = spectral._cluster(eigs, delta)
+    assert [sorted(c.tolist()) for c in got] == [sorted(c) for c in _loop_cluster(eigs, delta)]
+
+
+def _spec(rng, n, blocks=(), pairs=0, cond=100.0):
+    """Real Jordan blocks of the given sizes, ``pairs`` simple conjugate
+    pairs and simple real eigenvalues filling n; real parts at least 0.6
+    apart, pair members 0.6 to 2 apart."""
+    n_real = n - sum(blocks) - 2 * pairs + len(blocks)
+    m = n_real + pairs
+    pos = np.arange(m) - 0.5 * (m - 1) + rng.uniform(-0.2, 0.2, m)
+    rng.shuffle(pos)
+    dims = list(blocks) + [1] * (n_real - len(blocks))
+    groups = [JordanBlockSpec(x, (p,)) for x, p in zip(pos, dims)]
+    for x in pos[n_real:]:
+        z = x + 1j * rng.uniform(0.3, 1.0)
+        groups += [JordanBlockSpec(z, (1,)), JordanBlockSpec(np.conj(z), (1,))]
+    return SynthesisSpec(groups=tuple(groups), basis_seed=int(rng.integers(2 ** 62)),
+                         basis_cond=cond)
+
+
+def _same_structure(dec, dec_syn):
+    """Each synthesized group meets its nearest analyzed group, within 1e-6,
+    with the same kind and block sizes, and no two meet the same one."""
+    got = [(g.eigenvalue, g.kind, sorted(g.block_dims)) for g in dec.groups]
+    nearest = [min(range(len(got)), key=lambda i: abs(got[i][0] - g.eigenvalue))
+               for g in dec_syn.groups]
+    return len(got) == len(set(nearest)) == len(dec_syn.groups) and all(
+        abs(got[i][0] - g.eigenvalue) <= 1e-6 and got[i][1:] == (g.kind, sorted(g.block_dims))
+        for i, g in zip(nearest, dec_syn.groups))
+
+
+def _chain_residuals(h, dec):
+    rep = check_biorthonormal(dec)
+    return {"biorthonormality": rep.gram_residual,
+            "completeness": rep.completeness_residual,
+            "reconstruction": float(np.linalg.norm(reconstruct(dec) - h))}
+
+
+def test_analyze_ensemble_one_jordan_block():
+    """Block sizes 1-8 in n=16 across basis conditions: never a wrong
+    structure or an accepted result over threshold, only typed refusals,
+    and every block of size <= 5 resolved."""
+    refused = []
+    for p in range(1, 9):
+        for cond in (1.0, 10.0, 100.0, 1e3):
+            for seed in range(2):
+                rng = np.random.default_rng([p, int(cond), seed])
+                h, dec_syn = synthesize(_spec(rng, 16, (p,), cond=cond))
+                try:
+                    dec = analyze(h)
+                except PseudohermError as exc:
+                    assert isinstance(exc, ClusterAmbiguity), (p, cond, seed, exc)
+                    refused.append((p, cond, seed))
+                    continue
+                assert _same_structure(dec, dec_syn), (p, cond, seed)
+                thr = DEFAULT_TOL.scaled(h)
+                assert all(r <= thr for r in _chain_residuals(h, dec).values()), (p, cond, seed)
+    assert all(p > 5 for p, _, _ in refused), refused
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("n, blocks, pairs", [(32, (6,), 0), (64, (5,), 1)])
+def test_high_order_blocks_pass_the_check_battery(n, blocks, pairs, seed):
+    h, dec_syn = synthesize(_spec(np.random.default_rng([n, seed]), n, blocks, pairs))
+    dec = analyze(h)
+    assert _same_structure(dec, dec_syn)
+    p, c = operators.build_parity(dec), operators.build_charge(dec)
+    tp = operators.build_tp(dec).matrix
+    eye = np.eye(n)
+    residuals = _chain_residuals(h, dec) | {
+        "P H P^-1 = H^dag": np.linalg.norm(p @ h @ np.linalg.inv(p) - h.conj().T),
+        "C^2 = 1": np.linalg.norm(c @ c - eye),
+        "[C, H] = 0": np.linalg.norm(c @ h - h @ c),
+        "(TP)^2 = 1": np.linalg.norm(tp @ tp.conj() - eye),
+        "[TP, H] = 0": np.linalg.norm(tp @ h.conj() - h @ tp),
+        "[C, TP] = 0": np.linalg.norm(c @ tp - tp @ c.conj()),
+    }
+    thr = DEFAULT_TOL.scaled(h)
+    assert {k: r for k, r in residuals.items() if not r <= thr} == {}
