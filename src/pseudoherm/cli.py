@@ -35,15 +35,6 @@ EXIT_USAGE = 1
 EXIT_AMBIGUOUS = 2
 EXIT_REFUSAL = 3
 
-#: errors that mean "the object does not exist / the request is ill-posed
-#: mathematically" rather than "we could not compute it"
-_REFUSAL_NAMES = {
-    "MathematicalRefusal", "NotPaired", "NotDiagonalizableReal",
-    "UnpairedRealBlocks", "SingularMetric", "NonHermitianMetric",
-    "SingularBasis", "SingularOperator", "NotInvolutory", "NotAntiunitary",
-    "NotPseudoHermitian", "IndefiniteMetric", "ZeroLeadingCoefficient",
-}
-
 
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
@@ -377,8 +368,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _exit_code(exc: Exception) -> int:
     if isinstance(exc, MathematicalRefusal):
-        return EXIT_REFUSAL
-    if type(exc).__name__ in _REFUSAL_NAMES:
         return EXIT_REFUSAL
     if isinstance(exc, NumericalAmbiguity):
         return EXIT_AMBIGUOUS

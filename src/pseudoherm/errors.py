@@ -57,37 +57,37 @@ class UnpairedRealBlocks(MathematicalRefusal):
     pass
 
 
-class SingularMetric(PseudohermError):
+class SingularMetric(MathematicalRefusal):
     pass
 
 
-class NonHermitianMetric(PseudohermError):
+class NonHermitianMetric(MathematicalRefusal):
     pass
 
 
-class SingularBasis(PseudohermError):
+class SingularBasis(MathematicalRefusal):
     pass
 
 
-class SingularOperator(PseudohermError):
+class SingularOperator(MathematicalRefusal):
     pass
 
 
-class NotInvolutory(PseudohermError):
+class NotInvolutory(MathematicalRefusal):
     pass
 
 
-class NotAntiunitary(PseudohermError):
+class NotAntiunitary(MathematicalRefusal):
     pass
 
 
-class NotPseudoHermitian(PseudohermError):
+class NotPseudoHermitian(MathematicalRefusal):
     pass
 
 
-class IndefiniteMetric(PseudohermError):
+class IndefiniteMetric(MathematicalRefusal):
     pass
 
 
-class ZeroLeadingCoefficient(PseudohermError):
+class ZeroLeadingCoefficient(MathematicalRefusal):
     pass

@@ -226,34 +226,35 @@ def commutant_element(dec: SpectralDecomposition, params) -> np.ndarray:
 
     ``params`` lists, for each Jordan chain in storage order, a coefficient
     sequence ``(c_0, ..., c_{p-1})``; the block contribution is
-    ``sum_k c_k sum_i |psi_i><phi_{i+k}|`` (upper-triangular Toeplitz in the
-    chain basis).  The leading coefficient of every block must be nonzero so
-    the result is invertible.  Cross-block mixing is not generated.
+    ``sum_k c_k sum_i |psi_i><phi_{i+k}|``, so the element is Psi K Phi^dag
+    with K block diagonal, one upper-triangular Toeplitz block per chain.
+    The leading coefficient of every block must be nonzero so the result is
+    invertible.  Cross-block mixing is not generated.
     """
-    chains = [c for g in dec.groups for c in g.chains]
-    if len(params) != len(chains):
-        raise ValueError(f"expected {len(chains)} coefficient lists, got {len(params)}")
-    x = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for c, coeffs in zip(chains, params):
+    blocks = dec.chain_starts.values()
+    if len(params) != len(blocks):
+        raise ValueError(f"expected {len(blocks)} coefficient lists, got {len(params)}")
+    k = np.zeros((dec.n, dec.n), dtype=np.complex128)
+    for (pos, dim), coeffs in zip(blocks, params):
         coeffs = np.atleast_1d(np.asarray(coeffs, dtype=np.complex128))
-        if coeffs.shape[0] != c.dim:
+        if coeffs.shape[0] != dim:
             raise ValueError(
-                f"coefficient list of length {coeffs.shape[0]} for a block of dim {c.dim}")
+                f"coefficient list of length {coeffs.shape[0]} for a block of dim {dim}")
         if coeffs[0] == 0:
             raise ZeroLeadingCoefficient(
                 "leading Toeplitz coefficient is zero; the element would be singular")
-        for k in range(c.dim):
-            for i in range(c.dim - k):
-                x += coeffs[k] * np.outer(c.psi[i], c.phi[i + k].conj())
-    return x
+        lag = np.arange(dim)[None, :] - np.arange(dim)[:, None]  # column - row
+        k[pos:pos + dim, pos:pos + dim] = np.where(lag >= 0, coeffs[lag], 0)
+    return dec.chain_product("psi", k, "phi^dag")
 
 
 def pseudounitary_symmetries_exist(dec: SpectralDecomposition) -> PseudounitaryExistence:
     """Metric-reversing (pseudounitary/pseudoantiunitary) symmetries exist
     exactly when every real eigenvalue's Jordan blocks occur in identical
     pairs, which also forces the canonical involutory metric to be traceless."""
-    cong_trace = float(np.trace(
-        _canonical_p_tilde(dec)).real)
+    # congruence by the psi chains turns the canonical parity into its K
+    cong_trace = float(np.trace(operators._coefficients(
+        dec, "P", operators.canonical_sign_sequence(dec))))
     ok, violations = operators.reflecting_exists(dec)
     if not ok or abs(cong_trace) > 0.5:
         if ok:
@@ -266,30 +267,3 @@ def pseudounitary_symmetries_exist(dec: SpectralDecomposition) -> PseudounitaryE
     return PseudounitaryExistence(exists=True, reflecting=r, quaternionic=t_frak,
                                   paired_metric=p_paired, canonical_trace=cong_trace,
                                   violations=[])
-
-
-def _canonical_p_tilde(dec: SpectralDecomposition) -> np.ndarray:
-    """Canonical-sign involutory metric directly in the chain basis (signed
-    block reversal), avoiding a full congruence when only its trace matters."""
-    sigma = operators.canonical_sign_sequence(dec)
-    p = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    offset = {}
-    pos = 0
-    for ng, g in enumerate(dec.groups):
-        for a, c in enumerate(g.chains):
-            offset[(ng, a)] = pos
-            pos += c.dim
-    for ng, g in enumerate(dec.groups):
-        if g.kind != "real":
-            continue
-        for a, c in enumerate(g.chains):
-            o = offset[(ng, a)]
-            for i in range(c.dim):
-                p[o + c.dim - 1 - i, o + i] = sigma(ng, a)
-    for ng1, g1, ng2, g2 in dec.iter_pairs():
-        for a, (c1, c2) in enumerate(zip(g1.chains, g2.chains)):
-            o1, o2 = offset[(ng1, a)], offset[(ng2, a)]
-            for i in range(c1.dim):
-                p[o1 + c1.dim - 1 - i, o2 + i] = sigma(ng1, a)
-                p[o2 + c1.dim - 1 - i, o1 + i] = sigma(ng1, a)
-    return p

@@ -1,7 +1,12 @@
 """Generalized parity, charge-conjugation and time-reversal families.
 
-All operators are assembled as dyad sums over the biorthonormal chains of a
-``SpectralDecomposition``.  Antilinear operators are concretized as
+Every operator is a signed sum of dyads over the biorthonormal chains of a
+``SpectralDecomposition``, so it is assembled as one product
+``left @ K @ right`` of the chain matrices Psi, Phi (vectors as columns) and
+a small signed-permutation coefficient matrix K (``_coefficients``):
+Phi K Phi^dag for the metrics (P, P+ and the paired parity), Psi K Phi^dag
+for C and R, Psi K Phi^T for TP, CTP and the quaternionic T, and
+Psi K Psi^T for T.  Antilinear operators are concretized as
 "matrix followed by entrywise conjugation": ``A v = M conj(v)``.  With that
 semantics the algebra is fully determined:
 
@@ -67,10 +72,6 @@ class SymmetryOperator:
     def linear(cls, m) -> "SymmetryOperator":
         return cls(matrix=m, antilinear=False)
 
-    @classmethod
-    def antiunitary_form(cls, op: AntilinearOp) -> "SymmetryOperator":
-        return cls(matrix=op.matrix, antilinear=True)
-
     @property
     def n(self) -> int:
         return self.matrix.shape[0]
@@ -114,12 +115,6 @@ class SignSequence:
 
     def __call__(self, group: int, chain: int) -> int:
         return self.signs[(group, chain)]
-
-
-def all_plus(dec: SpectralDecomposition) -> SignSequence:
-    return SignSequence({(ng, a): +1
-                         for ng, g in enumerate(dec.groups)
-                         for a in range(len(g.chains))})
 
 
 def canonical_sign_sequence(dec: SpectralDecomposition) -> SignSequence:
@@ -169,6 +164,81 @@ def _require_paired(dec: SpectralDecomposition):
 
 
 # ---------------------------------------------------------------------------
+# chain-basis coefficients
+
+#: chain-basis form ``left @ K @ right`` of each operator kind, named as in
+#: ``SpectralDecomposition.chain_product``
+_FORMS = {
+    "P": ("phi", "phi^dag"),
+    "C": ("psi", "phi^dag"),
+    "R": ("psi", "phi^dag"),
+    "T": ("psi", "psi^T"),
+    "TP": ("psi", "phi^T"),
+    "Tfrak": ("psi", "phi^T"),
+}
+
+
+def _coefficients(dec: SpectralDecomposition, op: str, sigma=None,
+                  halves=()) -> np.ndarray:
+    """Coefficient matrix K of operator kind ``op`` in the chain basis (rows
+    and columns in ``psi_matrix`` order).  K is a signed permutation made of
+    one identity block, or index-reversal block (rev), ``K[x, y]`` per
+    coupled pair of chains x, y:
+
+        P      K[x, x] = sigma rev for each real chain; for each conjugate
+               pair (x, y): K[x, y] = K[y, x] = sigma rev
+        C      K[x, x] = sigma for each chain
+        T      K[x, x] = rev for each chain
+        TP     as P without rev
+        R      K[x, y] = K[y, x] = 1 for each real block pair (x, y);
+               K[x, x] = 1, K[y, y] = -1 for each conjugate pair (x, y)
+        Tfrak  K[x, y] = 1, K[y, x] = -1 for each real block pair and
+               each conjugate pair (x, y)
+
+    ``sigma`` signs the (group, chain) labels for P, C and TP; ``halves``
+    lists the real block pairs ``((ng, a), (ng, b))`` for R and Tfrak.
+    """
+    start = dec.chain_starts
+    k = np.zeros((dec.n, dec.n))
+
+    def put(row, col, sign, reverse=False):
+        (r0, dim), (c0, _) = start[row], start[col]
+        for i in range(dim):
+            k[r0 + dim - 1 - i if reverse else r0 + i, c0 + i] = sign
+
+    pairs = [((ng1, a), (ng2, a)) for ng1, g1, ng2, _ in dec.iter_pairs()
+             for a in range(len(g1.chains))]
+    if op in ("P", "TP"):
+        for ng, g in dec.iter_real():
+            for a in range(len(g.chains)):
+                put((ng, a), (ng, a), sigma(ng, a), op == "P")
+        for x, y in pairs:
+            put(x, y, sigma(*x), op == "P")
+            put(y, x, sigma(*x), op == "P")
+    elif op in ("C", "T"):
+        for x in start:
+            put(x, x, sigma(*x) if op == "C" else 1, op == "T")
+    elif op == "R":
+        for x, y in halves:
+            put(x, y, 1)
+            put(y, x, 1)
+        for x, y in pairs:
+            put(x, x, 1)
+            put(y, y, -1)
+    else:  # Tfrak
+        for x, y in list(halves) + pairs:
+            put(x, y, 1)
+            put(y, x, -1)
+    return k
+
+
+def _build(dec: SpectralDecomposition, op: str, sigma=None, halves=()) -> np.ndarray:
+    """The operator ``left @ K @ right`` of kind ``op``."""
+    left, right = _FORMS[op]
+    return dec.chain_product(left, _coefficients(dec, op, sigma, halves), right)
+
+
+# ---------------------------------------------------------------------------
 # operator constructions
 
 
@@ -176,82 +246,38 @@ def build_parity(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
     """Hermitian metric from phi-dyads with intra-chain index reversal and
     conjugate-pair cross terms; renders H pseudo-Hermitian."""
     _require_paired(dec)
-    sigma = resolve_sigma(dec, sigma)
-    p = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for ng, g in dec.iter_real():
-        for a, c in enumerate(g.chains):
-            for i in range(c.dim):
-                p += sigma(ng, a) * np.outer(c.phi[c.dim - 1 - i], c.phi[i].conj())
-    for ng1, g1, ng2, g2 in dec.iter_pairs():
-        for a, (c1, c2) in enumerate(zip(g1.chains, g2.chains)):
-            for i in range(c1.dim):
-                rev = c1.dim - 1 - i
-                p += sigma(ng1, a) * (np.outer(c1.phi[rev], c2.phi[i].conj())
-                                      + np.outer(c2.phi[rev], c1.phi[i].conj()))
-    return p
+    return _build(dec, "P", resolve_sigma(dec, sigma))
 
 
 def build_charge(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
     """Involutory operator commuting with H (signed completeness sum)."""
     _require_paired(dec)
-    sigma = resolve_sigma(dec, sigma)
-    c_op = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for ng, g in enumerate(dec.groups):
-        for a, c in enumerate(g.chains):
-            for i in range(c.dim):
-                c_op += sigma(ng, a) * np.outer(c.psi[i], c.phi[i].conj())
-    return c_op
+    return _build(dec, "C", resolve_sigma(dec, sigma))
 
 
 def build_time_reversal(dec: SpectralDecomposition) -> AntilinearOp:
     """Antilinear Hermitian T with ``T H^dag T^-1 = H`` (psi-dyads with
     index reversal; the matrix part is complex-symmetric)."""
     _require_paired(dec)
-    m = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for g in dec.groups:
-        for c in g.chains:
-            for i in range(c.dim):
-                m += np.outer(c.psi[i], c.psi[c.dim - 1 - i])
-    return AntilinearOp(m)
+    return AntilinearOp(_build(dec, "T"))
 
 
 def build_tp(dec: SpectralDecomposition, sigma="canonical") -> AntilinearOp:
     """Involutory antilinear symmetry T P_sigma (index reversals cancel;
     conjugate pairs couple crosswise)."""
     _require_paired(dec)
-    sigma = resolve_sigma(dec, sigma)
-    m = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for ng, g in dec.iter_real():
-        for a, c in enumerate(g.chains):
-            for i in range(c.dim):
-                m += sigma(ng, a) * np.outer(c.psi[i], c.phi[i])
-    for ng1, g1, ng2, g2 in dec.iter_pairs():
-        for a, (c1, c2) in enumerate(zip(g1.chains, g2.chains)):
-            for i in range(c1.dim):
-                m += sigma(ng1, a) * (np.outer(c1.psi[i], c2.phi[i])
-                                      + np.outer(c2.psi[i], c1.phi[i]))
-    return AntilinearOp(m)
+    return AntilinearOp(_build(dec, "TP", resolve_sigma(dec, sigma)))
 
 
 def build_ctp(dec: SpectralDecomposition, sigma="canonical",
               sigma_prime="canonical") -> AntilinearOp:
-    """Involutory antilinear symmetry C_sigma T P_sigma'."""
+    """Involutory antilinear symmetry C_sigma T P_sigma': the T P form signed
+    by the product sigma * sigma'."""
     _require_paired(dec)
     sigma = resolve_sigma(dec, sigma)
     sigma_prime = resolve_sigma(dec, sigma_prime)
-    m = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for ng, g in dec.iter_real():
-        for a, c in enumerate(g.chains):
-            coeff = sigma(ng, a) * sigma_prime(ng, a)
-            for i in range(c.dim):
-                m += coeff * np.outer(c.psi[i], c.phi[i])
-    for ng1, g1, ng2, g2 in dec.iter_pairs():
-        for a, (c1, c2) in enumerate(zip(g1.chains, g2.chains)):
-            coeff = sigma(ng1, a) * sigma_prime(ng1, a)
-            for i in range(c1.dim):
-                m += coeff * (np.outer(c1.psi[i], c2.phi[i])
-                              + np.outer(c2.psi[i], c1.phi[i]))
-    return AntilinearOp(m)
+    product = SignSequence({x: s * sigma_prime(*x) for x, s in sigma.signs.items()})
+    return AntilinearOp(_build(dec, "TP", product))
 
 
 def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
@@ -269,17 +295,14 @@ def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
         raise NotDiagonalizableReal(
             "no positive definite metric exists: " + "; ".join(detail),
             reason="Theorem 1")
-    p = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for g in dec.groups:
-        for c in g.chains:
-            p += np.outer(c.phi[0], c.phi[0].conj())
-    return p
+    return dec.chain_product("phi", np.eye(dec.n), "phi^dag")
 
 
 def _paired_real_layout(dec: SpectralDecomposition, reason: str = "Proposition 4"):
-    """For each real group, split its chains into two halves of identical
-    dimensions (a paired with a + d/2); raises if impossible."""
-    layout = []
+    """Split each real group's chains into two halves of identical
+    dimensions; returns the label pairs ``((ng, a), (ng, b))``, a in the
+    first half and b in the second, and raises if impossible."""
+    halves = []
     violations = []
     for ng, g in dec.iter_real():
         dims = sorted(range(len(g.chains)), key=lambda a: g.chains[a].dim)
@@ -298,12 +321,12 @@ def _paired_real_layout(dec: SpectralDecomposition, reason: str = "Proposition 4
         if not ok:
             violations.append((g.eigenvalue, g.block_dims))
         else:
-            layout.append((ng, g, first, second))
+            halves.extend(((ng, a), (ng, b)) for a, b in zip(first, second))
     if violations:
         raise UnpairedRealBlocks(
             f"real-eigenvalue Jordan blocks do not occur in identical pairs: "
             f"{violations}", reason=reason)
-    return layout
+    return halves
 
 
 def reflecting_exists(dec: SpectralDecomposition) -> tuple[bool, list]:
@@ -336,48 +359,18 @@ def build_reflecting(dec: SpectralDecomposition):
     real block pair.
     """
     _require_paired(dec)
-    layout = _paired_real_layout(dec)
-    n = dec.n
-    r = np.zeros((n, n), dtype=np.complex128)
-    p = np.zeros((n, n), dtype=np.complex128)
-    for ng, g, first, second in layout:
-        for a, b in zip(first, second):
-            ca, cb = g.chains[a], g.chains[b]
-            for i in range(ca.dim):
-                r += np.outer(ca.psi[i], cb.phi[i].conj())
-                r += np.outer(cb.psi[i], ca.phi[i].conj())
-                rev = ca.dim - 1 - i
-                p += np.outer(ca.phi[rev], ca.phi[i].conj())
-                p -= np.outer(cb.phi[rev], cb.phi[i].conj())
-    for ng1, g1, ng2, g2 in dec.iter_pairs():
-        for a, (c1, c2) in enumerate(zip(g1.chains, g2.chains)):
-            for i in range(c1.dim):
-                r += np.outer(c1.psi[i], c1.phi[i].conj())
-                r -= np.outer(c2.psi[i], c2.phi[i].conj())
-                rev = c1.dim - 1 - i
-                p += np.outer(c1.phi[rev], c2.phi[i].conj())
-                p += np.outer(c2.phi[rev], c1.phi[i].conj())
-    return r, p
+    halves = _paired_real_layout(dec)
+    signs = {(ng, a): +1 for ng, g in enumerate(dec.groups) for a in range(len(g.chains))}
+    signs.update((b, -1) for _, b in halves)
+    return _build(dec, "R", halves=halves), _build(dec, "P", SignSequence(signs))
 
 
 def build_quaternionic_T(dec: SpectralDecomposition) -> AntilinearOp:
     """Antilinear symmetry squaring to -1 (fermionic-type time reversal);
     coincides with R T P for the paired parity."""
     _require_paired(dec)
-    layout = _paired_real_layout(dec, reason="Theorem 2")
-    m = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for ng, g, first, second in layout:
-        for a, b in zip(first, second):
-            ca, cb = g.chains[a], g.chains[b]
-            for i in range(ca.dim):
-                m += np.outer(ca.psi[i], cb.phi[i])
-                m -= np.outer(cb.psi[i], ca.phi[i])
-    for ng1, g1, ng2, g2 in dec.iter_pairs():
-        for a, (c1, c2) in enumerate(zip(g1.chains, g2.chains)):
-            for i in range(c1.dim):
-                m += np.outer(c1.psi[i], c2.phi[i])
-                m -= np.outer(c2.psi[i], c1.phi[i])
-    return AntilinearOp(m)
+    halves = _paired_real_layout(dec, reason="Theorem 2")
+    return AntilinearOp(_build(dec, "Tfrak", halves=halves))
 
 
 def involutory_symmetry_exists(dec: SpectralDecomposition) -> bool:

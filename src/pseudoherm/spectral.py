@@ -28,6 +28,8 @@ unless explicitly tolerated.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
 
 import numpy as np
 from scipy.linalg.lapack import ztrsen
@@ -106,12 +108,47 @@ class SpectralDecomposition:
 
     def psi_matrix(self) -> np.ndarray:
         """Chain vectors as columns, in group/chain/height order (= S)."""
-        cols = [c.psi[i] for g in self.groups for c in g.chains for i in range(c.dim)]
-        return np.array(cols, dtype=np.complex128).T
+        return self._factors["psi"].copy()
 
     def phi_matrix(self) -> np.ndarray:
-        cols = [c.phi[i] for g in self.groups for c in g.chains for i in range(c.dim)]
-        return np.array(cols, dtype=np.complex128).T
+        return self._factors["phi"].copy()
+
+    @cached_property
+    def _factors(self) -> dict:
+        """The chain matrices and the transposes ``chain_product`` takes,
+        built once per decomposition and read-only."""
+        psi, phi = (np.concatenate([getattr(c, name) for g in self.groups for c in g.chains]
+                                   ).astype(np.complex128, copy=False).T
+                    for name in ("psi", "phi"))
+        factors = {"psi": psi, "phi": phi, "psi^T": psi.T, "phi^T": phi.T,
+                   "phi^dag": phi.conj().T}
+        for m in factors.values():
+            m.flags.writeable = False
+        return factors
+
+    @cached_property
+    def chain_starts(self) -> MappingProxyType:
+        """``(start, dim)`` of each (group, chain) label's vectors in
+        ``psi_matrix`` column order (read-only)."""
+        starts = {}
+        pos = 0
+        for ng, g in enumerate(self.groups):
+            for a, c in enumerate(g.chains):
+                starts[(ng, a)] = (pos, c.dim)
+                pos += c.dim
+        return MappingProxyType(starts)
+
+    def chain_product(self, left: str, k: np.ndarray, right: str) -> np.ndarray:
+        """``left @ k @ right``: the operator whose coefficient matrix in the
+        chain basis is ``k`` (rows and columns in ``psi_matrix`` order).
+
+        ``left`` is ``"psi"`` or ``"phi"`` (the chain matrix, vectors as
+        columns); ``right`` is ``"phi^dag"``, ``"phi^T"`` or ``"psi^T"``.  The
+        operators of this package take the forms Phi K Phi^dag (metrics),
+        Psi K Phi^dag (linear symmetries, H itself), Psi K Phi^T and
+        Psi K Psi^T (matrix parts of antilinear symmetries).
+        """
+        return self._factors[left] @ k @ self._factors[right]
 
     def iter_real(self):
         for ng, g in enumerate(self.groups):
@@ -163,15 +200,12 @@ class BiorthonormalityReport:
 
 
 def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
-    """Assemble H from its chain dyads (eigenvalue part + chain shift part)."""
-    h = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for g in dec.groups:
-        for c in g.chains:
-            for i in range(c.dim):
-                h += g.eigenvalue * np.outer(c.psi[i], c.phi[i].conj())
-            for i in range(c.dim - 1):
-                h += np.outer(c.psi[i], c.phi[i + 1].conj())
-    return h
+    """Assemble H as Psi J Phi^dag, J the Jordan matrix of the chains
+    (eigenvalues on the diagonal, ones above it inside each chain)."""
+    link = np.ones(dec.n - 1)
+    link[[start - 1 for start, _ in dec.chain_starts.values() if start]] = 0.0
+    jordan = np.diag(dec.eigenvalues()) + np.diag(link, 1)
+    return dec.chain_product("psi", jordan, "phi^dag")
 
 
 def check_biorthonormal(dec: SpectralDecomposition,
@@ -331,6 +365,20 @@ def _cluster(eigs: np.ndarray, delta: float) -> list[np.ndarray]:
     return [order[np.sort(rank[label == first])] for first in np.unique(label)]
 
 
+def _check_gaps(centers: np.ndarray, radii: np.ndarray, delta: float):
+    """Raise ``ClusterAmbiguity`` unless every two clusters are at least ten
+    times their scale ``max(r_i + r_j, delta)`` apart; names the first
+    failing pair (i < j) in row-major order."""
+    gap = np.abs(np.subtract.outer(centers, centers))
+    i, j = np.nonzero(gap < 10.0 * np.maximum(np.add.outer(radii, radii), delta))
+    upper = np.flatnonzero(i < j)
+    if upper.size:
+        i, j = i[upper[0]], j[upper[0]]
+        raise ClusterAmbiguity(
+            f"eigenvalue clusters at {centers[i]:.6g} and {centers[j]:.6g} "
+            f"are separated by {gap[i, j]:.3e}, below 10x the cluster scale")
+
+
 def _extract_chains(b: np.ndarray, tol: Tolerance):
     """Jordan chains of the (numerically) nilpotent m x m matrix ``b``.
 
@@ -432,15 +480,10 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *, cluster_tol: float | None = None
     delta = default_cluster_tol(h) if cluster_tol is None else float(cluster_tol)
 
     clusters = _cluster(eigs, delta)
-    centers = [eigs[c].mean() for c in clusters]
-    radii = [float(np.abs(eigs[c] - center).max()) for c, center in zip(clusters, centers)]
-    for i in range(len(clusters)):
-        for j in range(i + 1, len(clusters)):
-            gap = abs(centers[i] - centers[j])
-            if gap < 10.0 * max(radii[i] + radii[j], delta):
-                raise ClusterAmbiguity(
-                    f"eigenvalue clusters at {centers[i]:.6g} and {centers[j]:.6g} "
-                    f"are separated by {gap:.3e}, below 10x the cluster scale")
+    centers = np.array([eigs[c].mean() for c in clusters])
+    radii = np.array([np.abs(eigs[c] - center).max()
+                      for c, center in zip(clusters, centers)])
+    _check_gaps(centers, radii, delta)
 
     # snap near-real centers to the real axis before pairing
     real_thresh = max(tol.abs, 0.1 * delta)

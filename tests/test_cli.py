@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pseudoherm
-from pseudoherm import serialization
+from pseudoherm import cli, errors, serialization
 from pseudoherm.cli import main
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
@@ -316,3 +316,30 @@ def test_module_entry_point_runs_without_runpy_warning():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert "evolve" in proc.stdout
+
+
+#: the exit code each library error maps to
+_EXIT_CODES = {
+    "PseudohermError": 2, "DimensionMismatch": 1, "NonConvergence": 2,
+    "Singular": 2, "Overflow": 2, "NumericalAmbiguity": 2, "ClusterAmbiguity": 2,
+    "MathematicalRefusal": 3, "NotPaired": 3, "NotDiagonalizableReal": 3,
+    "UnpairedRealBlocks": 3, "SingularMetric": 3, "NonHermitianMetric": 3,
+    "SingularBasis": 3, "SingularOperator": 3, "NotInvolutory": 3, "NotAntiunitary": 3,
+    "NotPseudoHermitian": 3, "IndefiniteMetric": 3, "ZeroLeadingCoefficient": 3,
+}
+
+
+def test_every_error_class_has_a_pinned_exit_code():
+    classes = {name for name, obj in vars(errors).items()
+               if isinstance(obj, type) and issubclass(obj, Exception)}
+    assert classes == set(_EXIT_CODES)
+
+
+@pytest.mark.parametrize("name", sorted(_EXIT_CODES))
+def test_error_exit_code(name, monkeypatch, capsys):
+    def fail(args):
+        raise getattr(errors, name)("boom")
+
+    monkeypatch.setattr(cli, "cmd_model", fail)
+    assert main(["model", "mashhoon", "--E", "1", "--r", "1", "--s", "1"]) == _EXIT_CODES[name]
+    assert capsys.readouterr().err == "error: boom\n"

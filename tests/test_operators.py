@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from pseudoherm import operators
+from pseudoherm import krein, operators, spectral
 from pseudoherm.errors import (
     NotDiagonalizableReal,
     NotInvolutory,
@@ -29,7 +29,7 @@ from pseudoherm.operators import (
     canonical_sign_sequence,
     involutory_symmetry_exists,
 )
-from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
+from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, analyze, synthesize
 
 RNG = np.random.default_rng(2024)
 
@@ -231,3 +231,289 @@ def test_involutory_symmetry_existence():
     _, dec1 = synthesize(SynthesisSpec(groups=(JordanBlockSpec(0.0, (2,)),),
                                        basis_seed=0))
     assert not involutory_symmetry_exists(dec1)
+
+
+# ---------------------------------------------------------------------------
+# chain-basis kernel against the dyad sums it replaces
+
+
+def _dyad_parity(dec, sigma):
+    p = np.zeros((dec.n, dec.n), dtype=np.complex128)
+    for ng, g in dec.iter_real():
+        for a, c in enumerate(g.chains):
+            for i in range(c.dim):
+                p += sigma(ng, a) * np.outer(c.phi[c.dim - 1 - i], c.phi[i].conj())
+    for ng1, g1, ng2, g2 in dec.iter_pairs():
+        for a, (c1, c2) in enumerate(zip(g1.chains, g2.chains)):
+            for i in range(c1.dim):
+                rev = c1.dim - 1 - i
+                p += sigma(ng1, a) * (np.outer(c1.phi[rev], c2.phi[i].conj())
+                                      + np.outer(c2.phi[rev], c1.phi[i].conj()))
+    return p
+
+
+def _dyad_charge(dec, sigma):
+    c_op = np.zeros((dec.n, dec.n), dtype=np.complex128)
+    for ng, g in enumerate(dec.groups):
+        for a, c in enumerate(g.chains):
+            for i in range(c.dim):
+                c_op += sigma(ng, a) * np.outer(c.psi[i], c.phi[i].conj())
+    return c_op
+
+
+def _dyad_time_reversal(dec):
+    m = np.zeros((dec.n, dec.n), dtype=np.complex128)
+    for g in dec.groups:
+        for c in g.chains:
+            for i in range(c.dim):
+                m += np.outer(c.psi[i], c.psi[c.dim - 1 - i])
+    return m
+
+
+def _dyad_ctp(dec, sigma, sigma_prime):
+    """The C T P loop; T P is the case sigma = +1."""
+    m = np.zeros((dec.n, dec.n), dtype=np.complex128)
+    for ng, g in dec.iter_real():
+        for a, c in enumerate(g.chains):
+            coeff = sigma(ng, a) * sigma_prime(ng, a)
+            for i in range(c.dim):
+                m += coeff * np.outer(c.psi[i], c.phi[i])
+    for ng1, g1, ng2, g2 in dec.iter_pairs():
+        for a, (c1, c2) in enumerate(zip(g1.chains, g2.chains)):
+            coeff = sigma(ng1, a) * sigma_prime(ng1, a)
+            for i in range(c1.dim):
+                m += coeff * (np.outer(c1.psi[i], c2.phi[i])
+                              + np.outer(c2.psi[i], c1.phi[i]))
+    return m
+
+
+def _dyad_positive_metric(dec):
+    p = np.zeros((dec.n, dec.n), dtype=np.complex128)
+    for g in dec.groups:
+        for c in g.chains:
+            p += np.outer(c.phi[0], c.phi[0].conj())
+    return p
+
+
+def _dyad_reflecting(dec):
+    n = dec.n
+    r = np.zeros((n, n), dtype=np.complex128)
+    p = np.zeros((n, n), dtype=np.complex128)
+    for (ng, a), (_, b) in operators._paired_real_layout(dec):
+        ca, cb = dec.groups[ng].chains[a], dec.groups[ng].chains[b]
+        for i in range(ca.dim):
+            r += np.outer(ca.psi[i], cb.phi[i].conj())
+            r += np.outer(cb.psi[i], ca.phi[i].conj())
+            rev = ca.dim - 1 - i
+            p += np.outer(ca.phi[rev], ca.phi[i].conj())
+            p -= np.outer(cb.phi[rev], cb.phi[i].conj())
+    for ng1, g1, ng2, g2 in dec.iter_pairs():
+        for a, (c1, c2) in enumerate(zip(g1.chains, g2.chains)):
+            for i in range(c1.dim):
+                r += np.outer(c1.psi[i], c1.phi[i].conj())
+                r -= np.outer(c2.psi[i], c2.phi[i].conj())
+                rev = c1.dim - 1 - i
+                p += np.outer(c1.phi[rev], c2.phi[i].conj())
+                p += np.outer(c2.phi[rev], c1.phi[i].conj())
+    return r, p
+
+
+def _dyad_quaternionic_T(dec):
+    m = np.zeros((dec.n, dec.n), dtype=np.complex128)
+    for (ng, a), (_, b) in operators._paired_real_layout(dec):
+        ca, cb = dec.groups[ng].chains[a], dec.groups[ng].chains[b]
+        for i in range(ca.dim):
+            m += np.outer(ca.psi[i], cb.phi[i])
+            m -= np.outer(cb.psi[i], ca.phi[i])
+    for ng1, g1, ng2, g2 in dec.iter_pairs():
+        for a, (c1, c2) in enumerate(zip(g1.chains, g2.chains)):
+            for i in range(c1.dim):
+                m += np.outer(c1.psi[i], c2.phi[i])
+                m -= np.outer(c2.psi[i], c1.phi[i])
+    return m
+
+
+def _dyad_reconstruct(dec):
+    h = np.zeros((dec.n, dec.n), dtype=np.complex128)
+    for g in dec.groups:
+        for c in g.chains:
+            for i in range(c.dim):
+                h += g.eigenvalue * np.outer(c.psi[i], c.phi[i].conj())
+            for i in range(c.dim - 1):
+                h += np.outer(c.psi[i], c.phi[i + 1].conj())
+    return h
+
+
+def _dyad_commutant(dec, params):
+    chains = [c for g in dec.groups for c in g.chains]
+    x = np.zeros((dec.n, dec.n), dtype=np.complex128)
+    for c, coeffs in zip(chains, params):
+        for k in range(c.dim):
+            for i in range(c.dim - k):
+                x += coeffs[k] * np.outer(c.psi[i], c.phi[i + k].conj())
+    return x
+
+
+def _dyad_canonical_p_tilde(dec):
+    """The signed block reversal ``pseudounitary_symmetries_exist`` used to
+    take its trace from."""
+    sigma = canonical_sign_sequence(dec)
+    p = np.zeros((dec.n, dec.n), dtype=np.complex128)
+    offset = {}
+    pos = 0
+    for ng, g in enumerate(dec.groups):
+        for a, c in enumerate(g.chains):
+            offset[(ng, a)] = pos
+            pos += c.dim
+    for ng, g in enumerate(dec.groups):
+        if g.kind != "real":
+            continue
+        for a, c in enumerate(g.chains):
+            o = offset[(ng, a)]
+            for i in range(c.dim):
+                p[o + c.dim - 1 - i, o + i] = sigma(ng, a)
+    for ng1, g1, ng2, g2 in dec.iter_pairs():
+        for a, (c1, c2) in enumerate(zip(g1.chains, g2.chains)):
+            o1, o2 = offset[(ng1, a)], offset[(ng2, a)]
+            for i in range(c1.dim):
+                p[o1 + c1.dim - 1 - i, o2 + i] = sigma(ng1, a)
+                p[o2 + c1.dim - 1 - i, o1 + i] = sigma(ng1, a)
+    return p
+
+
+#: synthesized chain structures: paired and unpaired real blocks of sizes
+#: 1-5 and conjugate pairs with Jordan blocks, at n = 32 and n = 64, and a
+#: diagonalizable real spectrum (the only one with a positive metric)
+_LARGE = {
+    "n32-paired": ((-1.0, (5, 5)), (0.3, (3, 3)), (1.2, (1, 1)),
+                   (0.5 + 1j, (4, 3)), (0.5 - 1j, (4, 3))),
+    "n32-unpaired": ((0.0, (5, 3, 1)), (1.0, (2,)), (0.4 + 0.8j, (4, 1)),
+                     (0.4 - 0.8j, (4, 1)), (-0.7, (3, 3, 2, 2, 1))),
+    "n32-diagonal": tuple((x, (1,)) for x in np.linspace(-2.0, 2.0, 32)),
+    "n64-paired": ((-1.0, (5, 5, 4, 4)), (0.4, (3, 3, 1, 1)), (0.5 + 1j, (5, 4, 3)),
+                   (0.5 - 1j, (5, 4, 3)), (-0.3 + 0.6j, (2, 2, 1, 1)),
+                   (-0.3 - 0.6j, (2, 2, 1, 1)), (1.5, (1, 1))),
+    "n64-unpaired": ((0.0, (5, 4, 3)), (0.2 + 0.9j, (5, 3, 2, 1)), (0.2 - 0.9j, (5, 3, 2, 1)),
+                     (-1.0, (3, 3, 2)), (1.0 + 0.5j, (4, 4, 3)), (1.0 - 0.5j, (4, 4, 3))),
+}
+
+_TWO_LEVEL = [(1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (1.0, 1.0, 0.0), (0.5, 0.0, 2.0),
+              (0.0, 3.0, -0.5)]
+
+
+def _kernel_cases():
+    for seed in range(5):
+        yield f"family-{seed}", synthesize(_mixed_spec(seed))[1]
+    for params in _TWO_LEVEL:
+        yield "two-level-{}-{}-{}".format(*params), mashhoon_papini(
+            MashhoonPapiniParams(*params))[2]
+    for seed, (label, groups) in enumerate(_LARGE.items()):
+        yield label, synthesize(SynthesisSpec(
+            groups=tuple(JordanBlockSpec(z, d) for z, d in groups),
+            basis_seed=seed, basis_cond=100.0))[1]
+
+
+_CASES = dict(_kernel_cases())
+
+
+def _random_signs(dec, rng):
+    """Random signs, shared by conjugate partners."""
+    signs = {}
+    for ng, g in enumerate(dec.groups):
+        for a in range(len(g.chains)):
+            partner = [ng1 for ng1, _, ng2, _ in dec.iter_pairs() if ng2 == ng]
+            signs[(ng, a)] = (signs[(partner[0], a)] if partner
+                              else int(rng.choice([-1, 1])))
+    return SignSequence(signs)
+
+
+def _rel_err(got, want):
+    return float(np.abs(got - want).max() / np.abs(want).max())
+
+
+def _builds(dec, rng):
+    """(name, kernel-built, dyad-built) for every operator ``dec`` admits;
+    the others must be refused with their class and reason."""
+    out = []
+    canonical = canonical_sign_sequence(dec)
+    sigma, sigma_p = _random_signs(dec, rng), _random_signs(dec, rng)
+    plus = SignSequence({x: 1 for x in canonical.signs})
+    out += [("P canonical", build_parity(dec), _dyad_parity(dec, canonical)),
+            ("P sigma", build_parity(dec, sigma), _dyad_parity(dec, sigma)),
+            ("C canonical", build_charge(dec), _dyad_charge(dec, canonical)),
+            ("C sigma", build_charge(dec, sigma), _dyad_charge(dec, sigma)),
+            ("T", build_time_reversal(dec).matrix, _dyad_time_reversal(dec)),
+            ("TP sigma", build_tp(dec, sigma).matrix, _dyad_ctp(dec, plus, sigma)),
+            ("CTP", build_ctp(dec, sigma, sigma_p).matrix, _dyad_ctp(dec, sigma, sigma_p)),
+            ("H", spectral.reconstruct(dec), _dyad_reconstruct(dec))]
+    params = [rng.normal(size=c.dim) + 1j * rng.normal(size=c.dim) + 2
+              for g in dec.groups for c in g.chains]
+    out.append(("commutant", krein.commutant_element(dec, params),
+                _dyad_commutant(dec, params)))
+    if all(g.kind == "real" and set(g.block_dims) == {1} for g in dec.groups):
+        out.append(("P+", build_positive_metric(dec), _dyad_positive_metric(dec)))
+    else:
+        with pytest.raises(NotDiagonalizableReal):
+            build_positive_metric(dec)
+    if operators.reflecting_exists(dec)[0]:
+        r, p_paired = build_reflecting(dec)
+        r_want, p_want = _dyad_reflecting(dec)
+        out += [("R", r, r_want), ("paired P", p_paired, p_want),
+                ("Tfrak", build_quaternionic_T(dec).matrix, _dyad_quaternionic_T(dec))]
+    else:
+        with pytest.raises(UnpairedRealBlocks, match="identical pairs") as exc:
+            build_reflecting(dec)
+        assert exc.value.reason == "Proposition 4"
+        with pytest.raises(UnpairedRealBlocks) as exc:
+            build_quaternionic_T(dec)
+        assert exc.value.reason == "Theorem 2"
+    return out
+
+
+@pytest.mark.parametrize("label", list(_CASES))
+def test_kernel_matches_dyad_sums(label):
+    dec = _CASES[label]
+    errors = {name: _rel_err(got, want)
+              for name, got, want in _builds(dec, np.random.default_rng(7))}
+    assert max(errors.values()) <= 1e-12, errors
+    if label.endswith("-paired"):
+        assert {"R", "paired P", "Tfrak"} <= set(errors)
+    if label.endswith("-diagonal"):
+        assert "P+" in errors
+
+
+@pytest.mark.parametrize("label", list(_CASES))
+def test_canonical_trace_matches_block_reversal(label):
+    dec = _CASES[label]
+    k = operators._coefficients(dec, "P", canonical_sign_sequence(dec))
+    assert np.array_equal(k, _dyad_canonical_p_tilde(dec).real)
+    trace = krein.pseudounitary_symmetries_exist(dec).canonical_trace
+    assert trace == float(np.trace(_dyad_canonical_p_tilde(dec)).real)
+
+
+def test_canonical_trace_on_unpaired_complex():
+    dec = analyze(np.diag([2j, 1.0, 3.0]).astype(complex), allow_unpaired=True)
+    assert krein.pseudounitary_symmetries_exist(dec).canonical_trace == float(
+        np.trace(_dyad_canonical_p_tilde(dec)).real)
+
+
+@pytest.mark.parametrize("label", ["two-level-1.0-1.0--1.0", "n32-paired"])
+def test_one_flipped_coefficient_sign_is_caught(label, monkeypatch):
+    """The comparison above has teeth: negating one nonzero entry of any
+    operator's K moves it far past 1e-12."""
+    kernel = operators._coefficients
+
+    def flipped(*args, **kwargs):
+        k = kernel(*args, **kwargs)
+        nonzero = np.argwhere(k)
+        row, col = nonzero[len(nonzero) // 2]
+        k[row, col] = -k[row, col]
+        return k
+
+    monkeypatch.setattr(operators, "_coefficients", flipped)
+    rows = {name: _rel_err(got, want)
+            for name, got, want in _builds(_CASES[label], np.random.default_rng(7))
+            if name not in ("H", "commutant", "P+")}
+    assert set(rows) == {"P canonical", "P sigma", "C canonical", "C sigma", "T",
+                         "TP sigma", "CTP", "R", "paired P", "Tfrak"}
+    assert min(rows.values()) > 1e-6, rows

@@ -200,6 +200,53 @@ def test_cluster_matches_single_linkage_loop(seed):
     assert [sorted(c.tolist()) for c in got] == [sorted(c) for c in _loop_cluster(eigs, delta)]
 
 
+
+def _loop_check_gaps(centers, radii, delta):
+    """The cluster-pair loop that ``_check_gaps`` replaces, kept as its
+    oracle."""
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            gap = abs(centers[i] - centers[j])
+            if gap < 10.0 * max(radii[i] + radii[j], delta):
+                raise ClusterAmbiguity(
+                    f"eigenvalue clusters at {centers[i]:.6g} and {centers[j]:.6g} "
+                    f"are separated by {gap:.3e}, below 10x the cluster scale")
+
+
+@pytest.mark.parametrize("seed", range(25))
+def test_check_gaps_matches_pair_loop(seed):
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 40))
+    centers = rng.uniform(-1, 1, k) + 1j * rng.uniform(-1, 1, k)
+    radii = np.where(rng.random(k) < 0.5, 0.0, 10.0 ** rng.uniform(-6, -3, k))
+    delta = 10.0 ** rng.uniform(-4, -2)
+    # move a few clusters next to others, at 0.5-1.5x the 10x threshold, so
+    # several pairs can fail and the first one in (i, j) order must be named
+    for _ in range(int(rng.integers(0, 5))):
+        i, j = rng.choice(k, size=2, replace=False)
+        scale = 10.0 * max(radii[i] + radii[j], delta)
+        centers[j] = centers[i] + scale * rng.uniform(0.5, 1.5) * np.exp(2j * np.pi * rng.random())
+    outcomes = []
+    for check in (spectral._check_gaps, _loop_check_gaps):
+        try:
+            check(centers, radii, delta)
+            outcomes.append(None)
+        except ClusterAmbiguity as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
+
+
+
+def test_check_gaps_passes_a_pair_exactly_at_ten_times_the_scale():
+    delta = 2.0 ** -10
+    centers = np.array([0.25, 0.25 + 10.0 * delta, 1.0 + 0.5j])
+    radii = np.zeros(3)
+    spectral._check_gaps(centers, radii, delta)
+    _loop_check_gaps(centers, radii, delta)
+    with pytest.raises(ClusterAmbiguity, match="separated by 9.766e-03"):
+        spectral._check_gaps(centers, radii, delta * (1 + 1e-12))
+
+
 def _spec(rng, n, blocks=(), pairs=0, cond=100.0):
     """Real Jordan blocks of the given sizes, ``pairs`` simple conjugate
     pairs and simple real eigenvalues filling n; real parts at least 0.6
