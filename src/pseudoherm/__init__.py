@@ -25,7 +25,6 @@ from .krein import (
 )
 from .linalg import DEFAULT_TOL, Tolerance
 from .operators import (
-    AntilinearOp,
     SignSequence,
     SymmetryOperator,
     antilinear_adjoint,

@@ -28,7 +28,7 @@ from .errors import (
     PseudohermError,
 )
 from .linalg import Tolerance
-from .operators import AntilinearOp, SignSequence, SymmetryOperator
+from .operators import SignSequence, SymmetryOperator
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -75,7 +75,7 @@ def _load_matrix(path: str) -> SymmetryOperator:
     return serialization.doc_to_matrix(serialization.load_json(path))
 
 
-def _load_sigma(dec, arg):
+def _load_sigma(arg):
     if arg is None or arg == "canonical":
         return "canonical"
     doc = serialization.load_json(arg)
@@ -118,39 +118,33 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
-_OP_BUILDERS = ("P", "C", "T", "TP", "CTP", "Pplus", "R", "Tfrak")
-
-
-def _build_named(name: str, dec, sigma):
-    if name == "P":
-        return operators.build_parity(dec, sigma), False
-    if name == "C":
-        return operators.build_charge(dec, sigma), False
-    if name == "T":
-        return operators.build_time_reversal(dec).matrix, True
-    if name == "TP":
-        return operators.build_tp(dec, sigma).matrix, True
-    if name == "CTP":
-        return operators.build_ctp(dec, sigma, sigma).matrix, True
-    if name == "Pplus":
-        return operators.build_positive_metric(dec), False
-    if name == "R":
-        return operators.build_reflecting(dec)[0], False
-    if name == "Tfrak":
-        return operators.build_quaternionic_T(dec).matrix, True
-    raise ValueError(f"unknown operator {name!r}; choose from {_OP_BUILDERS}")
+#: operator name -> builder(dec, sigma); the returned carrier says whether
+#: the operator is antilinear
+_OP_BUILDERS = {
+    "P": operators.build_parity,
+    "C": operators.build_charge,
+    "T": lambda dec, sigma: operators.build_time_reversal(dec),
+    "TP": operators.build_tp,
+    "CTP": lambda dec, sigma: operators.build_ctp(dec, sigma, sigma),
+    "Pplus": lambda dec, sigma: operators.build_positive_metric(dec),
+    "R": lambda dec, sigma: operators.build_reflecting(dec)[0],
+    "Tfrak": lambda dec, sigma: operators.build_quaternionic_T(dec),
+}
 
 
 def cmd_construct(args) -> int:
     tol = _tolerance(args)
     op = _load_matrix(args.input)
     dec = spectral.analyze(op.matrix, tol)
-    sigma = _load_sigma(dec, args.sigma)
+    sigma = _load_sigma(args.sigma)
     names = [s.strip() for s in args.ops.split(",") if s.strip()]
     docs = {}
     for name in names:
-        mat, anti = _build_named(name, dec, sigma)
-        docs[name] = serialization.matrix_to_doc(mat, antilinear=anti, label=name)
+        if name not in _OP_BUILDERS:
+            raise ValueError(f"unknown operator {name!r}; choose from {tuple(_OP_BUILDERS)}")
+        built = SymmetryOperator.of(_OP_BUILDERS[name](dec, sigma))
+        docs[name] = serialization.matrix_to_doc(built.matrix, antilinear=built.antilinear,
+                                                 label=name)
     _emit(serialization.canonical_dumps(_report("construct", tol, {"operators": docs})),
           args.out)
     return EXIT_OK
@@ -178,7 +172,7 @@ def cmd_check(args) -> int:
     op = _load_matrix(args.input)
     h = op.matrix
     dec = spectral.analyze(h, tol, allow_unpaired=True)
-    sigma = _load_sigma(dec, args.sigma)
+    sigma = _load_sigma(args.sigma)
     rows = []  # (name, passed, detail)
 
     def row(name, residual):

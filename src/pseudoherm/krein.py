@@ -30,7 +30,7 @@ from .errors import (
     ZeroLeadingCoefficient,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .operators import AntilinearOp, SymmetryOperator, antilinear_compose
+from .operators import SymmetryOperator, antilinear_compose
 from .spectral import SpectralDecomposition
 
 
@@ -52,7 +52,7 @@ class CongruenceResult:
     h_tilde: np.ndarray
     p_tilde: np.ndarray
     c_tilde: np.ndarray
-    t_tilde: AntilinearOp
+    t_tilde: SymmetryOperator
     pi_plus: np.ndarray
     pi_minus: np.ndarray
 
@@ -83,7 +83,7 @@ class PseudounitaryExistence:
 
     exists: bool
     reflecting: np.ndarray | None
-    quaternionic: AntilinearOp | None
+    quaternionic: SymmetryOperator | None
     paired_metric: np.ndarray | None
     canonical_trace: float
     violations: list
@@ -149,25 +149,17 @@ def congruence_to_involutory(dec: SpectralDecomposition, sigma="canonical",
         h_tilde=s_inv @ h @ s,
         p_tilde=p_tilde,
         c_tilde=s_inv @ c @ s,
-        t_tilde=AntilinearOp(s_inv @ t.matrix @ s_inv.T),
+        t_tilde=SymmetryOperator(s_inv @ t.matrix @ s_inv.T, antilinear=True),
         pi_plus=0.5 * (eye + p_tilde),
         pi_minus=0.5 * (eye - p_tilde),
     )
-
-
-def _as_symmetry(op) -> SymmetryOperator:
-    if isinstance(op, SymmetryOperator):
-        return op
-    if isinstance(op, AntilinearOp):
-        return SymmetryOperator(op.matrix, antilinear=True)
-    return SymmetryOperator(linalg.as_cmatrix(op), antilinear=False)
 
 
 def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> ClassificationResult:
     """Residuals of the four class conditions; a class is assigned only when
     its residual is below tolerance and the runner-up is at least ten times
     larger (otherwise NONE, with the residuals reported)."""
-    sym = _as_symmetry(op)
+    sym = SymmetryOperator.of(op)
     metric = linalg.as_cmatrix(metric)
     if not linalg.is_hermitian(metric, tol):
         raise NonHermitianMetric("metric is not Hermitian at tolerance")
@@ -178,7 +170,6 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
         raise SingularOperator("operator is singular at tolerance; classification "
                                "is defined for invertible operators only")
     gram = m.conj().T @ metric @ m
-    target = metric.T if sym.antilinear else metric
     residuals = {
         SymmetryClass.P_UNITARY: float(np.linalg.norm(gram - metric)),
         SymmetryClass.P_PSEUDOUNITARY: float(np.linalg.norm(gram + metric)),
@@ -204,7 +195,7 @@ def classify(op, metric, tol: Tolerance = DEFAULT_TOL) -> SymmetryClass:
     return classification_report(op, metric, tol).symmetry_class
 
 
-def factor_antiunitary(v: AntilinearOp, dec: SpectralDecomposition, sigma, metric,
+def factor_antiunitary(v: SymmetryOperator, dec: SpectralDecomposition, sigma, metric,
                        sigma_prime=None, tol: Tolerance = DEFAULT_TOL):
     """Split a metric-antiunitary V into involutory-antilinear times linear:
     ``V = (CTP) U = (TP) U'`` with U, U' metric-unitary.  Since CTP and TP
@@ -215,9 +206,8 @@ def factor_antiunitary(v: AntilinearOp, dec: SpectralDecomposition, sigma, metri
         sigma_prime = sigma
     ctp = operators.build_ctp(dec, sigma, sigma_prime)
     tp = operators.build_tp(dec, sigma_prime)
-    v_sym = SymmetryOperator(v.matrix, antilinear=True)
-    u = antilinear_compose(SymmetryOperator(ctp.matrix, antilinear=True), v_sym)
-    u_prime = antilinear_compose(SymmetryOperator(tp.matrix, antilinear=True), v_sym)
+    u = antilinear_compose(ctp, v)
+    u_prime = antilinear_compose(tp, v)
     return u.matrix, u_prime.matrix
 
 

@@ -6,13 +6,14 @@ Every operator is a signed sum of dyads over the biorthonormal chains of a
 a small signed-permutation coefficient matrix K (``_coefficients``):
 Phi K Phi^dag for the metrics (P, P+ and the paired parity), Psi K Phi^dag
 for C and R, Psi K Phi^T for TP, CTP and the quaternionic T, and
-Psi K Psi^T for T.  Antilinear operators are concretized as
-"matrix followed by entrywise conjugation": ``A v = M conj(v)``.  With that
-semantics the algebra is fully determined:
+Psi K Psi^T for T.  The linear builders return the matrix; the antilinear
+ones (T, TP, CTP, the quaternionic T) return a ``SymmetryOperator`` with
+``antilinear=True``, read as "matrix followed by entrywise conjugation":
+``A v = M conj(v)``.  The carrier's flag alone decides the algebra:
 
     compose:  L1 L2 | L M | M conj(L) | M1 conj(M2)
-    adjoint:  transpose(M)
-    square:   M conj(M)
+    adjoint:  L^dag | transpose(M)
+    square:   L L   | M conj(M)
 
 Sign sequences attach one sign per (group, chain) label, with conjugate pair
 members sharing their sign.  Index reversal inside a chain (``i -> p+1-i``)
@@ -38,29 +39,9 @@ from .spectral import REAL, SpectralDecomposition
 
 
 @dataclass(frozen=True)
-class AntilinearOp:
-    """Antilinear operator ``v -> M conj(v)``."""
-
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "matrix", linalg.as_cmatrix(self.matrix))
-
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    def apply(self, v) -> np.ndarray:
-        return self.matrix @ np.conj(linalg.as_vector(v, self.n))
-
-    def square(self) -> np.ndarray:
-        """The linear operator ``A^2 = M conj(M)``."""
-        return self.matrix @ np.conj(self.matrix)
-
-
-@dataclass(frozen=True)
 class SymmetryOperator:
-    """Uniform carrier: a linear matrix or an antilinear ``M . K``."""
+    """One carrier for linear and antilinear operators: ``v -> M v``, or
+    ``v -> M conj(v)`` when ``antilinear``."""
 
     matrix: np.ndarray
     antilinear: bool = False
@@ -69,8 +50,9 @@ class SymmetryOperator:
         object.__setattr__(self, "matrix", linalg.as_cmatrix(self.matrix))
 
     @classmethod
-    def linear(cls, m) -> "SymmetryOperator":
-        return cls(matrix=m, antilinear=False)
+    def of(cls, op) -> "SymmetryOperator":
+        """``op`` itself if it is a carrier; a plain matrix is linear."""
+        return op if isinstance(op, cls) else cls(op)
 
     @property
     def n(self) -> int:
@@ -79,6 +61,10 @@ class SymmetryOperator:
     def apply(self, v) -> np.ndarray:
         v = linalg.as_vector(v, self.n)
         return self.matrix @ (np.conj(v) if self.antilinear else v)
+
+    def square(self) -> np.ndarray:
+        """The linear operator ``A^2``: ``M conj(M)`` if antilinear, else ``M M``."""
+        return self.matrix @ (np.conj(self.matrix) if self.antilinear else self.matrix)
 
 
 def antilinear_compose(a: SymmetryOperator, b: SymmetryOperator) -> SymmetryOperator:
@@ -92,10 +78,12 @@ def antilinear_compose(a: SymmetryOperator, b: SymmetryOperator) -> SymmetryOper
     return SymmetryOperator(a.matrix @ np.conj(b.matrix), antilinear=False)
 
 
-def antilinear_adjoint(a: AntilinearOp) -> AntilinearOp:
-    """Adjoint defined through ``<psi|A phi> = <phi|A^dag psi>``; equals the
-    plain transpose of the matrix part."""
-    return AntilinearOp(a.matrix.T.copy())
+def antilinear_adjoint(a: SymmetryOperator) -> SymmetryOperator:
+    """Adjoint of either kind: ``<x|A y> = <A^dag x|y>`` gives ``M^dag`` for
+    a linear A; ``<x|A y> = <y|A^dag x>`` gives ``transpose(M)`` for an
+    antilinear one."""
+    m = a.matrix.T if a.antilinear else a.matrix.conj().T
+    return SymmetryOperator(m.copy(), antilinear=a.antilinear)
 
 
 # ---------------------------------------------------------------------------
@@ -134,13 +122,12 @@ def canonical_sign_sequence(dec: SpectralDecomposition) -> SignSequence:
 
 
 def resolve_sigma(dec: SpectralDecomposition, sigma) -> SignSequence:
-    """Accept a SignSequence, the string "canonical", or a sign mapping."""
-    if isinstance(sigma, SignSequence):
-        seq = sigma
-    elif sigma is None or sigma == "canonical":
-        seq = canonical_sign_sequence(dec)
-    else:
-        seq = SignSequence(dict(sigma))
+    """Accept a SignSequence, the string "canonical", or a sign mapping.
+    A supplied sequence is checked against the decomposition; the canonical
+    one is valid by construction."""
+    if sigma is None or sigma == "canonical":
+        return canonical_sign_sequence(dec)
+    seq = sigma if isinstance(sigma, SignSequence) else SignSequence(dict(sigma))
     _check_sigma(dec, seq)
     return seq
 
@@ -255,29 +242,29 @@ def build_charge(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
     return _build(dec, "C", resolve_sigma(dec, sigma))
 
 
-def build_time_reversal(dec: SpectralDecomposition) -> AntilinearOp:
+def build_time_reversal(dec: SpectralDecomposition) -> SymmetryOperator:
     """Antilinear Hermitian T with ``T H^dag T^-1 = H`` (psi-dyads with
     index reversal; the matrix part is complex-symmetric)."""
     _require_paired(dec)
-    return AntilinearOp(_build(dec, "T"))
+    return SymmetryOperator(_build(dec, "T"), antilinear=True)
 
 
-def build_tp(dec: SpectralDecomposition, sigma="canonical") -> AntilinearOp:
+def build_tp(dec: SpectralDecomposition, sigma="canonical") -> SymmetryOperator:
     """Involutory antilinear symmetry T P_sigma (index reversals cancel;
     conjugate pairs couple crosswise)."""
     _require_paired(dec)
-    return AntilinearOp(_build(dec, "TP", resolve_sigma(dec, sigma)))
+    return SymmetryOperator(_build(dec, "TP", resolve_sigma(dec, sigma)), antilinear=True)
 
 
 def build_ctp(dec: SpectralDecomposition, sigma="canonical",
-              sigma_prime="canonical") -> AntilinearOp:
+              sigma_prime="canonical") -> SymmetryOperator:
     """Involutory antilinear symmetry C_sigma T P_sigma': the T P form signed
     by the product sigma * sigma'."""
     _require_paired(dec)
     sigma = resolve_sigma(dec, sigma)
     sigma_prime = resolve_sigma(dec, sigma_prime)
     product = SignSequence({x: s * sigma_prime(*x) for x, s in sigma.signs.items()})
-    return AntilinearOp(_build(dec, "TP", product))
+    return SymmetryOperator(_build(dec, "TP", product), antilinear=True)
 
 
 def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
@@ -298,30 +285,29 @@ def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
     return dec.chain_product("phi", np.eye(dec.n), "phi^dag")
 
 
-def _paired_real_layout(dec: SpectralDecomposition, reason: str = "Proposition 4"):
+def _real_block_halves(dec: SpectralDecomposition):
     """Split each real group's chains into two halves of identical
-    dimensions; returns the label pairs ``((ng, a), (ng, b))``, a in the
-    first half and b in the second, and raises if impossible."""
-    halves = []
-    violations = []
+    dimensions.  Returns the label pairs ``((ng, a), (ng, b))``, a in the
+    first half and b in the second, and the (eigenvalue, block_dims) of
+    every real group whose blocks do not pair up."""
+    halves, violations = [], []
     for ng, g in dec.iter_real():
-        dims = sorted(range(len(g.chains)), key=lambda a: g.chains[a].dim)
         by_dim = {}
-        for a in dims:
-            by_dim.setdefault(g.chains[a].dim, []).append(a)
-        first, second = [], []
-        ok = True
-        for d, idxs in sorted(by_dim.items()):
-            if len(idxs) % 2 != 0:
-                ok = False
-                break
-            half = len(idxs) // 2
-            first.extend(idxs[:half])
-            second.extend(idxs[half:])
-        if not ok:
+        for a, chain in enumerate(g.chains):
+            by_dim.setdefault(chain.dim, []).append(a)
+        if any(len(idxs) % 2 for idxs in by_dim.values()):
             violations.append((g.eigenvalue, g.block_dims))
-        else:
-            halves.extend(((ng, a), (ng, b)) for a, b in zip(first, second))
+            continue
+        for _, idxs in sorted(by_dim.items()):
+            half = len(idxs) // 2
+            halves.extend(((ng, a), (ng, b)) for a, b in zip(idxs[:half], idxs[half:]))
+    return halves, violations
+
+
+def _paired_real_layout(dec: SpectralDecomposition, reason: str = "Proposition 4"):
+    """The real block halves of ``_real_block_halves``; raises if a real
+    group's blocks do not pair up."""
+    halves, violations = _real_block_halves(dec)
     if violations:
         raise UnpairedRealBlocks(
             f"real-eigenvalue Jordan blocks do not occur in identical pairs: "
@@ -335,19 +321,8 @@ def reflecting_exists(dec: SpectralDecomposition) -> tuple[bool, list]:
     if dec.has_unpaired_complex():
         return False, [(g.eigenvalue, g.block_dims) for g in dec.groups
                        if g.kind == "unpaired"]
-    try:
-        _paired_real_layout(dec)
-    except UnpairedRealBlocks:
-        return False, [(g.eigenvalue, g.block_dims) for _, g in dec.iter_real()
-                       if _real_group_unpaired(g)]
-    return True, []
-
-
-def _real_group_unpaired(g) -> bool:
-    counts = {}
-    for c in g.chains:
-        counts[c.dim] = counts.get(c.dim, 0) + 1
-    return any(v % 2 for v in counts.values())
+    violations = _real_block_halves(dec)[1]
+    return not violations, violations
 
 
 def build_reflecting(dec: SpectralDecomposition):
@@ -365,12 +340,12 @@ def build_reflecting(dec: SpectralDecomposition):
     return _build(dec, "R", halves=halves), _build(dec, "P", SignSequence(signs))
 
 
-def build_quaternionic_T(dec: SpectralDecomposition) -> AntilinearOp:
+def build_quaternionic_T(dec: SpectralDecomposition) -> SymmetryOperator:
     """Antilinear symmetry squaring to -1 (fermionic-type time reversal);
     coincides with R T P for the paired parity."""
     _require_paired(dec)
     halves = _paired_real_layout(dec, reason="Theorem 2")
-    return AntilinearOp(_build(dec, "Tfrak", halves=halves))
+    return SymmetryOperator(_build(dec, "Tfrak", halves=halves), antilinear=True)
 
 
 def involutory_symmetry_exists(dec: SpectralDecomposition) -> bool:

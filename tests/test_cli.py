@@ -121,6 +121,26 @@ def test_construct_command(sixone, capsys):
                        np.eye(2), atol=1e-10)
 
 
+def test_construct_all_flags_exactly_the_antilinear_operators(tmp_path, capsys):
+    # paired simple real eigenvalues: every one of the eight operators exists
+    h, _ = synthesize(SynthesisSpec(groups=(JordanBlockSpec(0.0, (1, 1)),
+                                            JordanBlockSpec(1.0, (1, 1))), basis_seed=4))
+    path = _write_matrix(tmp_path, "h4.json", h)
+    assert main(["construct", "--input", str(path), "--ops",
+                 "P,C,T,TP,CTP,Pplus,R,Tfrak"]) == 0
+    ops = json.loads(capsys.readouterr().out)["results"]["operators"]
+    assert sorted(ops) == sorted(["P", "C", "T", "TP", "CTP", "Pplus", "R", "Tfrak"])
+    assert sorted(k for k, doc in ops.items() if doc["antilinear"]) == \
+        ["CTP", "T", "TP", "Tfrak"]
+
+
+def test_construct_unknown_operator_is_a_usage_error(sixone, capsys):
+    assert main(["construct", "--input", str(sixone), "--ops", "X"]) == 1
+    err = capsys.readouterr().err
+    assert "unknown operator 'X'" in err
+    assert "Tfrak" in err
+
+
 def test_construct_sigma_file(sixone, tmp_path, capsys):
     # signs keyed by analyze's group order (eigenvalue 0 first, 2 second);
     # the phi-dyad metric is gauge independent, so the display is exact

@@ -228,8 +228,7 @@ def test_factor_round_trip_recovers_unitary_part():
     u0 = commutant_element(dec, [[np.exp(1j * alpha)], [np.exp(1j * beta)]])
     assert classify(u0, p) is SymmetryClass.P_UNITARY
     v_matrix = tp.matrix @ np.conj(u0)        # antilinear (TP) o U0
-    from pseudoherm.operators import AntilinearOp
-    v = AntilinearOp(v_matrix)
+    v = SymmetryOperator(v_matrix, antilinear=True)
     _, u_prime = factor_antiunitary(v, dec, s_p, p, sigma_prime=s_p)
     assert np.allclose(u_prime, u0, atol=1e-10)
     with pytest.raises(NotAntiunitary):
@@ -237,8 +236,7 @@ def test_factor_round_trip_recovers_unitary_part():
 
 
 def build_quat_fail(dec):
-    from pseudoherm.operators import AntilinearOp
-    return AntilinearOp(3.0 * np.eye(dec.n, dtype=np.complex128))
+    return SymmetryOperator(3.0 * np.eye(dec.n, dtype=np.complex128), antilinear=True)
 
 
 def test_commutant_identity_and_refusal():
@@ -298,3 +296,13 @@ def test_pseudounitary_existence_decisions():
     _, dec_odd = synthesize(SynthesisSpec(groups=(JordanBlockSpec(0.0, (2, 1)),),
                                           basis_seed=1))
     assert not pseudounitary_symmetries_exist(dec_odd).exists
+
+    # paired real groups (one interleaved) next to two unpaired ones: only
+    # the unpaired groups are listed, in group order
+    _, dec_mixed = synthesize(SynthesisSpec(groups=(
+        JordanBlockSpec(0.0, (2, 2)), JordanBlockSpec(1.0, (2, 1)),
+        JordanBlockSpec(-1.0, (1, 1, 1)), JordanBlockSpec(2.0, (1, 3, 1, 3)),
+    ), basis_seed=3))
+    res_mixed = pseudounitary_symmetries_exist(dec_mixed)
+    assert not res_mixed.exists
+    assert res_mixed.violations == [(1.0, (2, 1)), (-1.0, (1, 1, 1))]

@@ -12,7 +12,6 @@ from pseudoherm.errors import (
 )
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
 from pseudoherm.operators import (
-    AntilinearOp,
     SignSequence,
     SymmetryOperator,
     antilinear_adjoint,
@@ -43,10 +42,20 @@ def _rand(n):
 
 
 def test_antilinear_apply_and_square():
-    a = AntilinearOp(np.array([[0, 1], [1, 0]], dtype=np.complex128))
+    a = SymmetryOperator(np.array([[0, 1], [1, 0]], dtype=np.complex128), antilinear=True)
     v = np.array([1j, 2.0])
     assert np.allclose(a.apply(v), [2.0, -1j])
     assert np.allclose(a.square(), np.eye(2))
+
+
+@pytest.mark.parametrize("antilinear", [False, True])
+def test_square_matches_applying_twice(antilinear):
+    a = SymmetryOperator(_rand(3), antilinear=antilinear)
+    m = a.matrix
+    assert np.array_equal(a.square(), m @ (np.conj(m) if antilinear else m))
+    for _ in range(5):
+        v = RNG.normal(size=3) + 1j * RNG.normal(size=3)
+        assert np.allclose(a.square() @ v, a.apply(a.apply(v)), atol=1e-12)
 
 
 @pytest.mark.parametrize("anti_a,anti_b", [(False, False), (False, True),
@@ -62,15 +71,37 @@ def test_compose_matches_pointwise_action(anti_a, anti_b):
 
 
 def test_antilinear_adjoint_defining_identity():
-    a = AntilinearOp(_rand(4))
-    adj = antilinear_adjoint(a)
-    for _ in range(5):
-        x = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-        y = RNG.normal(size=4) + 1j * RNG.normal(size=4)
-        # <x | A y> = <y | A^dag x>
-        lhs = x.conj() @ a.apply(y)
-        rhs = y.conj() @ adj.apply(x)
-        assert abs(lhs - rhs) < 1e-10
+    for antilinear in (True, False):
+        a = SymmetryOperator(_rand(4), antilinear=antilinear)
+        adj = antilinear_adjoint(a)
+        assert adj.antilinear == antilinear
+        assert np.array_equal(adj.matrix, a.matrix.T if antilinear else a.matrix.conj().T)
+        for _ in range(5):
+            x = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+            y = RNG.normal(size=4) + 1j * RNG.normal(size=4)
+            lhs = x.conj() @ a.apply(y)
+            if antilinear:
+                rhs = y.conj() @ adj.apply(x)    # <x | A y> = <y | A^dag x>
+            else:
+                rhs = adj.apply(x).conj() @ y    # <x | A y> = <A^dag x | y>
+            assert abs(lhs - rhs) < 1e-10
+
+
+def test_antilinear_results_are_antilinear_carriers():
+    _, dec = synthesize(SynthesisSpec(groups=(
+        JordanBlockSpec(0.0, (1, 1)), JordanBlockSpec(1.0, (1, 1)),
+    ), basis_seed=6))
+    exist = krein.pseudounitary_symmetries_exist(dec)
+    assert exist.exists
+    antilinear = [build_time_reversal(dec), build_tp(dec), build_ctp(dec),
+                  build_quaternionic_T(dec), exist.quaternionic,
+                  krein.congruence_to_involutory(dec).t_tilde]
+    for op in antilinear:
+        assert isinstance(op, SymmetryOperator) and op.antilinear
+    linear = [build_parity(dec), build_charge(dec), build_positive_metric(dec),
+              *build_reflecting(dec), exist.reflecting, exist.paired_metric]
+    for m in linear:
+        assert type(m) is np.ndarray
 
 
 # ---------------------------------------------------------------------------
