@@ -14,8 +14,9 @@ invariants.
 
 ``analyze`` works on the complex Schur form ``H = Z T Z^dag``.  It clusters
 the diagonal of ``T`` by single linkage, then, for each cluster of size m,
-reorders the Schur form (LAPACK ``ztrsen``) so the cluster fills the leading
-m x m block ``T11``.  The rank staircase runs on ``T11 - center*I`` alone, and
+reorders the Schur form (LAPACK ``ztrsen``, called through
+``linalg.reorder_schur``) so the cluster fills the leading m x m block
+``T11``.  The rank staircase runs on ``T11 - center*I`` alone, and
 its chains map to chains of H through the leading m Schur vectors ``Z1``,
 since ``H Z1 = Z1 T11``.
 
@@ -32,7 +33,6 @@ from functools import cached_property
 from types import MappingProxyType
 
 import numpy as np
-from scipy.linalg.lapack import ztrsen
 
 from . import linalg
 from .errors import (
@@ -499,7 +499,7 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *, cluster_tol: float | None = None
         # the block map to chains of H through them
         select = np.zeros(n, dtype=np.int32)
         select[c] = 1
-        t_re, z_re, _, m, _, _, info = ztrsen(select, t, z, job="N")
+        t_re, z_re, m, info = linalg.reorder_schur(t, z, select)
         if info != 0 or m != c.size:
             raise ClusterAmbiguity(
                 f"Schur reordering of the eigenvalue cluster at {center:.6g} "

@@ -1,12 +1,19 @@
-"""Dense kernel tests: tolerances, eigenvalues, rank decisions, solves."""
+"""Dense kernel tests: tolerances, eigenvalues, rank decisions, solves, and
+the LAPACK / Pade kernels pinned against ``scipy.linalg``."""
+
+import importlib.machinery
+import sys
+import types
+import warnings
 
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from pseudoherm import linalg
-from pseudoherm.errors import DimensionMismatch, Overflow, Singular
-from pseudoherm.linalg import Tolerance
+from pseudoherm import evolution, linalg
+from pseudoherm.errors import DimensionMismatch, NonConvergence, Overflow, Singular
+from pseudoherm.linalg import EXPM_NORM_BOUND, Tolerance
+from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
 
 
 def test_tolerance_validation():
@@ -108,3 +115,173 @@ def test_hermitian_and_definite_predicates():
     assert linalg.is_positive_definite(h)
     assert not linalg.is_positive_definite(np.diag([1.0, -1.0]).astype(complex))
     assert not linalg.is_hermitian(np.array([[0, 1], [0, 0]], dtype=np.complex128))
+
+
+# --- the kernels against scipy.linalg ---------------------------------------
+
+def _dense(n, seed):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+
+
+def _with_jordan_blocks(n, seed):
+    """``S J S^-1`` with a Jordan block of size n // 2 (at least 2) at 0.5 and
+    simple eigenvalues filling the rest."""
+    p = max(2, n // 2)
+    groups = (JordanBlockSpec(0.5, (p,)),) + tuple(
+        JordanBlockSpec(1.0 + k + 0.1 * np.sin(k), (1,)) for k in range(n - p))
+    return synthesize(SynthesisSpec(groups=groups, basis_seed=seed, basis_cond=10.0))[0]
+
+
+_SIZES = (2, 4, 16, 32, 64)
+_MATRICES = [pytest.param(make(n, seed), id=f"{make.__name__.strip('_')}-n{n}")
+             for n, seed in zip(_SIZES, range(20, 25))
+             for make in (_dense, _with_jordan_blocks)]
+
+
+@pytest.mark.parametrize("a", _MATRICES)
+def test_schur_matches_scipy_bit_for_bit(a):
+    t, z = linalg.schur(a)
+    t_ref, z_ref = sla.schur(a, output="complex")
+    assert np.array_equal(t, t_ref)
+    assert np.array_equal(z, z_ref)
+
+
+@pytest.mark.parametrize("a", _MATRICES)
+def test_lu_solves_and_singular_values_match_scipy_bit_for_bit(a):
+    b = _dense(a.shape[0], 99)[:, :3]
+    lu_piv = sla.lu_factor(a)
+    assert np.array_equal(linalg.solve(a, b), sla.lu_solve(lu_piv, b))
+    assert np.array_equal(linalg.solve(a, b[:, 0]), sla.lu_solve(lu_piv, b[:, 0]))
+    assert np.array_equal(linalg.inv(a), sla.lu_solve(lu_piv, np.eye(a.shape[0])))
+    assert np.array_equal(linalg.singular_values(a), sla.svdvals(a))
+
+
+def test_reorder_schur_is_ztrsen():
+    a = _with_jordan_blocks(16, 3)
+    t, z = linalg.schur(a)
+    select = np.zeros(16, dtype=np.int32)
+    select[[3, 7, 11]] = 1
+    t_re, z_re, m, info = linalg.reorder_schur(t, z, select)
+    want = sla.lapack.ztrsen(select, t, z, job="N")
+    assert (m, info) == (3, 0)
+    assert np.array_equal(t_re, want[0]) and np.array_equal(z_re, want[1])
+
+
+def _expm_relative_error(a):
+    """``max |expm(A) - scipy expm(A)| / max |scipy expm(A)|``."""
+    want = sla.expm(a)
+    return np.abs(linalg.expm(a) - want).max() / np.abs(want).max()
+
+
+def _phase_cycle(n, c):
+    """``c`` times a cyclic shift with unimodular phases: every ``||A^k||_1^(1/k)``,
+    the quantity the Pade order and the scaling are chosen from, equals c."""
+    phases = np.exp(1j * np.arange(1, n + 1))
+    return c * np.roll(np.eye(n), 1, axis=0) * phases
+
+
+@pytest.mark.parametrize("theta", sorted(linalg._THETA.values()))
+@pytest.mark.parametrize("side", (1 - 1e-6, 1 + 1e-6), ids=("below", "above"))
+def test_expm_matches_scipy_at_each_pade_theta(theta, side):
+    for n in (2, 5, 16):
+        assert _expm_relative_error(_phase_cycle(n, side * theta)) <= 1e-12
+
+
+@pytest.mark.parametrize("n", (2, 8, 32))
+def test_expm_matches_scipy_through_the_scaling_branch(n):
+    for a in (_dense(n, 7), _with_jordan_blocks(n, 8)):
+        for m in (-1j * (a + a.conj().T), -1j * a):
+            for norm in (5.0, 20.0, 100.0, 400.0, (1 - 1e-9) * EXPM_NORM_BOUND):
+                assert _expm_relative_error(m * (norm / np.linalg.norm(m))) <= 1e-12
+
+
+def _evolution_inputs():
+    """The Hamiltonians and time grids of ``tests/test_evolution.py``'s
+    stepped-series cases, plus the lower-triangular Jordan regime and the
+    n = 32 spectrum on a cond-1e3 basis."""
+    for e, r, s in ((1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (1.0, 1.0, 0.0), (1.0, 0.0, 2.0),
+                    (2.0, 0.0, 0.0)):
+        h, regime, _ = evolution.mashhoon_papini(evolution.MashhoonPapiniParams(e, r, s))
+        yield pytest.param(h, [np.linspace(0, 10, 200)], id=f"{regime}-{e}-{r}-{s}")
+    for cond in (100.0, 1e3):
+        spec = SynthesisSpec(groups=tuple(JordanBlockSpec(k - 15.5 + 0.1 * np.sin(k), (1,))
+                                          for k in range(32)),
+                             basis_seed=3, basis_cond=cond)
+        h, _ = synthesize(spec)
+        t_end = 0.8 * EXPM_NORM_BOUND / np.linalg.norm(h)
+        grids = [np.linspace(0, t_end, 200), np.geomspace(1e-3, t_end, 60),
+                 np.linspace(-t_end / 2, t_end / 2, 101)]
+        yield pytest.param(h, grids, id=f"n32-cond{cond:g}")
+
+
+@pytest.mark.parametrize("h,grids", _evolution_inputs())
+def test_expm_matches_scipy_on_the_evolution_inputs(h, grids):
+    """Every per-point propagator and every step propagator of the grids."""
+    times = {t for grid in grids for t in grid}
+    times |= {b - a for grid in grids for a, b in zip(grid[:-1], grid[1:])}
+    assert max(_expm_relative_error(-1j * t * h) for t in times) <= 1e-12
+
+
+def test_expm_structured_inputs_match_scipy():
+    rng = np.random.default_rng(4)
+    for n in (1, 2, 5):
+        x = 30.0 * _dense(n, n)
+        for a in (np.diag(np.diag(x)), np.triu(x), np.tril(x), np.zeros((n, n))):
+            assert _expm_relative_error(a) <= 1e-12
+    x = rng.normal(size=(6, 6)) * 1e-3  # the order-3 branch
+    assert _expm_relative_error(x + 0j) <= 1e-12
+
+
+@pytest.mark.parametrize("norm", (1e-3, 1.0, 50.0))
+def test_expm_returns_c_order_like_scipy(norm):
+    # a later product with U(t) rounds differently on another layout
+    a = -1j * _dense(6, 2) * norm
+    assert linalg.expm(a).flags.c_contiguous
+
+
+# --- error paths -------------------------------------------------------------
+
+def test_lapack_extension_is_loaded_once():
+    assert linalg._load_flapack() is linalg._lapack is sys.modules["scipy.linalg._flapack"]
+
+
+def test_missing_lapack_extension_is_an_import_error(monkeypatch):
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
+    with pytest.raises(ImportError, match="_flapack is missing"):
+        linalg._load_flapack()
+
+
+def test_schur_reports_a_failed_qr_iteration(monkeypatch):
+    real = linalg._lapack.zgees
+
+    def failing_zgees(select, a, **kw):
+        out = real(select, a, **kw)
+        return out if kw.get("lwork") == -1 else (*out[:-1], 1)
+
+    monkeypatch.setattr(linalg, "_lapack", types.SimpleNamespace(zgees=failing_zgees))
+    with pytest.raises(NonConvergence):
+        linalg.schur(_dense(4, 1))
+
+
+def test_exactly_singular_solve_refuses_without_a_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Singular):
+            linalg.solve(np.array([[1, 1], [1, 1]], dtype=np.complex128), np.ones(2))
+        with pytest.raises(Singular):
+            linalg.inv(np.zeros((3, 3)))
+
+
+def test_expm_bound_is_inclusive():
+    # ||H||_F = sqrt(2 * (500^2 + 500^2)) = 1000 exactly
+    h = np.array([[0, 500 + 500j], [500 - 500j, 0]])
+    assert np.linalg.norm(-1j * 1.0 * h) == EXPM_NORM_BOUND
+    u = evolution.propagator(h, 1.0)
+    assert np.abs(u.conj().T @ u - np.eye(2)).max() < 1e-10
+    assert np.abs(u - sla.expm(-1j * h)).max() <= 1e-12
+    just_above = np.nextafter(1.0, 2.0)
+    assert np.linalg.norm(-1j * just_above * h) > EXPM_NORM_BOUND
+    with pytest.raises(Overflow):
+        evolution.propagator(h, just_above)
