@@ -210,8 +210,8 @@ def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
 
 def check_biorthonormal(dec: SpectralDecomposition,
                         tol: Tolerance = DEFAULT_TOL) -> BiorthonormalityReport:
-    psi = dec.psi_matrix()
-    phi = dec.phi_matrix()
+    psi = dec._factors["psi"]
+    phi = dec._factors["phi"]
     eye = np.eye(dec.n)
     gram = psi.conj().T @ phi
     complete = psi @ phi.conj().T

@@ -1,5 +1,5 @@
 """Dense kernel tests: tolerances, eigenvalues, rank decisions, solves, and
-the LAPACK / Pade kernels pinned against ``scipy.linalg``."""
+the compiled LAPACK / expm kernels pinned against ``scipy.linalg``."""
 
 import importlib.machinery
 import sys
@@ -181,7 +181,13 @@ def _phase_cycle(n, c):
     return c * np.roll(np.eye(n), 1, axis=0) * phases
 
 
-@pytest.mark.parametrize("theta", sorted(linalg._THETA.values()))
+#: the theta_m bounds of the Pade orders m = 3, 5, 7, 9, 13
+#: (Al-Mohy & Higham 2009, Table 3.1)
+_PADE_THETAS = (1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1,
+                2.097847961257068e0, 4.25)
+
+
+@pytest.mark.parametrize("theta", _PADE_THETAS)
 @pytest.mark.parametrize("side", (1 - 1e-6, 1 + 1e-6), ids=("below", "above"))
 def test_expm_matches_scipy_at_each_pade_theta(theta, side):
     for n in (2, 5, 16):
@@ -240,17 +246,39 @@ def test_expm_returns_c_order_like_scipy(norm):
     assert linalg.expm(a).flags.c_contiguous
 
 
+@pytest.mark.parametrize("a", [
+    pytest.param(np.diag([1.0, 2j, -3.0]), id="diagonal"),
+    pytest.param(np.triu(_dense(5, 3)), id="triangular"),
+    pytest.param(1e-3 * _dense(5, 4), id="unscaled"),
+    pytest.param(50.0 * _dense(5, 5), id="scaled"),
+])
+def test_expm_result_owns_its_data(a):
+    # a view into the kernel's (5, n, n) work array would keep all of it
+    # alive in evolution's propagator cache
+    u = linalg.expm(a)
+    assert u.flags.owndata and u.flags.c_contiguous
+
+
 # --- error paths -------------------------------------------------------------
 
-def test_lapack_extension_is_loaded_once():
-    assert linalg._load_flapack() is linalg._lapack is sys.modules["scipy.linalg._flapack"]
+_EXTENSIONS = pytest.mark.parametrize("name,attr", [
+    pytest.param("_flapack", "_lapack", id="_flapack"),
+    pytest.param("_matfuncs_expm", "_expm_kernel", id="_matfuncs_expm"),
+])
 
 
-def test_missing_lapack_extension_is_an_import_error(monkeypatch):
-    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack")
+@_EXTENSIONS
+def test_lapack_extension_is_loaded_once(name, attr):
+    module = linalg._load_extension(name)
+    assert module is getattr(linalg, attr) is sys.modules[f"scipy.linalg.{name}"]
+
+
+@_EXTENSIONS
+def test_missing_lapack_extension_is_an_import_error(monkeypatch, name, attr):
+    monkeypatch.delitem(sys.modules, f"scipy.linalg.{name}")
     monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing.so"])
-    with pytest.raises(ImportError, match="_flapack is missing"):
-        linalg._load_flapack()
+    with pytest.raises(ImportError, match=f"{name} is missing"):
+        linalg._load_extension(name)
 
 
 def test_schur_reports_a_failed_qr_iteration(monkeypatch):
@@ -263,6 +291,25 @@ def test_schur_reports_a_failed_qr_iteration(monkeypatch):
     monkeypatch.setattr(linalg, "_lapack", types.SimpleNamespace(zgees=failing_zgees))
     with pytest.raises(NonConvergence):
         linalg.schur(_dense(4, 1))
+
+
+@pytest.mark.parametrize("stage,code", [("pick_pade_structure", -1),
+                                        ("pade_UV_calc", 3), ("pade_UV_calc", -11)])
+def test_expm_reports_a_failed_pade_kernel(monkeypatch, stage, code):
+    real = linalg._expm_kernel
+
+    def pick(work):
+        m, s = real.pick_pade_structure(work)
+        return (code, s) if stage == "pick_pade_structure" else (m, s)
+
+    def uv(work, m):
+        info = real.pade_UV_calc(work, m)
+        return code if stage == "pade_UV_calc" else info
+
+    monkeypatch.setattr(linalg, "_expm_kernel",
+                        types.SimpleNamespace(pick_pade_structure=pick, pade_UV_calc=uv))
+    with pytest.raises(Singular, match=f"{stage} code {code}"):
+        linalg.expm(_dense(4, 1))
 
 
 def test_exactly_singular_solve_refuses_without_a_warning():
