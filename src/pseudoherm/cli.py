@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Subcommands: analyze, construct, classify, check, evolve, model, synthesize.
+Subcommands: analyze, construct, classify, check, evolve, model, synthesize;
+``check`` runs the library's invariant battery (``krein.check_battery``).
 Output is JSON (reports, matrix documents) or CSV (time series).  Exit codes:
 
     0  success
@@ -102,7 +103,7 @@ def cmd_analyze(args) -> int:
     tol = _tolerance(args)
     op = _load_matrix(args.input)
     dec = spectral.analyze(op.matrix, tol, allow_unpaired=True)
-    rep = spectral.check_biorthonormal(dec, tol)
+    rep = spectral.check_biorthonormal(dec)
     results = {
         "n": dec.n,
         "groups": _group_summary(dec),
@@ -169,65 +170,15 @@ def cmd_classify(args) -> int:
 
 def cmd_check(args) -> int:
     tol = _tolerance(args)
-    op = _load_matrix(args.input)
-    h = op.matrix
+    h = _load_matrix(args.input).matrix
     dec = spectral.analyze(h, tol, allow_unpaired=True)
-    sigma = _load_sigma(args.sigma)
-    rows = []  # (name, passed, detail)
-
-    def row(name, residual):
-        rows.append({"check": name, "pass": bool(residual <= tol.scaled(h)),
-                     "residual": float(residual)})
-
-    rep = spectral.check_biorthonormal(dec, tol)
-    row("biorthonormality", rep.gram_residual)
-    row("completeness", rep.completeness_residual)
-    row("reconstruction", float(np.linalg.norm(spectral.reconstruct(dec) - h)))
-
-    refusal = False
-    if dec.has_unpaired_complex():
-        rows.append({"check": "conjugate pairing", "pass": False,
-                     "residual": "NotPaired: unpaired complex eigenvalues"})
-        refusal = True
-    else:
-        rows.append({"check": "conjugate pairing", "pass": True, "residual": 0.0})
-        p = operators.build_parity(dec, sigma)
-        c = operators.build_charge(dec, sigma)
-        tp = operators.build_tp(dec, sigma)
-        ctp = operators.build_ctp(dec, sigma, sigma)
-        eye = np.eye(dec.n)
-        row("pseudo-Hermiticity P H P^-1 = H^dag",
-            float(np.linalg.norm(p @ h @ np.linalg.inv(p) - h.conj().T)))
-        row("C^2 = 1", float(np.linalg.norm(c @ c - eye)))
-        row("[C, H] = 0", float(np.linalg.norm(c @ h - h @ c)))
-        row("(TP)^2 = 1", float(np.linalg.norm(tp.square() - eye)))
-        row("(CTP)^2 = 1", float(np.linalg.norm(ctp.square() - eye)))
-        row("[TP, H] = 0", float(np.linalg.norm(tp.matrix @ np.conj(h) - h @ tp.matrix)))
-        row("[C, TP] = 0",
-            float(np.linalg.norm(c @ tp.matrix - tp.matrix @ np.conj(c))))
-        cong = krein.congruence_to_involutory(dec, sigma)
-        row("congruent metric involutory",
-            float(np.linalg.norm(cong.p_tilde @ cong.p_tilde - eye)))
-        sigma_used = operators.resolve_sigma(dec, sigma)
-        canonical = sigma_used.signs == operators.canonical_sign_sequence(dec).signs
-        trace_ok = (not canonical) or (
-            abs(cong.trace - round(cong.trace)) <= 1e-6 and round(cong.trace) in (0, 1))
-        rows.append({"check": "canonical trace in {0, 1}", "pass": trace_ok,
-                     "residual": cong.trace})
-        diag_real = all(g.kind == "real" for g in dec.groups) and all(
-            d == 1 for g in dec.groups for d in g.block_dims)
-        rows.append({"check": "positive metric exists (diagonalizable real spectrum)",
-                     "pass": True, "residual": diag_real})
-        exist = krein.pseudounitary_symmetries_exist(dec)
-        rows.append({"check": "metric-reversing symmetries exist (paired blocks)",
-                     "pass": True, "residual": exist.exists})
-
+    rows = krein.check_battery(h, dec, _load_sigma(args.sigma), tol)
     all_ok = all(r["pass"] for r in rows)
     _emit(serialization.canonical_dumps(
         _report("check", tol, {"table": rows, "all_pass": all_ok})), args.out)
     if all_ok:
         return EXIT_OK
-    return EXIT_REFUSAL if refusal else EXIT_AMBIGUOUS
+    return EXIT_REFUSAL if dec.has_unpaired_complex() else EXIT_AMBIGUOUS
 
 
 def cmd_evolve(args) -> int:

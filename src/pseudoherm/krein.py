@@ -5,6 +5,8 @@ spectral subspaces and defines the indefinite product ``<psi| eta |phi>``.
 Congruence by the chain basis turns any generalized parity into an involutory
 Hermitian canonical metric whose ±1 projectors realize the splitting.
 
+``check_battery`` is the invariant battery that ``pseudoherm check`` reports.
+
 Invertible operators fall into four classes relative to a metric P:
 
     linear      U:      U^dag P U = +P   (unitary)      | -P (pseudounitary)
@@ -49,7 +51,6 @@ class CongruenceResult:
     """Chain-basis congruence: the metric becomes involutory Hermitian."""
 
     s: np.ndarray
-    h_tilde: np.ndarray
     p_tilde: np.ndarray
     c_tilde: np.ndarray
     t_tilde: SymmetryOperator
@@ -118,27 +119,18 @@ def build_krein_space(metric, tol: Tolerance = DEFAULT_TOL) -> KreinSpace:
     )
 
 
-def congruence_to_involutory(dec: SpectralDecomposition, sigma="canonical",
-                             basis_f=None) -> CongruenceResult:
+def congruence_to_involutory(dec: SpectralDecomposition,
+                             sigma="canonical") -> CongruenceResult:
     """Transform to the chain basis, where the generalized parity becomes the
     signed block-reversal matrix (involutory and Hermitian).
 
-    ``s`` maps the chosen orthonormal basis (default: standard) onto the
-    psi-chains; linear operators transform by similarity, the metric by
-    congruence, and the antilinear time reversal by
+    ``s`` is the psi-chain matrix; linear operators transform by similarity,
+    the metric by congruence, and the antilinear time reversal by
     ``M -> s^-1 M transpose(s^-1)`` so its matrix part stays symmetric.
     """
     sigma = operators.resolve_sigma(dec, sigma)
-    psi = dec.psi_matrix()
-    if basis_f is not None:
-        f = linalg.as_cmatrix(basis_f)
-        if np.linalg.norm(f.conj().T @ f - np.eye(dec.n)) > DEFAULT_TOL.scaled(f):
-            raise ValueError("basis_f must be orthonormal")
-        s = psi @ f.conj().T
-    else:
-        s = psi
+    s = dec.psi_matrix()
     s_inv = linalg.inv(s)
-    h = spectral.reconstruct(dec)
     p = operators.build_parity(dec, sigma)
     c = operators.build_charge(dec, sigma)
     t = operators.build_time_reversal(dec)
@@ -146,7 +138,6 @@ def congruence_to_involutory(dec: SpectralDecomposition, sigma="canonical",
     eye = np.eye(dec.n)
     return CongruenceResult(
         s=s,
-        h_tilde=s_inv @ h @ s,
         p_tilde=p_tilde,
         c_tilde=s_inv @ c @ s,
         t_tilde=SymmetryOperator(s_inv @ t.matrix @ s_inv.T, antilinear=True),
@@ -257,3 +248,57 @@ def pseudounitary_symmetries_exist(dec: SpectralDecomposition) -> PseudounitaryE
     return PseudounitaryExistence(exists=True, reflecting=r, quaternionic=t_frak,
                                   paired_metric=p_paired, canonical_trace=cong_trace,
                                   violations=[])
+
+
+def check_battery(h, dec: SpectralDecomposition, sigma="canonical",
+                  tol: Tolerance = DEFAULT_TOL) -> list[dict]:
+    """The invariant battery of ``pseudoherm check`` on ``dec = analyze(h)``:
+    one ``{"check", "pass", "residual"}`` row per claim, a residual passing at
+    ``tol.scaled(h)``.  An unpaired complex eigenvalue ends it at a failing
+    "conjugate pairing" row; the existence rows pass with a boolean residual."""
+    h = linalg.as_cmatrix(h)
+    thr = tol.scaled(h)
+    rows = []
+
+    def row(name, residual):
+        rows.append({"check": name, "pass": bool(residual <= thr),
+                     "residual": float(residual)})
+
+    rep = spectral.check_biorthonormal(dec)
+    row("biorthonormality", rep.gram_residual)
+    row("completeness", rep.completeness_residual)
+    row("reconstruction", np.linalg.norm(spectral.reconstruct(dec) - h))
+    if dec.has_unpaired_complex():
+        rows.append({"check": "conjugate pairing", "pass": False,
+                     "residual": "NotPaired: unpaired complex eigenvalues"})
+        return rows
+    rows.append({"check": "conjugate pairing", "pass": True, "residual": 0.0})
+
+    sigma = operators.resolve_sigma(dec, sigma)
+    p = operators.build_parity(dec, sigma)
+    c = operators.build_charge(dec, sigma)
+    tp = operators.build_tp(dec, sigma)
+    ctp = operators.build_ctp(dec, sigma, sigma)
+    eye = np.eye(dec.n)
+    row("pseudo-Hermiticity P H P^-1 = H^dag",
+        np.linalg.norm(p @ h @ np.linalg.inv(p) - h.conj().T))
+    row("C^2 = 1", np.linalg.norm(c @ c - eye))
+    row("[C, H] = 0", np.linalg.norm(c @ h - h @ c))
+    row("(TP)^2 = 1", np.linalg.norm(tp.square() - eye))
+    row("(CTP)^2 = 1", np.linalg.norm(ctp.square() - eye))
+    row("[TP, H] = 0", np.linalg.norm(tp.matrix @ np.conj(h) - h @ tp.matrix))
+    row("[C, TP] = 0", np.linalg.norm(c @ tp.matrix - tp.matrix @ np.conj(c)))
+    psi = dec.psi_matrix()
+    p_tilde = psi.conj().T @ p @ psi
+    row("congruent metric involutory", np.linalg.norm(p_tilde @ p_tilde - eye))
+    trace = float(np.trace(p_tilde).real)
+    canonical = sigma.signs == operators.canonical_sign_sequence(dec).signs
+    rows.append({"check": "canonical trace in {0, 1}",
+                 "pass": not canonical or (abs(trace - round(trace)) <= 1e-6
+                                           and round(trace) in (0, 1)),
+                 "residual": trace})
+    rows.append({"check": "positive metric exists (diagonalizable real spectrum)",
+                 "pass": True, "residual": not operators.positive_metric_violations(dec)})
+    rows.append({"check": "metric-reversing symmetries exist (paired blocks)",
+                 "pass": True, "residual": pseudounitary_symmetries_exist(dec).exists})
+    return rows

@@ -107,7 +107,7 @@ def as_vector(v, n: int | None = None) -> np.ndarray:
     return w
 
 
-def _no_sort(w):
+def _no_sort(_w):
     """``zgees`` selection callback; unused, since it is called with ``sort_t=0``."""
     return None
 

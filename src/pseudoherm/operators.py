@@ -267,20 +267,28 @@ def build_ctp(dec: SpectralDecomposition, sigma="canonical",
     return SymmetryOperator(_build(dec, "TP", product), antilinear=True)
 
 
-def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
-    """Positive definite metric ``sum |phi><phi|``; exists exactly when the
-    spectrum is real and the matrix diagonalizable."""
+def positive_metric_violations(dec: SpectralDecomposition) -> list[str]:
+    """Why no positive definite metric exists, empty when one does: it
+    exists exactly when the spectrum is real and the matrix diagonalizable
+    (Theorem 1)."""
     bad_complex = [g.eigenvalue for g in dec.groups if g.kind != REAL]
     bad_blocks = [g.eigenvalue for g in dec.groups
                   if any(c.dim > 1 for c in g.chains)]
-    if bad_complex or bad_blocks:
-        detail = []
-        if bad_complex:
-            detail.append(f"non-real eigenvalues {bad_complex}")
-        if bad_blocks:
-            detail.append(f"nontrivial Jordan blocks at {bad_blocks}")
+    violations = []
+    if bad_complex:
+        violations.append(f"non-real eigenvalues {bad_complex}")
+    if bad_blocks:
+        violations.append(f"nontrivial Jordan blocks at {bad_blocks}")
+    return violations
+
+
+def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
+    """Positive definite metric ``sum |phi><phi|``; refused unless
+    ``positive_metric_violations`` is empty."""
+    violations = positive_metric_violations(dec)
+    if violations:
         raise NotDiagonalizableReal(
-            "no positive definite metric exists: " + "; ".join(detail),
+            "no positive definite metric exists: " + "; ".join(violations),
             reason="Theorem 1")
     return dec.chain_product("phi", np.eye(dec.n), "phi^dag")
 

@@ -68,10 +68,6 @@ class JordanBlockSpec:
     def algebraic_multiplicity(self) -> int:
         return sum(self.block_dims)
 
-    @property
-    def geometric_multiplicity(self) -> int:
-        return len(self.block_dims)
-
 
 @dataclass(frozen=True)
 class JordanChain:
@@ -95,10 +91,6 @@ class EigenGroup:
     @property
     def block_dims(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.chains)
-
-    @property
-    def algebraic_multiplicity(self) -> int:
-        return sum(self.block_dims)
 
 
 @dataclass(frozen=True)
@@ -181,7 +173,6 @@ class SpectralDecomposition:
 class SynthesisSpec:
     groups: tuple[JordanBlockSpec, ...]
     basis_seed: int | None = None
-    basis: np.ndarray | None = None
     basis_cond: float = 100.0
 
     @property
@@ -199,17 +190,20 @@ class BiorthonormalityReport:
 # reconstruction and checks
 
 
-def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
-    """Assemble H as Psi J Phi^dag, J the Jordan matrix of the chains
-    (eigenvalues on the diagonal, ones above it inside each chain)."""
+def _jordan_matrix(dec: SpectralDecomposition) -> np.ndarray:
+    """The Jordan matrix of the chains: eigenvalues on the diagonal, ones
+    above it inside each chain."""
     link = np.ones(dec.n - 1)
     link[[start - 1 for start, _ in dec.chain_starts.values() if start]] = 0.0
-    jordan = np.diag(dec.eigenvalues()) + np.diag(link, 1)
-    return dec.chain_product("psi", jordan, "phi^dag")
+    return np.diag(dec.eigenvalues()) + np.diag(link, 1)
 
 
-def check_biorthonormal(dec: SpectralDecomposition,
-                        tol: Tolerance = DEFAULT_TOL) -> BiorthonormalityReport:
+def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
+    """Assemble H as Psi J Phi^dag, J the Jordan matrix of the chains."""
+    return dec.chain_product("psi", _jordan_matrix(dec), "phi^dag")
+
+
+def check_biorthonormal(dec: SpectralDecomposition) -> BiorthonormalityReport:
     psi = dec._factors["psi"]
     phi = dec._factors["phi"]
     eye = np.eye(dec.n)
@@ -297,46 +291,32 @@ def synthesize(spec: SynthesisSpec, *, allow_unpaired: bool = False,
     the columns of S and the phi-chains the conjugated rows of its inverse,
     so every chain-basis invariant holds by construction.
     """
-    n = spec.n
-    if spec.basis is not None:
-        s_mat = linalg.as_cmatrix(spec.basis)
-        if s_mat.shape[0] != n:
-            raise SingularBasis(f"basis is {s_mat.shape[0]}x{s_mat.shape[0]}, need {n}")
-    else:
-        rng = np.random.default_rng(spec.basis_seed)
-        s_mat = _random_basis(n, rng, spec.basis_cond)
-
-    jordan = np.zeros((n, n), dtype=np.complex128)
-    offset = 0
-    slices = []  # (group index, [chain slices])
-    for g in spec.groups:
-        chain_slices = []
-        for p in g.block_dims:
-            sl = slice(offset, offset + p)
-            jordan[sl, sl] = g.eigenvalue * np.eye(p)
-            for i in range(p - 1):
-                jordan[offset + i, offset + i + 1] = 1.0
-            chain_slices.append(sl)
-            offset += p
-        slices.append(chain_slices)
-
+    s_mat = _random_basis(spec.n, np.random.default_rng(spec.basis_seed), spec.basis_cond)
     try:
         s_inv = linalg.inv(s_mat, tol)
     except Exception as exc:
         raise SingularBasis(f"basis not invertible: {exc}") from exc
-    h = s_mat @ jordan @ s_inv
-
     kinds, pair_ids = _pair_up(spec.groups, tol.abs, allow_unpaired)
+    dec = _assemble(spec.groups, kinds, pair_ids, s_mat, s_inv)
+    return s_mat @ _jordan_matrix(dec) @ s_inv, dec
+
+
+def _assemble(specs, kinds, pair_ids, s_mat: np.ndarray,
+              s_inv: np.ndarray) -> SpectralDecomposition:
+    """Cut S and S^-1 into the groups of ``specs``, in order: each chain
+    takes consecutive columns of S (psi) and the same rows of S^-1 (phi^dag)."""
     groups = []
-    for gi, g in enumerate(spec.groups):
-        chains = tuple(
-            JordanChain(psi=s_mat[:, sl].T.copy(), phi=s_inv[sl, :].conj().copy())
-            for sl in slices[gi]
-        )
-        groups.append(EigenGroup(eigenvalue=complex(g.eigenvalue), kind=kinds[gi],
-                                 pair_id=pair_ids[gi], chains=chains))
-    dec = SpectralDecomposition(n=n, groups=tuple(groups))
-    return h, dec
+    offset = 0
+    for spec, kind, pair_id in zip(specs, kinds, pair_ids):
+        chains = []
+        for p in spec.block_dims:
+            sl = slice(offset, offset + p)
+            chains.append(JordanChain(psi=s_mat[:, sl].T.copy(),
+                                      phi=s_inv[sl, :].conj().copy()))
+            offset += p
+        groups.append(EigenGroup(eigenvalue=spec.eigenvalue, kind=kind,
+                                 pair_id=pair_id, chains=tuple(chains)))
+    return SpectralDecomposition(n=offset, groups=tuple(groups))
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +445,7 @@ def default_cluster_tol(h: np.ndarray) -> float:
     return 25.0 * (n * n * np.finfo(float).eps * scale) ** (1.0 / 3.0)
 
 
-def analyze(h, tol: Tolerance = DEFAULT_TOL, *, cluster_tol: float | None = None,
+def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
             allow_unpaired: bool = False) -> SpectralDecomposition:
     """Extract eigenvalue groups, Jordan block dimensions and chain bases.
 
@@ -477,7 +457,7 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *, cluster_tol: float | None = None
     n = h.shape[0]
     t, z = linalg.schur(h, tol)
     eigs = np.diag(t)
-    delta = default_cluster_tol(h) if cluster_tol is None else float(cluster_tol)
+    delta = default_cluster_tol(h)
 
     clusters = _cluster(eigs, delta)
     centers = np.array([eigs[c].mean() for c in clusters])
@@ -517,29 +497,10 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *, cluster_tol: float | None = None
     kinds, pair_ids = _pair_up(specs, max(real_thresh, delta), allow_unpaired)
 
     # assemble S from gauge-fixed chains, invert for the dual chains
-    cols = []
-    offset = 0
-    fixed_chains = []
-    for center, chains in raw_groups:
-        per_group = []
-        for ch in chains:
-            ch = _fix_gauge(ch)
-            cols.extend(ch)
-            per_group.append(slice(offset, offset + len(ch)))
-            offset += len(ch)
-        fixed_chains.append(per_group)
-    s_mat = np.array(cols, dtype=np.complex128).T
+    s_mat = np.array([v for _, chains in raw_groups for ch in chains for v in _fix_gauge(ch)],
+                     dtype=np.complex128).T
     try:
         s_inv = linalg.inv(s_mat, tol)
     except Exception as exc:
         raise ClusterAmbiguity(f"chain basis numerically singular: {exc}") from exc
-
-    groups = []
-    for gi, (center, _) in enumerate(raw_groups):
-        chains = tuple(
-            JordanChain(psi=s_mat[:, sl].T.copy(), phi=s_inv[sl, :].conj().copy())
-            for sl in fixed_chains[gi]
-        )
-        groups.append(EigenGroup(eigenvalue=center, kind=kinds[gi],
-                                 pair_id=pair_ids[gi], chains=chains))
-    return SpectralDecomposition(n=n, groups=tuple(groups))
+    return _assemble(specs, kinds, pair_ids, s_mat, s_inv)

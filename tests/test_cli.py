@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pseudoherm
-from pseudoherm import cli, errors, serialization
+from pseudoherm import cli, errors, krein, serialization, spectral
 from pseudoherm.cli import main
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
@@ -223,6 +223,68 @@ def test_check_hermitian_input(tmp_path, capsys):
     assert table["positive metric exists (diagonalizable real spectrum)"]["residual"] is True
 
 
+BATTERY_ROWS = [
+    "biorthonormality", "completeness", "reconstruction", "conjugate pairing",
+    "pseudo-Hermiticity P H P^-1 = H^dag", "C^2 = 1", "[C, H] = 0", "(TP)^2 = 1",
+    "(CTP)^2 = 1", "[TP, H] = 0", "[C, TP] = 0", "congruent metric involutory",
+    "canonical trace in {0, 1}", "positive metric exists (diagonalizable real spectrum)",
+    "metric-reversing symmetries exist (paired blocks)",
+]
+
+
+@pytest.mark.parametrize("h, code, names", [
+    (np.array([[1, 1], [0, 1]], dtype=complex), 0, BATTERY_ROWS),
+    (np.diag([1j, 2.0]).astype(complex), 3, BATTERY_ROWS[:4]),
+], ids=["paired", "unpaired"])
+def test_check_rows_in_order(h, code, names, tmp_path, capsys):
+    path = _write_matrix(tmp_path, "h.json", h)
+    assert main(["check", "--input", str(path)]) == code
+    table = json.loads(capsys.readouterr().out)["results"]["table"]
+    assert [row["check"] for row in table] == names
+
+
+def test_check_with_a_non_canonical_sign_sequence(sixone, tmp_path, capsys):
+    # all-plus signs make P the positive metric, whose congruent trace is 2;
+    # the {0, 1} rule holds for the canonical sequence only
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps([[0, 0, 1], [1, 0, 1]]))
+    assert main(["check", "--input", str(sixone), "--sigma", str(sigma)]) == 0
+    table = {row["check"]: row for row in
+             json.loads(capsys.readouterr().out)["results"]["table"]}
+    assert table["canonical trace in {0, 1}"]["pass"]
+    assert table["canonical trace in {0, 1}"]["residual"] == pytest.approx(2.0)
+
+
+def test_check_rejects_a_pair_with_split_signs(tmp_path, capsys):
+    h, _, _ = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, -1.0))
+    path = _write_matrix(tmp_path, "pair.json", h)
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps([[0, 0, 1], [1, 0, -1]]))
+    assert main(["check", "--input", str(path), "--sigma", str(sigma)]) == 1
+    assert "must share its sign" in capsys.readouterr().err
+
+
+def test_check_table_is_the_library_battery(tmp_path, capsys):
+    h, _ = synthesize(SynthesisSpec(groups=(JordanBlockSpec(0.5, (2,)),
+                                            JordanBlockSpec(-1 + 0.7j, (1,)),
+                                            JordanBlockSpec(-1 - 0.7j, (1,))),
+                                    basis_seed=3, basis_cond=10.0))
+    path = _write_matrix(tmp_path, "h.json", h)
+    assert main(["check", "--input", str(path)]) == 0
+    table = json.loads(capsys.readouterr().out)["results"]["table"]
+    dec = spectral.analyze(h, allow_unpaired=True)
+    assert json.loads(json.dumps(krein.check_battery(h, dec))) == table
+
+
+def test_check_does_not_rebuild_the_congruence(sixone, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("check called congruence_to_involutory")
+
+    monkeypatch.setattr(krein, "congruence_to_involutory", fail)
+    assert main(["check", "--input", str(sixone)]) == 0
+    assert json.loads(capsys.readouterr().out)["results"]["all_pass"]
+
+
 def test_evolve_probability_csv(sixone, tmp_path):
     ini = _write_vector(tmp_path, "ini.json", [0.0, 1.0])
     fin = _write_vector(tmp_path, "fin.json", [1.0, 0.0])
@@ -275,6 +337,17 @@ def test_evolve_indefinite_refusal(sixone, tmp_path):
     assert main(["evolve", "--input", str(sixone), "--metric", str(p_path),
                  "--initial", str(ini), "--final", str(fin),
                  "--t0", "0", "--t1", "1", "--steps", "5"]) == 3
+
+
+def test_pplus_refusal_prints_plain_eigenvalues(tmp_path, capsys):
+    h, _, _ = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, -1.0))
+    h_path = _write_matrix(tmp_path, "pair.json", h)
+    ini = _write_vector(tmp_path, "ini.json", [0.0, 1.0])
+    assert main(["evolve", "--input", str(h_path), "--metric", "pplus",
+                 "--initial", str(ini), "--t0", "0", "--t1", "1", "--steps", "5"]) == 3
+    err = capsys.readouterr().err
+    assert "non-real eigenvalues [(" in err
+    assert "np.complex128" not in err
 
 
 def test_model_command(capsys):

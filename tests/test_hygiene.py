@@ -1,5 +1,7 @@
-"""Source hygiene: no module imports a name it never uses, only ``linalg``
-touches scipy, and importing the package leaves ``scipy.linalg`` unloaded."""
+"""Source hygiene: no module imports a name it never uses, no function
+ignores a parameter, every defined function is used somewhere, only
+``linalg`` touches scipy, and importing the package leaves ``scipy.linalg``
+unloaded."""
 
 import ast
 import os
@@ -9,8 +11,12 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "pseudoherm"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "pseudoherm"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+#: every Python file that may use a name the package defines
+USERS = sorted(p for d in ("src", "tests", "demos", "perfbench")
+               for p in (ROOT / d).rglob("*.py"))
 
 
 def _unused_imports(source: str) -> list[str]:
@@ -36,6 +42,87 @@ def test_no_unused_imports(path):
 def test_unused_import_is_detected():
     assert _unused_imports("import os\nfrom math import pi, tau\nprint(pi)\n") == \
         ["os", "tau"]
+
+
+def _functions(tree):
+    return [node for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))]
+
+
+def _unread_parameters(source: str) -> list[str]:
+    """``function.parameter`` for each parameter, not named ``_...``, that
+    its function's body never reads."""
+    unread = []
+    for fn in _functions(ast.parse(source)):
+        a = fn.args
+        params = a.posonlyargs + a.args + a.kwonlyargs + [x for x in (a.vararg, a.kwarg) if x]
+        read = {node.id for stmt in fn.body for node in ast.walk(stmt)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        unread += [f"{fn.name}.{p.arg}" for p in params
+                   if not p.arg.startswith("_") and p.arg not in read]
+    return unread
+
+
+def test_every_parameter_is_read():
+    assert [name for path in sorted(SRC.glob("*.py"))
+            for name in _unread_parameters(path.read_text(encoding="utf-8"))] == []
+
+
+def test_unread_parameter_is_detected():
+    source = ("def f(a, b, *, c=1, _d=2, **kw):\n    def g(e):\n        return a\n"
+              "    return g(c) + kw['x']\n")
+    assert _unread_parameters(source) == ["f.b", "g.e"]
+
+
+def _references(tree) -> list[tuple[str, int]]:
+    """``(name, line)`` of every use of a name: a variable, an attribute, an
+    imported name, or a string that equals it (``getattr`` by name)."""
+    refs = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            refs.append((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            refs.append((node.attr, node.lineno))
+        elif isinstance(node, ast.ImportFrom):
+            refs += [(alias.name, node.lineno) for alias in node.names]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                and node.value.isidentifier():
+            refs.append((node.value, node.lineno))
+    return refs
+
+
+def _unreferenced_definitions(defined: dict, users: dict) -> list[str]:
+    """``module:name`` of each non-dunder function, method or property
+    defined in a ``defined`` source that no ``users`` source references
+    outside the definition's own lines.  Both map a label to source text."""
+    refs = {label: _references(ast.parse(text)) for label, text in users.items()}
+    unused = []
+    for label, text in defined.items():
+        for fn in _functions(ast.parse(text)):
+            if fn.name.startswith("__") and fn.name.endswith("__"):
+                continue
+            if not any(name == fn.name and not (user == label
+                                                and fn.lineno <= line <= fn.end_lineno)
+                       for user, found in refs.items() for name, line in found):
+                unused.append(f"{label}:{fn.name}")
+    return sorted(unused)
+
+
+def _sources(paths) -> dict:
+    return {str(p.relative_to(ROOT)): p.read_text(encoding="utf-8") for p in paths}
+
+
+def test_every_definition_is_used():
+    assert _unreferenced_definitions(_sources(SRC.glob("*.py")), _sources(USERS)) == []
+
+
+def test_unused_definition_is_detected():
+    defined = {"m.py": ("class A:\n    def __init__(self):\n        pass\n\n"
+                        "    @property\n    def size(self):\n        return self.size\n\n"
+                        "def f():\n    return f()\n\ndef g():\n    pass\n\n"
+                        "def h():\n    pass\n")}
+    users = dict(defined, **{"t.py": "from m import g\ngetattr(m, 'h')()\n"})
+    assert _unreferenced_definitions(defined, users) == ["m.py:f", "m.py:size"]
 
 
 def _scipy_imports(source: str) -> list[int]:
