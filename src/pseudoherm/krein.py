@@ -6,6 +6,8 @@ Congruence by the chain basis turns any generalized parity into an involutory
 Hermitian canonical metric whose ±1 projectors realize the splitting.
 
 ``check_battery`` is the invariant battery that ``pseudoherm check`` reports.
+``pseudounitary_symmetries_exist`` decides whether metric-reversing
+symmetries exist and builds none (``operators.build_reflecting`` does).
 
 Invertible operators fall into four classes relative to a metric P:
 
@@ -38,9 +40,8 @@ from .spectral import SpectralDecomposition
 
 @dataclass(frozen=True)
 class KreinSpace:
-    """Metric with its ± spectral projectors and signature."""
+    """± spectral projectors and signature of a metric."""
 
-    metric: np.ndarray
     plus_projector: np.ndarray
     minus_projector: np.ndarray
     signature: tuple[int, int]
@@ -80,12 +81,10 @@ class ClassificationResult:
 
 @dataclass(frozen=True)
 class PseudounitaryExistence:
-    """Decision + witnesses for the existence of metric-reversing symmetries."""
+    """The decision alone: no operator is built.  ``violations`` lists the
+    offending (eigenvalue, block_dims)."""
 
     exists: bool
-    reflecting: np.ndarray | None
-    quaternionic: SymmetryOperator | None
-    paired_metric: np.ndarray | None
     canonical_trace: float
     violations: list
 
@@ -112,7 +111,6 @@ def build_krein_space(metric, tol: Tolerance = DEFAULT_TOL) -> KreinSpace:
     pos = v[:, w > 0]
     neg = v[:, w < 0]
     return KreinSpace(
-        metric=metric,
         plus_projector=pos @ pos.conj().T,
         minus_projector=neg @ neg.conj().T,
         signature=(pos.shape[1], neg.shape[1]),
@@ -124,13 +122,14 @@ def congruence_to_involutory(dec: SpectralDecomposition,
     """Transform to the chain basis, where the generalized parity becomes the
     signed block-reversal matrix (involutory and Hermitian).
 
-    ``s`` is the psi-chain matrix; linear operators transform by similarity,
-    the metric by congruence, and the antilinear time reversal by
-    ``M -> s^-1 M transpose(s^-1)`` so its matrix part stays symmetric.
+    ``s`` is the psi-chain matrix and ``s^-1 = Phi^dag``; linear operators
+    transform by similarity, the metric by congruence, and the antilinear time
+    reversal by ``M -> s^-1 M transpose(s^-1)`` so its matrix part stays
+    symmetric.
     """
     sigma = operators.resolve_sigma(dec, sigma)
     s = dec.psi_matrix()
-    s_inv = linalg.inv(s)
+    s_inv = dec.phi_matrix().conj().T
     p = operators.build_parity(dec, sigma)
     c = operators.build_charge(dec, sigma)
     t = operators.build_time_reversal(dec)
@@ -187,14 +186,12 @@ def classify(op, metric, tol: Tolerance = DEFAULT_TOL) -> SymmetryClass:
 
 
 def factor_antiunitary(v: SymmetryOperator, dec: SpectralDecomposition, sigma, metric,
-                       sigma_prime=None, tol: Tolerance = DEFAULT_TOL):
+                       sigma_prime, tol: Tolerance = DEFAULT_TOL):
     """Split a metric-antiunitary V into involutory-antilinear times linear:
     ``V = (CTP) U = (TP) U'`` with U, U' metric-unitary.  Since CTP and TP
     are involutions, ``U = (CTP) o V`` and ``U' = (TP) o V``."""
     if classify(v, metric, tol) is not SymmetryClass.P_ANTIUNITARY:
         raise NotAntiunitary("operator is not metric-antiunitary; no such factorization")
-    if sigma_prime is None:
-        sigma_prime = sigma
     ctp = operators.build_ctp(dec, sigma, sigma_prime)
     tp = operators.build_tp(dec, sigma_prime)
     u = antilinear_compose(ctp, v)
@@ -231,23 +228,20 @@ def commutant_element(dec: SpectralDecomposition, params) -> np.ndarray:
 
 def pseudounitary_symmetries_exist(dec: SpectralDecomposition) -> PseudounitaryExistence:
     """Metric-reversing (pseudounitary/pseudoantiunitary) symmetries exist
-    exactly when every real eigenvalue's Jordan blocks occur in identical
-    pairs, which also forces the canonical involutory metric to be traceless."""
+    exactly when the complex spectrum pairs and every real eigenvalue's
+    Jordan blocks occur in identical pairs.  Paired blocks hold an even
+    number of odd-dimensional real chains, so the canonical involutory
+    metric is then traceless."""
     # congruence by the psi chains turns the canonical parity into its K
-    cong_trace = float(np.trace(operators._coefficients(
+    trace = float(np.trace(operators._coefficients(
         dec, "P", operators.canonical_sign_sequence(dec))))
-    ok, violations = operators.reflecting_exists(dec)
-    if not ok or abs(cong_trace) > 0.5:
-        if ok:
-            violations = []
-        return PseudounitaryExistence(exists=False, reflecting=None, quaternionic=None,
-                                      paired_metric=None, canonical_trace=cong_trace,
-                                      violations=violations)
-    r, p_paired = operators.build_reflecting(dec)
-    t_frak = operators.build_quaternionic_T(dec)
-    return PseudounitaryExistence(exists=True, reflecting=r, quaternionic=t_frak,
-                                  paired_metric=p_paired, canonical_trace=cong_trace,
-                                  violations=[])
+    if dec.has_unpaired_complex():
+        violations = [(g.eigenvalue, g.block_dims) for g in dec.groups
+                      if g.kind == spectral.UNPAIRED]
+    else:
+        violations = operators._real_block_halves(dec)[1]
+    return PseudounitaryExistence(exists=not violations, canonical_trace=trace,
+                                  violations=violations)
 
 
 def check_battery(h, dec: SpectralDecomposition, sigma="canonical",

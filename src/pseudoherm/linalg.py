@@ -84,15 +84,15 @@ class Tolerance:
 DEFAULT_TOL = Tolerance()
 
 
-def as_cmatrix(a, n_max: int = N_MAX) -> np.ndarray:
+def as_cmatrix(a) -> np.ndarray:
     """Validate and convert to a square finite complex128 array."""
     m = np.asarray(a, dtype=np.complex128)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
         raise DimensionMismatch("empty matrix")
-    if m.shape[0] > n_max:
-        raise DimensionMismatch(f"dimension {m.shape[0]} exceeds configured bound {n_max}")
+    if m.shape[0] > N_MAX:
+        raise DimensionMismatch(f"dimension {m.shape[0]} exceeds configured bound {N_MAX}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return m

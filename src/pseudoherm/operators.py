@@ -323,16 +323,6 @@ def _paired_real_layout(dec: SpectralDecomposition, reason: str = "Proposition 4
     return halves
 
 
-def reflecting_exists(dec: SpectralDecomposition) -> tuple[bool, list]:
-    """Pairing condition of the reflecting-operator theorem, with the
-    violating (eigenvalue, block_dims) list when it fails."""
-    if dec.has_unpaired_complex():
-        return False, [(g.eigenvalue, g.block_dims) for g in dec.groups
-                       if g.kind == "unpaired"]
-    violations = _real_block_halves(dec)[1]
-    return not violations, violations
-
-
 def build_reflecting(dec: SpectralDecomposition):
     """Reflecting symmetry R (involutory, commutes with H, metric-reversing)
     together with the paired parity it reverses.

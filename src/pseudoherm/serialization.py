@@ -50,12 +50,9 @@ def doc_to_matrix(doc: dict) -> SymmetryOperator:
                             antilinear=bool(doc.get("antilinear", False)))
 
 
-def vector_to_doc(v, label: str | None = None) -> dict:
+def vector_to_doc(v) -> dict:
     v = linalg.as_vector(v)
-    doc = {"n": int(v.shape[0]), "data": [_pair(z) for z in v]}
-    if label is not None:
-        doc["label"] = str(label)
-    return doc
+    return {"n": int(v.shape[0]), "data": [_pair(z) for z in v]}
 
 
 def doc_to_vector(doc: dict) -> np.ndarray:

@@ -20,10 +20,12 @@ reorders the Schur form (LAPACK ``ztrsen``, called through
 its chains map to chains of H through the leading m Schur vectors ``Z1``,
 since ``H Z1 = Z1 T11``.
 
-Eigenvalues are classified as real or as conjugate (+/-) pair members; a
-complex eigenvalue without a conjugate partner of identical block structure
-admits no generalized-parity treatment and is rejected with ``NotPaired``
-unless explicitly tolerated.
+Realness is decided once, by the snap of near-real cluster centers onto the
+real axis: a group is real exactly when its eigenvalue's imaginary part is 0.
+The others are conjugate (+/-) pair members; a complex eigenvalue without a
+conjugate partner of identical block structure admits no generalized-parity
+treatment and is rejected with ``NotPaired`` unless explicitly tolerated.
+``psi_matrix`` (S) and ``phi_matrix`` (Phi^dag = S^-1) return read-only arrays.
 """
 
 from __future__ import annotations
@@ -100,10 +102,11 @@ class SpectralDecomposition:
 
     def psi_matrix(self) -> np.ndarray:
         """Chain vectors as columns, in group/chain/height order (= S)."""
-        return self._factors["psi"].copy()
+        return self._factors["psi"]
 
     def phi_matrix(self) -> np.ndarray:
-        return self._factors["phi"].copy()
+        """Dual chain vectors as columns (Phi^dag = S^-1)."""
+        return self._factors["phi"]
 
     @cached_property
     def _factors(self) -> dict:
@@ -204,8 +207,7 @@ def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
 
 
 def check_biorthonormal(dec: SpectralDecomposition) -> BiorthonormalityReport:
-    psi = dec._factors["psi"]
-    phi = dec._factors["phi"]
+    psi, phi = dec.psi_matrix(), dec.phi_matrix()
     eye = np.eye(dec.n)
     gram = psi.conj().T @ phi
     complete = psi @ phi.conj().T
@@ -246,20 +248,21 @@ def _random_basis(n: int, rng: np.random.Generator, cond: float) -> np.ndarray:
     return q1 @ np.diag(s) @ q2.conj().T
 
 
-def _pair_up(specs, realness_tol: float, allow_unpaired: bool):
-    """Classify spec groups as real / conjugate pairs; returns kind/pair tags."""
+def _pair_up(specs, pair_tol: float, allow_unpaired: bool):
+    """Kind/pair tags of spec groups: real exactly when the eigenvalue's
+    imaginary part is 0; ``pair_tol`` only matches conjugate partners."""
     kinds = [None] * len(specs)
     pair_ids = [None] * len(specs)
     next_pair = 0
     unmatched = []
     for idx, g in enumerate(specs):
-        if abs(g.eigenvalue.imag) <= realness_tol:
+        if g.eigenvalue.imag == 0:
             kinds[idx] = REAL
             continue
         partner = None
         for jdx in unmatched:
             other = specs[jdx]
-            if (abs(np.conj(other.eigenvalue) - g.eigenvalue) <= realness_tol
+            if (abs(np.conj(other.eigenvalue) - g.eigenvalue) <= pair_tol
                     and tuple(sorted(other.block_dims)) == tuple(sorted(g.block_dims))):
                 partner = jdx
                 break
@@ -465,7 +468,7 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
                       for c, center in zip(clusters, centers)])
     _check_gaps(centers, radii, delta)
 
-    # snap near-real centers to the real axis before pairing
+    # snap near-real centers to the real axis: the one realness decision
     real_thresh = max(tol.abs, 0.1 * delta)
     snapped = []
     for c in centers:

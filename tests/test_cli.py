@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import pseudoherm
-from pseudoherm import cli, errors, krein, serialization, spectral
+from pseudoherm import cli, errors, krein, operators, serialization, spectral
 from pseudoherm.cli import main
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
@@ -283,6 +283,46 @@ def test_check_does_not_rebuild_the_congruence(sixone, monkeypatch, capsys):
     monkeypatch.setattr(krein, "congruence_to_involutory", fail)
     assert main(["check", "--input", str(sixone)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["all_pass"]
+
+
+#: an eigenvalue off the real axis by more than the snap but within the
+#: pairing window; it has no conjugate partner
+NEAR_REAL = np.diag([1 + 1.5e-4j, 5.0]).astype(complex)
+
+
+@pytest.mark.parametrize("command, stream, message", [
+    (["construct", "--ops", "P"], "err", "without conjugate partner"),
+    (["check"], "out", "NotPaired: unpaired complex eigenvalues"),
+    (["evolve", "--metric", "pplus", "--t0", "0", "--t1", "1", "--steps", "5"],
+     "err", "without conjugate partner"),
+], ids=["construct", "check", "evolve-pplus"])
+def test_unpaired_near_real_eigenvalue_is_refused(command, stream, message, tmp_path,
+                                                  capsys):
+    h_path = _write_matrix(tmp_path, "h.json", NEAR_REAL)
+    state = str(_write_vector(tmp_path, "v.json", [1.0, 1.0]))
+    args = command[:1] + ["--input", str(h_path)] + command[1:]
+    if command[0] == "evolve":
+        args += ["--initial", state, "--final", state]
+    assert main(args) == 3
+    assert message in getattr(capsys.readouterr(), stream)
+
+
+def test_existence_row_builds_no_metric_reversing_operator(monkeypatch, capsys, tmp_path):
+    def fail(*args, **kwargs):
+        raise AssertionError("the existence decision built an operator")
+
+    _, dec = synthesize(SynthesisSpec(groups=(JordanBlockSpec(0.0, (2, 2)),
+                                              JordanBlockSpec(1 + 1j, (1,)),
+                                              JordanBlockSpec(1 - 1j, (1,))),
+                                      basis_seed=4))
+    h = spectral.reconstruct(dec)
+    monkeypatch.setattr(operators, "build_reflecting", fail)
+    monkeypatch.setattr(operators, "build_quaternionic_T", fail)
+    assert krein.pseudounitary_symmetries_exist(dec).exists
+    assert main(["check", "--input", str(_write_matrix(tmp_path, "h.json", h))]) == 0
+    table = json.loads(capsys.readouterr().out)["results"]["table"]
+    assert table[-1] == {"check": "metric-reversing symmetries exist (paired blocks)",
+                         "pass": True, "residual": True}
 
 
 def test_evolve_probability_csv(sixone, tmp_path):

@@ -1,7 +1,7 @@
 """Source hygiene: no module imports a name it never uses, no function
-ignores a parameter, every defined function is used somewhere, only
-``linalg`` touches scipy, and importing the package leaves ``scipy.linalg``
-unloaded."""
+ignores a parameter, every defined function is used somewhere, no module
+reads another object's private attributes, only ``linalg`` touches scipy,
+and importing the package leaves ``scipy.linalg`` unloaded."""
 
 import ast
 import os
@@ -123,6 +123,35 @@ def test_unused_definition_is_detected():
                         "def h():\n    pass\n")}
     users = dict(defined, **{"t.py": "from m import g\ngetattr(m, 'h')()\n"})
     assert _unreferenced_definitions(defined, users) == ["m.py:f", "m.py:size"]
+
+
+def _private_reads(source: str) -> list[str]:
+    """``owner._name`` for each read of a ``_``-prefixed, non-dunder
+    attribute whose owner is not ``self``, ``cls`` or an imported module."""
+    tree = ast.parse(source)
+    modules = {"self", "cls"}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module is None:  # from . import m
+            modules |= {alias.asname or alias.name for alias in node.names}
+    return [f"{ast.unparse(node.value)}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+            and node.attr.startswith("_")
+            and not (node.attr.startswith("__") and node.attr.endswith("__"))
+            and not (isinstance(node.value, ast.Name) and node.value.id in modules)]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_attribute_of_another_object_is_read(path):
+    assert _private_reads(path.read_text(encoding="utf-8")) == []
+
+
+def test_private_read_is_detected():
+    source = ("import numpy as np\nfrom . import ops\nfrom .spectral import Dec\n"
+              "class A:\n    def f(self, dec):\n        self._x = dec._factors['psi']\n"
+              "        return ops._kernel(np._NoValue, Dec._cache, self._x.__len__())\n")
+    assert _private_reads(source) == ["dec._factors", "Dec._cache"]
 
 
 def _scipy_imports(source: str) -> list[int]:

@@ -29,6 +29,7 @@ from pseudoherm.operators import (
     build_charge,
     build_ctp,
     build_parity,
+    build_reflecting,
     build_tp,
 )
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
@@ -288,7 +289,7 @@ def test_pseudounitary_existence_decisions():
     _, _, dec2 = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, -1.0))
     res2 = pseudounitary_symmetries_exist(dec2)
     assert res2.exists
-    assert np.allclose(res2.reflecting, [[0, -1], [-1, 0]], atol=1e-12)
+    assert np.allclose(build_reflecting(dec2)[0], [[0, -1], [-1, 0]], atol=1e-12)
 
     _, dec_pair = synthesize(SynthesisSpec(groups=(JordanBlockSpec(0.0, (2, 2)),),
                                            basis_seed=1))

@@ -29,6 +29,7 @@ from pseudoherm.operators import (
     involutory_symmetry_exists,
 )
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, analyze, synthesize
+from test_acceptance import _paired_spec, _unpaired_spec
 
 RNG = np.random.default_rng(2024)
 
@@ -94,12 +95,11 @@ def test_antilinear_results_are_antilinear_carriers():
     exist = krein.pseudounitary_symmetries_exist(dec)
     assert exist.exists
     antilinear = [build_time_reversal(dec), build_tp(dec), build_ctp(dec),
-                  build_quaternionic_T(dec), exist.quaternionic,
-                  krein.congruence_to_involutory(dec).t_tilde]
+                  build_quaternionic_T(dec), krein.congruence_to_involutory(dec).t_tilde]
     for op in antilinear:
         assert isinstance(op, SymmetryOperator) and op.antilinear
     linear = [build_parity(dec), build_charge(dec), build_positive_metric(dec),
-              *build_reflecting(dec), exist.reflecting, exist.paired_metric]
+              *build_reflecting(dec)]
     for m in linear:
         assert type(m) is np.ndarray
 
@@ -486,7 +486,7 @@ def _builds(dec, rng):
     else:
         with pytest.raises(NotDiagonalizableReal):
             build_positive_metric(dec)
-    if operators.reflecting_exists(dec)[0]:
+    if krein.pseudounitary_symmetries_exist(dec).exists:
         r, p_paired = build_reflecting(dec)
         r_want, p_want = _dyad_reflecting(dec)
         out += [("R", r, r_want), ("paired P", p_paired, p_want),
@@ -504,6 +504,7 @@ def _builds(dec, rng):
 @pytest.mark.parametrize("label", list(_CASES))
 def test_kernel_matches_dyad_sums(label):
     dec = _CASES[label]
+    assert all(g.eigenvalue.imag == 0 for g in dec.groups if g.kind == "real")
     errors = {name: _rel_err(got, want)
               for name, got, want in _builds(dec, np.random.default_rng(7))}
     assert max(errors.values()) <= 1e-12, errors
@@ -520,6 +521,34 @@ def test_canonical_trace_matches_block_reversal(label):
     assert np.array_equal(k, _dyad_canonical_p_tilde(dec).real)
     trace = krein.pseudounitary_symmetries_exist(dec).canonical_trace
     assert trace == float(np.trace(_dyad_canonical_p_tilde(dec)).real)
+
+
+def _blocks_pair(dec):
+    """The pairing rule read off the block structure: no unpaired complex
+    eigenvalue, and every real block size occurs an even number of times."""
+    return all(g.kind != "unpaired" for g in dec.groups) and all(
+        g.block_dims.count(d) % 2 == 0 for _, g in dec.iter_real() for d in g.block_dims)
+
+
+def _existence_cases():
+    yield from _CASES.items()
+    rng = np.random.default_rng(42)  # the structures of acceptance criterion 6
+    for make in (_paired_spec, _unpaired_spec):
+        for trial in range(50):
+            yield f"{make.__name__}-{trial}", synthesize(make(rng))[1]
+
+
+def test_existence_is_the_block_pairing_rule():
+    """``exists`` is the pairing rule, and the canonical trace is 0 wherever
+    it holds (so no separate trace test can refuse a paired structure)."""
+    decided = {}
+    for label, dec in _existence_cases():
+        res = krein.pseudounitary_symmetries_exist(dec)
+        assert res.exists == _blocks_pair(dec) == (not res.violations), label
+        if res.exists:
+            assert res.canonical_trace == 0.0, label
+        decided[res.exists] = decided.get(res.exists, 0) + 1
+    assert decided[True] >= 50 and decided[False] >= 50, decided
 
 
 def test_canonical_trace_on_unpaired_complex():

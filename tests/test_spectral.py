@@ -134,6 +134,16 @@ def test_realness_snap():
     assert all(g.eigenvalue.imag == 0 for g in dec.groups)
 
 
+def test_unpaired_near_real_eigenvalue_is_not_real():
+    # 1.5e-4 is past the snap (0.1 delta) but inside the pairing window
+    # (delta = 4.1e-4): realness is the snap's decision alone
+    dec = analyze(np.diag([1 + 1.5e-4j, 5.0]).astype(complex), allow_unpaired=True)
+    assert [g.kind for g in dec.groups] == [spectral.UNPAIRED, spectral.REAL]
+    assert dec.groups[0].eigenvalue == 1 + 1.5e-4j
+    with pytest.raises(NotPaired):
+        analyze(np.diag([1 + 1.5e-4j, 5.0]).astype(complex))
+
+
 def test_analyze_is_deterministic():
     spec = SynthesisSpec(groups=(
         JordanBlockSpec(0.0, (2,)), JordanBlockSpec(1.0, (1,)),
@@ -299,6 +309,7 @@ def test_analyze_ensemble_one_jordan_block():
                     refused.append((p, cond, seed))
                     continue
                 assert _same_structure(dec, dec_syn), (p, cond, seed)
+                assert all(g.eigenvalue.imag == 0 for g in dec.groups if g.kind == "real")
                 thr = DEFAULT_TOL.scaled(h)
                 assert all(r <= thr for r in _chain_residuals(h, dec).values()), (p, cond, seed)
     assert all(p > 5 for p, _, _ in refused), refused
