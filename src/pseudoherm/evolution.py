@@ -16,7 +16,8 @@ grid has about ten).  ``Overflow`` is decided on max |t| over the grid.
     H_eff = [[E, i r], [-i s, E]]
 
 (spin motion with dissipation; E, r, s real) together with a chain basis in
-fixed conventions, so that the symmetry constructions downstream produce
+fixed conventions, written as closed-form S and Phi and cut into chains by
+``spectral._assemble``, so that the symmetry constructions downstream produce
 closed-form matrices.  The spectral character switches with the sign of
 ``r*s``: real nondegenerate, complex-conjugate pair, or a single 2x2 Jordan
 block on the boundary.
@@ -32,15 +33,7 @@ from . import linalg
 from .errors import IndefiniteMetric, NotPseudoHermitian
 from .krein import krein_inner
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import (
-    MINUS,
-    PLUS,
-    REAL,
-    EigenGroup,
-    JordanChain,
-    SpectralDecomposition,
-    is_pseudo_hermitian,
-)
+from .spectral import MINUS, PLUS, REAL, JordanBlockSpec, _assemble, is_pseudo_hermitian
 
 REGIME_REAL = "RealNondegenerate"
 REGIME_COMPLEX = "ComplexPair"
@@ -127,7 +120,7 @@ def _states(h, state, grid) -> np.ndarray:
 def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
     """``|<<final, U(t) initial>>|^2`` over the time grid, with both states
     metric-normalized.  Requires a positive definite metric."""
-    if not linalg.is_positive_definite(req.metric, req.tol):
+    if linalg.metric_eigenvalues(req.metric, req.tol).min() < 0:
         raise IndefiniteMetric(
             "transition probabilities are defined only for positive definite "
             "metrics; use krein_norm_series for indefinite ones")
@@ -146,11 +139,6 @@ def krein_norm_series(req: EvolutionRequest) -> list[float]:
             "norm is not conserved")
     psi = _states(req.h, req.initial_state, req.t_grid)
     return np.sum(psi.conj() * (req.metric @ psi), axis=0).real.tolist()
-
-
-def _chain(psi_vectors, phi_vectors) -> JordanChain:
-    return JordanChain(psi=np.array(psi_vectors, dtype=np.complex128),
-                       phi=np.array(phi_vectors, dtype=np.complex128))
 
 
 def mashhoon_papini(params: MashhoonPapiniParams):
@@ -175,52 +163,40 @@ def mashhoon_papini(params: MashhoonPapiniParams):
     h = np.array([[e, 1j * r], [-1j * s, e]], dtype=np.complex128)
     rt2 = np.sqrt(2.0)
 
+    # per regime: (eigenvalue, block dims, kind, pair id) of each group, and
+    # the psi / phi chain vectors in storage order (rows; columns of S / Phi)
     if r * s > 0:
         kappa = np.sqrt(r / s)
         gap = np.sqrt(r * s)
         sgn = 1.0 if r > 0 else -1.0
-        groups = (
-            EigenGroup(eigenvalue=complex(e + gap), kind=REAL, pair_id=None,
-                       chains=(_chain([[1j * sgn * kappa / rt2, 1 / rt2]],
-                                      [[1j * sgn / (kappa * rt2), 1 / rt2]]),)),
-            EigenGroup(eigenvalue=complex(e - gap), kind=REAL, pair_id=None,
-                       chains=(_chain([[-1j * sgn * kappa / rt2, 1 / rt2]],
-                                      [[-1j * sgn / (kappa * rt2), 1 / rt2]]),)),
-        )
+        groups = [(e + gap, (1,), REAL, None), (e - gap, (1,), REAL, None)]
+        psi = [[1j * sgn * kappa / rt2, 1 / rt2], [-1j * sgn * kappa / rt2, 1 / rt2]]
+        phi = [[1j * sgn / (kappa * rt2), 1 / rt2], [-1j * sgn / (kappa * rt2), 1 / rt2]]
         regime = REGIME_REAL
     elif r * s < 0:
         kappa = np.sqrt(abs(r / s))
         mu = np.sqrt(abs(r * s))
         sgn = 1.0 if r > 0 else -1.0
-        groups = (
-            EigenGroup(eigenvalue=complex(e, -mu), kind=MINUS, pair_id=0,
-                       chains=(_chain([[-sgn * kappa / rt2, 1 / rt2]],
-                                      [[-sgn / (kappa * rt2), 1 / rt2]]),)),
-            EigenGroup(eigenvalue=complex(e, mu), kind=PLUS, pair_id=0,
-                       chains=(_chain([[sgn * kappa / rt2, 1 / rt2]],
-                                      [[sgn / (kappa * rt2), 1 / rt2]]),)),
-        )
+        groups = [(complex(e, -mu), (1,), MINUS, 0), (complex(e, mu), (1,), PLUS, 0)]
+        psi = [[-sgn * kappa / rt2, 1 / rt2], [sgn * kappa / rt2, 1 / rt2]]
+        phi = [[-sgn / (kappa * rt2), 1 / rt2], [sgn / (kappa * rt2), 1 / rt2]]
         regime = REGIME_COMPLEX
     elif r != 0:  # s == 0: upper-triangular Jordan block
-        groups = (
-            EigenGroup(eigenvalue=complex(e), kind=REAL, pair_id=None,
-                       chains=(_chain([[1, 0], [1j / r, -1j / r]],
-                                      [[1, 1], [0, -1j * r]]),)),
-        )
+        groups = [(e, (2,), REAL, None)]
+        psi = [[1, 0], [1j / r, -1j / r]]
+        phi = [[1, 1], [0, -1j * r]]
         regime = REGIME_JORDAN
     elif s != 0:  # r == 0: lower-triangular Jordan block
-        groups = (
-            EigenGroup(eigenvalue=complex(e), kind=REAL, pair_id=None,
-                       chains=(_chain([[0, 1], [1j / s, -1j / s]],
-                                      [[1, 1], [1j * s, 0]]),)),
-        )
+        groups = [(e, (2,), REAL, None)]
+        psi = [[0, 1], [1j / s, -1j / s]]
+        phi = [[1, 1], [1j * s, 0]]
         regime = REGIME_JORDAN
     else:
-        groups = (
-            EigenGroup(eigenvalue=complex(e), kind=REAL, pair_id=None,
-                       chains=(_chain([[1, 0]], [[1, 0]]),
-                               _chain([[0, 1]], [[0, 1]]))),
-        )
+        groups = [(e, (1, 1), REAL, None)]
+        psi = phi = [[1, 0], [0, 1]]
         regime = REGIME_SCALAR
 
-    return h, regime, SpectralDecomposition(n=2, groups=groups)
+    eigenvalues, dims, kinds, pair_ids = zip(*groups)
+    dec = _assemble(list(map(JordanBlockSpec, eigenvalues, dims)), kinds, pair_ids,
+                    np.array(psi, dtype=np.complex128).T, np.array(phi, dtype=np.complex128).T)
+    return h, regime, dec

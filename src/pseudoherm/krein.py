@@ -2,6 +2,12 @@
 
 A Hermitian invertible metric splits the space into its positive and negative
 spectral subspaces and defines the indefinite product ``<psi| eta |phi>``.
+Whether a matrix is one is decided by ``linalg.metric_eigenvalues`` alone:
+``build_krein_space`` and ``classification_report`` refuse a non-Hermitian
+metric with ``NonHermitianMetric`` and one with an eigenvalue within
+``tol.scaled(metric)`` of zero with ``SingularMetric``, as do
+``spectral.is_pseudo_hermitian`` and the evolution series.
+
 Congruence by the chain basis turns any generalized parity into an involutory
 Hermitian canonical metric whose ±1 projectors realize the splitting.
 
@@ -26,13 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, operators, spectral
-from .errors import (
-    NonHermitianMetric,
-    NotAntiunitary,
-    SingularMetric,
-    SingularOperator,
-    ZeroLeadingCoefficient,
-)
+from .errors import NotAntiunitary, SingularOperator, ZeroLeadingCoefficient
 from .linalg import DEFAULT_TOL, Tolerance
 from .operators import SymmetryOperator, antilinear_compose
 from .spectral import SpectralDecomposition
@@ -99,15 +99,11 @@ def krein_inner(psi, phi, metric) -> complex:
 
 
 def build_krein_space(metric, tol: Tolerance = DEFAULT_TOL) -> KreinSpace:
-    """Spectral splitting of a Hermitian invertible metric."""
+    """Spectral splitting of a Hermitian invertible metric (refused by
+    ``linalg.metric_eigenvalues``)."""
     metric = linalg.as_cmatrix(metric)
-    if not linalg.is_hermitian(metric, tol):
-        raise NonHermitianMetric("metric is not Hermitian at tolerance")
+    linalg.metric_eigenvalues(metric, tol)
     w, v = np.linalg.eigh(0.5 * (metric + metric.conj().T))
-    thr = tol.scaled(metric)
-    if np.abs(w).min() <= thr:
-        raise SingularMetric(
-            f"metric eigenvalue {w[np.abs(w).argmin()]:.3e} within tolerance of zero")
     pos = v[:, w > 0]
     neg = v[:, w < 0]
     return KreinSpace(
@@ -151,10 +147,7 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
     larger (otherwise NONE, with the residuals reported)."""
     sym = SymmetryOperator.of(op)
     metric = linalg.as_cmatrix(metric)
-    if not linalg.is_hermitian(metric, tol):
-        raise NonHermitianMetric("metric is not Hermitian at tolerance")
-    if linalg.rank(metric, tol) < metric.shape[0]:
-        raise SingularMetric("metric is singular at tolerance")
+    linalg.metric_eigenvalues(metric, tol)
     m = sym.matrix
     if linalg.rank(m, tol) < m.shape[0]:
         raise SingularOperator("operator is singular at tolerance; classification "

@@ -1,9 +1,11 @@
 """Dense complex matrix kernel.
 
 Thin, tolerance-aware layer over LAPACK: the complex Schur form and its
-reordering, SVD-based numerical rank, LU solves, and the matrix exponential.
-Everything works on square ``complex128`` arrays of modest size (``N_MAX``
-defaults to 64); matrices are treated as immutable values.
+reordering, SVD-based numerical rank, LU solves, the matrix exponential, and
+``metric_eigenvalues``, the one rule by which every entry point decides
+whether a matrix is a Hermitian invertible metric.  Everything works on
+square ``complex128`` arrays of modest size (``N_MAX`` defaults to 64);
+matrices are treated as immutable values.
 
 This is the only module that calls compiled scipy code.  ``zgees`` (Schur
 form), ``ztrsen`` (its reordering) and ``zgetrf``/``zgetrs`` (LU) come from
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonConvergence, Overflow, Singular
+from .errors import (DimensionMismatch, NonConvergence, NonHermitianMetric, Overflow,
+                     Singular, SingularMetric)
 
 
 def _load_extension(name: str):
@@ -261,10 +264,17 @@ def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     return bool(np.linalg.norm(a - a.conj().T) <= tol.scaled(a))
 
 
-def is_positive_definite(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """Hermitian with smallest eigenvalue above ``tol.abs``."""
-    a = as_cmatrix(a)
-    if not is_hermitian(a, tol):
-        return False
-    w = np.linalg.eigvalsh(0.5 * (a + a.conj().T))
-    return bool(w.min() > tol.abs)
+def metric_eigenvalues(metric, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
+    """Eigenvalues of a Hermitian invertible metric, ascending: the one
+    decision whether a matrix can serve as a metric.  Raises
+    ``NonHermitianMetric`` unless it is Hermitian at ``tol``, and
+    ``SingularMetric`` when an eigenvalue of its Hermitian part lies within
+    ``tol.scaled(metric)`` of zero."""
+    metric = as_cmatrix(metric)
+    if not is_hermitian(metric, tol):
+        raise NonHermitianMetric("metric is not Hermitian at tolerance")
+    w = np.linalg.eigvalsh(0.5 * (metric + metric.conj().T))
+    nearest = w[np.abs(w).argmin()]
+    if abs(nearest) <= tol.scaled(metric):
+        raise SingularMetric(f"metric eigenvalue {nearest:.3e} within tolerance of zero")
+    return w

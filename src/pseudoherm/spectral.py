@@ -25,7 +25,11 @@ real axis: a group is real exactly when its eigenvalue's imaginary part is 0.
 The others are conjugate (+/-) pair members; a complex eigenvalue without a
 conjugate partner of identical block structure admits no generalized-parity
 treatment and is rejected with ``NotPaired`` unless explicitly tolerated.
-``psi_matrix`` (S) and ``phi_matrix`` (Phi^dag = S^-1) return read-only arrays.
+
+A decomposition holds the chain basis once: S as ``psi`` and Phi (with
+Phi^dag = S^-1) as ``phi``, both read-only, and every chain's vectors are
+views of their columns.  ``_assemble`` is the one constructor, for
+``analyze``, ``synthesize`` and ``evolution.mashhoon_papini`` alike.
 """
 
 from __future__ import annotations
@@ -37,13 +41,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .errors import (
-    ClusterAmbiguity,
-    NotPaired,
-    SingularBasis,
-    SingularMetric,
-    NonHermitianMetric,
-)
+from .errors import ClusterAmbiguity, NotPaired, SingularBasis
 from .linalg import DEFAULT_TOL, Tolerance
 
 REAL = "real"
@@ -97,29 +95,28 @@ class EigenGroup:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    n: int
+    """Eigenvalue groups over one read-only copy of S (``psi``) and Phi
+    (``phi``), columns in group/chain/height order; chains are views."""
+
     groups: tuple[EigenGroup, ...]
+    psi: np.ndarray
+    phi: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return self.psi.shape[0]
 
     def psi_matrix(self) -> np.ndarray:
-        """Chain vectors as columns, in group/chain/height order (= S)."""
-        return self._factors["psi"]
+        """Chain vectors as columns (= S)."""
+        return self.psi
 
     def phi_matrix(self) -> np.ndarray:
         """Dual chain vectors as columns (Phi^dag = S^-1)."""
-        return self._factors["phi"]
+        return self.phi
 
     @cached_property
-    def _factors(self) -> dict:
-        """The chain matrices and the transposes ``chain_product`` takes,
-        built once per decomposition and read-only."""
-        psi, phi = (np.concatenate([getattr(c, name) for g in self.groups for c in g.chains]
-                                   ).astype(np.complex128, copy=False).T
-                    for name in ("psi", "phi"))
-        factors = {"psi": psi, "phi": phi, "psi^T": psi.T, "phi^T": phi.T,
-                   "phi^dag": phi.conj().T}
-        for m in factors.values():
-            m.flags.writeable = False
-        return factors
+    def _phi_dag(self) -> np.ndarray:
+        return self.phi.conj().T
 
     @cached_property
     def chain_starts(self) -> MappingProxyType:
@@ -143,7 +140,9 @@ class SpectralDecomposition:
         Psi K Phi^dag (linear symmetries, H itself), Psi K Phi^T and
         Psi K Psi^T (matrix parts of antilinear symmetries).
         """
-        return self._factors[left] @ k @ self._factors[right]
+        if right == "phi^dag":
+            return getattr(self, left) @ k @ self._phi_dag
+        return getattr(self, left) @ k @ getattr(self, right.removesuffix("^T")).T
 
     def iter_real(self):
         for ng, g in enumerate(self.groups):
@@ -221,13 +220,8 @@ def is_pseudo_hermitian(h, eta, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff ``eta H eta^-1 = H^dag`` at tolerance."""
     h = linalg.as_cmatrix(h)
     eta = linalg.as_cmatrix(eta)
-    if not linalg.is_hermitian(eta, tol):
-        raise NonHermitianMetric("metric is not Hermitian at tolerance")
-    try:
-        eta_inv = linalg.inv(eta, tol)
-    except Exception as exc:
-        raise SingularMetric(f"metric not invertible: {exc}") from exc
-    resid = np.linalg.norm(eta @ h @ eta_inv - h.conj().T)
+    linalg.metric_eigenvalues(eta, tol)
+    resid = np.linalg.norm(eta @ h @ np.linalg.inv(eta) - h.conj().T)
     return bool(resid <= tol.scaled(h, eta))
 
 
@@ -300,26 +294,28 @@ def synthesize(spec: SynthesisSpec, *, allow_unpaired: bool = False,
     except Exception as exc:
         raise SingularBasis(f"basis not invertible: {exc}") from exc
     kinds, pair_ids = _pair_up(spec.groups, tol.abs, allow_unpaired)
-    dec = _assemble(spec.groups, kinds, pair_ids, s_mat, s_inv)
+    dec = _assemble(spec.groups, kinds, pair_ids, s_mat, s_inv.conj().T)
     return s_mat @ _jordan_matrix(dec) @ s_inv, dec
 
 
-def _assemble(specs, kinds, pair_ids, s_mat: np.ndarray,
-              s_inv: np.ndarray) -> SpectralDecomposition:
-    """Cut S and S^-1 into the groups of ``specs``, in order: each chain
-    takes consecutive columns of S (psi) and the same rows of S^-1 (phi^dag)."""
+def _assemble(specs, kinds, pair_ids, psi: np.ndarray,
+              phi: np.ndarray) -> SpectralDecomposition:
+    """The one constructor of a decomposition: marks S (``psi``) and Phi
+    (``phi``) read-only and cuts them into the groups of ``specs``, in order,
+    each chain taking views of consecutive columns of both."""
+    psi.flags.writeable = False
+    phi.flags.writeable = False
     groups = []
     offset = 0
     for spec, kind, pair_id in zip(specs, kinds, pair_ids):
         chains = []
         for p in spec.block_dims:
             sl = slice(offset, offset + p)
-            chains.append(JordanChain(psi=s_mat[:, sl].T.copy(),
-                                      phi=s_inv[sl, :].conj().copy()))
+            chains.append(JordanChain(psi=psi[:, sl].T, phi=phi[:, sl].T))
             offset += p
         groups.append(EigenGroup(eigenvalue=spec.eigenvalue, kind=kind,
                                  pair_id=pair_id, chains=tuple(chains)))
-    return SpectralDecomposition(n=offset, groups=tuple(groups))
+    return SpectralDecomposition(groups=tuple(groups), psi=psi, phi=phi)
 
 
 # ---------------------------------------------------------------------------
@@ -506,4 +502,4 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
         s_inv = linalg.inv(s_mat, tol)
     except Exception as exc:
         raise ClusterAmbiguity(f"chain basis numerically singular: {exc}") from exc
-    return _assemble(specs, kinds, pair_ids, s_mat, s_inv)
+    return _assemble(specs, kinds, pair_ids, s_mat, s_inv.conj().T)

@@ -379,6 +379,25 @@ def test_evolve_indefinite_refusal(sixone, tmp_path):
                  "--t0", "0", "--t1", "1", "--steps", "5"]) == 3
 
 
+def test_cli_refuses_a_near_singular_metric_on_every_path(tmp_path):
+    # diag(1, eps) with eps within tol.scaled = 3e-10 of zero: evolve with
+    # and without --final, and classify, refuse it as the library does
+    h_path = _write_matrix(tmp_path, "h.json", np.diag([1.0, 2.0]).astype(complex))
+    ini = _write_vector(tmp_path, "ini.json", [1.0, 1.0])
+    fin = _write_vector(tmp_path, "fin.json", [1.0, 0.0])
+    m15 = _write_matrix(tmp_path, "m15.json", np.diag([1.0, 1.5e-10]).astype(complex))
+    evolve = ["evolve", "--input", str(h_path), "--metric", str(m15),
+              "--initial", str(ini), "--t0", "0", "--t1", "1", "--steps", "5"]
+    assert main(evolve) == 3
+    assert main(evolve + ["--final", str(fin)]) == 3
+    m25 = np.diag([1.0, 2.5e-10]).astype(complex)
+    o_path = _write_matrix(tmp_path, "o.json", np.eye(2, dtype=complex))
+    assert main(["classify", "--metric", str(_write_matrix(tmp_path, "m25.json", m25)),
+                 "--op", str(o_path)]) == 3
+    with pytest.raises(errors.SingularMetric):
+        krein.classify(np.eye(2), m25)
+
+
 def test_pplus_refusal_prints_plain_eigenvalues(tmp_path, capsys):
     h, _, _ = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, -1.0))
     h_path = _write_matrix(tmp_path, "pair.json", h)

@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from pseudoherm import evolution, linalg
+from pseudoherm import evolution, krein, linalg
 from pseudoherm.errors import (
     ClusterAmbiguity,
     IndefiniteMetric,
+    NonHermitianMetric,
     NotDiagonalizableReal,
     NotPseudoHermitian,
     Overflow,
+    SingularMetric,
 )
 from pseudoherm.evolution import (
     REGIME_COMPLEX,
@@ -30,6 +32,7 @@ from pseudoherm.spectral import (
     SynthesisSpec,
     analyze,
     check_biorthonormal,
+    is_pseudo_hermitian,
     reconstruct,
     synthesize,
 )
@@ -102,6 +105,36 @@ def test_probability_requires_definite_metric():
     p = build_parity(dec)  # indefinite
     req = EvolutionRequest(h=h, metric=p, initial_state=[0, 1], t_grid=(0.0, 1.0))
     with pytest.raises(IndefiniteMetric):
+        transition_probability(req, [1, 0])
+
+
+@pytest.mark.parametrize("eps,accepted", [(1.5e-10, False), (2.5e-10, False),
+                                          (3.5e-10, True)])
+def test_every_entry_point_decides_the_metric_alike(eps, accepted):
+    # tol.scaled(diag(1, eps)) is 3e-10; the two refused eps sit on either
+    # side of the 2e-10 cut of an LU pivot or SVD rank test, above tol.abs
+    h = np.diag([1.0, 2.0]).astype(complex)
+    metric = np.diag([1.0, eps]).astype(complex)
+    req = EvolutionRequest(h=h, metric=metric, initial_state=[1, 1], t_grid=(0.0, 1.0))
+    entry_points = [
+        lambda: krein.classify(np.eye(2), metric),
+        lambda: krein.build_krein_space(metric),
+        lambda: is_pseudo_hermitian(h, metric),
+        lambda: transition_probability(req, [1, 0]),
+        lambda: krein_norm_series(req),
+    ]
+    for call in entry_points:
+        if accepted:
+            call()
+        else:
+            with pytest.raises(SingularMetric, match="within tolerance of zero"):
+                call()
+
+
+def test_probability_refuses_a_non_hermitian_metric():
+    req = EvolutionRequest(h=np.eye(2), metric=np.array([[2, 1], [0, 2]]),
+                           initial_state=[1, 0], t_grid=(0.0,))
+    with pytest.raises(NonHermitianMetric):
         transition_probability(req, [1, 0])
 
 

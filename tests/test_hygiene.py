@@ -1,7 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no function
 ignores a parameter, every defined function is used somewhere, no module
-reads another object's private attributes, only ``linalg`` touches scipy,
-and importing the package leaves ``scipy.linalg`` unloaded."""
+reads another object's private attributes, only ``spectral`` constructs a
+decomposition, only ``linalg`` touches scipy, and importing the package
+leaves ``scipy.linalg`` unloaded."""
 
 import ast
 import os
@@ -152,6 +153,38 @@ def test_private_read_is_detected():
               "class A:\n    def f(self, dec):\n        self._x = dec._factors['psi']\n"
               "        return ops._kernel(np._NoValue, Dec._cache, self._x.__len__())\n")
     assert _private_reads(source) == ["dec._factors", "Dec._cache"]
+
+
+#: the decomposition classes, which only ``spectral._assemble`` may build
+DECOMPOSITION_CLASSES = {"SpectralDecomposition", "EigenGroup", "JordanChain"}
+
+
+def _decomposition_constructions(source: str) -> list[str]:
+    """``name:line`` of each call of a decomposition class, bare or as an
+    attribute (``spectral.JordanChain(...)``)."""
+    calls = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name in DECOMPOSITION_CLASSES:
+                calls.append(f"{name}:{node.lineno}")
+    return calls
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py"))
+                                  if p.name != "spectral.py"], ids=lambda p: p.name)
+def test_only_spectral_constructs_a_decomposition(path):
+    assert _decomposition_constructions(path.read_text(encoding="utf-8")) == []
+
+
+def test_decomposition_construction_is_detected():
+    source = ("from . import spectral\nfrom .spectral import EigenGroup, JordanChain\n"
+              "c = JordanChain(psi=a, phi=b)\ng = EigenGroup(1.0, 'real', None, (c,))\n"
+              "d = spectral.SpectralDecomposition(groups=(g,), psi=a, phi=b)\n"
+              "e = spectral._assemble(specs, kinds, ids, a, b)\n")
+    assert _decomposition_constructions(source) == [
+        "JordanChain:3", "EigenGroup:4", "SpectralDecomposition:5"]
 
 
 def _scipy_imports(source: str) -> list[int]:

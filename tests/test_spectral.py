@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from pseudoherm import operators, spectral
+from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
 from pseudoherm.errors import ClusterAmbiguity, NotPaired, PseudohermError
 from pseudoherm.linalg import DEFAULT_TOL
 from pseudoherm.spectral import (
@@ -159,6 +160,29 @@ def test_is_pseudo_hermitian_predicate():
     assert is_pseudo_hermitian(h, np.eye(2))
     nh = np.array([[1, 1j], [1j, 1]], dtype=np.complex128)
     assert not is_pseudo_hermitian(nh, np.eye(2))
+
+
+def _one_copy_cases():
+    h = np.array([[2, 1, 0], [0, 2, 0], [0, 0, 1j]])
+    _, dec = synthesize(SynthesisSpec((JordanBlockSpec(0.5, (2, 1)),
+                                       JordanBlockSpec(1 + 1j, (1,)),
+                                       JordanBlockSpec(1 - 1j, (1,))), basis_seed=3))
+    models = [mashhoon_papini(MashhoonPapiniParams(0.5, r, s))[2]
+              for r, s in ((2, 0.5), (-2, -0.5), (2, -0.5), (-2, 0.5), (2, 0), (0, 2), (0, 0))]
+    return [analyze(h, allow_unpaired=True), dec] + models
+
+
+@pytest.mark.parametrize("dec", _one_copy_cases(), ids=[
+    "analyze", "synthesize", "real-r+", "real-r-", "complex-r+", "complex-r-",
+    "jordan-s0", "jordan-r0", "scalar"])
+def test_chains_are_read_only_views_of_one_basis(dec):
+    psi, phi = dec.psi_matrix(), dec.phi_matrix()
+    assert psi.shape == phi.shape == (dec.n, dec.n)
+    assert not psi.flags.writeable and not phi.flags.writeable
+    for g in dec.groups:
+        for c in g.chains:
+            assert np.shares_memory(c.psi, psi) and np.shares_memory(c.phi, phi)
+            assert not c.psi.flags.writeable and not c.phi.flags.writeable
 
 
 def test_basis_cond_is_respected():

@@ -5,12 +5,13 @@
 
 Writes the fixture files of ``perfbench/clirun.fixtures`` for seeds 1-3 into
 a temporary directory and runs each of their commands, the timed ones and the
-known-defect one (13 per seed, 39 in all), as a fresh ``pseudoherm`` process
-whose ``PYTHONPATH`` is the given ``src`` directory.  Prints one line per
-command: seed, label, exit code and the SHA-256 of stdout followed by
-stderr.  The fixtures are built by this checkout's ``src`` and named by
-relative paths, so two runs against two source trees are compared with
-``diff``.
+known-defect one (13 per seed, 39 in all), then ``model mashhoon`` once in
+each spectral regime with fixed parameters (``MODELS``), each as a fresh
+``pseudoherm`` process whose ``PYTHONPATH`` is the given ``src`` directory.
+Prints one line per command: seed (``-`` for the models), label, exit code
+and the SHA-256 of stdout followed by stderr.  The fixtures are built by this
+checkout's ``src`` and named by relative paths, so two runs against two
+source trees are compared with ``diff``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,16 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
+#: ``model mashhoon`` label -> (E, r, s), one per basis convention of
+#: ``evolution.mashhoon_papini`` (the fixtures cover the complex r > 0 one)
+MODELS = {
+    "model-real-r+": (0.5, 2.0, 0.5),
+    "model-real-r-": (0.5, -2.0, -0.5),
+    "model-complex-r-": (0.5, -2.0, 0.5),
+    "model-jordan-s0": (0.5, 2.0, 0.0),
+    "model-jordan-r0": (0.5, 0.0, 2.0),
+    "model-scalar": (0.5, 0.0, 0.0),
+}
 
 
 def main(argv=None) -> int:
@@ -36,16 +47,22 @@ def main(argv=None) -> int:
     import clirun
 
     env = clirun.child_env(args.src.resolve())
+
+    def run(seed, label, argv):
+        proc = subprocess.run([sys.executable, "-c", clirun.ENTRY, *argv],
+                              capture_output=True, env=env, timeout=300)
+        digest = hashlib.sha256(proc.stdout + proc.stderr).hexdigest()
+        print(f"{seed} {label} {proc.returncode} {digest}", flush=True)
+
     with tempfile.TemporaryDirectory() as work:
         os.chdir(work)
         for seed in SEEDS:
             timed, _, defects = clirun.fixtures(seed, Path())
             for cmd in timed + defects:
-                proc = subprocess.run([sys.executable, "-c", clirun.ENTRY, *cmd.argv],
-                                      capture_output=True, env=env, timeout=300)
-                digest = hashlib.sha256(proc.stdout + proc.stderr).hexdigest()
-                print(f"{seed} {cmd.label} {proc.returncode} {digest}", flush=True)
+                run(seed, cmd.label, cmd.argv)
         os.chdir(ROOT)
+    for label, (e, r, s) in MODELS.items():
+        run("-", label, ("model", "mashhoon", "--E", repr(e), "--r", repr(r), "--s", repr(s)))
     return 0
 
 
