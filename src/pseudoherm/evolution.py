@@ -7,9 +7,9 @@ positive definite metrics, where ``|<<final, U(t) initial>>|^2`` with
 metric-normalized states is a genuine probability.
 
 Both series step across the grid instead of exponentiating at every point:
-``psi(t_k) = exp(-i H (t_k - t_prev)) psi(t_prev)``, walking out from t = 0,
-with one ``expm`` per distinct floating-point gap (a 200-point ``linspace``
-grid has about ten).  ``Overflow`` is decided on max |t| over the grid.
+``psi(t_k) = exp(-i H (t_k - t_prev)) psi(t_prev)``, walking out from t = 0.
+A walk costs one ``expm`` when its gaps differ only in their last bits, as a
+``linspace`` grid's do.  ``Overflow`` is decided on max |t| over the grid.
 
 ``mashhoon_papini`` builds the two-level effective Hamiltonian
 
@@ -101,17 +101,27 @@ def _states(h, state, grid) -> np.ndarray:
     points t < 0, one step propagator per distinct gap.  Walking from zero
     keeps every gap within max |t|, so a grid is refused with ``Overflow``
     exactly when a propagator at one of its points would be.
+
+    A gap g within ``sqrt(eps) / ||H||_F`` of the last exponentiated gap b
+    steps by ``U(b) - i (g - b) H U(b)``, whose dropped terms are at most
+    ``||H (g - b)||^2 / 2 <= eps / 2`` (Moler & Van Loan, SIAM Rev. 45
+    (2003)); any other gap is exponentiated and becomes the new b.
     """
     linalg.check_expm_bound(-1j * max(grid, key=abs) * h)
+    h_norm, reach = np.linalg.norm(h), np.sqrt(np.finfo(float).eps)
     out = np.empty((state.shape[0], len(grid)), dtype=np.complex128, order="F")
-    steps = {}
+    steps = {0.0: np.eye(state.shape[0])}  # the point t = 0 itself
+    base = None  # the last exponentiated gap
     first_nonneg = sum(t < 0 for t in grid)
     for walk in (range(first_nonneg, len(grid)), range(first_nonneg - 1, -1, -1)):
         psi, t_prev = state, 0.0
         for k in walk:
             gap = grid[k] - t_prev
             if gap not in steps:
-                steps[gap] = propagator(h, gap)
+                if base is not None and abs(gap - base) * h_norm <= reach:
+                    steps[gap] = steps[base] - 1j * (gap - base) * (h @ steps[base])
+                else:
+                    base, steps[gap] = gap, propagator(h, gap)
             psi = out[:, k] = steps[gap] @ psi
             t_prev = grid[k]
     return out

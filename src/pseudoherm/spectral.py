@@ -13,12 +13,13 @@ a prescribed structure (``synthesize``), and verifies the chain-basis
 invariants.
 
 ``analyze`` works on the complex Schur form ``H = Z T Z^dag``.  It clusters
-the diagonal of ``T`` by single linkage, then, for each cluster of size m,
-reorders the Schur form (LAPACK ``ztrsen``, called through
-``linalg.reorder_schur``) so the cluster fills the leading m x m block
-``T11``.  The rank staircase runs on ``T11 - center*I`` alone, and
-its chains map to chains of H through the leading m Schur vectors ``Z1``,
-since ``H Z1 = Z1 T11``.
+the diagonal of ``T`` by single linkage.  The eigenvectors of all simple
+(size-1) clusters come from ``T`` by one back-substitution sweep, mapped
+through ``Z``.  Each cluster of size m >= 2 is moved by a reordering of the
+Schur form (LAPACK ``ztrsen``, called through ``linalg.reorder_schur``) to
+the leading m x m block ``T11``.  The rank staircase runs on
+``T11 - center*I`` alone, and its chains map to chains of H through the
+leading m Schur vectors ``Z1``, since ``H Z1 = Z1 T11``.
 
 Realness is decided once, by the snap of near-real cluster centers onto the
 real axis: a group is real exactly when its eigenvalue's imaginary part is 0.
@@ -358,14 +359,21 @@ def _check_gaps(centers: np.ndarray, radii: np.ndarray, delta: float):
             f"are separated by {gap[i, j]:.3e}, below 10x the cluster scale")
 
 
+def _unresolvable(nullity: int, m: int) -> ClusterAmbiguity:
+    return ClusterAmbiguity(
+        f"rank staircase saturates at nullity {nullity}, but the eigenvalue "
+        f"cluster has multiplicity {m}; the cluster is not resolvable at this "
+        f"tolerance")
+
+
 def _extract_chains(b: np.ndarray, tol: Tolerance):
     """Jordan chains of the (numerically) nilpotent m x m matrix ``b``.
 
-    ``analyze`` passes the leading block ``T11 - center*I`` of a Schur form
-    reordered to put one eigenvalue cluster of size m first, so all of ``b``
-    must be nilpotent.  Uses the rank-of-powers staircase:
-    ``w_k = nullity(b^k) - nullity(b^(k-1))`` counts blocks of size >= k; one
-    SVD of each power gives both its rank threshold
+    ``analyze`` passes, for each eigenvalue cluster of size m >= 2, the
+    leading block ``T11 - center*I`` of a Schur form reordered to put the
+    cluster first, so all of ``b`` must be nilpotent.  Uses the rank-of-powers
+    staircase: ``w_k = nullity(b^k) - nullity(b^(k-1))`` counts blocks of size
+    >= k; one SVD of each power gives both its rank threshold
     (``tol.abs + tol.rel * s_max``) and its kernel.  Generators of height k
     are picked in ``ker(b^k)`` independent of ``ker(b^(k-1))`` and of the
     height-k vectors of longer chains already built.
@@ -383,10 +391,7 @@ def _extract_chains(b: np.ndarray, tol: Tolerance):
         nullspaces.append(vh[n - nullity:].conj().T)
         nullities.append(nullity)
     if nullities[-1] != n:
-        raise ClusterAmbiguity(
-            f"rank staircase saturates at nullity {nullities[-1]}, but the "
-            f"eigenvalue cluster has multiplicity {n}; the cluster is not "
-            f"resolvable at this tolerance")
+        raise _unresolvable(nullities[-1], n)
     depth = k
     weyr = [nullities[j] - nullities[j - 1] for j in range(1, depth + 1)]
     if any(weyr[j] < weyr[j + 1] for j in range(depth - 1)):
@@ -471,8 +476,27 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
         thr = real_thresh + tol.rel * abs(c)
         snapped.append(complex(c.real, 0.0) if abs(c.imag) <= thr else c)
 
+    # eigenvectors of the simple clusters by one back-substitution sweep, as
+    # in LAPACK ztrevc: (T - t_kk I) x = 0 with x_k = 1 and zeros below k.
+    # Every divisor t_ii - t_kk is >= 9 delta: _check_gaps puts t_kk at least
+    # 10 max(r, delta) from the center of t_ii's cluster, of radius r.
+    simple = np.array(sorted(c[0] for c in clusters if c.size == 1), dtype=np.intp)
+    x = np.zeros((n, simple.size), dtype=np.complex128)
+    x[simple, np.arange(simple.size)] = 1.0
+    for i in range(n - 1, -1, -1):
+        j = np.searchsorted(simple, i, side="right")  # columns with k > i
+        x[i, j:] = -(t[i, i + 1:] @ x[i + 1:, j:]) / (t[i, i] - eigs[simple[j:]])
+    eigvecs = dict(zip(simple.tolist(), (z @ x).T))
+
     raw_groups = []
     for c, center in zip(clusters, snapped):
+        if c.size == 1:
+            # the 1 x 1 staircase: t_kk - center must be numerically zero
+            off = abs(eigs[c[0]] - center)
+            if off > tol.abs + tol.rel * off:
+                raise _unresolvable(0, 1)
+            raw_groups.append((center, [[eigvecs[c[0]]]]))
+            continue
         # move the cluster to the leading m x m block of the Schur form; the
         # leading m Schur vectors span its invariant subspace, so chains of
         # the block map to chains of H through them

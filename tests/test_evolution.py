@@ -255,13 +255,51 @@ def test_stepped_states_match_per_point_propagators(h, dec, grid):
     assert np.abs(np.array(transition_probability(req, final)) - want).max() <= 1e-10
 
 
-def test_linspace_grid_needs_few_expm_calls(monkeypatch):
-    h, _, t_end = _synthesized_n32()
+def _count_expm(monkeypatch):
     calls = []
     real_expm = linalg.expm
     monkeypatch.setattr(linalg, "expm", lambda a: calls.append(1) or real_expm(a))
+    return calls
+
+
+def test_linspace_grid_needs_few_expm_calls(monkeypatch):
+    # one expm per walk: the up walk alone, then the up and the down walk
+    h, _, t_end = _synthesized_n32()
+    calls = _count_expm(monkeypatch)
     evolution._states(h, np.ones(32, dtype=complex), tuple(np.linspace(0, t_end, 200)))
-    assert 1 <= len(calls) <= 16
+    assert len(calls) == 1
+    calls.clear()
+    grid = tuple(np.linspace(-t_end / 2, t_end / 2, 101))
+    evolution._states(h, np.ones(32, dtype=complex), grid)
+    assert len(calls) == 2
+
+
+def test_geometric_grid_takes_one_expm_per_distinct_gap(monkeypatch):
+    h, _, t_end = _synthesized_n32()
+    grid = tuple(np.geomspace(1e-3, t_end, 60))
+    gaps = {b - a for a, b in zip((0.0,) + grid, grid)}
+    calls = _count_expm(monkeypatch)
+    evolution._states(h, np.ones(32, dtype=complex), grid)
+    assert len(calls) == len(gaps) == 60
+
+
+def test_gap_step_is_derived_inside_the_reach_and_fresh_outside(monkeypatch):
+    # reach = sqrt(eps) / ||H||_F from the exponentiated gap b: b + reach/2
+    # is derived from U(b), b + 2 reach is exponentiated afresh
+    h, dec, _ = _synthesized_n32()
+    reach = np.sqrt(np.finfo(float).eps) / np.linalg.norm(h)
+    b = 0.25
+    grid = np.cumsum([b, b + 0.5 * reach, b + 2.0 * reach])
+    exponentiated = []
+    monkeypatch.setattr(evolution, "propagator",
+                        lambda h_, t: exponentiated.append(t) or propagator(h_, t))
+    psi0 = np.random.default_rng(5).normal(size=dec.n) + 0j
+    got = evolution._states(h, psi0, tuple(grid))
+    assert len(exponentiated) == 2
+    assert exponentiated[0] == b
+    assert abs(exponentiated[1] - (b + 2.0 * reach)) < 1e-3 * reach
+    ref = _per_point(h, psi0, grid)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_overflow_decided_on_the_far_end_of_the_grid():
