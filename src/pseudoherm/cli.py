@@ -9,6 +9,10 @@ Output is JSON (reports, matrix documents) or CSV (time series).  Exit codes:
     2  numerical ambiguity (input not resolvable at the working tolerance)
     3  mathematical refusal (the requested object provably does not exist)
 
+A library error's code is the ``exit_code`` attribute of its class (see
+``errors``); ``ValueError``, ``OSError``, ``KeyError`` and ``TypeError`` from
+reading the input exit 1, and any other exception propagates.
+
 The environment variable ``PSEUDOHERM_TOL`` overrides the default tolerance
 (one float, used for both the absolute and relative parts).
 """
@@ -22,19 +26,11 @@ import sys
 import numpy as np
 
 from . import evolution, krein, operators, serialization, spectral
-from .errors import (
-    DimensionMismatch,
-    MathematicalRefusal,
-    NumericalAmbiguity,
-    PseudohermError,
-)
+from .errors import MathematicalRefusal, NumericalAmbiguity, PseudohermError
 from .linalg import Tolerance
 from .operators import SignSequence, SymmetryOperator
 
-EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_AMBIGUOUS = 2
-EXIT_REFUSAL = 3
 
 
 class _Parser(argparse.ArgumentParser):
@@ -44,32 +40,24 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _tolerance(args) -> Tolerance:
-    val = getattr(args, "tol", None)
-    if val is None:
-        env = os.environ.get("PSEUDOHERM_TOL")
-        if env is not None:
-            val = float(env)
-    if val is None:
-        return Tolerance()
-    return Tolerance(abs=float(val), rel=float(val))
-
-
-def _emit(text: str, out: str | None):
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
+def _emit(args, text: str, code: int = 0) -> int:
+    """Write ``text`` to ``--out`` or stdout; return the exit code."""
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+    return code
 
 
-def _report(command: str, tol: Tolerance, results: dict, warnings=()) -> dict:
-    return {
-        "command": command,
-        "tolerance": {"abs": tol.abs, "rel": tol.rel},
+def _report(args, results: dict, warnings=(), code: int = 0) -> int:
+    """Emit the JSON report envelope of ``args.command``."""
+    return _emit(args, serialization.canonical_dumps({
+        "command": args.command,
+        "tolerance": {"abs": args.tol.abs, "rel": args.tol.rel},
         "results": results,
         "warnings": list(warnings),
-    }
+    }), code)
 
 
 def _load_matrix(path: str) -> SymmetryOperator:
@@ -77,8 +65,8 @@ def _load_matrix(path: str) -> SymmetryOperator:
 
 
 def _load_sigma(arg):
-    if arg is None or arg == "canonical":
-        return "canonical"
+    if arg == "canonical":
+        return arg
     doc = serialization.load_json(arg)
     return SignSequence({(int(g), int(a)): int(s) for g, a, s in doc})
 
@@ -96,13 +84,11 @@ def _group_summary(dec) -> list[dict]:
 
 
 # ---------------------------------------------------------------------------
-# subcommands
+# subcommands; ``main`` has replaced ``args.tol`` by the resolved Tolerance
 
 
 def cmd_analyze(args) -> int:
-    tol = _tolerance(args)
-    op = _load_matrix(args.input)
-    dec = spectral.analyze(op.matrix, tol, allow_unpaired=True)
+    dec = spectral.analyze(_load_matrix(args.input).matrix, args.tol, allow_unpaired=True)
     rep = spectral.check_biorthonormal(dec)
     results = {
         "n": dec.n,
@@ -114,9 +100,7 @@ def cmd_analyze(args) -> int:
     if dec.has_unpaired_complex():
         warnings.append("complex eigenvalues without conjugate partners; "
                         "generalized parity constructions will refuse")
-    _emit(serialization.canonical_dumps(_report("analyze", tol, results, warnings)),
-          args.out)
-    return EXIT_OK
+    return _report(args, results, warnings)
 
 
 #: operator name -> builder(dec, sigma); the returned carrier says whether
@@ -134,9 +118,7 @@ _OP_BUILDERS = {
 
 
 def cmd_construct(args) -> int:
-    tol = _tolerance(args)
-    op = _load_matrix(args.input)
-    dec = spectral.analyze(op.matrix, tol)
+    dec = spectral.analyze(_load_matrix(args.input).matrix, args.tol)
     sigma = _load_sigma(args.sigma)
     names = [s.strip() for s in args.ops.split(",") if s.strip()]
     docs = {}
@@ -146,58 +128,43 @@ def cmd_construct(args) -> int:
         built = SymmetryOperator.of(_OP_BUILDERS[name](dec, sigma))
         docs[name] = serialization.matrix_to_doc(built.matrix, antilinear=built.antilinear,
                                                  label=name)
-    _emit(serialization.canonical_dumps(_report("construct", tol, {"operators": docs})),
-          args.out)
-    return EXIT_OK
+    return _report(args, {"operators": docs})
 
 
 def cmd_classify(args) -> int:
-    tol = _tolerance(args)
     metric = _load_matrix(args.metric).matrix
-    op = _load_matrix(args.op)
-    res = krein.classification_report(op, metric, tol)
-    space = krein.build_krein_space(metric, tol)
-    results = {
+    res = krein.classification_report(_load_matrix(args.op), metric, args.tol)
+    return _report(args, {
         "class": res.symmetry_class.value,
         "residuals": res.residuals,
         "threshold": res.threshold,
         "antilinear": res.antilinear,
-        "signature": list(space.signature),
-    }
-    _emit(serialization.canonical_dumps(_report("classify", tol, results)), args.out)
-    return EXIT_OK
+        "signature": list(res.signature),
+    })
 
 
 def cmd_check(args) -> int:
-    tol = _tolerance(args)
     h = _load_matrix(args.input).matrix
-    dec = spectral.analyze(h, tol, allow_unpaired=True)
-    rows = krein.check_battery(h, dec, _load_sigma(args.sigma), tol)
+    dec = spectral.analyze(h, args.tol, allow_unpaired=True)
+    rows = krein.check_battery(h, dec, _load_sigma(args.sigma), args.tol)
     all_ok = all(r["pass"] for r in rows)
-    _emit(serialization.canonical_dumps(
-        _report("check", tol, {"table": rows, "all_pass": all_ok})), args.out)
-    if all_ok:
-        return EXIT_OK
-    return EXIT_REFUSAL if dec.has_unpaired_complex() else EXIT_AMBIGUOUS
+    failed = MathematicalRefusal if dec.has_unpaired_complex() else NumericalAmbiguity
+    return _report(args, {"table": rows, "all_pass": all_ok},
+                   code=0 if all_ok else failed.exit_code)
 
 
 def cmd_evolve(args) -> int:
-    tol = _tolerance(args)
     h = _load_matrix(args.input).matrix
     if args.metric == "pplus":
-        dec = spectral.analyze(h, tol)
-        metric = operators.build_positive_metric(dec)
+        metric = operators.build_positive_metric(spectral.analyze(h, args.tol))
     else:
         metric = _load_matrix(args.metric).matrix
     initial = serialization.doc_to_vector(serialization.load_json(args.initial))
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
-    if args.steps == 1:
-        grid = [float(args.t0)]
-    else:
-        grid = list(np.linspace(float(args.t0), float(args.t1), int(args.steps)))
+    grid = tuple(np.linspace(args.t0, args.t1, args.steps))
     req = evolution.EvolutionRequest(h=h, metric=metric, initial_state=initial,
-                                     t_grid=tuple(grid), tol=tol)
+                                     t_grid=grid, tol=args.tol)
     if args.final:
         final = serialization.doc_to_vector(serialization.load_json(args.final))
         values = evolution.transition_probability(req, final)
@@ -205,39 +172,31 @@ def cmd_evolve(args) -> int:
     else:
         values = evolution.krein_norm_series(req)
         header = ["t", "krein_norm"]
-    _emit(serialization.format_csv(header, [[t, v] for t, v in zip(grid, values)]),
-          args.out)
-    return EXIT_OK
+    return _emit(args, serialization.format_csv(header, [[t, v] for t, v in zip(grid, values)]))
 
 
 def cmd_model(args) -> int:
-    tol = _tolerance(args)
     params = evolution.MashhoonPapiniParams(e=args.E, r=args.r, s=args.s)
     h, regime, dec = evolution.mashhoon_papini(params)
-    results = {
+    return _report(args, {
         "matrix": serialization.matrix_to_doc(h, label=f"two-level E={args.E} "
                                                        f"r={args.r} s={args.s}"),
         "regime": regime,
         "decomposition": serialization.decomposition_to_doc(dec),
-    }
-    _emit(serialization.canonical_dumps(_report("model", tol, results)), args.out)
-    return EXIT_OK
+    })
 
 
 def cmd_synthesize(args) -> int:
-    tol = _tolerance(args)
     doc = serialization.load_json(args.spec)
     groups = serialization.synthesis_groups_from_doc(doc)
     spec = spectral.SynthesisSpec(groups=groups, basis_seed=args.seed,
                                   basis_cond=float(doc.get("basis_cond", 100.0)))
-    h, dec = spectral.synthesize(spec, tol=tol)
-    results = {
+    h, dec = spectral.synthesize(spec, tol=args.tol)
+    return _report(args, {
         "seed": args.seed,
         "matrix": serialization.matrix_to_doc(h, label="synthesized"),
         "decomposition": serialization.decomposition_to_doc(dec),
-    }
-    _emit(serialization.canonical_dumps(_report("synthesize", tol, results)), args.out)
-    return EXIT_OK
+    })
 
 
 # ---------------------------------------------------------------------------
@@ -251,76 +210,49 @@ def build_parser() -> argparse.ArgumentParser:
                                  "pseudo-Hermitian Hamiltonians.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--tol", type=float, default=None,
-                       help="tolerance (abs and rel), default 1e-10 or $PSEUDOHERM_TOL")
-        p.add_argument("--out", default=None, help="output file (default stdout)")
+    def command(name, func, help, *required_inputs):
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        for flag in required_inputs:
+            p.add_argument(f"--{flag}", required=True)
+        return p
 
-    p = sub.add_parser("analyze", help="Jordan/chain structure of a matrix")
-    p.add_argument("--input", required=True)
-    common(p)
-    p.set_defaults(func=cmd_analyze)
+    command("analyze", cmd_analyze, "Jordan/chain structure of a matrix", "input")
 
-    p = sub.add_parser("construct", help="build symmetry operators")
-    p.add_argument("--input", required=True)
+    p = command("construct", cmd_construct, "build symmetry operators", "input")
     p.add_argument("--ops", required=True,
                    help="comma list from P,C,T,TP,CTP,Pplus,R,Tfrak")
     p.add_argument("--sigma", default="canonical",
                    help="'canonical' or a JSON file of [group, chain, sign] triples")
-    common(p)
-    p.set_defaults(func=cmd_construct)
 
-    p = sub.add_parser("classify", help="fourfold symmetry class of an operator")
-    p.add_argument("--metric", required=True)
-    p.add_argument("--op", required=True)
-    common(p)
-    p.set_defaults(func=cmd_classify)
+    command("classify", cmd_classify, "fourfold symmetry class of an operator", "metric", "op")
 
-    p = sub.add_parser("check", help="run the invariant battery on a matrix")
-    p.add_argument("--input", required=True)
+    p = command("check", cmd_check, "run the invariant battery on a matrix", "input")
     p.add_argument("--sigma", default="canonical")
-    common(p)
-    p.set_defaults(func=cmd_check)
 
-    p = sub.add_parser("evolve", help="time evolution series (CSV)")
-    p.add_argument("--input", required=True)
+    p = command("evolve", cmd_evolve, "time evolution series (CSV)", "input")
     p.add_argument("--metric", required=True,
                    help="metric matrix file, or 'pplus' to build the positive metric")
     p.add_argument("--initial", required=True)
     p.add_argument("--final", default=None)
-    p.add_argument("--t0", type=float, required=True)
-    p.add_argument("--t1", type=float, required=True)
+    for flag in ("--t0", "--t1"):
+        p.add_argument(flag, type=float, required=True)
     p.add_argument("--steps", type=int, required=True)
-    common(p)
-    p.set_defaults(func=cmd_evolve)
 
-    p = sub.add_parser("model", help="generate a model Hamiltonian")
+    p = command("model", cmd_model, "generate a model Hamiltonian")
     p.add_argument("name", choices=["mashhoon"])
-    p.add_argument("--E", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
-    p.add_argument("--s", type=float, required=True)
-    common(p)
-    p.set_defaults(func=cmd_model)
+    for flag in ("--E", "--r", "--s"):
+        p.add_argument(flag, type=float, required=True)
 
-    p = sub.add_parser("synthesize", help="build a matrix with prescribed structure")
-    p.add_argument("--spec", required=True)
+    p = command("synthesize", cmd_synthesize, "build a matrix with prescribed structure",
+                "spec")
     p.add_argument("--seed", type=int, default=None)
-    common(p)
-    p.set_defaults(func=cmd_synthesize)
 
+    for p in sub.choices.values():
+        p.add_argument("--tol", type=float, default=None,
+                       help="tolerance (abs and rel), default 1e-10 or $PSEUDOHERM_TOL")
+        p.add_argument("--out", default=None, help="output file (default stdout)")
     return parser
-
-
-def _exit_code(exc: Exception) -> int:
-    if isinstance(exc, MathematicalRefusal):
-        return EXIT_REFUSAL
-    if isinstance(exc, NumericalAmbiguity):
-        return EXIT_AMBIGUOUS
-    if isinstance(exc, (DimensionMismatch, ValueError, OSError, KeyError, TypeError)):
-        return EXIT_USAGE
-    if isinstance(exc, PseudohermError):
-        return EXIT_AMBIGUOUS
-    raise exc
 
 
 def main(argv=None) -> int:
@@ -330,13 +262,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
+        tol = args.tol if args.tol is not None else os.environ.get("PSEUDOHERM_TOL")
+        args.tol = Tolerance() if tol is None else Tolerance(abs=float(tol), rel=float(tol))
         return args.func(args)
-    except Exception as exc:  # mapped to the documented exit-code contract
-        code = _exit_code(exc)
+    except (PseudohermError, ValueError, OSError, KeyError, TypeError) as exc:
         reason = getattr(exc, "reason", None)
         prefix = f"refused ({reason}): " if reason else "error: "
         print(f"{prefix}{exc}", file=sys.stderr)
-        return code
+        return getattr(exc, "exit_code", EXIT_USAGE)
 
 
 if __name__ == "__main__":

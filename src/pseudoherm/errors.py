@@ -1,17 +1,22 @@
 """Exception hierarchy.
 
-Errors are split into three families so the CLI can map them to exit codes:
-usage/parse problems, numerical ambiguities, and mathematical refusals
-(requests that a theorem forbids for the given input).
+Errors are split into three families: usage/parse problems, numerical
+ambiguities, and mathematical refusals (requests that a theorem forbids for
+the given input).  The CLI exit code is the class attribute ``exit_code``,
+inherited by subclasses: 2 on the base class (numerical ambiguities and the
+bare ``NonConvergence``, ``Singular`` and ``Overflow``), 1 on
+``DimensionMismatch`` and 3 on ``MathematicalRefusal``.
 """
 
 
 class PseudohermError(Exception):
     """Base class for all library errors."""
 
+    exit_code = 2
+
 
 class DimensionMismatch(PseudohermError):
-    pass
+    exit_code = 1
 
 
 class NonConvergence(PseudohermError):
@@ -39,6 +44,8 @@ class MathematicalRefusal(PseudohermError):
 
     ``reason`` names the governing result (e.g. "Theorem 1").
     """
+
+    exit_code = 3
 
     def __init__(self, message, reason=None):
         super().__init__(message)

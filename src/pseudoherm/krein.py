@@ -77,6 +77,7 @@ class ClassificationResult:
     residuals: dict
     threshold: float
     antilinear: bool
+    signature: tuple[int, int]  # (positive, negative) metric eigenvalue counts
 
 
 @dataclass(frozen=True)
@@ -147,7 +148,7 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
     larger (otherwise NONE, with the residuals reported)."""
     sym = SymmetryOperator.of(op)
     metric = linalg.as_cmatrix(metric)
-    linalg.metric_eigenvalues(metric, tol)
+    w = linalg.metric_eigenvalues(metric, tol)
     m = sym.matrix
     if linalg.rank(m, tol) < m.shape[0]:
         raise SingularOperator("operator is singular at tolerance; classification "
@@ -171,7 +172,8 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
         cls = best
     return ClassificationResult(symmetry_class=cls,
                                 residuals={k.value: v for k, v in residuals.items()},
-                                threshold=thr, antilinear=sym.antilinear)
+                                threshold=thr, antilinear=sym.antilinear,
+                                signature=(int(np.sum(w > 0)), int(np.sum(w < 0))))
 
 
 def classify(op, metric, tol: Tolerance = DEFAULT_TOL) -> SymmetryClass:

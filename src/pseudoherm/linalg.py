@@ -161,11 +161,6 @@ def rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     return int(np.count_nonzero(s > tol.abs + tol.rel * s[0]))
 
 
-def nullity(a, tol: Tolerance = DEFAULT_TOL) -> int:
-    a = as_cmatrix(a)
-    return a.shape[0] - rank(a, tol)
-
-
 def solve(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Solve ``A X = B`` by partial-pivoted LU (``zgetrf``/``zgetrs``);
     refuses near-singular A."""

@@ -179,6 +179,28 @@ def test_classify_command(tmp_path, capsys):
         "PUnitary", "PAntiunitary", "PPseudounitary", "PPseudoantiunitary"}
 
 
+def test_classify_decomposes_the_metric_once(tmp_path, monkeypatch, capsys):
+    _, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, -1.0))
+    from pseudoherm.operators import build_parity, build_reflecting
+    p_path = _write_matrix(tmp_path, "p.json", build_parity(dec))
+    r_path = _write_matrix(tmp_path, "r.json", build_reflecting(dec)[0])
+    calls = {"eigvalsh": 0, "eigh": 0}
+
+    def spy(name):
+        real = getattr(np.linalg, name)
+
+        def counted(*a, **k):
+            calls[name] += 1
+            return real(*a, **k)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(np.linalg, name, spy(name))
+    assert main(["classify", "--metric", str(p_path), "--op", str(r_path)]) == 0
+    assert calls == {"eigvalsh": 1, "eigh": 0}
+    assert json.loads(capsys.readouterr().out)["results"]["signature"] == [1, 1]
+
+
 def test_classify_singular_metric_exit(tmp_path):
     p_path = _write_matrix(tmp_path, "p.json", np.diag([1.0, 0.0]).astype(complex))
     o_path = _write_matrix(tmp_path, "o.json", np.eye(2, dtype=complex))
@@ -495,3 +517,23 @@ def test_error_exit_code(name, monkeypatch, capsys):
     monkeypatch.setattr(cli, "cmd_model", fail)
     assert main(["model", "mashhoon", "--E", "1", "--r", "1", "--s", "1"]) == _EXIT_CODES[name]
     assert capsys.readouterr().err == "error: boom\n"
+
+
+@pytest.mark.parametrize("exc", [ValueError, OSError, KeyError, TypeError])
+def test_non_library_input_error_exits_1(exc, monkeypatch, capsys):
+    def fail(args):
+        raise exc("boom")
+
+    monkeypatch.setattr(cli, "cmd_model", fail)
+    assert main(["model", "mashhoon", "--E", "1", "--r", "1", "--s", "1"]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error: 'boom'\n" if exc is KeyError else "error: boom\n")
+
+
+def test_other_exceptions_propagate_out_of_main(monkeypatch):
+    def fail(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_model", fail)
+    with pytest.raises(RuntimeError, match="boom"):
+        main(["model", "mashhoon", "--E", "1", "--r", "1", "--s", "1"])

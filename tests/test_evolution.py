@@ -207,6 +207,41 @@ def test_regime_boundary_is_flagged_not_merged():
     assert analyze(mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))[0]) is not None
 
 
+#: refused inputs of the sweep below; lowering it is progress, raising it fails
+SWEEP_REFUSED_MAX = 10
+
+
+def test_model_sweep_across_the_exceptional_point(capsys):
+    """H(E=1, r=1, s=±10^-k), k = 1..15: ``analyze`` gives the closed-form
+    regime's structure or one 2-block, either passing the check battery, or
+    refuses with ``ClusterAmbiguity``.  Each accepted case holds the Krein
+    norm under its built P to criterion 8's 1e-8 relative drift."""
+    grid = tuple(np.linspace(0.0, 10.0, 60))
+    psi0 = np.array([1.0, 0.5 + 0.5j])
+    refused, worst = [], 0.0
+    for k in range(1, 16):
+        for s in (10.0 ** -k, -(10.0 ** -k)):
+            h, _, model = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, s))
+            try:
+                dec = analyze(h)
+            except ClusterAmbiguity:
+                refused.append(s)
+                continue
+            structure = sorted((g.kind, g.block_dims) for g in dec.groups)
+            assert structure in (sorted((g.kind, g.block_dims) for g in model.groups),
+                                 [("real", (2,))]), (s, structure)
+            assert all(row["pass"] for row in krein.check_battery(h, dec)), s
+            series = krein_norm_series(EvolutionRequest(h=h, metric=build_parity(dec),
+                                                        initial_state=psi0, t_grid=grid))
+            drift = max(abs(v - series[0]) for v in series) / max(abs(series[0]), 1e-3)
+            assert drift <= 1e-8, (s, drift)
+            worst = max(worst, drift)
+    with capsys.disabled():
+        print(f"\n[model sweep] {len(refused)} of 30 refused "
+              f"(s = {', '.join(f'{s:.0e}' for s in refused)}); worst drift {worst:.1e}")
+    assert len(refused) <= SWEEP_REFUSED_MAX
+
+
 # --- stepped series against per-point propagators ---------------------------
 
 def _per_point(h, state, grid):

@@ -145,6 +145,16 @@ def test_classify_identity_and_none():
                                   "PPseudounitary", "PPseudoantiunitary"}
 
 
+@pytest.mark.parametrize("metric", [
+    np.diag([2.0, 0.5]),
+    np.diag([1.0, -3.0]),
+    np.array([[0, 1j, 0, 0], [-1j, 0, 0, 0], [0, 0, 2, 1], [0, 0, 1, 1]]),  # (3, 1)
+], ids=["definite", "indefinite", "4x4"])
+def test_classification_signature_is_the_krein_space_signature(metric):
+    res = classification_report(np.eye(metric.shape[0]), metric)
+    assert res.signature == build_krein_space(metric).signature
+
+
 def test_classify_model_operators():
     dec, p, s_p = _sixone()
     c = build_charge(dec, SignSequence({(0, 0): 1, (1, 0): -1}))

@@ -5,9 +5,11 @@
 
 Writes the fixture files of ``perfbench/clirun.fixtures`` for seeds 1-3 into
 a temporary directory and runs each of their commands, the timed ones and the
-known-defect one (13 per seed, 39 in all), then ``model mashhoon`` once in
-each spectral regime with fixed parameters (``MODELS``), each as a fresh
-``pseudoherm`` process whose ``PYTHONPATH`` is the given ``src`` directory.
+known-defect one (13 per seed, 39 in all), then the usage errors of
+``USAGE_ERRORS`` (exit 1) against the last seed's files, then ``model
+mashhoon`` once in each spectral regime with fixed parameters (``MODELS``):
+50 commands, each as a fresh ``pseudoherm`` process whose ``PYTHONPATH`` is
+the given ``src`` directory.
 Prints one line per command: seed (``-`` for the models), label, exit code
 and the SHA-256 of stdout followed by stderr.  The fixtures are built by this
 checkout's ``src`` and named by relative paths, so two runs against two
@@ -36,6 +38,16 @@ MODELS = {
     "model-jordan-r0": (0.5, 0.0, 2.0),
     "model-scalar": (0.5, 0.0, 0.0),
 }
+#: usage-error label -> argv; each exits 1 (``malformed.json`` is written
+#: by this tool, ``missing.json`` is never written)
+USAGE_ERRORS = {
+    "usage-unknown-op": ("construct", "--input", "real4.json", "--ops", "P,Q"),
+    "usage-steps-0": ("evolve", "--input", "real4.json", "--metric", "pplus",
+                      "--initial", "psi0.json", "--t0", "0", "--t1", "1", "--steps", "0"),
+    "usage-missing-file": ("analyze", "--input", "missing.json"),
+    "usage-malformed-json": ("analyze", "--input", "malformed.json"),
+    "usage-negative-tol": ("analyze", "--input", "real4.json", "--tol", "-1"),
+}
 
 
 def main(argv=None) -> int:
@@ -60,6 +72,9 @@ def main(argv=None) -> int:
             timed, _, defects = clirun.fixtures(seed, Path())
             for cmd in timed + defects:
                 run(seed, cmd.label, cmd.argv)
+        Path("malformed.json").write_text("{not json", encoding="utf-8")
+        for label, argv in USAGE_ERRORS.items():
+            run("-", label, argv)
         os.chdir(ROOT)
     for label, (e, r, s) in MODELS.items():
         run("-", label, ("model", "mashhoon", "--E", repr(e), "--r", repr(r), "--s", repr(s)))
