@@ -134,6 +134,8 @@ def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
         raise IndefiniteMetric(
             "transition probabilities are defined only for positive definite "
             "metrics; use krein_norm_series for indefinite ones")
+    if np.linalg.norm(linalg.as_vector(final_state, req.h.shape[0])) == 0:
+        raise ValueError("final state is zero")
     initial = metric_normalize(req.initial_state, req.metric)
     final = metric_normalize(final_state, req.metric)
     amplitudes = (final.conj() @ req.metric) @ _states(req.h, initial, req.t_grid)

@@ -126,7 +126,7 @@ def congruence_to_involutory(dec: SpectralDecomposition,
     """
     sigma = operators.resolve_sigma(dec, sigma)
     s = dec.psi_matrix()
-    s_inv = dec.phi_matrix().conj().T
+    s_inv = dec.phi_dag
     p = operators.build_parity(dec, sigma)
     c = operators.build_charge(dec, sigma)
     t = operators.build_time_reversal(dec)
@@ -218,7 +218,7 @@ def commutant_element(dec: SpectralDecomposition, params) -> np.ndarray:
                 "leading Toeplitz coefficient is zero; the element would be singular")
         lag = np.arange(dim)[None, :] - np.arange(dim)[:, None]  # column - row
         k[pos:pos + dim, pos:pos + dim] = np.where(lag >= 0, coeffs[lag], 0)
-    return dec.chain_product("psi", k, "phi^dag")
+    return dec.psi @ k @ dec.phi_dag
 
 
 def pseudounitary_symmetries_exist(dec: SpectralDecomposition) -> PseudounitaryExistence:

@@ -74,6 +74,8 @@ class Tolerance:
     def __post_init__(self):
         if self.abs < 0 or self.rel < 0:
             raise ValueError("tolerances must be non-negative")
+        if not np.isfinite([self.abs, self.rel]).all():
+            raise ValueError("tolerances must be finite")
         if self.abs == 0 and self.rel == 0:
             raise ValueError("abs and rel tolerance cannot both be zero")
 

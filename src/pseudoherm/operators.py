@@ -3,13 +3,15 @@
 Every operator is a signed sum of dyads over the biorthonormal chains of a
 ``SpectralDecomposition``, so it is assembled as one product
 ``left @ K @ right`` of the chain matrices Psi, Phi (vectors as columns) and
-a small signed-permutation coefficient matrix K (``_coefficients``):
-Phi K Phi^dag for the metrics (P, P+ and the paired parity), Psi K Phi^dag
-for C and R, Psi K Phi^T for TP, CTP and the quaternionic T, and
-Psi K Psi^T for T.  The linear builders return the matrix; the antilinear
-ones (T, TP, CTP, the quaternionic T) return a ``SymmetryOperator`` with
-``antilinear=True``, read as "matrix followed by entrywise conjugation":
-``A v = M conj(v)``.  The carrier's flag alone decides the algebra:
+a signed permutation K of the chains, built for every kind by one rule
+(``_coefficients``): each chain maps to itself or to its partner, with or
+without index reversal, times a sign.  The builders multiply ``dec.psi``,
+``dec.phi`` and ``dec.phi_dag`` directly: Phi K Phi^dag for the metrics (P,
+P+ and the paired parity), Psi K Phi^dag for C and R, Psi K Phi^T for TP, CTP
+and the quaternionic T, and Psi K Psi^T for T.  The linear builders return
+the matrix; the antilinear ones (T, TP, CTP, the quaternionic T) return a
+``SymmetryOperator`` with ``antilinear=True``, read as "matrix followed by
+entrywise conjugation": ``A v = M conj(v)``.  The carrier's flag alone decides the algebra:
 
     compose:  L1 L2 | L M | M conj(L) | M1 conj(M2)
     adjoint:  L^dag | transpose(M)
@@ -71,11 +73,8 @@ def antilinear_compose(a: SymmetryOperator, b: SymmetryOperator) -> SymmetryOper
     """Composition ``a . b`` respecting (anti)linearity."""
     if a.n != b.n:
         raise DimensionMismatch(f"cannot compose dimensions {a.n} and {b.n}")
-    if not a.antilinear:
-        return SymmetryOperator(a.matrix @ b.matrix, antilinear=b.antilinear)
-    if not b.antilinear:
-        return SymmetryOperator(a.matrix @ np.conj(b.matrix), antilinear=True)
-    return SymmetryOperator(a.matrix @ np.conj(b.matrix), antilinear=False)
+    return SymmetryOperator(a.matrix @ (np.conj(b.matrix) if a.antilinear else b.matrix),
+                            antilinear=a.antilinear != b.antilinear)
 
 
 def antilinear_adjoint(a: SymmetryOperator) -> SymmetryOperator:
@@ -109,15 +108,10 @@ def canonical_sign_sequence(dec: SpectralDecomposition) -> SignSequence:
     """Alternate +/- over the odd-dimensional real-eigenvalue blocks (all
     other labels get +), which drives the congruent involutory metric to
     trace 0 on even-dimensional spaces and trace 1 on odd-dimensional ones."""
-    signs = {}
-    flip = +1
-    for ng, g in enumerate(dec.groups):
-        for a, chain in enumerate(g.chains):
-            if g.kind == REAL and chain.dim % 2 == 1:
-                signs[(ng, a)] = flip
-                flip = -flip
-            else:
-                signs[(ng, a)] = +1
+    signs, flip = dict.fromkeys(dec.chain_starts, +1), +1
+    for (ng, a), (_, dim) in dec.chain_starts.items():
+        if dec.groups[ng].kind == REAL and dim % 2 == 1:
+            signs[ng, a], flip = flip, -flip
     return SignSequence(signs)
 
 
@@ -133,14 +127,12 @@ def resolve_sigma(dec: SpectralDecomposition, sigma) -> SignSequence:
 
 
 def _check_sigma(dec: SpectralDecomposition, sigma: SignSequence):
-    labels = {(ng, a) for ng, g in enumerate(dec.groups) for a in range(len(g.chains))}
-    if set(sigma.signs) != labels:
+    if set(sigma.signs) != set(dec.chain_starts):
         raise ValueError("sign sequence labels do not match the decomposition")
-    for ng1, g1, ng2, g2 in dec.iter_pairs():
-        for a in range(len(g1.chains)):
-            if sigma(ng1, a) != sigma(ng2, a):
-                raise ValueError(
-                    f"conjugate pair {g1.eigenvalue:.6g} must share its sign at chain {a}")
+    for (ng, a), y in dec.conjugates.items():
+        if sigma(ng, a) != sigma(*y):
+            raise ValueError(
+                f"conjugate pair {dec.groups[ng].eigenvalue:.6g} must share its sign at chain {a}")
 
 
 def _require_paired(dec: SpectralDecomposition):
@@ -153,76 +145,43 @@ def _require_paired(dec: SpectralDecomposition):
 # ---------------------------------------------------------------------------
 # chain-basis coefficients
 
-#: chain-basis form ``left @ K @ right`` of each operator kind, named as in
-#: ``SpectralDecomposition.chain_product``
-_FORMS = {
-    "P": ("phi", "phi^dag"),
-    "C": ("psi", "phi^dag"),
-    "R": ("psi", "phi^dag"),
-    "T": ("psi", "psi^T"),
-    "TP": ("psi", "phi^T"),
-    "Tfrak": ("psi", "phi^T"),
-}
-
 
 def _coefficients(dec: SpectralDecomposition, op: str, sigma=None,
                   halves=()) -> np.ndarray:
-    """Coefficient matrix K of operator kind ``op`` in the chain basis (rows
-    and columns in ``psi_matrix`` order).  K is a signed permutation made of
-    one identity block, or index-reversal block (rev), ``K[x, y]`` per
-    coupled pair of chains x, y:
-
-        P      K[x, x] = sigma rev for each real chain; for each conjugate
-               pair (x, y): K[x, y] = K[y, x] = sigma rev
-        C      K[x, x] = sigma for each chain
-        T      K[x, x] = rev for each chain
-        TP     as P without rev
-        R      K[x, y] = K[y, x] = 1 for each real block pair (x, y);
-               K[x, x] = 1, K[y, y] = -1 for each conjugate pair (x, y)
-        Tfrak  K[x, y] = 1, K[y, x] = -1 for each real block pair and
-               each conjugate pair (x, y)
-
-    ``sigma`` signs the (group, chain) labels for P, C and TP; ``halves``
-    lists the real block pairs ``((ng, a), (ng, b))`` for R and Tfrak.
+    """Coefficient matrix K of operator kind ``op`` in the chain basis: a
+    signed permutation of the chains.  Each chain x of the kind's domain puts
+    ``sign(x) I``, or ``sign(x) rev`` (index reversal) for P and T, at
+    ``K[x, partner(x)]``.  P and TP take the chains that have a conjugate
+    (``dec.conjugates``) and swap pair members; R and Tfrak take the pair
+    members and the real block ``halves`` ``((ng, a), (ng, b))``, and swap
+    the halves (R) or both (Tfrak); C and T map every chain to itself.  The
+    sign is ``sigma`` for P, C and TP, and -1 on the later member of each
+    coupled pair (pairs for R, pairs and halves for Tfrak), else +1.
     """
-    start = dec.chain_starts
-    k = np.zeros((dec.n, dec.n))
-
-    def put(row, col, sign, reverse=False):
-        (r0, dim), (c0, _) = start[row], start[col]
-        for i in range(dim):
-            k[r0 + dim - 1 - i if reverse else r0 + i, c0 + i] = sign
-
-    pairs = [((ng1, a), (ng2, a)) for ng1, g1, ng2, _ in dec.iter_pairs()
-             for a in range(len(g1.chains))]
+    n, start, conj = dec.n, dec.chain_starts, dec.conjugates
+    domain, swap, later = start, {}, {}
     if op in ("P", "TP"):
-        for ng, g in dec.iter_real():
-            for a in range(len(g.chains)):
-                put((ng, a), (ng, a), sigma(ng, a), op == "P")
-        for x, y in pairs:
-            put(x, y, sigma(*x), op == "P")
-            put(y, x, sigma(*x), op == "P")
-    elif op in ("C", "T"):
-        for x in start:
-            put(x, x, sigma(*x) if op == "C" else 1, op == "T")
-    elif op == "R":
-        for x, y in halves:
-            put(x, y, 1)
-            put(y, x, 1)
-        for x, y in pairs:
-            put(x, x, 1)
-            put(y, y, -1)
-    else:  # Tfrak
-        for x, y in list(halves) + pairs:
-            put(x, y, 1)
-            put(y, x, -1)
-    return k
-
-
-def _build(dec: SpectralDecomposition, op: str, sigma=None, halves=()) -> np.ndarray:
-    """The operator ``left @ K @ right`` of kind ``op``."""
-    left, right = _FORMS[op]
-    return dec.chain_product(left, _coefficients(dec, op, sigma, halves), right)
+        domain = swap = conj
+    elif op in ("R", "Tfrak"):
+        pair = {x: y for x, y in conj.items() if x != y}
+        half = dict(halves) | {b: a for a, b in halves}
+        domain = pair | half
+        swap, later = (half, pair) if op == "R" else (domain, domain)
+    sign = sigma.signs if op in ("P", "C", "TP") else {x: -1 for x, y in later.items() if y < x}
+    # x's entries K[r0 + i, c0 + i], or K[r0 + i, c0 + dim - 1 - i] under
+    # reversal, as flat indices of row-major K (n = 1 has one entry, and
+    # any nonzero step)
+    rev = op in ("P", "T")
+    step = (n - 1 or 1) if rev else n + 1
+    flat, signs = [], []
+    for x in domain:
+        r0, dim = start[x]
+        first = r0 * n + start[swap.get(x, x)][0] + (dim - 1 if rev else 0)
+        flat += range(first, first + dim * step, step)
+        signs += [sign.get(x, 1)] * dim
+    k = np.zeros(n * n)
+    k[flat] = signs
+    return k.reshape(n, n)
 
 
 # ---------------------------------------------------------------------------
@@ -233,27 +192,28 @@ def build_parity(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
     """Hermitian metric from phi-dyads with intra-chain index reversal and
     conjugate-pair cross terms; renders H pseudo-Hermitian."""
     _require_paired(dec)
-    return _build(dec, "P", resolve_sigma(dec, sigma))
+    return dec.phi @ _coefficients(dec, "P", resolve_sigma(dec, sigma)) @ dec.phi_dag
 
 
 def build_charge(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
     """Involutory operator commuting with H (signed completeness sum)."""
     _require_paired(dec)
-    return _build(dec, "C", resolve_sigma(dec, sigma))
+    return dec.psi @ _coefficients(dec, "C", resolve_sigma(dec, sigma)) @ dec.phi_dag
 
 
 def build_time_reversal(dec: SpectralDecomposition) -> SymmetryOperator:
     """Antilinear Hermitian T with ``T H^dag T^-1 = H`` (psi-dyads with
     index reversal; the matrix part is complex-symmetric)."""
     _require_paired(dec)
-    return SymmetryOperator(_build(dec, "T"), antilinear=True)
+    return SymmetryOperator(dec.psi @ _coefficients(dec, "T") @ dec.psi.T, antilinear=True)
 
 
 def build_tp(dec: SpectralDecomposition, sigma="canonical") -> SymmetryOperator:
     """Involutory antilinear symmetry T P_sigma (index reversals cancel;
     conjugate pairs couple crosswise)."""
     _require_paired(dec)
-    return SymmetryOperator(_build(dec, "TP", resolve_sigma(dec, sigma)), antilinear=True)
+    k = _coefficients(dec, "TP", resolve_sigma(dec, sigma))
+    return SymmetryOperator(dec.psi @ k @ dec.phi.T, antilinear=True)
 
 
 def build_ctp(dec: SpectralDecomposition, sigma="canonical",
@@ -264,7 +224,8 @@ def build_ctp(dec: SpectralDecomposition, sigma="canonical",
     sigma = resolve_sigma(dec, sigma)
     sigma_prime = resolve_sigma(dec, sigma_prime)
     product = SignSequence({x: s * sigma_prime(*x) for x, s in sigma.signs.items()})
-    return SymmetryOperator(_build(dec, "TP", product), antilinear=True)
+    return SymmetryOperator(dec.psi @ _coefficients(dec, "TP", product) @ dec.phi.T,
+                            antilinear=True)
 
 
 def positive_metric_violations(dec: SpectralDecomposition) -> list[str]:
@@ -290,7 +251,7 @@ def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
         raise NotDiagonalizableReal(
             "no positive definite metric exists: " + "; ".join(violations),
             reason="Theorem 1")
-    return dec.chain_product("phi", np.eye(dec.n), "phi^dag")
+    return dec.phi @ np.eye(dec.n) @ dec.phi_dag
 
 
 def _real_block_halves(dec: SpectralDecomposition):
@@ -333,9 +294,10 @@ def build_reflecting(dec: SpectralDecomposition):
     """
     _require_paired(dec)
     halves = _paired_real_layout(dec)
-    signs = {(ng, a): +1 for ng, g in enumerate(dec.groups) for a in range(len(g.chains))}
+    signs = dict.fromkeys(dec.chain_starts, +1)
     signs.update((b, -1) for _, b in halves)
-    return _build(dec, "R", halves=halves), _build(dec, "P", SignSequence(signs))
+    return (dec.psi @ _coefficients(dec, "R", halves=halves) @ dec.phi_dag,
+            dec.phi @ _coefficients(dec, "P", SignSequence(signs)) @ dec.phi_dag)
 
 
 def build_quaternionic_T(dec: SpectralDecomposition) -> SymmetryOperator:
@@ -343,7 +305,8 @@ def build_quaternionic_T(dec: SpectralDecomposition) -> SymmetryOperator:
     coincides with R T P for the paired parity."""
     _require_paired(dec)
     halves = _paired_real_layout(dec, reason="Theorem 2")
-    return SymmetryOperator(_build(dec, "Tfrak", halves=halves), antilinear=True)
+    k = _coefficients(dec, "Tfrak", halves=halves)
+    return SymmetryOperator(dec.psi @ k @ dec.phi.T, antilinear=True)
 
 
 def involutory_symmetry_exists(dec: SpectralDecomposition) -> bool:

@@ -86,7 +86,10 @@ def synthesis_groups_from_doc(doc: dict):
     if not isinstance(doc, dict) or "groups" not in doc:
         raise ValueError("synthesis document must have a 'groups' field")
     specs = []
-    for g in doc["groups"]:
+    for i, g in enumerate(doc["groups"]):
+        for field in ("eigenvalue", "dims"):
+            if field not in g:
+                raise ValueError(f"synthesis group {i} has no '{field}' field")
         ev = g["eigenvalue"]
         ev = complex(float(ev[0]), float(ev[1])) if isinstance(ev, list) else complex(ev)
         specs.append(JordanBlockSpec(eigenvalue=ev, block_dims=tuple(g["dims"])))

@@ -27,10 +27,11 @@ The others are conjugate (+/-) pair members; a complex eigenvalue without a
 conjugate partner of identical block structure admits no generalized-parity
 treatment and is rejected with ``NotPaired`` unless explicitly tolerated.
 
-A decomposition holds the chain basis once: S as ``psi`` and Phi (with
-Phi^dag = S^-1) as ``phi``, both read-only, and every chain's vectors are
-views of their columns.  ``_assemble`` is the one constructor, for
-``analyze``, ``synthesize`` and ``evolution.mashhoon_papini`` alike.
+A decomposition holds the chain basis once: S as ``psi``, Phi as ``phi``
+and Phi^dag = S^-1 as the cached ``phi_dag``, all read-only; chains are
+views of their columns, and callers multiply these matrices directly.
+``_assemble`` is the one constructor, for ``analyze``, ``synthesize`` and
+``evolution.mashhoon_papini`` alike.
 """
 
 from __future__ import annotations
@@ -116,8 +117,11 @@ class SpectralDecomposition:
         return self.phi
 
     @cached_property
-    def _phi_dag(self) -> np.ndarray:
-        return self.phi.conj().T
+    def phi_dag(self) -> np.ndarray:
+        """Phi^dag = S^-1, computed once (read-only)."""
+        phi_dag = self.phi.conj().T
+        phi_dag.flags.writeable = False
+        return phi_dag
 
     @cached_property
     def chain_starts(self) -> MappingProxyType:
@@ -131,19 +135,15 @@ class SpectralDecomposition:
                 pos += c.dim
         return MappingProxyType(starts)
 
-    def chain_product(self, left: str, k: np.ndarray, right: str) -> np.ndarray:
-        """``left @ k @ right``: the operator whose coefficient matrix in the
-        chain basis is ``k`` (rows and columns in ``psi_matrix`` order).
-
-        ``left`` is ``"psi"`` or ``"phi"`` (the chain matrix, vectors as
-        columns); ``right`` is ``"phi^dag"``, ``"phi^T"`` or ``"psi^T"``.  The
-        operators of this package take the forms Phi K Phi^dag (metrics),
-        Psi K Phi^dag (linear symmetries, H itself), Psi K Phi^T and
-        Psi K Psi^T (matrix parts of antilinear symmetries).
-        """
-        if right == "phi^dag":
-            return getattr(self, left) @ k @ self._phi_dag
-        return getattr(self, left) @ k @ getattr(self, right.removesuffix("^T")).T
+    @cached_property
+    def conjugates(self) -> MappingProxyType:
+        """The label of each chain's complex conjugate (read-only): a real
+        chain's own, a pair member's partner chain; unpaired ones have none."""
+        conj = {x: x for x in self.chain_starts if self.groups[x[0]].kind == REAL}
+        for ng1, g1, ng2, _ in self.iter_pairs():
+            for a in range(len(g1.chains)):
+                conj[ng1, a], conj[ng2, a] = (ng2, a), (ng1, a)
+        return MappingProxyType(conj)
 
     def iter_real(self):
         for ng, g in enumerate(self.groups):
@@ -203,7 +203,7 @@ def _jordan_matrix(dec: SpectralDecomposition) -> np.ndarray:
 
 def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
     """Assemble H as Psi J Phi^dag, J the Jordan matrix of the chains."""
-    return dec.chain_product("psi", _jordan_matrix(dec), "phi^dag")
+    return dec.psi @ _jordan_matrix(dec) @ dec.phi_dag
 
 
 def check_biorthonormal(dec: SpectralDecomposition) -> BiorthonormalityReport:

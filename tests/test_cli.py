@@ -469,6 +469,41 @@ def test_synthesize_scalar_trivial(tmp_path, capsys):
     assert h.shape == (1, 1) and h[0, 0] == 0
 
 
+@pytest.mark.parametrize("command", ["analyze", "check"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_is_a_usage_error(sixone, command, value, capsys):
+    assert main([command, "--input", str(sixone), "--tol", value]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tolerances must be finite\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_tolerance_from_the_environment_is_a_usage_error(
+        sixone, monkeypatch, capsys, value):
+    monkeypatch.setenv("PSEUDOHERM_TOL", value)
+    assert main(["analyze", "--input", str(sixone)]) == 1
+    assert capsys.readouterr().err == "error: tolerances must be finite\n"
+
+
+@pytest.mark.parametrize("group,field", [({"dims": [1]}, "eigenvalue"),
+                                         ({"eigenvalue": [1.0, 0.0]}, "dims")])
+def test_synthesis_spec_names_a_missing_field(tmp_path, capsys, group, field):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps({"groups": [{"eigenvalue": [0.0, 0.0], "dims": [1]}, group]}))
+    assert main(["synthesize", "--spec", str(spec)]) == 1
+    assert capsys.readouterr().err == f"error: synthesis group 1 has no '{field}' field\n"
+
+
+def test_evolve_zero_final_state_is_a_usage_error(sixone, tmp_path, capsys):
+    ini = _write_vector(tmp_path, "ini.json", [0.0, 1.0])
+    fin = _write_vector(tmp_path, "fin.json", [0.0, 0.0])
+    assert main(["evolve", "--input", str(sixone), "--metric", "pplus",
+                 "--initial", str(ini), "--final", str(fin),
+                 "--t0", "0", "--t1", "1", "--steps", "5"]) == 1
+    assert capsys.readouterr().err == "error: final state is zero\n"
+
+
 def test_tolerance_env_override(sixone, monkeypatch, capsys):
     monkeypatch.setenv("PSEUDOHERM_TOL", "1e-6")
     assert main(["analyze", "--input", str(sixone)]) == 0

@@ -108,6 +108,14 @@ def test_probability_requires_definite_metric():
         transition_probability(req, [1, 0])
 
 
+def test_probability_rejects_a_zero_final_state():
+    h, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))
+    req = EvolutionRequest(h=h, metric=build_positive_metric(dec), initial_state=[0, 1],
+                           t_grid=(0.0, 1.0))
+    with pytest.raises(ValueError, match="final state is zero"):
+        transition_probability(req, [0, 0])
+
+
 @pytest.mark.parametrize("eps,accepted", [(1.5e-10, False), (2.5e-10, False),
                                           (3.5e-10, True)])
 def test_every_entry_point_decides_the_metric_alike(eps, accepted):

@@ -27,6 +27,13 @@ def test_tolerance_validation():
     assert np.isclose(t.scaled(m), 1e-8 + 1e-6 * 3 * 2 * np.sqrt(3))
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_tolerance_rejects_non_finite_values(value):
+    for kwargs in ({"abs": value}, {"rel": value}, {"abs": value, "rel": value}):
+        with pytest.raises(ValueError):
+            Tolerance(**kwargs)
+
+
 def test_as_cmatrix_rejects_bad_shapes():
     with pytest.raises(DimensionMismatch):
         linalg.as_cmatrix(np.zeros((2, 3)))

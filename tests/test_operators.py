@@ -557,6 +557,27 @@ def test_canonical_trace_on_unpaired_complex():
         np.trace(_dyad_canonical_p_tilde(dec)).real)
 
 
+@pytest.mark.parametrize("build", [build_parity, build_charge, build_time_reversal, build_tp,
+                                   build_ctp, build_reflecting, build_quaternionic_T],
+                         ids=lambda f: f.__name__)
+def test_every_pairing_builder_refuses_unpaired_complex_first(build):
+    """The real block of diag(2i, 1) is unpaired too, so a builder that
+    checked the halves layout before the pairing would raise
+    ``UnpairedRealBlocks`` here instead."""
+    dec = analyze(np.diag([2j, 1.0]).astype(complex), allow_unpaired=True)
+    assert operators._real_block_halves(dec)[1] == [(1.0, (1,))]
+    with pytest.raises(NotPaired):
+        build(dec)
+
+
+def test_unpaired_complex_positive_metric_and_parity_kernel():
+    dec = analyze(np.diag([2j, 1.0]).astype(complex), allow_unpaired=True)
+    with pytest.raises(NotDiagonalizableReal):
+        build_positive_metric(dec)
+    k = operators._coefficients(dec, "P", canonical_sign_sequence(dec))
+    assert np.array_equal(k, _dyad_canonical_p_tilde(dec).real)
+
+
 @pytest.mark.parametrize("label", ["two-level-1.0-1.0--1.0", "n32-paired"])
 def test_one_flipped_coefficient_sign_is_caught(label, monkeypatch):
     """The comparison above has teeth: negating one nonzero entry of any

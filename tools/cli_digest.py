@@ -5,11 +5,11 @@
 
 Writes the fixture files of ``perfbench/clirun.fixtures`` for seeds 1-3 into
 a temporary directory and runs each of their commands, the timed ones and the
-known-defect one (13 per seed, 39 in all), then the usage errors of
-``USAGE_ERRORS`` (exit 1) against the last seed's files, then ``model
-mashhoon`` once in each spectral regime with fixed parameters (``MODELS``):
-50 commands, each as a fresh ``pseudoherm`` process whose ``PYTHONPATH`` is
-the given ``src`` directory.
+known-defect one, and the three ``construct`` runs of ``KERNEL`` (16 per
+seed, 48 in all), then the usage errors of ``USAGE_ERRORS`` (exit 1) against
+the last seed's files, then ``model mashhoon`` once in each spectral regime
+with fixed parameters (``MODELS``): 59 commands, each as a fresh
+``pseudoherm`` process whose ``PYTHONPATH`` is the given ``src`` directory.
 Prints one line per command: seed (``-`` for the models), label, exit code
 and the SHA-256 of stdout followed by stderr.  The fixtures are built by this
 checkout's ``src`` and named by relative paths, so two runs against two
@@ -37,6 +37,14 @@ MODELS = {
     "model-jordan-s0": (0.5, 2.0, 0.0),
     "model-jordan-r0": (0.5, 0.0, 2.0),
     "model-scalar": (0.5, 0.0, 0.0),
+}
+#: label -> argv of the ``construct`` runs that reach the coefficient
+#: kernel's conjugate-pair swaps (``pairs4``) and in-chain index reversals
+#: (``jordan8``, whose unpaired real blocks make R exit 3)
+KERNEL = {
+    "construct-pairs": ("construct", "--input", "pairs4.json", "--ops", "P,C,T,TP,CTP,R,Tfrak"),
+    "construct-jordan": ("construct", "--input", "jordan8.json", "--ops", "P,C,T,TP,CTP"),
+    "construct-r-jordan": ("construct", "--input", "jordan8.json", "--ops", "R"),
 }
 #: usage-error label -> argv; each exits 1 (``malformed.json`` is written
 #: by this tool, ``missing.json`` is never written)
@@ -72,6 +80,8 @@ def main(argv=None) -> int:
             timed, _, defects = clirun.fixtures(seed, Path())
             for cmd in timed + defects:
                 run(seed, cmd.label, cmd.argv)
+            for label, argv in KERNEL.items():
+                run(seed, label, argv)
         Path("malformed.json").write_text("{not json", encoding="utf-8")
         for label, argv in USAGE_ERRORS.items():
             run("-", label, argv)
