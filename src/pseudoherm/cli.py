@@ -71,18 +71,6 @@ def _load_sigma(arg):
     return SignSequence({(int(g), int(a)): int(s) for g, a, s in doc})
 
 
-def _group_summary(dec) -> list[dict]:
-    return [
-        {
-            "eigenvalue": [g.eigenvalue.real, g.eigenvalue.imag],
-            "kind": g.kind,
-            "pair_id": g.pair_id,
-            "block_dims": list(g.block_dims),
-        }
-        for g in dec.groups
-    ]
-
-
 # ---------------------------------------------------------------------------
 # subcommands; ``main`` has replaced ``args.tol`` by the resolved Tolerance
 
@@ -92,7 +80,7 @@ def cmd_analyze(args) -> int:
     rep = spectral.check_biorthonormal(dec)
     results = {
         "n": dec.n,
-        "groups": _group_summary(dec),
+        "groups": [serialization.group_to_doc(g) for g in dec.groups],
         "gram_residual": rep.gram_residual,
         "completeness_residual": rep.completeness_residual,
     }

@@ -16,7 +16,8 @@ A walk costs one ``expm`` when its gaps differ only in their last bits, as a
     H_eff = [[E, i r], [-i s, E]]
 
 (spin motion with dissipation; E, r, s real) together with a chain basis in
-fixed conventions, written as closed-form S and Phi and cut into chains by
+fixed conventions, written as closed-form S and Phi, tagged real or
+conjugate pair by ``spectral._pair_up`` and cut into chains by
 ``spectral._assemble``, so that the symmetry constructions downstream produce
 closed-form matrices.  The spectral character switches with the sign of
 ``r*s``: real nondegenerate, complex-conjugate pair, or a single 2x2 Jordan
@@ -33,7 +34,7 @@ from . import linalg
 from .errors import IndefiniteMetric, NotPseudoHermitian
 from .krein import krein_inner
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import MINUS, PLUS, REAL, JordanBlockSpec, _assemble, is_pseudo_hermitian
+from .spectral import JordanBlockSpec, _assemble, _pair_up, is_pseudo_hermitian
 
 REGIME_REAL = "RealNondegenerate"
 REGIME_COMPLEX = "ComplexPair"
@@ -175,13 +176,13 @@ def mashhoon_papini(params: MashhoonPapiniParams):
     h = np.array([[e, 1j * r], [-1j * s, e]], dtype=np.complex128)
     rt2 = np.sqrt(2.0)
 
-    # per regime: (eigenvalue, block dims, kind, pair id) of each group, and
-    # the psi / phi chain vectors in storage order (rows; columns of S / Phi)
+    # per regime: (eigenvalue, block dims) of each group, and the psi / phi
+    # chain vectors in storage order (rows; columns of S / Phi)
     if r * s > 0:
         kappa = np.sqrt(r / s)
         gap = np.sqrt(r * s)
         sgn = 1.0 if r > 0 else -1.0
-        groups = [(e + gap, (1,), REAL, None), (e - gap, (1,), REAL, None)]
+        groups = [(e + gap, (1,)), (e - gap, (1,))]
         psi = [[1j * sgn * kappa / rt2, 1 / rt2], [-1j * sgn * kappa / rt2, 1 / rt2]]
         phi = [[1j * sgn / (kappa * rt2), 1 / rt2], [-1j * sgn / (kappa * rt2), 1 / rt2]]
         regime = REGIME_REAL
@@ -189,26 +190,27 @@ def mashhoon_papini(params: MashhoonPapiniParams):
         kappa = np.sqrt(abs(r / s))
         mu = np.sqrt(abs(r * s))
         sgn = 1.0 if r > 0 else -1.0
-        groups = [(complex(e, -mu), (1,), MINUS, 0), (complex(e, mu), (1,), PLUS, 0)]
+        groups = [(complex(e, -mu), (1,)), (complex(e, mu), (1,))]
         psi = [[-sgn * kappa / rt2, 1 / rt2], [sgn * kappa / rt2, 1 / rt2]]
         phi = [[-sgn / (kappa * rt2), 1 / rt2], [sgn / (kappa * rt2), 1 / rt2]]
         regime = REGIME_COMPLEX
     elif r != 0:  # s == 0: upper-triangular Jordan block
-        groups = [(e, (2,), REAL, None)]
+        groups = [(e, (2,))]
         psi = [[1, 0], [1j / r, -1j / r]]
         phi = [[1, 1], [0, -1j * r]]
         regime = REGIME_JORDAN
     elif s != 0:  # r == 0: lower-triangular Jordan block
-        groups = [(e, (2,), REAL, None)]
+        groups = [(e, (2,))]
         psi = [[0, 1], [1j / s, -1j / s]]
         phi = [[1, 1], [1j * s, 0]]
         regime = REGIME_JORDAN
     else:
-        groups = [(e, (1, 1), REAL, None)]
+        groups = [(e, (1, 1))]
         psi = phi = [[1, 0], [0, 1]]
         regime = REGIME_SCALAR
 
-    eigenvalues, dims, kinds, pair_ids = zip(*groups)
-    dec = _assemble(list(map(JordanBlockSpec, eigenvalues, dims)), kinds, pair_ids,
-                    np.array(psi, dtype=np.complex128).T, np.array(phi, dtype=np.complex128).T)
+    specs = [JordanBlockSpec(*g) for g in groups]
+    # pair tolerance 0: the complex regime's eigenvalues are exact conjugates
+    dec = _assemble(specs, *_pair_up(specs, 0.0, False), np.array(psi, dtype=np.complex128).T,
+                    np.array(phi, dtype=np.complex128).T)
     return h, regime, dec

@@ -158,8 +158,6 @@ def singular_values(a) -> np.ndarray:
 def rank(a, tol: Tolerance = DEFAULT_TOL) -> int:
     """Number of singular values above ``tol.abs + tol.rel * s_max``."""
     s = singular_values(a)
-    if s.size == 0:
-        return 0
     return int(np.count_nonzero(s > tol.abs + tol.rel * s[0]))
 
 

@@ -156,7 +156,8 @@ def _coefficients(dec: SpectralDecomposition, op: str, sigma=None,
     members and the real block ``halves`` ``((ng, a), (ng, b))``, and swap
     the halves (R) or both (Tfrak); C and T map every chain to itself.  The
     sign is ``sigma`` for P, C and TP, and -1 on the later member of each
-    coupled pair (pairs for R, pairs and halves for Tfrak), else +1.
+    coupled pair (pairs for R, pairs and halves for Tfrak), else +1.  Each
+    chain's block is written as one strided slice of the flattened K.
     """
     n, start, conj = dec.n, dec.chain_starts, dec.conjugates
     domain, swap, later = start, {}, {}
@@ -169,18 +170,15 @@ def _coefficients(dec: SpectralDecomposition, op: str, sigma=None,
         swap, later = (half, pair) if op == "R" else (domain, domain)
     sign = sigma.signs if op in ("P", "C", "TP") else {x: -1 for x, y in later.items() if y < x}
     # x's entries K[r0 + i, c0 + i], or K[r0 + i, c0 + dim - 1 - i] under
-    # reversal, as flat indices of row-major K (n = 1 has one entry, and
-    # any nonzero step)
+    # reversal, are one strided slice of row-major K, flattened (n = 1 has
+    # one entry, and any nonzero step)
     rev = op in ("P", "T")
     step = (n - 1 or 1) if rev else n + 1
-    flat, signs = [], []
+    k = np.zeros(n * n)
     for x in domain:
         r0, dim = start[x]
         first = r0 * n + start[swap.get(x, x)][0] + (dim - 1 if rev else 0)
-        flat += range(first, first + dim * step, step)
-        signs += [sign.get(x, 1)] * dim
-    k = np.zeros(n * n)
-    k[flat] = signs
+        k[first:first + dim * step:step] = sign.get(x, 1)
     return k.reshape(n, n)
 
 

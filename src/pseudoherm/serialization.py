@@ -63,20 +63,20 @@ def doc_to_vector(doc: dict) -> np.ndarray:
     return linalg.as_vector(v, int(doc["n"]))
 
 
+def group_to_doc(g) -> dict:
+    """The one description of an eigenvalue group: eigenvalue, kind, pair id
+    and block dimensions."""
+    return {"eigenvalue": _pair(g.eigenvalue), "kind": g.kind, "pair_id": g.pair_id,
+            "block_dims": list(g.block_dims)}
+
+
 def decomposition_to_doc(dec) -> dict:
-    """Companion document for a spectral decomposition: eigenvalue groups with
-    kinds, block dimensions and both chain bases."""
-    groups = []
-    for g in dec.groups:
-        groups.append({
-            "eigenvalue": _pair(g.eigenvalue),
-            "kind": g.kind,
-            "pair_id": g.pair_id,
-            "block_dims": list(g.block_dims),
-            "psi": [[_pair(z) for z in vec] for c in g.chains for vec in c.psi],
-            "phi": [[_pair(z) for z in vec] for c in g.chains for vec in c.phi],
-        })
-    return {"n": dec.n, "groups": groups}
+    """Companion document for a spectral decomposition: each group's
+    ``group_to_doc`` with both chain bases."""
+    return {"n": dec.n, "groups": [group_to_doc(g) | {
+        "psi": [[_pair(z) for z in vec] for c in g.chains for vec in c.psi],
+        "phi": [[_pair(z) for z in vec] for c in g.chains for vec in c.phi],
+    } for g in dec.groups]}
 
 
 def synthesis_groups_from_doc(doc: dict):

@@ -30,8 +30,9 @@ treatment and is rejected with ``NotPaired`` unless explicitly tolerated.
 A decomposition holds the chain basis once: S as ``psi``, Phi as ``phi``
 and Phi^dag = S^-1 as the cached ``phi_dag``, all read-only; chains are
 views of their columns, and callers multiply these matrices directly.
-``_assemble`` is the one constructor, for ``analyze``, ``synthesize`` and
-``evolution.mashhoon_papini`` alike.
+``_assemble`` is the one constructor and ``_pair_up`` the one kind/pair
+tagger, for ``analyze``, ``synthesize`` and ``evolution.mashhoon_papini``
+alike; ``reconstruct`` is the one H = Psi J Phi^dag.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .errors import ClusterAmbiguity, NotPaired, SingularBasis
+from .errors import ClusterAmbiguity, NonConvergence, NotPaired, SingularBasis
 from .linalg import DEFAULT_TOL, Tolerance
 
 REAL = "real"
@@ -178,6 +179,10 @@ class SynthesisSpec:
     basis_seed: int | None = None
     basis_cond: float = 100.0
 
+    def __post_init__(self):
+        if not 1.0 <= self.basis_cond < np.inf:
+            raise ValueError(f"basis_cond must be finite and at least 1, got {self.basis_cond}")
+
     @property
     def n(self) -> int:
         return sum(g.algebraic_multiplicity for g in self.groups)
@@ -193,17 +198,12 @@ class BiorthonormalityReport:
 # reconstruction and checks
 
 
-def _jordan_matrix(dec: SpectralDecomposition) -> np.ndarray:
-    """The Jordan matrix of the chains: eigenvalues on the diagonal, ones
-    above it inside each chain."""
+def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
+    """Assemble H as Psi J Phi^dag, J the Jordan matrix of the chains:
+    eigenvalues on the diagonal, ones above it inside each chain."""
     link = np.ones(dec.n - 1)
     link[[start - 1 for start, _ in dec.chain_starts.values() if start]] = 0.0
-    return np.diag(dec.eigenvalues()) + np.diag(link, 1)
-
-
-def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
-    """Assemble H as Psi J Phi^dag, J the Jordan matrix of the chains."""
-    return dec.psi @ _jordan_matrix(dec) @ dec.phi_dag
+    return dec.psi @ (np.diag(dec.eigenvalues()) + np.diag(link, 1)) @ dec.phi_dag
 
 
 def check_biorthonormal(dec: SpectralDecomposition) -> BiorthonormalityReport:
@@ -285,9 +285,9 @@ def synthesize(spec: SynthesisSpec, *, allow_unpaired: bool = False,
                tol: Tolerance = DEFAULT_TOL):
     """Build ``(H, decomposition)`` with prescribed Jordan structure.
 
-    ``H = S J S^-1`` where J carries the requested blocks; the psi-chains are
-    the columns of S and the phi-chains the conjugated rows of its inverse,
-    so every chain-basis invariant holds by construction.
+    ``H = S J S^-1`` (``reconstruct``) where J carries the requested blocks;
+    the psi-chains are the columns of S and the phi-chains the conjugated
+    rows of its inverse, so every chain-basis invariant holds by construction.
     """
     s_mat = _random_basis(spec.n, np.random.default_rng(spec.basis_seed), spec.basis_cond)
     try:
@@ -296,7 +296,7 @@ def synthesize(spec: SynthesisSpec, *, allow_unpaired: bool = False,
         raise SingularBasis(f"basis not invertible: {exc}") from exc
     kinds, pair_ids = _pair_up(spec.groups, tol.abs, allow_unpaired)
     dec = _assemble(spec.groups, kinds, pair_ids, s_mat, s_inv.conj().T)
-    return s_mat @ _jordan_matrix(dec) @ s_inv, dec
+    return reconstruct(dec), dec
 
 
 def _assemble(specs, kinds, pair_ids, psi: np.ndarray,
@@ -386,7 +386,11 @@ def _extract_chains(b: np.ndarray, tol: Tolerance):
     while nullities[-1] < n and k < n:
         k += 1
         power = power @ b
-        _, s, vh = np.linalg.svd(power)
+        try:
+            _, s, vh = np.linalg.svd(power)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"rank staircase: SVD of power {k} of the "
+                                 f"eigenvalue cluster block failed ({exc})") from exc
         nullity = int(np.count_nonzero(s <= tol.abs + tol.rel * s[0]))
         nullspaces.append(vh[n - nullity:].conj().T)
         nullities.append(nullity)
@@ -421,7 +425,6 @@ def _extract_chains(b: np.ndarray, tol: Tolerance):
                 chains.append(chain)
         # descend: height-(kk-1) vectors of all chains of length >= kk
         height_vectors = [c[kk - 2] for c in chains if len(c) >= kk] if kk >= 2 else []
-    chains.sort(key=len, reverse=True)
     return chains
 
 

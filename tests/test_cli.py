@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -493,6 +494,67 @@ def test_synthesis_spec_names_a_missing_field(tmp_path, capsys, group, field):
     spec.write_text(json.dumps({"groups": [{"eigenvalue": [0.0, 0.0], "dims": [1]}, group]}))
     assert main(["synthesize", "--spec", str(spec)]) == 1
     assert capsys.readouterr().err == f"error: synthesis group 1 has no '{field}' field\n"
+
+
+@pytest.mark.parametrize("cond, shown", [("0.5", "0.5"), ("0", "0.0"), ("Infinity", "inf"),
+                                         ("-5", "-5.0"), ("NaN", "nan")])
+def test_synthesize_refuses_a_bad_basis_cond(tmp_path, capsys, cond, shown):
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"basis_cond": %s, "groups": [{"eigenvalue": [1.0, 0.0], "dims": [1, 1]}]}'
+                    % cond)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["synthesize", "--spec", str(spec), "--seed", "1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: basis_cond must be finite and at least 1, got {shown}\n"
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["check"], ["construct", "--ops", "P"]])
+def test_staircase_svd_failure_exits_2(tmp_path, capsys, argv):
+    path = _write_matrix(tmp_path, "big.json", 1e160 * (np.eye(3) + np.eye(3, k=1)))
+    with np.errstate(all="ignore"):
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+    assert capsys.readouterr().err.startswith("error: rank staircase: SVD of power 3 ")
+
+
+def test_matrix_document_with_a_wrong_n_is_refused():
+    doc = {"n": 3, "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
+    with pytest.raises(errors.DimensionMismatch, match="claims n=3 but data disagrees"):
+        serialization.doc_to_matrix(doc)
+
+
+@pytest.mark.parametrize("doc", [{"data": [[1.0, 0.0]]}, {"n": 1}, [[1.0, 0.0]]])
+def test_vector_document_needs_n_and_data(doc):
+    with pytest.raises(ValueError, match="vector document must have 'n' and 'data' fields"):
+        serialization.doc_to_vector(doc)
+
+
+def test_synthesis_document_needs_groups():
+    with pytest.raises(ValueError, match="synthesis document must have a 'groups' field"):
+        serialization.synthesis_groups_from_doc({"basis_cond": 10.0})
+
+
+def test_analyze_warns_on_unpaired_complex_eigenvalues(tmp_path, capsys):
+    path = _write_matrix(tmp_path, "u.json", np.diag([2j, 1.0]))
+    assert main(["analyze", "--input", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert [g["kind"] for g in rep["results"]["groups"]] == ["unpaired", "real"]
+    assert rep["warnings"] == ["complex eigenvalues without conjugate partners; "
+                               "generalized parity constructions will refuse"]
+
+
+def test_analyze_lists_the_groups_of_the_decomposition_document(tmp_path, capsys):
+    h, _ = synthesize(SynthesisSpec(groups=(JordanBlockSpec(0.5, (2, 1)),
+                                            JordanBlockSpec(1 + 2j, (2,)),
+                                            JordanBlockSpec(1 - 2j, (2,))), basis_seed=2))
+    path = _write_matrix(tmp_path, "h.json", h)
+    assert main(["analyze", "--input", str(path)]) == 0
+    listed = json.loads(capsys.readouterr().out)["results"]["groups"]
+    doc = serialization.decomposition_to_doc(spectral.analyze(h))
+    assert listed == [{k: v for k, v in g.items() if k not in ("psi", "phi")}
+                      for g in doc["groups"]]
+    assert [g["kind"] for g in listed] == ["real", "plus", "minus"]
 
 
 def test_evolve_zero_final_state_is_a_usage_error(sixone, tmp_path, capsys):

@@ -367,3 +367,30 @@ def test_grid_across_zero_is_not_refused_for_its_gap():
     probs = transition_probability(req, [1, 0])
     want = 0.5 * (1 - np.cos(2 * np.array([-t, t])))
     assert np.abs(np.array(probs) - want).max() < 1e-10
+
+
+@pytest.mark.parametrize("e,r,s,tags", [
+    (0.5, 2.0, 0.5, [("real", None), ("real", None)]),
+    (0.5, -2.0, -0.5, [("real", None), ("real", None)]),
+    (0.5, 2.0, -0.5, [("minus", 0), ("plus", 0)]),
+    (0.5, -2.0, 0.5, [("minus", 0), ("plus", 0)]),
+    (0.5, 2.0, 0.0, [("real", None)]),
+    (0.5, 0.0, 2.0, [("real", None)]),
+    (0.5, 0.0, 0.0, [("real", None)]),
+])
+def test_model_groups_are_tagged_real_or_as_one_conjugate_pair(e, r, s, tags):
+    _, _, dec = mashhoon_papini(MashhoonPapiniParams(e, r, s))
+    assert [(g.kind, g.pair_id) for g in dec.groups] == tags
+
+
+@pytest.mark.parametrize("name", ["e", "r", "s"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_model_parameters_must_be_finite(name, value):
+    params = dict(e=1.0, r=1.0, s=1.0) | {name: value}
+    with pytest.raises(ValueError, match=f"{name} must be finite"):
+        MashhoonPapiniParams(**params)
+
+
+def test_a_state_of_negative_metric_norm_is_not_normalized():
+    with pytest.raises(IndefiniteMetric, match="non-positive metric norm"):
+        evolution.metric_normalize([0.0, 1.0], np.diag([1.0, -1.0]))

@@ -317,3 +317,9 @@ def test_pseudounitary_existence_decisions():
     res_mixed = pseudounitary_symmetries_exist(dec_mixed)
     assert not res_mixed.exists
     assert res_mixed.violations == [(1.0, (2, 1)), (-1.0, (1, 1, 1))]
+
+
+def test_commutant_element_needs_one_coefficient_list_per_chain():
+    _, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))
+    with pytest.raises(ValueError, match="expected 2 coefficient lists, got 1"):
+        commutant_element(dec, [[1.0]])

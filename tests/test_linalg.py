@@ -338,3 +338,20 @@ def test_expm_bound_is_inclusive():
     assert np.linalg.norm(-1j * just_above * h) > EXPM_NORM_BOUND
     with pytest.raises(Overflow):
         evolution.propagator(h, just_above)
+
+
+def test_as_vector_refuses_a_wrong_length_and_non_finite_entries():
+    with pytest.raises(DimensionMismatch, match="expected a vector of length 3, got 2"):
+        linalg.as_vector([1.0, 2.0], 3)
+    with pytest.raises(ValueError, match="vector has non-finite entries"):
+        linalg.as_vector([1.0, np.nan])
+
+
+def test_solve_refuses_a_non_finite_right_hand_side():
+    with pytest.raises(ValueError, match="right-hand side has non-finite entries"):
+        linalg.solve(np.eye(2), [1.0, np.inf])
+
+
+def test_rank_refuses_an_empty_matrix():
+    with pytest.raises(DimensionMismatch, match="empty matrix"):
+        linalg.rank(np.zeros((0, 0)))

@@ -5,6 +5,7 @@ import pytest
 
 from pseudoherm import krein, operators, spectral
 from pseudoherm.errors import (
+    DimensionMismatch,
     NotDiagonalizableReal,
     NotInvolutory,
     NotPaired,
@@ -598,3 +599,8 @@ def test_one_flipped_coefficient_sign_is_caught(label, monkeypatch):
     assert set(rows) == {"P canonical", "P sigma", "C canonical", "C sigma", "T",
                          "TP sigma", "CTP", "R", "paired P", "Tfrak"}
     assert min(rows.values()) > 1e-6, rows
+
+
+def test_compose_refuses_different_dimensions():
+    with pytest.raises(DimensionMismatch, match="cannot compose dimensions 2 and 3"):
+        antilinear_compose(SymmetryOperator(np.eye(2)), SymmetryOperator(np.eye(3)))

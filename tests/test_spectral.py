@@ -5,7 +5,8 @@ import pytest
 
 from pseudoherm import krein, linalg, operators, spectral
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
-from pseudoherm.errors import ClusterAmbiguity, NotPaired, PseudohermError
+from pseudoherm.errors import (ClusterAmbiguity, NonConvergence, NotPaired, PseudohermError,
+                               SingularBasis)
 from pseudoherm.linalg import DEFAULT_TOL
 from pseudoherm.spectral import (
     JordanBlockSpec,
@@ -414,3 +415,45 @@ def test_snapped_simple_eigenvalue_keeps_its_staircase_refusal(monkeypatch):
     assert str(exc.value) == (
         "rank staircase saturates at nullity 0, but the eigenvalue cluster has "
         "multiplicity 1; the cluster is not resolvable at this tolerance")
+
+
+@pytest.mark.parametrize("dims", [(), (0,), (2, -1)])
+def test_jordan_block_spec_needs_positive_dims(dims):
+    with pytest.raises(ValueError, match="non-empty list of positive integers"):
+        JordanBlockSpec(1.0, dims)
+
+
+@pytest.mark.parametrize("cond", [0.5, 0.0, np.inf, -5.0, np.nan])
+def test_basis_cond_must_be_finite_and_at_least_1(cond):
+    with pytest.raises(ValueError) as exc:
+        SynthesisSpec(groups=(JordanBlockSpec(1.0, (1, 1)),), basis_cond=cond)
+    assert str(exc.value) == f"basis_cond must be finite and at least 1, got {cond}"
+
+
+def test_basis_cond_1_is_a_unitary_basis():
+    _, dec = synthesize(SynthesisSpec(groups=(JordanBlockSpec(1.0, (1, 1)),),
+                                      basis_seed=3, basis_cond=1.0))
+    assert np.linalg.cond(dec.psi) == pytest.approx(1.0)
+
+
+def test_a_numerically_singular_synthesis_basis_is_refused():
+    spec = SynthesisSpec(groups=(JordanBlockSpec(1.0, (1, 1)),), basis_seed=1,
+                         basis_cond=1e300)
+    with pytest.raises(SingularBasis, match="basis not invertible: pivot"):
+        synthesize(spec)
+
+
+def test_synthesized_matrix_is_the_reconstruction():
+    spec = SynthesisSpec(groups=(JordanBlockSpec(0.5, (3, 1)), JordanBlockSpec(2j, (2,)),
+                                 JordanBlockSpec(-2j, (2,))), basis_seed=4)
+    h, dec = synthesize(spec)
+    assert np.array_equal(h, reconstruct(dec))
+
+
+def test_staircase_svd_failure_is_a_typed_refusal():
+    # b^3 of a 3-block scaled by 1e160 overflows, and the SVD of its
+    # non-finite entries does not converge
+    with np.errstate(all="ignore"), pytest.raises(NonConvergence) as exc:
+        analyze(1e160 * (np.eye(3) + np.eye(3, k=1)))
+    assert str(exc.value).startswith("rank staircase: SVD of power 3 ")
+    assert exc.value.exit_code == 2

@@ -5,10 +5,11 @@
 
 Writes the fixture files of ``perfbench/clirun.fixtures`` for seeds 1-3 into
 a temporary directory and runs each of their commands, the timed ones and the
-known-defect one, and the three ``construct`` runs of ``KERNEL`` (16 per
-seed, 48 in all), then the usage errors of ``USAGE_ERRORS`` (exit 1) against
-the last seed's files, then ``model mashhoon`` once in each spectral regime
-with fixed parameters (``MODELS``): 59 commands, each as a fresh
+known-defect one, the three ``construct`` runs of ``KERNEL`` and the three
+``analyze`` runs of ``ANALYZE`` (19 per seed, 57 in all), then the usage
+errors of ``USAGE_ERRORS`` (exit 1) against the last seed's files, then
+``model mashhoon`` once in each spectral regime with fixed parameters
+(``MODELS``): 68 commands, each as a fresh
 ``pseudoherm`` process whose ``PYTHONPATH`` is the given ``src`` directory.
 Prints one line per command: seed (``-`` for the models), label, exit code
 and the SHA-256 of stdout followed by stderr.  The fixtures are built by this
@@ -46,6 +47,14 @@ KERNEL = {
     "construct-jordan": ("construct", "--input", "jordan8.json", "--ops", "P,C,T,TP,CTP"),
     "construct-r-jordan": ("construct", "--input", "jordan8.json", "--ops", "R"),
 }
+#: label -> argv of the ``analyze`` runs that list complex, paired and
+#: unpaired groups (``unpaired`` also prints the unpaired-complex warning);
+#: the fixtures' own ``analyze`` runs see real spectra only
+ANALYZE = {
+    "analyze-pairs": ("analyze", "--input", "pairs4.json"),
+    "analyze-jordan": ("analyze", "--input", "jordan8.json"),
+    "analyze-unpaired": ("analyze", "--input", "unpaired.json"),
+}
 #: usage-error label -> argv; each exits 1 (``malformed.json`` is written
 #: by this tool, ``missing.json`` is never written)
 USAGE_ERRORS = {
@@ -80,7 +89,7 @@ def main(argv=None) -> int:
             timed, _, defects = clirun.fixtures(seed, Path())
             for cmd in timed + defects:
                 run(seed, cmd.label, cmd.argv)
-            for label, argv in KERNEL.items():
+            for label, argv in (KERNEL | ANALYZE).items():
                 run(seed, label, argv)
         Path("malformed.json").write_text("{not json", encoding="utf-8")
         for label, argv in USAGE_ERRORS.items():
