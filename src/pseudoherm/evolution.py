@@ -6,10 +6,11 @@ even when H is not Hermitian.  Transition probabilities are exposed only for
 positive definite metrics, where ``|<<final, U(t) initial>>|^2`` with
 metric-normalized states is a genuine probability.
 
-Both series step across the grid instead of exponentiating at every point:
-``psi(t_k) = exp(-i H (t_k - t_prev)) psi(t_prev)``, walking out from t = 0.
-A walk costs one ``expm`` when its gaps differ only in their last bits, as a
-``linspace`` grid's do.  ``Overflow`` is decided on max |t| over the grid.
+Both series walk out from t = 0 instead of exponentiating at every point.
+A run of near-equal gaps b costs one ``expm`` and is evaluated by doubling,
+``U(b)^2k psi = U(b)^k U(b)^k psi``, so a ``linspace`` walk is one ``expm``
+and about log2 of its length in matrix products.  ``Overflow`` is decided
+on max |t| over the grid.
 
 ``mashhoon_papini`` builds the two-level effective Hamiltonian
 
@@ -26,6 +27,7 @@ block on the boundary.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,8 +60,8 @@ class EvolutionRequest:
         state = linalg.as_vector(self.initial_state, h.shape[0])
         if np.linalg.norm(state) == 0:
             raise ValueError("initial state is zero")
-        grid = tuple(float(t) for t in self.t_grid)
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
+        grid = tuple(map(float, self.t_grid))
+        if not grid or any(map(operator.le, grid[1:], grid)):
             raise ValueError("time grid must be non-empty and strictly increasing")
         object.__setattr__(self, "h", h)
         object.__setattr__(self, "metric", metric)
@@ -99,32 +101,38 @@ def _states(h, state, grid) -> np.ndarray:
     """Columns ``U(t_k) state`` over a strictly increasing grid.
 
     Walks out from t = 0, up through the points t >= 0 and down through the
-    points t < 0, one step propagator per distinct gap.  Walking from zero
-    keeps every gap within max |t|, so a grid is refused with ``Overflow``
-    exactly when a propagator at one of its points would be.
-
-    A gap g within ``sqrt(eps) / ||H||_F`` of the last exponentiated gap b
-    steps by ``U(b) - i (g - b) H U(b)``, whose dropped terms are at most
-    ``||H (g - b)||^2 / 2 <= eps / 2`` (Moler & Van Loan, SIAM Rev. 45
-    (2003)); any other gap is exponentiated and becomes the new b.
+    points t < 0, in runs.  A run from t_0 with first gap b takes the points
+    ``t_k = t_0 + k b + d_k``, k = 1..L, while ``|d_k| ||H||_F <= sqrt(eps)``.
+    It exponentiates b once, forms every ``U(b)^k state`` by doubling
+    (ceil(log2 L) products and squarings), and adds ``-i d_k H U(b)^k state``,
+    dropping at most ``(|d_k| ||H||_F)^2 / 2 <= eps / 2`` (Moler & Van Loan,
+    SIAM Rev. 45 (2003)).  Walking from zero keeps every b within max |t|,
+    so ``Overflow`` is raised exactly when a propagator at a point would be.
     """
-    linalg.check_expm_bound(-1j * max(grid, key=abs) * h)
+    grid = np.asarray(grid)
+    linalg.check_expm_bound(-1j * np.abs(grid).max() * h)
     h_norm, reach = np.linalg.norm(h), np.sqrt(np.finfo(float).eps)
-    out = np.empty((state.shape[0], len(grid)), dtype=np.complex128, order="F")
-    steps = {0.0: np.eye(state.shape[0])}  # the point t = 0 itself
-    base = None  # the last exponentiated gap
-    first_nonneg = sum(t < 0 for t in grid)
-    for walk in (range(first_nonneg, len(grid)), range(first_nonneg - 1, -1, -1)):
+    out = np.empty((state.shape[0], grid.size), dtype=np.complex128, order="F")
+    first_nonneg = np.searchsorted(grid, 0.0)
+    for walk in (np.arange(first_nonneg, grid.size), np.arange(first_nonneg - 1, -1, -1)):
         psi, t_prev = state, 0.0
-        for k in walk:
-            gap = grid[k] - t_prev
-            if gap not in steps:
-                if base is not None and abs(gap - base) * h_norm <= reach:
-                    steps[gap] = steps[base] - 1j * (gap - base) * (h @ steps[base])
-                else:
-                    base, steps[gap] = gap, propagator(h, gap)
-            psi = out[:, k] = steps[gap] @ psi
-            t_prev = grid[k]
+        if walk.size and grid[walk[0]] == 0:  # the point t = 0 itself
+            out[:, walk[0]], walk = state, walk[1:]
+        while walk.size:
+            offset = grid[walk] - t_prev
+            drift = offset - offset[0] * np.arange(1, walk.size + 1)
+            size = int(np.argmax(np.abs(drift) * h_norm > reach)) or walk.size  # drift[0] = 0
+            step = propagator(h, offset[0])
+            run = np.empty((state.shape[0], size), dtype=np.complex128)
+            run[:, 0], done = step @ psi, 1
+            while done < size:  # step = U(b)^done
+                if done > 1:
+                    step = step @ step
+                run[:, done:2 * done] = step @ run[:, :min(done, size - done)]
+                done *= 2
+            run -= 1j * drift[:size] * (h @ run)
+            out[:, walk[:size]] = run
+            psi, t_prev, walk = run[:, -1], grid[walk[size - 1]], walk[size:]
     return out
 
 

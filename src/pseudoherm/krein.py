@@ -234,7 +234,7 @@ def pseudounitary_symmetries_exist(dec: SpectralDecomposition) -> PseudounitaryE
         violations = [(g.eigenvalue, g.block_dims) for g in dec.groups
                       if g.kind == spectral.UNPAIRED]
     else:
-        violations = operators._real_block_halves(dec)[1]
+        violations = list(dec.real_block_halves[1])
     return PseudounitaryExistence(exists=not violations, canonical_trace=trace,
                                   violations=violations)
 

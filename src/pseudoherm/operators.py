@@ -105,14 +105,9 @@ class SignSequence:
 
 
 def canonical_sign_sequence(dec: SpectralDecomposition) -> SignSequence:
-    """Alternate +/- over the odd-dimensional real-eigenvalue blocks (all
-    other labels get +), which drives the congruent involutory metric to
-    trace 0 on even-dimensional spaces and trace 1 on odd-dimensional ones."""
-    signs, flip = dict.fromkeys(dec.chain_starts, +1), +1
-    for (ng, a), (_, dim) in dec.chain_starts.items():
-        if dec.groups[ng].kind == REAL and dim % 2 == 1:
-            signs[ng, a], flip = flip, -flip
-    return SignSequence(signs)
+    """``dec.canonical_signs``, which drive the congruent involutory metric
+    to trace 0 on even-dimensional spaces and trace 1 on odd ones."""
+    return SignSequence(dec.canonical_signs)
 
 
 def resolve_sigma(dec: SpectralDecomposition, sigma) -> SignSequence:
@@ -252,33 +247,14 @@ def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
     return dec.phi @ np.eye(dec.n) @ dec.phi_dag
 
 
-def _real_block_halves(dec: SpectralDecomposition):
-    """Split each real group's chains into two halves of identical
-    dimensions.  Returns the label pairs ``((ng, a), (ng, b))``, a in the
-    first half and b in the second, and the (eigenvalue, block_dims) of
-    every real group whose blocks do not pair up."""
-    halves, violations = [], []
-    for ng, g in dec.iter_real():
-        by_dim = {}
-        for a, chain in enumerate(g.chains):
-            by_dim.setdefault(chain.dim, []).append(a)
-        if any(len(idxs) % 2 for idxs in by_dim.values()):
-            violations.append((g.eigenvalue, g.block_dims))
-            continue
-        for _, idxs in sorted(by_dim.items()):
-            half = len(idxs) // 2
-            halves.extend(((ng, a), (ng, b)) for a, b in zip(idxs[:half], idxs[half:]))
-    return halves, violations
-
-
 def _paired_real_layout(dec: SpectralDecomposition, reason: str = "Proposition 4"):
-    """The real block halves of ``_real_block_halves``; raises if a real
+    """The real block halves of ``dec.real_block_halves``; raises if a real
     group's blocks do not pair up."""
-    halves, violations = _real_block_halves(dec)
+    halves, violations = dec.real_block_halves
     if violations:
         raise UnpairedRealBlocks(
             f"real-eigenvalue Jordan blocks do not occur in identical pairs: "
-            f"{violations}", reason=reason)
+            f"{list(violations)}", reason=reason)
     return halves
 
 

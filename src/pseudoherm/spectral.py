@@ -19,7 +19,8 @@ through ``Z``.  Each cluster of size m >= 2 is moved by a reordering of the
 Schur form (LAPACK ``ztrsen``, called through ``linalg.reorder_schur``) to
 the leading m x m block ``T11``.  The rank staircase runs on
 ``T11 - center*I`` alone, and its chains map to chains of H through the
-leading m Schur vectors ``Z1``, since ``H Z1 = Z1 T11``.
+leading m Schur vectors ``Z1``, since ``H Z1 = Z1 T11``.  Only these
+clusters are visited in Python; the other bookkeeping is array operations.
 
 Realness is decided once, by the snap of near-real cluster centers onto the
 real axis: a group is real exactly when its eigenvalue's imaginary part is 0.
@@ -44,7 +45,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import linalg
-from .errors import ClusterAmbiguity, NonConvergence, NotPaired, SingularBasis
+from .errors import ClusterAmbiguity, NonConvergence, NotPaired, Overflow, SingularBasis
 from .linalg import DEFAULT_TOL, Tolerance
 
 REAL = "real"
@@ -128,8 +129,7 @@ class SpectralDecomposition:
     def chain_starts(self) -> MappingProxyType:
         """``(start, dim)`` of each (group, chain) label's vectors in
         ``psi_matrix`` column order (read-only)."""
-        starts = {}
-        pos = 0
+        starts, pos = {}, 0
         for ng, g in enumerate(self.groups):
             for a, c in enumerate(g.chains):
                 starts[(ng, a)] = (pos, c.dim)
@@ -146,31 +146,52 @@ class SpectralDecomposition:
                 conj[ng1, a], conj[ng2, a] = (ng2, a), (ng1, a)
         return MappingProxyType(conj)
 
+    @cached_property
+    def canonical_signs(self) -> MappingProxyType:
+        """The canonical sign of each chain label (read-only): +/- in turn
+        over the odd-dimensional real chains, + on every other label."""
+        signs, flip = dict.fromkeys(self.chain_starts, +1), +1
+        for (ng, a), (_, dim) in self.chain_starts.items():
+            if self.groups[ng].kind == REAL and dim % 2 == 1:
+                signs[ng, a], flip = flip, -flip
+        return MappingProxyType(signs)
+
+    @cached_property
+    def real_block_halves(self) -> tuple[tuple, tuple]:
+        """Real chains in two halves of identical dimensions, as label pairs
+        ``((ng, a), (ng, b))``, and the (eigenvalue, block_dims) of every real
+        group whose blocks do not pair up (read-only)."""
+        halves, violations = [], []
+        for ng, g in self.iter_real():
+            by_dim = {}
+            for a, chain in enumerate(g.chains):
+                by_dim.setdefault(chain.dim, []).append(a)
+            if any(len(idxs) % 2 for idxs in by_dim.values()):
+                violations.append((g.eigenvalue, g.block_dims))
+                continue
+            for _, idxs in sorted(by_dim.items()):
+                half = len(idxs) // 2
+                halves.extend(((ng, a), (ng, b)) for a, b in zip(idxs[:half], idxs[half:]))
+        return tuple(halves), tuple(violations)
+
     def iter_real(self):
-        for ng, g in enumerate(self.groups):
-            if g.kind == REAL:
-                yield ng, g
+        return ((ng, g) for ng, g in enumerate(self.groups) if g.kind == REAL)
 
     def iter_pairs(self):
         """Yield ``(ng_first, first, ng_second, second)`` once per pair,
         in the members' storage order."""
-        seen = set()
+        members = {}
         for ng, g in enumerate(self.groups):
-            if g.pair_id is None or g.pair_id in seen:
-                continue
-            seen.add(g.pair_id)
-            for mg in range(ng + 1, len(self.groups)):
-                if self.groups[mg].pair_id == g.pair_id:
-                    yield ng, g, mg, self.groups[mg]
-                    break
+            if g.pair_id is not None:
+                members.setdefault(g.pair_id, []).append(ng)
+        for ng1, ng2 in members.values():
+            yield ng1, self.groups[ng1], ng2, self.groups[ng2]
 
     def has_unpaired_complex(self) -> bool:
         return any(g.kind == UNPAIRED for g in self.groups)
 
     def eigenvalues(self) -> np.ndarray:
-        return np.array(
-            [g.eigenvalue for g in self.groups for c in g.chains for _ in range(c.dim)]
-        )
+        return np.array([g.eigenvalue for g in self.groups for c in g.chains for _ in range(c.dim)])
 
 
 @dataclass(frozen=True)
@@ -246,30 +267,21 @@ def _random_basis(n: int, rng: np.random.Generator, cond: float) -> np.ndarray:
 def _pair_up(specs, pair_tol: float, allow_unpaired: bool):
     """Kind/pair tags of spec groups: real exactly when the eigenvalue's
     imaginary part is 0; ``pair_tol`` only matches conjugate partners."""
-    kinds = [None] * len(specs)
-    pair_ids = [None] * len(specs)
-    next_pair = 0
-    unmatched = []
+    kinds, pair_ids, unmatched, next_pair = [REAL] * len(specs), [None] * len(specs), [], 0
     for idx, g in enumerate(specs):
         if g.eigenvalue.imag == 0:
-            kinds[idx] = REAL
             continue
-        partner = None
-        for jdx in unmatched:
-            other = specs[jdx]
-            if (abs(np.conj(other.eigenvalue) - g.eigenvalue) <= pair_tol
-                    and tuple(sorted(other.block_dims)) == tuple(sorted(g.block_dims))):
-                partner = jdx
-                break
+        partner = next((j for j in unmatched
+                        if abs(np.conj(specs[j].eigenvalue) - g.eigenvalue) <= pair_tol
+                        and sorted(specs[j].block_dims) == sorted(g.block_dims)), None)
         if partner is None:
             unmatched.append(idx)
-        else:
-            unmatched.remove(partner)
-            pid = next_pair
-            next_pair += 1
-            for k in (partner, idx):
-                pair_ids[k] = pid
-                kinds[k] = PLUS if specs[k].eigenvalue.imag > 0 else MINUS
+            continue
+        unmatched.remove(partner)
+        for k in (partner, idx):
+            pair_ids[k] = next_pair
+            kinds[k] = PLUS if specs[k].eigenvalue.imag > 0 else MINUS
+        next_pair += 1
     if unmatched:
         if not allow_unpaired:
             bad = [specs[i].eigenvalue for i in unmatched]
@@ -306,8 +318,7 @@ def _assemble(specs, kinds, pair_ids, psi: np.ndarray,
     each chain taking views of consecutive columns of both."""
     psi.flags.writeable = False
     phi.flags.writeable = False
-    groups = []
-    offset = 0
+    groups, offset = [], 0
     for spec, kind, pair_id in zip(specs, kinds, pair_ids):
         chains = []
         for p in spec.block_dims:
@@ -332,17 +343,19 @@ def _cluster(eigs: np.ndarray, delta: float) -> list[np.ndarray]:
     """
     n = eigs.size
     order = np.lexsort((eigs.imag, eigs.real))
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
     reach = (np.abs(eigs[:, None] - eigs[None, :]) <= delta).astype(np.float64)
+    if np.count_nonzero(reach) == n:  # no two eigenvalues link
+        return list(order[:, None])
     while True:  # transitive closure by squaring: at most log2(n) rounds
         grown = (reach @ reach > 0).astype(np.float64)
         if np.array_equal(grown, reach):
             break
         reach = grown
-    # label each eigenvalue by the lexsort rank of its component's first member
-    label = np.where(reach > 0, rank[None, :], n).min(axis=1)
-    return [order[np.sort(rank[label == first])] for first in np.unique(label)]
+    # the lexsort rank of each component's first member, in lexsort order;
+    # a stable sort on it groups the components and keeps their members' order
+    label = np.where(reach > 0, np.argsort(order)[None, :], n).min(axis=1)[order]
+    grouped = np.argsort(label, kind="stable")
+    return np.split(order[grouped], np.flatnonzero(np.diff(label[grouped])) + 1)
 
 
 def _check_gaps(centers: np.ndarray, radii: np.ndarray, delta: float):
@@ -428,28 +441,18 @@ def _extract_chains(b: np.ndarray, tol: Tolerance):
     return chains
 
 
-def _fix_gauge(chain):
-    """Scale so the chain-top eigenvector has unit norm and a real-positive
-    leading significant entry."""
-    head = chain[0]
-    norm = np.linalg.norm(head)
-    if norm == 0:
-        return chain
-    lead = np.argmax(np.abs(head) > 1e-8 * norm)
-    phase = head[lead] / abs(head[lead]) if head[lead] != 0 else 1.0
-    scale = 1.0 / (norm * phase)
-    return [v * scale for v in chain]
-
-
 def default_cluster_tol(h: np.ndarray) -> float:
-    """Link distance for eigenvalue clustering.
+    """Link distance for eigenvalue clustering (``Overflow`` if ||H||_F does).
 
     Eigenvalues of a defective cluster scatter like a cube root of the
     backward error for blocks up to size 3, hence the exponent.
     """
     n = h.shape[0]
-    scale = max(1.0, float(np.linalg.norm(h)))
-    return 25.0 * (n * n * np.finfo(float).eps * scale) ** (1.0 / 3.0)
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(h))
+    if not np.isfinite(norm):
+        raise Overflow("||H||_F overflows the float range")
+    return 25.0 * (n * n * np.finfo(float).eps * max(1.0, norm)) ** (1.0 / 3.0)
 
 
 def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
@@ -462,44 +465,48 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
     """
     h = linalg.as_cmatrix(h)
     n = h.shape[0]
+    delta = default_cluster_tol(h)
     t, z = linalg.schur(h, tol)
     eigs = np.diag(t)
-    delta = default_cluster_tol(h)
 
+    # a simple cluster is its own center, at radius 0
     clusters = _cluster(eigs, delta)
-    centers = np.array([eigs[c].mean() for c in clusters])
-    radii = np.array([np.abs(eigs[c] - center).max()
-                      for c, center in zip(clusters, centers)])
+    sizes = np.fromiter(map(len, clusters), np.intp, len(clusters))
+    first = np.concatenate(clusters)[np.cumsum(sizes) - sizes]
+    multi = np.flatnonzero(sizes > 1)
+    centers, radii = eigs[first], np.zeros(sizes.size)
+    for p in multi:
+        centers[p] = eigs[clusters[p]].mean()
+        radii[p] = np.abs(eigs[clusters[p]] - centers[p]).max()
     _check_gaps(centers, radii, delta)
 
     # snap near-real centers to the real axis: the one realness decision
     real_thresh = max(tol.abs, 0.1 * delta)
-    snapped = []
-    for c in centers:
-        thr = real_thresh + tol.rel * abs(c)
-        snapped.append(complex(c.real, 0.0) if abs(c.imag) <= thr else c)
+    centers = np.where(np.abs(centers.imag) <= real_thresh + tol.rel * np.abs(centers),
+                       centers.real, centers)
+
+    # the 1 x 1 staircase: t_kk - center must be numerically zero; clusters
+    # are refused in order, so a failure here waits for the ones before it
+    off = np.abs(eigs[first] - centers)
+    failed = np.flatnonzero((sizes == 1) & (off > tol.abs + tol.rel * off))
+    stop = failed[0] if failed.size else sizes.size
 
     # eigenvectors of the simple clusters by one back-substitution sweep, as
     # in LAPACK ztrevc: (T - t_kk I) x = 0 with x_k = 1 and zeros below k.
     # Every divisor t_ii - t_kk is >= 9 delta: _check_gaps puts t_kk at least
     # 10 max(r, delta) from the center of t_ii's cluster, of radius r.
-    simple = np.array(sorted(c[0] for c in clusters if c.size == 1), dtype=np.intp)
-    x = np.zeros((n, simple.size), dtype=np.complex128)
+    singles = np.flatnonzero(sizes == 1)[np.argsort(first[sizes == 1])]  # by eigenvalue index
+    simple = first[singles]
+    x, lam = np.zeros((n, simple.size), dtype=np.complex128), eigs[simple]
     x[simple, np.arange(simple.size)] = 1.0
-    for i in range(n - 1, -1, -1):
-        j = np.searchsorted(simple, i, side="right")  # columns with k > i
-        x[i, j:] = -(t[i, i + 1:] @ x[i + 1:, j:]) / (t[i, i] - eigs[simple[j:]])
-    eigvecs = dict(zip(simple.tolist(), (z @ x).T))
+    above = np.searchsorted(simple, np.arange(n), side="right")  # columns with k > i
+    for i, j in zip(range(n - 1, -1, -1), above[::-1].tolist()):
+        x[i, j:] = -(t[i, i + 1:] @ x[i + 1:, j:]) / (t[i, i] - lam[j:])
 
-    raw_groups = []
-    for c, center in zip(clusters, snapped):
-        if c.size == 1:
-            # the 1 x 1 staircase: t_kk - center must be numerically zero
-            off = abs(eigs[c[0]] - center)
-            if off > tol.abs + tol.rel * off:
-                raise _unresolvable(0, 1)
-            raw_groups.append((center, [[eigvecs[c[0]]]]))
-            continue
+    # chains of each multi-member cluster, after the simple eigenvectors
+    columns, dims = [z @ x], {}
+    for p in multi[multi < stop]:
+        c, center = clusters[p], complex(centers[p])
         # move the cluster to the leading m x m block of the Schur form; the
         # leading m Schur vectors span its invariant subspace, so chains of
         # the block map to chains of H through them
@@ -511,22 +518,30 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
                 f"Schur reordering of the eigenvalue cluster at {center:.6g} "
                 f"failed (info={info}, {m} of {c.size} eigenvalues moved)")
         chains = _extract_chains(t_re[:m, :m] - center * np.eye(m), tol)
-        basis = z_re[:, :m]
-        raw_groups.append((center, [[basis @ v for v in ch] for ch in chains]))
+        dims[p] = tuple(len(ch) for ch in chains)
+        columns.append(z_re[:, :m] @ np.column_stack([v for ch in chains for v in ch]))
+    if stop < sizes.size:
+        raise _unresolvable(0, 1)
 
-    # deterministic ordering: by real part, then |Im|, plus member first
-    raw_groups.sort(key=lambda g: (round(g[0].real, 9), round(abs(g[0].imag), 9),
-                                   -g[0].imag))
-
-    specs = [JordanBlockSpec(center, tuple(len(ch) for ch in chains))
-             for center, chains in raw_groups]
+    # deterministic group order: by real part, then |Im|, plus member first
+    order = np.lexsort((-centers.imag, np.round(np.abs(centers.imag), 9),
+                        np.round(centers.real, 9)))
+    specs = [JordanBlockSpec(centers[p], dims.get(p, (1,))) for p in order]
     kinds, pair_ids = _pair_up(specs, max(real_thresh, delta), allow_unpaired)
 
-    # assemble S from gauge-fixed chains, invert for the dual chains
-    s_mat = np.array([v for _, chains in raw_groups for ch in chains for v in _fix_gauge(ch)],
-                     dtype=np.complex128).T
+    # S in group order: the columns sorted stably by their cluster's group rank,
+    # each chain scaled to a unit eigenvector with a real-positive lead entry
+    label = np.concatenate((singles, np.repeat(multi, sizes[multi])))
+    s_mat = np.hstack(columns)[:, np.argsort(np.argsort(order)[label], kind="stable")]
+    chain_dims = np.array([d for spec in specs for d in spec.block_dims])
+    heads = s_mat[:, np.cumsum(chain_dims) - chain_dims]
+    norms = np.linalg.norm(heads, axis=0)
+    lead = heads[np.argmax(np.abs(heads) > 1e-8 * norms, axis=0), np.arange(heads.shape[1])]
+    s_mat = s_mat * np.repeat(1.0 / (norms * (lead / np.abs(lead))), chain_dims)
+    # invert with S's columns equilibrated: the pivot test ignores H's scale
+    scale = np.linalg.norm(s_mat, axis=0)
     try:
-        s_inv = linalg.inv(s_mat, tol)
+        s_inv = linalg.inv(s_mat / scale, tol) / scale[:, None]
     except Exception as exc:
         raise ClusterAmbiguity(f"chain basis numerically singular: {exc}") from exc
     return _assemble(specs, kinds, pair_ids, s_mat, s_inv.conj().T)

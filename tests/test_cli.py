@@ -512,10 +512,23 @@ def test_synthesize_refuses_a_bad_basis_cond(tmp_path, capsys, cond, shown):
 
 @pytest.mark.parametrize("argv", [["analyze"], ["check"], ["construct", "--ops", "P"]])
 def test_staircase_svd_failure_exits_2(tmp_path, capsys, argv):
-    path = _write_matrix(tmp_path, "big.json", 1e160 * (np.eye(3) + np.eye(3, k=1)))
+    path = _write_matrix(tmp_path, "big.json", 1e150 * (np.eye(3) + np.eye(3, k=1)))
     with np.errstate(all="ignore"):
         assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
     assert capsys.readouterr().err.startswith("error: rank staircase: SVD of power 3 ")
+
+
+@pytest.mark.parametrize("argv", [["analyze"], ["check"], ["construct", "--ops", "P"]])
+@pytest.mark.parametrize("h", [1e154 * np.diag([1.0, 2.0]), 1e160 * (np.eye(3) + np.eye(3, k=1))],
+                         ids=["diag-1e154", "jordan3-1e160"])
+def test_an_overflowing_norm_is_a_one_line_refusal(h, argv, tmp_path, capsys):
+    path = _write_matrix(tmp_path, "big.json", h)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([argv[0], "--input", str(path), *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: ||H||_F overflows the float range\n"
 
 
 def test_matrix_document_with_a_wrong_n_is_refused():

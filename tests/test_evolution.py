@@ -276,6 +276,9 @@ def _agreement_cases():
     yield pytest.param(h, dec, tuple(np.linspace(-t_end / 2, t_end / 2, 101)),
                        id="n32-negative-start")
     yield pytest.param(h, dec, (0.3 * t_end,), id="n32-one-point")
+    yield pytest.param(h, dec, tuple(np.concatenate([-np.geomspace(t_end / 3, 1e-3, 7), [0.0],
+                                                     np.linspace(0.01, t_end / 2, 40)])),
+                       id="n32-across-zero")
 
 
 @pytest.mark.parametrize("h,dec,grid", _agreement_cases())
@@ -341,6 +344,38 @@ def test_gap_step_is_derived_inside_the_reach_and_fresh_outside(monkeypatch):
     assert len(exponentiated) == 2
     assert exponentiated[0] == b
     assert abs(exponentiated[1] - (b + 2.0 * reach)) < 1e-3 * reach
+    ref = _per_point(h, psi0, grid)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_a_run_is_cut_where_its_gap_offsets_drift_past_the_reach(monkeypatch):
+    # every gap after the first is b + c: each is inside the reach of b, but
+    # the k-th point's offset from t_0 + k b is (k - 1) c, which passes the
+    # reach at k = 12, so the walk exponentiates b and then b + c
+    h, dec, t_end = _synthesized_n32()
+    reach = np.sqrt(np.finfo(float).eps) / np.linalg.norm(h)
+    b, c = t_end / 100, reach / 10.5
+    grid = np.cumsum([b] + [b + c] * 59)
+    exponentiated = []
+    monkeypatch.setattr(evolution, "propagator",
+                        lambda h_, t: exponentiated.append(t) or propagator(h_, t))
+    psi0 = np.random.default_rng(6).normal(size=dec.n) + 0j
+    got = evolution._states(h, psi0, tuple(grid))
+    assert len(exponentiated) == 2
+    assert exponentiated[0] == b
+    assert abs(exponentiated[1] - (grid[11] - grid[10])) < 1e-3 * c
+    ref = _per_point(h, psi0, grid)
+    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_each_run_of_equal_gaps_takes_one_expm(monkeypatch):
+    # three stretches of equal gaps (1, 3 and 2 units) are three runs
+    h, _, t_end = _synthesized_n32()
+    grid = np.cumsum(np.repeat(t_end * np.array([0.002, 0.006, 0.004]), 40))
+    calls = _count_expm(monkeypatch)
+    psi0 = np.ones(32, dtype=complex)
+    got = evolution._states(h, psi0, tuple(grid))
+    assert len(calls) == 3
     ref = _per_point(h, psi0, grid)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 

@@ -566,7 +566,7 @@ def test_every_pairing_builder_refuses_unpaired_complex_first(build):
     checked the halves layout before the pairing would raise
     ``UnpairedRealBlocks`` here instead."""
     dec = analyze(np.diag([2j, 1.0]).astype(complex), allow_unpaired=True)
-    assert operators._real_block_halves(dec)[1] == [(1.0, (1,))]
+    assert dec.real_block_halves[1] == ((1.0, (1,)),)
     with pytest.raises(NotPaired):
         build(dec)
 

@@ -1,12 +1,14 @@
 """Jordan structure extraction and synthesis round trips."""
 
+import warnings
+
 import numpy as np
 import pytest
 
 from pseudoherm import krein, linalg, operators, spectral
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
-from pseudoherm.errors import (ClusterAmbiguity, NonConvergence, NotPaired, PseudohermError,
-                               SingularBasis)
+from pseudoherm.errors import (ClusterAmbiguity, NonConvergence, NotPaired, Overflow,
+                               PseudohermError, SingularBasis)
 from pseudoherm.linalg import DEFAULT_TOL
 from pseudoherm.spectral import (
     JordanBlockSpec,
@@ -451,9 +453,62 @@ def test_synthesized_matrix_is_the_reconstruction():
 
 
 def test_staircase_svd_failure_is_a_typed_refusal():
-    # b^3 of a 3-block scaled by 1e160 overflows, and the SVD of its
+    # b^3 of a 3-block scaled by 1e150 overflows, and the SVD of its
     # non-finite entries does not converge
     with np.errstate(all="ignore"), pytest.raises(NonConvergence) as exc:
-        analyze(1e160 * (np.eye(3) + np.eye(3, k=1)))
+        analyze(1e150 * (np.eye(3) + np.eye(3, k=1)))
     assert str(exc.value).startswith("rank staircase: SVD of power 3 ")
     assert exc.value.exit_code == 2
+
+
+@pytest.mark.parametrize("h", [1e154 * np.diag([1.0, 2.0]), 1e160 * (np.eye(3) + np.eye(3, k=1))],
+                         ids=["diag-1e154", "jordan3-1e160"])
+def test_a_matrix_whose_norm_overflows_is_refused(h):
+    # ||H||_F^2 passes the float range, so no threshold scaled by it is finite
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow) as exc:
+            analyze(h)
+    assert str(exc.value) == "||H||_F overflows the float range"
+    assert exc.value.exit_code == 2
+
+
+@pytest.mark.parametrize("k", range(16))
+def test_a_scaled_jordan_block_is_one_block_at_every_scale(k):
+    # the chain basis is inverted with its columns equilibrated, so the pivot
+    # test does not see the 1/s scale of the vectors above the eigenvector
+    h = 10.0 ** k * np.array([[1.0, 1.0], [0.0, 1.0]])
+    dec = analyze(h)
+    assert [(g.kind, g.block_dims) for g in dec.groups] == [("real", (2,))]
+    assert _failed_checks(h, dec) == []
+
+
+def _chain_head_cases():
+    yield pytest.param(np.diag([1.0, 2.0, 3.0]).astype(complex), id="diagonal")
+    yield pytest.param(mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, -1.0))[0], id="pair")
+    yield pytest.param(10.0 * (np.eye(4) + np.eye(4, k=1)), id="jordan4")
+    for n, blocks, pairs in ((16, (3, 2), 2), (32, (4,), 3)):
+        h, _ = synthesize(_spec(np.random.default_rng([n, 9]), n, blocks, pairs))
+        yield pytest.param(h, id=f"n{n}-blocks")
+
+
+@pytest.mark.parametrize("h", _chain_head_cases())
+def test_every_chain_head_has_unit_norm_and_a_real_positive_lead(h):
+    dec = analyze(h)
+    for g in dec.groups:
+        for c in g.chains:
+            head = c.psi[0]
+            assert abs(np.linalg.norm(head) - 1.0) <= 1e-14
+            lead = head[np.argmax(np.abs(head) > 1e-8)]
+            assert lead.real > 0 and abs(lead.imag) <= 1e-15 * lead.real
+
+
+def test_cluster_centers_are_their_members_means_bit_for_bit():
+    h, _ = synthesize(_spec(np.random.default_rng(11), 24, (3, 3, 2), 2, cond=10.0))
+    eigs = np.diag(linalg.schur(h)[0])
+    means = [eigs[c].mean() for c in spectral._cluster(eigs, spectral.default_cluster_tol(h))]
+    got = sorted((g.eigenvalue for g in analyze(h).groups), key=lambda z: (z.real, z.imag))
+    want = sorted((complex(m.real, 0.0) if abs(m.imag) < 1e-6 else complex(m) for m in means),
+                  key=lambda z: (z.real, z.imag))
+    assert got == want
+    assert any(len(g.chains[0].psi) > 1 for g in analyze(h).groups)

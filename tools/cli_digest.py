@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Digest of the CLI's output on the benchmark's ``cli`` fixtures.
 
-    python3 tools/cli_digest.py --src path/to/src > digest.txt
+    python3 tools/cli_digest.py --src path/to/src [--mask-numbers] > digest.txt
 
 Writes the fixture files of ``perfbench/clirun.fixtures`` for seeds 1-3 into
 a temporary directory and runs each of their commands, the timed ones and the
@@ -15,6 +15,11 @@ Prints one line per command: seed (``-`` for the models), label, exit code
 and the SHA-256 of stdout followed by stderr.  The fixtures are built by this
 checkout's ``src`` and named by relative paths, so two runs against two
 source trees are compared with ``diff``.
+
+With ``--mask-numbers`` every number in the output (``NUMBER``) is replaced
+by ``#`` before hashing.  Two trees whose plain digests differ but whose
+masked digests agree changed only numbers, for example in their last digits;
+which numbers, and by how much, is then for the plain output to show.
 """
 
 from __future__ import annotations
@@ -22,12 +27,16 @@ from __future__ import annotations
 import argparse
 import hashlib
 import os
+import re
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+#: a decimal or exponent number as the CLI prints it (JSON, CSV, messages),
+#: and the non-finite spellings of numpy and JSON
+NUMBER = re.compile(rb"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?|-?\b(?:nan|inf|NaN|Infinity)\b")
 SEEDS = (1, 2, 3)
 #: ``model mashhoon`` label -> (E, r, s), one per basis convention of
 #: ``evolution.mashhoon_papini`` (the fixtures cover the complex r > 0 one)
@@ -71,6 +80,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", required=True, type=Path,
                         help="directory holding the pseudoherm package to run")
+    parser.add_argument("--mask-numbers", action="store_true",
+                        help="hash the output with every number replaced by '#'")
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import clirun
@@ -80,7 +91,10 @@ def main(argv=None) -> int:
     def run(seed, label, argv):
         proc = subprocess.run([sys.executable, "-c", clirun.ENTRY, *argv],
                               capture_output=True, env=env, timeout=300)
-        digest = hashlib.sha256(proc.stdout + proc.stderr).hexdigest()
+        output = proc.stdout + proc.stderr
+        if args.mask_numbers:
+            output = NUMBER.sub(b"#", output)
+        digest = hashlib.sha256(output).hexdigest()
         print(f"{seed} {label} {proc.returncode} {digest}", flush=True)
 
     with tempfile.TemporaryDirectory() as work:
