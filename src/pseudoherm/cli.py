@@ -68,6 +68,9 @@ def _load_sigma(arg):
     if arg == "canonical":
         return arg
     doc = serialization.load_json(arg)
+    for row in doc if isinstance(doc, list) else [doc]:
+        if not isinstance(row, list) or len(row) != 3:
+            raise ValueError(f"sign sequence row {row!r} is not a [group, chain, sign] triple")
     return SignSequence({(int(g), int(a)): int(s) for g, a, s in doc})
 
 

@@ -2,11 +2,14 @@
 
 A Hermitian invertible metric splits the space into its positive and negative
 spectral subspaces and defines the indefinite product ``<psi| eta |phi>``.
-Whether a matrix is one is decided by ``linalg.metric_eigenvalues`` alone:
-``build_krein_space`` and ``classification_report`` refuse a non-Hermitian
-metric with ``NonHermitianMetric`` and one with an eigenvalue within
-``tol.scaled(metric)`` of zero with ``SingularMetric``, as do
-``spectral.is_pseudo_hermitian`` and the evolution series.
+Whether a matrix is one is decided by the rule of ``linalg.metric_eigenvalues``,
+which refuses a non-Hermitian metric with ``NonHermitianMetric`` and one with
+an eigenvalue within ``tol.scaled(metric)`` of zero with ``SingularMetric``.
+The invertibility of a classified operator M is certified instead of
+decomposed: Weyl's inequality for singular values gives ``sigma_min(M) >=
+(min|w| - d - r) / (||M||_F (max|w| + d))``, w the metric eigenvalues, d =
+``||eta - eta^dag||_F / 2`` and r the smallest class residual, and the SVD
+rank test runs only when this bound is not above twice the rank cut.
 
 Congruence by the chain basis turns any generalized parity into an involutory
 Hermitian canonical metric whose ±1 projectors realize the splitting.
@@ -32,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, operators, spectral
-from .errors import NotAntiunitary, SingularOperator, ZeroLeadingCoefficient
+from .errors import DimensionMismatch, NotAntiunitary, SingularOperator, ZeroLeadingCoefficient
 from .linalg import DEFAULT_TOL, Tolerance
 from .operators import SymmetryOperator, antilinear_compose
 from .spectral import SpectralDecomposition
@@ -124,7 +127,7 @@ def congruence_to_involutory(dec: SpectralDecomposition,
     reversal by ``M -> s^-1 M transpose(s^-1)`` so its matrix part stays
     symmetric.
     """
-    sigma = operators.resolve_sigma(dec, sigma)
+    operators._sign_array(dec, sigma)  # refuse a bad sequence before building
     s = dec.psi_matrix()
     s_inv = dec.phi_dag
     p = operators.build_parity(dec, sigma)
@@ -145,14 +148,15 @@ def congruence_to_involutory(dec: SpectralDecomposition,
 def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> ClassificationResult:
     """Residuals of the four class conditions; a class is assigned only when
     its residual is below tolerance and the runner-up is at least ten times
-    larger (otherwise NONE, with the residuals reported)."""
+    larger (otherwise NONE, with the residuals reported).  The operator must
+    be invertible; its rank is tested only when the residuals cannot prove
+    that (see the module docstring)."""
     sym = SymmetryOperator.of(op)
     metric = linalg.as_cmatrix(metric)
-    w = linalg.metric_eigenvalues(metric, tol)
     m = sym.matrix
-    if linalg.rank(m, tol) < m.shape[0]:
-        raise SingularOperator("operator is singular at tolerance; classification "
-                               "is defined for invertible operators only")
+    if m.shape != metric.shape:
+        raise DimensionMismatch(f"operator is {m.shape} but the metric is {metric.shape}")
+    w = linalg.metric_eigenvalues(metric, tol)
     gram = m.conj().T @ metric @ m
     residuals = {
         SymmetryClass.P_UNITARY: float(np.linalg.norm(gram - metric)),
@@ -160,6 +164,14 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
         SymmetryClass.P_ANTIUNITARY: float(np.linalg.norm(gram - metric.T)),
         SymmetryClass.P_PSEUDOANTIUNITARY: float(np.linalg.norm(gram + metric.T)),
     }
+    # Python floats: an overflow or a NaN fails the bound without a warning
+    mu, d = float(np.linalg.norm(m)), 0.5 * linalg.hermitian_defect(metric)
+    bound = float(np.abs(w).min()) - d - min(residuals.values())
+    cut = tol.abs + tol.rel * mu  # at least the rank cut, as sigma_max <= mu
+    proven = mu > 0 and bound > 2.0 * cut * mu * (float(np.abs(w).max()) + d)
+    if not proven and linalg.rank(m, tol) < m.shape[0]:
+        raise SingularOperator("operator is singular at tolerance; classification "
+                               "is defined for invertible operators only")
     if sym.antilinear:
         eligible = [SymmetryClass.P_ANTIUNITARY, SymmetryClass.P_PSEUDOANTIUNITARY]
     else:
@@ -204,7 +216,7 @@ def commutant_element(dec: SpectralDecomposition, params) -> np.ndarray:
     The leading coefficient of every block must be nonzero so the result is
     invertible.  Cross-block mixing is not generated.
     """
-    blocks = dec.chain_starts.values()
+    blocks = list(zip(dec.chain_start.tolist(), dec.chain_dim.tolist()))
     if len(params) != len(blocks):
         raise ValueError(f"expected {len(blocks)} coefficient lists, got {len(params)}")
     k = np.zeros((dec.n, dec.n), dtype=np.complex128)
@@ -228,8 +240,8 @@ def pseudounitary_symmetries_exist(dec: SpectralDecomposition) -> PseudounitaryE
     number of odd-dimensional real chains, so the canonical involutory
     metric is then traceless."""
     # congruence by the psi chains turns the canonical parity into its K
-    trace = float(np.trace(operators._coefficients(
-        dec, "P", operators.canonical_sign_sequence(dec))))
+    src, sign = operators._coefficients(dec, "P", dec.canonical_signs)
+    trace = float(sign[src == np.arange(dec.n)].sum())
     if dec.has_unpaired_complex():
         violations = [(g.eigenvalue, g.block_dims) for g in dec.groups
                       if g.kind == spectral.UNPAIRED]
@@ -263,7 +275,7 @@ def check_battery(h, dec: SpectralDecomposition, sigma="canonical",
         return rows
     rows.append({"check": "conjugate pairing", "pass": True, "residual": 0.0})
 
-    sigma = operators.resolve_sigma(dec, sigma)
+    signs = operators._sign_array(dec, sigma)
     p = operators.build_parity(dec, sigma)
     c = operators.build_charge(dec, sigma)
     tp = operators.build_tp(dec, sigma)
@@ -281,7 +293,7 @@ def check_battery(h, dec: SpectralDecomposition, sigma="canonical",
     p_tilde = psi.conj().T @ p @ psi
     row("congruent metric involutory", np.linalg.norm(p_tilde @ p_tilde - eye))
     trace = float(np.trace(p_tilde).real)
-    canonical = sigma.signs == operators.canonical_sign_sequence(dec).signs
+    canonical = np.array_equal(signs, dec.canonical_signs)
     rows.append({"check": "canonical trace in {0, 1}",
                  "pass": not canonical or (abs(trace - round(trace)) <= 1e-6
                                            and round(trace) in (0, 1)),

@@ -3,9 +3,10 @@
 Thin, tolerance-aware layer over LAPACK: the complex Schur form and its
 reordering, SVD-based numerical rank, LU solves, the matrix exponential, and
 ``metric_eigenvalues``, the one rule by which every entry point decides
-whether a matrix is a Hermitian invertible metric.  Everything works on
-square ``complex128`` arrays of modest size (``N_MAX`` defaults to 64);
-matrices are treated as immutable values.
+whether a matrix is a Hermitian invertible metric (its eigensolve is skipped
+only where a bound already proves the answer; see ``krein``).  Everything
+works on square ``complex128`` arrays of modest size (``N_MAX`` defaults to
+64); matrices are treated as immutable values.
 
 This is the only module that calls compiled scipy code.  ``zgees`` (Schur
 form), ``ztrsen`` (its reordering) and ``zgetrf``/``zgetrs`` (LU) come from
@@ -254,9 +255,14 @@ def expm(a) -> np.ndarray:
     return np.triu(r) if k == 1 else np.tril(r)
 
 
+def hermitian_defect(a: np.ndarray) -> float:
+    """``||A - A^dag||_F``, the distance that decides whether A is Hermitian."""
+    return float(np.linalg.norm(a - a.conj().T))
+
+
 def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
     a = as_cmatrix(a)
-    return bool(np.linalg.norm(a - a.conj().T) <= tol.scaled(a))
+    return hermitian_defect(a) <= tol.scaled(a)
 
 
 def metric_eigenvalues(metric, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -266,10 +272,11 @@ def metric_eigenvalues(metric, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     ``SingularMetric`` when an eigenvalue of its Hermitian part lies within
     ``tol.scaled(metric)`` of zero."""
     metric = as_cmatrix(metric)
-    if not is_hermitian(metric, tol):
+    thr = tol.scaled(metric)
+    if not hermitian_defect(metric) <= thr:
         raise NonHermitianMetric("metric is not Hermitian at tolerance")
     w = np.linalg.eigvalsh(0.5 * (metric + metric.conj().T))
     nearest = w[np.abs(w).argmin()]
-    if abs(nearest) <= tol.scaled(metric):
+    if abs(nearest) <= thr:
         raise SingularMetric(f"metric eigenvalue {nearest:.3e} within tolerance of zero")
     return w

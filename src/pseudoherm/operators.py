@@ -1,25 +1,27 @@
 """Generalized parity, charge-conjugation and time-reversal families.
 
 Every operator is a signed sum of dyads over the biorthonormal chains of a
-``SpectralDecomposition``, so it is assembled as one product
-``left @ K @ right`` of the chain matrices Psi, Phi (vectors as columns) and
-a signed permutation K of the chains, built for every kind by one rule
-(``_coefficients``): each chain maps to itself or to its partner, with or
-without index reversal, times a sign.  The builders multiply ``dec.psi``,
-``dec.phi`` and ``dec.phi_dag`` directly: Phi K Phi^dag for the metrics (P,
-P+ and the paired parity), Psi K Phi^dag for C and R, Psi K Phi^T for TP, CTP
-and the quaternionic T, and Psi K Psi^T for T.  The linear builders return
-the matrix; the antilinear ones (T, TP, CTP, the quaternionic T) return a
-``SymmetryOperator`` with ``antilinear=True``, read as "matrix followed by
-entrywise conjugation": ``A v = M conj(v)``.  The carrier's flag alone decides the algebra:
+``SpectralDecomposition``: ``left @ K @ right`` with the chain matrices Psi,
+Phi (vectors as columns) and a signed permutation K of the chains, built for
+every kind by one rule (``_coefficients``): each chain maps to itself or to
+its partner, with or without index reversal, times a sign.  K is held as a
+column gather over the decomposition's chain arrays, so each builder makes
+one gather of ``left``'s columns and one product: Phi K Phi^dag for the
+metrics (P and the paired parity; P+ is Phi Phi^dag), Psi K Phi^dag for C and
+R, Psi K Phi^T for TP, CTP and the quaternionic T, and Psi K Psi^T for T.
+The linear builders return the matrix; the antilinear ones (T, TP, CTP, the
+quaternionic T) return a ``SymmetryOperator`` with ``antilinear=True``, read
+as "matrix followed by entrywise conjugation": ``A v = M conj(v)``.  The
+carrier's flag alone decides the algebra:
 
     compose:  L1 L2 | L M | M conj(L) | M1 conj(M2)
     adjoint:  L^dag | transpose(M)
     square:   L L   | M conj(M)
 
 Sign sequences attach one sign per (group, chain) label, with conjugate pair
-members sharing their sign.  Index reversal inside a chain (``i -> p+1-i``)
-appears wherever the dual chain runs antiparallel to the primal one.
+members sharing their sign; a builder turns one into a per-chain array once.
+Index reversal inside a chain (``i -> p+1-i``) appears wherever the dual
+chain runs antiparallel to the primal one.
 """
 
 from __future__ import annotations
@@ -107,27 +109,28 @@ class SignSequence:
 def canonical_sign_sequence(dec: SpectralDecomposition) -> SignSequence:
     """``dec.canonical_signs``, which drive the congruent involutory metric
     to trace 0 on even-dimensional spaces and trace 1 on odd ones."""
-    return SignSequence(dec.canonical_signs)
+    return SignSequence(dict(zip(dec.chain_labels, dec.canonical_signs.tolist())))
 
 
-def resolve_sigma(dec: SpectralDecomposition, sigma) -> SignSequence:
-    """Accept a SignSequence, the string "canonical", or a sign mapping.
-    A supplied sequence is checked against the decomposition; the canonical
-    one is valid by construction."""
+def _sign_array(dec: SpectralDecomposition, sigma) -> np.ndarray:
+    """One sign per chain from a SignSequence, the string "canonical" or a
+    sign mapping.  A supplied sequence is checked against the decomposition;
+    the canonical one is valid by construction."""
     if sigma is None or sigma == "canonical":
-        return canonical_sign_sequence(dec)
-    seq = sigma if isinstance(sigma, SignSequence) else SignSequence(dict(sigma))
-    _check_sigma(dec, seq)
-    return seq
-
-
-def _check_sigma(dec: SpectralDecomposition, sigma: SignSequence):
-    if set(sigma.signs) != set(dec.chain_starts):
-        raise ValueError("sign sequence labels do not match the decomposition")
-    for (ng, a), y in dec.conjugates.items():
-        if sigma(ng, a) != sigma(*y):
-            raise ValueError(
-                f"conjugate pair {dec.groups[ng].eigenvalue:.6g} must share its sign at chain {a}")
+        return dec.canonical_signs
+    labels = dec.chain_labels
+    signs = (sigma if isinstance(sigma, SignSequence) else SignSequence(dict(sigma))).signs
+    if set(signs) != set(labels):
+        missing, extra = sorted(set(labels) - set(signs)), sorted(set(signs) - set(labels))
+        raise ValueError(f"sign sequence labels do not match the decomposition: "
+                         f"missing {missing}, extra {extra}")
+    arr, conj = np.array([signs[x] for x in labels]), dec.chain_conj
+    bad = np.flatnonzero((conj >= 0) & (arr != arr[conj]))
+    if bad.size:
+        ng, a = labels[bad[0]]
+        raise ValueError(
+            f"conjugate pair {dec.groups[ng].eigenvalue:.6g} must share its sign at chain {a}")
+    return arr
 
 
 def _require_paired(dec: SpectralDecomposition):
@@ -141,40 +144,41 @@ def _require_paired(dec: SpectralDecomposition):
 # chain-basis coefficients
 
 
-def _coefficients(dec: SpectralDecomposition, op: str, sigma=None,
-                  halves=()) -> np.ndarray:
-    """Coefficient matrix K of operator kind ``op`` in the chain basis: a
-    signed permutation of the chains.  Each chain x of the kind's domain puts
+def _coefficients(dec: SpectralDecomposition, op: str,
+                  signs=None) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficient matrix K of operator kind ``op`` in the chain basis, a
+    signed permutation of the chains, as the column gather ``(src, sign)``:
+    ``left @ K = left[:, src] * sign``.  Chain x of the kind's domain puts
     ``sign(x) I``, or ``sign(x) rev`` (index reversal) for P and T, at
-    ``K[x, partner(x)]``.  P and TP take the chains that have a conjugate
-    (``dec.conjugates``) and swap pair members; R and Tfrak take the pair
-    members and the real block ``halves`` ``((ng, a), (ng, b))``, and swap
-    the halves (R) or both (Tfrak); C and T map every chain to itself.  The
-    sign is ``sigma`` for P, C and TP, and -1 on the later member of each
-    coupled pair (pairs for R, pairs and halves for Tfrak), else +1.  Each
-    chain's block is written as one strided slice of the flattened K.
-    """
-    n, start, conj = dec.n, dec.chain_starts, dec.conjugates
-    domain, swap, later = start, {}, {}
+    ``K[x, partner(x)]``.  P and TP swap conjugate pair members and fix real
+    chains; R swaps the real block halves and fixes pair members; Tfrak
+    swaps both; C and T fix every chain.  The sign is ``signs`` for P, C, TP
+    and T, and for R and Tfrak -1 on the later member of each swapped pair
+    (pairs for R too), else +1; a column outside K's image gets sign 0."""
+    conj = dec.chain_conj
+    chain, height, depth = dec.columns
     if op in ("P", "TP"):
-        domain = swap = conj
-    elif op in ("R", "Tfrak"):
-        pair = {x: y for x, y in conj.items() if x != y}
-        half = dict(halves) | {b: a for a, b in halves}
-        domain = pair | half
-        swap, later = (half, pair) if op == "R" else (domain, domain)
-    sign = sigma.signs if op in ("P", "C", "TP") else {x: -1 for x, y in later.items() if y < x}
-    # x's entries K[r0 + i, c0 + i], or K[r0 + i, c0 + dim - 1 - i] under
-    # reversal, are one strided slice of row-major K, flattened (n = 1 has
-    # one entry, and any nonzero step)
-    rev = op in ("P", "T")
-    step = (n - 1 or 1) if rev else n + 1
-    k = np.zeros(n * n)
-    for x in domain:
-        r0, dim = start[x]
-        first = r0 * n + start[swap.get(x, x)][0] + (dim - 1 if rev else 0)
-        k[first:first + dim * step:step] = sign.get(x, 1)
-    return k.reshape(n, n)
+        x = conj[chain]  # the source chain of each column
+    elif op in ("C", "T"):
+        x = chain
+    else:  # R, Tfrak: -1 outside the pairs and the halves
+        own = np.arange(conj.size)
+        paired = (conj >= 0) & (conj != own)
+        partner = np.where(paired, conj, dec.real_block_halves[0])
+        signs = np.where((partner >= 0) & (partner < own) & (paired | (op == "Tfrak")), -1, 1)
+        x = np.where(paired, own, partner)[chain] if op == "R" else partner[chain]
+    # a column with no source (x = -1, the partner map being an involution)
+    # picks the appended 0 for its start and its sign
+    src = np.concatenate((dec.chain_start, [0]))[x] + (depth if op in ("P", "T") else height)
+    return src, np.concatenate((signs, [0.0]))[x]
+
+
+def _chain_product(dec: SpectralDecomposition, op: str, left: np.ndarray,
+                   right: np.ndarray, signs=None) -> np.ndarray:
+    """``left @ K @ right`` for the K of ``_coefficients``: one gather of
+    ``left``'s columns and one matrix product."""
+    src, sign = _coefficients(dec, op, signs)
+    return (left[:, src] * sign) @ right
 
 
 # ---------------------------------------------------------------------------
@@ -185,28 +189,29 @@ def build_parity(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
     """Hermitian metric from phi-dyads with intra-chain index reversal and
     conjugate-pair cross terms; renders H pseudo-Hermitian."""
     _require_paired(dec)
-    return dec.phi @ _coefficients(dec, "P", resolve_sigma(dec, sigma)) @ dec.phi_dag
+    return _chain_product(dec, "P", dec.phi, dec.phi_dag, _sign_array(dec, sigma))
 
 
 def build_charge(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
     """Involutory operator commuting with H (signed completeness sum)."""
     _require_paired(dec)
-    return dec.psi @ _coefficients(dec, "C", resolve_sigma(dec, sigma)) @ dec.phi_dag
+    return _chain_product(dec, "C", dec.psi, dec.phi_dag, _sign_array(dec, sigma))
 
 
 def build_time_reversal(dec: SpectralDecomposition) -> SymmetryOperator:
     """Antilinear Hermitian T with ``T H^dag T^-1 = H`` (psi-dyads with
     index reversal; the matrix part is complex-symmetric)."""
     _require_paired(dec)
-    return SymmetryOperator(dec.psi @ _coefficients(dec, "T") @ dec.psi.T, antilinear=True)
+    return SymmetryOperator(_chain_product(dec, "T", dec.psi, dec.psi.T,
+                                           np.ones(dec.chain_dim.size)), antilinear=True)
 
 
 def build_tp(dec: SpectralDecomposition, sigma="canonical") -> SymmetryOperator:
     """Involutory antilinear symmetry T P_sigma (index reversals cancel;
     conjugate pairs couple crosswise)."""
     _require_paired(dec)
-    k = _coefficients(dec, "TP", resolve_sigma(dec, sigma))
-    return SymmetryOperator(dec.psi @ k @ dec.phi.T, antilinear=True)
+    return SymmetryOperator(_chain_product(dec, "TP", dec.psi, dec.phi.T,
+                                           _sign_array(dec, sigma)), antilinear=True)
 
 
 def build_ctp(dec: SpectralDecomposition, sigma="canonical",
@@ -214,10 +219,8 @@ def build_ctp(dec: SpectralDecomposition, sigma="canonical",
     """Involutory antilinear symmetry C_sigma T P_sigma': the T P form signed
     by the product sigma * sigma'."""
     _require_paired(dec)
-    sigma = resolve_sigma(dec, sigma)
-    sigma_prime = resolve_sigma(dec, sigma_prime)
-    product = SignSequence({x: s * sigma_prime(*x) for x, s in sigma.signs.items()})
-    return SymmetryOperator(dec.psi @ _coefficients(dec, "TP", product) @ dec.phi.T,
+    product = _sign_array(dec, sigma) * _sign_array(dec, sigma_prime)
+    return SymmetryOperator(_chain_product(dec, "TP", dec.psi, dec.phi.T, product),
                             antilinear=True)
 
 
@@ -244,18 +247,18 @@ def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
         raise NotDiagonalizableReal(
             "no positive definite metric exists: " + "; ".join(violations),
             reason="Theorem 1")
-    return dec.phi @ np.eye(dec.n) @ dec.phi_dag
+    return dec.phi @ dec.phi_dag
 
 
 def _paired_real_layout(dec: SpectralDecomposition, reason: str = "Proposition 4"):
     """The real block halves of ``dec.real_block_halves``; raises if a real
     group's blocks do not pair up."""
-    halves, violations = dec.real_block_halves
+    half, violations = dec.real_block_halves
     if violations:
         raise UnpairedRealBlocks(
             f"real-eigenvalue Jordan blocks do not occur in identical pairs: "
             f"{list(violations)}", reason=reason)
-    return halves
+    return half
 
 
 def build_reflecting(dec: SpectralDecomposition):
@@ -267,20 +270,18 @@ def build_reflecting(dec: SpectralDecomposition):
     real block pair.
     """
     _require_paired(dec)
-    halves = _paired_real_layout(dec)
-    signs = dict.fromkeys(dec.chain_starts, +1)
-    signs.update((b, -1) for _, b in halves)
-    return (dec.psi @ _coefficients(dec, "R", halves=halves) @ dec.phi_dag,
-            dec.phi @ _coefficients(dec, "P", SignSequence(signs)) @ dec.phi_dag)
+    half = _paired_real_layout(dec)
+    signs = np.where((half >= 0) & (half < np.arange(half.size)), -1, 1)
+    return (_chain_product(dec, "R", dec.psi, dec.phi_dag),
+            _chain_product(dec, "P", dec.phi, dec.phi_dag, signs))
 
 
 def build_quaternionic_T(dec: SpectralDecomposition) -> SymmetryOperator:
     """Antilinear symmetry squaring to -1 (fermionic-type time reversal);
     coincides with R T P for the paired parity."""
     _require_paired(dec)
-    halves = _paired_real_layout(dec, reason="Theorem 2")
-    k = _coefficients(dec, "Tfrak", halves=halves)
-    return SymmetryOperator(dec.psi @ k @ dec.phi.T, antilinear=True)
+    _paired_real_layout(dec, reason="Theorem 2")
+    return SymmetryOperator(_chain_product(dec, "Tfrak", dec.psi, dec.phi.T), antilinear=True)
 
 
 def involutory_symmetry_exists(dec: SpectralDecomposition) -> bool:

@@ -40,18 +40,23 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from types import MappingProxyType
 
 import numpy as np
 
 from . import linalg
-from .errors import ClusterAmbiguity, NonConvergence, NotPaired, Overflow, SingularBasis
+from .errors import (ClusterAmbiguity, DimensionMismatch, NonConvergence, NotPaired, Overflow,
+                     SingularBasis)
 from .linalg import DEFAULT_TOL, Tolerance
 
 REAL = "real"
 PLUS = "plus"       # complex eigenvalue, positive imaginary part
 MINUS = "minus"     # its conjugate partner
 UNPAIRED = "unpaired"
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -121,58 +126,70 @@ class SpectralDecomposition:
     @cached_property
     def phi_dag(self) -> np.ndarray:
         """Phi^dag = S^-1, computed once (read-only)."""
-        phi_dag = self.phi.conj().T
-        phi_dag.flags.writeable = False
-        return phi_dag
+        return _read_only(self.phi.conj().T)
 
     @cached_property
-    def chain_starts(self) -> MappingProxyType:
-        """``(start, dim)`` of each (group, chain) label's vectors in
-        ``psi_matrix`` column order (read-only)."""
-        starts, pos = {}, 0
-        for ng, g in enumerate(self.groups):
-            for a, c in enumerate(g.chains):
-                starts[(ng, a)] = (pos, c.dim)
-                pos += c.dim
-        return MappingProxyType(starts)
+    def chain_labels(self) -> tuple:
+        """The (group, chain) label of each chain; chain arrays follow this order."""
+        return tuple((ng, a) for ng, g in enumerate(self.groups) for a in range(len(g.chains)))
 
     @cached_property
-    def conjugates(self) -> MappingProxyType:
-        """The label of each chain's complex conjugate (read-only): a real
-        chain's own, a pair member's partner chain; unpaired ones have none."""
-        conj = {x: x for x in self.chain_starts if self.groups[x[0]].kind == REAL}
-        for ng1, g1, ng2, _ in self.iter_pairs():
-            for a in range(len(g1.chains)):
-                conj[ng1, a], conj[ng2, a] = (ng2, a), (ng1, a)
-        return MappingProxyType(conj)
+    def chain_dim(self) -> np.ndarray:
+        """Each chain's dimension (read-only)."""
+        return _read_only(np.array([c.dim for g in self.groups for c in g.chains]))
 
     @cached_property
-    def canonical_signs(self) -> MappingProxyType:
-        """The canonical sign of each chain label (read-only): +/- in turn
-        over the odd-dimensional real chains, + on every other label."""
-        signs, flip = dict.fromkeys(self.chain_starts, +1), +1
-        for (ng, a), (_, dim) in self.chain_starts.items():
-            if self.groups[ng].kind == REAL and dim % 2 == 1:
-                signs[ng, a], flip = flip, -flip
-        return MappingProxyType(signs)
+    def chain_start(self) -> np.ndarray:
+        """Each chain's first column in ``psi`` and ``phi`` (read-only)."""
+        return _read_only(np.cumsum(self.chain_dim) - self.chain_dim)
 
     @cached_property
-    def real_block_halves(self) -> tuple[tuple, tuple]:
-        """Real chains in two halves of identical dimensions, as label pairs
-        ``((ng, a), (ng, b))``, and the (eigenvalue, block_dims) of every real
-        group whose blocks do not pair up (read-only)."""
-        halves, violations = [], []
+    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The chain of each column of ``psi`` and ``phi``, its height in
+        that chain from 0, and its depth ``dim - 1 - height`` (read-only)."""
+        chain = np.repeat(np.arange(self.chain_dim.size), self.chain_dim)
+        height = np.arange(self.n) - self.chain_start[chain]
+        return (_read_only(chain), _read_only(height),
+                _read_only(self.chain_dim[chain] - 1 - height))
+
+    @cached_property
+    def chain_conj(self) -> np.ndarray:
+        """Each chain's complex conjugate (read-only): a real chain itself, a
+        pair member its partner's chain of the same index, an unpaired one -1."""
+        partner = {ng: ng for ng, _ in self.iter_real()}
+        for ng1, _, ng2, _ in self.iter_pairs():
+            partner[ng1], partner[ng2] = ng2, ng1
+        index = {x: c for c, x in enumerate(self.chain_labels)}
+        return _read_only(np.array([index.get((partner.get(ng), a), -1)
+                                    for ng, a in self.chain_labels]))
+
+    @cached_property
+    def canonical_signs(self) -> np.ndarray:
+        """Each chain's canonical sign (read-only): +/- in turn over the
+        odd-dimensional real chains, + on every other chain."""
+        signs, flip = [1] * len(self.chain_labels), 1
+        for c, ((ng, _), dim) in enumerate(zip(self.chain_labels, self.chain_dim.tolist())):
+            if self.groups[ng].kind == REAL and dim % 2:
+                signs[c], flip = flip, -flip
+        return _read_only(np.array(signs))
+
+    @cached_property
+    def real_block_halves(self) -> tuple[np.ndarray, tuple]:
+        """Each real chain's partner of identical dimension in the other half
+        of its group's chains, else -1 (read-only), and the (eigenvalue,
+        block_dims) of every real group whose blocks do not pair up."""
+        half, violations = [-1] * len(self.chain_labels), []
         for ng, g in self.iter_real():
-            by_dim = {}
+            by_dim, first = {}, self.chain_labels.index((ng, 0))
             for a, chain in enumerate(g.chains):
-                by_dim.setdefault(chain.dim, []).append(a)
-            if any(len(idxs) % 2 for idxs in by_dim.values()):
+                by_dim.setdefault(chain.dim, []).append(first + a)
+            if any(len(cs) % 2 for cs in by_dim.values()):
                 violations.append((g.eigenvalue, g.block_dims))
                 continue
-            for _, idxs in sorted(by_dim.items()):
-                half = len(idxs) // 2
-                halves.extend(((ng, a), (ng, b)) for a, b in zip(idxs[:half], idxs[half:]))
-        return tuple(halves), tuple(violations)
+            for cs in by_dim.values():  # the halves of each size swap
+                for c, other in zip(cs, cs[len(cs) // 2:] + cs[:len(cs) // 2]):
+                    half[c] = other
+        return _read_only(np.array(half)), tuple(violations)
 
     def iter_real(self):
         return ((ng, g) for ng, g in enumerate(self.groups) if g.kind == REAL)
@@ -223,7 +240,7 @@ def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
     """Assemble H as Psi J Phi^dag, J the Jordan matrix of the chains:
     eigenvalues on the diagonal, ones above it inside each chain."""
     link = np.ones(dec.n - 1)
-    link[[start - 1 for start, _ in dec.chain_starts.values() if start]] = 0.0
+    link[dec.chain_start[1:] - 1] = 0.0
     return dec.psi @ (np.diag(dec.eigenvalues()) + np.diag(link, 1)) @ dec.phi_dag
 
 
@@ -239,11 +256,23 @@ def check_biorthonormal(dec: SpectralDecomposition) -> BiorthonormalityReport:
 
 
 def is_pseudo_hermitian(h, eta, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``eta H eta^-1 = H^dag`` at tolerance."""
-    h = linalg.as_cmatrix(h)
-    eta = linalg.as_cmatrix(eta)
-    linalg.metric_eigenvalues(eta, tol)
-    resid = np.linalg.norm(eta @ h @ np.linalg.inv(eta) - h.conj().T)
+    """True iff ``eta H eta^-1 = H^dag`` at tolerance; ``eta`` is refused by
+    the rule of ``linalg.metric_eigenvalues``, whose eigensolve runs only
+    when Weyl's inequality, ``|w| >= 1/||eta^-1||_F - ||eta - eta^dag||_F / 2``
+    for the eigenvalues w of eta's Hermitian part, cannot put every |w|
+    above twice ``tol.scaled(eta)``."""
+    h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
+    if h.shape != eta.shape:
+        raise DimensionMismatch(f"H is {h.shape} but the metric is {eta.shape}")
+    try:
+        eta_inv = np.linalg.inv(eta)
+    except np.linalg.LinAlgError:
+        linalg.metric_eigenvalues(eta, tol)
+        raise
+    thr, defect = tol.scaled(eta), linalg.hermitian_defect(eta)
+    if not (defect <= thr and 0.0 < float(np.linalg.norm(eta_inv)) * (2 * thr + defect / 2) < 1):
+        linalg.metric_eigenvalues(eta, tol)
+    resid = np.linalg.norm(eta @ h @ eta_inv - h.conj().T)
     return bool(resid <= tol.scaled(h, eta))
 
 
@@ -316,8 +345,7 @@ def _assemble(specs, kinds, pair_ids, psi: np.ndarray,
     """The one constructor of a decomposition: marks S (``psi``) and Phi
     (``phi``) read-only and cuts them into the groups of ``specs``, in order,
     each chain taking views of consecutive columns of both."""
-    psi.flags.writeable = False
-    phi.flags.writeable = False
+    psi, phi = _read_only(psi), _read_only(phi)
     groups, offset = [], 0
     for spec, kind, pair_id in zip(specs, kinds, pair_ids):
         chains = []

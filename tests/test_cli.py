@@ -287,6 +287,26 @@ def test_check_rejects_a_pair_with_split_signs(tmp_path, capsys):
     assert "must share its sign" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rows,message", [
+    ([[0, 0]], "error: sign sequence row [0, 0] is not a [group, chain, sign] triple\n"),
+    ({"0": 1}, "error: sign sequence row {'0': 1} is not a [group, chain, sign] triple\n"),
+    ([[0, 0, 1], [2, 0, 1]], "error: sign sequence labels do not match the decomposition: "
+                             "missing [(1, 0)], extra [(2, 0)]\n"),
+])
+def test_construct_names_the_bad_sign_rows(sixone, tmp_path, capsys, rows, message):
+    sigma = tmp_path / "sigma.json"
+    sigma.write_text(json.dumps(rows))
+    assert main(["construct", "--input", str(sixone), "--ops", "P", "--sigma", str(sigma)]) == 1
+    assert capsys.readouterr().err == message
+
+
+def test_classify_refuses_operands_of_different_sizes(tmp_path, capsys):
+    metric = _write_matrix(tmp_path, "m.json", np.eye(2))
+    op = _write_matrix(tmp_path, "o.json", np.eye(3))
+    assert main(["classify", "--metric", str(metric), "--op", str(op)]) == 1
+    assert capsys.readouterr().err == "error: operator is (3, 3) but the metric is (2, 2)\n"
+
+
 def test_check_table_is_the_library_battery(tmp_path, capsys):
     h, _ = synthesize(SynthesisSpec(groups=(JordanBlockSpec(0.5, (2,)),
                                             JordanBlockSpec(-1 + 0.7j, (1,)),

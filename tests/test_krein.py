@@ -1,11 +1,15 @@
 """Indefinite-metric machinery: inner product, congruence, classification."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from pseudoherm import krein
+from pseudoherm import evolution, krein, linalg, spectral
 from pseudoherm.errors import (
+    DimensionMismatch,
     NonHermitianMetric,
+    PseudohermError,
     NotAntiunitary,
     SingularMetric,
     SingularOperator,
@@ -13,6 +17,7 @@ from pseudoherm.errors import (
 )
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
 from pseudoherm.krein import (
+    ClassificationResult,
     SymmetryClass,
     build_krein_space,
     classification_report,
@@ -32,7 +37,9 @@ from pseudoherm.operators import (
     build_reflecting,
     build_tp,
 )
+from pseudoherm.linalg import DEFAULT_TOL
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
+from test_operators import _CASES
 
 RNG = np.random.default_rng(77)
 
@@ -323,3 +330,191 @@ def test_commutant_element_needs_one_coefficient_list_per_chain():
     _, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))
     with pytest.raises(ValueError, match="expected 2 coefficient lists, got 1"):
         commutant_element(dec, [[1.0]])
+
+
+# ---------------------------------------------------------------------------
+# invertibility certificates against the decompositions they stand in for
+
+
+def _metric_rule(metric, tol):
+    """The metric refusal by an eigensolve, as ``linalg.metric_eigenvalues``
+    has always applied it."""
+    if not np.linalg.norm(metric - metric.conj().T) <= tol.scaled(metric):
+        raise NonHermitianMetric("metric is not Hermitian at tolerance")
+    w = np.linalg.eigvalsh(0.5 * (metric + metric.conj().T))
+    nearest = w[np.abs(w).argmin()]
+    if abs(nearest) <= tol.scaled(metric):
+        raise SingularMetric(f"metric eigenvalue {nearest:.3e} within tolerance of zero")
+    return w
+
+
+def _report_by_svd(op, metric, tol=DEFAULT_TOL):
+    """``classification_report`` with the SVD rank test before the residuals."""
+    sym = SymmetryOperator.of(op)
+    metric = linalg.as_cmatrix(metric)
+    w = _metric_rule(metric, tol)
+    m = sym.matrix
+    s = np.linalg.svd(m, compute_uv=False)
+    if np.count_nonzero(s > tol.abs + tol.rel * s[0]) < m.shape[0]:
+        raise SingularOperator("operator is singular at tolerance; classification "
+                               "is defined for invertible operators only")
+    gram = m.conj().T @ metric @ m
+    residuals = {
+        SymmetryClass.P_UNITARY: float(np.linalg.norm(gram - metric)),
+        SymmetryClass.P_PSEUDOUNITARY: float(np.linalg.norm(gram + metric)),
+        SymmetryClass.P_ANTIUNITARY: float(np.linalg.norm(gram - metric.T)),
+        SymmetryClass.P_PSEUDOANTIUNITARY: float(np.linalg.norm(gram + metric.T)),
+    }
+    eligible = ([SymmetryClass.P_ANTIUNITARY, SymmetryClass.P_PSEUDOANTIUNITARY]
+                if sym.antilinear else [SymmetryClass.P_UNITARY, SymmetryClass.P_PSEUDOUNITARY])
+    thr = tol.scaled(metric, m, gram)
+    best, runner = sorted(eligible, key=lambda k: residuals[k])[:2]
+    cls = SymmetryClass.NONE
+    if residuals[best] <= thr and residuals[runner] >= 10.0 * thr:
+        cls = best
+    return ClassificationResult(symmetry_class=cls,
+                                residuals={k.value: v for k, v in residuals.items()},
+                                threshold=thr, antilinear=sym.antilinear,
+                                signature=(int(np.sum(w > 0)), int(np.sum(w < 0))))
+
+
+def _pseudo_hermitian_by_eigvalsh(h, eta, tol=DEFAULT_TOL):
+    """``is_pseudo_hermitian`` with the metric eigensolve before the residual."""
+    h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
+    _metric_rule(eta, tol)
+    resid = np.linalg.norm(eta @ h @ np.linalg.inv(eta) - h.conj().T)
+    return bool(resid <= tol.scaled(h, eta))
+
+
+def _outcome(call, *args):
+    """``call(*args)``, or the type and message of the refusal it raises; a
+    RuntimeWarning fails the test."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            return call(*args)
+        except (PseudohermError, np.linalg.LinAlgError) as exc:
+            return type(exc), str(exc)
+
+
+def _count(monkeypatch, module, name):
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *a, **k: calls.append(name) or real(*a, **k))
+    return calls
+
+
+def _pipeline_cases():
+    """(label, H, P, U(t), TP) of every paired kernel case and of the four
+    two-level regimes."""
+    regimes = {"real": (2.0, 0.5), "complex": (2.0, -0.5), "jordan": (2.0, 0.0),
+               "scalar": (0.0, 0.0)}
+    decs = dict(_CASES) | {f"two-level-{regime}": mashhoon_papini(MashhoonPapiniParams(0.5, *rs))[2]
+                           for regime, rs in regimes.items()}
+    for label, dec in decs.items():
+        if not dec.has_unpaired_complex():
+            h = spectral.reconstruct(dec)
+            u = evolution.propagator(h, 0.5 / max(1.0, np.linalg.norm(h)))
+            yield label, h, build_parity(dec), u, build_tp(dec)
+
+
+def _small_case():
+    """H, its canonical P and the propagator U(0.4) of a five-dimensional
+    structure with a Jordan block and a conjugate pair."""
+    _, dec = synthesize(SynthesisSpec(groups=(
+        JordanBlockSpec(0.3, (2,)), JordanBlockSpec(1 + 0.5j, (1,)),
+        JordanBlockSpec(1 - 0.5j, (1,)), JordanBlockSpec(-0.7, (1,))), basis_seed=4))
+    h = spectral.reconstruct(dec)
+    return h, build_parity(dec), evolution.propagator(h, 0.4)
+
+
+def _with_least_singular_value(m, rel):
+    """``m`` with its smallest singular value set to ``rel`` times its largest."""
+    q, s, wh = np.linalg.svd(m)
+    s[-1] = rel * s[0]
+    return (q * s) @ wh
+
+
+def test_rank_certificate_matches_the_svd_rule(monkeypatch):
+    """Sweep the smallest singular value across the rank cut, next to the
+    propagator, TP, near-unitary and singular operators and refused metrics:
+    every outcome is the SVD rule's, and both paths are taken."""
+    h, p, u = _small_case()
+    tp = build_tp(spectral.analyze(h))
+    eye = np.eye(5, dtype=complex)
+    ops = [_with_least_singular_value(u, rel) for rel in np.geomspace(1e-14, 1.0, 29)]
+    ops += [u, (1 + 1e-9) * u, u + 1e-7 * RNG.normal(size=(5, 5)), tp.matrix,
+            np.zeros((5, 5)), eye - np.outer(eye[0], eye[0])]
+    metrics = [p, p + 1e-12 * (eye[:, ::-1] - eye[::-1].T) * 1j, -p]
+    w, v = np.linalg.eigh(p)
+    for scale in np.geomspace(1e-2, 1e3, 11):  # one metric eigenvalue across the cut
+        w_t = w.copy()
+        w_t[np.abs(w).argmin()] = scale * DEFAULT_TOL.scaled(p)
+        metrics.append((v * w_t) @ v.conj().T)
+    ranks = _count(monkeypatch, linalg, "rank")
+    outcomes = set()
+    for metric in metrics:
+        for op in ops + [SymmetryOperator(m, antilinear=True) for m in ops[-8:]]:
+            before = len(ranks)
+            want = _outcome(_report_by_svd, op, metric)
+            assert _outcome(classification_report, op, metric) == want
+            outcomes.add((len(ranks) == before, type(want).__name__))
+    diag, eye2 = np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)
+    for metric, op in [(diag, eye2), (np.array([[1, 1], [0, 1]], dtype=complex), eye2),
+                       (eye2, diag), (eye2, np.zeros((2, 2)))]:
+        assert _outcome(classification_report, op, metric) == _outcome(_report_by_svd, op, metric)
+    assert {(True, "ClassificationResult"), (False, "ClassificationResult"),
+            (False, "tuple")} <= outcomes
+
+
+def test_metric_certificate_matches_the_eigensolve_rule(monkeypatch):
+    """Sweep one metric eigenvalue across ``tol.scaled(eta)``; an exactly
+    singular, a non-Hermitian and a barely Hermitian metric too: every
+    outcome of ``is_pseudo_hermitian`` is the eigensolve rule's."""
+    h, p, _ = _small_case()
+    w, v = np.linalg.eigh(p)
+    eye = np.eye(5, dtype=complex)
+    metrics = [p, -p, p + 1e-12j * (eye[:, ::-1] - eye[::-1].T), eye, np.zeros((5, 5)),
+               np.diag([1.0, 1, 1, 1, 0]), p + np.triu(np.ones((5, 5)), 1)]
+    for scale in np.geomspace(1e-2, 1e8, 21):
+        for sign in (1, -1):
+            w_t = w.copy()
+            w_t[np.abs(w).argmin()] = sign * scale * DEFAULT_TOL.scaled(p)
+            metrics.append((v * w_t) @ v.conj().T)
+    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
+    skipped = 0
+    for metric in metrics:
+        for op in (h, eye, h.conj().T):
+            want = _outcome(_pseudo_hermitian_by_eigvalsh, op, metric)
+            before = len(eigs)
+            assert _outcome(spectral.is_pseudo_hermitian, op, metric) == want
+            skipped += len(eigs) == before
+    assert 0 < skipped < 3 * len(metrics)
+
+
+def test_pipeline_operators_need_no_svd_and_their_metric_no_eigensolve(monkeypatch):
+    """The U(t) and TP classifications of every paired kernel case and of
+    the four two-level regimes make no SVD, and ``is_pseudo_hermitian`` no
+    eigensolve of their P; a singular operator still reaches the rank test."""
+    svds = _count(monkeypatch, np.linalg, "svd")
+    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
+    for label, h, p, u, tp in _pipeline_cases():
+        assert classification_report(u, p).symmetry_class is SymmetryClass.P_UNITARY, label
+        assert classification_report(tp, p).symmetry_class is SymmetryClass.P_ANTIUNITARY, label
+        assert svds == [], label
+        eigs.clear()
+        assert spectral.is_pseudo_hermitian(h, p), label
+        assert eigs == [], label
+    ranks = _count(monkeypatch, linalg, "rank")
+    with pytest.raises(SingularOperator):
+        classification_report(u - u[:, :1] @ u[:1, :] / u[0, 0], p)
+    assert ranks == ["rank"] and svds == ["svd"]
+
+
+def test_operands_of_different_sizes_are_refused_before_any_decomposition(monkeypatch):
+    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
+    with pytest.raises(DimensionMismatch, match=r"operator is \(3, 3\) but the metric is \(2, 2\)"):
+        classification_report(np.eye(3), np.eye(2))
+    with pytest.raises(DimensionMismatch, match=r"H is \(3, 3\) but the metric is \(2, 2\)"):
+        spectral.is_pseudo_hermitian(np.eye(3), np.eye(2))
+    assert eigs == []

@@ -1,5 +1,7 @@
 """Symmetry operator constructions: closed forms and algebraic invariants."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -327,11 +329,25 @@ def _dyad_positive_metric(dec):
     return p
 
 
+def _halves(dec):
+    """The real block halves as label pairs ``((ng, a), (ng, b))``, a < b."""
+    half, labels = dec.real_block_halves[0], dec.chain_labels
+    return [(labels[c], labels[h]) for c, h in enumerate(half) if h > c]
+
+
+def _dense(coefficients, n):
+    """K from its column gather ``(src, sign)``: ``K[src[j], j] = sign[j]``."""
+    src, sign = coefficients
+    k = np.zeros((n, n))
+    k[src, np.arange(n)] = sign
+    return k
+
+
 def _dyad_reflecting(dec):
     n = dec.n
     r = np.zeros((n, n), dtype=np.complex128)
     p = np.zeros((n, n), dtype=np.complex128)
-    for (ng, a), (_, b) in operators._paired_real_layout(dec):
+    for (ng, a), (_, b) in _halves(dec):
         ca, cb = dec.groups[ng].chains[a], dec.groups[ng].chains[b]
         for i in range(ca.dim):
             r += np.outer(ca.psi[i], cb.phi[i].conj())
@@ -352,7 +368,7 @@ def _dyad_reflecting(dec):
 
 def _dyad_quaternionic_T(dec):
     m = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for (ng, a), (_, b) in operators._paired_real_layout(dec):
+    for (ng, a), (_, b) in _halves(dec):
         ca, cb = dec.groups[ng].chains[a], dec.groups[ng].chains[b]
         for i in range(ca.dim):
             m += np.outer(ca.psi[i], cb.phi[i])
@@ -518,7 +534,7 @@ def test_kernel_matches_dyad_sums(label):
 @pytest.mark.parametrize("label", list(_CASES))
 def test_canonical_trace_matches_block_reversal(label):
     dec = _CASES[label]
-    k = operators._coefficients(dec, "P", canonical_sign_sequence(dec))
+    k = _dense(operators._coefficients(dec, "P", dec.canonical_signs), dec.n)
     assert np.array_equal(k, _dyad_canonical_p_tilde(dec).real)
     trace = krein.pseudounitary_symmetries_exist(dec).canonical_trace
     assert trace == float(np.trace(_dyad_canonical_p_tilde(dec)).real)
@@ -575,22 +591,21 @@ def test_unpaired_complex_positive_metric_and_parity_kernel():
     dec = analyze(np.diag([2j, 1.0]).astype(complex), allow_unpaired=True)
     with pytest.raises(NotDiagonalizableReal):
         build_positive_metric(dec)
-    k = operators._coefficients(dec, "P", canonical_sign_sequence(dec))
+    k = _dense(operators._coefficients(dec, "P", dec.canonical_signs), dec.n)
     assert np.array_equal(k, _dyad_canonical_p_tilde(dec).real)
 
 
 @pytest.mark.parametrize("label", ["two-level-1.0-1.0--1.0", "n32-paired"])
 def test_one_flipped_coefficient_sign_is_caught(label, monkeypatch):
-    """The comparison above has teeth: negating one nonzero entry of any
-    operator's K moves it far past 1e-12."""
+    """The comparison above has teeth: negating one nonzero sign of any
+    operator's column gather (one entry of its K) moves it far past 1e-12."""
     kernel = operators._coefficients
 
     def flipped(*args, **kwargs):
-        k = kernel(*args, **kwargs)
-        nonzero = np.argwhere(k)
-        row, col = nonzero[len(nonzero) // 2]
-        k[row, col] = -k[row, col]
-        return k
+        src, sign = kernel(*args, **kwargs)
+        nonzero = np.flatnonzero(sign)
+        sign[nonzero[len(nonzero) // 2]] *= -1
+        return src, sign
 
     monkeypatch.setattr(operators, "_coefficients", flipped)
     rows = {name: _rel_err(got, want)
@@ -599,6 +614,39 @@ def test_one_flipped_coefficient_sign_is_caught(label, monkeypatch):
     assert set(rows) == {"P canonical", "P sigma", "C canonical", "C sigma", "T",
                          "TP sigma", "CTP", "R", "paired P", "Tfrak"}
     assert min(rows.values()) > 1e-6, rows
+
+
+def test_every_builder_makes_one_product():
+    """K is applied as a column gather: one matrix product per operator."""
+    dec = _CASES["n32-paired"]
+    products = []
+
+    class Counted(np.ndarray):
+        def __matmul__(self, other):
+            products.append(1)
+            return np.asarray(self) @ np.asarray(other)
+
+        def __rmatmul__(self, other):
+            products.append(1)
+            return np.asarray(other) @ np.asarray(self)
+
+    counted = dataclasses.replace(dec, psi=dec.psi.view(Counted), phi=dec.phi.view(Counted))
+    for build in (build_parity, build_charge, build_time_reversal, build_tp, build_ctp,
+                  build_reflecting, build_quaternionic_T):
+        products.clear()
+        got, want = build(counted), build(dec)
+        pairs = zip(got, want) if isinstance(want, tuple) else [(got, want)]
+        for g, w in pairs:
+            g, w = (SymmetryOperator.of(x).matrix for x in (g, w))
+            assert np.array_equal(np.asarray(g), w), build.__name__
+        assert len(products) == (2 if build is build_reflecting else 1), build.__name__
+    diagonal = _CASES["n32-diagonal"]
+    products.clear()
+    counted = dataclasses.replace(diagonal, psi=diagonal.psi.view(Counted),
+                                  phi=diagonal.phi.view(Counted))
+    assert np.array_equal(np.asarray(build_positive_metric(counted)),
+                          build_positive_metric(diagonal))
+    assert len(products) == 1
 
 
 def test_compose_refuses_different_dimensions():

@@ -1,0 +1,84 @@
+#!/usr/bin/env python3
+"""Dense-kernel calls per benchmark op.
+
+    python3 tools/kernel_census.py [--src path/to/src] [--seed 7]
+
+Builds the timed pool of each library workload of ``perfbench/inputs`` for
+one seed, runs every input once through ``perfbench/pipeline.run_op`` (the
+op the benchmark times), and prints per workload the mean number of calls
+per op of each counted kernel:
+
+    schur     linalg.schur (one zgees)
+    svd       numpy.linalg.svd (rank tests and the analyze rank staircase)
+    eigvalsh  numpy.linalg.eigvalsh (metric eigenvalues)
+    inv       numpy.linalg.inv and linalg.inv (LU)
+    expm      linalg.expm
+
+The counters wrap the module attributes only while an op runs, so building
+the pool is not counted.  ``--src`` picks the pseudoherm source tree to run
+(default: this checkout's ``src``), so two trees are compared with ``diff``.
+Nothing under ``perfbench/`` is changed.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("small-mixed", "large-defective", "long-evolution")
+KERNELS = ("schur", "svd", "eigvalsh", "inv", "expm")
+
+
+def census(workload: str, seed: int) -> tuple[int, Counter]:
+    """``(ops, calls per kernel)`` over the workload's timed pool."""
+    import numpy as np
+
+    import inputs
+    import pipeline
+    from pseudoherm import linalg
+
+    pool, _ = inputs.generate(workload, seed)
+    calls = Counter()
+    wrapped = [(linalg, "schur", "schur"), (np.linalg, "svd", "svd"),
+               (np.linalg, "eigvalsh", "eigvalsh"), (np.linalg, "inv", "inv"),
+               (linalg, "inv", "inv"), (linalg, "expm", "expm")]
+    originals = [getattr(module, attr) for module, attr, _ in wrapped]
+
+    def counted(kernel, real):
+        def call(*args, **kwargs):
+            calls[kernel] += 1
+            return real(*args, **kwargs)
+        return call
+
+    try:
+        for (module, attr, kernel), real in zip(wrapped, originals):
+            setattr(module, attr, counted(kernel, real))
+        for case in pool:
+            pipeline.run_op(case)
+    finally:
+        for (module, attr, _), real in zip(wrapped, originals):
+            setattr(module, attr, real)
+    return len(pool), calls
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=ROOT / "src",
+                        help="directory holding the pseudoherm package to run")
+    parser.add_argument("--seed", type=int, default=7)
+    args = parser.parse_args(argv)
+    sys.dont_write_bytecode = True  # leave no cache files under perfbench/
+    sys.path[:0] = [str(args.src.resolve()), str(ROOT / "perfbench")]
+    print("workload seed ops " + " ".join(KERNELS) + "  (calls per op)")
+    for workload in WORKLOADS:
+        ops, calls = census(workload, args.seed)
+        print(f"{workload} {args.seed} {ops} "
+              + " ".join(f"{calls[k] / ops:.4g}" for k in KERNELS))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
