@@ -153,6 +153,8 @@ def cmd_evolve(args) -> int:
     initial = serialization.doc_to_vector(serialization.load_json(args.initial))
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")
+    if not np.isfinite([args.t0, args.t1]).all():
+        raise ValueError("time grid must be finite")
     grid = tuple(np.linspace(args.t0, args.t1, args.steps))
     req = evolution.EvolutionRequest(h=h, metric=metric, initial_state=initial,
                                      t_grid=grid, tol=args.tol)

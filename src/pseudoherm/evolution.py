@@ -61,6 +61,8 @@ class EvolutionRequest:
         if np.linalg.norm(state) == 0:
             raise ValueError("initial state is zero")
         grid = tuple(map(float, self.t_grid))
+        if not np.isfinite(grid).all():
+            raise ValueError("time grid must be finite")
         if not grid or any(map(operator.le, grid[1:], grid)):
             raise ValueError("time grid must be non-empty and strictly increasing")
         object.__setattr__(self, "h", h)

@@ -103,11 +103,9 @@ def krein_inner(psi, phi, metric) -> complex:
 
 
 def build_krein_space(metric, tol: Tolerance = DEFAULT_TOL) -> KreinSpace:
-    """Spectral splitting of a Hermitian invertible metric (refused by
-    ``linalg.metric_eigenvalues``)."""
-    metric = linalg.as_cmatrix(metric)
-    linalg.metric_eigenvalues(metric, tol)
-    w, v = np.linalg.eigh(0.5 * (metric + metric.conj().T))
+    """Spectral splitting of a Hermitian invertible metric (refused by the
+    rule of ``linalg.metric_eigenvalues``), from one ``eigh``."""
+    w, v = linalg._metric_solve(metric, tol, np.linalg.eigh)
     pos = v[:, w > 0]
     neg = v[:, w < 0]
     return KreinSpace(

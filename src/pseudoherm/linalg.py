@@ -271,12 +271,19 @@ def metric_eigenvalues(metric, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     ``NonHermitianMetric`` unless it is Hermitian at ``tol``, and
     ``SingularMetric`` when an eigenvalue of its Hermitian part lies within
     ``tol.scaled(metric)`` of zero."""
+    return _metric_solve(metric, tol, np.linalg.eigvalsh)
+
+
+def _metric_solve(metric, tol: Tolerance, solve):
+    """``solve`` (``eigvalsh``, or ``eigh`` for the eigenvectors too) on the
+    Hermitian part of ``metric``, under the rule of ``metric_eigenvalues``."""
     metric = as_cmatrix(metric)
     thr = tol.scaled(metric)
     if not hermitian_defect(metric) <= thr:
         raise NonHermitianMetric("metric is not Hermitian at tolerance")
-    w = np.linalg.eigvalsh(0.5 * (metric + metric.conj().T))
+    out = solve(0.5 * (metric + metric.conj().T))
+    w = out[0] if isinstance(out, tuple) else out
     nearest = w[np.abs(w).argmin()]
     if abs(nearest) <= thr:
         raise SingularMetric(f"metric eigenvalue {nearest:.3e} within tolerance of zero")
-    return w
+    return out

@@ -33,7 +33,10 @@ and Phi^dag = S^-1 as the cached ``phi_dag``, all read-only; chains are
 views of their columns, and callers multiply these matrices directly.
 ``_assemble`` is the one constructor and ``_pair_up`` the one kind/pair
 tagger, for ``analyze``, ``synthesize`` and ``evolution.mashhoon_papini``
-alike; ``reconstruct`` is the one H = Psi J Phi^dag.
+alike; ``reconstruct`` is the one H = Psi J Phi^dag.  The same pass of
+``_assemble`` builds the chain table the operators read, and ``_match`` is
+the one rule for which chain meets which: the k-th of each size meets the
+k-th of that size in its conjugate partner or its real group's other half.
 """
 
 from __future__ import annotations
@@ -105,11 +108,25 @@ class EigenGroup:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalue groups over one read-only copy of S (``psi``) and Phi
-    (``phi``), columns in group/chain/height order; chains are views."""
+    (``phi``), columns in group/chain/height order (chains are views), and
+    the read-only chain table ``_assemble`` builds with them, one entry per
+    chain in ``chain_labels`` order or, for ``columns``, per column.
+    ``chain_conj`` and the real block halves follow one matching rule: within
+    one size, the k-th chain meets the k-th chain of that size in its
+    partner, the other member of a conjugate pair or, for a real chain, the
+    other half of its group's chains."""
 
     groups: tuple[EigenGroup, ...]
     psi: np.ndarray
     phi: np.ndarray
+    chain_labels: tuple                    # (group, chain)
+    chain_dim: np.ndarray
+    chain_start: np.ndarray                # first column in psi and phi
+    columns: tuple[np.ndarray, np.ndarray, np.ndarray]  # chain, height, dim - 1 - height
+    chain_conj: np.ndarray                 # complex conjugate: itself if real, -1 if unpaired
+    canonical_signs: np.ndarray            # +/- in turn over odd-dimensional real chains, else +
+    real_block_halves: tuple[np.ndarray, tuple]  # partner in the other half, else -1,
+    # and the (eigenvalue, block_dims) of every real group whose blocks do not pair up
 
     @property
     def n(self) -> int:
@@ -127,72 +144,6 @@ class SpectralDecomposition:
     def phi_dag(self) -> np.ndarray:
         """Phi^dag = S^-1, computed once (read-only)."""
         return _read_only(self.phi.conj().T)
-
-    @cached_property
-    def chain_labels(self) -> tuple:
-        """The (group, chain) label of each chain; chain arrays follow this order."""
-        return tuple((ng, a) for ng, g in enumerate(self.groups) for a in range(len(g.chains)))
-
-    @cached_property
-    def chain_dim(self) -> np.ndarray:
-        """Each chain's dimension (read-only)."""
-        return _read_only(np.array([c.dim for g in self.groups for c in g.chains]))
-
-    @cached_property
-    def chain_start(self) -> np.ndarray:
-        """Each chain's first column in ``psi`` and ``phi`` (read-only)."""
-        return _read_only(np.cumsum(self.chain_dim) - self.chain_dim)
-
-    @cached_property
-    def columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The chain of each column of ``psi`` and ``phi``, its height in
-        that chain from 0, and its depth ``dim - 1 - height`` (read-only)."""
-        chain = np.repeat(np.arange(self.chain_dim.size), self.chain_dim)
-        height = np.arange(self.n) - self.chain_start[chain]
-        return (_read_only(chain), _read_only(height),
-                _read_only(self.chain_dim[chain] - 1 - height))
-
-    @cached_property
-    def chain_conj(self) -> np.ndarray:
-        """Each chain's complex conjugate (read-only): a real chain itself, a
-        pair member its partner's chain of the same index, an unpaired one -1."""
-        partner = {ng: ng for ng, _ in self.iter_real()}
-        for ng1, _, ng2, _ in self.iter_pairs():
-            partner[ng1], partner[ng2] = ng2, ng1
-        index = {x: c for c, x in enumerate(self.chain_labels)}
-        return _read_only(np.array([index.get((partner.get(ng), a), -1)
-                                    for ng, a in self.chain_labels]))
-
-    @cached_property
-    def canonical_signs(self) -> np.ndarray:
-        """Each chain's canonical sign (read-only): +/- in turn over the
-        odd-dimensional real chains, + on every other chain."""
-        signs, flip = [1] * len(self.chain_labels), 1
-        for c, ((ng, _), dim) in enumerate(zip(self.chain_labels, self.chain_dim.tolist())):
-            if self.groups[ng].kind == REAL and dim % 2:
-                signs[c], flip = flip, -flip
-        return _read_only(np.array(signs))
-
-    @cached_property
-    def real_block_halves(self) -> tuple[np.ndarray, tuple]:
-        """Each real chain's partner of identical dimension in the other half
-        of its group's chains, else -1 (read-only), and the (eigenvalue,
-        block_dims) of every real group whose blocks do not pair up."""
-        half, violations = [-1] * len(self.chain_labels), []
-        for ng, g in self.iter_real():
-            by_dim, first = {}, self.chain_labels.index((ng, 0))
-            for a, chain in enumerate(g.chains):
-                by_dim.setdefault(chain.dim, []).append(first + a)
-            if any(len(cs) % 2 for cs in by_dim.values()):
-                violations.append((g.eigenvalue, g.block_dims))
-                continue
-            for cs in by_dim.values():  # the halves of each size swap
-                for c, other in zip(cs, cs[len(cs) // 2:] + cs[:len(cs) // 2]):
-                    half[c] = other
-        return _read_only(np.array(half)), tuple(violations)
-
-    def iter_real(self):
-        return ((ng, g) for ng, g in enumerate(self.groups) if g.kind == REAL)
 
     def iter_pairs(self):
         """Yield ``(ng_first, first, ng_second, second)`` once per pair,
@@ -340,22 +291,58 @@ def synthesize(spec: SynthesisSpec, *, allow_unpaired: bool = False,
     return reconstruct(dec), dec
 
 
+def _match(table: list, mine: dict, theirs: dict):
+    """The one matching rule, over chains listed by size: the k-th chain of
+    each size in ``mine`` meets the k-th chain of that size in ``theirs``."""
+    for p, cs in mine.items():
+        for c, other in zip(cs, theirs[p]):
+            table[c] = other
+
+
 def _assemble(specs, kinds, pair_ids, psi: np.ndarray,
               phi: np.ndarray) -> SpectralDecomposition:
     """The one constructor of a decomposition: marks S (``psi``) and Phi
     (``phi``) read-only and cuts them into the groups of ``specs``, in order,
-    each chain taking views of consecutive columns of both."""
+    each chain taking views of consecutive columns of both.  The same pass
+    builds the chain table, listing each group's chains by size for
+    ``_match`` to pair a conjugate pair's members and a real group's halves."""
     psi, phi = _read_only(psi), _read_only(phi)
-    groups, offset = [], 0
-    for spec, kind, pair_id in zip(specs, kinds, pair_ids):
-        chains = []
-        for p in spec.block_dims:
+    dim = np.array([p for spec in specs for p in spec.block_dims])
+    conj, half, signs, violations = [-1] * dim.size, [-1] * dim.size, [1] * dim.size, []
+    groups, labels, first_member, odd, offset = [], [], {}, 0, 0
+    for ng, (spec, kind, pair_id) in enumerate(zip(specs, kinds, pair_ids)):
+        chains, sizes = [], {}
+        for a, p in enumerate(spec.block_dims):
             sl = slice(offset, offset + p)
             chains.append(JordanChain(psi=psi[:, sl].T, phi=phi[:, sl].T))
+            if kind == REAL and p % 2:  # +/- in turn over the odd-dimensional real chains
+                signs[len(labels)], odd = (-1) ** odd, odd + 1
+            sizes.setdefault(p, []).append(len(labels))
+            labels.append((ng, a))
             offset += p
         groups.append(EigenGroup(eigenvalue=spec.eigenvalue, kind=kind,
                                  pair_id=pair_id, chains=tuple(chains)))
-    return SpectralDecomposition(groups=tuple(groups), psi=psi, phi=phi)
+        if kind == REAL:
+            _match(conj, sizes, sizes)
+            if any(len(cs) % 2 for cs in sizes.values()):
+                violations.append((spec.eigenvalue, spec.block_dims))
+            else:  # the halves of each size swap
+                _match(half, sizes, {p: cs[len(cs) // 2:] + cs[:len(cs) // 2]
+                                     for p, cs in sizes.items()})
+        elif pair_id in first_member:
+            _match(conj, sizes, first_member[pair_id])
+            _match(conj, first_member[pair_id], sizes)
+        elif pair_id is not None:
+            first_member[pair_id] = sizes
+    start = np.cumsum(dim) - dim
+    chain = np.repeat(np.arange(dim.size), dim)
+    height = np.arange(offset) - start[chain]
+    return SpectralDecomposition(
+        groups=tuple(groups), psi=psi, phi=phi, chain_labels=tuple(labels),
+        chain_dim=_read_only(dim), chain_start=_read_only(start),
+        columns=(_read_only(chain), _read_only(height), _read_only(dim[chain] - 1 - height)),
+        chain_conj=_read_only(np.array(conj)), canonical_signs=_read_only(np.array(signs)),
+        real_block_halves=(_read_only(np.array(half)), tuple(violations)))
 
 
 # ---------------------------------------------------------------------------

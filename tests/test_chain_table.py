@@ -1,0 +1,124 @@
+"""The chain table of a decomposition: which chain meets which.
+
+A conjugate pair's members carry the same Jordan block sizes, in any order;
+a real group's blocks pair up when every size occurs an even number of
+times.  Synthesized decompositions draw both, with the orders shuffled, and
+the table, the operators and the existence decision are checked against
+what the block sizes alone say.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from pseudoherm import krein
+from pseudoherm.errors import NotPaired, UnpairedRealBlocks
+from pseudoherm.operators import build_parity, build_quaternionic_T, build_reflecting
+from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
+
+N_MAX = 16
+#: a group's Jordan block sizes, in drawn order; a pair member's lists at
+#: least two, so that shuffling can reorder them
+DIMS = st.lists(st.integers(1, 4), min_size=1, max_size=4)
+PAIR_DIMS = st.lists(st.integers(1, 3), min_size=2, max_size=3)
+#: the unpaired complex eigenvalue; every pair has |Im| >= 1
+UNPAIRED = 3.0 + 0.25j
+
+
+@st.composite
+def structures(draw):
+    """``(eigenvalue, block_dims)`` groups in shuffled order, n <= 16: up to
+    two conjugate pairs whose members list the same sizes in independently
+    shuffled orders, up to three real groups (some with every size an even
+    number of times) and sometimes one unpaired complex group.  A group that
+    would take n past 16 is left out."""
+    groups = []
+
+    def add(*members):
+        if sum(sum(d) for _, d in groups + list(members)) <= N_MAX:
+            groups.extend(members)
+
+    for k in range(draw(st.integers(0, 2))):
+        dims = draw(PAIR_DIMS)
+        z = 0.5 * k + (1 + k) * (1j if draw(st.booleans()) else -1j)
+        add((z, tuple(draw(st.permutations(dims)))),
+            (z.conjugate(), tuple(draw(st.permutations(dims)))))
+    for k in range(draw(st.integers(0, 3))):
+        dims = draw(DIMS)
+        if draw(st.booleans()):
+            dims = draw(st.permutations(dims[:2] * 2))
+        add((float(k), tuple(dims)))
+    if draw(st.integers(0, 3)) == 0:
+        add((UNPAIRED, tuple(draw(DIMS))))
+    return draw(st.permutations(groups or [(0.0, (1,))]))
+
+
+def _synthesize(groups, seed=1, cond=100.0):
+    unpaired = any(z == UNPAIRED for z, _ in groups)
+    spec = SynthesisSpec(groups=tuple(JordanBlockSpec(z, d) for z, d in groups),
+                         basis_seed=seed, basis_cond=cond)
+    return (*synthesize(spec, allow_unpaired=unpaired), unpaired)
+
+
+def _odd_real(dec):
+    """``(eigenvalue, block_dims)`` of each real group with a size that occurs
+    an odd number of times."""
+    return [(g.eigenvalue, g.block_dims) for g in dec.groups if g.kind == "real"
+            and any(g.block_dims.count(d) % 2 for d in g.block_dims)]
+
+
+def _check_table(dec):
+    labels, dim, conj = dec.chain_labels, dec.chain_dim, dec.chain_conj
+    half, violations = dec.real_block_halves
+    group_of = {g.eigenvalue: ng for ng, g in enumerate(dec.groups)}
+    assert list(violations) == _odd_real(dec)
+    for c, (ng, _) in enumerate(labels):
+        g = dec.groups[ng]
+        if g.kind == "real":
+            assert conj[c] == c
+        elif g.kind == "unpaired":
+            assert conj[c] == -1
+        else:
+            assert labels[conj[c]][0] == group_of[g.eigenvalue.conjugate()]
+            assert dim[conj[c]] == dim[c] and conj[conj[c]] == c
+        if g.kind != "real" or (g.eigenvalue, g.block_dims) in violations:
+            assert half[c] == -1
+        else:
+            assert half[c] != c and labels[half[c]][0] == ng
+            assert dim[half[c]] == dim[c] and half[half[c]] == c
+
+
+def _builds(build, dec) -> bool:
+    try:
+        build(dec)
+    except (NotPaired, UnpairedRealBlocks):
+        return False
+    return True
+
+
+@settings(derandomize=True, max_examples=150, deadline=None, database=None)
+@given(structures(), st.integers(0, 2**32 - 1), st.floats(1.0, 100.0))
+def test_chains_meet_their_equal_size_partners(groups, seed, cond):
+    h, dec, unpaired = _synthesize(groups, seed, cond)
+    _check_table(dec)
+    if not unpaired:
+        failed = [r for r in krein.check_battery(h, dec) if not r["pass"]]
+        assert failed == []
+    exists = not unpaired and not _odd_real(dec)
+    assert krein.pseudounitary_symmetries_exist(dec).exists == exists
+    assert _builds(build_reflecting, dec) == _builds(build_quaternionic_T, dec) == exists
+
+
+@pytest.mark.parametrize("groups", [
+    ((1 + 1j, (2, 1)), (1 - 1j, (1, 2))),
+    ((0.5, (1, 3, 1, 3)), (1 + 1j, (2, 1, 1)), (1 - 1j, (1, 1, 2))),
+], ids=["pair-2-1", "real-and-pair"])
+def test_reordered_conjugate_pair_meets_by_size(groups):
+    """The pair members list their sizes in different orders; a 2-chain
+    met with a 1-chain gave a singular, non-Hermitian P."""
+    h, dec, _ = _synthesize(groups)
+    _check_table(dec)
+    p = build_parity(dec)
+    assert np.linalg.norm(p - p.conj().T) <= 1e-12 * np.linalg.norm(p)
+    assert [r["check"] for r in krein.check_battery(h, dec) if not r["pass"]] == []

@@ -599,6 +599,19 @@ def test_evolve_zero_final_state_is_a_usage_error(sixone, tmp_path, capsys):
     assert capsys.readouterr().err == "error: final state is zero\n"
 
 
+@pytest.mark.parametrize("flag", ["--t0", "--t1"])
+@pytest.mark.parametrize("bad", ["inf", "nan", "-inf"])
+def test_evolve_refuses_a_non_finite_time_bound(sixone, tmp_path, capsys, flag, bad):
+    ini = _write_vector(tmp_path, "ini.json", [0.0, 1.0])
+    bounds = {"--t0": "0", "--t1": "1", flag: bad}  # "--t0=-inf": not read as a flag
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["evolve", "--input", str(sixone), "--metric", "pplus",
+                     "--initial", str(ini), "--steps", "5",
+                     *(f"{k}={v}" for k, v in bounds.items())]) == 1
+    assert capsys.readouterr().err == "error: time grid must be finite\n"
+
+
 def test_tolerance_env_override(sixone, monkeypatch, capsys):
     monkeypatch.setenv("PSEUDOHERM_TOL", "1e-6")
     assert main(["analyze", "--input", str(sixone)]) == 0

@@ -1,5 +1,7 @@
 """Time evolution, norm conservation and the two-level model generator."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,15 @@ def test_request_validation():
     with pytest.raises(ValueError):
         EvolutionRequest(h=np.eye(2), metric=np.eye(3),
                          initial_state=[1, 0], t_grid=(0.0,))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_time_grid_is_refused(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^time grid must be finite$"):
+            EvolutionRequest(h=np.eye(2), metric=np.eye(2), initial_state=[1, 0],
+                             t_grid=(0.0, bad))
 
 
 def test_propagator_identity_and_group_law():

@@ -78,6 +78,19 @@ def test_build_krein_space_diag():
     assert ks.signature == (1, 1)
 
 
+def test_build_krein_space_takes_one_eigensolve(monkeypatch):
+    calls = []
+    for name in ("eigvalsh", "eigh"):
+        real = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, real=real, name=name: calls.append(name) or real(a))
+    ks = build_krein_space(np.diag([1.0, -2.0, 3.0]).astype(complex))
+    assert len(calls) == 1, calls
+    assert np.array_equal(ks.plus_projector, np.diag([1.0, 0.0, 1.0]))
+    assert np.array_equal(ks.minus_projector, np.diag([0.0, 1.0, 0.0]))
+    assert ks.signature == (2, 1)
+
+
 def test_build_krein_space_properties_and_errors():
     dec, p, _ = _sixone()
     ks = build_krein_space(p)

@@ -273,7 +273,7 @@ def test_involutory_symmetry_existence():
 
 def _dyad_parity(dec, sigma):
     p = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for ng, g in dec.iter_real():
+    for ng, g in ((ng, g) for ng, g in enumerate(dec.groups) if g.kind == "real"):
         for a, c in enumerate(g.chains):
             for i in range(c.dim):
                 p += sigma(ng, a) * np.outer(c.phi[c.dim - 1 - i], c.phi[i].conj())
@@ -307,7 +307,7 @@ def _dyad_time_reversal(dec):
 def _dyad_ctp(dec, sigma, sigma_prime):
     """The C T P loop; T P is the case sigma = +1."""
     m = np.zeros((dec.n, dec.n), dtype=np.complex128)
-    for ng, g in dec.iter_real():
+    for ng, g in ((ng, g) for ng, g in enumerate(dec.groups) if g.kind == "real"):
         for a, c in enumerate(g.chains):
             coeff = sigma(ng, a) * sigma_prime(ng, a)
             for i in range(c.dim):
@@ -544,7 +544,8 @@ def _blocks_pair(dec):
     """The pairing rule read off the block structure: no unpaired complex
     eigenvalue, and every real block size occurs an even number of times."""
     return all(g.kind != "unpaired" for g in dec.groups) and all(
-        g.block_dims.count(d) % 2 == 0 for _, g in dec.iter_real() for d in g.block_dims)
+        g.block_dims.count(d) % 2 == 0
+        for g in dec.groups if g.kind == "real" for d in g.block_dims)
 
 
 def _existence_cases():
