@@ -18,11 +18,10 @@ on max |t| over the grid.
 
 (spin motion with dissipation; E, r, s real) together with a chain basis in
 fixed conventions, written as closed-form S and Phi, tagged real or
-conjugate pair by ``spectral._pair_up`` and cut into chains by
-``spectral._assemble``, so that the symmetry constructions downstream produce
-closed-form matrices.  The spectral character switches with the sign of
-``r*s``: real nondegenerate, complex-conjugate pair, or a single 2x2 Jordan
-block on the boundary.
+conjugate pair and cut into chains by ``spectral._assemble``, so that the
+symmetry constructions downstream produce closed-form matrices.  The
+spectral character switches with the sign of ``r*s``: real nondegenerate,
+complex-conjugate pair, or a single 2x2 Jordan block on the boundary.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ from . import linalg
 from .errors import IndefiniteMetric, NotPseudoHermitian
 from .krein import krein_inner
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import JordanBlockSpec, _assemble, _pair_up, is_pseudo_hermitian
+from .spectral import JordanBlockSpec, _assemble, is_pseudo_hermitian
 
 REGIME_REAL = "RealNondegenerate"
 REGIME_COMPLEX = "ComplexPair"
@@ -86,9 +85,8 @@ class MashhoonPapiniParams:
 
 
 def propagator(h, t: float) -> np.ndarray:
-    """Evolution operator ``exp(-i H t)``."""
-    h = linalg.as_cmatrix(h)
-    return linalg.expm(-1j * float(t) * h)
+    """Evolution operator ``exp(-i H t)``; ``linalg.expm`` validates -iHt."""
+    return linalg.expm(-1j * float(t) * np.asarray(h, dtype=np.complex128))
 
 
 def metric_normalize(state, metric) -> np.ndarray:
@@ -221,6 +219,6 @@ def mashhoon_papini(params: MashhoonPapiniParams):
 
     specs = [JordanBlockSpec(*g) for g in groups]
     # pair tolerance 0: the complex regime's eigenvalues are exact conjugates
-    dec = _assemble(specs, *_pair_up(specs, 0.0, False), np.array(psi, dtype=np.complex128).T,
-                    np.array(phi, dtype=np.complex128).T)
+    dec = _assemble(specs, 0.0, False, np.array(psi, dtype=np.complex128).T,
+                    np.array(phi, dtype=np.complex128).conj())
     return h, regime, dec

@@ -240,11 +240,7 @@ def pseudounitary_symmetries_exist(dec: SpectralDecomposition) -> PseudounitaryE
     # congruence by the psi chains turns the canonical parity into its K
     src, sign = operators._coefficients(dec, "P", dec.canonical_signs)
     trace = float(sign[src == np.arange(dec.n)].sum())
-    if dec.has_unpaired_complex():
-        violations = [(g.eigenvalue, g.block_dims) for g in dec.groups
-                      if g.kind == spectral.UNPAIRED]
-    else:
-        violations = list(dec.real_block_halves[1])
+    violations = list(dec.unpaired or dec.real_block_halves[1])
     return PseudounitaryExistence(exists=not violations, canonical_trace=trace,
                                   violations=violations)
 

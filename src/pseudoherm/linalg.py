@@ -243,7 +243,7 @@ def expm(a) -> np.ndarray:
     info = _expm_kernel.pade_UV_calc(work, m)
     if info != 0:
         raise Singular(f"Pade approximant not computed (pade_UV_calc code {info})")
-    # a copy, so that a cached result does not keep all five slices alive
+    # a copy, so that the result does not keep all five slices alive
     r = work[0].copy()
     if below and above:
         for _ in range(s):

@@ -113,13 +113,12 @@ def canonical_sign_sequence(dec: SpectralDecomposition) -> SignSequence:
 
 
 def _sign_array(dec: SpectralDecomposition, sigma) -> np.ndarray:
-    """One sign per chain from a SignSequence, the string "canonical" or a
-    sign mapping.  A supplied sequence is checked against the decomposition;
-    the canonical one is valid by construction."""
-    if sigma is None or sigma == "canonical":
+    """One sign per chain from a SignSequence or the string "canonical".  A
+    supplied sequence is checked against the decomposition; the canonical one
+    is valid by construction."""
+    if sigma == "canonical":
         return dec.canonical_signs
-    labels = dec.chain_labels
-    signs = (sigma if isinstance(sigma, SignSequence) else SignSequence(dict(sigma))).signs
+    labels, signs = dec.chain_labels, sigma.signs
     if set(signs) != set(labels):
         missing, extra = sorted(set(labels) - set(signs)), sorted(set(signs) - set(labels))
         raise ValueError(f"sign sequence labels do not match the decomposition: "

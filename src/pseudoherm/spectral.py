@@ -28,21 +28,20 @@ The others are conjugate (+/-) pair members; a complex eigenvalue without a
 conjugate partner of identical block structure admits no generalized-parity
 treatment and is rejected with ``NotPaired`` unless explicitly tolerated.
 
-A decomposition holds the chain basis once: S as ``psi``, Phi as ``phi``
-and Phi^dag = S^-1 as the cached ``phi_dag``, all read-only; chains are
+A decomposition holds the chain basis once: S as ``psi``, Phi^dag = S^-1
+as ``phi_dag`` and its adjoint Phi as ``phi``, all read-only; chains are
 views of their columns, and callers multiply these matrices directly.
-``_assemble`` is the one constructor and ``_pair_up`` the one kind/pair
-tagger, for ``analyze``, ``synthesize`` and ``evolution.mashhoon_papini``
-alike; ``reconstruct`` is the one H = Psi J Phi^dag.  The same pass of
-``_assemble`` builds the chain table the operators read, and ``_match`` is
-the one rule for which chain meets which: the k-th of each size meets the
-k-th of that size in its conjugate partner or its real group's other half.
+``_assemble`` is the one constructor, for ``analyze``, ``synthesize`` and
+``evolution.mashhoon_papini`` alike, and ``reconstruct`` the one
+H = Psi J Phi^dag.  One pass of ``_assemble`` tags and pairs the groups and
+builds the chain table the operators read, and ``_match`` is the one rule
+for which chain meets which: the k-th of each size meets the k-th of that
+size in its conjugate partner or its real group's other half.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -107,8 +106,9 @@ class EigenGroup:
 
 @dataclass(frozen=True)
 class SpectralDecomposition:
-    """Eigenvalue groups over one read-only copy of S (``psi``) and Phi
-    (``phi``), columns in group/chain/height order (chains are views), and
+    """Eigenvalue groups over one read-only copy of S (``psi``), Phi^dag
+    (``phi_dag``) and Phi (``phi``), columns in group/chain/height order
+    (chains are views), the unpaired complex groups (``unpaired``), and
     the read-only chain table ``_assemble`` builds with them, one entry per
     chain in ``chain_labels`` order or, for ``columns``, per column.
     ``chain_conj`` and the real block halves follow one matching rule: within
@@ -119,6 +119,7 @@ class SpectralDecomposition:
     groups: tuple[EigenGroup, ...]
     psi: np.ndarray
     phi: np.ndarray
+    phi_dag: np.ndarray                    # Phi^dag = S^-1
     chain_labels: tuple                    # (group, chain)
     chain_dim: np.ndarray
     chain_start: np.ndarray                # first column in psi and phi
@@ -127,6 +128,7 @@ class SpectralDecomposition:
     canonical_signs: np.ndarray            # +/- in turn over odd-dimensional real chains, else +
     real_block_halves: tuple[np.ndarray, tuple]  # partner in the other half, else -1,
     # and the (eigenvalue, block_dims) of every real group whose blocks do not pair up
+    unpaired: tuple                        # (eigenvalue, block_dims) of each unpaired group
 
     @property
     def n(self) -> int:
@@ -140,11 +142,6 @@ class SpectralDecomposition:
         """Dual chain vectors as columns (Phi^dag = S^-1)."""
         return self.phi
 
-    @cached_property
-    def phi_dag(self) -> np.ndarray:
-        """Phi^dag = S^-1, computed once (read-only)."""
-        return _read_only(self.phi.conj().T)
-
     def iter_pairs(self):
         """Yield ``(ng_first, first, ng_second, second)`` once per pair,
         in the members' storage order."""
@@ -156,7 +153,7 @@ class SpectralDecomposition:
             yield ng1, self.groups[ng1], ng2, self.groups[ng2]
 
     def has_unpaired_complex(self) -> bool:
-        return any(g.kind == UNPAIRED for g in self.groups)
+        return bool(self.unpaired)
 
     def eigenvalues(self) -> np.ndarray:
         return np.array([g.eigenvalue for g in self.groups for c in g.chains for _ in range(c.dim)])
@@ -244,35 +241,6 @@ def _random_basis(n: int, rng: np.random.Generator, cond: float) -> np.ndarray:
     return q1 @ np.diag(s) @ q2.conj().T
 
 
-def _pair_up(specs, pair_tol: float, allow_unpaired: bool):
-    """Kind/pair tags of spec groups: real exactly when the eigenvalue's
-    imaginary part is 0; ``pair_tol`` only matches conjugate partners."""
-    kinds, pair_ids, unmatched, next_pair = [REAL] * len(specs), [None] * len(specs), [], 0
-    for idx, g in enumerate(specs):
-        if g.eigenvalue.imag == 0:
-            continue
-        partner = next((j for j in unmatched
-                        if abs(np.conj(specs[j].eigenvalue) - g.eigenvalue) <= pair_tol
-                        and sorted(specs[j].block_dims) == sorted(g.block_dims)), None)
-        if partner is None:
-            unmatched.append(idx)
-            continue
-        unmatched.remove(partner)
-        for k in (partner, idx):
-            pair_ids[k] = next_pair
-            kinds[k] = PLUS if specs[k].eigenvalue.imag > 0 else MINUS
-        next_pair += 1
-    if unmatched:
-        if not allow_unpaired:
-            bad = [specs[i].eigenvalue for i in unmatched]
-            raise NotPaired(
-                f"complex eigenvalues without conjugate partner of equal block "
-                f"structure: {bad}")
-        for i in unmatched:
-            kinds[i] = UNPAIRED
-    return kinds, pair_ids
-
-
 def synthesize(spec: SynthesisSpec, *, allow_unpaired: bool = False,
                tol: Tolerance = DEFAULT_TOL):
     """Build ``(H, decomposition)`` with prescribed Jordan structure.
@@ -286,8 +254,7 @@ def synthesize(spec: SynthesisSpec, *, allow_unpaired: bool = False,
         s_inv = linalg.inv(s_mat, tol)
     except Exception as exc:
         raise SingularBasis(f"basis not invertible: {exc}") from exc
-    kinds, pair_ids = _pair_up(spec.groups, tol.abs, allow_unpaired)
-    dec = _assemble(spec.groups, kinds, pair_ids, s_mat, s_inv.conj().T)
+    dec = _assemble(spec.groups, tol.abs, allow_unpaired, s_mat, s_inv)
     return reconstruct(dec), dec
 
 
@@ -299,50 +266,71 @@ def _match(table: list, mine: dict, theirs: dict):
             table[c] = other
 
 
-def _assemble(specs, kinds, pair_ids, psi: np.ndarray,
-              phi: np.ndarray) -> SpectralDecomposition:
-    """The one constructor of a decomposition: marks S (``psi``) and Phi
-    (``phi``) read-only and cuts them into the groups of ``specs``, in order,
-    each chain taking views of consecutive columns of both.  The same pass
-    builds the chain table, listing each group's chains by size for
-    ``_match`` to pair a conjugate pair's members and a real group's halves."""
-    psi, phi = _read_only(psi), _read_only(phi)
+def _assemble(specs, pair_tol: float, allow_unpaired: bool, psi: np.ndarray,
+              phi_dag: np.ndarray) -> SpectralDecomposition:
+    """The one constructor of a decomposition, one pass over ``specs``.  A
+    group is real exactly when Im = 0; a complex one pairs with the first
+    earlier unmatched group whose conjugate lies within ``pair_tol`` and whose
+    block sizes agree as a multiset, and what stays unmatched is refused with
+    ``NotPaired`` unless ``allow_unpaired``.  S (``psi``) and Phi^dag = S^-1
+    (``phi_dag``) are marked read-only and cut into the groups, in order,
+    each chain taking views of consecutive columns.  The same pass builds the
+    chain table, listing each group's chains by size for ``_match`` to pair a
+    conjugate pair's members and a real group's halves."""
+    psi, phi_dag = _read_only(psi), _read_only(phi_dag)
+    phi = _read_only(phi_dag.conj().T)
     dim = np.array([p for spec in specs for p in spec.block_dims])
     conj, half, signs, violations = [-1] * dim.size, [-1] * dim.size, [1] * dim.size, []
-    groups, labels, first_member, odd, offset = [], [], {}, 0, 0
-    for ng, (spec, kind, pair_id) in enumerate(zip(specs, kinds, pair_ids)):
-        chains, sizes = [], {}
+    kinds, pair_ids, views, labels, unmatched, odd, offset, pair = [], [], [], [], {}, 0, 0, 0
+    for ng, spec in enumerate(specs):
+        real, chains, sizes = spec.eigenvalue.imag == 0, [], {}
         for a, p in enumerate(spec.block_dims):
             sl = slice(offset, offset + p)
             chains.append(JordanChain(psi=psi[:, sl].T, phi=phi[:, sl].T))
-            if kind == REAL and p % 2:  # +/- in turn over the odd-dimensional real chains
+            if real and p % 2:  # +/- in turn over the odd-dimensional real chains
                 signs[len(labels)], odd = (-1) ** odd, odd + 1
             sizes.setdefault(p, []).append(len(labels))
             labels.append((ng, a))
             offset += p
-        groups.append(EigenGroup(eigenvalue=spec.eigenvalue, kind=kind,
-                                 pair_id=pair_id, chains=tuple(chains)))
-        if kind == REAL:
+        views.append(tuple(chains))
+        kinds.append(REAL if real else UNPAIRED)  # a pair member is retagged below
+        pair_ids.append(None)
+        if real:
             _match(conj, sizes, sizes)
             if any(len(cs) % 2 for cs in sizes.values()):
                 violations.append((spec.eigenvalue, spec.block_dims))
             else:  # the halves of each size swap
                 _match(half, sizes, {p: cs[len(cs) // 2:] + cs[:len(cs) // 2]
                                      for p, cs in sizes.items()})
-        elif pair_id in first_member:
-            _match(conj, sizes, first_member[pair_id])
-            _match(conj, first_member[pair_id], sizes)
-        elif pair_id is not None:
-            first_member[pair_id] = sizes
+            continue
+        for j, theirs in unmatched.items():
+            if (abs(np.conj(specs[j].eigenvalue) - spec.eigenvalue) <= pair_tol
+                    and sorted(specs[j].block_dims) == sorted(spec.block_dims)):
+                break
+        else:
+            unmatched[ng] = sizes
+            continue
+        del unmatched[j]
+        _match(conj, sizes, theirs)
+        _match(conj, theirs, sizes)
+        for k in (j, ng):
+            kinds[k], pair_ids[k] = PLUS if specs[k].eigenvalue.imag > 0 else MINUS, pair
+        pair += 1
+    if unmatched and not allow_unpaired:
+        raise NotPaired(f"complex eigenvalues without conjugate partner of equal block "
+                        f"structure: {[specs[j].eigenvalue for j in unmatched]}")
     start = np.cumsum(dim) - dim
     chain = np.repeat(np.arange(dim.size), dim)
     height = np.arange(offset) - start[chain]
     return SpectralDecomposition(
-        groups=tuple(groups), psi=psi, phi=phi, chain_labels=tuple(labels),
+        groups=tuple([EigenGroup(spec.eigenvalue, kind, pair_id, chains) for spec, kind, pair_id,
+                      chains in zip(specs, kinds, pair_ids, views)]),
+        psi=psi, phi=phi, phi_dag=phi_dag, chain_labels=tuple(labels),
         chain_dim=_read_only(dim), chain_start=_read_only(start),
         columns=(_read_only(chain), _read_only(height), _read_only(dim[chain] - 1 - height)),
         chain_conj=_read_only(np.array(conj)), canonical_signs=_read_only(np.array(signs)),
-        real_block_halves=(_read_only(np.array(half)), tuple(violations)))
+        real_block_halves=(_read_only(np.array(half)), tuple(violations)),
+        unpaired=tuple((specs[j].eigenvalue, specs[j].block_dims) for j in unmatched))
 
 
 # ---------------------------------------------------------------------------
@@ -542,7 +530,6 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
     order = np.lexsort((-centers.imag, np.round(np.abs(centers.imag), 9),
                         np.round(centers.real, 9)))
     specs = [JordanBlockSpec(centers[p], dims.get(p, (1,))) for p in order]
-    kinds, pair_ids = _pair_up(specs, max(real_thresh, delta), allow_unpaired)
 
     # S in group order: the columns sorted stably by their cluster's group rank,
     # each chain scaled to a unit eigenvector with a real-positive lead entry
@@ -559,4 +546,4 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
         s_inv = linalg.inv(s_mat / scale, tol) / scale[:, None]
     except Exception as exc:
         raise ClusterAmbiguity(f"chain basis numerically singular: {exc}") from exc
-    return _assemble(specs, kinds, pair_ids, s_mat, s_inv.conj().T)
+    return _assemble(specs, max(real_thresh, delta), allow_unpaired, s_mat, s_inv)

@@ -3,8 +3,8 @@
 A conjugate pair's members carry the same Jordan block sizes, in any order;
 a real group's blocks pair up when every size occurs an even number of
 times.  Synthesized decompositions draw both, with the orders shuffled, and
-the table, the operators and the existence decision are checked against
-what the block sizes alone say.
+the group tags, the table, the operators and the existence decision are
+checked against what the eigenvalues and block sizes alone say.
 """
 
 import numpy as np
@@ -68,7 +68,28 @@ def _odd_real(dec):
             and any(g.block_dims.count(d) % 2 for d in g.block_dims)]
 
 
-def _check_table(dec):
+def _check_tags(dec, groups):
+    """A group is real iff Im = 0; pair members share one id, the ids run
+    from 0, and a member is plus or minus by the sign of Im; ``dec.unpaired``
+    lists exactly the drawn unpaired group."""
+    ids = [g.pair_id for g in dec.groups]
+    for ng, g in enumerate(dec.groups):
+        assert (g.kind == "real") == (g.eigenvalue.imag == 0)
+        if g.kind in ("real", "unpaired"):
+            assert g.pair_id is None
+            continue
+        assert g.kind == ("plus" if g.eigenvalue.imag > 0 else "minus")
+        (partner,) = [m for m, i in enumerate(ids) if i == g.pair_id and m != ng]
+        assert dec.groups[partner].eigenvalue == g.eigenvalue.conjugate()
+    paired = set(ids) - {None}
+    assert paired == set(range(len(paired)))
+    assert dec.unpaired == tuple((z, d) for z, d in groups if z == UNPAIRED)
+    assert dec.unpaired == tuple((g.eigenvalue, g.block_dims) for g in dec.groups
+                                 if g.kind == "unpaired")
+
+
+def _check_table(dec, groups):
+    _check_tags(dec, groups)
     labels, dim, conj = dec.chain_labels, dec.chain_dim, dec.chain_conj
     half, violations = dec.real_block_halves
     group_of = {g.eigenvalue: ng for ng, g in enumerate(dec.groups)}
@@ -101,7 +122,7 @@ def _builds(build, dec) -> bool:
 @given(structures(), st.integers(0, 2**32 - 1), st.floats(1.0, 100.0))
 def test_chains_meet_their_equal_size_partners(groups, seed, cond):
     h, dec, unpaired = _synthesize(groups, seed, cond)
-    _check_table(dec)
+    _check_table(dec, groups)
     if not unpaired:
         failed = [r for r in krein.check_battery(h, dec) if not r["pass"]]
         assert failed == []
@@ -118,7 +139,7 @@ def test_reordered_conjugate_pair_meets_by_size(groups):
     """The pair members list their sizes in different orders; a 2-chain
     met with a 1-chain gave a singular, non-Hermitian P."""
     h, dec, _ = _synthesize(groups)
-    _check_table(dec)
+    _check_table(dec, groups)
     p = build_parity(dec)
     assert np.linalg.norm(p - p.conj().T) <= 1e-12 * np.linalg.norm(p)
     assert [r["check"] for r in krein.check_battery(h, dec) if not r["pass"]] == []

@@ -612,6 +612,27 @@ def test_evolve_refuses_a_non_finite_time_bound(sixone, tmp_path, capsys, flag, 
     assert capsys.readouterr().err == "error: time grid must be finite\n"
 
 
+def test_evolve_refuses_zero_steps(sixone, tmp_path, capsys):
+    ini = _write_vector(tmp_path, "ini.json", [0.0, 1.0])
+    assert main(["evolve", "--input", str(sixone), "--metric", "pplus",
+                 "--initial", str(ini), "--t0", "0", "--t1", "1", "--steps", "0"]) == 1
+    assert capsys.readouterr().err == "error: --steps must be at least 1\n"
+
+
+def test_negative_values_in_exponent_notation_are_numbers(sixone, tmp_path, capsys):
+    # argparse alone reads only -1 and -.5 as numbers, and -1e-3 as a flag
+    assert main(["model", "mashhoon", "--E", "-1e-3", "--r", "1", "--s", "1"]) == 0
+    label = json.loads(capsys.readouterr().out)["results"]["matrix"]["label"]
+    assert label.startswith("two-level E=-0.001 ")
+    ini = _write_vector(tmp_path, "ini.json", [0.0, 1.0])
+    out = tmp_path / "series.csv"
+    assert main(["evolve", "--input", str(sixone), "--metric", "pplus", "--initial", str(ini),
+                 "--t0", "-1e2", "--t1", "0", "--steps", "3", "--out", str(out)]) == 0
+    assert out.read_text().split("\n")[1].startswith("-100,")
+    assert main(["model", "mashhoon", "--E", "--r", "1", "--s", "1"]) == 1
+    assert "argument --E: expected one argument" in capsys.readouterr().err
+
+
 def test_tolerance_env_override(sixone, monkeypatch, capsys):
     monkeypatch.setenv("PSEUDOHERM_TOL", "1e-6")
     assert main(["analyze", "--input", str(sixone)]) == 0

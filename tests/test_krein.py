@@ -280,6 +280,8 @@ def test_commutant_identity_and_refusal():
         commutant_element(dec, [[0.0, 1.0], [1.0]])
     with pytest.raises(ValueError):
         commutant_element(dec, [[1.0, 0.0]])
+    with pytest.raises(ValueError, match="coefficient list of length 1 for a block of dim 2"):
+        commutant_element(dec, [[1.0], [1.0]])
 
 
 def test_commutant_matches_model_display():

@@ -260,7 +260,7 @@ def test_expm_returns_c_order_like_scipy(norm):
 ])
 def test_expm_result_owns_its_data(a):
     # a view into the kernel's (5, n, n) work array would keep all of it
-    # alive in evolution's propagator cache
+    # alive for as long as the result is held
     u = linalg.expm(a)
     assert u.flags.owndata and u.flags.c_contiguous
 
@@ -296,6 +296,18 @@ def test_schur_reports_a_failed_qr_iteration(monkeypatch):
 
     monkeypatch.setattr(linalg, "_lapack", types.SimpleNamespace(zgees=failing_zgees))
     with pytest.raises(NonConvergence):
+        linalg.schur(_dense(4, 1))
+
+
+def test_schur_refuses_a_factorization_with_a_large_residual(monkeypatch):
+    real = linalg._lapack.zgees
+
+    def bad_zgees(select, a, **kw):
+        out = real(select, a, **kw)
+        return out if kw.get("lwork") == -1 else (out[0] + 1e-3, *out[1:])
+
+    monkeypatch.setattr(linalg, "_lapack", types.SimpleNamespace(zgees=bad_zgees))
+    with pytest.raises(NonConvergence, match="Schur residual .* above tolerance"):
         linalg.schur(_dense(4, 1))
 
 

@@ -8,7 +8,7 @@ import pytest
 from pseudoherm import krein, linalg, operators, spectral
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
 from pseudoherm.errors import (ClusterAmbiguity, NonConvergence, NotPaired, Overflow,
-                               PseudohermError, SingularBasis)
+                               PseudohermError, Singular, SingularBasis)
 from pseudoherm.linalg import DEFAULT_TOL
 from pseudoherm.spectral import (
     JordanBlockSpec,
@@ -417,6 +417,26 @@ def test_snapped_simple_eigenvalue_keeps_its_staircase_refusal(monkeypatch):
     assert str(exc.value) == (
         "rank staircase saturates at nullity 0, but the eigenvalue cluster has "
         "multiplicity 1; the cluster is not resolvable at this tolerance")
+
+
+def test_a_failed_schur_reordering_is_a_typed_refusal(monkeypatch):
+    monkeypatch.setattr(linalg, "reorder_schur", lambda t, z, select: (t, z, 0, 1))
+    with pytest.raises(ClusterAmbiguity) as exc:
+        analyze(np.array([[1.0, 1.0], [0.0, 1.0]]))
+    assert str(exc.value) == ("Schur reordering of the eigenvalue cluster at 1+0j failed "
+                              "(info=1, 0 of 2 eigenvalues moved)")
+
+
+@pytest.mark.parametrize("h", [np.diag([1.0, 2.0]), np.diag([1j, 2.0])],
+                         ids=["paired", "unpaired"])
+def test_a_singular_chain_basis_is_refused_before_the_pairing(monkeypatch, h):
+    def singular(a, tol):
+        raise Singular("pivot 0.000e+00 below tolerance")
+
+    monkeypatch.setattr(linalg, "inv", singular)
+    with pytest.raises(ClusterAmbiguity) as exc:
+        analyze(h)
+    assert str(exc.value) == "chain basis numerically singular: pivot 0.000e+00 below tolerance"
 
 
 @pytest.mark.parametrize("dims", [(), (0,), (2, -1)])

@@ -8,9 +8,9 @@ Builds the timed pool and the defect probes of each library workload of
 ``perfbench/pipeline.run_op`` (the op the benchmark times) and prints one line
 per input: workload, seed, pool (``timed`` or ``defect``), index, label and
 the SHA-256 of everything the op returned.  That is the decomposition (group
-eigenvalues, kinds, pair ids and block sizes, S, Phi and the chain table),
-each operator built with its antilinear flag, the congruence fields, the
-existence decision, both classifications, the Krein-norm series and the
+eigenvalues, kinds, pair ids and block sizes, S, Phi, Phi^dag and the chain
+table), each operator built with its antilinear flag, the congruence fields,
+the existence decision, both classifications, the Krein-norm series and the
 transition probabilities, and each refusal's type and message (a refused
 builder is called once more to read its message).  Arrays are hashed by
 dtype, shape and bytes, so two trees agree only if every result is
@@ -31,9 +31,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("small-mixed", "large-defective", "long-evolution")
-#: the decomposition's chain table, read by name so that a tree holding it
-#: as fields and one computing it on demand digest alike
-TABLE = ("chain_labels", "chain_dim", "chain_start", "columns", "chain_conj",
+#: Phi^dag and the decomposition's chain table, read by name so that a tree
+#: holding them as fields and one computing them on demand digest alike
+TABLE = ("phi_dag", "chain_labels", "chain_dim", "chain_start", "columns", "chain_conj",
          "canonical_signs", "real_block_halves")
 
 
