@@ -86,7 +86,9 @@ class MashhoonPapiniParams:
 
 def propagator(h, t: float) -> np.ndarray:
     """Evolution operator ``exp(-i H t)``; ``linalg.expm`` validates -iHt."""
-    return linalg.expm(-1j * float(t) * np.asarray(h, dtype=np.complex128))
+    with np.errstate(invalid="ignore", over="ignore"):  # expm refuses a non-finite -iHt
+        a = -1j * float(t) * np.asarray(h, dtype=np.complex128)
+    return linalg.expm(a)
 
 
 def metric_normalize(state, metric) -> np.ndarray:

@@ -61,6 +61,16 @@ def test_non_finite_time_grid_is_refused(bad):
                              t_grid=(0.0, bad))
 
 
+@pytest.mark.parametrize("h, t", [([[np.inf, 0], [0, 1]], 1.0), ([[np.nan, 0], [0, 1]], 1.0),
+                                  ([[1e308, 1e308], [0, 1]], 10.0)],
+                         ids=["inf", "nan", "overflowing-product"])
+def test_propagator_refuses_non_finite_input_without_warnings(h, t):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^matrix has non-finite entries$"):
+            propagator(np.array(h), t)
+
+
 def test_propagator_identity_and_group_law():
     h, _, _ = mashhoon_papini(MashhoonPapiniParams(1.0, 2.0, 0.5))
     assert np.allclose(propagator(h, 0.0), np.eye(2), atol=1e-14)

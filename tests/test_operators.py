@@ -631,7 +631,8 @@ def test_every_builder_makes_one_product():
             products.append(1)
             return np.asarray(other) @ np.asarray(self)
 
-    counted = dataclasses.replace(dec, psi=dec.psi.view(Counted), phi=dec.phi.view(Counted))
+    counted = dataclasses.replace(dec, psi=dec.psi.view(Counted), phi=dec.phi.view(Counted),
+                                  phi_dag=dec.phi_dag.view(Counted))
     for build in (build_parity, build_charge, build_time_reversal, build_tp, build_ctp,
                   build_reflecting, build_quaternionic_T):
         products.clear()
@@ -644,7 +645,8 @@ def test_every_builder_makes_one_product():
     diagonal = _CASES["n32-diagonal"]
     products.clear()
     counted = dataclasses.replace(diagonal, psi=diagonal.psi.view(Counted),
-                                  phi=diagonal.phi.view(Counted))
+                                  phi=diagonal.phi.view(Counted),
+                                  phi_dag=diagonal.phi_dag.view(Counted))
     assert np.array_equal(np.asarray(build_positive_metric(counted)),
                           build_positive_metric(diagonal))
     assert len(products) == 1
