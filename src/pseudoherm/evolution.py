@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import IndefiniteMetric, NotPseudoHermitian
+from .errors import DimensionMismatch, IndefiniteMetric, NotPseudoHermitian, Overflow
 from .krein import krein_inner
 from .linalg import DEFAULT_TOL, Tolerance
 from .spectral import JordanBlockSpec, _assemble, is_pseudo_hermitian
@@ -55,7 +55,7 @@ class EvolutionRequest:
         h = linalg.as_cmatrix(self.h)
         metric = linalg.as_cmatrix(self.metric)
         if metric.shape != h.shape:
-            raise ValueError("metric and Hamiltonian dimensions differ")
+            raise DimensionMismatch(f"H is {h.shape} but the metric is {metric.shape}")
         state = linalg.as_vector(self.initial_state, h.shape[0])
         if np.linalg.norm(state) == 0:
             raise ValueError("initial state is zero")
@@ -170,14 +170,11 @@ def mashhoon_papini(params: MashhoonPapiniParams):
     Returns ``(H_eff, regime, decomposition)``.  The basis conventions per
     regime (rt2 = sqrt(2)):
 
-    - ``r s > 0`` (real nondegenerate), kappa = sqrt(r/s):
-      eigenvalue ``E + sqrt(rs)`` first with psi = (i sign(r) kappa, 1)/rt2,
-      phi = (i sign(r)/kappa, 1)/rt2; the ``E - sqrt(rs)`` partner carries
-      the opposite signs in the first component.
-    - ``r s < 0`` (conjugate pair), kappa = sqrt(|r/s|):
-      eigenvalue ``E - i sqrt(|rs|)`` first with
-      psi = (-sign(r) kappa, 1)/rt2, phi = (-sign(r)/kappa, 1)/rt2; the
-      conjugate partner flips the first component's sign.
+    - ``r s != 0``, kappa = sqrt(|r/s|), with phase u = i and eigenvalue
+      ``E + sqrt(rs)`` first if ``r s > 0`` (real nondegenerate), u = -1 and
+      ``E - i sqrt(|rs|)`` first if ``r s < 0`` (conjugate pair):
+      psi = (u sign(r) kappa, 1)/rt2, phi = (u sign(r)/kappa, 1)/rt2; the
+      partner flips the sign of the first component.
     - ``s = 0, r != 0`` (Jordan block): chain psi = [(1,0), (i/r)(1,-1)]
       with duals phi = [(1,1), (0,-i r)]; mirrored for ``r = 0, s != 0``.
     - ``r = s = 0``: scalar E times the identity, standard basis.
@@ -187,40 +184,39 @@ def mashhoon_papini(params: MashhoonPapiniParams):
     rt2 = np.sqrt(2.0)
 
     # per regime: (eigenvalue, block dims) of each group, and the psi / phi
-    # chain vectors in storage order (rows; columns of S / Phi)
-    if r * s > 0:
-        kappa = np.sqrt(r / s)
-        gap = np.sqrt(r * s)
-        sgn = 1.0 if r > 0 else -1.0
-        groups = [(e + gap, (1,)), (e - gap, (1,))]
-        psi = [[1j * sgn * kappa / rt2, 1 / rt2], [-1j * sgn * kappa / rt2, 1 / rt2]]
-        phi = [[1j * sgn / (kappa * rt2), 1 / rt2], [-1j * sgn / (kappa * rt2), 1 / rt2]]
-        regime = REGIME_REAL
-    elif r * s < 0:
-        kappa = np.sqrt(abs(r / s))
-        mu = np.sqrt(abs(r * s))
-        sgn = 1.0 if r > 0 else -1.0
-        groups = [(complex(e, -mu), (1,)), (complex(e, mu), (1,))]
-        psi = [[-sgn * kappa / rt2, 1 / rt2], [sgn * kappa / rt2, 1 / rt2]]
-        phi = [[-sgn / (kappa * rt2), 1 / rt2], [sgn / (kappa * rt2), 1 / rt2]]
-        regime = REGIME_COMPLEX
-    elif r != 0:  # s == 0: upper-triangular Jordan block
-        groups = [(e, (2,))]
-        psi = [[1, 0], [1j / r, -1j / r]]
-        phi = [[1, 1], [0, -1j * r]]
-        regime = REGIME_JORDAN
-    elif s != 0:  # r == 0: lower-triangular Jordan block
-        groups = [(e, (2,))]
-        psi = [[0, 1], [1j / s, -1j / s]]
-        phi = [[1, 1], [1j * s, 0]]
-        regime = REGIME_JORDAN
-    else:
-        groups = [(e, (1, 1))]
-        psi = phi = [[1, 0], [0, 1]]
-        regime = REGIME_SCALAR
-
+    # chain vectors in storage order (rows; columns of S / Phi).  Overflow
+    # leaves inf or nan, refused below; at kappa = 0 (r / s underflows)
+    # sgn / (kappa rt2) divides in numpy, where a Python complex / 0.0 raises.
+    with np.errstate(divide="ignore"):
+        if r * s != 0:
+            kappa, root = np.sqrt(abs(r / s)), np.sqrt(abs(r * s))
+            sgn = 1.0 if r > 0 else -1.0
+            if r * s > 0:
+                u, regime, eigs = 1j, REGIME_REAL, (e + root, e - root)
+            else:  # complex(e, -root), not e - i root, keeps the sign of E = -0.0
+                u, regime, eigs = -1.0, REGIME_COMPLEX, (complex(e, -root), complex(e, root))
+            groups = [(ev, (1,)) for ev in eigs]
+            psi = [[u * sgn * kappa / rt2, 1 / rt2], [-u * sgn * kappa / rt2, 1 / rt2]]
+            phi = [[u * (sgn / (kappa * rt2)), 1 / rt2], [-u * (sgn / (kappa * rt2)), 1 / rt2]]
+        elif r != 0:  # s == 0: upper-triangular Jordan block
+            groups = [(e, (2,))]
+            psi = [[1, 0], [1j / r, -1j / r]]
+            phi = [[1, 1], [0, -1j * r]]
+            regime = REGIME_JORDAN
+        elif s != 0:  # r == 0: lower-triangular Jordan block
+            groups = [(e, (2,))]
+            psi = [[0, 1], [1j / s, -1j / s]]
+            phi = [[1, 1], [1j * s, 0]]
+            regime = REGIME_JORDAN
+        else:
+            groups = [(e, (1, 1))]
+            psi = phi = [[1, 0], [0, 1]]
+            regime = REGIME_SCALAR
+    basis = np.array([psi, phi], dtype=np.complex128)
+    if not (np.isfinite(basis).all() and np.isfinite([g[0] for g in groups]).all()):
+        raise Overflow(f"the model's eigenvalues or chain basis overflow the float range "
+                       f"at E={e:g}, r={r:g}, s={s:g}")
     specs = [JordanBlockSpec(*g) for g in groups]
     # pair tolerance 0: the complex regime's eigenvalues are exact conjugates
-    dec = _assemble(specs, 0.0, False, np.array(psi, dtype=np.complex128).T,
-                    np.array(phi, dtype=np.complex128).conj())
+    dec = _assemble(specs, 0.0, False, basis[0].T, basis[1].conj())
     return h, regime, dec

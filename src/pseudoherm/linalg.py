@@ -114,21 +114,20 @@ def as_vector(v, n: int | None = None) -> np.ndarray:
 
 
 def _no_sort(_w):
-    """``zgees`` selection callback; unused, since it is called with ``sort_t=0``."""
+    """``zgees`` selection callback; unused, since ``sort_t`` defaults to 0."""
     return None
 
 
 def schur(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form ``A = Z T Z^dag``: ``T`` upper triangular, ``Z`` unitary.
 
-    LAPACK ``zgees`` with an optimal-workspace query first, as
-    ``scipy.linalg.schur(a, output="complex")`` calls it.  The factorization
-    residual ``||A - Z T Z^dag||`` is checked against the tolerance so a
-    silent LAPACK failure cannot leak garbage downstream.
+    One LAPACK ``zgees`` call, no workspace query: at n <= ``N_MAX`` = 64 the
+    Hessenberg reduction (ZGEHRD crossover 128) and the QR iteration (ZHSEQR
+    small-matrix limit 75) take unblocked paths, so the workspace cannot change
+    T or Z.  A residual ``||A - Z T Z^dag||`` above the tolerance is refused.
     """
     a = as_cmatrix(a)
-    lwork = int(_lapack.zgees(_no_sort, a, lwork=-1)[-2][0].real)
-    t, _, _, z, _, info = _lapack.zgees(_no_sort, a, lwork=lwork, sort_t=0)
+    t, _, _, z, _, info = _lapack.zgees(_no_sort, a)
     if info != 0:
         raise NonConvergence(f"Schur form not found: zgees QR iteration failed (info={info})")
     resid = np.linalg.norm(a - z @ t @ z.conj().T)

@@ -397,30 +397,28 @@ def _extract_chains(b: np.ndarray, tol: Tolerance):
     n = b.shape[0]
     power = np.eye(n, dtype=np.complex128)
     nullspaces = [np.zeros((n, 0), dtype=np.complex128)]
-    nullities = [0]
-    k = 0
-    while nullities[-1] < n and k < n:
-        k += 1
+    nullities = [0]  # of b^0, b^1, ...: the power index is len(nullities)
+    while nullities[-1] < n and len(nullities) <= n:
         power = power @ b
         try:
             _, s, vh = np.linalg.svd(power)
         except np.linalg.LinAlgError as exc:
-            raise NonConvergence(f"rank staircase: SVD of power {k} of the "
+            raise NonConvergence(f"rank staircase: SVD of power {len(nullities)} of the "
                                  f"eigenvalue cluster block failed ({exc})") from exc
         nullity = int(np.count_nonzero(s <= tol.abs + tol.rel * s[0]))
         nullspaces.append(vh[n - nullity:].conj().T)
         nullities.append(nullity)
     if nullities[-1] != n:
         raise _unresolvable(nullities[-1], n)
-    depth = k
-    weyr = [nullities[j] - nullities[j - 1] for j in range(1, depth + 1)]
+    depth = len(nullities) - 1
+    weyr = [nullities[j] - nullities[j - 1] for j in range(1, depth + 1)] + [0]
     if any(weyr[j] < weyr[j + 1] for j in range(depth - 1)):
         raise ClusterAmbiguity("inconsistent rank staircase for eigenvalue cluster")
 
     chains = []          # list of lists of vectors, heights 1..p (index 0 = eigvec)
     height_vectors = []  # vectors at the current height from longer chains
     for kk in range(depth, 0, -1):
-        new_count = weyr[kk - 1] - (weyr[kk] if kk < depth else 0)
+        new_count = weyr[kk - 1] - weyr[kk]
         if new_count > 0:
             blockers = [nullspaces[kk - 1]] + (
                 [np.array(height_vectors).T] if height_vectors else [])
@@ -488,11 +486,11 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
     centers = np.where(np.abs(centers.imag) <= real_thresh + tol.rel * np.abs(centers),
                        centers.real, centers)
 
-    # the 1 x 1 staircase: t_kk - center must be numerically zero; clusters
-    # are refused in order, so a failure here waits for the ones before it
+    # the 1 x 1 staircase, all simple clusters at once: t_kk - center must be
+    # numerically zero, else refused before any multi-member cluster is visited
     off = np.abs(eigs[first] - centers)
-    failed = np.flatnonzero((sizes == 1) & (off > tol.abs + tol.rel * off))
-    stop = failed[0] if failed.size else sizes.size
+    if np.any((sizes == 1) & (off > tol.abs + tol.rel * off)):
+        raise _unresolvable(0, 1)
 
     # eigenvectors of the simple clusters by one back-substitution sweep, as
     # in LAPACK ztrevc: (T - t_kk I) x = 0 with x_k = 1 and zeros below k.
@@ -508,7 +506,7 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
 
     # chains of each multi-member cluster, after the simple eigenvectors
     columns, dims = [z @ x], {}
-    for p in multi[multi < stop]:
+    for p in multi:
         c, center = clusters[p], complex(centers[p])
         # move the cluster to the leading m x m block of the Schur form; the
         # leading m Schur vectors span its invariant subspace, so chains of
@@ -523,8 +521,6 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
         chains = _extract_chains(t_re[:m, :m] - center * np.eye(m), tol)
         dims[p] = tuple(len(ch) for ch in chains)
         columns.append(z_re[:, :m] @ np.column_stack([v for ch in chains for v in ch]))
-    if stop < sizes.size:
-        raise _unresolvable(0, 1)
 
     # deterministic group order: by real part, then |Im|, plus member first
     order = np.lexsort((-centers.imag, np.round(np.abs(centers.imag), 9),

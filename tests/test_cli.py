@@ -633,6 +633,25 @@ def test_negative_values_in_exponent_notation_are_numbers(sixone, tmp_path, caps
     assert "argument --E: expected one argument" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("r,s", [("1e200", "1e200"), ("1e-300", "-1e300")])
+def test_model_with_an_overflowing_basis_is_a_one_line_refusal(capsys, r, s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["model", "mashhoon", "--E", "1", "--r", r, "--s", s]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the model's eigenvalues or chain basis overflow the float "
+                            f"range at E=1, r={float(r):g}, s={float(s):g}\n")
+
+
+def test_evolve_refuses_a_metric_of_another_size(sixone, tmp_path, capsys):
+    metric = _write_matrix(tmp_path, "eta.json", np.eye(3))
+    ini = _write_vector(tmp_path, "ini.json", [0.0, 1.0])
+    assert main(["evolve", "--input", str(sixone), "--metric", str(metric),
+                 "--initial", str(ini), "--t0", "0", "--t1", "1", "--steps", "3"]) == 1
+    assert capsys.readouterr().err == "error: H is (2, 2) but the metric is (3, 3)\n"
+
+
 def test_tolerance_env_override(sixone, monkeypatch, capsys):
     monkeypatch.setenv("PSEUDOHERM_TOL", "1e-6")
     assert main(["analyze", "--input", str(sixone)]) == 0

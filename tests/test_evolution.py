@@ -8,6 +8,7 @@ import pytest
 from pseudoherm import evolution, krein, linalg
 from pseudoherm.errors import (
     ClusterAmbiguity,
+    DimensionMismatch,
     IndefiniteMetric,
     NonHermitianMetric,
     NotDiagonalizableReal,
@@ -47,7 +48,7 @@ def test_request_validation():
     with pytest.raises(ValueError):
         EvolutionRequest(h=np.eye(2), metric=np.eye(2),
                          initial_state=[1, 0], t_grid=(1.0, 0.5))
-    with pytest.raises(ValueError):
+    with pytest.raises(DimensionMismatch, match=r"^H is \(2, 2\) but the metric is \(3, 3\)$"):
         EvolutionRequest(h=np.eye(2), metric=np.eye(3),
                          initial_state=[1, 0], t_grid=(0.0,))
 
@@ -437,6 +438,59 @@ def test_grid_across_zero_is_not_refused_for_its_gap():
 def test_model_groups_are_tagged_real_or_as_one_conjugate_pair(e, r, s, tags):
     _, _, dec = mashhoon_papini(MashhoonPapiniParams(e, r, s))
     assert [(g.kind, g.pair_id) for g in dec.groups] == tags
+
+
+def _docstring_basis(e, r, s):
+    """(eigenvalues, psi rows, phi rows) by the formulas of the model's docstring."""
+    rt2, sgn = np.sqrt(2.0), 1.0 if r > 0 else -1.0
+    if r * s > 0:
+        kappa, gap = np.sqrt(r / s), np.sqrt(r * s)
+        return ([e + gap, e - gap],
+                [[1j * sgn * kappa / rt2, 1 / rt2], [-1j * sgn * kappa / rt2, 1 / rt2]],
+                [[1j * sgn / (kappa * rt2), 1 / rt2], [-1j * sgn / (kappa * rt2), 1 / rt2]])
+    if r * s < 0:
+        kappa, mu = np.sqrt(abs(r / s)), np.sqrt(abs(r * s))
+        return ([complex(e, -mu), complex(e, mu)],
+                [[-sgn * kappa / rt2, 1 / rt2], [sgn * kappa / rt2, 1 / rt2]],
+                [[-sgn / (kappa * rt2), 1 / rt2], [sgn / (kappa * rt2), 1 / rt2]])
+    if r != 0:
+        return [e], [[1, 0], [1j / r, -1j / r]], [[1, 1], [0, -1j * r]]
+    if s != 0:
+        return [e], [[0, 1], [1j / s, -1j / s]], [[1, 1], [1j * s, 0]]
+    return [e], [[1, 0], [0, 1]], [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("e", [0.5, -0.0])
+@pytest.mark.parametrize("r,s", [(2.0, 0.5), (-2.0, -0.5), (0.5, 2.0), (2.0, -0.5), (-2.0, 0.5),
+                                 (-0.5, 2.0), (2.0, 0.0), (-2.0, 0.0), (0.0, 2.0), (0.0, -2.0),
+                                 (0.0, 0.0)])
+def test_model_basis_is_the_docstring_formula_bit_for_bit(e, r, s):
+    _, _, dec = mashhoon_papini(MashhoonPapiniParams(e, r, s))
+    eigs, psi, phi = _docstring_basis(e, r, s)
+
+    def bits(a):  # equal arrays with equal signs of zero
+        return np.asarray(a, dtype=np.complex128).tobytes()
+
+    assert bits([g.eigenvalue for g in dec.groups]) == bits(eigs)
+    assert bits(dec.psi.T) == bits(psi)
+    assert bits(dec.phi.T) == bits(phi)
+    assert bits(dec.phi_dag) == bits(np.asarray(phi, dtype=np.complex128).conj())
+
+
+@pytest.mark.parametrize("e,r,s", [
+    (1.0, 1e200, 1e200),     # r s overflows: infinite eigenvalues
+    (1.0, 1e-300, -1e300),   # r / s underflows: kappa = 0
+    (1.0, 1e-300, 1e300),
+    (1.0, 1e300, -1e-300),   # r / s overflows: kappa = inf
+    (1.0, 5e-324, 0.0),      # i / r overflows in the Jordan chain
+    (1.0, 0.0, -5e-324),
+])
+def test_model_refuses_parameters_whose_basis_overflows(e, r, s):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="^the model's eigenvalues or chain basis overflow "
+                                           "the float range at E="):
+            mashhoon_papini(MashhoonPapiniParams(e, r, s))
 
 
 @pytest.mark.parametrize("name", ["e", "r", "s"])

@@ -287,12 +287,19 @@ def test_missing_lapack_extension_is_an_import_error(monkeypatch, name, attr):
         linalg._load_extension(name)
 
 
+def test_schur_calls_zgees_once(monkeypatch):
+    real, calls = linalg._lapack.zgees, []
+    monkeypatch.setattr(linalg, "_lapack", types.SimpleNamespace(
+        zgees=lambda *args, **kw: calls.append(kw) or real(*args, **kw)))
+    linalg.schur(_dense(64, 1))
+    assert len(calls) == 1
+
+
 def test_schur_reports_a_failed_qr_iteration(monkeypatch):
     real = linalg._lapack.zgees
 
     def failing_zgees(select, a, **kw):
-        out = real(select, a, **kw)
-        return out if kw.get("lwork") == -1 else (*out[:-1], 1)
+        return (*real(select, a, **kw)[:-1], 1)
 
     monkeypatch.setattr(linalg, "_lapack", types.SimpleNamespace(zgees=failing_zgees))
     with pytest.raises(NonConvergence):
@@ -304,7 +311,7 @@ def test_schur_refuses_a_factorization_with_a_large_residual(monkeypatch):
 
     def bad_zgees(select, a, **kw):
         out = real(select, a, **kw)
-        return out if kw.get("lwork") == -1 else (out[0] + 1e-3, *out[1:])
+        return (out[0] + 1e-3, *out[1:])
 
     monkeypatch.setattr(linalg, "_lapack", types.SimpleNamespace(zgees=bad_zgees))
     with pytest.raises(NonConvergence, match="Schur residual .* above tolerance"):

@@ -256,6 +256,9 @@ def test_canonical_involution_counts():
     assert canonical_involution(np.diag([1.0, 1.0, -1.0]).astype(complex)) == (2, 1)
     with pytest.raises(NotInvolutory):
         canonical_involution(2 * np.eye(2, dtype=np.complex128))
+    # C^2 - 1 is 2.4e-10, inside the tolerance, but C - 1 still has rank 1
+    with pytest.raises(NotInvolutory, match=r"^rank\(C-1\)\+rank\(C\+1\) = 3 != 2; "):
+        canonical_involution(np.array([[1.0, 1.2e-10], [0.0, 1.0]]))
 
 
 def test_involutory_symmetry_existence():

@@ -301,15 +301,19 @@ def _spec(rng, n, blocks=(), pairs=0, cond=100.0):
                          basis_cond=cond)
 
 
-def _same_structure(dec, dec_syn):
-    """Each synthesized group meets its nearest analyzed group, within 1e-6,
-    with the same kind and block sizes, and no two meet the same one."""
+def _same_structure(dec, dec_syn, c=1.0, adjoint=False):
+    """Each synthesized group, its eigenvalue times c (conjugated, and plus
+    and minus swapped, if ``adjoint``), meets its nearest analyzed group,
+    within 1e-6 |c|, with the same kind and block sizes, and no two meet the
+    same one."""
+    swap = {spectral.PLUS: spectral.MINUS, spectral.MINUS: spectral.PLUS} if adjoint else {}
+    want = [(c * (np.conj(g.eigenvalue) if adjoint else g.eigenvalue), swap.get(g.kind, g.kind),
+             sorted(g.block_dims)) for g in dec_syn.groups]
     got = [(g.eigenvalue, g.kind, sorted(g.block_dims)) for g in dec.groups]
-    nearest = [min(range(len(got)), key=lambda i: abs(got[i][0] - g.eigenvalue))
-               for g in dec_syn.groups]
-    return len(got) == len(set(nearest)) == len(dec_syn.groups) and all(
-        abs(got[i][0] - g.eigenvalue) <= 1e-6 and got[i][1:] == (g.kind, sorted(g.block_dims))
-        for i, g in zip(nearest, dec_syn.groups))
+    nearest = [min(range(len(got)), key=lambda i: abs(got[i][0] - w[0])) for w in want]
+    return len(got) == len(set(nearest)) == len(want) and all(
+        abs(got[i][0] - w[0]) <= 1e-6 * abs(c) and got[i][1:] == w[1:]
+        for i, w in zip(nearest, want))
 
 
 def _chain_residuals(h, dec):
@@ -417,6 +421,13 @@ def test_snapped_simple_eigenvalue_keeps_its_staircase_refusal(monkeypatch):
     assert str(exc.value) == (
         "rank staircase saturates at nullity 0, but the eigenvalue cluster has "
         "multiplicity 1; the cluster is not resolvable at this tolerance")
+
+
+def test_a_failed_1x1_staircase_is_refused_before_any_cluster_is_visited(monkeypatch):
+    # the 2-block at 1 is listed before the snapped 5 + 1e-5i, and is not reordered
+    _refuse_reordering(monkeypatch)
+    with pytest.raises(ClusterAmbiguity, match="^rank staircase saturates at nullity 0, "):
+        analyze(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 5 + 1e-5j]]))
 
 
 def test_a_failed_schur_reordering_is_a_typed_refusal(monkeypatch):
@@ -532,3 +543,74 @@ def test_cluster_centers_are_their_members_means_bit_for_bit():
                   key=lambda z: (z.real, z.imag))
     assert got == want
     assert any(len(g.chains[0].psi) > 1 for g in analyze(h).groups)
+
+
+# --- metamorphic relations of analyze ------------------------------------------
+
+#: (name, real Jordan blocks, conjugate pairs) of the n = 8, cond 10 inputs
+METAMORPHIC_STRUCTURES = (("simple+pair", (), 1), ("2-block+pair", (2,), 1), ("3-block", (3,), 0))
+METAMORPHIC_SCALES = tuple([10.0 ** k for k in range(-8, 9, 2)]
+                           + [2.0 ** k for k in (-30, -20, -10, 10, 20, 30)])
+#: per structure, refused and accepted-but-failing counts of 10 seeds for each
+#: transform in ``_metamorphic_transforms`` order; lowering them is progress,
+#: raising them fails
+METAMORPHIC_MAX = {
+    # columns: c = 10^-8 ... 10^8, c = 2^-30 ... 2^30, H^T, H^dag, QHQ^dag
+    "simple+pair": ((10, 10, 10, 0, 0, 0, 0, 10, 10, 10, 10, 10, 0, 10, 10, 0, 0, 0), (0,) * 18),
+    "2-block+pair": ((10, 10, 10, 1, 0, 0, 10, 10, 10, 10, 10, 10, 10, 10, 10, 0, 0, 0),
+                     (0,) * 18),
+    # open: at c = 1e-2 the "congruent metric involutory" residual is 4e-9 to
+    # 4e-8 (below 1e-14 at c = 1), over its threshold tol.scaled(H') of ~2e-10
+    "3-block": ((10, 10, 10, 0, 0, 10, 10, 10, 10, 10, 10, 10, 10, 10, 10, 0, 0, 0),
+                (0, 0, 0, 10) + (0,) * 14),
+}
+
+
+def _metamorphic_transforms(h, q):
+    """``(label, H', c, adjoint)`` per relation: c H for each scale c, H^T,
+    H^dag and Q H Q^dag for the unitary ``q``; ``_same_structure`` maps the
+    eigenvalues and kinds of H by c and ``adjoint``."""
+    for c in METAMORPHIC_SCALES:
+        k = np.log2(c)
+        yield f"c=2^{k:.0f}" if k % 10 == 0 and k else f"c={c:.0e}", c * h, c, False
+    yield "H^T", h.T, 1.0, False
+    yield "H^dag", h.conj().T, 1.0, True
+    yield "QHQ^dag", q @ h @ q.conj().T, 1.0, False
+
+
+def test_analyze_metamorphic_relations(capsys):
+    """For each relation H -> H' of ``_metamorphic_transforms``, ``analyze(H')``
+    either has the synthesized structure mapped by the relation (kinds and
+    block sizes, eigenvalues within 1e-6 of their scale) or raises a typed
+    refusal; a wrong structure fails.  The refused and the accepted but
+    failing (a check battery row over ``tol.scaled(H')``) counts are capped."""
+    results = {}
+    for name, blocks, pairs in METAMORPHIC_STRUCTURES:
+        counts = {}
+        for seed in range(10):
+            rng = np.random.default_rng([8, len(blocks), pairs, seed])
+            h, dec_syn = synthesize(_spec(rng, 8, blocks, pairs, cond=10.0))
+            q = np.linalg.qr(rng.normal(size=(8, 8)) + 1j * rng.normal(size=(8, 8)))[0]
+            for label, h2, c, adjoint in _metamorphic_transforms(h, q):
+                tally = counts.setdefault(label, {"refused": 0, "failing": 0, "wrong": 0})
+                try:
+                    dec = analyze(h2)
+                except PseudohermError:
+                    tally["refused"] += 1
+                    continue
+                if not _same_structure(dec, dec_syn, c, adjoint):
+                    tally["wrong"] += 1
+                elif _failed_checks(h2, dec):
+                    tally["failing"] += 1
+        results[name] = {k: np.array([t[k] for t in counts.values()])
+                         for k in ("refused", "failing", "wrong")}
+    with capsys.disabled():
+        print("\n[analyze metamorphic] counts of 10 seeds per transform: " + " ".join(counts))
+        for name, got in results.items():
+            for k, v in got.items():
+                print(f"  {name:12} {k:7} " + " ".join(f"{x:2}" for x in v))
+    for name, got in results.items():
+        refused_max, failing_max = METAMORPHIC_MAX[name]
+        assert not got["wrong"].any(), name
+        assert (got["refused"] <= refused_max).all(), (name, got["refused"])
+        assert (got["failing"] <= failing_max).all(), (name, got["failing"])

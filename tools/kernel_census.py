@@ -8,7 +8,8 @@ one seed, runs every input once through ``perfbench/pipeline.run_op`` (the
 op the benchmark times), and prints per workload the mean number of calls
 per op of each counted kernel:
 
-    schur     linalg.schur (one zgees)
+    schur     linalg.schur
+    zgees     linalg._lapack.zgees (LAPACK calls made by schur)
     svd       numpy.linalg.svd (rank tests and the analyze rank staircase)
     eigvalsh  numpy.linalg.eigvalsh (metric eigenvalues)
     inv       numpy.linalg.inv and linalg.inv (LU)
@@ -29,7 +30,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("small-mixed", "large-defective", "long-evolution")
-KERNELS = ("schur", "svd", "eigvalsh", "inv", "expm")
+KERNELS = ("schur", "zgees", "svd", "eigvalsh", "inv", "expm")
 
 
 def census(workload: str, seed: int) -> tuple[int, Counter]:
@@ -42,7 +43,8 @@ def census(workload: str, seed: int) -> tuple[int, Counter]:
 
     pool, _ = inputs.generate(workload, seed)
     calls = Counter()
-    wrapped = [(linalg, "schur", "schur"), (np.linalg, "svd", "svd"),
+    wrapped = [(linalg, "schur", "schur"), (linalg._lapack, "zgees", "zgees"),
+               (np.linalg, "svd", "svd"),
                (np.linalg, "eigvalsh", "eigvalsh"), (np.linalg, "inv", "inv"),
                (linalg, "inv", "inv"), (linalg, "expm", "expm")]
     originals = [getattr(module, attr) for module, attr, _ in wrapped]
