@@ -11,8 +11,9 @@ decomposed: Weyl's inequality for singular values gives ``sigma_min(M) >=
 ``||eta - eta^dag||_F / 2`` and r the smallest class residual, and the SVD
 rank test runs only when this bound is not above twice the rank cut.
 
-Congruence by the chain basis turns any generalized parity into an involutory
-Hermitian canonical metric whose ±1 projectors realize the splitting.
+Congruence by the chain basis S turns any generalized parity into the
+involutory Hermitian canonical metric K = S^dag P S (formed as G^dag K G, G =
+Phi^dag S the computed Gram matrix), whose ±1 projectors realize the splitting.
 
 ``check_battery`` is the invariant battery that ``pseudoherm check`` reports.
 ``pseudounitary_symmetries_exist`` decides whether metric-reversing
@@ -117,27 +118,23 @@ def build_krein_space(metric, tol: Tolerance = DEFAULT_TOL) -> KreinSpace:
 
 def congruence_to_involutory(dec: SpectralDecomposition,
                              sigma="canonical") -> CongruenceResult:
-    """Transform to the chain basis, where the generalized parity becomes the
-    signed block-reversal matrix (involutory and Hermitian).
+    """Transform to the chain basis ``s = Psi``, where the generalized parity
+    becomes the signed block-reversal matrix K (involutory and Hermitian).
 
-    ``s`` is the psi-chain matrix and ``s^-1 = Phi^dag``; linear operators
-    transform by similarity, the metric by congruence, and the antilinear time
-    reversal by ``M -> s^-1 M transpose(s^-1)`` so its matrix part stays
-    symmetric.
+    ``S^dag P S``, ``S^-1 C S`` and ``S^-1 T transpose(S^-1)`` (T's matrix part
+    stays symmetric) are formed as ``G^dag K G``, ``G K G`` and ``G K G^T``, K
+    each builder's coefficients and G = Phi^dag S the computed Gram matrix.
     """
-    operators._sign_array(dec, sigma)  # refuse a bad sequence before building
-    s = dec.psi_matrix()
-    s_inv = dec.phi_dag
-    p = operators.build_parity(dec, sigma)
-    c = operators.build_charge(dec, sigma)
-    t = operators.build_time_reversal(dec)
-    p_tilde = s.conj().T @ p @ s
+    signs = operators._sign_array(dec, sigma)
+    g = dec.phi_dag @ dec.psi
+    p_tilde = operators._chain_product(dec, "P", g.conj().T, g, signs)
     eye = np.eye(dec.n)
     return CongruenceResult(
-        s=s,
+        s=dec.psi,
         p_tilde=p_tilde,
-        c_tilde=s_inv @ c @ s,
-        t_tilde=SymmetryOperator(s_inv @ t.matrix @ s_inv.T, antilinear=True),
+        c_tilde=operators._chain_product(dec, "C", g, g, signs),
+        t_tilde=SymmetryOperator(operators._chain_product(
+            dec, "T", g, g.T, np.ones(dec.chain_dim.size)), antilinear=True),
         pi_plus=0.5 * (eye + p_tilde),
         pi_minus=0.5 * (eye - p_tilde),
     )
@@ -283,8 +280,8 @@ def check_battery(h, dec: SpectralDecomposition, sigma="canonical",
     row("(CTP)^2 = 1", np.linalg.norm(ctp.square() - eye))
     row("[TP, H] = 0", np.linalg.norm(tp.matrix @ np.conj(h) - h @ tp.matrix))
     row("[C, TP] = 0", np.linalg.norm(c @ tp.matrix - tp.matrix @ np.conj(c)))
-    psi = dec.psi_matrix()
-    p_tilde = psi.conj().T @ p @ psi
+    g = dec.phi_dag @ dec.psi  # S^dag P S as G^dag K G, as the congruence forms it
+    p_tilde = operators._chain_product(dec, "P", g.conj().T, g, signs)
     row("congruent metric involutory", np.linalg.norm(p_tilde @ p_tilde - eye))
     trace = float(np.trace(p_tilde).real)
     canonical = np.array_equal(signs, dec.canonical_signs)

@@ -174,8 +174,10 @@ def _coefficients(dec: SpectralDecomposition, op: str,
 
 def _chain_product(dec: SpectralDecomposition, op: str, left: np.ndarray,
                    right: np.ndarray, signs=None) -> np.ndarray:
-    """``left @ K @ right`` for the K of ``_coefficients``: one gather of
-    ``left``'s columns and one matrix product."""
+    """``left @ K @ right`` for the K of ``_coefficients`` (``NotPaired`` if a
+    complex eigenvalue has no partner, as K then does not exist): one gather
+    of ``left``'s columns and one matrix product."""
+    _require_paired(dec)
     src, sign = _coefficients(dec, op, signs)
     return (left[:, src] * sign) @ right
 
@@ -187,20 +189,17 @@ def _chain_product(dec: SpectralDecomposition, op: str, left: np.ndarray,
 def build_parity(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
     """Hermitian metric from phi-dyads with intra-chain index reversal and
     conjugate-pair cross terms; renders H pseudo-Hermitian."""
-    _require_paired(dec)
     return _chain_product(dec, "P", dec.phi, dec.phi_dag, _sign_array(dec, sigma))
 
 
 def build_charge(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
     """Involutory operator commuting with H (signed completeness sum)."""
-    _require_paired(dec)
     return _chain_product(dec, "C", dec.psi, dec.phi_dag, _sign_array(dec, sigma))
 
 
 def build_time_reversal(dec: SpectralDecomposition) -> SymmetryOperator:
     """Antilinear Hermitian T with ``T H^dag T^-1 = H`` (psi-dyads with
     index reversal; the matrix part is complex-symmetric)."""
-    _require_paired(dec)
     return SymmetryOperator(_chain_product(dec, "T", dec.psi, dec.psi.T,
                                            np.ones(dec.chain_dim.size)), antilinear=True)
 
@@ -208,7 +207,6 @@ def build_time_reversal(dec: SpectralDecomposition) -> SymmetryOperator:
 def build_tp(dec: SpectralDecomposition, sigma="canonical") -> SymmetryOperator:
     """Involutory antilinear symmetry T P_sigma (index reversals cancel;
     conjugate pairs couple crosswise)."""
-    _require_paired(dec)
     return SymmetryOperator(_chain_product(dec, "TP", dec.psi, dec.phi.T,
                                            _sign_array(dec, sigma)), antilinear=True)
 
@@ -217,7 +215,6 @@ def build_ctp(dec: SpectralDecomposition, sigma="canonical",
               sigma_prime="canonical") -> SymmetryOperator:
     """Involutory antilinear symmetry C_sigma T P_sigma': the T P form signed
     by the product sigma * sigma'."""
-    _require_paired(dec)
     product = _sign_array(dec, sigma) * _sign_array(dec, sigma_prime)
     return SymmetryOperator(_chain_product(dec, "TP", dec.psi, dec.phi.T, product),
                             antilinear=True)
@@ -250,8 +247,9 @@ def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
 
 
 def _paired_real_layout(dec: SpectralDecomposition, reason: str = "Proposition 4"):
-    """The real block halves of ``dec.real_block_halves``; raises if a real
-    group's blocks do not pair up."""
+    """The real block halves of ``dec.real_block_halves``; refuses unpaired
+    complex eigenvalues first, then real groups whose blocks do not pair up."""
+    _require_paired(dec)
     half, violations = dec.real_block_halves
     if violations:
         raise UnpairedRealBlocks(
@@ -268,7 +266,6 @@ def build_reflecting(dec: SpectralDecomposition):
     pairs; the paired parity puts opposite signs on the two halves of each
     real block pair.
     """
-    _require_paired(dec)
     half = _paired_real_layout(dec)
     signs = np.where((half >= 0) & (half < np.arange(half.size)), -1, 1)
     return (_chain_product(dec, "R", dec.psi, dec.phi_dag),
@@ -278,7 +275,6 @@ def build_reflecting(dec: SpectralDecomposition):
 def build_quaternionic_T(dec: SpectralDecomposition) -> SymmetryOperator:
     """Antilinear symmetry squaring to -1 (fermionic-type time reversal);
     coincides with R T P for the paired parity."""
-    _require_paired(dec)
     _paired_real_layout(dec, reason="Theorem 2")
     return SymmetryOperator(_chain_product(dec, "Tfrak", dec.psi, dec.phi.T), antilinear=True)
 
