@@ -66,8 +66,11 @@ def _report(args, results: dict, warnings=(), code: int = 0) -> int:
     }), code)
 
 
-def _load_matrix(path: str) -> SymmetryOperator:
-    return serialization.doc_to_matrix(serialization.load_json(path))
+def _load_matrix(path: str, antilinear_ok: bool = False) -> SymmetryOperator:
+    op = serialization.doc_to_matrix(serialization.load_json(path))
+    if op.antilinear and not antilinear_ok:  # a Hamiltonian or a metric is linear
+        raise ValueError(f"{path} holds an antilinear operator; a linear matrix is required")
+    return op
 
 
 def _load_sigma(arg):
@@ -130,7 +133,7 @@ def cmd_construct(args) -> int:
 
 def cmd_classify(args) -> int:
     metric = _load_matrix(args.metric).matrix
-    res = krein.classification_report(_load_matrix(args.op), metric, args.tol)
+    res = krein.classification_report(_load_matrix(args.op, antilinear_ok=True), metric, args.tol)
     return _report(args, {
         "class": res.symmetry_class.value,
         "residuals": res.residuals,

@@ -533,7 +533,10 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
     s_mat = np.hstack(columns)[:, np.argsort(np.argsort(order)[label], kind="stable")]
     chain_dims = np.array([d for spec in specs for d in spec.block_dims])
     heads = s_mat[:, np.cumsum(chain_dims) - chain_dims]
-    norms = np.linalg.norm(heads, axis=0)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(heads, axis=0)
+    if not np.isfinite(norms).all():
+        raise Overflow("a chain vector's norm overflows the float range")
     lead = heads[np.argmax(np.abs(heads) > 1e-8 * norms, axis=0), np.arange(heads.shape[1])]
     s_mat = s_mat * np.repeat(1.0 / (norms * (lead / np.abs(lead))), chain_dims)
     # invert with S's columns equilibrated: the pivot test ignores H's scale

@@ -15,6 +15,7 @@ from pseudoherm import cli, errors, krein, operators, serialization, spectral
 from pseudoherm.cli import main
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
+from test_spectral import _spec
 
 
 @pytest.fixture()
@@ -326,6 +327,57 @@ def test_check_does_not_rebuild_the_congruence(sixone, monkeypatch, capsys):
     monkeypatch.setattr(krein, "congruence_to_involutory", fail)
     assert main(["check", "--input", str(sixone)]) == 0
     assert json.loads(capsys.readouterr().out)["results"]["all_pass"]
+
+
+def test_check_passes_a_small_scale_jordan_block(tmp_path, capsys):
+    """The seed-0 3-block of ``analyze``'s metamorphic test (n = 8, cond 10)
+    scaled by 1e-2 passes every row.  Its chain vectors grow as H shrinks,
+    but P~ = G^dag K G follows the basis's Gram error, not their size."""
+    h, _ = synthesize(_spec(np.random.default_rng([8, 1, 0, 0]), 8, (3,), 0, cond=10.0))
+    assert main(["check", "--input", str(_write_matrix(tmp_path, "h.json", 1e-2 * h))]) == 0
+    table = json.loads(capsys.readouterr().out)["results"]["table"]
+    assert [row["check"] for row in table if not row["pass"]] == []
+
+
+#: argv templates that read a Hamiltonian ({h}) or a metric ({m}) document
+_LINEAR_INPUTS = {
+    "analyze": ["analyze", "--input", "{h}"],
+    "construct": ["construct", "--input", "{h}", "--ops", "P"],
+    "check": ["check", "--input", "{h}"],
+    "evolve-input": ["evolve", "--input", "{h}", "--metric", "{m}", "--initial", "{v}",
+                     "--t0", "0", "--t1", "1", "--steps", "3"],
+    "evolve-metric": ["evolve", "--input", "{h}", "--metric", "{m}", "--initial", "{v}",
+                      "--t0", "0", "--t1", "1", "--steps", "3"],
+    "classify-metric": ["classify", "--metric", "{m}", "--op", "{o}"],
+}
+
+
+@pytest.mark.parametrize("label", list(_LINEAR_INPUTS))
+def test_an_antilinear_hamiltonian_or_metric_is_refused(label, tmp_path, capsys):
+    h, eye = np.diag([1.0, 2.0]).astype(complex), np.eye(2, dtype=complex)
+    paths = {"h": _write_matrix(tmp_path, "h.json", h), "m": _write_matrix(tmp_path, "m.json", eye),
+             "o": _write_matrix(tmp_path, "o.json", eye),
+             "v": _write_vector(tmp_path, "v.json", [1.0, 0.5])}
+    argv = [a.format(**paths) for a in _LINEAR_INPUTS[label]]
+    assert main(argv) == 0
+    capsys.readouterr()
+    role = "m" if label.endswith("metric") else "h"
+    bad = _write_matrix(tmp_path, "anti.json", h if role == "h" else eye, antilinear=True)
+    assert main([a.format(**(paths | {role: bad})) for a in _LINEAR_INPUTS[label]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: {bad} holds an antilinear operator; "
+                            "a linear matrix is required\n")
+
+
+def test_classify_keeps_the_antilinear_flag_of_its_operator(tmp_path, capsys):
+    # complex conjugation preserves the identity metric: M^dag M = 1 = 1^T
+    eye = np.eye(2, dtype=complex)
+    metric = _write_matrix(tmp_path, "m.json", eye)
+    op = _write_matrix(tmp_path, "o.json", eye, antilinear=True)
+    assert main(["classify", "--metric", str(metric), "--op", str(op)]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert (results["class"], results["antilinear"]) == ("PAntiunitary", True)
 
 
 #: an eigenvalue off the real axis by more than the snap but within the

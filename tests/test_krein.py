@@ -35,11 +35,13 @@ from pseudoherm.operators import (
     build_ctp,
     build_parity,
     build_reflecting,
+    build_time_reversal,
     build_tp,
 )
 from pseudoherm.linalg import DEFAULT_TOL
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
-from test_operators import _CASES
+from test_acceptance import _random_structure
+from test_operators import _CASES, _random_signs
 
 RNG = np.random.default_rng(77)
 
@@ -151,6 +153,26 @@ def test_congruence_trace_even_space():
         JordanBlockSpec(0.0, (1,)), JordanBlockSpec(2.0, (1,)),
     ), basis_seed=3))
     assert congruence_to_involutory(dec).trace == pytest.approx(0.0, abs=1e-9)
+
+
+def test_congruence_is_the_transformed_operators():
+    """The congruence gathers each K between copies of G = Phi^dag S; on
+    criterion 5's random structures it agrees, to 1e-10 relative, with
+    S^dag P S, S^-1 C S and S^-1 T S^-T formed from the built operators."""
+    rng = np.random.default_rng(20260823)
+    for trial in range(200):
+        _, dec = synthesize(_random_structure(rng))
+        sigma = _random_signs(dec, rng)
+        s, s_inv = dec.psi, dec.phi_dag
+        cong = congruence_to_involutory(dec, sigma)
+        pairs = {
+            "P": (cong.p_tilde, s.conj().T @ build_parity(dec, sigma) @ s),
+            "C": (cong.c_tilde, s_inv @ build_charge(dec, sigma) @ s),
+            "T": (cong.t_tilde.matrix, s_inv @ build_time_reversal(dec).matrix @ s_inv.T),
+        }
+        for name, (got, want) in pairs.items():
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want), (trial, name)
+        assert cong.t_tilde.antilinear and cong.s is dec.psi
 
 
 # ---------------------------------------------------------------------------

@@ -579,7 +579,8 @@ def test_canonical_trace_on_unpaired_complex():
 
 
 @pytest.mark.parametrize("build", [build_parity, build_charge, build_time_reversal, build_tp,
-                                   build_ctp, build_reflecting, build_quaternionic_T],
+                                   build_ctp, build_reflecting, build_quaternionic_T,
+                                   krein.congruence_to_involutory],
                          ids=lambda f: f.__name__)
 def test_every_pairing_builder_refuses_unpaired_complex_first(build):
     """The real block of diag(2i, 1) is unpaired too, so a builder that
@@ -589,6 +590,14 @@ def test_every_pairing_builder_refuses_unpaired_complex_first(build):
     assert dec.real_block_halves[1] == ((1.0, (1,)),)
     with pytest.raises(NotPaired):
         build(dec)
+
+
+def test_a_bad_sign_sequence_is_refused_before_the_pairing():
+    """A builder reads its sign sequence before ``_chain_product`` checks the
+    pairing, so on diag(2i, 1) mismatched labels give ``ValueError``."""
+    dec = analyze(np.diag([2j, 1.0]).astype(complex), allow_unpaired=True)
+    with pytest.raises(ValueError, match="labels do not match the decomposition"):
+        build_parity(dec, SignSequence({(0, 0): 1}))
 
 
 def test_unpaired_complex_positive_metric_and_parity_kernel():

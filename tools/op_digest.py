@@ -6,15 +6,19 @@
 Builds the timed pool and the defect probes of each library workload of
 ``perfbench/inputs`` for each seed, runs every input once through
 ``perfbench/pipeline.run_op`` (the op the benchmark times) and prints one line
-per input: workload, seed, pool (``timed`` or ``defect``), index, label and
-the SHA-256 of everything the op returned.  That is the decomposition (group
-eigenvalues, kinds, pair ids and block sizes, S, Phi, Phi^dag and the chain
-table), each operator built with its antilinear flag, the congruence fields,
-the existence decision, both classifications, the Krein-norm series and the
-transition probabilities, and each refusal's type and message (a refused
-builder is called once more to read its message).  Arrays are hashed by
-dtype, shape and bytes, so two trees agree only if every result is
-bit-identical.  ``--src`` picks the pseudoherm source tree to run (default:
+per result field of each input: workload, seed, pool (``timed`` or
+``defect``), index, label, field and the SHA-256 of that field, or ``-`` when
+the op did not return it.  The fields (``FIELDS``) are the decomposition
+(``dec``: group eigenvalues, kinds, pair ids and block sizes, S, Phi,
+Phi^dag and the chain table), each operator built with its antilinear flag
+(``built``), each refusal's type and message (``refused``; a refused builder
+is called once more to read its message), the existence decision
+(``exist``), the congruence fields (``cong``), both classifications
+(``class_u``, ``class_tp``), the Krein-norm series (``series``), the
+transition probabilities (``probs``) and an error that stopped the op
+(``error``), so a ``diff`` of two runs names the result that changed.
+Arrays are hashed by dtype, shape and bytes, so two trees agree only if
+every result is bit-identical.  ``--src`` picks the pseudoherm source tree to run (default:
 this checkout's ``src``), so two trees are compared with ``diff``; run both
 with one BLAS thread (``OPENBLAS_NUM_THREADS=1``) so that threading cannot
 change the last bits.  Nothing under ``perfbench/`` is changed.
@@ -35,6 +39,9 @@ WORKLOADS = ("small-mixed", "large-defective", "long-evolution")
 #: holding them as fields and one computing them on demand digest alike
 TABLE = ("phi_dag", "chain_labels", "chain_dim", "chain_start", "columns", "chain_conj",
          "canonical_signs", "real_block_halves")
+#: the result fields of ``run_op``, one digest line each
+FIELDS = ("dec", "built", "refused", "exist", "cong", "class_u", "class_tp", "series", "probs",
+          "error")
 
 
 def _feed(sha, obj):
@@ -72,9 +79,10 @@ def _feed(sha, obj):
         raise TypeError(f"no digest rule for {type(obj).__name__}")
 
 
-def digest(case) -> str:
-    """SHA-256 of what ``run_op`` returns for ``case``, builder refusal
-    messages included."""
+def digest(case) -> dict:
+    """Field -> SHA-256 of that field of what ``run_op`` returns for
+    ``case``, builder refusal messages included; a field the op did not
+    return reads ``-``."""
     import pipeline
     from pseudoherm import operators
     from pseudoherm.errors import MathematicalRefusal
@@ -85,9 +93,15 @@ def digest(case) -> str:
             getattr(operators, name)(out["dec"])
         except MathematicalRefusal as exc:
             out["refused"][name] = exc
-    sha = hashlib.sha256()
-    _feed(sha, out)
-    return sha.hexdigest()
+    if set(out) - set(FIELDS):
+        raise KeyError(f"no digest field for {sorted(set(out) - set(FIELDS))}")
+    hashes = dict.fromkeys(FIELDS, "-")
+    for field in FIELDS:
+        if field in out:
+            sha = hashlib.sha256()
+            _feed(sha, out[field])
+            hashes[field] = sha.hexdigest()
+    return hashes
 
 
 def _seeds(text: str) -> range:
@@ -111,7 +125,8 @@ def main(argv=None) -> int:
             timed, defects = inputs.generate(workload, seed)
             for pool, cases in (("timed", timed), ("defect", defects)):
                 for i, case in enumerate(cases):
-                    print(f"{workload} {seed} {pool} {i} {case.label} {digest(case)}")
+                    for field, value in digest(case).items():
+                        print(f"{workload} {seed} {pool} {i} {case.label} {field} {value}")
     return 0
 
 
