@@ -66,11 +66,11 @@ def _report(args, results: dict, warnings=(), code: int = 0) -> int:
     }), code)
 
 
-def _load_matrix(path: str, antilinear_ok: bool = False) -> SymmetryOperator:
+def _load_matrix(path: str) -> np.ndarray:
     op = serialization.doc_to_matrix(serialization.load_json(path))
-    if op.antilinear and not antilinear_ok:  # a Hamiltonian or a metric is linear
+    if op.antilinear:  # a Hamiltonian or a metric is linear; only classify --op is not
         raise ValueError(f"{path} holds an antilinear operator; a linear matrix is required")
-    return op
+    return op.matrix
 
 
 def _load_sigma(arg):
@@ -88,7 +88,7 @@ def _load_sigma(arg):
 
 
 def cmd_analyze(args) -> int:
-    dec = spectral.analyze(_load_matrix(args.input).matrix, args.tol, allow_unpaired=True)
+    dec = spectral.analyze(_load_matrix(args.input), args.tol, allow_unpaired=True)
     rep = spectral.check_biorthonormal(dec)
     results = {
         "n": dec.n,
@@ -118,7 +118,7 @@ _OP_BUILDERS = {
 
 
 def cmd_construct(args) -> int:
-    dec = spectral.analyze(_load_matrix(args.input).matrix, args.tol)
+    dec = spectral.analyze(_load_matrix(args.input), args.tol)
     sigma = _load_sigma(args.sigma)
     names = [s.strip() for s in args.ops.split(",") if s.strip()]
     docs = {}
@@ -132,8 +132,9 @@ def cmd_construct(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    metric = _load_matrix(args.metric).matrix
-    res = krein.classification_report(_load_matrix(args.op, antilinear_ok=True), metric, args.tol)
+    metric = _load_matrix(args.metric)
+    op = serialization.doc_to_matrix(serialization.load_json(args.op))
+    res = krein.classification_report(op, metric, args.tol)
     return _report(args, {
         "class": res.symmetry_class.value,
         "residuals": res.residuals,
@@ -144,7 +145,7 @@ def cmd_classify(args) -> int:
 
 
 def cmd_check(args) -> int:
-    h = _load_matrix(args.input).matrix
+    h = _load_matrix(args.input)
     dec = spectral.analyze(h, args.tol, allow_unpaired=True)
     rows = krein.check_battery(h, dec, _load_sigma(args.sigma), args.tol)
     all_ok = all(r["pass"] for r in rows)
@@ -154,11 +155,11 @@ def cmd_check(args) -> int:
 
 
 def cmd_evolve(args) -> int:
-    h = _load_matrix(args.input).matrix
+    h = _load_matrix(args.input)
     if args.metric == "pplus":
         metric = operators.build_positive_metric(spectral.analyze(h, args.tol))
     else:
-        metric = _load_matrix(args.metric).matrix
+        metric = _load_matrix(args.metric)
     initial = serialization.doc_to_vector(serialization.load_json(args.initial))
     if args.steps < 1:
         raise ValueError("--steps must be at least 1")

@@ -46,8 +46,7 @@ def doc_to_matrix(doc: dict) -> SymmetryOperator:
         raise DimensionMismatch(f"matrix document claims n={n} but data disagrees")
     m = np.array([[complex(float(z[0]), float(z[1])) for z in row] for row in data],
                  dtype=np.complex128)
-    return SymmetryOperator(linalg.as_cmatrix(m),
-                            antilinear=bool(doc.get("antilinear", False)))
+    return SymmetryOperator(m, antilinear=bool(doc.get("antilinear", False)))  # validates m
 
 
 def vector_to_doc(v) -> dict:

@@ -18,10 +18,11 @@ is called once more to read its message), the existence decision
 transition probabilities (``probs``) and an error that stopped the op
 (``error``), so a ``diff`` of two runs names the result that changed.
 Arrays are hashed by dtype, shape and bytes, so two trees agree only if
-every result is bit-identical.  ``--src`` picks the pseudoherm source tree to run (default:
-this checkout's ``src``), so two trees are compared with ``diff``; run both
-with one BLAS thread (``OPENBLAS_NUM_THREADS=1``) so that threading cannot
-change the last bits.  Nothing under ``perfbench/`` is changed.
+every result is bit-identical.  ``--src`` picks the pseudoherm source tree to
+run (default: this checkout's ``src``), so two trees are compared with
+``diff``; run both with one BLAS thread (``OPENBLAS_NUM_THREADS=1``) so that
+threading cannot change the last bits.  Nothing under ``perfbench/`` is
+changed.
 """
 
 from __future__ import annotations
