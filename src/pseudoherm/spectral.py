@@ -19,8 +19,11 @@ through ``Z``.  Each cluster of size m >= 2 is moved by a reordering of the
 Schur form (LAPACK ``ztrsen``, called through ``linalg.reorder_schur``) to
 the leading m x m block ``T11``.  The rank staircase runs on
 ``T11 - center*I`` alone, and its chains map to chains of H through the
-leading m Schur vectors ``Z1``, since ``H Z1 = Z1 T11``.  Only these
-clusters are visited in Python; the other bookkeeping is array operations.
+leading m Schur vectors ``Z1``, since ``H Z1 = Z1 T11``.  A block within
+``tol.abs`` in Frobenius norm is semisimple by that bound alone, with ``Z1``
+as its chains; any other takes one SVD per power, and one more SVD and a QR
+per chain height only when its chains differ in length.  Only these clusters
+are visited in Python; the other bookkeeping is array operations.
 
 Realness is decided once, by the snap of near-real cluster centers onto the
 real axis: a group is real exactly when its eigenvalue's imaginary part is 0.
@@ -389,25 +392,37 @@ def _extract_chains(b: np.ndarray, tol: Tolerance):
     leading block ``T11 - center*I`` of a Schur form reordered to put the
     cluster first, so all of ``b`` must be nilpotent.  Uses the rank-of-powers
     staircase: ``w_k = nullity(b^k) - nullity(b^(k-1))`` counts blocks of size
-    >= k; one SVD of each power gives both its rank threshold
-    (``tol.abs + tol.rel * s_max``) and its kernel.  Generators of height k
-    are picked in ``ker(b^k)`` independent of ``ker(b^(k-1))`` and of the
-    height-k vectors of longer chains already built.
+    >= k; one SVD of each power gives its rank threshold
+    (``tol.abs + tol.rel * s_max``), its kernel and its row space.  A block
+    with ``||b||_F <= tol.abs`` has every singular value under the first cut,
+    so it is semisimple (m chains of length 1) without an SVD.
+
+    When every chain has the same length p, the generators span the row space
+    of ``b^(p-1)``: its right singular vectors outside its kernel, from that
+    power's SVD, mixed for p >= 2 by the unitary DFT so that ``b^(p-1)`` has
+    one gain on each and the unit-head gauge scales every chain alike (for
+    p = 1, b^0 = I: the unit vectors, however the block was decided).
+    Otherwise generators of height k are picked in ``ker(b^k)`` independent of
+    ``ker(b^(k-1))`` and of the height-k vectors of longer chains already
+    built, by a QR of those and an SVD of the kernel's projection.
     """
     n = b.shape[0]
+    with np.errstate(over="ignore"):  # a non-finite norm fails the bound
+        if np.linalg.norm(b) <= tol.abs:
+            return [[e] for e in np.eye(n, dtype=np.complex128)]
     power = np.eye(n, dtype=np.complex128)
-    nullspaces = [np.zeros((n, 0), dtype=np.complex128)]
+    bases = [power]  # right singular vectors of b^0, b^1, ...: row space, then kernel
     nullities = [0]  # of b^0, b^1, ...: the power index is len(nullities)
     while nullities[-1] < n and len(nullities) <= n:
-        power = power @ b
+        with np.errstate(over="ignore", invalid="ignore"):  # the SVD refuses a non-finite power
+            power = power @ b
         try:
             _, s, vh = np.linalg.svd(power)
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"rank staircase: SVD of power {len(nullities)} of the "
                                  f"eigenvalue cluster block failed ({exc})") from exc
-        nullity = int(np.count_nonzero(s <= tol.abs + tol.rel * s[0]))
-        nullspaces.append(vh[n - nullity:].conj().T)
-        nullities.append(nullity)
+        nullities.append(int(np.count_nonzero(s <= tol.abs + tol.rel * s[0])))
+        bases.append(vh.conj().T)
     if nullities[-1] != n:
         raise _unresolvable(nullities[-1], n)
     depth = len(nullities) - 1
@@ -419,24 +434,25 @@ def _extract_chains(b: np.ndarray, tol: Tolerance):
     height_vectors = []  # vectors at the current height from longer chains
     for kk in range(depth, 0, -1):
         new_count = weyr[kk - 1] - weyr[kk]
-        if new_count > 0:
-            blockers = [nullspaces[kk - 1]] + (
-                [np.array(height_vectors).T] if height_vectors else [])
-            m = np.hstack(blockers)
-            vk = nullspaces[kk]
-            if m.shape[1]:
-                q, _ = np.linalg.qr(m)
-                proj = vk - q @ (q.conj().T @ vk)
-            else:
-                proj = vk
-            _, sv, wh = np.linalg.svd(proj, full_matrices=False)
-            for j in range(new_count):
-                gen = vk @ wh[j].conj()
-                chain = [gen]
-                for _ in range(kk - 1):
-                    chain.append(b @ chain[-1])
-                chain.reverse()  # heights 1..kk
-                chains.append(chain)
+        gens = []
+        if new_count == weyr[0]:  # one chain length: b^(kk-1)'s row space, from its SVD
+            gens = bases[kk - 1][:, :new_count]
+            if kk > 1:  # mixed by the unitary DFT, so that b^(kk-1) has one gain on each
+                k = np.arange(new_count)
+                gens = gens @ np.exp(-2j * np.pi / new_count * np.outer(k, k)) / np.sqrt(new_count)
+            gens = gens.T
+        elif new_count:  # chains of several lengths
+            q, _ = np.linalg.qr(np.column_stack([bases[kk - 1][:, n - nullities[kk - 1]:]]
+                                                + height_vectors))
+            vk = bases[kk][:, n - nullities[kk]:]
+            wh = np.linalg.svd(vk - q @ (q.conj().T @ vk), full_matrices=False)[2]
+            gens = [vk @ w.conj() for w in wh[:new_count]]
+        for gen in gens:
+            chain = [gen]
+            for _ in range(kk - 1):
+                chain.append(b @ chain[-1])
+            chain.reverse()  # heights 1..kk
+            chains.append(chain)
         # descend: height-(kk-1) vectors of all chains of length >= kk
         height_vectors = [c[kk - 2] for c in chains if len(c) >= kk] if kk >= 2 else []
     return chains
@@ -460,7 +476,11 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
             allow_unpaired: bool = False) -> SpectralDecomposition:
     """Extract eigenvalue groups, Jordan block dimensions and chain bases.
 
-    Raises ``ClusterAmbiguity`` when distinct eigenvalue clusters cannot be
+    The block sizes of each multi-member cluster are its rank staircase's
+    (``_extract_chains``); a cluster of identical blocks, such as the paired
+    real groups of the reflecting symmetry, takes its generators from the
+    staircase's own SVDs, and a semisimple one none at all.  Raises
+    ``ClusterAmbiguity`` when distinct eigenvalue clusters cannot be
     separated at the requested tolerance, and ``NotPaired`` when a complex
     eigenvalue lacks a conjugate partner of identical block structure.
     """

@@ -492,6 +492,105 @@ def test_staircase_svd_failure_is_a_typed_refusal():
     assert exc.value.exit_code == 2
 
 
+@pytest.mark.parametrize("p", [3, 4])
+def test_a_large_scale_jordan_block_is_analyzed_or_refused_without_warnings(p):
+    # the powers of the staircase overflow at some scales; their SVD refuses them
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for k in range(40, 154):
+            try:
+                analyze(10.0 ** k * (np.eye(p) + np.eye(p, k=1)))
+            except PseudohermError:
+                pass
+
+
+# --- the staircase's certificate and generators -------------------------------
+
+def _svd_staircase_dims(b, tol=DEFAULT_TOL):
+    """Block sizes of the nilpotent ``b`` by the plain staircase: an SVD of
+    every power, cut at ``tol.abs + tol.rel * s_max``, until full nullity."""
+    m, power, nullities = b.shape[0], np.eye(b.shape[0]), [0]
+    while nullities[-1] < m and len(nullities) <= m:
+        power = power @ b
+        s = np.linalg.svd(power, compute_uv=False)
+        nullities.append(int(np.count_nonzero(s <= tol.abs + tol.rel * s[0])))
+    weyr = np.diff(nullities + [m])
+    return sorted(k + 1 for k in range(len(weyr) - 1) for _ in range(weyr[k] - weyr[k + 1]))
+
+
+def _count_calls(monkeypatch, *names):
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _real=real, **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def _degenerate_spec(n, dims, cond, seed):
+    """Two real groups of blocks ``dims`` (one if two do not fit in n) and
+    simple real eigenvalues filling n, at least 0.6 apart."""
+    rng = np.random.default_rng([n, len(dims), dims[0], int(cond), seed])
+    groups = 2 if 2 * sum(dims) <= n else 1
+    m = n - groups * (sum(dims) - 1)
+    pos = np.arange(m) - 0.5 * (m - 1) + rng.uniform(-0.2, 0.2, m)
+    rng.shuffle(pos)
+    return SynthesisSpec(groups=tuple(JordanBlockSpec(x, dims if k < groups else (1,))
+                                      for k, x in enumerate(pos)),
+                         basis_seed=int(rng.integers(2 ** 62)), basis_cond=cond)
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1), (2, 2), (3, 3)], ids=str)
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_identical_blocks_match_the_svd_staircase(monkeypatch, n, dims):
+    """Each multi-member cluster's block sizes are those of an SVD of every
+    power of its block, and the result passes the check battery."""
+    blocks = []
+    extract = spectral._extract_chains
+
+    def spy(b, tol):
+        chains = extract(b, tol)
+        blocks.append((b, sorted(map(len, chains))))
+        return chains
+    monkeypatch.setattr(spectral, "_extract_chains", spy)
+    for cond in (1.0, 10.0, 100.0, 1e3):
+        h, dec_syn = synthesize(_degenerate_spec(n, dims, cond, 0))
+        blocks.clear()
+        dec = analyze(h)
+        assert blocks and all(got == _svd_staircase_dims(b) for b, got in blocks), cond
+        assert _same_structure(dec, dec_syn), cond
+        assert _failed_checks(h, dec) == [], cond
+
+
+def test_semisimple_clusters_take_no_svd_or_qr(monkeypatch):
+    h, _ = synthesize(_degenerate_spec(32, (1, 1), 100.0, 1))
+    calls = _count_calls(monkeypatch, "svd", "qr")
+    dec = analyze(h)
+    assert sorted(g.block_dims for g in dec.groups)[-2:] == [(1, 1), (1, 1)]
+    assert calls == {"svd": 0, "qr": 0}
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 5])
+def test_a_single_block_takes_one_svd_per_power_and_no_qr(monkeypatch, p):
+    h, _ = synthesize(_spec(np.random.default_rng([32, p]), 32, (p,), cond=10.0))
+    calls = _count_calls(monkeypatch, "svd", "qr")
+    dec = analyze(h)
+    assert max(g.block_dims for g in dec.groups) == (p,)
+    assert calls == {"svd": p, "qr": 0}
+
+
+def test_a_semisimple_block_over_the_norm_bound_keeps_the_unit_vectors(monkeypatch):
+    # ||b||_F = 1.27e-10 misses the bound tol.abs = 1e-10, but both singular
+    # values are under the cut: one SVD decides it, and the basis is the same
+    calls = _count_calls(monkeypatch, "svd", "qr")
+    chains = spectral._extract_chains(np.diag([9e-11, 9e-11]).astype(complex), DEFAULT_TOL)
+    assert calls == {"svd": 1, "qr": 0}
+    assert [np.array(c).tolist() for c in chains] == [[[1, 0]], [[0, 1]]]
+
+
 @pytest.mark.parametrize("p, scale", [(3, 1e78), (3, 1e100), (3, 1e120), (3, 1e140),
                                       (4, 1e52), (4, 1e76), (4, 1e100)])
 def test_an_overflowing_chain_norm_is_refused_without_warnings(p, scale):

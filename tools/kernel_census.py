@@ -11,6 +11,8 @@ per op of each counted kernel:
     schur     linalg.schur
     zgees     linalg._lapack.zgees (LAPACK calls made by schur)
     svd       numpy.linalg.svd (rank tests and the analyze rank staircase)
+    qr        numpy.linalg.qr (the staircase's generators of clusters whose
+              chains have several lengths)
     eigvalsh  numpy.linalg.eigvalsh (metric eigenvalues)
     inv       numpy.linalg.inv and linalg.inv (LU)
     expm      linalg.expm
@@ -30,7 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("small-mixed", "large-defective", "long-evolution")
-KERNELS = ("schur", "zgees", "svd", "eigvalsh", "inv", "expm")
+KERNELS = ("schur", "zgees", "svd", "qr", "eigvalsh", "inv", "expm")
 
 
 def census(workload: str, seed: int) -> tuple[int, Counter]:
@@ -44,7 +46,7 @@ def census(workload: str, seed: int) -> tuple[int, Counter]:
     pool, _ = inputs.generate(workload, seed)
     calls = Counter()
     wrapped = [(linalg, "schur", "schur"), (linalg._lapack, "zgees", "zgees"),
-               (np.linalg, "svd", "svd"),
+               (np.linalg, "svd", "svd"), (np.linalg, "qr", "qr"),
                (np.linalg, "eigvalsh", "eigvalsh"), (np.linalg, "inv", "inv"),
                (linalg, "inv", "inv"), (linalg, "expm", "expm")]
     originals = [getattr(module, attr) for module, attr, _ in wrapped]
