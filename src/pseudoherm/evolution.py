@@ -6,11 +6,16 @@ even when H is not Hermitian.  Transition probabilities are exposed only for
 positive definite metrics, where ``|<<final, U(t) initial>>|^2`` with
 metric-normalized states is a genuine probability.
 
-Both series walk out from t = 0 instead of exponentiating at every point.
-A run of near-equal gaps b costs one ``expm`` and is evaluated by doubling,
-``U(b)^2k psi = U(b)^k U(b)^k psi``, so a ``linspace`` walk is one ``expm``
-and about log2 of its length in matrix products.  ``Overflow`` is decided
-on max |t| over the grid.
+Both series are evaluated in the chain basis of ``analyze(H)``, whose last
+result is kept, so an op that analyzed H does not analyze it again.  The
+state's chain coordinates evolve as e^{-iJt} in closed form, e^{-iEt}
+times a polynomial in t per Jordan chain, and no ``expm`` runs.  The Krein
+norm pairs each eigenvalue only with its conjugate: a real eigenvalue takes
+no exponential, and a growing pair component meets only its decaying
+partner, so the series stays bounded at any horizon.  Where ``analyze``
+refuses H, the states are stepped out from t = 0 (``_states``), each step
+exponentiated in parts inside ``EXPM_NORM_BOUND``.  Either way ``Overflow``
+is raised only when a value stops being finite.
 
 ``mashhoon_papini`` builds the two-level effective Hamiltonian
 
@@ -32,10 +37,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import linalg
-from .errors import DimensionMismatch, IndefiniteMetric, NotPseudoHermitian, Overflow
+from .errors import (DimensionMismatch, IndefiniteMetric, NotPseudoHermitian, Overflow,
+                     PseudohermError)
 from .krein import krein_inner
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import JordanBlockSpec, _assemble, is_pseudo_hermitian
+from .spectral import JordanBlockSpec, _assemble, analyze, is_pseudo_hermitian
 
 REGIME_REAL = "RealNondegenerate"
 REGIME_COMPLEX = "ComplexPair"
@@ -99,8 +105,68 @@ def metric_normalize(state, metric) -> np.ndarray:
     return linalg.as_vector(state) / np.sqrt(nrm)
 
 
+def _decomposition(req: EvolutionRequest):
+    """``analyze(H)``, or None where it refuses H, whose states are then stepped."""
+    try:
+        return analyze(req.h, req.tol)
+    except PseudohermError:
+        return None
+
+
+#: (-i)^k / k!, the Taylor coefficient of e^{-iJt} on a chain's k-th superdiagonal
+_TAYLOR = np.cumprod(np.r_[1.0, -1j / np.arange(1, linalg.N_MAX)])
+#: the reach of a first-order expansion: (sqrt(eps))^2 / 2 = eps / 2 is dropped
+_REACH = np.sqrt(np.finfo(float).eps)
+
+
+def _components(dec, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(y, chain, power)`` with ``U(t) state = sum_j e^{-i E t} t^k y[:, j]``,
+    k = power[j] and E the eigenvalue of chain[j], one column for each
+    column a of the chain basis and each k up to a's height below its
+    chain's top.  In the chain basis c = Phi^dag state evolves as e^{-iJt} c
+    (Moler & Van Loan, SIAM Rev. 45 (2003), method 16): the coordinate of
+    column a takes (-it)^k / k! times that of column a + k of its chain, so
+    y[:, j] = (-i)^k / k! c_(a+k) psi_a."""
+    own, _, rem = dec.columns
+    column, power = np.nonzero(rem[:, None] >= np.arange(rem.max() + 1))
+    y = dec.psi[:, column] * (_TAYLOR[power] * (dec.phi_dag @ state)[column + power])
+    return y, own[column], power
+
+
+def _groups(dec) -> tuple[np.ndarray, np.ndarray]:
+    """The group of each chain, and the eigenvalue of each group."""
+    return (np.array([g for g, _ in dec.chain_labels]),
+            np.array([g.eigenvalue for g in dec.groups]))
+
+
+def _on_grid(coef, power, rate, t) -> np.ndarray:
+    """``sum_j coef_j t^power_j e^{rate_j t}`` over the grid.  Only a term
+    whose ``|rate| max|t|`` passes sqrt(eps) takes its exponential on the
+    grid.  The others join one polynomial in t, with e^{rate t} taken as
+    1 + rate t, which drops at most eps / 2 (exactly 1 for rate 0).
+    ``Overflow`` when a value is not finite."""
+    far = np.abs(rate) * np.abs(t).max() > _REACH
+    near, m = ~far, np.arange(power.max() + 2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = t ** m[:, None]
+        poly = (coef[near] @ (power[near, None] == m)
+                + (coef * rate)[near] @ (power[near, None] + 1 == m))
+        values = poly @ powers
+        if far.any():
+            values += np.sum(coef[far, None] * powers[power[far]]
+                             * np.exp(np.outer(rate[far], t)), axis=0)
+        return _finite(values)
+
+
+def _finite(values: np.ndarray) -> np.ndarray:
+    if not np.isfinite(values).all():
+        raise Overflow("the evolved state overflows the float range")
+    return values
+
+
 def _states(h, state, grid) -> np.ndarray:
-    """Columns ``U(t_k) state`` over a strictly increasing grid.
+    """Columns ``U(t_k) state`` over a strictly increasing grid, for an H
+    that ``analyze`` refuses.
 
     Walks out from t = 0, up through the points t >= 0 and down through the
     points t < 0, in runs.  A run from t_0 with first gap b takes the points
@@ -108,12 +174,13 @@ def _states(h, state, grid) -> np.ndarray:
     It exponentiates b once, forms every ``U(b)^k state`` by doubling
     (ceil(log2 L) products and squarings), and adds ``-i d_k H U(b)^k state``,
     dropping at most ``(|d_k| ||H||_F)^2 / 2 <= eps / 2`` (Moler & Van Loan,
-    SIAM Rev. 45 (2003)).  Walking from zero keeps every b within max |t|,
-    so ``Overflow`` is raised exactly when a propagator at a point would be.
+    SIAM Rev. 45 (2003)).  A gap b with ``|b| ||H||_F`` past
+    ``EXPM_NORM_BOUND`` is exponentiated in the fewest equal parts inside it,
+    and U(b) is their power; a state that overflows is left non-finite for
+    the caller to refuse.
     """
     grid = np.asarray(grid)
-    linalg.check_expm_bound(-1j * np.abs(grid).max() * h)
-    h_norm, reach = np.linalg.norm(h), np.sqrt(np.finfo(float).eps)
+    h_norm = np.linalg.norm(h)
     out = np.empty((state.shape[0], grid.size), dtype=np.complex128, order="F")
     first_nonneg = np.searchsorted(grid, 0.0)
     for walk in (np.arange(first_nonneg, grid.size), np.arange(first_nonneg - 1, -1, -1)):
@@ -123,8 +190,9 @@ def _states(h, state, grid) -> np.ndarray:
         while walk.size:
             offset = grid[walk] - t_prev
             drift = offset - offset[0] * np.arange(1, walk.size + 1)
-            size = int(np.argmax(np.abs(drift) * h_norm > reach)) or walk.size  # drift[0] = 0
-            step = propagator(h, offset[0])
+            size = int(np.argmax(np.abs(drift) * h_norm > _REACH)) or walk.size  # drift[0] = 0
+            parts = max(1, int(np.ceil(abs(offset[0]) * h_norm / linalg.EXPM_NORM_BOUND)))
+            step = np.linalg.matrix_power(propagator(h, offset[0] / parts), parts)
             run = np.empty((state.shape[0], size), dtype=np.complex128)
             run[:, 0], done = step @ psi, 1
             while done < size:  # step = U(b)^done
@@ -148,20 +216,43 @@ def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
     if np.linalg.norm(linalg.as_vector(final_state, req.h.shape[0])) == 0:
         raise ValueError("final state is zero")
     initial = metric_normalize(req.initial_state, req.metric)
-    final = metric_normalize(final_state, req.metric)
-    amplitudes = (final.conj() @ req.metric) @ _states(req.h, initial, req.t_grid)
+    bra = metric_normalize(final_state, req.metric).conj() @ req.metric
+    t, dec = np.asarray(req.t_grid), _decomposition(req)
+    if dec is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            amplitudes = _finite(bra @ _states(req.h, initial, t))
+    else:
+        y, chain, power = _components(dec, initial)
+        chain_group, eigenvalues = _groups(dec)
+        amplitudes = _on_grid(bra @ y, power, -1j * eigenvalues[chain_group[chain]], t)
     return (np.abs(amplitudes) ** 2).tolist()
 
 
 def krein_norm_series(req: EvolutionRequest) -> list[float]:
     """``<<psi(t), psi(t)>>`` over the grid; constant in time whenever H is
-    metric-pseudo-Hermitian (which is checked up front)."""
+    metric-pseudo-Hermitian (which is checked up front).
+
+    In the chain basis it is ``c(t)^dag M c(t)``, M = Psi^dag eta Psi kept
+    only between eigenvalues E_a, E_b = conj(E_a): what pseudo-Hermiticity
+    leaves of it.  So a growing pair component meets only its decaying
+    partner, through e^{i (conj(E_a) - E_b) t}, and a real one no
+    exponential at all."""
     if not is_pseudo_hermitian(req.h, req.metric, req.tol):
         raise NotPseudoHermitian(
             "H is not pseudo-Hermitian with respect to this metric; the Krein "
             "norm is not conserved")
-    psi = _states(req.h, req.initial_state, req.t_grid)
-    return np.sum(psi.conj() * (req.metric @ psi), axis=0).real.tolist()
+    t, dec = np.asarray(req.t_grid), _decomposition(req)
+    if dec is None:
+        with np.errstate(over="ignore", invalid="ignore"):
+            psi = _states(req.h, req.initial_state, t)
+            return _finite(np.sum(psi.conj() * (req.metric @ psi), axis=0).real).tolist()
+    y, chain, power = _components(dec, req.initial_state)
+    chain_group, eigenvalues = _groups(dec)
+    group = chain_group[chain]
+    left, right = np.nonzero(chain_group[dec.chain_conj[chain]][:, None] == group)
+    coef = np.sum(y[:, left].conj() * (req.metric @ y)[:, right], axis=0)
+    rate = 1j * (eigenvalues[group[left]].conj() - eigenvalues[group[right]])
+    return _on_grid(coef, power[left] + power[right], rate, t).real.tolist()
 
 
 def mashhoon_papini(params: MashhoonPapiniParams):

@@ -180,16 +180,6 @@ def inv(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return solve(a, np.eye(a.shape[0], dtype=np.complex128), tol)
 
 
-def check_expm_bound(a) -> np.ndarray:
-    """Validate ``A`` and refuse with ``Overflow`` when ``||A||_F`` exceeds
-    ``EXPM_NORM_BOUND``; returns ``A`` as a complex matrix."""
-    a = as_cmatrix(a)
-    norm = np.linalg.norm(a)
-    if norm > EXPM_NORM_BOUND:
-        raise Overflow(f"||A|| = {norm:.3e} exceeds expm bound {EXPM_NORM_BOUND:.0e}")
-    return a
-
-
 def _exp_divided_difference(x: np.ndarray) -> np.ndarray:
     """``(e^x[k+1] - e^x[k]) / (x[k+1] - x[k])``, and ``e^x[k]`` where the two
     are equal (Higham, Functions of Matrices (2008), eq. (10.42))."""
@@ -223,10 +213,13 @@ def expm(a) -> np.ndarray:
     of ``2^-s A`` (``pade_UV_calc``); the squarings around it are scipy's
     Python steps.  A diagonal A is exponentiated entrywise, and a triangular
     A keeps its diagonal and first off-diagonal exact through the squarings.
-    ``A`` is refused with ``Overflow`` past ``EXPM_NORM_BOUND``
-    (``check_expm_bound``).
+    ``A`` is refused with ``Overflow`` when ``||A||_F`` passes
+    ``EXPM_NORM_BOUND``.
     """
-    a = check_expm_bound(a)
+    a = as_cmatrix(a)
+    norm = np.linalg.norm(a)
+    if norm > EXPM_NORM_BOUND:
+        raise Overflow(f"||A|| = {norm:.3e} exceeds expm bound {EXPM_NORM_BOUND:.0e}")
     nnz = np.count_nonzero(a)
     if nnz == np.count_nonzero(a.diagonal()):
         return np.diag(np.exp(a.diagonal()))

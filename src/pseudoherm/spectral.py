@@ -261,6 +261,11 @@ def synthesize(spec: SynthesisSpec, *, allow_unpaired: bool = False,
     return reconstruct(dec), dec
 
 
+def _not_paired(eigenvalues: list) -> NotPaired:
+    return NotPaired(f"complex eigenvalues without conjugate partner of equal block "
+                     f"structure: {eigenvalues}")
+
+
 def _match(table: list, mine: dict, theirs: dict):
     """The one matching rule, over chains listed by size: the k-th chain of
     each size in ``mine`` meets the k-th chain of that size in ``theirs``."""
@@ -320,8 +325,7 @@ def _assemble(specs, pair_tol: float, allow_unpaired: bool, psi: np.ndarray,
             kinds[k], pair_ids[k] = PLUS if specs[k].eigenvalue.imag > 0 else MINUS, pair
         pair += 1
     if unmatched and not allow_unpaired:
-        raise NotPaired(f"complex eigenvalues without conjugate partner of equal block "
-                        f"structure: {[specs[j].eigenvalue for j in unmatched]}")
+        raise _not_paired([specs[j].eigenvalue for j in unmatched])
     start = np.cumsum(dim) - dim
     chain = np.repeat(np.arange(dim.size), dim)
     height = np.arange(offset) - start[chain]
@@ -472,6 +476,10 @@ def default_cluster_tol(h: np.ndarray) -> float:
     return 25.0 * (n * n * np.finfo(float).eps * max(1.0, norm)) ** (1.0 / 3.0)
 
 
+#: the last decomposition ``analyze`` made: one (copy of H, tolerance, decomposition)
+_last: list = []
+
+
 def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
             allow_unpaired: bool = False) -> SpectralDecomposition:
     """Extract eigenvalue groups, Jordan block dimensions and chain bases.
@@ -481,10 +489,30 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
     real groups of the reflecting symmetry, takes its generators from the
     staircase's own SVDs, and a semisimple one none at all.  Raises
     ``ClusterAmbiguity`` when distinct eigenvalue clusters cannot be
-    separated at the requested tolerance, and ``NotPaired`` when a complex
-    eigenvalue lacks a conjugate partner of identical block structure.
+    separated at the requested tolerance, or when the result does not
+    reconstruct H (``||Psi J Phi^dag - H||_F`` above ``tol.scaled(H)``), and
+    ``NotPaired`` when a complex eigenvalue lacks a conjugate partner of
+    identical block structure.
+
+    The last decomposition made is kept with a copy of its H and its
+    tolerance: a call with an equal H (``np.array_equal``) and an equal
+    tolerance returns it without a Schur form, so that one op's later
+    requests for its H cost a comparison.  ``NotPaired`` is decided on every
+    call from the decomposition's ``unpaired`` groups; a refusal is not kept.
     """
     h = linalg.as_cmatrix(h)
+    if _last and _last[0][1] == tol and np.array_equal(_last[0][0], h):
+        dec = _last[0][2]
+    else:
+        dec = _decompose(h, tol)
+        _last[:] = [(h.copy(), tol, dec)]
+    if dec.unpaired and not allow_unpaired:
+        raise _not_paired([eigenvalue for eigenvalue, _ in dec.unpaired])
+    return dec
+
+
+def _decompose(h: np.ndarray, tol: Tolerance) -> SpectralDecomposition:
+    """The decomposition ``analyze`` returns, its unpaired groups allowed."""
     n = h.shape[0]
     delta = default_cluster_tol(h)
     t, z = linalg.schur(h, tol)
@@ -552,7 +580,8 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
     label = np.concatenate((singles, np.repeat(multi, sizes[multi])))
     s_mat = np.hstack(columns)[:, np.argsort(np.argsort(order)[label], kind="stable")]
     chain_dims = np.array([d for spec in specs for d in spec.block_dims])
-    heads = s_mat[:, np.cumsum(chain_dims) - chain_dims]
+    starts = np.cumsum(chain_dims) - chain_dims
+    heads = s_mat[:, starts]
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(heads, axis=0)
     if not np.isfinite(norms).all():
@@ -565,4 +594,14 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
         s_inv = linalg.inv(s_mat / scale, tol) / scale[:, None]
     except Exception as exc:
         raise ClusterAmbiguity(f"chain basis numerically singular: {exc}") from exc
-    return _assemble(specs, max(real_thresh, delta), allow_unpaired, s_mat, s_inv)
+    # Psi J: each column times its eigenvalue, plus the one before it in its chain
+    psi_j = s_mat * np.repeat(centers[order], sizes[order])
+    inner = np.ones(n, dtype=bool)
+    inner[starts] = False
+    np.add(psi_j[:, 1:], s_mat[:, :-1], out=psi_j[:, 1:], where=inner[1:])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
+        resid, thr = np.linalg.norm(psi_j @ s_inv - h), tol.scaled(h)
+    if not resid <= thr:
+        raise ClusterAmbiguity(f"chain basis does not reconstruct H: ||Psi J Phi^dag - H||_F "
+                               f"= {resid:.3e} above the tolerance {thr:.3e}")
+    return _assemble(specs, max(real_thresh, delta), True, s_mat, s_inv)

@@ -2,6 +2,7 @@
 
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -402,17 +403,175 @@ def test_each_run_of_equal_gaps_takes_one_expm(monkeypatch):
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
-def test_overflow_decided_on_the_far_end_of_the_grid():
+def _on_route(monkeypatch, route, h):
+    """Evolve H in the chain basis of ``analyze(H)``, which must succeed, or,
+    for ``"stepped"``, by the stepping walk that serves an H it refuses."""
+    if route == "chain":
+        analyze(h)
+    else:
+        def refuse(*_, **__):
+            raise ClusterAmbiguity("refused for the stepped route")
+        monkeypatch.setattr(evolution, "analyze", refuse)
+
+
+@pytest.mark.parametrize("route", ["chain", "stepped"])
+def test_a_grid_past_the_expm_bound_evolves(monkeypatch, route):
     # ||H||_F = 2: every gap of 1 is far inside EXPM_NORM_BOUND, t = 600 is not
     h, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))
     grid = tuple(np.linspace(0, 600, 601))
     assert 1.0 * np.linalg.norm(h) < EXPM_NORM_BOUND < grid[-1] * np.linalg.norm(h)
+    _on_route(monkeypatch, route, h)
     req = EvolutionRequest(h=h, metric=build_positive_metric(dec),
                            initial_state=[0, 1], t_grid=grid)
-    with pytest.raises(Overflow):
-        krein_norm_series(req)
-    with pytest.raises(Overflow):
-        transition_probability(req, [1, 0])
+    series = np.array(krein_norm_series(req))
+    assert np.abs(series - series[0]).max() < 1e-12
+    flip = np.array(transition_probability(req, [1, 0]))
+    assert np.abs(flip - 0.5 * (1 - np.cos(2 * np.array(grid)))).max() < 1e-10
+
+
+@pytest.mark.parametrize("route", ["chain", "stepped"])
+def test_a_hermitian_h_evolves_to_t_1e4(monkeypatch, route):
+    h = np.diag([1.0, 2.0]).astype(complex)
+    grid = np.linspace(0, 1e4, 201)
+    _on_route(monkeypatch, route, h)
+    req = EvolutionRequest(h=h, metric=np.eye(2), initial_state=[1, 1], t_grid=tuple(grid))
+    assert np.abs(np.array(krein_norm_series(req)) - 2.0).max() < 1e-12
+    stay = np.array(transition_probability(req, [1, 1]))
+    assert np.abs(stay - 0.5 * (1 + np.cos(grid))).max() < 1e-10
+
+
+def test_a_step_past_the_bound_is_exponentiated_in_parts(monkeypatch):
+    # one gap of 1e3 at ||H||_F = 2 is two parts of 500, each at 1e3
+    h, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))
+    exponentiated = []
+    monkeypatch.setattr(evolution, "propagator",
+                        lambda h_, t: exponentiated.append(t) or propagator(h_, t))
+    got = evolution._states(h, np.array([0, 1], dtype=complex), (1e3,))
+    assert exponentiated == [500.0]
+    want = propagator(h, 500.0) @ propagator(h, 500.0) @ np.array([0, 1])
+    assert np.abs(got[:, 0] - want).max() < 1e-12
+
+
+def test_overflow_is_refused_only_where_a_value_is_not_finite(monkeypatch):
+    # model pair regime, Im E = 1: the states grow like e^t and pass the float
+    # range at t ~ 710, while the Krein norm stays -0.75
+    h, _, dec = mashhoon_papini(MashhoonPapiniParams(0.3, 1.0, -1.0))
+    grid = tuple(np.linspace(0, 800, 201))
+    req = EvolutionRequest(h=h, metric=build_parity(dec), initial_state=[1, 0.5j], t_grid=grid)
+    assert np.abs(np.array(krein_norm_series(req)) + 0.75).max() < 1e-12
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match="^the evolved state overflows the float range$"):
+            transition_probability(EvolutionRequest(h=h, metric=np.eye(2),
+                                                    initial_state=[1, 0.5j], t_grid=grid),
+                                   [1, 0])
+        _on_route(monkeypatch, "stepped", h)
+        with pytest.raises(Overflow, match="^the evolved state overflows the float range$"):
+            krein_norm_series(req)
+
+
+def test_the_model_pair_series_holds_its_krein_norm_to_t_40():
+    # stepped, the 5-point grid to t = 40 reads -0.75, -0.75000003, -16, -4.3e9, -4.6e18
+    h, _, dec = mashhoon_papini(MashhoonPapiniParams(0.3, 1.0, -1.0))
+    req = EvolutionRequest(h=h, metric=build_parity(dec), initial_state=[1, 0.5j],
+                           t_grid=tuple(np.linspace(0, 40, 201)))
+    assert np.abs(np.array(krein_norm_series(req)) + 0.75).max() < 1e-12
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_a_cold_and_a_warm_memo_give_identical_series():
+    h, _, dec = mashhoon_papini(MashhoonPapiniParams(0.3, 1.0, 0.0))
+    req = EvolutionRequest(h=h, metric=build_parity(dec), initial_state=[1, 0.5j],
+                           t_grid=tuple(np.linspace(0, 30, 61)))
+    cold = krein_norm_series(req)
+    assert krein_norm_series(req) == cold
+    h, _, dec = mashhoon_papini(MashhoonPapiniParams(0.3, 1.0, 1.0))
+    req = EvolutionRequest(h=h, metric=build_positive_metric(dec), initial_state=[1, 0.5j],
+                           t_grid=tuple(np.linspace(0, 30, 61)))
+    cold = transition_probability(req, [1, 1])
+    analyze(h)
+    assert transition_probability(req, [1, 1]) == cold
+
+
+# --- both routes against an mpmath referee ------------------------------------
+
+def _referee_states(h, state, grid):
+    """``exp(-iHt) state`` by mpmath's expm at 50 digits, as complex128."""
+    with mpmath.workdps(50):
+        a, v = mpmath.matrix(h.tolist()), mpmath.matrix(state.tolist())
+        return np.array([[complex(x) for x in mpmath.expm(-1j * mpmath.mpf(t) * a) * v]
+                         for t in grid]).T
+
+
+def _n9():
+    """A 2-block and a simple real eigenvalue, and a conjugate pair listing
+    its (1, 2) blocks in both orders, at basis condition 10."""
+    spec = SynthesisSpec(groups=(JordanBlockSpec(-1.0, (2,)), JordanBlockSpec(1.5, (1,)),
+                                 JordanBlockSpec(0.5 + 0.5j, (1, 2)),
+                                 JordanBlockSpec(0.5 - 0.5j, (2, 1))),
+                         basis_seed=9, basis_cond=10.0)
+    h, dec = synthesize(spec)
+    return h, build_parity(dec)
+
+
+def _referee_series_cases():
+    for label, (e, r, s) in (("model-pair", (0.3, 1.0, -1.0)), ("model-jordan", (0.3, 1.0, 0.0))):
+        h, _, dec = mashhoon_papini(MashhoonPapiniParams(e, r, s))
+        yield pytest.param(h, build_parity(dec), np.array([1, 0.5j]), id=label)
+    h, p = _n9()
+    yield pytest.param(h, p, np.random.default_rng(9).normal(size=9) + 0j, id="n9")
+
+
+@pytest.mark.parametrize("route", ["chain", "stepped"])
+@pytest.mark.parametrize("h, metric, psi0", _referee_series_cases())
+def test_krein_series_agrees_with_the_referee(monkeypatch, route, h, metric, psi0):
+    grid = (0.0, 0.7, 2.5, 5.0)
+    want = [float((v.conj() @ metric @ v).real) for v in _referee_states(h, psi0, grid).T]
+    _on_route(monkeypatch, route, h)
+    got = krein_norm_series(EvolutionRequest(h=h, metric=metric, initial_state=psi0,
+                                             t_grid=grid))
+    assert np.abs(np.array(got) - want).max() <= 1e-10 * max(1.0, np.abs(want).max())
+
+
+def _referee_probability_cases():
+    h, _, dec = mashhoon_papini(MashhoonPapiniParams(0.3, 1.0, 1.0))
+    yield pytest.param(h, build_positive_metric(dec), id="model-real")
+    # the identity is a positive metric for any H; under it the amplitudes
+    # of Jordan chains and pairs are the Euclidean ones
+    yield pytest.param(mashhoon_papini(MashhoonPapiniParams(0.3, 1.0, 0.0))[0], np.eye(2),
+                       id="model-jordan-identity")
+    yield pytest.param(_n9()[0], np.eye(9), id="n9-identity")
+    spec = SynthesisSpec(groups=tuple(JordanBlockSpec(x, (1,)) for x in (-1.2, -0.3, 0.4, 1.1,
+                                                                           2.0)),
+                         basis_seed=5, basis_cond=10.0)
+    h, dec = synthesize(spec)
+    yield pytest.param(h, build_positive_metric(dec), id="n5-real")
+
+
+def test_grid_sum_matches_the_direct_sum():
+    # rates 0, inside sqrt(eps) / max|t| (taken to first order) and past it
+    rng = np.random.default_rng(3)
+    t = np.linspace(-50.0, 100.0, 31)
+    rate = np.array([0.0, 2e-11j, -3e-12 + 1e-11j, 0.05 - 0.7j, -0.02j])[[0, 1, 2, 2, 3, 4, 4, 0]]
+    power = np.array([0, 0, 1, 2, 0, 1, 0, 3])
+    coef = rng.normal(size=8) + 1j * rng.normal(size=8)
+    want = (coef[:, None] * t ** power[:, None] * np.exp(np.outer(rate, t))).sum(axis=0)
+    got = evolution._on_grid(coef, power, rate, t)
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("route", ["chain", "stepped"])
+@pytest.mark.parametrize("h, metric", _referee_probability_cases())
+def test_transition_probability_agrees_with_the_referee(monkeypatch, route, h, metric):
+    grid = (0.0, 0.7, 2.5, 5.0)
+    rng = np.random.default_rng(h.shape[0])
+    initial = evolution.metric_normalize(rng.normal(size=h.shape[0]) + 0j, metric)
+    final = evolution.metric_normalize(rng.normal(size=h.shape[0]) + 1j, metric)
+    want = np.abs(final.conj() @ metric @ _referee_states(h, initial, grid)) ** 2
+    _on_route(monkeypatch, route, h)
+    got = transition_probability(EvolutionRequest(h=h, metric=metric, initial_state=initial,
+                                                  t_grid=grid), final)
+    assert np.abs(np.array(got) - want).max() <= 1e-10
 
 
 def test_grid_across_zero_is_not_refused_for_its_gap():

@@ -388,6 +388,7 @@ def _diagonalizable_cases():
                            id=f"mashhoon-{regime}")
 
 
+@pytest.mark.usefixtures("cold_memo")
 @pytest.mark.parametrize("h", _diagonalizable_cases())
 def test_simple_eigenvalues_need_no_schur_reordering(monkeypatch, h):
     _refuse_reordering(monkeypatch)
@@ -396,6 +397,7 @@ def test_simple_eigenvalues_need_no_schur_reordering(monkeypatch, h):
     assert _failed_checks(h, dec) == []
 
 
+@pytest.mark.usefixtures("cold_memo")
 def test_schur_reordering_runs_once_per_multi_member_cluster(monkeypatch):
     spec = SynthesisSpec(groups=(
         JordanBlockSpec(0.0, (3,)), JordanBlockSpec(2.0, (1, 1)), JordanBlockSpec(-1.5, (1,)),
@@ -412,6 +414,7 @@ def test_schur_reordering_runs_once_per_multi_member_cluster(monkeypatch):
     assert _failed_checks(h, dec) == []
 
 
+@pytest.mark.usefixtures("cold_memo")
 def test_snapped_simple_eigenvalue_keeps_its_staircase_refusal(monkeypatch):
     # the snap moves the center of 1+1e-5i to 1, so the 1x1 staircase test
     # sees 1e-5, not 0; open: the snap distance is not taken into account
@@ -423,6 +426,7 @@ def test_snapped_simple_eigenvalue_keeps_its_staircase_refusal(monkeypatch):
         "multiplicity 1; the cluster is not resolvable at this tolerance")
 
 
+@pytest.mark.usefixtures("cold_memo")
 def test_a_failed_1x1_staircase_is_refused_before_any_cluster_is_visited(monkeypatch):
     # the 2-block at 1 is listed before the snapped 5 + 1e-5i, and is not reordered
     _refuse_reordering(monkeypatch)
@@ -430,6 +434,7 @@ def test_a_failed_1x1_staircase_is_refused_before_any_cluster_is_visited(monkeyp
         analyze(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 5 + 1e-5j]]))
 
 
+@pytest.mark.usefixtures("cold_memo")
 def test_a_failed_schur_reordering_is_a_typed_refusal(monkeypatch):
     monkeypatch.setattr(linalg, "reorder_schur", lambda t, z, select: (t, z, 0, 1))
     with pytest.raises(ClusterAmbiguity) as exc:
@@ -438,6 +443,7 @@ def test_a_failed_schur_reordering_is_a_typed_refusal(monkeypatch):
                               "(info=1, 0 of 2 eigenvalues moved)")
 
 
+@pytest.mark.usefixtures("cold_memo")
 @pytest.mark.parametrize("h", [np.diag([1.0, 2.0]), np.diag([1j, 2.0])],
                          ids=["paired", "unpaired"])
 def test_a_singular_chain_basis_is_refused_before_the_pairing(monkeypatch, h):
@@ -543,6 +549,7 @@ def _degenerate_spec(n, dims, cond, seed):
                          basis_seed=int(rng.integers(2 ** 62)), basis_cond=cond)
 
 
+@pytest.mark.usefixtures("cold_memo")
 @pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1), (2, 2), (3, 3)], ids=str)
 @pytest.mark.parametrize("n", [8, 32, 64])
 def test_identical_blocks_match_the_svd_staircase(monkeypatch, n, dims):
@@ -565,6 +572,7 @@ def test_identical_blocks_match_the_svd_staircase(monkeypatch, n, dims):
         assert _failed_checks(h, dec) == [], cond
 
 
+@pytest.mark.usefixtures("cold_memo")
 def test_semisimple_clusters_take_no_svd_or_qr(monkeypatch):
     h, _ = synthesize(_degenerate_spec(32, (1, 1), 100.0, 1))
     calls = _count_calls(monkeypatch, "svd", "qr")
@@ -573,6 +581,7 @@ def test_semisimple_clusters_take_no_svd_or_qr(monkeypatch):
     assert calls == {"svd": 0, "qr": 0}
 
 
+@pytest.mark.usefixtures("cold_memo")
 @pytest.mark.parametrize("p", [2, 3, 4, 5])
 def test_a_single_block_takes_one_svd_per_power_and_no_qr(monkeypatch, p):
     h, _ = synthesize(_spec(np.random.default_rng([32, p]), 32, (p,), cond=10.0))
@@ -721,3 +730,73 @@ def test_analyze_metamorphic_relations(capsys):
         assert not got["wrong"].any(), name
         assert (got["refused"] <= refused_max).all(), (name, got["refused"])
         assert (got["failing"] <= failing_max).all(), (name, got["failing"])
+
+
+# --- the reconstruction refusal and the last-result memo ----------------------
+
+@pytest.mark.parametrize("n, dims, seed", [(8, (2, 2), 3), (16, (4, 4), 8), (16, (3, 3, 3), 1)],
+                         ids=["8-(2,2)", "16-(4,4)", "16-(3,3,3)"])
+def test_a_decomposition_that_does_not_reconstruct_h_is_refused(n, dims, seed):
+    # the staircase reads these identical-block groups at cond 1e3 as other
+    # structures, (2,2)+(3,1), (4,4)+(5,3) and (4,3,2), whose Psi J Phi^dag
+    # misses H by 7e7 to 2e9 times the threshold
+    h, _ = synthesize(_degenerate_spec(n, dims, 1e3, seed))
+    with pytest.raises(ClusterAmbiguity, match=r"^chain basis does not reconstruct H: "
+                                               r"\|\|Psi J Phi\^dag - H\|\|_F = "):
+        analyze(h)
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_an_equal_h_and_tolerance_are_served_from_the_memo():
+    h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    dec = analyze(h)
+    assert analyze(h.copy()) is dec
+    assert analyze(h, linalg.Tolerance(1e-10, 1e-10)) is dec  # equal, not identical
+    assert analyze(h, linalg.Tolerance(1e-9, 1e-10)) is not dec
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_an_h_mutated_in_place_is_analyzed_afresh():
+    h = np.diag([1.0, 2.0, 3.0]).astype(complex)
+    dec = analyze(h)
+    h[0, 0] = 5.0
+    fresh = analyze(h)
+    assert fresh is not dec
+    assert sorted(g.eigenvalue.real for g in fresh.groups) == [2.0, 3.0, 5.0]
+    assert sorted(g.eigenvalue.real for g in dec.groups) == [1.0, 2.0, 3.0]
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_not_paired_is_decided_on_every_call():
+    h = np.diag([2j, 1.0, 3.0]).astype(complex)
+    with pytest.raises(NotPaired) as cold:
+        analyze(h)
+    dec = analyze(h, allow_unpaired=True)
+    with pytest.raises(NotPaired) as warm:
+        analyze(h)
+    assert str(warm.value) == str(cold.value) == (
+        "complex eigenvalues without conjugate partner of equal block structure: [2j]")
+    assert analyze(h, allow_unpaired=True) is dec
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_a_refusal_is_not_kept():
+    h = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1e-7))[0]
+    dec = analyze(np.eye(2))
+    for _ in range(2):
+        with pytest.raises(ClusterAmbiguity):
+            analyze(h)
+    assert analyze(np.eye(2)) is dec
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_cold_and_warm_memo_give_identical_decompositions():
+    h, _ = synthesize(_degenerate_spec(16, (2, 2), 10.0, 0))
+    warm = analyze(h)
+    spectral._last.clear()
+    cold = analyze(h)
+    assert cold is not warm
+    for name in ("psi", "phi", "phi_dag", "chain_dim", "chain_conj"):
+        assert getattr(cold, name).tobytes() == getattr(warm, name).tobytes()
+    assert [(g.eigenvalue, g.kind, g.block_dims) for g in cold.groups] == \
+        [(g.eigenvalue, g.kind, g.block_dims) for g in warm.groups]

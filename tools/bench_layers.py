@@ -23,6 +23,14 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
     chain_product  one operators._chain_product (the parity's)
     congruence     krein.congruence_to_involutory
     evolution      evolution.propagator over one step of 0.05
+    krein_series   evolution.krein_norm_series under the parity P
+    probability    evolution.transition_probability under the positive
+                   metric P+ (absent where P+ does not exist)
+
+Both series run on ``GRID_POINTS`` uniform points from 0 to
+``min(GRID_END, 0.8 EXPM_NORM_BOUND / ||H||_F)``.  Each of their samples is
+preceded, untimed, by ``spectral.analyze(h)``, as in an op, where the
+series follow the analysis of their H.
 
 A sample repeats one layer's call for about ``BATCH_S`` and is timed
 between two samples of the benchmark's reference kernel (``perfbench/
@@ -67,9 +75,13 @@ STRUCTURES = ("simple", "jordan", "paired")
 #: the real Jordan blocks of the ``jordan`` rows, per n
 JORDAN_BLOCKS = {2: (2,), 4: (3,), 16: (4, 2), 32: (5, 3, 2), 64: (5, 4, 3, 2)}
 LAYERS = ("schur", "clustering", "staircase", "assembly", "chain_product", "congruence",
-          "evolution")
+          "evolution", "krein_series", "probability")
+#: the layers that run after an untimed ``analyze`` of their H
+AFTER_ANALYZE = ("krein_series", "probability")
 COND = 100.0
 STEP = 0.05
+GRID_POINTS = 200
+GRID_END = 4.0
 BATCH_S = 2e-4  # a sample repeats a layer's call for about this long
 PROCESSES = 5   # worker processes, one after another
 REPEATS = 21    # rounds over the grid per worker
@@ -103,6 +115,7 @@ def _calls(h):
     import numpy as np
 
     from pseudoherm import evolution, krein, linalg, operators, spectral
+    from pseudoherm.errors import MathematicalRefusal
 
     blocks, assembled = [], []
     extract, assemble = spectral._extract_chains, spectral._assemble
@@ -134,6 +147,16 @@ def _calls(h):
             extract(b, tol)
 
     signs = operators._sign_array(dec, "canonical")
+    grid = tuple(np.linspace(0.0, min(GRID_END, 0.8 * linalg.EXPM_NORM_BOUND / np.linalg.norm(h)),
+                             GRID_POINTS))
+    psi0 = np.array([1, 1j]) @ np.random.default_rng(h.shape[0]).normal(size=(2, h.shape[0]))
+    series = evolution.EvolutionRequest(h=h, metric=operators.build_parity(dec),
+                                        initial_state=psi0, t_grid=grid)
+    try:
+        probability = evolution.EvolutionRequest(
+            h=h, metric=operators.build_positive_metric(dec), initial_state=psi0, t_grid=grid)
+    except MathematicalRefusal:
+        probability = None
     calls = {"schur": lambda: linalg.schur(h),
              "clustering": clustering,
              "staircase": staircase if blocks else None,
@@ -141,8 +164,12 @@ def _calls(h):
              "chain_product": lambda: operators._chain_product(dec, "P", dec.phi, dec.phi_dag,
                                                                signs),
              "congruence": lambda: krein.congruence_to_involutory(dec),
-             "evolution": lambda: evolution.propagator(h, STEP)}
-    return calls, len(blocks), sorted(g.block_dims for g in dec.groups if sum(g.block_dims) > 1)
+             "evolution": lambda: evolution.propagator(h, STEP),
+             "krein_series": lambda: evolution.krein_norm_series(series),
+             "probability": probability and (
+                 lambda: evolution.transition_probability(probability, psi0[::-1]))}
+    return (calls, lambda: spectral.analyze(h), len(blocks),
+            sorted(g.block_dims for g in dec.groups if sum(g.block_dims) > 1))
 
 
 def _summary(values):
@@ -162,7 +189,7 @@ def sample_layers(ref) -> tuple[list[dict], dict]:
     for n in SIZES:
         for structure in STRUCTURES:
             h, _ = synthesize(_spec(structure, n))
-            calls, clusters, blocks = _calls(h)
+            calls, analyze, clusters, blocks = _calls(h)
             rows.append({"n": n, "structure": structure, "multi_member_clusters": clusters,
                          "nontrivial_groups": [list(d) for d in blocks],
                          "input_sha256": hashlib.sha256(np.ascontiguousarray(h).tobytes())
@@ -176,10 +203,12 @@ def sample_layers(ref) -> tuple[list[dict], dict]:
                     key = f"{len(rows) - 1}/{name}"
                     samples[key] = {"calls_per_sample": batch, "ms": [], "ref": []}
                     plans.append((call, batch, batch * (clusters if name == "staircase" else 1),
-                                  samples[key]))
+                                  samples[key], analyze if name in AFTER_ANALYZE else None))
     ref.sample()
     for _ in range(REPEATS):
-        for call, batch, per_call, out in plans:
+        for call, batch, per_call, out, before in plans:
+            if before is not None:
+                before()
             t0 = perf_counter()
             for _ in range(batch):
                 call()
