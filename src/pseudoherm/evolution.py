@@ -15,7 +15,8 @@ no exponential, and a growing pair component meets only its decaying
 partner, so the series stays bounded at any horizon.  Where ``analyze``
 refuses H, the states are stepped out from t = 0 (``_states``), each step
 exponentiated in parts inside ``EXPM_NORM_BOUND``.  Either way ``Overflow``
-is raised only when a value stops being finite.
+is raised only when a value stops being finite, including a step's
+``|t| ||H||_F``.
 
 ``mashhoon_papini`` builds the two-level effective Hamiltonian
 
@@ -176,8 +177,9 @@ def _states(h, state, grid) -> np.ndarray:
     dropping at most ``(|d_k| ||H||_F)^2 / 2 <= eps / 2`` (Moler & Van Loan,
     SIAM Rev. 45 (2003)).  A gap b with ``|b| ||H||_F`` past
     ``EXPM_NORM_BOUND`` is exponentiated in the fewest equal parts inside it,
-    and U(b) is their power; a state that overflows is left non-finite for
-    the caller to refuse.
+    and U(b) is their power; one whose ``|b| ||H||_F`` overflows is refused
+    with ``Overflow``.  A state that overflows is left non-finite for the
+    caller to refuse.
     """
     grid = np.asarray(grid)
     h_norm = np.linalg.norm(h)
@@ -189,9 +191,12 @@ def _states(h, state, grid) -> np.ndarray:
             out[:, walk[0]], walk = state, walk[1:]
         while walk.size:
             offset = grid[walk] - t_prev
+            reach = abs(offset[0]) * h_norm
+            if not np.isfinite(reach):
+                raise Overflow("|t| ||H||_F overflows the float range")
             drift = offset - offset[0] * np.arange(1, walk.size + 1)
             size = int(np.argmax(np.abs(drift) * h_norm > _REACH)) or walk.size  # drift[0] = 0
-            parts = max(1, int(np.ceil(abs(offset[0]) * h_norm / linalg.EXPM_NORM_BOUND)))
+            parts = max(1, int(np.ceil(reach / linalg.EXPM_NORM_BOUND)))
             step = np.linalg.matrix_power(propagator(h, offset[0] / parts), parts)
             run = np.empty((state.shape[0], size), dtype=np.complex128)
             run[:, 0], done = step @ psi, 1

@@ -159,7 +159,10 @@ class SpectralDecomposition:
         return bool(self.unpaired)
 
     def eigenvalues(self) -> np.ndarray:
-        return np.array([g.eigenvalue for g in self.groups for c in g.chains for _ in range(c.dim)])
+        """Each column's eigenvalue."""
+        group = np.array([ng for ng, _ in self.chain_labels], dtype=np.intp)
+        return np.array([g.eigenvalue for g in self.groups],
+                        dtype=np.complex128)[group[self.columns[0]]]
 
 
 @dataclass(frozen=True)
@@ -211,7 +214,8 @@ def is_pseudo_hermitian(h, eta, tol: Tolerance = DEFAULT_TOL) -> bool:
     the rule of ``linalg.metric_eigenvalues``, whose eigensolve runs only
     when Weyl's inequality, ``|w| >= 1/||eta^-1||_F - ||eta - eta^dag||_F / 2``
     for the eigenvalues w of eta's Hermitian part, cannot put every |w|
-    above twice ``tol.scaled(eta)``."""
+    above twice ``tol.scaled(eta)``.  An H whose ``||H||_F`` overflows is
+    refused with ``Overflow``: no threshold can be formed for it."""
     h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
     if h.shape != eta.shape:
         raise DimensionMismatch(f"H is {h.shape} but the metric is {eta.shape}")
@@ -223,8 +227,11 @@ def is_pseudo_hermitian(h, eta, tol: Tolerance = DEFAULT_TOL) -> bool:
     thr, defect = tol.scaled(eta), linalg.hermitian_defect(eta)
     if not (defect <= thr and 0.0 < float(np.linalg.norm(eta_inv)) * (2 * thr + defect / 2) < 1):
         linalg.metric_eigenvalues(eta, tol)
-    resid = np.linalg.norm(eta @ h @ eta_inv - h.conj().T)
-    return bool(resid <= tol.scaled(h, eta))
+    with np.errstate(over="ignore", invalid="ignore"):  # an infinite threshold is refused
+        resid, thr = np.linalg.norm(eta @ h @ eta_inv - h.conj().T), tol.scaled(h, eta)
+    if not np.isfinite(thr):
+        raise Overflow("||H||_F overflows the float range")
+    return bool(resid <= thr)
 
 
 # ---------------------------------------------------------------------------
@@ -580,8 +587,7 @@ def _decompose(h: np.ndarray, tol: Tolerance) -> SpectralDecomposition:
     label = np.concatenate((singles, np.repeat(multi, sizes[multi])))
     s_mat = np.hstack(columns)[:, np.argsort(np.argsort(order)[label], kind="stable")]
     chain_dims = np.array([d for spec in specs for d in spec.block_dims])
-    starts = np.cumsum(chain_dims) - chain_dims
-    heads = s_mat[:, starts]
+    heads = s_mat[:, np.cumsum(chain_dims) - chain_dims]
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(heads, axis=0)
     if not np.isfinite(norms).all():
@@ -594,14 +600,10 @@ def _decompose(h: np.ndarray, tol: Tolerance) -> SpectralDecomposition:
         s_inv = linalg.inv(s_mat / scale, tol) / scale[:, None]
     except Exception as exc:
         raise ClusterAmbiguity(f"chain basis numerically singular: {exc}") from exc
-    # Psi J: each column times its eigenvalue, plus the one before it in its chain
-    psi_j = s_mat * np.repeat(centers[order], sizes[order])
-    inner = np.ones(n, dtype=bool)
-    inner[starts] = False
-    np.add(psi_j[:, 1:], s_mat[:, :-1], out=psi_j[:, 1:], where=inner[1:])
+    dec = _assemble(specs, max(real_thresh, delta), True, s_mat, s_inv)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
-        resid, thr = np.linalg.norm(psi_j @ s_inv - h), tol.scaled(h)
+        resid, thr = np.linalg.norm(reconstruct(dec) - h), tol.scaled(h)
     if not resid <= thr:
         raise ClusterAmbiguity(f"chain basis does not reconstruct H: ||Psi J Phi^dag - H||_F "
                                f"= {resid:.3e} above the tolerance {thr:.3e}")
-    return _assemble(specs, max(real_thresh, delta), True, s_mat, s_inv)
+    return dec

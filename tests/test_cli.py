@@ -603,6 +603,25 @@ def test_an_overflowing_norm_is_a_one_line_refusal(h, argv, tmp_path, capsys):
     assert captured.err == "error: ||H||_F overflows the float range\n"
 
 
+@pytest.mark.parametrize("h, t1, final, message", [
+    (1e154 * np.diag([1.0, 2.0]), "1", False, "||H||_F overflows the float range"),
+    (1e154 * np.diag([1.0, 2.0]), "1", True, "|t| ||H||_F overflows the float range"),
+    (np.array([[1j, 0], [0, 2]]), "1e308", True, "|t| ||H||_F overflows the float range"),
+], ids=["diag-1e154-krein", "diag-1e154-probability", "unpaired-to-1e308-probability"])
+def test_evolve_refuses_an_overflowing_step_in_one_line(h, t1, final, message, tmp_path, capsys):
+    path = _write_matrix(tmp_path, "h.json", h)
+    eye = _write_matrix(tmp_path, "eye.json", np.eye(2))
+    v = _write_vector(tmp_path, "v.json", [1.0, 0.0])
+    argv = ["evolve", "--input", str(path), "--metric", str(eye), "--initial", str(v),
+            "--t0", "0", "--t1", t1, "--steps", "2"] + (["--final", str(v)] if final else [])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_matrix_document_with_a_wrong_n_is_refused():
     doc = {"n": 3, "data": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]}
     with pytest.raises(errors.DimensionMismatch, match="claims n=3 but data disagrees"):

@@ -470,6 +470,22 @@ def test_overflow_is_refused_only_where_a_value_is_not_finite(monkeypatch):
             krein_norm_series(req)
 
 
+@pytest.mark.parametrize("h, grid, krein_refusal", [
+    (1e154 * np.diag([1.0, 2.0]), (0.0, 1.0), (Overflow, r"^\|\|H\|\|_F overflows the float range$")),
+    (np.array([[1j, 0], [0, 2]]), (0.0, 1e308), (NotPseudoHermitian, "^H is not pseudo-Hermitian")),
+], ids=["diag-1e154", "unpaired-to-1e308"])
+def test_a_step_whose_norm_overflows_is_a_typed_refusal(h, grid, krein_refusal):
+    # analyze refuses both H (||H||_F overflows; 1j has no partner), so their
+    # states are stepped, and |t| ||H||_F is not finite on the step to grid[1]
+    req = EvolutionRequest(h=h, metric=np.eye(2), initial_state=[1, 1], t_grid=grid)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(Overflow, match=r"^\|t\| \|\|H\|\|_F overflows the float range$"):
+            transition_probability(req, [1, 0])
+        with pytest.raises(krein_refusal[0], match=krein_refusal[1]):
+            krein_norm_series(req)
+
+
 def test_the_model_pair_series_holds_its_krein_norm_to_t_40():
     # stepped, the 5-point grid to t = 40 reads -0.75, -0.75000003, -16, -4.3e9, -4.6e18
     h, _, dec = mashhoon_papini(MashhoonPapiniParams(0.3, 1.0, -1.0))
