@@ -97,7 +97,7 @@ def cmd_analyze(args) -> int:
         "completeness_residual": rep.completeness_residual,
     }
     warnings = []
-    if dec.has_unpaired_complex():
+    if dec.unpaired:
         warnings.append("complex eigenvalues without conjugate partners; "
                         "generalized parity constructions will refuse")
     return _report(args, results, warnings)
@@ -149,7 +149,7 @@ def cmd_check(args) -> int:
     dec = spectral.analyze(h, args.tol, allow_unpaired=True)
     rows = krein.check_battery(h, dec, _load_sigma(args.sigma), args.tol)
     all_ok = all(r["pass"] for r in rows)
-    failed = MathematicalRefusal if dec.has_unpaired_complex() else NumericalAmbiguity
+    failed = MathematicalRefusal if dec.unpaired else NumericalAmbiguity
     return _report(args, {"table": rows, "all_pass": all_ok},
                    code=0 if all_ok else failed.exit_code)
 

@@ -2,9 +2,10 @@
 
 The propagator of a metric-pseudo-Hermitian H conserves the indefinite inner
 product (``U(t)^dag eta U(t) = eta``), so Krein norms are constants of motion
-even when H is not Hermitian.  Transition probabilities are exposed only for
-positive definite metrics, where ``|<<final, U(t) initial>>|^2`` with
-metric-normalized states is a genuine probability.
+even when H is not Hermitian; ``_decomposition`` refuses any other (H, eta)
+for both series.  Transition probabilities also need a positive definite
+metric, where ``|<<final, U(t) initial>>|^2`` with metric-normalized states is
+a genuine probability; one exists only for a diagonalizable real spectrum.
 
 Both series are evaluated in the chain basis of ``analyze(H)``, whose last
 result is kept, so an op that analyzed H does not analyze it again.  The
@@ -107,7 +108,10 @@ def metric_normalize(state, metric) -> np.ndarray:
 
 
 def _decomposition(req: EvolutionRequest):
-    """``analyze(H)``, or None where it refuses H, whose states are then stepped."""
+    """``analyze(H)``, or None where it refuses H, whose states are then
+    stepped; ``NotPseudoHermitian`` where ``is_pseudo_hermitian`` rejects H."""
+    if not is_pseudo_hermitian(req.h, req.metric, req.tol):
+        raise NotPseudoHermitian("H is not pseudo-Hermitian with respect to this metric")
     try:
         return analyze(req.h, req.tol)
     except PseudohermError:
@@ -213,16 +217,18 @@ def _states(h, state, grid) -> np.ndarray:
 
 def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
     """``|<<final, U(t) initial>>|^2`` over the time grid, with both states
-    metric-normalized.  Requires a positive definite metric."""
-    if linalg.metric_eigenvalues(req.metric, req.tol).min() < 0:
-        raise IndefiniteMetric(
-            "transition probabilities are defined only for positive definite "
-            "metrics; use krein_norm_series for indefinite ones")
+    metric-normalized.  Past ``_decomposition`` only the metric's sign is
+    left to decide, by a Cholesky factorization of its Hermitian part."""
+    t, dec = np.asarray(req.t_grid), _decomposition(req)
+    try:
+        np.linalg.cholesky(0.5 * (req.metric + req.metric.conj().T))
+    except np.linalg.LinAlgError:
+        raise IndefiniteMetric("transition probabilities are defined only for positive definite "
+                               "metrics; use krein_norm_series for indefinite ones") from None
     if np.linalg.norm(linalg.as_vector(final_state, req.h.shape[0])) == 0:
         raise ValueError("final state is zero")
     initial = metric_normalize(req.initial_state, req.metric)
     bra = metric_normalize(final_state, req.metric).conj() @ req.metric
-    t, dec = np.asarray(req.t_grid), _decomposition(req)
     if dec is None:
         with np.errstate(over="ignore", invalid="ignore"):
             amplitudes = _finite(bra @ _states(req.h, initial, t))
@@ -234,18 +240,14 @@ def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
 
 
 def krein_norm_series(req: EvolutionRequest) -> list[float]:
-    """``<<psi(t), psi(t)>>`` over the grid; constant in time whenever H is
-    metric-pseudo-Hermitian (which is checked up front).
+    """``<<psi(t), psi(t)>>`` over the grid; constant in time, since the gate
+    of ``_decomposition`` admits only a metric-pseudo-Hermitian H.
 
     In the chain basis it is ``c(t)^dag M c(t)``, M = Psi^dag eta Psi kept
     only between eigenvalues E_a, E_b = conj(E_a): what pseudo-Hermiticity
     leaves of it.  So a growing pair component meets only its decaying
     partner, through e^{i (conj(E_a) - E_b) t}, and a real one no
     exponential at all."""
-    if not is_pseudo_hermitian(req.h, req.metric, req.tol):
-        raise NotPseudoHermitian(
-            "H is not pseudo-Hermitian with respect to this metric; the Krein "
-            "norm is not conserved")
     t, dec = np.asarray(req.t_grid), _decomposition(req)
     if dec is None:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -314,5 +316,5 @@ def mashhoon_papini(params: MashhoonPapiniParams):
                        f"at E={e:g}, r={r:g}, s={s:g}")
     specs = [JordanBlockSpec(*g) for g in groups]
     # pair tolerance 0: the complex regime's eigenvalues are exact conjugates
-    dec = _assemble(specs, 0.0, False, basis[0].T, basis[1].conj())
+    dec = _assemble(specs, 0.0, basis[0].T, basis[1].conj())
     return h, regime, dec

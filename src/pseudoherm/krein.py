@@ -260,7 +260,7 @@ def check_battery(h, dec: SpectralDecomposition, sigma="canonical",
     row("biorthonormality", rep.gram_residual)
     row("completeness", rep.completeness_residual)
     row("reconstruction", np.linalg.norm(spectral.reconstruct(dec) - h))
-    if dec.has_unpaired_complex():
+    if dec.unpaired:
         rows.append({"check": "conjugate pairing", "pass": False,
                      "residual": "NotPaired: unpaired complex eigenvalues"})
         return rows

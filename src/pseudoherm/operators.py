@@ -133,7 +133,7 @@ def _sign_array(dec: SpectralDecomposition, sigma) -> np.ndarray:
 
 
 def _require_paired(dec: SpectralDecomposition):
-    if dec.has_unpaired_complex():
+    if dec.unpaired:
         raise NotPaired(
             "decomposition has complex eigenvalues without conjugate partners; "
             "no generalized parity exists")

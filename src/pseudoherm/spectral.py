@@ -29,7 +29,8 @@ Realness is decided once, by the snap of near-real cluster centers onto the
 real axis: a group is real exactly when its eigenvalue's imaginary part is 0.
 The others are conjugate (+/-) pair members; a complex eigenvalue without a
 conjugate partner of identical block structure admits no generalized-parity
-treatment and is rejected with ``NotPaired`` unless explicitly tolerated.
+treatment.  ``_assemble`` records it in ``unpaired``, and ``analyze`` and
+``synthesize`` refuse it with ``NotPaired`` unless explicitly tolerated.
 
 A decomposition holds the chain basis once: S as ``psi``, Phi^dag = S^-1
 as ``phi_dag`` and its adjoint Phi as ``phi``, all read-only; chains are
@@ -155,9 +156,6 @@ class SpectralDecomposition:
         for ng1, ng2 in members.values():
             yield ng1, self.groups[ng1], ng2, self.groups[ng2]
 
-    def has_unpaired_complex(self) -> bool:
-        return bool(self.unpaired)
-
     def eigenvalues(self) -> np.ndarray:
         """Each column's eigenvalue."""
         group = np.array([ng for ng, _ in self.chain_labels], dtype=np.intp)
@@ -258,19 +256,22 @@ def synthesize(spec: SynthesisSpec, *, allow_unpaired: bool = False,
     ``H = S J S^-1`` (``reconstruct``) where J carries the requested blocks;
     the psi-chains are the columns of S and the phi-chains the conjugated
     rows of its inverse, so every chain-basis invariant holds by construction.
-    """
+    An unpaired complex group is refused as ``analyze`` refuses it."""
     s_mat = _random_basis(spec.n, np.random.default_rng(spec.basis_seed), spec.basis_cond)
     try:
         s_inv = linalg.inv(s_mat, tol)
     except Exception as exc:
         raise SingularBasis(f"basis not invertible: {exc}") from exc
-    dec = _assemble(spec.groups, tol.abs, allow_unpaired, s_mat, s_inv)
+    dec = _refuse_unpaired(_assemble(spec.groups, tol.abs, s_mat, s_inv), allow_unpaired)
     return reconstruct(dec), dec
 
 
-def _not_paired(eigenvalues: list) -> NotPaired:
-    return NotPaired(f"complex eigenvalues without conjugate partner of equal block "
-                     f"structure: {eigenvalues}")
+def _refuse_unpaired(dec: SpectralDecomposition, allow_unpaired: bool) -> SpectralDecomposition:
+    """``dec``, or ``NotPaired`` if it has ``unpaired`` groups that are not allowed."""
+    if dec.unpaired and not allow_unpaired:
+        raise NotPaired(f"complex eigenvalues without conjugate partner of equal block "
+                        f"structure: {[eigenvalue for eigenvalue, _ in dec.unpaired]}")
+    return dec
 
 
 def _match(table: list, mine: dict, theirs: dict):
@@ -281,13 +282,13 @@ def _match(table: list, mine: dict, theirs: dict):
             table[c] = other
 
 
-def _assemble(specs, pair_tol: float, allow_unpaired: bool, psi: np.ndarray,
+def _assemble(specs, pair_tol: float, psi: np.ndarray,
               phi_dag: np.ndarray) -> SpectralDecomposition:
     """The one constructor of a decomposition, one pass over ``specs``.  A
     group is real exactly when Im = 0; a complex one pairs with the first
     earlier unmatched group whose conjugate lies within ``pair_tol`` and whose
-    block sizes agree as a multiset, and what stays unmatched is refused with
-    ``NotPaired`` unless ``allow_unpaired``.  S (``psi``) and Phi^dag = S^-1
+    block sizes agree as a multiset; what stays unmatched is listed in
+    ``unpaired`` for the callers to refuse.  S (``psi``) and Phi^dag = S^-1
     (``phi_dag``) are marked read-only and cut into the groups, in order,
     each chain taking views of consecutive columns.  The same pass builds the
     chain table, listing each group's chains by size for ``_match`` to pair a
@@ -331,8 +332,6 @@ def _assemble(specs, pair_tol: float, allow_unpaired: bool, psi: np.ndarray,
         for k in (j, ng):
             kinds[k], pair_ids[k] = PLUS if specs[k].eigenvalue.imag > 0 else MINUS, pair
         pair += 1
-    if unmatched and not allow_unpaired:
-        raise _not_paired([specs[j].eigenvalue for j in unmatched])
     start = np.cumsum(dim) - dim
     chain = np.repeat(np.arange(dim.size), dim)
     height = np.arange(offset) - start[chain]
@@ -499,7 +498,7 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
     separated at the requested tolerance, or when the result does not
     reconstruct H (``||Psi J Phi^dag - H||_F`` above ``tol.scaled(H)``), and
     ``NotPaired`` when a complex eigenvalue lacks a conjugate partner of
-    identical block structure.
+    identical block structure, unless ``allow_unpaired``.
 
     The last decomposition made is kept with a copy of its H and its
     tolerance: a call with an equal H (``np.array_equal``) and an equal
@@ -513,9 +512,7 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
     else:
         dec = _decompose(h, tol)
         _last[:] = [(h.copy(), tol, dec)]
-    if dec.unpaired and not allow_unpaired:
-        raise _not_paired([eigenvalue for eigenvalue, _ in dec.unpaired])
-    return dec
+    return _refuse_unpaired(dec, allow_unpaired)
 
 
 def _decompose(h: np.ndarray, tol: Tolerance) -> SpectralDecomposition:
@@ -600,7 +597,7 @@ def _decompose(h: np.ndarray, tol: Tolerance) -> SpectralDecomposition:
         s_inv = linalg.inv(s_mat / scale, tol) / scale[:, None]
     except Exception as exc:
         raise ClusterAmbiguity(f"chain basis numerically singular: {exc}") from exc
-    dec = _assemble(specs, max(real_thresh, delta), True, s_mat, s_inv)
+    dec = _assemble(specs, max(real_thresh, delta), s_mat, s_inv)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
         resid, thr = np.linalg.norm(reconstruct(dec) - h), tol.scaled(h)
     if not resid <= thr:

@@ -605,9 +605,11 @@ def test_an_overflowing_norm_is_a_one_line_refusal(h, argv, tmp_path, capsys):
 
 @pytest.mark.parametrize("h, t1, final, message", [
     (1e154 * np.diag([1.0, 2.0]), "1", False, "||H||_F overflows the float range"),
-    (1e154 * np.diag([1.0, 2.0]), "1", True, "|t| ||H||_F overflows the float range"),
-    (np.array([[1j, 0], [0, 2]]), "1e308", True, "|t| ||H||_F overflows the float range"),
-], ids=["diag-1e154-krein", "diag-1e154-probability", "unpaired-to-1e308-probability"])
+    (1e154 * np.diag([1.0, 2.0]), "1", True, "||H||_F overflows the float range"),
+    (np.diag([1.0, 1.0 + 1e-9]), "1.5e308", False, "|t| ||H||_F overflows the float range"),
+    (np.diag([1.0, 1.0 + 1e-9]), "1.5e308", True, "|t| ||H||_F overflows the float range"),
+], ids=["diag-1e154-krein", "diag-1e154-probability", "close-to-1.5e308-krein",
+        "close-to-1.5e308-probability"])
 def test_evolve_refuses_an_overflowing_step_in_one_line(h, t1, final, message, tmp_path, capsys):
     path = _write_matrix(tmp_path, "h.json", h)
     eye = _write_matrix(tmp_path, "eye.json", np.eye(2))
@@ -620,6 +622,21 @@ def test_evolve_refuses_an_overflowing_step_in_one_line(h, t1, final, message, t
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("final", [False, True], ids=["krein", "probability"])
+def test_evolve_refuses_an_h_that_does_not_preserve_its_metric(final, tmp_path, capsys):
+    # the nilpotent H under the identity; --final used to print 0, 1, 4, 9
+    path = _write_matrix(tmp_path, "h.json", np.array([[0.0, 1.0], [0.0, 0.0]]))
+    eye = _write_matrix(tmp_path, "eye.json", np.eye(2))
+    e1 = _write_vector(tmp_path, "e1.json", [1.0, 0.0])
+    e2 = _write_vector(tmp_path, "e2.json", [0.0, 1.0])
+    assert main(["evolve", "--input", str(path), "--metric", str(eye), "--initial", str(e2),
+                 "--t0", "0", "--t1", "3", "--steps", "4"]
+                + (["--final", str(e1)] if final else [])) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: H is not pseudo-Hermitian with respect to this metric\n"
 
 
 def test_matrix_document_with_a_wrong_n_is_refused():

@@ -454,14 +454,15 @@ def test_a_step_past_the_bound_is_exponentiated_in_parts(monkeypatch):
 
 def test_overflow_is_refused_only_where_a_value_is_not_finite(monkeypatch):
     # model pair regime, Im E = 1: the states grow like e^t and pass the float
-    # range at t ~ 710, while the Krein norm stays -0.75
+    # range at t ~ 710, while the Krein norm stays -0.75; under the identity,
+    # which this H does not preserve, there is no probability to evolve
     h, _, dec = mashhoon_papini(MashhoonPapiniParams(0.3, 1.0, -1.0))
     grid = tuple(np.linspace(0, 800, 201))
     req = EvolutionRequest(h=h, metric=build_parity(dec), initial_state=[1, 0.5j], t_grid=grid)
     assert np.abs(np.array(krein_norm_series(req)) + 0.75).max() < 1e-12
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(Overflow, match="^the evolved state overflows the float range$"):
+        with pytest.raises(NotPseudoHermitian, match="^H is not pseudo-Hermitian"):
             transition_probability(EvolutionRequest(h=h, metric=np.eye(2),
                                                     initial_state=[1, 0.5j], t_grid=grid),
                                    [1, 0])
@@ -470,20 +471,50 @@ def test_overflow_is_refused_only_where_a_value_is_not_finite(monkeypatch):
             krein_norm_series(req)
 
 
-@pytest.mark.parametrize("h, grid, krein_refusal", [
-    (1e154 * np.diag([1.0, 2.0]), (0.0, 1.0), (Overflow, r"^\|\|H\|\|_F overflows the float range$")),
-    (np.array([[1j, 0], [0, 2]]), (0.0, 1e308), (NotPseudoHermitian, "^H is not pseudo-Hermitian")),
-], ids=["diag-1e154", "unpaired-to-1e308"])
-def test_a_step_whose_norm_overflows_is_a_typed_refusal(h, grid, krein_refusal):
-    # analyze refuses both H (||H||_F overflows; 1j has no partner), so their
-    # states are stepped, and |t| ||H||_F is not finite on the step to grid[1]
-    req = EvolutionRequest(h=h, metric=np.eye(2), initial_state=[1, 1], t_grid=grid)
+def test_a_step_whose_norm_overflows_is_a_typed_refusal():
+    # analyze refuses this Hermitian H (its two eigenvalues form one cluster
+    # whose staircase is inconsistent), so its states are stepped, and
+    # |t| ||H||_F is not finite on the step to t = 1.5e308
+    h = np.diag([1.0, 1.0 + 1e-9]).astype(complex)
+    with pytest.raises(ClusterAmbiguity):
+        analyze(h)
+    req = EvolutionRequest(h=h, metric=np.eye(2), initial_state=[1, 1], t_grid=(0.0, 1.5e308))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(Overflow, match=r"^\|t\| \|\|H\|\|_F overflows the float range$"):
             transition_probability(req, [1, 0])
-        with pytest.raises(krein_refusal[0], match=krein_refusal[1]):
+        with pytest.raises(Overflow, match=r"^\|t\| \|\|H\|\|_F overflows the float range$"):
             krein_norm_series(req)
+
+
+@pytest.mark.parametrize("h, metric, refusal", [
+    ([[0, 1], [0, 0]], np.eye(2), NotPseudoHermitian),
+    ([[1j, 0], [0, 2]], np.eye(2), NotPseudoHermitian),
+    (np.eye(2), [[2, 1], [0, 2]], NonHermitianMetric),
+    (np.diag([1.0, 2.0]), np.diag([1.0, 1.5e-10]), SingularMetric),
+    (1e154 * np.diag([1.0, 2.0]), np.eye(2), Overflow),
+], ids=["nilpotent", "unpaired", "non-hermitian-metric", "singular-metric", "diag-1e154"])
+def test_both_series_give_one_refusal(h, metric, refusal):
+    # one gate decides for both series whether (H, eta) can be evolved; the
+    # nilpotent H under the identity used to give probabilities 0, 1, 4, 9
+    req = EvolutionRequest(h=h, metric=metric, initial_state=[0, 1], t_grid=(0.0, 1.0, 2.0, 3.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(refusal) as probability:
+            transition_probability(req, [1, 0])
+        with pytest.raises(refusal) as krein_norm:
+            krein_norm_series(req)
+    assert type(probability.value) is type(krein_norm.value)
+    assert str(probability.value) == str(krein_norm.value)
+
+
+def test_the_metric_sign_is_decided_after_pseudo_hermiticity():
+    # an indefinite metric that H does not preserve: the gate refuses first
+    _, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))
+    req = EvolutionRequest(h=np.array([[1, 1], [0, 2]]), metric=build_parity(dec),
+                           initial_state=[0, 1], t_grid=(0.0, 1.0))
+    with pytest.raises(NotPseudoHermitian):
+        transition_probability(req, [1, 0])
 
 
 def test_the_model_pair_series_holds_its_krein_norm_to_t_40():
@@ -552,11 +583,6 @@ def test_krein_series_agrees_with_the_referee(monkeypatch, route, h, metric, psi
 def _referee_probability_cases():
     h, _, dec = mashhoon_papini(MashhoonPapiniParams(0.3, 1.0, 1.0))
     yield pytest.param(h, build_positive_metric(dec), id="model-real")
-    # the identity is a positive metric for any H; under it the amplitudes
-    # of Jordan chains and pairs are the Euclidean ones
-    yield pytest.param(mashhoon_papini(MashhoonPapiniParams(0.3, 1.0, 0.0))[0], np.eye(2),
-                       id="model-jordan-identity")
-    yield pytest.param(_n9()[0], np.eye(9), id="n9-identity")
     spec = SynthesisSpec(groups=tuple(JordanBlockSpec(x, (1,)) for x in (-1.2, -0.3, 0.4, 1.1,
                                                                            2.0)),
                          basis_seed=5, basis_cond=10.0)

@@ -182,7 +182,7 @@ def test_decomposition_construction_is_detected():
     source = ("from . import spectral\nfrom .spectral import EigenGroup, JordanChain\n"
               "c = JordanChain(psi=a, phi=b)\ng = EigenGroup(1.0, 'real', None, (c,))\n"
               "d = spectral.SpectralDecomposition(groups=(g,), psi=a, phi=b)\n"
-              "e = spectral._assemble(specs, tol, False, a, b)\n")
+              "e = spectral._assemble(specs, tol, a, b)\n")
     assert _decomposition_constructions(source) == [
         "JordanChain:3", "EigenGroup:4", "SpectralDecomposition:5"]
 

@@ -449,7 +449,7 @@ def _pipeline_cases():
     decs = dict(_CASES) | {f"two-level-{regime}": mashhoon_papini(MashhoonPapiniParams(0.5, *rs))[2]
                            for regime, rs in regimes.items()}
     for label, dec in decs.items():
-        if not dec.has_unpaired_complex():
+        if not dec.unpaired:
             h = spectral.reconstruct(dec)
             u = evolution.propagator(h, 0.5 / max(1.0, np.linalg.norm(h)))
             yield label, h, build_parity(dec), u, build_tp(dec)

@@ -1,5 +1,6 @@
 """Jordan structure extraction and synthesis round trips."""
 
+import ast
 import warnings
 
 import numpy as np
@@ -118,6 +119,23 @@ def test_pair_with_mismatched_blocks_is_rejected():
     ), basis_seed=0)
     with pytest.raises(NotPaired):
         synthesize(spec)
+
+
+def test_synthesize_refuses_an_unpaired_group_as_analyze_does():
+    spec = SynthesisSpec(groups=(JordanBlockSpec(0.5 + 2j, (2,)), JordanBlockSpec(1.0, (1,))),
+                         basis_seed=0, basis_cond=10.0)
+    h, dec = synthesize(spec, allow_unpaired=True)
+    assert dec.unpaired == ((0.5 + 2j, (2,)),)
+    with pytest.raises(NotPaired) as synthesized:
+        synthesize(spec)
+    with pytest.raises(NotPaired) as analyzed:
+        analyze(h)
+    # one message; analyze lists its H's computed eigenvalue, synthesize the spec's
+    text, _, listed = str(synthesized.value).partition(": ")
+    want, _, computed = str(analyzed.value).partition(": ")
+    assert text == want == "complex eigenvalues without conjugate partner of equal block structure"
+    assert listed == "[(0.5+2j)]"
+    assert np.abs(np.array(ast.literal_eval(computed)) - (0.5 + 2j)).max() < 1e-12
 
 
 def test_cluster_ambiguity_on_close_eigenvalues():

@@ -7,9 +7,10 @@ Writes the fixture files of ``perfbench/clirun.fixtures`` for seeds 1-3 into
 a temporary directory and runs each of their commands, the timed ones and the
 known-defect one, the three ``construct`` runs of ``KERNEL`` and the three
 ``analyze`` runs of ``ANALYZE`` (19 per seed, 57 in all), then the usage
-errors of ``USAGE_ERRORS`` (exit 1) against the last seed's files, then
-``model mashhoon`` once in each spectral regime with fixed parameters
-(``MODELS``): 68 commands, each as a fresh
+errors of ``USAGE_ERRORS`` (exit 1) against the last seed's files, then the
+two ``evolve`` runs of ``EVOLVE`` on files this tool writes, then ``model
+mashhoon`` once in each spectral regime with fixed parameters (``MODELS``):
+70 commands, each as a fresh
 ``pseudoherm`` process whose ``PYTHONPATH`` is the given ``src`` directory.
 Prints one line per command: seed (``-`` for the models), label, exit code
 and the SHA-256 of stdout followed by stderr.  The fixtures are built by this
@@ -74,6 +75,15 @@ USAGE_ERRORS = {
     "usage-malformed-json": ("analyze", "--input", "malformed.json"),
     "usage-negative-tol": ("analyze", "--input", "real4.json", "--tol", "-1"),
 }
+#: label -> argv of the ``evolve`` runs, in probability and in Krein mode, of
+#: the nilpotent H = [[0, 1], [0, 0]] under the identity, which it does not
+#: preserve, from (0, 1) to (1, 0); both are refused with exit 3
+EVOLVE = {
+    f"evolve-nilpotent-{mode}": ("evolve", "--input", "nilpotent.json", "--metric", "eye2.json",
+                                 "--initial", "e2.json", "--t0", "0", "--t1", "3", "--steps", "4",
+                                 *final)
+    for mode, final in (("probability", ("--final", "e1.json")), ("krein", ()))
+}
 
 
 def main(argv=None) -> int:
@@ -85,6 +95,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
     import clirun
+    from pseudoherm import serialization
 
     env = clirun.child_env(args.src.resolve())
 
@@ -107,6 +118,13 @@ def main(argv=None) -> int:
                 run(seed, label, argv)
         Path("malformed.json").write_text("{not json", encoding="utf-8")
         for label, argv in USAGE_ERRORS.items():
+            run("-", label, argv)
+        for name, doc in (("nilpotent", serialization.matrix_to_doc([[0, 1], [0, 0]])),
+                          ("eye2", serialization.matrix_to_doc([[1, 0], [0, 1]])),
+                          ("e1", serialization.vector_to_doc([1, 0])),
+                          ("e2", serialization.vector_to_doc([0, 1]))):
+            Path(f"{name}.json").write_text(serialization.canonical_dumps(doc), encoding="utf-8")
+        for label, argv in EVOLVE.items():
             run("-", label, argv)
         os.chdir(ROOT)
     for label, (e, r, s) in MODELS.items():
