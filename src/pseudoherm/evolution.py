@@ -14,9 +14,9 @@ times a polynomial in t per Jordan chain, and no ``expm`` runs.  The Krein
 norm pairs each eigenvalue only with its conjugate: a real eigenvalue takes
 no exponential, and a growing pair component meets only its decaying
 partner, so the series stays bounded at any horizon.  Where ``analyze``
-refuses H, the states are stepped out from t = 0 (``_states``), each step
+refuses H, each grid point takes its own propagator (``_states``),
 exponentiated in parts inside ``EXPM_NORM_BOUND``.  Either way ``Overflow``
-is raised only when a value stops being finite, including a step's
+is raised only when a value stops being finite, including a point's
 ``|t| ||H||_F``.
 
 ``mashhoon_papini`` builds the two-level effective Hamiltonian
@@ -170,48 +170,19 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 
 def _states(h, state, grid) -> np.ndarray:
-    """Columns ``U(t_k) state`` over a strictly increasing grid, for an H
-    that ``analyze`` refuses.
-
-    Walks out from t = 0, up through the points t >= 0 and down through the
-    points t < 0, in runs.  A run from t_0 with first gap b takes the points
-    ``t_k = t_0 + k b + d_k``, k = 1..L, while ``|d_k| ||H||_F <= sqrt(eps)``.
-    It exponentiates b once, forms every ``U(b)^k state`` by doubling
-    (ceil(log2 L) products and squarings), and adds ``-i d_k H U(b)^k state``,
-    dropping at most ``(|d_k| ||H||_F)^2 / 2 <= eps / 2`` (Moler & Van Loan,
-    SIAM Rev. 45 (2003)).  A gap b with ``|b| ||H||_F`` past
-    ``EXPM_NORM_BOUND`` is exponentiated in the fewest equal parts inside it,
-    and U(b) is their power; one whose ``|b| ||H||_F`` overflows is refused
-    with ``Overflow``.  A state that overflows is left non-finite for the
-    caller to refuse.
-    """
-    grid = np.asarray(grid)
+    """Columns ``U(t) state`` over the grid, for an H that ``analyze``
+    refuses: one propagator per point, ``U(t) = U(t / m)^m`` with the fewest
+    m that keep ``|t / m| ||H||_F`` inside ``EXPM_NORM_BOUND``.  A point whose
+    ``|t| ||H||_F`` overflows is refused with ``Overflow``; a state that
+    overflows is left non-finite for the caller to refuse."""
     h_norm = np.linalg.norm(h)
-    out = np.empty((state.shape[0], grid.size), dtype=np.complex128, order="F")
-    first_nonneg = np.searchsorted(grid, 0.0)
-    for walk in (np.arange(first_nonneg, grid.size), np.arange(first_nonneg - 1, -1, -1)):
-        psi, t_prev = state, 0.0
-        if walk.size and grid[walk[0]] == 0:  # the point t = 0 itself
-            out[:, walk[0]], walk = state, walk[1:]
-        while walk.size:
-            offset = grid[walk] - t_prev
-            reach = abs(offset[0]) * h_norm
-            if not np.isfinite(reach):
-                raise Overflow("|t| ||H||_F overflows the float range")
-            drift = offset - offset[0] * np.arange(1, walk.size + 1)
-            size = int(np.argmax(np.abs(drift) * h_norm > _REACH)) or walk.size  # drift[0] = 0
-            parts = max(1, int(np.ceil(reach / linalg.EXPM_NORM_BOUND)))
-            step = np.linalg.matrix_power(propagator(h, offset[0] / parts), parts)
-            run = np.empty((state.shape[0], size), dtype=np.complex128)
-            run[:, 0], done = step @ psi, 1
-            while done < size:  # step = U(b)^done
-                if done > 1:
-                    step = step @ step
-                run[:, done:2 * done] = step @ run[:, :min(done, size - done)]
-                done *= 2
-            run -= 1j * drift[:size] * (h @ run)
-            out[:, walk[:size]] = run
-            psi, t_prev, walk = run[:, -1], grid[walk[size - 1]], walk[size:]
+    out = np.empty((state.shape[0], len(grid)), dtype=np.complex128)
+    for k, t in enumerate(grid):
+        reach = abs(t) * h_norm
+        if not np.isfinite(reach):
+            raise Overflow("|t| ||H||_F overflows the float range")
+        m = max(1, int(np.ceil(reach / linalg.EXPM_NORM_BOUND)))
+        out[:, k] = np.linalg.matrix_power(propagator(h, t / m), m) @ state
     return out
 
 

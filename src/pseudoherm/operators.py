@@ -35,11 +35,10 @@ from .errors import (
     DimensionMismatch,
     NotDiagonalizableReal,
     NotInvolutory,
-    NotPaired,
     UnpairedRealBlocks,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import REAL, SpectralDecomposition
+from .spectral import REAL, SpectralDecomposition, _refuse_unpaired
 
 
 @dataclass(frozen=True)
@@ -132,13 +131,6 @@ def _sign_array(dec: SpectralDecomposition, sigma) -> np.ndarray:
     return arr
 
 
-def _require_paired(dec: SpectralDecomposition):
-    if dec.unpaired:
-        raise NotPaired(
-            "decomposition has complex eigenvalues without conjugate partners; "
-            "no generalized parity exists")
-
-
 # ---------------------------------------------------------------------------
 # chain-basis coefficients
 
@@ -177,7 +169,7 @@ def _chain_product(dec: SpectralDecomposition, op: str, left: np.ndarray,
     """``left @ K @ right`` for the K of ``_coefficients`` (``NotPaired`` if a
     complex eigenvalue has no partner, as K then does not exist): one gather
     of ``left``'s columns and one matrix product."""
-    _require_paired(dec)
+    _refuse_unpaired(dec, False)
     src, sign = _coefficients(dec, op, signs)
     return (left[:, src] * sign) @ right
 
@@ -249,7 +241,7 @@ def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
 def _paired_real_layout(dec: SpectralDecomposition, reason: str = "Proposition 4"):
     """The real block halves of ``dec.real_block_halves``; refuses unpaired
     complex eigenvalues first, then real groups whose blocks do not pair up."""
-    _require_paired(dec)
+    _refuse_unpaired(dec, False)
     half, violations = dec.real_block_halves
     if violations:
         raise UnpairedRealBlocks(

@@ -197,10 +197,9 @@ def reconstruct(dec: SpectralDecomposition) -> np.ndarray:
 
 
 def check_biorthonormal(dec: SpectralDecomposition) -> BiorthonormalityReport:
-    psi, phi = dec.psi_matrix(), dec.phi_matrix()
     eye = np.eye(dec.n)
-    gram = psi.conj().T @ phi
-    complete = psi @ phi.conj().T
+    gram = dec.psi.conj().T @ dec.phi
+    complete = dec.psi @ dec.phi.conj().T
     return BiorthonormalityReport(
         gram_residual=float(np.abs(gram - eye).max()),
         completeness_residual=float(np.abs(complete - eye).max()),

@@ -5,6 +5,7 @@ import warnings
 import mpmath
 import numpy as np
 import pytest
+import scipy.linalg as sla
 
 from pseudoherm import evolution, krein, linalg
 from pseudoherm.errors import (
@@ -273,11 +274,11 @@ def test_model_sweep_across_the_exceptional_point(capsys):
     assert len(refused) <= SWEEP_REFUSED_MAX
 
 
-# --- stepped series against per-point propagators ---------------------------
+# --- stepped series against scipy's expm per point --------------------------
 
-def _per_point(h, state, grid):
-    """Reference: one propagator per grid point."""
-    return np.column_stack([propagator(h, t) @ state for t in grid])
+def _scipy_states(h, state, grid):
+    """Reference: scipy's ``expm(-i H t) state`` at each grid point."""
+    return np.column_stack([sla.expm(-1j * t * h) @ state for t in grid])
 
 
 def _synthesized_n32():
@@ -308,7 +309,7 @@ def _agreement_cases():
 def test_stepped_states_match_per_point_propagators(h, dec, grid):
     rng = np.random.default_rng(5)
     psi0 = rng.normal(size=dec.n) + 1j * rng.normal(size=dec.n)
-    ref = _per_point(h, psi0, grid)
+    ref = _scipy_states(h, psi0, grid)
     got = evolution._states(h, psi0, grid)
     assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -320,92 +321,13 @@ def test_stepped_states_match_per_point_propagators(h, dec, grid):
     req = EvolutionRequest(h=h, metric=p_plus, initial_state=psi0, t_grid=grid)
     initial = evolution.metric_normalize(psi0, p_plus)
     final_n = evolution.metric_normalize(final, p_plus)
-    want = np.abs(final_n.conj() @ p_plus @ _per_point(h, initial, grid)) ** 2
+    want = np.abs(final_n.conj() @ p_plus @ _scipy_states(h, initial, grid)) ** 2
     assert np.abs(np.array(transition_probability(req, final)) - want).max() <= 1e-10
-
-
-def _count_expm(monkeypatch):
-    calls = []
-    real_expm = linalg.expm
-    monkeypatch.setattr(linalg, "expm", lambda a: calls.append(1) or real_expm(a))
-    return calls
-
-
-def test_linspace_grid_needs_few_expm_calls(monkeypatch):
-    # one expm per walk: the up walk alone, then the up and the down walk
-    h, _, t_end = _synthesized_n32()
-    calls = _count_expm(monkeypatch)
-    evolution._states(h, np.ones(32, dtype=complex), tuple(np.linspace(0, t_end, 200)))
-    assert len(calls) == 1
-    calls.clear()
-    grid = tuple(np.linspace(-t_end / 2, t_end / 2, 101))
-    evolution._states(h, np.ones(32, dtype=complex), grid)
-    assert len(calls) == 2
-
-
-def test_geometric_grid_takes_one_expm_per_distinct_gap(monkeypatch):
-    h, _, t_end = _synthesized_n32()
-    grid = tuple(np.geomspace(1e-3, t_end, 60))
-    gaps = {b - a for a, b in zip((0.0,) + grid, grid)}
-    calls = _count_expm(monkeypatch)
-    evolution._states(h, np.ones(32, dtype=complex), grid)
-    assert len(calls) == len(gaps) == 60
-
-
-def test_gap_step_is_derived_inside_the_reach_and_fresh_outside(monkeypatch):
-    # reach = sqrt(eps) / ||H||_F from the exponentiated gap b: b + reach/2
-    # is derived from U(b), b + 2 reach is exponentiated afresh
-    h, dec, _ = _synthesized_n32()
-    reach = np.sqrt(np.finfo(float).eps) / np.linalg.norm(h)
-    b = 0.25
-    grid = np.cumsum([b, b + 0.5 * reach, b + 2.0 * reach])
-    exponentiated = []
-    monkeypatch.setattr(evolution, "propagator",
-                        lambda h_, t: exponentiated.append(t) or propagator(h_, t))
-    psi0 = np.random.default_rng(5).normal(size=dec.n) + 0j
-    got = evolution._states(h, psi0, tuple(grid))
-    assert len(exponentiated) == 2
-    assert exponentiated[0] == b
-    assert abs(exponentiated[1] - (b + 2.0 * reach)) < 1e-3 * reach
-    ref = _per_point(h, psi0, grid)
-    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-
-
-def test_a_run_is_cut_where_its_gap_offsets_drift_past_the_reach(monkeypatch):
-    # every gap after the first is b + c: each is inside the reach of b, but
-    # the k-th point's offset from t_0 + k b is (k - 1) c, which passes the
-    # reach at k = 12, so the walk exponentiates b and then b + c
-    h, dec, t_end = _synthesized_n32()
-    reach = np.sqrt(np.finfo(float).eps) / np.linalg.norm(h)
-    b, c = t_end / 100, reach / 10.5
-    grid = np.cumsum([b] + [b + c] * 59)
-    exponentiated = []
-    monkeypatch.setattr(evolution, "propagator",
-                        lambda h_, t: exponentiated.append(t) or propagator(h_, t))
-    psi0 = np.random.default_rng(6).normal(size=dec.n) + 0j
-    got = evolution._states(h, psi0, tuple(grid))
-    assert len(exponentiated) == 2
-    assert exponentiated[0] == b
-    assert abs(exponentiated[1] - (grid[11] - grid[10])) < 1e-3 * c
-    ref = _per_point(h, psi0, grid)
-    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
-
-
-def test_each_run_of_equal_gaps_takes_one_expm(monkeypatch):
-    # three stretches of equal gaps (1, 3 and 2 units) are three runs
-    h, _, t_end = _synthesized_n32()
-    grid = np.cumsum(np.repeat(t_end * np.array([0.002, 0.006, 0.004]), 40))
-    calls = _count_expm(monkeypatch)
-    psi0 = np.ones(32, dtype=complex)
-    got = evolution._states(h, psi0, tuple(grid))
-    assert len(calls) == 3
-    ref = _per_point(h, psi0, grid)
-    assert np.abs(got - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def _on_route(monkeypatch, route, h):
     """Evolve H in the chain basis of ``analyze(H)``, which must succeed, or,
-    for ``"stepped"``, by the stepping walk that serves an H it refuses."""
+    for ``"stepped"``, by the per-point propagators that serve an H it refuses."""
     if route == "chain":
         analyze(h)
     else:
@@ -473,8 +395,8 @@ def test_overflow_is_refused_only_where_a_value_is_not_finite(monkeypatch):
 
 def test_a_step_whose_norm_overflows_is_a_typed_refusal():
     # analyze refuses this Hermitian H (its two eigenvalues form one cluster
-    # whose staircase is inconsistent), so its states are stepped, and
-    # |t| ||H||_F is not finite on the step to t = 1.5e308
+    # whose staircase is inconsistent), so each point takes its own
+    # propagator, and |t| ||H||_F is not finite at t = 1.5e308
     h = np.diag([1.0, 1.0 + 1e-9]).astype(complex)
     with pytest.raises(ClusterAmbiguity):
         analyze(h)

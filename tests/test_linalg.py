@@ -229,7 +229,8 @@ def _evolution_inputs():
 
 @pytest.mark.parametrize("h,grids", _evolution_inputs())
 def test_expm_matches_scipy_on_the_evolution_inputs(h, grids):
-    """Every per-point propagator and every step propagator of the grids."""
+    """Every per-point propagator of the grids, and the propagator of
+    every gap between their neighbouring points."""
     times = {t for grid in grids for t in grid}
     times |= {b - a for grid in grids for a, b in zip(grid[:-1], grid[1:])}
     assert max(_expm_relative_error(-1j * t * h) for t in times) <= 1e-12

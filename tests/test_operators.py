@@ -585,11 +585,16 @@ def test_canonical_trace_on_unpaired_complex():
 def test_every_pairing_builder_refuses_unpaired_complex_first(build):
     """The real block of diag(2i, 1) is unpaired too, so a builder that
     checked the halves layout before the pairing would raise
-    ``UnpairedRealBlocks`` here instead."""
-    dec = analyze(np.diag([2j, 1.0]).astype(complex), allow_unpaired=True)
+    ``UnpairedRealBlocks`` here instead.  Each refuses in the words of
+    ``analyze``."""
+    h = np.diag([2j, 1.0]).astype(complex)
+    dec = analyze(h, allow_unpaired=True)
     assert dec.real_block_halves[1] == ((1.0, (1,)),)
-    with pytest.raises(NotPaired):
+    with pytest.raises(NotPaired) as refused:
+        analyze(h)
+    with pytest.raises(NotPaired) as built:
         build(dec)
+    assert str(built.value) == str(refused.value)
 
 
 def test_a_bad_sign_sequence_is_refused_before_the_pairing():

@@ -8,9 +8,9 @@ a temporary directory and runs each of their commands, the timed ones and the
 known-defect one, the three ``construct`` runs of ``KERNEL`` and the three
 ``analyze`` runs of ``ANALYZE`` (19 per seed, 57 in all), then the usage
 errors of ``USAGE_ERRORS`` (exit 1) against the last seed's files, then the
-two ``evolve`` runs of ``EVOLVE`` on files this tool writes, then ``model
+four ``evolve`` runs of ``EVOLVE`` on files this tool writes, then ``model
 mashhoon`` once in each spectral regime with fixed parameters (``MODELS``):
-70 commands, each as a fresh
+72 commands, each as a fresh
 ``pseudoherm`` process whose ``PYTHONPATH`` is the given ``src`` directory.
 Prints one line per command: seed (``-`` for the models), label, exit code
 and the SHA-256 of stdout followed by stderr.  The fixtures are built by this
@@ -75,13 +75,17 @@ USAGE_ERRORS = {
     "usage-malformed-json": ("analyze", "--input", "malformed.json"),
     "usage-negative-tol": ("analyze", "--input", "real4.json", "--tol", "-1"),
 }
-#: label -> argv of the ``evolve`` runs, in probability and in Krein mode, of
-#: the nilpotent H = [[0, 1], [0, 0]] under the identity, which it does not
-#: preserve, from (0, 1) to (1, 0); both are refused with exit 3
+#: label -> argv of the ``evolve`` runs, in probability and in Krein mode,
+#: under the identity: of the nilpotent H = [[0, 1], [0, 0]], which does not
+#: preserve it, from (0, 1) to (1, 0), both refused with exit 3; and of
+#: H = diag(1, 1 + 1e-9), which ``analyze`` refuses, so that each grid point
+#: takes its own propagator, from (1, 1) to (1, 0)
 EVOLVE = {
-    f"evolve-nilpotent-{mode}": ("evolve", "--input", "nilpotent.json", "--metric", "eye2.json",
-                                 "--initial", "e2.json", "--t0", "0", "--t1", "3", "--steps", "4",
-                                 *final)
+    f"evolve-{name}-{mode}": ("evolve", "--input", f"{name}.json", "--metric", "eye2.json",
+                              "--initial", initial, "--t0", "0", *span, *final)
+    for name, initial, span in (("nilpotent", "e2.json", ("--t1", "3", "--steps", "4")),
+                                ("near-degenerate", "ones2.json",
+                                 ("--t1", "2000", "--steps", "201")))
     for mode, final in (("probability", ("--final", "e1.json")), ("krein", ()))
 }
 
@@ -120,9 +124,12 @@ def main(argv=None) -> int:
         for label, argv in USAGE_ERRORS.items():
             run("-", label, argv)
         for name, doc in (("nilpotent", serialization.matrix_to_doc([[0, 1], [0, 0]])),
+                          ("near-degenerate",
+                           serialization.matrix_to_doc([[1, 0], [0, 1 + 1e-9]])),
                           ("eye2", serialization.matrix_to_doc([[1, 0], [0, 1]])),
                           ("e1", serialization.vector_to_doc([1, 0])),
-                          ("e2", serialization.vector_to_doc([0, 1]))):
+                          ("e2", serialization.vector_to_doc([0, 1])),
+                          ("ones2", serialization.vector_to_doc([1, 1]))):
             Path(f"{name}.json").write_text(serialization.canonical_dumps(doc), encoding="utf-8")
         for label, argv in EVOLVE.items():
             run("-", label, argv)
