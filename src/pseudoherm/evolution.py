@@ -43,7 +43,7 @@ from .errors import (DimensionMismatch, IndefiniteMetric, NotPseudoHermitian, Ov
                      PseudohermError)
 from .krein import krein_inner
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import JordanBlockSpec, _assemble, analyze, is_pseudo_hermitian
+from .spectral import JordanBlockSpec, _assemble, _pseudo_hermiticity, analyze
 
 REGIME_REAL = "RealNondegenerate"
 REGIME_COMPLEX = "ComplexPair"
@@ -108,14 +108,14 @@ def metric_normalize(state, metric) -> np.ndarray:
 
 
 def _decomposition(req: EvolutionRequest):
-    """``analyze(H)``, or None where it refuses H, whose states are then
-    stepped; ``NotPseudoHermitian`` where ``is_pseudo_hermitian`` rejects H."""
-    if not is_pseudo_hermitian(req.h, req.metric, req.tol):
+    """``(analyze(H) or None where it refuses H, w)`` past the gate, w the metric's eigenvalues."""
+    preserved, w = _pseudo_hermiticity(req.h, req.metric, req.tol)
+    if not preserved:
         raise NotPseudoHermitian("H is not pseudo-Hermitian with respect to this metric")
     try:
-        return analyze(req.h, req.tol)
+        return analyze(req.h, req.tol), w
     except PseudohermError:
-        return None
+        return None, w
 
 
 #: (-i)^k / k!, the Taylor coefficient of e^{-iJt} on a chain's k-th superdiagonal
@@ -187,15 +187,12 @@ def _states(h, state, grid) -> np.ndarray:
 
 
 def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
-    """``|<<final, U(t) initial>>|^2`` over the time grid, with both states
-    metric-normalized.  Past ``_decomposition`` only the metric's sign is
-    left to decide, by a Cholesky factorization of its Hermitian part."""
-    t, dec = np.asarray(req.t_grid), _decomposition(req)
-    try:
-        np.linalg.cholesky(0.5 * (req.metric + req.metric.conj().T))
-    except np.linalg.LinAlgError:
+    """``|<<final, U(t) initial>>|^2`` over the time grid, with both states metric-normalized;
+    past the gate only the metric's sign is left, read from the eigenvalues it took."""
+    t, (dec, w) = np.asarray(req.t_grid), _decomposition(req)
+    if w[0] < 0:
         raise IndefiniteMetric("transition probabilities are defined only for positive definite "
-                               "metrics; use krein_norm_series for indefinite ones") from None
+                               "metrics; use krein_norm_series for indefinite ones")
     if np.linalg.norm(linalg.as_vector(final_state, req.h.shape[0])) == 0:
         raise ValueError("final state is zero")
     initial = metric_normalize(req.initial_state, req.metric)
@@ -219,7 +216,7 @@ def krein_norm_series(req: EvolutionRequest) -> list[float]:
     leaves of it.  So a growing pair component meets only its decaying
     partner, through e^{i (conj(E_a) - E_b) t}, and a real one no
     exponential at all."""
-    t, dec = np.asarray(req.t_grid), _decomposition(req)
+    t, (dec, _) = np.asarray(req.t_grid), _decomposition(req)
     if dec is None:
         with np.errstate(over="ignore", invalid="ignore"):
             psi = _states(req.h, req.initial_state, t)

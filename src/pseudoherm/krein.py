@@ -272,8 +272,8 @@ def check_battery(h, dec: SpectralDecomposition, sigma="canonical",
     tp = operators.build_tp(dec, sigma)
     ctp = operators.build_ctp(dec, sigma, sigma)
     eye = np.eye(dec.n)
-    row("pseudo-Hermiticity P H P^-1 = H^dag",
-        np.linalg.norm(p @ h @ np.linalg.inv(p) - h.conj().T))
+    row("pseudo-Hermiticity P H P^-1 = H^dag", spectral._pseudo_hermiticity_residual(
+        h, p, *np.linalg.eigh(0.5 * (p + p.conj().T))))
     row("C^2 = 1", np.linalg.norm(c @ c - eye))
     row("[C, H] = 0", np.linalg.norm(c @ h - h @ c))
     row("(TP)^2 = 1", np.linalg.norm(tp.square() - eye))

@@ -3,10 +3,9 @@
 Thin, tolerance-aware layer over LAPACK: the complex Schur form and its
 reordering, SVD-based numerical rank, LU solves, the matrix exponential, and
 ``metric_eigenvalues``, the one rule by which every entry point decides
-whether a matrix is a Hermitian invertible metric (its eigensolve is skipped
-only where a bound already proves the answer; see ``krein``).  Everything
-works on square ``complex128`` arrays of modest size (``N_MAX`` defaults to
-64); matrices are treated as immutable values.
+whether a matrix is a Hermitian invertible metric.  Everything works on
+square ``complex128`` arrays of modest size (``N_MAX`` defaults to 64);
+matrices are treated as immutable values.
 
 This is the only module that calls compiled scipy code.  ``zgees`` (Schur
 form), ``ztrsen`` (its reordering) and ``zgetrf``/``zgetrs`` (LU) come from

@@ -206,29 +206,32 @@ def check_biorthonormal(dec: SpectralDecomposition) -> BiorthonormalityReport:
     )
 
 
-def is_pseudo_hermitian(h, eta, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True iff ``eta H eta^-1 = H^dag`` at tolerance; ``eta`` is refused by
-    the rule of ``linalg.metric_eigenvalues``, whose eigensolve runs only
-    when Weyl's inequality, ``|w| >= 1/||eta^-1||_F - ||eta - eta^dag||_F / 2``
-    for the eigenvalues w of eta's Hermitian part, cannot put every |w|
-    above twice ``tol.scaled(eta)``.  An H whose ``||H||_F`` overflows is
-    refused with ``Overflow``: no threshold can be formed for it."""
+def _pseudo_hermiticity_residual(h, eta, w, v) -> float:
+    """``||(eta H - H^dag eta) V diag(1/w)||_F``, ``V diag(w) V^dag`` the
+    eigendecomposition of eta's Hermitian part: ``||eta H eta^-1 - H^dag||_F``
+    with no inverse formed, eta first divided by ``max|w|`` so its scale cancels."""
+    m = eta / np.abs(w).max()
+    return float(np.linalg.norm((m @ h - h.conj().T @ m) @ v / (w / np.abs(w).max())))
+
+
+def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[bool, np.ndarray]:
+    """``(is_pseudo_hermitian(h, eta, tol), w)``, w the metric's eigenvalues."""
     h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
     if h.shape != eta.shape:
         raise DimensionMismatch(f"H is {h.shape} but the metric is {eta.shape}")
-    try:
-        eta_inv = np.linalg.inv(eta)
-    except np.linalg.LinAlgError:
-        linalg.metric_eigenvalues(eta, tol)
-        raise
-    thr, defect = tol.scaled(eta), linalg.hermitian_defect(eta)
-    if not (defect <= thr and 0.0 < float(np.linalg.norm(eta_inv)) * (2 * thr + defect / 2) < 1):
-        linalg.metric_eigenvalues(eta, tol)
+    w, v = linalg._metric_solve(eta, tol, np.linalg.eigh)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite threshold is refused
-        resid, thr = np.linalg.norm(eta @ h @ eta_inv - h.conj().T), tol.scaled(h, eta)
+        resid, thr = _pseudo_hermiticity_residual(h, (eta + eta.conj().T) / 2, w, v), tol.scaled(h)
     if not np.isfinite(thr):
         raise Overflow("||H||_F overflows the float range")
-    return bool(resid <= thr)
+    return bool(resid <= thr), w
+
+
+def is_pseudo_hermitian(h, eta, tol: Tolerance = DEFAULT_TOL) -> bool:
+    """True iff eta passes the rule of ``linalg.metric_eigenvalues`` and then
+    ``||eta H eta^-1 - H^dag||_F <= tol.scaled(H)`` at any scale of eta (see
+    ``_pseudo_hermiticity_residual``); ``Overflow`` if ``||H||_F`` overflows."""
+    return _pseudo_hermiticity(h, eta, tol)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -624,11 +624,13 @@ def test_evolve_refuses_an_overflowing_step_in_one_line(h, t1, final, message, t
     assert captured.err == f"error: {message}\n"
 
 
-@pytest.mark.parametrize("final", [False, True], ids=["krein", "probability"])
-def test_evolve_refuses_an_h_that_does_not_preserve_its_metric(final, tmp_path, capsys):
-    # the nilpotent H under the identity; --final used to print 0, 1, 4, 9
+@pytest.mark.parametrize("final, scale", [(False, 1.0), (True, 1.0), (False, 1e10), (True, 1e10)],
+                         ids=["krein", "probability", "krein-1e10", "probability-1e10"])
+def test_evolve_refuses_an_h_that_does_not_preserve_its_metric(final, scale, tmp_path, capsys):
+    # the nilpotent H under the identity, at any scale; --final used to print
+    # 0, 1, 4, 9
     path = _write_matrix(tmp_path, "h.json", np.array([[0.0, 1.0], [0.0, 0.0]]))
-    eye = _write_matrix(tmp_path, "eye.json", np.eye(2))
+    eye = _write_matrix(tmp_path, "eye.json", scale * np.eye(2))
     e1 = _write_vector(tmp_path, "e1.json", [1.0, 0.0])
     e2 = _write_vector(tmp_path, "e2.json", [0.0, 1.0])
     assert main(["evolve", "--input", str(path), "--metric", str(eye), "--initial", str(e2),

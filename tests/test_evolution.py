@@ -415,15 +415,22 @@ def test_a_step_whose_norm_overflows_is_a_typed_refusal():
     (np.eye(2), [[2, 1], [0, 2]], NonHermitianMetric),
     (np.diag([1.0, 2.0]), np.diag([1.0, 1.5e-10]), SingularMetric),
     (1e154 * np.diag([1.0, 2.0]), np.eye(2), Overflow),
-], ids=["nilpotent", "unpaired", "non-hermitian-metric", "singular-metric", "diag-1e154"])
+    ([[0, 1], [0, 0]], 1e10 * np.eye(2), NotPseudoHermitian),
+    ([[1j, 0], [0, 2]], 1e10 * np.eye(2), NotPseudoHermitian),
+    ([[1, 0, 0], [0, 1, 0], [1, 0, 1]], np.diag([1.0, 1.0, 6e-10]), NotPseudoHermitian),
+], ids=["nilpotent", "unpaired", "non-hermitian-metric", "singular-metric", "diag-1e154",
+        "nilpotent-1e10", "unpaired-1e10", "small-metric-eigenvalue"])
 def test_both_series_give_one_refusal(h, metric, refusal):
     # one gate decides for both series whether (H, eta) can be evolved; the
-    # nilpotent H under the identity used to give probabilities 0, 1, 4, 9
-    req = EvolutionRequest(h=h, metric=metric, initial_state=[0, 1], t_grid=(0.0, 1.0, 2.0, 3.0))
+    # nilpotent H under the identity, or under 1e10 I, used to give
+    # probabilities 0, 1, 4, 9, and I + E31 under diag(1, 1, 6e-10) a Krein
+    # norm of e1 growing as 1 + 6e-10 t^2
+    e = np.eye(len(h))
+    req = EvolutionRequest(h=h, metric=metric, initial_state=e[-1], t_grid=(0.0, 1.0, 2.0, 3.0))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(refusal) as probability:
-            transition_probability(req, [1, 0])
+            transition_probability(req, e[0])
         with pytest.raises(refusal) as krein_norm:
             krein_norm_series(req)
     assert type(probability.value) is type(krein_norm.value)

@@ -415,14 +415,6 @@ def _report_by_svd(op, metric, tol=DEFAULT_TOL):
                                 signature=(int(np.sum(w > 0)), int(np.sum(w < 0))))
 
 
-def _pseudo_hermitian_by_eigvalsh(h, eta, tol=DEFAULT_TOL):
-    """``is_pseudo_hermitian`` with the metric eigensolve before the residual."""
-    h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
-    _metric_rule(eta, tol)
-    resid = np.linalg.norm(eta @ h @ np.linalg.inv(eta) - h.conj().T)
-    return bool(resid <= tol.scaled(h, eta))
-
-
 def _outcome(call, *args):
     """``call(*args)``, or the type and message of the refusal it raises; a
     RuntimeWarning fails the test."""
@@ -504,44 +496,63 @@ def test_rank_certificate_matches_the_svd_rule(monkeypatch):
             (False, "tuple")} <= outcomes
 
 
-def test_metric_certificate_matches_the_eigensolve_rule(monkeypatch):
+def test_metric_refusal_comes_before_the_pseudo_hermiticity_residual():
     """Sweep one metric eigenvalue across ``tol.scaled(eta)``; an exactly
-    singular, a non-Hermitian and a barely Hermitian metric too: every
-    outcome of ``is_pseudo_hermitian`` is the eigensolve rule's."""
+    singular, a non-Hermitian and a barely Hermitian metric too: where the
+    eigensolve rule refuses the metric, ``is_pseudo_hermitian`` gives that
+    refusal, and elsewhere the decision of ``||eta H eta^-1 - H^dag||`` at
+    ``tol.scaled(H)``, formed as ``(eta H - H^dag eta) eta^-1`` by a solve."""
     h, p, _ = _small_case()
     w, v = np.linalg.eigh(p)
     eye = np.eye(5, dtype=complex)
-    metrics = [p, -p, p + 1e-12j * (eye[:, ::-1] - eye[::-1].T), eye, np.zeros((5, 5)),
-               np.diag([1.0, 1, 1, 1, 0]), p + np.triu(np.ones((5, 5)), 1)]
+    singular = [np.zeros((5, 5)), np.diag([1.0, 1, 1, 1, 0])]
+    metrics = [p, -p, p + 1e-12j * (eye[:, ::-1] - eye[::-1].T), eye,
+               p + np.triu(np.ones((5, 5)), 1)] + singular
     for scale in np.geomspace(1e-2, 1e8, 21):
         for sign in (1, -1):
             w_t = w.copy()
             w_t[np.abs(w).argmin()] = sign * scale * DEFAULT_TOL.scaled(p)
             metrics.append((v * w_t) @ v.conj().T)
-    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
-    skipped = 0
+    outcomes = set()
     for metric in metrics:
         for op in (h, eye, h.conj().T):
-            want = _outcome(_pseudo_hermitian_by_eigvalsh, op, metric)
-            before = len(eigs)
-            assert _outcome(spectral.is_pseudo_hermitian, op, metric) == want
-            skipped += len(eigs) == before
-    assert 0 < skipped < 3 * len(metrics)
+            got = _outcome(spectral.is_pseudo_hermitian, op, metric)
+            refusal = _outcome(_metric_rule, metric, DEFAULT_TOL)
+            if isinstance(refusal, tuple):
+                assert got == refusal
+            else:
+                eta = 0.5 * (metric + metric.conj().T)
+                x = eta @ op - op.conj().T @ eta
+                resid = np.linalg.norm(np.linalg.solve(eta, x.conj().T))
+                assert got == bool(resid <= DEFAULT_TOL.scaled(op))
+            outcomes.add(got if isinstance(got, bool) else got[0])
+    for metric in singular:
+        assert _outcome(spectral.is_pseudo_hermitian, h, metric)[0] is SingularMetric
+    assert outcomes == {True, False, SingularMetric, NonHermitianMetric}
 
 
-def test_pipeline_operators_need_no_svd_and_their_metric_no_eigensolve(monkeypatch):
+def test_the_battery_measures_pseudo_hermiticity_on_p_itself(monkeypatch):
+    """An anti-Hermitian error in P fails the battery's pseudo-Hermiticity
+    row: the row uses P, and only its inverse comes from P's Hermitian part."""
+    h, _, _ = _small_case()
+    dec, row = spectral.analyze(h), "pseudo-Hermiticity P H P^-1 = H^dag"
+    assert {r["check"]: r["pass"] for r in krein.check_battery(h, dec)}[row]
+    build = krein.operators.build_parity
+    monkeypatch.setattr(krein.operators, "build_parity",
+                        lambda *args: build(*args) + 1e-6j * np.eye(dec.n))
+    assert not {r["check"]: r["pass"] for r in krein.check_battery(h, dec)}[row]
+
+
+def test_pipeline_operators_need_no_svd(monkeypatch):
     """The U(t) and TP classifications of every paired kernel case and of
-    the four two-level regimes make no SVD, and ``is_pseudo_hermitian`` no
-    eigensolve of their P; a singular operator still reaches the rank test."""
+    the four two-level regimes, and ``is_pseudo_hermitian`` of their H under
+    their P, make no SVD; a singular operator still reaches the rank test."""
     svds = _count(monkeypatch, np.linalg, "svd")
-    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
     for label, h, p, u, tp in _pipeline_cases():
         assert classification_report(u, p).symmetry_class is SymmetryClass.P_UNITARY, label
         assert classification_report(tp, p).symmetry_class is SymmetryClass.P_ANTIUNITARY, label
-        assert svds == [], label
-        eigs.clear()
         assert spectral.is_pseudo_hermitian(h, p), label
-        assert eigs == [], label
+        assert svds == [], label
     ranks = _count(monkeypatch, linalg, "rank")
     with pytest.raises(SingularOperator):
         classification_report(u - u[:, :1] @ u[:1, :] / u[0, 0], p)

@@ -183,6 +183,53 @@ def test_is_pseudo_hermitian_predicate():
     assert not is_pseudo_hermitian(nh, np.eye(2))
 
 
+def test_is_pseudo_hermitian_ignores_the_scale_of_the_metric():
+    # the residual is ||eta H eta^-1 - H^dag||_F, whatever the scale of eta,
+    # and its threshold is tol.scaled(H)
+    for r, s in ((2.0, 0.5), (2.0, -0.5), (2.0, 0.0), (0.0, 0.0)):
+        h, _, dec = mashhoon_papini(MashhoonPapiniParams(0.5, r, s))
+        p = operators.build_parity(dec)
+        for c in (1e-6, 1e-3, 1.0, 1e6, 1e10, 1e14):
+            assert is_pseudo_hermitian(h, c * p), (r, s, c)
+    for h in ([[0, 1], [0, 0]], [[1j, 0], [0, 2]]):
+        for c in 10.0 ** np.arange(13):
+            assert not is_pseudo_hermitian(h, c * np.eye(2)), (h, c)
+    # nor does a small metric eigenvalue hide a violation: under
+    # diag(1, 1, 6e-10), eta H - H^dag eta = 6e-10 (E31 - E13) is below
+    # tol.scaled(H), but eta H eta^-1 - H^dag = E31 - E13
+    for c in (1.0, 1e10):
+        assert not is_pseudo_hermitian([[1, 0, 0], [0, 1, 0], [1, 0, 1]],
+                                       c * np.diag([1.0, 1.0, 6e-10])), c
+
+
+_G = (0.3, -0.7, 1 + 0.5j, 1 - 0.5j, 2.0)
+
+
+@pytest.mark.parametrize("groups, cond, seed, accepted", [
+    ([JordanBlockSpec(e, (1,)) for e in _G], 10.0, 0, True),
+    ([JordanBlockSpec(0.3, (2, 2)), JordanBlockSpec(-0.8, (1, 1)),
+      JordanBlockSpec(1.5, (1,))], 100.0, 1, True),
+    ([JordanBlockSpec(1e3 * e, (1,)) for e in _G], 1e4, 3, False),
+    ([JordanBlockSpec(e, (1,)) for e in _G], 1e5, 0, False),
+    ([JordanBlockSpec(0.3, (3,)), JordanBlockSpec(1 + 0.5j, (2,)),
+      JordanBlockSpec(1 - 0.5j, (2,)), JordanBlockSpec(-1.0, (1,))], 1e5, 1, False),
+    ([JordanBlockSpec(0.3, (2, 2)), JordanBlockSpec(-0.8, (1, 1)),
+      JordanBlockSpec(1.5, (1,))], 1e5, 1, False),
+], ids=["simple-cond10", "blocks-cond100", "simple-x1e3-cond1e4", "simple-cond1e5",
+        "blocks-pair-cond1e5", "blocks-cond1e5"])
+def test_is_pseudo_hermitian_decides_as_the_inverse_would(groups, cond, seed, accepted):
+    # the decision on a structure under its own parity is that of
+    # ||P H P^-1 - H^dag||_F with P^-1 applied by a solve.  At basis cond
+    # 1e4-1e5 (cond(P) 7e6-5e8) the rounding of P and H leaves both above
+    # tol.scaled(H), as the parent's inverse did: for "simple-cond1e5" the
+    # residual is 4.2e-4 and the solve's 3.8e-4, against 3.3e-5
+    h, dec = synthesize(SynthesisSpec(tuple(groups), basis_seed=seed, basis_cond=cond))
+    p = operators.build_parity(dec)
+    referee = np.linalg.solve(p.conj().T, (p @ h).conj().T).conj().T
+    assert bool(np.linalg.norm(referee - h.conj().T) <= DEFAULT_TOL.scaled(h)) is accepted
+    assert is_pseudo_hermitian(h, p) is accepted
+
+
 def _one_copy_cases():
     h = np.array([[2, 1, 0], [0, 2, 0], [0, 0, 1j]])
     _, dec = synthesize(SynthesisSpec((JordanBlockSpec(0.5, (2, 1)),

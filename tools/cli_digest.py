@@ -8,9 +8,9 @@ a temporary directory and runs each of their commands, the timed ones and the
 known-defect one, the three ``construct`` runs of ``KERNEL`` and the three
 ``analyze`` runs of ``ANALYZE`` (19 per seed, 57 in all), then the usage
 errors of ``USAGE_ERRORS`` (exit 1) against the last seed's files, then the
-four ``evolve`` runs of ``EVOLVE`` on files this tool writes, then ``model
+six ``evolve`` runs of ``EVOLVE`` on files this tool writes, then ``model
 mashhoon`` once in each spectral regime with fixed parameters (``MODELS``):
-72 commands, each as a fresh
+74 commands, each as a fresh
 ``pseudoherm`` process whose ``PYTHONPATH`` is the given ``src`` directory.
 Prints one line per command: seed (``-`` for the models), label, exit code
 and the SHA-256 of stdout followed by stderr.  The fixtures are built by this
@@ -75,17 +75,21 @@ USAGE_ERRORS = {
     "usage-malformed-json": ("analyze", "--input", "malformed.json"),
     "usage-negative-tol": ("analyze", "--input", "real4.json", "--tol", "-1"),
 }
-#: label -> argv of the ``evolve`` runs, in probability and in Krein mode,
-#: under the identity: of the nilpotent H = [[0, 1], [0, 0]], which does not
-#: preserve it, from (0, 1) to (1, 0), both refused with exit 3; and of
-#: H = diag(1, 1 + 1e-9), which ``analyze`` refuses, so that each grid point
-#: takes its own propagator, from (1, 1) to (1, 0)
+#: label -> argv of the ``evolve`` runs, in probability and in Krein mode:
+#: of the nilpotent H = [[0, 1], [0, 0]], which preserves no multiple of the
+#: identity, under I and under 1e10 I, from (0, 1) to (1, 0), all refused
+#: with exit 3; and of H = diag(1, 1 + 1e-9) under I, which ``analyze``
+#: refuses, so that each grid point takes its own propagator, from (1, 1) to
+#: (1, 0)
 EVOLVE = {
-    f"evolve-{name}-{mode}": ("evolve", "--input", f"{name}.json", "--metric", "eye2.json",
-                              "--initial", initial, "--t0", "0", *span, *final)
-    for name, initial, span in (("nilpotent", "e2.json", ("--t1", "3", "--steps", "4")),
-                                ("near-degenerate", "ones2.json",
-                                 ("--t1", "2000", "--steps", "201")))
+    f"evolve-{label}-{mode}": ("evolve", "--input", f"{name}.json", "--metric", metric,
+                               "--initial", initial, "--t0", "0", *span, *final)
+    for label, name, metric, initial, span in (
+        ("nilpotent", "nilpotent", "eye2.json", "e2.json", ("--t1", "3", "--steps", "4")),
+        ("near-degenerate", "near-degenerate", "eye2.json", "ones2.json",
+         ("--t1", "2000", "--steps", "201")),
+        ("nilpotent-1e10", "nilpotent", "eye2e10.json", "e2.json",
+         ("--t1", "3", "--steps", "4")))
     for mode, final in (("probability", ("--final", "e1.json")), ("krein", ()))
 }
 
@@ -127,6 +131,7 @@ def main(argv=None) -> int:
                           ("near-degenerate",
                            serialization.matrix_to_doc([[1, 0], [0, 1 + 1e-9]])),
                           ("eye2", serialization.matrix_to_doc([[1, 0], [0, 1]])),
+                          ("eye2e10", serialization.matrix_to_doc([[1e10, 0], [0, 1e10]])),
                           ("e1", serialization.vector_to_doc([1, 0])),
                           ("e2", serialization.vector_to_doc([0, 1])),
                           ("ones2", serialization.vector_to_doc([1, 1]))):

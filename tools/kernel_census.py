@@ -14,6 +14,7 @@ per op of each counted kernel:
     qr        numpy.linalg.qr (the staircase's generators of clusters whose
               chains have several lengths)
     eigvalsh  numpy.linalg.eigvalsh (metric eigenvalues)
+    eigh      numpy.linalg.eigh (metric eigenvalues and eigenvectors)
     inv       numpy.linalg.inv and linalg.inv (LU)
     expm      linalg.expm
 
@@ -32,7 +33,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("small-mixed", "large-defective", "long-evolution")
-KERNELS = ("schur", "zgees", "svd", "qr", "eigvalsh", "inv", "expm")
+KERNELS = ("schur", "zgees", "svd", "qr", "eigvalsh", "eigh", "inv", "expm")
 
 
 def census(workload: str, seed: int) -> tuple[int, Counter]:
@@ -47,8 +48,8 @@ def census(workload: str, seed: int) -> tuple[int, Counter]:
     calls = Counter()
     wrapped = [(linalg, "schur", "schur"), (linalg._lapack, "zgees", "zgees"),
                (np.linalg, "svd", "svd"), (np.linalg, "qr", "qr"),
-               (np.linalg, "eigvalsh", "eigvalsh"), (np.linalg, "inv", "inv"),
-               (linalg, "inv", "inv"), (linalg, "expm", "expm")]
+               (np.linalg, "eigvalsh", "eigvalsh"), (np.linalg, "eigh", "eigh"),
+               (np.linalg, "inv", "inv"), (linalg, "inv", "inv"), (linalg, "expm", "expm")]
     originals = [getattr(module, attr) for module, attr, _ in wrapped]
 
     def counted(kernel, real):
