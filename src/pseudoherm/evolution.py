@@ -19,6 +19,15 @@ exponentiated in parts inside ``EXPM_NORM_BOUND``.  Either way ``Overflow``
 is raised only when a value stops being finite, including a point's
 ``|t| ||H||_F``.
 
+The gate is decided in the chain basis too, where ``analyze`` accepts H
+(``spectral._chain_certificate``).  M = Psi^dag eta_h Psi, eta_h the
+metric's Hermitian part, has its inertia (Sylvester's law); M's
+{E, conj(E)} blocks bound the metric's eigenvalues away from zero (Weyl,
+Ostrowski); and the norm of Psi^dag (eta_h H - H^dag eta_h) Psi bounds
+``is_pseudo_hermitian``'s residual within cond(Psi) on both sides.  Only
+where a bound cannot decide, and where ``analyze`` refuses H, does the
+exact rule decide, with its n x n eigensolve of the metric.
+
 ``mashhoon_papini`` builds the two-level effective Hamiltonian
 
     H_eff = [[E, i r], [-i s, E]]
@@ -43,7 +52,8 @@ from .errors import (DimensionMismatch, IndefiniteMetric, NotPseudoHermitian, Ov
                      PseudohermError)
 from .krein import krein_inner
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import JordanBlockSpec, _assemble, _pseudo_hermiticity, analyze
+from .spectral import (JordanBlockSpec, _assemble, _chain_certificate, _chain_products,
+                       _pseudo_hermiticity, analyze)
 
 REGIME_REAL = "RealNondegenerate"
 REGIME_COMPLEX = "ComplexPair"
@@ -108,14 +118,25 @@ def metric_normalize(state, metric) -> np.ndarray:
 
 
 def _decomposition(req: EvolutionRequest):
-    """``(analyze(H) or None where it refuses H, w)`` past the gate, w the metric's eigenvalues."""
-    preserved, w = _pseudo_hermiticity(req.h, req.metric, req.tol)
+    """``(dec, M, definite)`` past the gate of both series: ``dec = analyze(H)``,
+    M = Psi^dag eta_h Psi in its chain basis (eta_h the metric's Hermitian
+    part) and whether eta is positive definite, or ``(None, None, definite)``
+    where ``analyze`` refuses H.  The gate is ``spectral._chain_certificate``
+    where it decides, else the exact rule of ``is_pseudo_hermitian``; the
+    two refuse alike, in the same order."""
+    try:
+        dec = analyze(req.h, req.tol)
+    except PseudohermError:
+        dec = m = decided = None
+    else:
+        m, g = _chain_products(req.h, req.metric, dec)
+        decided = _chain_certificate(req.h, req.metric, dec, m, g, req.tol)
+    if decided is None:
+        decided = _pseudo_hermiticity(req.h, req.metric, req.tol)
+    preserved, definite = decided
     if not preserved:
         raise NotPseudoHermitian("H is not pseudo-Hermitian with respect to this metric")
-    try:
-        return analyze(req.h, req.tol), w
-    except PseudohermError:
-        return None, w
+    return dec, m, definite
 
 
 #: (-i)^k / k!, the Taylor coefficient of e^{-iJt} on a chain's k-th superdiagonal
@@ -124,18 +145,17 @@ _TAYLOR = np.cumprod(np.r_[1.0, -1j / np.arange(1, linalg.N_MAX)])
 _REACH = np.sqrt(np.finfo(float).eps)
 
 
-def _components(dec, state) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``(y, chain, power)`` with ``U(t) state = sum_j e^{-i E t} t^k y[:, j]``,
-    k = power[j] and E the eigenvalue of chain[j], one column for each
-    column a of the chain basis and each k up to a's height below its
-    chain's top.  In the chain basis c = Phi^dag state evolves as e^{-iJt} c
-    (Moler & Van Loan, SIAM Rev. 45 (2003), method 16): the coordinate of
-    column a takes (-it)^k / k! times that of column a + k of its chain, so
-    y[:, j] = (-i)^k / k! c_(a+k) psi_a."""
+def _components(dec, state) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """``(column, coef, chain, power)`` with ``U(t) state = sum_j e^{-i E t}
+    t^k coef[j] psi_a``, a = column[j], k = power[j] and E the eigenvalue of
+    chain[j], one term for each column a of the chain basis and each k up
+    to a's height below its chain's top.  In the chain basis c = Phi^dag
+    state evolves as e^{-iJt} c (Moler & Van Loan, SIAM Rev. 45 (2003),
+    method 16): the coordinate of column a takes (-it)^k / k! times that of
+    column a + k of its chain, so coef[j] = (-i)^k / k! c_(a+k)."""
     own, _, rem = dec.columns
     column, power = np.nonzero(rem[:, None] >= np.arange(rem.max() + 1))
-    y = dec.psi[:, column] * (_TAYLOR[power] * (dec.phi_dag @ state)[column + power])
-    return y, own[column], power
+    return column, _TAYLOR[power] * (dec.phi_dag @ state)[column + power], own[column], power
 
 
 def _groups(dec) -> tuple[np.ndarray, np.ndarray]:
@@ -188,9 +208,11 @@ def _states(h, state, grid) -> np.ndarray:
 
 def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
     """``|<<final, U(t) initial>>|^2`` over the time grid, with both states metric-normalized;
-    past the gate only the metric's sign is left, read from the eigenvalues it took."""
-    t, (dec, w) = np.asarray(req.t_grid), _decomposition(req)
-    if w[0] < 0:
+    past the gate only the metric's sign is left, which the gate decided with
+    the rest: in the chain basis from the inertia of M's {E, conj(E)} blocks,
+    which is the metric's (Sylvester), else from the metric's eigenvalues."""
+    t, (dec, _, definite) = np.asarray(req.t_grid), _decomposition(req)
+    if not definite:
         raise IndefiniteMetric("transition probabilities are defined only for positive definite "
                                "metrics; use krein_norm_series for indefinite ones")
     if np.linalg.norm(linalg.as_vector(final_state, req.h.shape[0])) == 0:
@@ -201,9 +223,10 @@ def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
         with np.errstate(over="ignore", invalid="ignore"):
             amplitudes = _finite(bra @ _states(req.h, initial, t))
     else:
-        y, chain, power = _components(dec, initial)
+        column, coef, chain, power = _components(dec, initial)
         chain_group, eigenvalues = _groups(dec)
-        amplitudes = _on_grid(bra @ y, power, -1j * eigenvalues[chain_group[chain]], t)
+        amplitudes = _on_grid((bra @ dec.psi)[column] * coef, power,
+                              -1j * eigenvalues[chain_group[chain]], t)
     return (np.abs(amplitudes) ** 2).tolist()
 
 
@@ -211,21 +234,23 @@ def krein_norm_series(req: EvolutionRequest) -> list[float]:
     """``<<psi(t), psi(t)>>`` over the grid; constant in time, since the gate
     of ``_decomposition`` admits only a metric-pseudo-Hermitian H.
 
-    In the chain basis it is ``c(t)^dag M c(t)``, M = Psi^dag eta Psi kept
+    In the chain basis it is ``c(t)^dag M c(t)``, with the gate's M =
+    Psi^dag eta_h Psi, whose quadratic form is the real part of eta's, kept
     only between eigenvalues E_a, E_b = conj(E_a): what pseudo-Hermiticity
-    leaves of it.  So a growing pair component meets only its decaying
-    partner, through e^{i (conj(E_a) - E_b) t}, and a real one no
-    exponential at all."""
-    t, (dec, _) = np.asarray(req.t_grid), _decomposition(req)
+    leaves of it.  Each term is conj(s_j) s_k M[a, b] of two terms s_j psi_a
+    and s_k psi_b of ``_components``, so no product with eta is formed; a
+    growing pair component meets only its decaying partner, through
+    e^{i (conj(E_a) - E_b) t}, and a real one no exponential at all."""
+    t, (dec, m, _) = np.asarray(req.t_grid), _decomposition(req)
     if dec is None:
         with np.errstate(over="ignore", invalid="ignore"):
             psi = _states(req.h, req.initial_state, t)
             return _finite(np.sum(psi.conj() * (req.metric @ psi), axis=0).real).tolist()
-    y, chain, power = _components(dec, req.initial_state)
+    column, coef, chain, power = _components(dec, req.initial_state)
     chain_group, eigenvalues = _groups(dec)
     group = chain_group[chain]
     left, right = np.nonzero(chain_group[dec.chain_conj[chain]][:, None] == group)
-    coef = np.sum(y[:, left].conj() * (req.metric @ y)[:, right], axis=0)
+    coef = coef[left].conj() * coef[right] * m[column[left], column[right]]
     rate = 1j * (eigenvalues[group[left]].conj() - eigenvalues[group[right]])
     return _on_grid(coef, power[left] + power[right], rate, t).real.tolist()
 

@@ -265,13 +265,21 @@ def metric_eigenvalues(metric, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return _metric_solve(metric, tol, np.linalg.eigvalsh)
 
 
+def _hermitian_threshold(metric: np.ndarray, tol: Tolerance) -> float:
+    """``tol.scaled(metric)``, the threshold of both halves of the rule of
+    ``metric_eigenvalues``, once ``metric`` passes its first half: raises
+    ``NonHermitianMetric`` unless ``||metric - metric^dag||_F`` is within it."""
+    thr = tol.scaled(metric)
+    if not hermitian_defect(metric) <= thr:
+        raise NonHermitianMetric("metric is not Hermitian at tolerance")
+    return thr
+
+
 def _metric_solve(metric, tol: Tolerance, solve):
     """``solve`` (``eigvalsh``, or ``eigh`` for the eigenvectors too) on the
     Hermitian part of ``metric``, under the rule of ``metric_eigenvalues``."""
     metric = as_cmatrix(metric)
-    thr = tol.scaled(metric)
-    if not hermitian_defect(metric) <= thr:
-        raise NonHermitianMetric("metric is not Hermitian at tolerance")
+    thr = _hermitian_threshold(metric, tol)
     out = solve(0.5 * (metric + metric.conj().T))
     w = out[0] if isinstance(out, tuple) else out
     nearest = w[np.abs(w).argmin()]

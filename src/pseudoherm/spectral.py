@@ -118,7 +118,10 @@ class SpectralDecomposition:
     ``chain_conj`` and the real block halves follow one matching rule: within
     one size, the k-th chain meets the k-th chain of that size in its
     partner, the other member of a conjugate pair or, for a real chain, the
-    other half of its group's chains."""
+    other half of its group's chains.  ``metric_blocks`` lays out the blocks
+    of M = Psi^dag eta Psi over each group and its conjugate partner (an
+    unpaired group alone), where M of a metric that H preserves is block
+    diagonal."""
 
     groups: tuple[EigenGroup, ...]
     psi: np.ndarray
@@ -133,6 +136,8 @@ class SpectralDecomposition:
     real_block_halves: tuple[np.ndarray, tuple]  # partner in the other half, else -1,
     # and the (eigenvalue, block_dims) of every real group whose blocks do not pair up
     unpaired: tuple                        # (eigenvalue, block_dims) of each unpaired group
+    metric_blocks: tuple[tuple[np.ndarray, ...], np.ndarray]  # the columns of each block,
+    # one (blocks, size) array per size, ascending, and the n x n mask outside the blocks
 
     @property
     def n(self) -> int:
@@ -214,8 +219,9 @@ def _pseudo_hermiticity_residual(h, eta, w, v) -> float:
     return float(np.linalg.norm((m @ h - h.conj().T @ m) @ v / (w / np.abs(w).max())))
 
 
-def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[bool, np.ndarray]:
-    """``(is_pseudo_hermitian(h, eta, tol), w)``, w the metric's eigenvalues."""
+def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[bool, bool]:
+    """``(is_pseudo_hermitian(h, eta, tol), eta positive definite)``: the
+    exact rule, with one n x n ``eigh`` of eta."""
     h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
     if h.shape != eta.shape:
         raise DimensionMismatch(f"H is {h.shape} but the metric is {eta.shape}")
@@ -224,7 +230,7 @@ def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[bool, np.ndarray]:
         resid, thr = _pseudo_hermiticity_residual(h, (eta + eta.conj().T) / 2, w, v), tol.scaled(h)
     if not np.isfinite(thr):
         raise Overflow("||H||_F overflows the float range")
-    return bool(resid <= thr), w
+    return bool(resid <= thr), bool(w[0] > 0)
 
 
 def is_pseudo_hermitian(h, eta, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -232,6 +238,72 @@ def is_pseudo_hermitian(h, eta, tol: Tolerance = DEFAULT_TOL) -> bool:
     ``||eta H eta^-1 - H^dag||_F <= tol.scaled(H)`` at any scale of eta (see
     ``_pseudo_hermiticity_residual``); ``Overflow`` if ``||H||_F`` overflows."""
     return _pseudo_hermiticity(h, eta, tol)[0]
+
+
+def _block_eigenvalues(m: np.ndarray, blocks) -> np.ndarray:
+    """Eigenvalues of the Hermitian diagonal blocks of ``m`` on ``blocks``,
+    ``metric_blocks``' column arrays: closed forms for sizes 1 and 2, one
+    batched ``eigvalsh`` for each larger size."""
+    out = []
+    for cols in blocks:
+        a = m[cols[:, 0], cols[:, 0]].real
+        if cols.shape[1] == 1:
+            out.append(a)
+        elif cols.shape[1] == 2:
+            d = m[cols[:, 1], cols[:, 1]].real
+            root = np.hypot(0.5 * (a - d), np.abs(m[cols[:, 0], cols[:, 1]]))
+            out += [0.5 * (a + d) - root, 0.5 * (a + d) + root]
+        else:
+            out.append(np.linalg.eigvalsh(m[cols[:, :, None], cols[:, None, :]]).ravel())
+    return np.concatenate(out)
+
+
+def _chain_certificate(h, eta, dec: SpectralDecomposition, m, g, tol: Tolerance):
+    """``(is_pseudo_hermitian(h, eta, tol), eta positive definite)`` read from
+    M = Psi^dag eta_h Psi and G = Psi^dag eta_h H Psi, Psi = ``dec.psi`` and
+    eta_h the Hermitian part of eta, or None where a bound cannot decide;
+    ``NonHermitianMetric`` as the exact rule gives it.  With Phi^dag = Psi^-1,
+    eta_h H eta_h^-1 - H^dag = Phi (G - G^dag) M^-1 Psi^dag, and with
+    k = ||Psi||_F ||Phi||_F >= cond(Psi):
+
+    - Weyl: every eigenvalue of M is within ||O||_F of one of its blocks on
+      ``dec.metric_blocks``, O the rest of M; so none lies within
+      d = min|block eigenvalue| - ||O||_F of zero, and if d > 0, M, and by
+      Sylvester's law eta_h, has the blocks' inertia;
+    - Ostrowski: eta_h's eigenvalues are M's over factors at most
+      ||Psi||_2^2, so none lies within d / ||Psi||_F^2 of zero;
+    - the residual ||eta_h H eta_h^-1 - H^dag||_F lies between
+      ||G - G^dag||_F / (k ||M||_F) and k ||G - G^dag||_F / d.
+
+    A refusal of the metric rule is left undecided, so that the exact rule
+    names the metric eigenvalue that fails it, and so is a non-finite M or G."""
+    eta_thr = linalg._hermitian_threshold(eta, tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # a NaN fails every comparison
+        if not np.isfinite(m).all():
+            return None
+        blocks, outside = dec.metric_blocks
+        w = _block_eigenvalues(m, blocks)
+        psi2 = np.linalg.norm(dec.psi) ** 2
+        gap = np.abs(w).min() - np.linalg.norm(m[outside])
+        if not gap > eta_thr * psi2:
+            return None
+        r, k = np.linalg.norm(g - g.conj().T), np.sqrt(psi2) * np.linalg.norm(dec.phi)
+        thr, definite = tol.scaled(h), bool(w.min() > 0)
+        if k * r / gap <= thr:
+            return True, definite
+        if r / (k * np.linalg.norm(m)) > thr:
+            return False, definite
+    return None
+
+
+def _chain_products(h, eta, dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
+    """``(M, G)`` = (Psi^dag eta_h Psi, Psi^dag eta_h H Psi) for
+    ``_chain_certificate``, eta_h the Hermitian part of eta and M made
+    exactly Hermitian; left non-finite where they overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        e = 0.5 * (eta + eta.conj().T) @ dec.psi
+        m = dec.psi.conj().T @ e
+        return 0.5 * (m + m.conj().T), e.conj().T @ (h @ dec.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +366,8 @@ def _assemble(specs, pair_tol: float, psi: np.ndarray,
     (``phi_dag``) are marked read-only and cut into the groups, in order,
     each chain taking views of consecutive columns.  The same pass builds the
     chain table, listing each group's chains by size for ``_match`` to pair a
-    conjugate pair's members and a real group's halves."""
+    conjugate pair's members and a real group's halves, and the layout of
+    ``metric_blocks``, once per decomposition, for the evolution gate."""
     psi, phi_dag = _read_only(psi), _read_only(phi_dag)
     phi = _read_only(phi_dag.conj().T)
     dim = np.array([p for spec in specs for p in spec.block_dims])
@@ -337,6 +410,14 @@ def _assemble(specs, pair_tol: float, psi: np.ndarray,
     start = np.cumsum(dim) - dim
     chain = np.repeat(np.arange(dim.size), dim)
     height = np.arange(offset) - start[chain]
+    # each column's block: the first group of its conjugate pair, else its own group;
+    # the columns sorted stably by their block's size, then by block
+    first = {}
+    block = np.array([first.setdefault(ng if p is None else -1 - p, ng)
+                      for ng, p in enumerate(pair_ids)], dtype=np.intp)
+    block = block[np.array([ng for ng, _ in labels], dtype=np.intp)[chain]]
+    size = np.bincount(block)[block]
+    order = np.lexsort((block, size))
     return SpectralDecomposition(
         groups=tuple([EigenGroup(spec.eigenvalue, kind, pair_id, chains) for spec, kind, pair_id,
                       chains in zip(specs, kinds, pair_ids, views)]),
@@ -345,7 +426,10 @@ def _assemble(specs, pair_tol: float, psi: np.ndarray,
         columns=(_read_only(chain), _read_only(height), _read_only(dim[chain] - 1 - height)),
         chain_conj=_read_only(np.array(conj)), canonical_signs=_read_only(np.array(signs)),
         real_block_halves=(_read_only(np.array(half)), tuple(violations)),
-        unpaired=tuple((specs[j].eigenvalue, specs[j].block_dims) for j in unmatched))
+        unpaired=tuple((specs[j].eigenvalue, specs[j].block_dims) for j in unmatched),
+        metric_blocks=(tuple(_read_only(order[size[order] == k].reshape(-1, k))
+                             for k in sorted(set(size.tolist()))),
+                       _read_only(block[:, None] != block)))
 
 
 # ---------------------------------------------------------------------------

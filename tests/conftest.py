@@ -2,7 +2,8 @@
 
 import pytest
 
-from pseudoherm import spectral
+from pseudoherm import evolution, linalg, spectral
+from pseudoherm.errors import DimensionMismatch, PseudohermError
 
 
 @pytest.fixture
@@ -13,3 +14,62 @@ def cold_memo():
     spectral._last.clear()
     yield
     spectral._last.clear()
+
+
+def _outcome(call):
+    """``call()``, or the type of the ``PseudohermError`` it raises."""
+    try:
+        return call()
+    except PseudohermError as exc:
+        return type(exc)
+
+
+def referee(h, eta, tol=linalg.DEFAULT_TOL):
+    """``(certified, exact)`` on one (H, eta).  ``exact`` is the exact rule's
+    ``(preserved, eta positive definite)`` or its refusal type; ``certified``
+    is the same from ``spectral._chain_certificate`` on a fresh decomposition
+    of H (the memo of ``analyze`` is not touched), None where the certificate
+    does not decide or ``analyze`` refuses H."""
+    exact = _outcome(lambda: _exact(h, eta, tol))
+    try:
+        dec = spectral._refuse_unpaired(spectral._decompose(h, tol), False)
+    except PseudohermError:
+        return None, exact
+    m, g = spectral._chain_products(h, eta, dec)
+    return _outcome(lambda: spectral._chain_certificate(h, eta, dec, m, g, tol)), exact
+
+
+#: the exact rule, as the modules define it, whatever a fixture wraps
+_exact = spectral._pseudo_hermiticity
+
+
+@pytest.fixture
+def gate_referee(monkeypatch):
+    """Referee of the evolution gate: every (H, eta) whose pseudo-Hermiticity
+    the test decides, through ``spectral._pseudo_hermiticity`` (the exact
+    rule of ``is_pseudo_hermitian`` and of the per-point route) or through
+    ``evolution._decomposition`` (the gate of both series), is also decided
+    by ``referee``; a certificate that decides must agree with the exact
+    rule."""
+    def check(h, eta, tol):
+        try:
+            h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
+        except (ValueError, DimensionMismatch):
+            return
+        if h.shape != eta.shape:
+            return
+        certified, exact = referee(h, eta, tol)
+        assert certified is None or certified == exact, (h, eta, certified, exact)
+
+    def exact_rule(h, eta, tol):
+        check(h, eta, tol)
+        return _exact(h, eta, tol)
+
+    gate = evolution._decomposition
+
+    def decomposition(req):
+        check(req.h, req.metric, req.tol)
+        return gate(req)
+    monkeypatch.setattr(spectral, "_pseudo_hermiticity", exact_rule)
+    monkeypatch.setattr(evolution, "_pseudo_hermiticity", exact_rule)
+    monkeypatch.setattr(evolution, "_decomposition", decomposition)

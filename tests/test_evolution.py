@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from pseudoherm import evolution, krein, linalg
+from conftest import referee
+from pseudoherm import evolution, krein, linalg, spectral
 from pseudoherm.errors import (
     ClusterAmbiguity,
     DimensionMismatch,
@@ -16,6 +17,7 @@ from pseudoherm.errors import (
     NotDiagonalizableReal,
     NotPseudoHermitian,
     Overflow,
+    PseudohermError,
     SingularMetric,
 )
 from pseudoherm.evolution import (
@@ -41,6 +43,9 @@ from pseudoherm.spectral import (
     reconstruct,
     synthesize,
 )
+
+# every (H, eta) decided here is also put to the chain-basis certificate
+pytestmark = pytest.mark.usefixtures("gate_referee")
 
 
 def test_request_validation():
@@ -409,22 +414,41 @@ def test_a_step_whose_norm_overflows_is_a_typed_refusal():
             krein_norm_series(req)
 
 
-@pytest.mark.parametrize("h, metric, refusal", [
-    ([[0, 1], [0, 0]], np.eye(2), NotPseudoHermitian),
-    ([[1j, 0], [0, 2]], np.eye(2), NotPseudoHermitian),
-    (np.eye(2), [[2, 1], [0, 2]], NonHermitianMetric),
-    (np.diag([1.0, 2.0]), np.diag([1.0, 1.5e-10]), SingularMetric),
-    (1e154 * np.diag([1.0, 2.0]), np.eye(2), Overflow),
-    ([[0, 1], [0, 0]], 1e10 * np.eye(2), NotPseudoHermitian),
-    ([[1j, 0], [0, 2]], 1e10 * np.eye(2), NotPseudoHermitian),
-    ([[1, 0, 0], [0, 1, 0], [1, 0, 1]], np.diag([1.0, 1.0, 6e-10]), NotPseudoHermitian),
+#: an H that ``analyze`` refuses (its two eigenvalues form one cluster whose
+#: staircase is inconsistent), so that the series take the per-point route
+_REFUSED_H = np.diag([1.0, 1.0 + 1e-9])
+
+
+def _analyzes(h) -> bool:
+    try:
+        analyze(h)
+    except PseudohermError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("h, metric, refusal, analyzed", [
+    ([[0, 1], [0, 0]], np.eye(2), NotPseudoHermitian, True),
+    ([[1j, 0], [0, 2]], np.eye(2), NotPseudoHermitian, False),
+    (np.eye(2), [[2, 1], [0, 2]], NonHermitianMetric, True),
+    (np.diag([1.0, 2.0]), np.diag([1.0, 1.5e-10]), SingularMetric, True),
+    (1e154 * np.diag([1.0, 2.0]), np.eye(2), Overflow, False),
+    ([[0, 1], [0, 0]], 1e10 * np.eye(2), NotPseudoHermitian, True),
+    ([[1j, 0], [0, 2]], 1e10 * np.eye(2), NotPseudoHermitian, False),
+    ([[1, 0, 0], [0, 1, 0], [1, 0, 1]], np.diag([1.0, 1.0, 6e-10]), NotPseudoHermitian, True),
+    (_REFUSED_H, [[2, 1], [0, 2]], NonHermitianMetric, False),
+    (_REFUSED_H, np.diag([1.0, 1.5e-10]), SingularMetric, False),
+    (_REFUSED_H, [[1, 0.9], [0.9, 1]], NotPseudoHermitian, False),
 ], ids=["nilpotent", "unpaired", "non-hermitian-metric", "singular-metric", "diag-1e154",
-        "nilpotent-1e10", "unpaired-1e10", "small-metric-eigenvalue"])
-def test_both_series_give_one_refusal(h, metric, refusal):
-    # one gate decides for both series whether (H, eta) can be evolved; the
-    # nilpotent H under the identity, or under 1e10 I, used to give
-    # probabilities 0, 1, 4, 9, and I + E31 under diag(1, 1, 6e-10) a Krein
-    # norm of e1 growing as 1 + 6e-10 t^2
+        "nilpotent-1e10", "unpaired-1e10", "small-metric-eigenvalue",
+        "refused-h-non-hermitian-metric", "refused-h-singular-metric", "refused-h-not-preserved"])
+def test_both_series_give_one_refusal(h, metric, refusal, analyzed):
+    # one gate decides for both series whether (H, eta) can be evolved, on
+    # either route: in the chain basis where analyze accepts H, by the exact
+    # rule where it refuses H.  The nilpotent H under the identity, or under
+    # 1e10 I, used to give probabilities 0, 1, 4, 9, and I + E31 under
+    # diag(1, 1, 6e-10) a Krein norm of e1 growing as 1 + 6e-10 t^2
+    assert _analyzes(h) is analyzed
     e = np.eye(len(h))
     req = EvolutionRequest(h=h, metric=metric, initial_state=e[-1], t_grid=(0.0, 1.0, 2.0, 3.0))
     with warnings.catch_warnings():
@@ -437,12 +461,88 @@ def test_both_series_give_one_refusal(h, metric, refusal):
     assert str(probability.value) == str(krein_norm.value)
 
 
-def test_the_metric_sign_is_decided_after_pseudo_hermiticity():
+def _synthesized(n, structure, cond):
+    """H and its decomposition: simple real eigenvalues (``"real"``), or n // 4
+    simple conjugate pairs and real 2- and 3-blocks among them (``"mixed"``),
+    0.6 or more apart, at basis condition ``cond``."""
+    rng = np.random.default_rng([n, int(cond), len(structure)])
+    pairs = n // 4 if structure == "mixed" else 0
+    dims = [(3,), (2,)] if structure == "mixed" else []
+    dims += [(1,)] * (n - 2 * pairs - sum(map(sum, dims)))
+    pos = rng.permutation(np.arange(len(dims) + pairs) - 0.5 * (len(dims) + pairs - 1))
+    groups = [JordanBlockSpec(x, d) for x, d in zip(pos, dims)]
+    for x in pos[len(dims):]:
+        groups += [JordanBlockSpec(x + 0.5j, (1,)), JordanBlockSpec(x - 0.5j, (1,))]
+    return synthesize(SynthesisSpec(tuple(groups), basis_seed=n, basis_cond=cond))
+
+
+@pytest.mark.parametrize("cond", [1.0, 10.0, 100.0])
+@pytest.mark.parametrize("n", [16, 32, 64])
+def test_the_chain_certificate_decides_the_library_metrics(monkeypatch, n, cond):
+    # P of a mixed spectrum, and P and P+ of a real one: the certificate
+    # decides each, as the exact rule does, and neither series falls back on
+    # the exact rule and its n x n eigensolve
+    cases = []
+    for structure in ("mixed", "real"):
+        h, dec = _synthesized(n, structure, cond)
+        cases += [(h, build_parity(dec), False)]
+        if structure == "real":
+            cases += [(h, build_positive_metric(dec), True)]
+    for h, metric, definite in cases:
+        assert referee(h, metric) == ((True, definite), (True, definite))
+    calls, exact = [], spectral._pseudo_hermiticity
+    for module in (spectral, evolution):
+        monkeypatch.setattr(module, "_pseudo_hermiticity", lambda *a: calls.append(a) or exact(*a))
+    for h, metric, definite in cases:
+        req = EvolutionRequest(h=h, metric=metric, initial_state=np.ones(n), t_grid=(0.0, 1.0))
+        analyze(h)
+        krein_norm_series(req)
+        if definite:
+            transition_probability(req, np.arange(n))
+    assert calls == []
+
+
+def _near_threshold_cases():
+    for e, r, s in ((0.5, 2.0, 0.5), (0.5, 2.0, -0.5), (0.3, 1.0, 0.0)):
+        h, _, dec = mashhoon_papini(MashhoonPapiniParams(e, r, s))
+        yield h, build_parity(dec)
+    yield _n9()
+    h, dec = _synthesized(16, "real", 10.0)
+    yield h, build_positive_metric(dec)
+    h, dec = _synthesized(16, "mixed", 100.0)
+    yield h, build_parity(dec)
+
+
+def test_the_chain_certificate_never_overrules_the_exact_rule_near_its_threshold():
+    # H + c tol.scaled(H) E, E of unit Frobenius norm: the exact residual
+    # moves across the threshold, and the certificate must either leave the
+    # decision to the exact rule or agree with it.  It decides some on
+    # either side: the model's real regime is accepted at c = 0.1 and its
+    # pair regime refused at c = 10
+    decided = set()
+    for h, metric in _near_threshold_cases():
+        rng = np.random.default_rng(h.shape[0])
+        for c in (0.1, 1.0, 10.0):
+            for _ in range(3):
+                e = rng.normal(size=h.shape) + 1j * rng.normal(size=h.shape)
+                certified, exact = referee(
+                    h + c * linalg.DEFAULT_TOL.scaled(h) * e / np.linalg.norm(e), metric)
+                assert certified is None or certified == exact, (c, certified, exact)
+                if certified is not None:
+                    decided.add(certified[0])
+    assert decided == {True, False}
+
+
+@pytest.mark.parametrize("h, analyzed", [([[1, 1], [0, 2]], True), (_REFUSED_H, False)],
+                         ids=["analyzed", "refused"])
+def test_the_metric_sign_is_decided_after_pseudo_hermiticity(h, analyzed):
     # an indefinite metric that H does not preserve: the gate refuses first
+    # on both routes
+    assert _analyzes(h) is analyzed
     _, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))
-    req = EvolutionRequest(h=np.array([[1, 1], [0, 2]]), metric=build_parity(dec),
-                           initial_state=[0, 1], t_grid=(0.0, 1.0))
-    with pytest.raises(NotPseudoHermitian):
+    req = EvolutionRequest(h=h, metric=build_parity(dec), initial_state=[0, 1],
+                           t_grid=(0.0, 1.0))
+    with pytest.raises(NotPseudoHermitian, match="^H is not pseudo-Hermitian"):
         transition_probability(req, [1, 0])
 
 

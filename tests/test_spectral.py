@@ -21,6 +21,9 @@ from pseudoherm.spectral import (
     synthesize,
 )
 
+# every (H, eta) decided here is also put to the evolution gate's certificate
+pytestmark = pytest.mark.usefixtures("gate_referee")
+
 
 def _structure(dec):
     return sorted(

@@ -23,14 +23,16 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
     chain_product  one operators._chain_product (the parity's)
     congruence     krein.congruence_to_involutory
     evolution      evolution.propagator over one step of 0.05
+    gate           evolution._decomposition of the krein_series request: the
+                   pseudo-Hermiticity decision that opens each series
     krein_series   evolution.krein_norm_series under the parity P
     probability    evolution.transition_probability under the positive
                    metric P+ (absent where P+ does not exist)
 
 Both series run on ``GRID_POINTS`` uniform points from 0 to
-``min(GRID_END, 0.8 EXPM_NORM_BOUND / ||H||_F)``.  Each of their samples is
-preceded, untimed, by ``spectral.analyze(h)``, as in an op, where the
-series follow the analysis of their H.
+``min(GRID_END, 0.8 EXPM_NORM_BOUND / ||H||_F)``.  Each sample of the gate
+and of the series is preceded, untimed, by ``spectral.analyze(h)``, as in an
+op, where the series follow the analysis of their H.
 
 A sample repeats one layer's call for about ``BATCH_S`` and is timed
 between two samples of the benchmark's reference kernel (``perfbench/
@@ -75,9 +77,9 @@ STRUCTURES = ("simple", "jordan", "paired")
 #: the real Jordan blocks of the ``jordan`` rows, per n
 JORDAN_BLOCKS = {2: (2,), 4: (3,), 16: (4, 2), 32: (5, 3, 2), 64: (5, 4, 3, 2)}
 LAYERS = ("schur", "clustering", "staircase", "assembly", "chain_product", "congruence",
-          "evolution", "krein_series", "probability")
+          "evolution", "gate", "krein_series", "probability")
 #: the layers that run after an untimed ``analyze`` of their H
-AFTER_ANALYZE = ("krein_series", "probability")
+AFTER_ANALYZE = ("gate", "krein_series", "probability")
 COND = 100.0
 STEP = 0.05
 GRID_POINTS = 200
@@ -165,6 +167,7 @@ def _calls(h):
                                                                signs),
              "congruence": lambda: krein.congruence_to_involutory(dec),
              "evolution": lambda: evolution.propagator(h, STEP),
+             "gate": lambda: evolution._decomposition(series),
              "krein_series": lambda: evolution.krein_norm_series(series),
              "probability": probability and (
                  lambda: evolution.transition_probability(probability, psi0[::-1]))}

@@ -13,8 +13,13 @@ per op of each counted kernel:
     svd       numpy.linalg.svd (rank tests and the analyze rank staircase)
     qr        numpy.linalg.qr (the staircase's generators of clusters whose
               chains have several lengths)
-    eigvalsh  numpy.linalg.eigvalsh (metric eigenvalues)
-    eigh      numpy.linalg.eigh (metric eigenvalues and eigenvectors)
+    eigvalsh  numpy.linalg.eigvalsh of an n x n operand, n the op's dimension
+              (metric eigenvalues)
+    eigh      numpy.linalg.eigh of an n x n operand (metric eigenvalues and
+              eigenvectors)
+    blocks    numpy.linalg.eigvalsh or eigh of any other operand: the batched
+              solves of the diagonal blocks of M = Psi^dag eta Psi that the
+              evolution gate reads in the chain basis
     inv       numpy.linalg.inv and linalg.inv (LU)
     expm      linalg.expm
 
@@ -33,7 +38,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("small-mixed", "large-defective", "long-evolution")
-KERNELS = ("schur", "zgees", "svd", "qr", "eigvalsh", "eigh", "inv", "expm")
+KERNELS = ("schur", "zgees", "svd", "qr", "eigvalsh", "eigh", "blocks", "inv", "expm")
 
 
 def census(workload: str, seed: int) -> tuple[int, Counter]:
@@ -45,7 +50,7 @@ def census(workload: str, seed: int) -> tuple[int, Counter]:
     from pseudoherm import linalg
 
     pool, _ = inputs.generate(workload, seed)
-    calls = Counter()
+    calls, n = Counter(), [0]
     wrapped = [(linalg, "schur", "schur"), (linalg._lapack, "zgees", "zgees"),
                (np.linalg, "svd", "svd"), (np.linalg, "qr", "qr"),
                (np.linalg, "eigvalsh", "eigvalsh"), (np.linalg, "eigh", "eigh"),
@@ -54,7 +59,8 @@ def census(workload: str, seed: int) -> tuple[int, Counter]:
 
     def counted(kernel, real):
         def call(*args, **kwargs):
-            calls[kernel] += 1
+            square = kernel not in ("eigvalsh", "eigh") or np.shape(args[0]) == (n[0], n[0])
+            calls[kernel if square else "blocks"] += 1
             return real(*args, **kwargs)
         return call
 
@@ -62,6 +68,7 @@ def census(workload: str, seed: int) -> tuple[int, Counter]:
         for (module, attr, kernel), real in zip(wrapped, originals):
             setattr(module, attr, counted(kernel, real))
         for case in pool:
+            n[0] = case.n
             pipeline.run_op(case)
     finally:
         for (module, attr, _), real in zip(wrapped, originals):
