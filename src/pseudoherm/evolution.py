@@ -52,8 +52,7 @@ from .errors import (DimensionMismatch, IndefiniteMetric, NotPseudoHermitian, Ov
                      PseudohermError)
 from .krein import krein_inner
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import (JordanBlockSpec, _assemble, _chain_certificate, _chain_products,
-                       _pseudo_hermiticity, analyze)
+from .spectral import _assemble, _chain_certificate, _chain_products, _pseudo_hermiticity, analyze
 
 REGIME_REAL = "RealNondegenerate"
 REGIME_COMPLEX = "ComplexPair"
@@ -158,12 +157,6 @@ def _components(dec, state) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return column, _TAYLOR[power] * (dec.phi_dag @ state)[column + power], own[column], power
 
 
-def _groups(dec) -> tuple[np.ndarray, np.ndarray]:
-    """The group of each chain, and the eigenvalue of each group."""
-    return (np.array([g for g, _ in dec.chain_labels]),
-            np.array([g.eigenvalue for g in dec.groups]))
-
-
 def _on_grid(coef, power, rate, t) -> np.ndarray:
     """``sum_j coef_j t^power_j e^{rate_j t}`` over the grid.  Only a term
     whose ``|rate| max|t|`` passes sqrt(eps) takes its exponential on the
@@ -224,9 +217,8 @@ def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
             amplitudes = _finite(bra @ _states(req.h, initial, t))
     else:
         column, coef, chain, power = _components(dec, initial)
-        chain_group, eigenvalues = _groups(dec)
         amplitudes = _on_grid((bra @ dec.psi)[column] * coef, power,
-                              -1j * eigenvalues[chain_group[chain]], t)
+                              -1j * dec.group_eigenvalues[dec.chain_group[chain]], t)
     return (np.abs(amplitudes) ** 2).tolist()
 
 
@@ -247,7 +239,7 @@ def krein_norm_series(req: EvolutionRequest) -> list[float]:
             psi = _states(req.h, req.initial_state, t)
             return _finite(np.sum(psi.conj() * (req.metric @ psi), axis=0).real).tolist()
     column, coef, chain, power = _components(dec, req.initial_state)
-    chain_group, eigenvalues = _groups(dec)
+    chain_group, eigenvalues = dec.chain_group, dec.group_eigenvalues
     group = chain_group[chain]
     left, right = np.nonzero(chain_group[dec.chain_conj[chain]][:, None] == group)
     coef = coef[left].conj() * coef[right] * m[column[left], column[right]]
@@ -307,7 +299,6 @@ def mashhoon_papini(params: MashhoonPapiniParams):
     if not (np.isfinite(basis).all() and np.isfinite([g[0] for g in groups]).all()):
         raise Overflow(f"the model's eigenvalues or chain basis overflow the float range "
                        f"at E={e:g}, r={r:g}, s={s:g}")
-    specs = [JordanBlockSpec(*g) for g in groups]
     # pair tolerance 0: the complex regime's eigenvalues are exact conjugates
-    dec = _assemble(specs, 0.0, basis[0].T, basis[1].conj())
+    dec = _assemble(*zip(*groups), 0.0, basis[0].T, basis[1].conj())
     return h, regime, dec

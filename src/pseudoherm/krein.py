@@ -5,6 +5,10 @@ spectral subspaces and defines the indefinite product ``<psi| eta |phi>``.
 Whether a matrix is one is decided by the rule of ``linalg.metric_eigenvalues``,
 which refuses a non-Hermitian metric with ``NonHermitianMetric`` and one with
 an eigenvalue within ``tol.scaled(metric)`` of zero with ``SingularMetric``.
+``classification_report`` reads it through ``linalg._metric_decision``,
+which keeps the last metric it accepted with its eigenvalues w,
+``||eta - eta^dag||_F`` and ``||eta||_F``, as ``spectral.analyze`` keeps the
+last H: the reports of one op against one metric run one eigensolve.
 The invertibility of a classified operator M is certified instead of
 decomposed: Weyl's inequality for singular values gives ``sigma_min(M) >=
 (min|w| - d - r) / (||M||_F (max|w| + d))``, w the metric eigenvalues, d =
@@ -36,7 +40,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg, operators, spectral
-from .errors import DimensionMismatch, NotAntiunitary, SingularOperator, ZeroLeadingCoefficient
+from .errors import (DimensionMismatch, NotAntiunitary, Overflow, SingularOperator,
+                     ZeroLeadingCoefficient)
 from .linalg import DEFAULT_TOL, Tolerance
 from .operators import SymmetryOperator, antilinear_compose
 from .spectral import SpectralDecomposition
@@ -106,7 +111,7 @@ def krein_inner(psi, phi, metric) -> complex:
 def build_krein_space(metric, tol: Tolerance = DEFAULT_TOL) -> KreinSpace:
     """Spectral splitting of a Hermitian invertible metric (refused by the
     rule of ``linalg.metric_eigenvalues``), from one ``eigh``."""
-    w, v = linalg._metric_solve(metric, tol, np.linalg.eigh)
+    (w, v), _, _ = linalg._metric_solve(metric, tol, np.linalg.eigh)
     pos = v[:, w > 0]
     neg = v[:, w < 0]
     return KreinSpace(
@@ -145,22 +150,31 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
     its residual is below tolerance and the runner-up is at least ten times
     larger (otherwise NONE, with the residuals reported).  The operator must
     be invertible; its rank is tested only when the residuals cannot prove
-    that (see the module docstring)."""
+    that (see the module docstring).  The metric is decided by
+    ``linalg._metric_decision``, which keeps the last metric, so the reports
+    of one op against one metric decide it once.  ``Overflow`` when the Gram
+    product, a residual or the threshold is not finite."""
     sym = SymmetryOperator.of(op)
     metric = linalg.as_cmatrix(metric)
     m = sym.matrix
     if m.shape != metric.shape:
         raise DimensionMismatch(f"operator is {m.shape} but the metric is {metric.shape}")
-    w = linalg.metric_eigenvalues(metric, tol)
-    gram = m.conj().T @ metric @ m
-    residuals = {
-        SymmetryClass.P_UNITARY: float(np.linalg.norm(gram - metric)),
-        SymmetryClass.P_PSEUDOUNITARY: float(np.linalg.norm(gram + metric)),
-        SymmetryClass.P_ANTIUNITARY: float(np.linalg.norm(gram - metric.T)),
-        SymmetryClass.P_PSEUDOANTIUNITARY: float(np.linalg.norm(gram + metric.T)),
-    }
-    # Python floats: an overflow or a NaN fails the bound without a warning
-    mu, d = float(np.linalg.norm(m)), 0.5 * linalg.hermitian_defect(metric)
+    rule = linalg._metric_decision(metric, tol)
+    w = rule.w
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
+        gram = m.conj().T @ metric @ m
+        residuals = {
+            SymmetryClass.P_UNITARY: float(np.linalg.norm(gram - metric)),
+            SymmetryClass.P_PSEUDOUNITARY: float(np.linalg.norm(gram + metric)),
+            SymmetryClass.P_ANTIUNITARY: float(np.linalg.norm(gram - metric.T)),
+            SymmetryClass.P_PSEUDOANTIUNITARY: float(np.linalg.norm(gram + metric.T)),
+        }
+        mu, gram_norm = float(np.linalg.norm(m)), float(np.linalg.norm(gram))
+        thr = tol.from_norms(m.shape[0], rule.norm, mu, gram_norm)  # tol.scaled(metric, m, gram)
+    if not np.isfinite([gram_norm, thr, *residuals.values()]).all():
+        raise Overflow("the Gram product M^dag P M of the operator M and the metric P "
+                       "overflows the float range")
+    d = 0.5 * rule.defect
     bound = float(np.abs(w).min()) - d - min(residuals.values())
     cut = tol.abs + tol.rel * mu  # at least the rank cut, as sigma_max <= mu
     proven = mu > 0 and bound > 2.0 * cut * mu * (float(np.abs(w).max()) + d)
@@ -171,7 +185,6 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
         eligible = [SymmetryClass.P_ANTIUNITARY, SymmetryClass.P_PSEUDOANTIUNITARY]
     else:
         eligible = [SymmetryClass.P_UNITARY, SymmetryClass.P_PSEUDOUNITARY]
-    thr = tol.scaled(metric, m, gram)
     ranked = sorted(eligible, key=lambda k: residuals[k])
     best, runner = ranked[0], ranked[1]
     cls = SymmetryClass.NONE

@@ -3,7 +3,8 @@
 Thin, tolerance-aware layer over LAPACK: the complex Schur form and its
 reordering, SVD-based numerical rank, LU solves, the matrix exponential, and
 ``metric_eigenvalues``, the one rule by which every entry point decides
-whether a matrix is a Hermitian invertible metric.  Everything works on
+whether a matrix is a Hermitian invertible metric (``_metric_decision``,
+which keeps the last metric it accepted).  Everything works on
 square ``complex128`` arrays of modest size (``N_MAX`` defaults to 64);
 matrices are treated as immutable values.
 
@@ -81,9 +82,12 @@ class Tolerance:
 
     def scaled(self, *mats: np.ndarray) -> float:
         """Threshold ``abs + rel * n * max ||A||_F`` over the operands."""
-        scale = max((float(np.linalg.norm(m)) for m in mats), default=0.0)
-        n = max((m.shape[0] for m in mats), default=1)
-        return self.abs + self.rel * n * scale
+        return self.from_norms(max((m.shape[0] for m in mats), default=1),
+                               *(float(np.linalg.norm(m)) for m in mats))
+
+    def from_norms(self, n: int, *norms: float) -> float:
+        """``scaled`` of operands of size n, from their Frobenius norms."""
+        return self.abs + self.rel * n * max(norms, default=0.0)
 
 
 DEFAULT_TOL = Tolerance()
@@ -261,28 +265,65 @@ def metric_eigenvalues(metric, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     decision whether a matrix can serve as a metric.  Raises
     ``NonHermitianMetric`` unless it is Hermitian at ``tol``, and
     ``SingularMetric`` when an eigenvalue of its Hermitian part lies within
-    ``tol.scaled(metric)`` of zero."""
-    return _metric_solve(metric, tol, np.linalg.eigvalsh)
+    ``tol.scaled(metric)`` of zero.  Decided by ``_metric_decision``, which
+    keeps the last metric it accepted."""
+    return _metric_decision(metric, tol).w.copy()
 
 
-def _hermitian_threshold(metric: np.ndarray, tol: Tolerance) -> float:
-    """``tol.scaled(metric)``, the threshold of both halves of the rule of
-    ``metric_eigenvalues``, once ``metric`` passes its first half: raises
+@dataclass(frozen=True)
+class MetricDecision:
+    """A metric the rule of ``metric_eigenvalues`` accepted, with what the
+    rule measured: the eigenvalues ``w`` of its Hermitian part (ascending,
+    read-only), ``defect`` = ||metric - metric^dag||_F and ``norm`` =
+    ||metric||_F."""
+
+    w: np.ndarray
+    defect: float
+    norm: float
+
+
+#: the last metric ``_metric_decision`` accepted: one (copy of the metric, tolerance, decision)
+_last_metric: list = []
+
+
+def _metric_decision(metric, tol: Tolerance) -> MetricDecision:
+    """The rule of ``metric_eigenvalues``, one n x n ``eigvalsh``, and what it
+    measured.  The last metric accepted is kept with a copy of it and its
+    tolerance, as ``spectral.analyze`` keeps the last H: a call with an equal
+    metric (``np.array_equal``) and an equal tolerance returns that decision
+    without an eigensolve, so that an op classifying several operators
+    against one metric decides it once.  A refusal is not kept."""
+    metric = as_cmatrix(metric)
+    if _last_metric and _last_metric[0][1] == tol and np.array_equal(_last_metric[0][0], metric):
+        return _last_metric[0][2]
+    w, defect, norm = _metric_solve(metric, tol, np.linalg.eigvalsh)
+    w.flags.writeable = False
+    decision = MetricDecision(w, defect, norm)
+    _last_metric[:] = [(metric.copy(), tol, decision)]
+    return decision
+
+
+def _hermitian_threshold(metric: np.ndarray, tol: Tolerance) -> tuple[float, float, float]:
+    """``(tol.scaled(metric), ||metric - metric^dag||_F, ||metric||_F)``; the
+    threshold is that of both halves of the rule of ``metric_eigenvalues``,
+    returned once ``metric`` passes its first half: raises
     ``NonHermitianMetric`` unless ``||metric - metric^dag||_F`` is within it."""
-    thr = tol.scaled(metric)
-    if not hermitian_defect(metric) <= thr:
+    norm, defect = float(np.linalg.norm(metric)), hermitian_defect(metric)
+    thr = tol.from_norms(metric.shape[0], norm)
+    if not defect <= thr:
         raise NonHermitianMetric("metric is not Hermitian at tolerance")
-    return thr
+    return thr, defect, norm
 
 
 def _metric_solve(metric, tol: Tolerance, solve):
-    """``solve`` (``eigvalsh``, or ``eigh`` for the eigenvectors too) on the
-    Hermitian part of ``metric``, under the rule of ``metric_eigenvalues``."""
+    """``(out, ||metric - metric^dag||_F, ||metric||_F)``, ``out`` what
+    ``solve`` (``eigvalsh``, or ``eigh`` for the eigenvectors too) returns on
+    the Hermitian part of ``metric``, under the rule of ``metric_eigenvalues``."""
     metric = as_cmatrix(metric)
-    thr = _hermitian_threshold(metric, tol)
+    thr, defect, norm = _hermitian_threshold(metric, tol)
     out = solve(0.5 * (metric + metric.conj().T))
     w = out[0] if isinstance(out, tuple) else out
     nearest = w[np.abs(w).argmin()]
     if abs(nearest) <= thr:
         raise SingularMetric(f"metric eigenvalue {nearest:.3e} within tolerance of zero")
-    return out
+    return out, defect, norm

@@ -38,7 +38,7 @@ from .errors import (
     UnpairedRealBlocks,
 )
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import REAL, SpectralDecomposition, _refuse_unpaired
+from .spectral import SpectralDecomposition, _refuse_unpaired
 
 
 @dataclass(frozen=True)
@@ -216,9 +216,9 @@ def positive_metric_violations(dec: SpectralDecomposition) -> list[str]:
     """Why no positive definite metric exists, empty when one does: it
     exists exactly when the spectrum is real and the matrix diagonalizable
     (Theorem 1)."""
-    bad_complex = [g.eigenvalue for g in dec.groups if g.kind != REAL]
-    bad_blocks = [g.eigenvalue for g in dec.groups
-                  if any(c.dim > 1 for c in g.chains)]
+    values = dec.group_eigenvalues
+    bad_complex = values[values.imag != 0].tolist()  # a group is real exactly when Im = 0
+    bad_blocks = values[np.bincount(dec.chain_group, dec.chain_dim > 1) > 0].tolist()
     violations = []
     if bad_complex:
         violations.append(f"non-real eigenvalues {bad_complex}")
@@ -274,7 +274,7 @@ def build_quaternionic_T(dec: SpectralDecomposition) -> SymmetryOperator:
 def involutory_symmetry_exists(dec: SpectralDecomposition) -> bool:
     """A nontrivial involutory symmetry commuting with H exists iff H has at
     least two independent eigenvectors."""
-    return sum(len(g.chains) for g in dec.groups) >= 2
+    return dec.chain_dim.size >= 2
 
 
 def canonical_involution(c, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int]:

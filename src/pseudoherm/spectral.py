@@ -33,8 +33,10 @@ treatment.  ``_assemble`` records it in ``unpaired``, and ``analyze`` and
 ``synthesize`` refuse it with ``NotPaired`` unless explicitly tolerated.
 
 A decomposition holds the chain basis once: S as ``psi``, Phi^dag = S^-1
-as ``phi_dag`` and its adjoint Phi as ``phi``, all read-only; chains are
-views of their columns, and callers multiply these matrices directly.
+as ``phi_dag`` and its adjoint Phi as ``phi``, all read-only, and callers
+multiply these matrices directly.  Its groups and chains are tables of
+arrays; the ``EigenGroup`` objects, whose chains are views of the columns,
+are built the first time ``groups`` is read.
 ``_assemble`` is the one constructor, for ``analyze``, ``synthesize`` and
 ``evolution.mashhoon_papini`` alike, and ``reconstruct`` the one
 H = Psi J Phi^dag.  One pass of ``_assemble`` tags and pairs the groups and
@@ -46,6 +48,7 @@ size in its conjugate partner or its real group's other half.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -111,10 +114,12 @@ class EigenGroup:
 @dataclass(frozen=True)
 class SpectralDecomposition:
     """Eigenvalue groups over one read-only copy of S (``psi``), Phi^dag
-    (``phi_dag``) and Phi (``phi``), columns in group/chain/height order
-    (chains are views), the unpaired complex groups (``unpaired``), and
-    the read-only chain table ``_assemble`` builds with them, one entry per
-    chain in ``chain_labels`` order or, for ``columns``, per column.
+    (``phi_dag``) and Phi (``phi``), columns in group/chain/height order,
+    the unpaired complex groups (``unpaired``), and the read-only group
+    and chain tables ``_assemble`` builds with them, one entry per group or
+    per chain in ``chain_labels`` order or, for ``columns``, per column.
+    ``groups``, the ``EigenGroup``s with their chains as views of the
+    columns, is built from these tables the first time it is read.
     ``chain_conj`` and the real block halves follow one matching rule: within
     one size, the k-th chain meets the k-th chain of that size in its
     partner, the other member of a conjugate pair or, for a real chain, the
@@ -123,11 +128,14 @@ class SpectralDecomposition:
     unpaired group alone), where M of a metric that H preserves is block
     diagonal."""
 
-    groups: tuple[EigenGroup, ...]
     psi: np.ndarray
     phi: np.ndarray
     phi_dag: np.ndarray                    # Phi^dag = S^-1
+    group_eigenvalues: np.ndarray          # complex128, per group
+    group_kinds: tuple                     # REAL | PLUS | MINUS | UNPAIRED
+    group_pair_ids: tuple                  # None outside a conjugate pair
     chain_labels: tuple                    # (group, chain)
+    chain_group: np.ndarray                # the group, per chain
     chain_dim: np.ndarray
     chain_start: np.ndarray                # first column in psi and phi
     columns: tuple[np.ndarray, np.ndarray, np.ndarray]  # chain, height, dim - 1 - height
@@ -143,6 +151,20 @@ class SpectralDecomposition:
     def n(self) -> int:
         return self.psi.shape[0]
 
+    @cached_property
+    def groups(self) -> tuple[EigenGroup, ...]:
+        """The eigenvalue groups; each chain's rows are views of columns of
+        ``psi`` and ``phi``."""
+        chains = [[] for _ in self.group_kinds]
+        for ng, start, p in zip(self.chain_group.tolist(), self.chain_start.tolist(),
+                                self.chain_dim.tolist()):
+            sl = slice(start, start + p)
+            chains[ng].append(JordanChain(psi=self.psi[:, sl].T, phi=self.phi[:, sl].T))
+        return tuple(EigenGroup(eigenvalue, kind, pair_id, tuple(cs))
+                     for eigenvalue, kind, pair_id, cs in zip(self.group_eigenvalues.tolist(),
+                                                              self.group_kinds,
+                                                              self.group_pair_ids, chains))
+
     def psi_matrix(self) -> np.ndarray:
         """Chain vectors as columns (= S)."""
         return self.psi
@@ -155,17 +177,15 @@ class SpectralDecomposition:
         """Yield ``(ng_first, first, ng_second, second)`` once per pair,
         in the members' storage order."""
         members = {}
-        for ng, g in enumerate(self.groups):
-            if g.pair_id is not None:
-                members.setdefault(g.pair_id, []).append(ng)
+        for ng, pair_id in enumerate(self.group_pair_ids):
+            if pair_id is not None:
+                members.setdefault(pair_id, []).append(ng)
         for ng1, ng2 in members.values():
             yield ng1, self.groups[ng1], ng2, self.groups[ng2]
 
     def eigenvalues(self) -> np.ndarray:
         """Each column's eigenvalue."""
-        group = np.array([ng for ng, _ in self.chain_labels], dtype=np.intp)
-        return np.array([g.eigenvalue for g in self.groups],
-                        dtype=np.complex128)[group[self.columns[0]]]
+        return self.group_eigenvalues[self.chain_group[self.columns[0]]]
 
 
 @dataclass(frozen=True)
@@ -225,7 +245,7 @@ def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[bool, bool]:
     h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
     if h.shape != eta.shape:
         raise DimensionMismatch(f"H is {h.shape} but the metric is {eta.shape}")
-    w, v = linalg._metric_solve(eta, tol, np.linalg.eigh)
+    (w, v), _, _ = linalg._metric_solve(eta, tol, np.linalg.eigh)
     with np.errstate(over="ignore", invalid="ignore"):  # an infinite threshold is refused
         resid, thr = _pseudo_hermiticity_residual(h, (eta + eta.conj().T) / 2, w, v), tol.scaled(h)
     if not np.isfinite(thr):
@@ -277,7 +297,7 @@ def _chain_certificate(h, eta, dec: SpectralDecomposition, m, g, tol: Tolerance)
 
     A refusal of the metric rule is left undecided, so that the exact rule
     names the metric eigenvalue that fails it, and so is a non-finite M or G."""
-    eta_thr = linalg._hermitian_threshold(eta, tol)
+    eta_thr = linalg._hermitian_threshold(eta, tol)[0]
     with np.errstate(over="ignore", invalid="ignore"):  # a NaN fails every comparison
         if not np.isfinite(m).all():
             return None
@@ -336,7 +356,9 @@ def synthesize(spec: SynthesisSpec, *, allow_unpaired: bool = False,
         s_inv = linalg.inv(s_mat, tol)
     except Exception as exc:
         raise SingularBasis(f"basis not invertible: {exc}") from exc
-    dec = _refuse_unpaired(_assemble(spec.groups, tol.abs, s_mat, s_inv), allow_unpaired)
+    dec = _assemble([g.eigenvalue for g in spec.groups], [g.block_dims for g in spec.groups],
+                    tol.abs, s_mat, s_inv)
+    dec = _refuse_unpaired(dec, allow_unpaired)
     return reconstruct(dec), dec
 
 
@@ -356,47 +378,48 @@ def _match(table: list, mine: dict, theirs: dict):
             table[c] = other
 
 
-def _assemble(specs, pair_tol: float, psi: np.ndarray,
+def _assemble(eigenvalues, block_dims, pair_tol: float, psi: np.ndarray,
               phi_dag: np.ndarray) -> SpectralDecomposition:
-    """The one constructor of a decomposition, one pass over ``specs``.  A
-    group is real exactly when Im = 0; a complex one pairs with the first
-    earlier unmatched group whose conjugate lies within ``pair_tol`` and whose
-    block sizes agree as a multiset; what stays unmatched is listed in
-    ``unpaired`` for the callers to refuse.  S (``psi``) and Phi^dag = S^-1
-    (``phi_dag``) are marked read-only and cut into the groups, in order,
-    each chain taking views of consecutive columns.  The same pass builds the
-    chain table, listing each group's chains by size for ``_match`` to pair a
-    conjugate pair's members and a real group's halves, and the layout of
-    ``metric_blocks``, once per decomposition, for the evolution gate."""
+    """The one constructor of a decomposition, one pass over its groups,
+    each given by its eigenvalue and its tuple of Jordan block sizes
+    (``eigenvalues`` and ``block_dims``, in group order).  A group is real
+    exactly when Im = 0; a complex one pairs with the first earlier unmatched
+    group whose conjugate lies within ``pair_tol`` and whose block sizes
+    agree as a multiset; what stays unmatched is listed in ``unpaired`` for
+    the callers to refuse.  S (``psi``) and Phi^dag = S^-1 (``phi_dag``) are
+    marked read-only, their columns taken by the groups' chains in order.
+    The same pass builds the group and chain tables, listing each group's
+    chains by size for ``_match`` to pair a conjugate pair's members and a
+    real group's halves, and the layout of ``metric_blocks``, once per
+    decomposition, for the evolution gate.  No per-group or per-chain object
+    is built here (``groups`` is built on first read)."""
     psi, phi_dag = _read_only(psi), _read_only(phi_dag)
     phi = _read_only(phi_dag.conj().T)
-    dim = np.array([p for spec in specs for p in spec.block_dims])
+    values = _read_only(np.array(eigenvalues, dtype=np.complex128))
+    evs = values.tolist()
+    dim = np.array([p for dims in block_dims for p in dims])
     conj, half, signs, violations = [-1] * dim.size, [-1] * dim.size, [1] * dim.size, []
-    kinds, pair_ids, views, labels, unmatched, odd, offset, pair = [], [], [], [], {}, 0, 0, 0
-    for ng, spec in enumerate(specs):
-        real, chains, sizes = spec.eigenvalue.imag == 0, [], {}
-        for a, p in enumerate(spec.block_dims):
-            sl = slice(offset, offset + p)
-            chains.append(JordanChain(psi=psi[:, sl].T, phi=phi[:, sl].T))
+    kinds, pair_ids, labels, unmatched, odd, pair = [], [], [], {}, 0, 0
+    for ng, (ev, dims) in enumerate(zip(evs, block_dims)):
+        real, sizes = ev.imag == 0, {}
+        for a, p in enumerate(dims):
             if real and p % 2:  # +/- in turn over the odd-dimensional real chains
                 signs[len(labels)], odd = (-1) ** odd, odd + 1
             sizes.setdefault(p, []).append(len(labels))
             labels.append((ng, a))
-            offset += p
-        views.append(tuple(chains))
         kinds.append(REAL if real else UNPAIRED)  # a pair member is retagged below
         pair_ids.append(None)
         if real:
             _match(conj, sizes, sizes)
             if any(len(cs) % 2 for cs in sizes.values()):
-                violations.append((spec.eigenvalue, spec.block_dims))
+                violations.append((ev, dims))
             else:  # the halves of each size swap
                 _match(half, sizes, {p: cs[len(cs) // 2:] + cs[:len(cs) // 2]
                                      for p, cs in sizes.items()})
             continue
         for j, theirs in unmatched.items():
-            if (abs(np.conj(specs[j].eigenvalue) - spec.eigenvalue) <= pair_tol
-                    and sorted(specs[j].block_dims) == sorted(spec.block_dims)):
+            if (abs(np.conj(evs[j]) - ev) <= pair_tol
+                    and sorted(block_dims[j]) == sorted(dims)):
                 break
         else:
             unmatched[ng] = sizes
@@ -405,28 +428,28 @@ def _assemble(specs, pair_tol: float, psi: np.ndarray,
         _match(conj, sizes, theirs)
         _match(conj, theirs, sizes)
         for k in (j, ng):
-            kinds[k], pair_ids[k] = PLUS if specs[k].eigenvalue.imag > 0 else MINUS, pair
+            kinds[k], pair_ids[k] = PLUS if evs[k].imag > 0 else MINUS, pair
         pair += 1
     start = np.cumsum(dim) - dim
     chain = np.repeat(np.arange(dim.size), dim)
-    height = np.arange(offset) - start[chain]
+    height = np.arange(chain.size) - start[chain]
+    group = np.array([ng for ng, _ in labels], dtype=np.intp)
     # each column's block: the first group of its conjugate pair, else its own group;
     # the columns sorted stably by their block's size, then by block
     first = {}
     block = np.array([first.setdefault(ng if p is None else -1 - p, ng)
                       for ng, p in enumerate(pair_ids)], dtype=np.intp)
-    block = block[np.array([ng for ng, _ in labels], dtype=np.intp)[chain]]
+    block = block[group[chain]]
     size = np.bincount(block)[block]
     order = np.lexsort((block, size))
     return SpectralDecomposition(
-        groups=tuple([EigenGroup(spec.eigenvalue, kind, pair_id, chains) for spec, kind, pair_id,
-                      chains in zip(specs, kinds, pair_ids, views)]),
-        psi=psi, phi=phi, phi_dag=phi_dag, chain_labels=tuple(labels),
+        psi=psi, phi=phi, phi_dag=phi_dag, group_eigenvalues=values, group_kinds=tuple(kinds),
+        group_pair_ids=tuple(pair_ids), chain_labels=tuple(labels), chain_group=_read_only(group),
         chain_dim=_read_only(dim), chain_start=_read_only(start),
         columns=(_read_only(chain), _read_only(height), _read_only(dim[chain] - 1 - height)),
         chain_conj=_read_only(np.array(conj)), canonical_signs=_read_only(np.array(signs)),
         real_block_halves=(_read_only(np.array(half)), tuple(violations)),
-        unpaired=tuple((specs[j].eigenvalue, specs[j].block_dims) for j in unmatched),
+        unpaired=tuple((evs[j], block_dims[j]) for j in unmatched),
         metric_blocks=(tuple(_read_only(order[size[order] == k].reshape(-1, k))
                              for k in sorted(set(size.tolist()))),
                        _read_only(block[:, None] != block)))
@@ -663,13 +686,13 @@ def _decompose(h: np.ndarray, tol: Tolerance) -> SpectralDecomposition:
     # deterministic group order: by real part, then |Im|, plus member first
     order = np.lexsort((-centers.imag, np.round(np.abs(centers.imag), 9),
                         np.round(centers.real, 9)))
-    specs = [JordanBlockSpec(centers[p], dims.get(p, (1,))) for p in order]
+    block_dims = [dims.get(p, (1,)) for p in order]
 
     # S in group order: the columns sorted stably by their cluster's group rank,
     # each chain scaled to a unit eigenvector with a real-positive lead entry
     label = np.concatenate((singles, np.repeat(multi, sizes[multi])))
     s_mat = np.hstack(columns)[:, np.argsort(np.argsort(order)[label], kind="stable")]
-    chain_dims = np.array([d for spec in specs for d in spec.block_dims])
+    chain_dims = np.array([d for group in block_dims for d in group])
     heads = s_mat[:, np.cumsum(chain_dims) - chain_dims]
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(heads, axis=0)
@@ -683,7 +706,7 @@ def _decompose(h: np.ndarray, tol: Tolerance) -> SpectralDecomposition:
         s_inv = linalg.inv(s_mat / scale, tol) / scale[:, None]
     except Exception as exc:
         raise ClusterAmbiguity(f"chain basis numerically singular: {exc}") from exc
-    dec = _assemble(specs, max(real_thresh, delta), s_mat, s_inv)
+    dec = _assemble(centers[order], block_dims, max(real_thresh, delta), s_mat, s_inv)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
         resid, thr = np.linalg.norm(reconstruct(dec) - h), tol.scaled(h)
     if not resid <= thr:

@@ -12,10 +12,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pseudoherm import krein
-from pseudoherm.errors import NotPaired, UnpairedRealBlocks
+from pseudoherm import evolution, krein, operators, spectral
+from pseudoherm.errors import MathematicalRefusal, NotPaired, UnpairedRealBlocks
 from pseudoherm.operators import build_parity, build_quaternionic_T, build_reflecting
-from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
+from pseudoherm.spectral import (EigenGroup, JordanBlockSpec, JordanChain, SynthesisSpec,
+                                 synthesize)
 
 N_MAX = 16
 #: a group's Jordan block sizes, in drawn order; a pair member's lists at
@@ -143,3 +144,67 @@ def test_reordered_conjugate_pair_meets_by_size(groups):
     p = build_parity(dec)
     assert np.linalg.norm(p - p.conj().T) <= 1e-12 * np.linalg.norm(p)
     assert [r["check"] for r in krein.check_battery(h, dec) if not r["pass"]] == []
+
+
+#: the eight operator builders of one op
+BUILDERS = ("build_parity", "build_charge", "build_time_reversal", "build_tp", "build_ctp",
+            "build_positive_metric", "build_reflecting", "build_quaternionic_T")
+
+
+def _run_op(h):
+    """One op on H: analyze, the eight builders, the congruence, the
+    existence decision, the U(t) and TP reports against P and both series."""
+    dec = spectral.analyze(h)
+    built = {}
+    for name in BUILDERS:
+        try:
+            built[name] = getattr(operators, name)(dec)
+        except MathematicalRefusal:
+            pass
+    krein.congruence_to_involutory(dec)
+    krein.pseudounitary_symmetries_exist(dec)
+    p = built["build_parity"]
+    krein.classification_report(evolution.propagator(h, 0.3), p)
+    krein.classification_report(built["build_tp"], p)
+    psi0 = np.arange(1.0, dec.n + 1) + 1j
+    grid = tuple(np.linspace(0.0, 2.0, 11))
+    evolution.krein_norm_series(evolution.EvolutionRequest(h, p, psi0, grid))
+    if "build_positive_metric" in built:
+        req = evolution.EvolutionRequest(h, built["build_positive_metric"], psi0, grid)
+        evolution.transition_probability(req, psi0[::-1])
+    return dec, sorted(built)
+
+
+@pytest.mark.usefixtures("cold_memo")
+@pytest.mark.parametrize("groups, kinds, built", [
+    (((-1.0, (1, 1)), (0.5, (1, 1)), (1.5, (1, 1))), ["real"] * 3, 8),
+    (((-0.7, (1, 1)), (0.3, (2,)), (1 + 0.5j, (1,)), (1 - 0.5j, (1,))),
+     ["real", "real", "plus", "minus"], 5),
+], ids=["real-diagonalizable", "jordan-and-pair"])
+def test_an_op_builds_no_per_eigenvalue_object(groups, kinds, built, monkeypatch):
+    """No ``JordanBlockSpec``, ``EigenGroup`` or ``JordanChain`` is made on an
+    op's path; ``groups``, read afterwards, is the one the chain table
+    describes, with chains that are views of ``psi`` and ``phi``.  The
+    groups are listed in ``analyze``'s order."""
+    h, _, _ = _synthesize(groups)
+    made = []
+    for cls in (JordanBlockSpec, EigenGroup, JordanChain):
+        monkeypatch.setattr(cls, "__init__", lambda self, *a, _init=cls.__init__, **k:
+                            made.append(type(self).__name__) or _init(self, *a, **k))
+    dec, names = _run_op(h)
+    assert made == [] and len(names) == built
+    monkeypatch.undo()
+    assert [(type(g.eigenvalue), g.kind, g.pair_id) for g in dec.groups] == [
+        (complex, kind, None if kind == "real" else 0) for kind in kinds]
+    assert [g.eigenvalue for g in dec.groups] == dec.group_eigenvalues.tolist()
+    assert np.allclose([g.eigenvalue for g in dec.groups], [z for z, _ in groups], atol=1e-8)
+    assert [g.block_dims for g in dec.groups] == [tuple(sorted(d)) for _, d in groups]
+    columns = iter(range(dec.n))
+    for g in dec.groups:
+        for c in g.chains:
+            cols = [next(columns) for _ in range(c.dim)]
+            for vectors, basis in ((c.psi, dec.psi), (c.phi, dec.phi)):
+                assert np.shares_memory(vectors, basis) and not vectors.flags.writeable
+                assert np.array_equal(vectors, basis[:, cols].T)
+    assert next(columns, None) is None
+    assert dec.groups is dec.groups  # built once

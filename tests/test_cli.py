@@ -181,6 +181,7 @@ def test_classify_command(tmp_path, capsys):
         "PUnitary", "PAntiunitary", "PPseudounitary", "PPseudoantiunitary"}
 
 
+@pytest.mark.usefixtures("cold_memo")
 def test_classify_decomposes_the_metric_once(tmp_path, monkeypatch, capsys):
     _, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, -1.0))
     from pseudoherm.operators import build_parity, build_reflecting
@@ -207,6 +208,21 @@ def test_classify_singular_metric_exit(tmp_path):
     p_path = _write_matrix(tmp_path, "p.json", np.diag([1.0, 0.0]).astype(complex))
     o_path = _write_matrix(tmp_path, "o.json", np.eye(2, dtype=complex))
     assert main(["classify", "--metric", str(p_path), "--op", str(o_path)]) == 3
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e155])
+def test_classify_refuses_an_overflowing_gram_product_in_one_line(tmp_path, capsys, scale):
+    """The Gram norms of 1e100 I under I overflow (it was reported PUnitary
+    under an infinite threshold, with overflow warnings on stderr)."""
+    metric = _write_matrix(tmp_path, "eye.json", np.eye(2))
+    op = _write_matrix(tmp_path, "big.json", scale * np.eye(2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["classify", "--metric", str(metric), "--op", str(op)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the Gram product M^dag P M of the operator M and the "
+                            "metric P overflows the float range\n")
 
 
 def test_check_command_passes_on_model(sixone, capsys):

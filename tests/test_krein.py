@@ -1,6 +1,8 @@
 """Indefinite-metric machinery: inner product, congruence, classification."""
 
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from pseudoherm.errors import (
     NonHermitianMetric,
     PseudohermError,
     NotAntiunitary,
+    Overflow,
     SingularMetric,
     SingularOperator,
     ZeroLeadingCoefficient,
@@ -566,3 +569,116 @@ def test_operands_of_different_sizes_are_refused_before_any_decomposition(monkey
     with pytest.raises(DimensionMismatch, match=r"H is \(3, 3\) but the metric is \(2, 2\)"):
         spectral.is_pseudo_hermitian(np.eye(3), np.eye(2))
     assert eigs == []
+
+
+# ---------------------------------------------------------------------------
+# the metric rule's memo, and operators whose Gram product overflows
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_reports_against_one_metric_decide_it_once(monkeypatch):
+    """Two reports against one metric, and one against an equal copy of it,
+    run one n x n ``eigvalsh``; the memo's decision is the eigensolve's."""
+    h, p, u = _small_case()
+    tp = build_tp(spectral.analyze(h))
+    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
+    first = classification_report(u, p)
+    assert classification_report(tp, p).symmetry_class is SymmetryClass.P_ANTIUNITARY
+    assert classification_report(u, p.copy()) == first
+    assert eigs == ["eigvalsh"]
+    assert first == _report_by_svd(u, p)
+    kept = linalg._last_metric[0][2]
+    assert np.array_equal(kept.w, _metric_rule(p, DEFAULT_TOL)) and not kept.w.flags.writeable
+    assert kept.defect == np.linalg.norm(p - p.conj().T) and kept.norm == np.linalg.norm(p)
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_a_changed_metric_or_tolerance_is_decided_again(monkeypatch):
+    """A changed entry, another tolerance, and an in-place change of the very
+    array that was decided each run the eigensolve again, and each report is
+    the one the eigensolve-first reference gives."""
+    _, p, u = _small_case()
+    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
+    metric = p.copy()
+    classification_report(u, metric)
+    changed = metric.copy()
+    changed[0, 0] += 1e-3
+    loose = linalg.Tolerance(abs=1e-9, rel=1e-9)
+    reports = [classification_report(*args)
+               for args in ((u, changed), (u, metric, loose), (u, metric))]
+    metric[0, 0] += 1e-3  # the memo holds a copy, so this array no longer matches it
+    reports.append(classification_report(u, metric))
+    assert len(eigs) == 5
+    assert reports == [_report_by_svd(u, changed), _report_by_svd(u, p, loose),
+                       _report_by_svd(u, p), _report_by_svd(u, changed)]
+
+
+@pytest.mark.usefixtures("cold_memo")
+@pytest.mark.parametrize("metric, refusal", [
+    (np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex), NonHermitianMetric),
+    (np.diag([1.0, 1e-14]).astype(complex), SingularMetric),
+], ids=["non-hermitian", "singular"])
+def test_a_refused_metric_is_refused_again(metric, refusal):
+    """A refusal is not kept: the next call raises it again, with the same
+    message, and the memo keeps the last metric it accepted."""
+    eye = np.eye(2, dtype=complex)
+    classification_report(eye, eye)
+    kept = linalg._last_metric[0]
+    with pytest.raises(refusal) as first:
+        classification_report(eye, metric)
+    with pytest.raises(refusal) as again:
+        classification_report(eye, metric)
+    assert str(again.value) == str(first.value)
+    assert linalg._last_metric == [kept]
+
+
+def _seed_pool_pairs(seed):
+    """``(label, U, TP, P)`` of every input of the benchmark's seeded pools
+    whose parity exists, U the propagator the benchmark's op classifies."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    for workload in ("small-mixed", "large-defective", "long-evolution"):
+        for case in inputs.generate(workload, seed)[0]:
+            dec = spectral.analyze(case.h, allow_unpaired=True)
+            if not dec.unpaired:
+                yield (f"{workload}/{case.label}", evolution.propagator(case.h, case.t_prop),
+                       build_tp(dec), build_parity(dec))
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_warm_memo_reports_equal_cold_ones():
+    """Over the seed-7 pools' (U, P) and (TP, P), the second report against
+    each P, served by the memo, equals a report from a cold memo and the
+    eigensolve-first reference, field by field."""
+    cases = list(_seed_pool_pairs(7))
+    assert len(cases) >= 50
+    for label, u, tp, p in cases:
+        linalg._last_metric.clear()
+        warm = [classification_report(u, p), classification_report(tp, p)]
+        cold = []
+        for op in (u, tp):
+            linalg._last_metric.clear()
+            cold.append(classification_report(op, p))
+        assert warm == cold == [_report_by_svd(u, p), _report_by_svd(tp, p)], label
+
+
+@pytest.mark.parametrize("scale", [1e100, 1e155])
+def test_an_overflowing_gram_product_is_refused(scale):
+    """1e100 I under I has Gram norms of inf, which passed an infinite
+    threshold as PUnitary; at 1e155 I the residuals were NaN.  Both are
+    refused with ``Overflow``, without a RuntimeWarning."""
+    eye = np.eye(2, dtype=complex)
+    for op in (scale * eye, SymmetryOperator(scale * eye, antilinear=True)):
+        got = _outcome(classification_report, op, eye)
+        assert got == (Overflow, "the Gram product M^dag P M of the operator M and the "
+                                 "metric P overflows the float range")
+
+
+def test_a_large_finite_operator_is_still_classified():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        res = classification_report(1e10 * np.eye(2), np.eye(2))
+    assert res.symmetry_class is SymmetryClass.NONE and np.isfinite(res.threshold)

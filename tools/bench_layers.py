@@ -19,9 +19,14 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
                    centers and radii, and _check_gaps
     staircase      spectral._extract_chains on a multi-member cluster's
                    reordered Schur block, per cluster (absent without one)
-    assembly       spectral._assemble of the analyzed chain basis
+    assembly       spectral._assemble of the analyzed chain basis, called with
+                   what analyze passed it (each group's eigenvalue and block
+                   sizes, the pair tolerance, S and S^-1)
     chain_product  one operators._chain_product (the parity's)
     congruence     krein.congruence_to_involutory
+    classify       the op's two krein.classification_report calls against the
+                   parity P, of the propagator of one step and of TP, the
+                   first deciding P afresh (any kept metric is dropped first)
     evolution      evolution.propagator over one step of 0.05
     gate           evolution._decomposition of the krein_series request: the
                    pseudo-Hermiticity decision that opens each series
@@ -77,7 +82,7 @@ STRUCTURES = ("simple", "jordan", "paired")
 #: the real Jordan blocks of the ``jordan`` rows, per n
 JORDAN_BLOCKS = {2: (2,), 4: (3,), 16: (4, 2), 32: (5, 3, 2), 64: (5, 4, 3, 2)}
 LAYERS = ("schur", "clustering", "staircase", "assembly", "chain_product", "congruence",
-          "evolution", "gate", "krein_series", "probability")
+          "classify", "evolution", "gate", "krein_series", "probability")
 #: the layers that run after an untimed ``analyze`` of their H
 AFTER_ANALYZE = ("gate", "krein_series", "probability")
 COND = 100.0
@@ -149,11 +154,19 @@ def _calls(h):
             extract(b, tol)
 
     signs = operators._sign_array(dec, "canonical")
+    parity, tp = operators.build_parity(dec), operators.build_tp(dec)
+    step = evolution.propagator(h, STEP)
+    kept = getattr(linalg, "_last_metric", [])  # the metric memo, where the tree has one
+
+    def classify():
+        kept.clear()
+        krein.classification_report(step, parity)
+        krein.classification_report(tp, parity)
+
     grid = tuple(np.linspace(0.0, min(GRID_END, 0.8 * linalg.EXPM_NORM_BOUND / np.linalg.norm(h)),
                              GRID_POINTS))
     psi0 = np.array([1, 1j]) @ np.random.default_rng(h.shape[0]).normal(size=(2, h.shape[0]))
-    series = evolution.EvolutionRequest(h=h, metric=operators.build_parity(dec),
-                                        initial_state=psi0, t_grid=grid)
+    series = evolution.EvolutionRequest(h=h, metric=parity, initial_state=psi0, t_grid=grid)
     try:
         probability = evolution.EvolutionRequest(
             h=h, metric=operators.build_positive_metric(dec), initial_state=psi0, t_grid=grid)
@@ -166,6 +179,7 @@ def _calls(h):
              "chain_product": lambda: operators._chain_product(dec, "P", dec.phi, dec.phi_dag,
                                                                signs),
              "congruence": lambda: krein.congruence_to_involutory(dec),
+             "classify": classify,
              "evolution": lambda: evolution.propagator(h, STEP),
              "gate": lambda: evolution._decomposition(series),
              "krein_series": lambda: evolution.krein_norm_series(series),

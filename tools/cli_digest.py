@@ -8,9 +8,9 @@ a temporary directory and runs each of their commands, the timed ones and the
 known-defect one, the three ``construct`` runs of ``KERNEL`` and the three
 ``analyze`` runs of ``ANALYZE`` (19 per seed, 57 in all), then the usage
 errors of ``USAGE_ERRORS`` (exit 1) against the last seed's files, then the
-six ``evolve`` runs of ``EVOLVE`` on files this tool writes, then ``model
-mashhoon`` once in each spectral regime with fixed parameters (``MODELS``):
-74 commands, each as a fresh
+six ``evolve`` runs of ``EVOLVE`` and the ``classify`` run of ``CLASSIFY`` on
+files this tool writes, then ``model mashhoon`` once in each spectral regime
+with fixed parameters (``MODELS``): 75 commands, each as a fresh
 ``pseudoherm`` process whose ``PYTHONPATH`` is the given ``src`` directory.
 Prints one line per command: seed (``-`` for the models), label, exit code
 and the SHA-256 of stdout followed by stderr.  The fixtures are built by this
@@ -92,6 +92,11 @@ EVOLVE = {
          ("--t1", "3", "--steps", "4")))
     for mode, final in (("probability", ("--final", "e1.json")), ("krein", ()))
 }
+#: label -> argv of the ``classify`` run of 1e100 I under I, whose Gram
+#: product 1e200 I overflows the Frobenius norm: refused with exit 2
+CLASSIFY = {
+    "classify-overflow": ("classify", "--metric", "eye2.json", "--op", "eye2e100.json"),
+}
 
 
 def main(argv=None) -> int:
@@ -132,11 +137,12 @@ def main(argv=None) -> int:
                            serialization.matrix_to_doc([[1, 0], [0, 1 + 1e-9]])),
                           ("eye2", serialization.matrix_to_doc([[1, 0], [0, 1]])),
                           ("eye2e10", serialization.matrix_to_doc([[1e10, 0], [0, 1e10]])),
+                          ("eye2e100", serialization.matrix_to_doc([[1e100, 0], [0, 1e100]])),
                           ("e1", serialization.vector_to_doc([1, 0])),
                           ("e2", serialization.vector_to_doc([0, 1])),
                           ("ones2", serialization.vector_to_doc([1, 1]))):
             Path(f"{name}.json").write_text(serialization.canonical_dumps(doc), encoding="utf-8")
-        for label, argv in EVOLVE.items():
+        for label, argv in (EVOLVE | CLASSIFY).items():
             run("-", label, argv)
         os.chdir(ROOT)
     for label, (e, r, s) in MODELS.items():
