@@ -8,16 +8,20 @@ metric, where ``|<<final, U(t) initial>>|^2`` with metric-normalized states is
 a genuine probability; one exists only for a diagonalizable real spectrum.
 
 Both series are evaluated in the chain basis of ``analyze(H)``, whose last
-result is kept, so an op that analyzed H does not analyze it again.  The
-state's chain coordinates evolve as e^{-iJt} in closed form, e^{-iEt}
-times a polynomial in t per Jordan chain, and no ``expm`` runs.  The Krein
-norm pairs each eigenvalue only with its conjugate: a real eigenvalue takes
-no exponential, and a growing pair component meets only its decaying
-partner, so the series stays bounded at any horizon.  Where ``analyze``
-refuses H, each grid point takes its own propagator (``_states``),
-exponentiated in parts inside ``EXPM_NORM_BOUND``.  Either way ``Overflow``
-is raised only when a value stops being finite, including a point's
-``|t| ||H||_F``.
+result is kept, so an op that analyzed H does not analyze it again.  There
+e^{-iJt} has a closed form, e^{-iEt} times a polynomial in t per Jordan
+chain, whose terms ``dec.terms`` lists once per decomposition; the state's
+chain coordinates evolve by them, and no ``expm`` runs.  The propagator
+reads the same terms, U(t) = Psi e^{-iJt} Phi^dag, where the kept
+decomposition is of its H and reconstructs it to rounding, as after an op's
+analysis; it analyzes nothing itself, and takes ``linalg.expm`` for any
+other H.  The Krein norm pairs each eigenvalue only with its conjugate: a
+real eigenvalue takes no exponential, and a growing pair component meets
+only its decaying partner, so the series stays bounded at any horizon.
+Where ``analyze`` refuses H, each grid point takes its own propagator
+(``_states``), exponentiated in parts inside ``EXPM_NORM_BOUND``.  Either
+way ``Overflow`` is raised only when a value stops being finite, including
+a point's ``|t| ||H||_F``.
 
 The gate is decided in the chain basis too, where ``analyze`` accepts H
 (``spectral._chain_certificate``).  M = Psi^dag eta_h Psi, eta_h the
@@ -52,7 +56,8 @@ from .errors import (DimensionMismatch, IndefiniteMetric, NotPseudoHermitian, Ov
                      PseudohermError)
 from .krein import krein_inner
 from .linalg import DEFAULT_TOL, Tolerance
-from .spectral import _assemble, _chain_certificate, _chain_products, _pseudo_hermiticity, analyze
+from .spectral import (_assemble, _chain_certificate, _chain_products, _kept_exact,
+                       _pseudo_hermiticity, analyze)
 
 REGIME_REAL = "RealNondegenerate"
 REGIME_COMPLEX = "ComplexPair"
@@ -102,9 +107,30 @@ class MashhoonPapiniParams:
 
 
 def propagator(h, t: float) -> np.ndarray:
-    """Evolution operator ``exp(-i H t)``; ``linalg.expm`` validates -iHt."""
+    """Evolution operator ``U(t) = exp(-i H t)``.
+
+    Where the last ``analyze`` kept a decomposition of this H that
+    reconstructs it to rounding (``spectral._kept_exact``), as after an op's
+    analysis, U(t) is Psi e^{-iJt} Phi^dag in its chain basis, one product
+    over ``dec.terms``, and no ``expm`` runs.  That is the exponential of
+    H' = Psi J Phi^dag, within 8 n eps ||Psi||_F ||Phi||_F ||H||_F of H, the
+    rounding of the basis; U(0) is Psi Phi^dag, the identity within the
+    basis's biorthonormality residual.  Any other H, and any -iHt that
+    ``linalg.expm`` refuses (decided on expm's own ||-iHt||_F), goes to
+    ``expm``: ``ValueError`` for a non-finite -iHt, ``Overflow`` past
+    ``EXPM_NORM_BOUND``.  No H is analyzed here."""
+    t, h = float(t), np.asarray(h, dtype=np.complex128)
+    dec = _kept_exact(h)
     with np.errstate(invalid="ignore", over="ignore"):  # expm refuses a non-finite -iHt
-        a = -1j * float(t) * np.asarray(h, dtype=np.complex128)
+        a = -1j * t * h
+        if dec is not None and np.linalg.norm(a) <= linalg.EXPM_NORM_BOUND:  # expm's test
+            column, power, _, _, rate = dec.terms
+            left, right = dec.propagator_factors
+            # an exponential past the float range is left inf, as expm's squarings leave it
+            coef = np.exp(rate * t)
+            if column.size > dec.n:  # a chain longer than 1: its powers of t
+                coef *= t ** power
+            return (left * coef) @ right
     return linalg.expm(a)
 
 
@@ -138,8 +164,6 @@ def _decomposition(req: EvolutionRequest):
     return dec, m, definite
 
 
-#: (-i)^k / k!, the Taylor coefficient of e^{-iJt} on a chain's k-th superdiagonal
-_TAYLOR = np.cumprod(np.r_[1.0, -1j / np.arange(1, linalg.N_MAX)])
 #: the reach of a first-order expansion: (sqrt(eps))^2 / 2 = eps / 2 is dropped
 _REACH = np.sqrt(np.finfo(float).eps)
 
@@ -147,14 +171,12 @@ _REACH = np.sqrt(np.finfo(float).eps)
 def _components(dec, state) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """``(column, coef, chain, power)`` with ``U(t) state = sum_j e^{-i E t}
     t^k coef[j] psi_a``, a = column[j], k = power[j] and E the eigenvalue of
-    chain[j], one term for each column a of the chain basis and each k up
-    to a's height below its chain's top.  In the chain basis c = Phi^dag
-    state evolves as e^{-iJt} c (Moler & Van Loan, SIAM Rev. 45 (2003),
-    method 16): the coordinate of column a takes (-it)^k / k! times that of
-    column a + k of its chain, so coef[j] = (-i)^k / k! c_(a+k)."""
-    own, _, rem = dec.columns
-    column, power = np.nonzero(rem[:, None] >= np.arange(rem.max() + 1))
-    return column, _TAYLOR[power] * (dec.phi_dag @ state)[column + power], own[column], power
+    chain[j], over the terms of ``dec.terms``.  In the chain basis c =
+    Phi^dag state evolves as e^{-iJt} c: the coordinate of column a takes
+    (-it)^k / k! times that of column a + k of its chain, so coef[j] =
+    (-i)^k / k! c_(a+k)."""
+    column, power, chain, taylor, _ = dec.terms
+    return column, taylor * (dec.phi_dag @ state)[column + power], chain, power
 
 
 def _on_grid(coef, power, rate, t) -> np.ndarray:
@@ -216,9 +238,8 @@ def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
         with np.errstate(over="ignore", invalid="ignore"):
             amplitudes = _finite(bra @ _states(req.h, initial, t))
     else:
-        column, coef, chain, power = _components(dec, initial)
-        amplitudes = _on_grid((bra @ dec.psi)[column] * coef, power,
-                              -1j * dec.group_eigenvalues[dec.chain_group[chain]], t)
+        column, coef, _, power = _components(dec, initial)
+        amplitudes = _on_grid((bra @ dec.psi)[column] * coef, power, dec.terms.rate, t)
     return (np.abs(amplitudes) ** 2).tolist()
 
 

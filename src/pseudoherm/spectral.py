@@ -49,6 +49,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -61,6 +62,9 @@ REAL = "real"
 PLUS = "plus"       # complex eigenvalue, positive imaginary part
 MINUS = "minus"     # its conjugate partner
 UNPAIRED = "unpaired"
+
+#: (-i)^k / k!, the Taylor coefficient of e^{-iJt} on a chain's k-th superdiagonal
+_TAYLOR = np.cumprod(np.r_[1.0, -1j / np.arange(1, linalg.N_MAX)])
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -109,6 +113,19 @@ class EigenGroup:
     @property
     def block_dims(self) -> tuple[int, ...]:
         return tuple(c.dim for c in self.chains)
+
+
+class ChainTerms(NamedTuple):
+    """One term j of e^{-iJt} for each column a of the chain basis and each k
+    up to a's height below its chain's top: the entry ``e^{rate_j t} t^k
+    taylor_j`` at (a, a + k), with a = column[j], k = power[j], taylor_j =
+    (-i)^k / k! and rate_j = -i E, E the eigenvalue of chain[j]."""
+
+    column: np.ndarray
+    power: np.ndarray
+    chain: np.ndarray
+    taylor: np.ndarray
+    rate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -186,6 +203,29 @@ class SpectralDecomposition:
     def eigenvalues(self) -> np.ndarray:
         """Each column's eigenvalue."""
         return self.group_eigenvalues[self.chain_group[self.columns[0]]]
+
+    @cached_property
+    def terms(self) -> ChainTerms:
+        """The term table of e^{-iJt} (Moler & Van Loan, SIAM Rev. 45 (2003),
+        method 16), built, read-only, the first time it is read; the
+        propagator and both evolution series read it."""
+        own, _, rem = self.columns
+        column, power = np.nonzero(rem[:, None] >= np.arange(rem.max() + 1))
+        chain = own[column]
+        rate = -1j * self.group_eigenvalues[self.chain_group[chain]]
+        return ChainTerms(*map(_read_only, (column, power, chain, _TAYLOR[power], rate)))
+
+    @cached_property
+    def propagator_factors(self) -> tuple[np.ndarray, np.ndarray]:
+        """``(left, right)`` with U(t) = Psi e^{-iJt} Phi^dag = ``(left *
+        e^{rate t} t^power) @ right`` over ``terms``: left = Psi[:, column]
+        taylor and right = Phi^dag[column + power], or Psi and Phi^dag
+        themselves when every chain has length 1.  Built, read-only, the
+        first time the propagator reads it."""
+        column, power, _, taylor, _ = self.terms
+        if column.size == self.n:
+            return self.psi, self.phi_dag
+        return _read_only(self.psi[:, column] * taylor), _read_only(self.phi_dag[column + power])
 
 
 @dataclass(frozen=True)
@@ -591,8 +631,17 @@ def default_cluster_tol(h: np.ndarray) -> float:
     return 25.0 * (n * n * np.finfo(float).eps * max(1.0, norm)) ** (1.0 / 3.0)
 
 
-#: the last decomposition ``analyze`` made: one (copy of H, tolerance, decomposition)
+#: the last decomposition ``analyze`` made: one (copy of H, tolerance,
+#: decomposition, whether it reconstructs H to rounding)
 _last: list = []
+
+#: a decomposition reconstructs H to rounding when ||Psi J Phi^dag - H||_F is
+#: within this many n eps ||Psi||_F ||Phi||_F ||H||_F: the roundings of H,
+#: of its Schur form, of S^-1 and of the reconstruction's two products.  On
+#: exactly synthesized spectra the residual reads at most 5.6 of that unit
+#: (350 random spectra at basis condition 10 to 1e3); on [[1, 1], [5e-11, 1]],
+#: which ``analyze`` accepts as one 2-block, 3e4.
+_ROUNDING = 8.0
 
 
 def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
@@ -615,17 +664,31 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
     requests for its H cost a comparison.  ``NotPaired`` is decided on every
     call from the decomposition's ``unpaired`` groups; a refusal is not kept.
     """
-    h = linalg.as_cmatrix(h)
+    h = np.asarray(h, dtype=np.complex128)
     if _last and _last[0][1] == tol and np.array_equal(_last[0][0], h):
-        dec = _last[0][2]
+        dec = _last[0][2]  # h equals a matrix as_cmatrix accepted
     else:
-        dec = _decompose(h, tol)
-        _last[:] = [(h.copy(), tol, dec)]
+        h = linalg.as_cmatrix(h)
+        dec, exact = _decompose(h, tol)
+        _last[:] = [(h.copy(), tol, dec, exact)]
     return _refuse_unpaired(dec, allow_unpaired)
 
 
-def _decompose(h: np.ndarray, tol: Tolerance) -> SpectralDecomposition:
-    """The decomposition ``analyze`` returns, its unpaired groups allowed."""
+def _kept_exact(h: np.ndarray) -> SpectralDecomposition | None:
+    """The decomposition the last ``analyze`` kept, under any tolerance, if
+    the complex128 h is its H bit for bit and it reconstructs H to rounding
+    (``_ROUNDING``); else None.  A lookup: nothing is analyzed and nothing
+    kept changes."""
+    if _last and _last[0][3]:
+        kept = _last[0][0]
+        if kept.shape == h.shape and kept.tobytes() == h.tobytes():
+            return _last[0][2]
+    return None
+
+
+def _decompose(h: np.ndarray, tol: Tolerance) -> tuple[SpectralDecomposition, bool]:
+    """The decomposition ``analyze`` returns, its unpaired groups allowed,
+    and whether it reconstructs H to rounding (``_ROUNDING``)."""
     n = h.shape[0]
     delta = default_cluster_tol(h)
     t, z = linalg.schur(h, tol)
@@ -707,9 +770,12 @@ def _decompose(h: np.ndarray, tol: Tolerance) -> SpectralDecomposition:
     except Exception as exc:
         raise ClusterAmbiguity(f"chain basis numerically singular: {exc}") from exc
     dec = _assemble(centers[order], block_dims, max(real_thresh, delta), s_mat, s_inv)
+    h_norm = float(np.linalg.norm(h))
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
-        resid, thr = np.linalg.norm(reconstruct(dec) - h), tol.scaled(h)
+        resid, thr = np.linalg.norm(reconstruct(dec) - h), tol.from_norms(n, h_norm)
     if not resid <= thr:
         raise ClusterAmbiguity(f"chain basis does not reconstruct H: ||Psi J Phi^dag - H||_F "
                                f"= {resid:.3e} above the tolerance {thr:.3e}")
-    return dec
+    # ||S||_F from its column norms
+    rounding = n * np.finfo(float).eps * np.linalg.norm(scale) * np.linalg.norm(s_inv)
+    return dec, bool(resid <= _ROUNDING * rounding * h_norm)

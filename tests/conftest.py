@@ -1,5 +1,7 @@
 """Shared fixtures."""
 
+import mpmath
+import numpy as np
 import pytest
 
 from pseudoherm import evolution, linalg, spectral
@@ -27,6 +29,13 @@ def _outcome(call):
         return type(exc)
 
 
+def referee_propagator(h, t):
+    """``exp(-iHt)`` by mpmath's expm at 50 digits, as an mpmath matrix: the
+    referee of the evolution tests."""
+    with mpmath.workdps(50):
+        return mpmath.expm(-1j * mpmath.mpf(t) * mpmath.matrix(np.asarray(h).tolist()))
+
+
 def referee(h, eta, tol=linalg.DEFAULT_TOL):
     """``(certified, exact)`` on one (H, eta).  ``exact`` is the exact rule's
     ``(preserved, eta positive definite)`` or its refusal type; ``certified``
@@ -35,7 +44,7 @@ def referee(h, eta, tol=linalg.DEFAULT_TOL):
     does not decide or ``analyze`` refuses H."""
     exact = _outcome(lambda: _exact(h, eta, tol))
     try:
-        dec = spectral._refuse_unpaired(spectral._decompose(h, tol), False)
+        dec = spectral._refuse_unpaired(spectral._decompose(h, tol)[0], False)
     except PseudohermError:
         return None, exact
     m, g = spectral._chain_products(h, eta, dec)

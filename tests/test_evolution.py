@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import referee
+from conftest import referee, referee_propagator
 from pseudoherm import evolution, krein, linalg, spectral
 from pseudoherm.errors import (
     ClusterAmbiguity,
@@ -574,9 +574,8 @@ def test_a_cold_and_a_warm_memo_give_identical_series():
 def _referee_states(h, state, grid):
     """``exp(-iHt) state`` by mpmath's expm at 50 digits, as complex128."""
     with mpmath.workdps(50):
-        a, v = mpmath.matrix(h.tolist()), mpmath.matrix(state.tolist())
-        return np.array([[complex(x) for x in mpmath.expm(-1j * mpmath.mpf(t) * a) * v]
-                         for t in grid]).T
+        v = mpmath.matrix(state.tolist())
+        return np.array([[complex(x) for x in referee_propagator(h, t) * v] for t in grid]).T
 
 
 def _n9():

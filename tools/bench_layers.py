@@ -27,7 +27,11 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
     classify       the op's two krein.classification_report calls against the
                    parity P, of the propagator of one step and of TP, the
                    first deciding P afresh (any kept metric is dropped first)
-    evolution      evolution.propagator over one step of 0.05
+    evolution      evolution.propagator over one step of 0.05: U(t) in the
+                   chain basis of the kept decomposition, as in an op
+    expm           linalg.expm of -0.05i H: the kernel of the series'
+                   per-point route, and of the propagator on an H that is
+                   not the kept one
     gate           evolution._decomposition of the krein_series request: the
                    pseudo-Hermiticity decision that opens each series
     krein_series   evolution.krein_norm_series under the parity P
@@ -36,8 +40,8 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
 
 Both series run on ``GRID_POINTS`` uniform points from 0 to
 ``min(GRID_END, 0.8 EXPM_NORM_BOUND / ||H||_F)``.  Each sample of the gate
-and of the series is preceded, untimed, by ``spectral.analyze(h)``, as in an
-op, where the series follow the analysis of their H.
+and of the series, and of the propagator, is preceded, untimed, by
+``spectral.analyze(h)``, as in an op, where each follows the analysis of its H.
 
 A sample repeats one layer's call for about ``BATCH_S`` and is timed
 between two samples of the benchmark's reference kernel (``perfbench/
@@ -82,9 +86,9 @@ STRUCTURES = ("simple", "jordan", "paired")
 #: the real Jordan blocks of the ``jordan`` rows, per n
 JORDAN_BLOCKS = {2: (2,), 4: (3,), 16: (4, 2), 32: (5, 3, 2), 64: (5, 4, 3, 2)}
 LAYERS = ("schur", "clustering", "staircase", "assembly", "chain_product", "congruence",
-          "classify", "evolution", "gate", "krein_series", "probability")
+          "classify", "evolution", "expm", "gate", "krein_series", "probability")
 #: the layers that run after an untimed ``analyze`` of their H
-AFTER_ANALYZE = ("gate", "krein_series", "probability")
+AFTER_ANALYZE = ("evolution", "gate", "krein_series", "probability")
 COND = 100.0
 STEP = 0.05
 GRID_POINTS = 200
@@ -181,6 +185,7 @@ def _calls(h):
              "congruence": lambda: krein.congruence_to_involutory(dec),
              "classify": classify,
              "evolution": lambda: evolution.propagator(h, STEP),
+             "expm": lambda: linalg.expm(-1j * STEP * h),
              "gate": lambda: evolution._decomposition(series),
              "krein_series": lambda: evolution.krein_norm_series(series),
              "probability": probability and (

@@ -22,6 +22,8 @@ per op of each counted kernel:
               evolution gate reads in the chain basis
     inv       numpy.linalg.inv and linalg.inv (LU)
     expm      linalg.expm
+    decompose spectral._decompose (an analysis made afresh; a call of
+              analyze that returns the kept decomposition makes none)
 
 The counters wrap the module attributes only while an op runs, so building
 the pool is not counted.  ``--src`` picks the pseudoherm source tree to run
@@ -38,7 +40,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("small-mixed", "large-defective", "long-evolution")
-KERNELS = ("schur", "zgees", "svd", "qr", "eigvalsh", "eigh", "blocks", "inv", "expm")
+KERNELS = ("schur", "zgees", "svd", "qr", "eigvalsh", "eigh", "blocks", "inv", "expm",
+           "decompose")
 
 
 def census(workload: str, seed: int) -> tuple[int, Counter]:
@@ -47,14 +50,15 @@ def census(workload: str, seed: int) -> tuple[int, Counter]:
 
     import inputs
     import pipeline
-    from pseudoherm import linalg
+    from pseudoherm import linalg, spectral
 
     pool, _ = inputs.generate(workload, seed)
     calls, n = Counter(), [0]
     wrapped = [(linalg, "schur", "schur"), (linalg._lapack, "zgees", "zgees"),
                (np.linalg, "svd", "svd"), (np.linalg, "qr", "qr"),
                (np.linalg, "eigvalsh", "eigvalsh"), (np.linalg, "eigh", "eigh"),
-               (np.linalg, "inv", "inv"), (linalg, "inv", "inv"), (linalg, "expm", "expm")]
+               (np.linalg, "inv", "inv"), (linalg, "inv", "inv"), (linalg, "expm", "expm"),
+               (spectral, "_decompose", "decompose")]
     originals = [getattr(module, attr) for module, attr, _ in wrapped]
 
     def counted(kernel, real):
