@@ -55,7 +55,7 @@ from . import linalg
 from .errors import (DimensionMismatch, IndefiniteMetric, NotPseudoHermitian, Overflow,
                      PseudohermError)
 from .krein import krein_inner
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, _fro
 from .spectral import (_assemble, _chain_certificate, _chain_products, _kept_exact,
                        _pseudo_hermiticity, analyze)
 
@@ -79,7 +79,7 @@ class EvolutionRequest:
         if metric.shape != h.shape:
             raise DimensionMismatch(f"H is {h.shape} but the metric is {metric.shape}")
         state = linalg.as_vector(self.initial_state, h.shape[0])
-        if np.linalg.norm(state) == 0:
+        if _fro(state) == 0:
             raise ValueError("initial state is zero")
         grid = tuple(map(float, self.t_grid))
         if not np.isfinite(grid).all():
@@ -123,7 +123,7 @@ def propagator(h, t: float) -> np.ndarray:
     dec = _kept_exact(h)
     with np.errstate(invalid="ignore", over="ignore"):  # expm refuses a non-finite -iHt
         a = -1j * t * h
-        if dec is not None and np.linalg.norm(a) <= linalg.EXPM_NORM_BOUND:  # expm's test
+        if dec is not None and _fro(a) <= linalg.EXPM_NORM_BOUND:  # expm's test
             column, power, _, _, rate = dec.terms
             left, right = dec.propagator_factors
             # an exponential past the float range is left inf, as expm's squarings leave it
@@ -210,7 +210,7 @@ def _states(h, state, grid) -> np.ndarray:
     m that keep ``|t / m| ||H||_F`` inside ``EXPM_NORM_BOUND``.  A point whose
     ``|t| ||H||_F`` overflows is refused with ``Overflow``; a state that
     overflows is left non-finite for the caller to refuse."""
-    h_norm = np.linalg.norm(h)
+    h_norm = _fro(h)
     out = np.empty((state.shape[0], len(grid)), dtype=np.complex128)
     for k, t in enumerate(grid):
         reach = abs(t) * h_norm
@@ -230,7 +230,7 @@ def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
     if not definite:
         raise IndefiniteMetric("transition probabilities are defined only for positive definite "
                                "metrics; use krein_norm_series for indefinite ones")
-    if np.linalg.norm(linalg.as_vector(final_state, req.h.shape[0])) == 0:
+    if _fro(linalg.as_vector(final_state, req.h.shape[0])) == 0:
         raise ValueError("final state is zero")
     initial = metric_normalize(req.initial_state, req.metric)
     bra = metric_normalize(final_state, req.metric).conj() @ req.metric

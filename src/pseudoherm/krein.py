@@ -7,8 +7,9 @@ which refuses a non-Hermitian metric with ``NonHermitianMetric`` and one with
 an eigenvalue within ``tol.scaled(metric)`` of zero with ``SingularMetric``.
 ``classification_report`` reads it through ``linalg._metric_decision``,
 which keeps the last metric it accepted with its eigenvalues w,
-``||eta - eta^dag||_F`` and ``||eta||_F``, as ``spectral.analyze`` keeps the
-last H: the reports of one op against one metric run one eigensolve.
+``||eta - eta^dag||_F``, ``||eta||_F``, min|w|, max|w| and the signature, as
+``spectral.analyze`` keeps the last H: the reports of one op against one
+metric run one eigensolve, and none reads w itself.
 The invertibility of a classified operator M is certified instead of
 decomposed: Weyl's inequality for singular values gives ``sigma_min(M) >=
 (min|w| - d - r) / (||M||_F (max|w| + d))``, w the metric eigenvalues, d =
@@ -35,6 +36,7 @@ product up to complex conjugation (and sign)".
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,7 +44,7 @@ import numpy as np
 from . import linalg, operators, spectral
 from .errors import (DimensionMismatch, NotAntiunitary, Overflow, SingularOperator,
                      ZeroLeadingCoefficient)
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, _fro
 from .operators import SymmetryOperator, antilinear_compose
 from .spectral import SpectralDecomposition
 
@@ -160,24 +162,23 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
     if m.shape != metric.shape:
         raise DimensionMismatch(f"operator is {m.shape} but the metric is {metric.shape}")
     rule = linalg._metric_decision(metric, tol)
-    w = rule.w
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
         gram = m.conj().T @ metric @ m
         residuals = {
-            SymmetryClass.P_UNITARY: float(np.linalg.norm(gram - metric)),
-            SymmetryClass.P_PSEUDOUNITARY: float(np.linalg.norm(gram + metric)),
-            SymmetryClass.P_ANTIUNITARY: float(np.linalg.norm(gram - metric.T)),
-            SymmetryClass.P_PSEUDOANTIUNITARY: float(np.linalg.norm(gram + metric.T)),
+            SymmetryClass.P_UNITARY: _fro(gram - metric),
+            SymmetryClass.P_PSEUDOUNITARY: _fro(gram + metric),
+            SymmetryClass.P_ANTIUNITARY: _fro(gram - metric.T),
+            SymmetryClass.P_PSEUDOANTIUNITARY: _fro(gram + metric.T),
         }
-        mu, gram_norm = float(np.linalg.norm(m)), float(np.linalg.norm(gram))
-        thr = tol.from_norms(m.shape[0], rule.norm, mu, gram_norm)  # tol.scaled(metric, m, gram)
-    if not np.isfinite([gram_norm, thr, *residuals.values()]).all():
+    mu, gram_norm = _fro(m), _fro(gram)
+    thr = tol.from_norms(m.shape[0], rule.norm, mu, gram_norm)  # tol.scaled(metric, m, gram)
+    if not all(map(math.isfinite, (gram_norm, thr, *residuals.values()))):
         raise Overflow("the Gram product M^dag P M of the operator M and the metric P "
                        "overflows the float range")
     d = 0.5 * rule.defect
-    bound = float(np.abs(w).min()) - d - min(residuals.values())
+    bound = rule.abs_min - d - min(residuals.values())
     cut = tol.abs + tol.rel * mu  # at least the rank cut, as sigma_max <= mu
-    proven = mu > 0 and bound > 2.0 * cut * mu * (float(np.abs(w).max()) + d)
+    proven = mu > 0 and bound > 2.0 * cut * mu * (rule.abs_max + d)
     if not proven and linalg.rank(m, tol) < m.shape[0]:
         raise SingularOperator("operator is singular at tolerance; classification "
                                "is defined for invertible operators only")
@@ -193,7 +194,7 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
     return ClassificationResult(symmetry_class=cls,
                                 residuals={k.value: v for k, v in residuals.items()},
                                 threshold=thr, antilinear=sym.antilinear,
-                                signature=(int(np.sum(w > 0)), int(np.sum(w < 0))))
+                                signature=rule.signature)
 
 
 def classify(op, metric, tol: Tolerance = DEFAULT_TOL) -> SymmetryClass:
@@ -272,7 +273,7 @@ def check_battery(h, dec: SpectralDecomposition, sigma="canonical",
     rep = spectral.check_biorthonormal(dec)
     row("biorthonormality", rep.gram_residual)
     row("completeness", rep.completeness_residual)
-    row("reconstruction", np.linalg.norm(spectral.reconstruct(dec) - h))
+    row("reconstruction", _fro(spectral.reconstruct(dec) - h))
     if dec.unpaired:
         rows.append({"check": "conjugate pairing", "pass": False,
                      "residual": "NotPaired: unpaired complex eigenvalues"})
@@ -287,15 +288,15 @@ def check_battery(h, dec: SpectralDecomposition, sigma="canonical",
     eye = np.eye(dec.n)
     row("pseudo-Hermiticity P H P^-1 = H^dag", spectral._pseudo_hermiticity_residual(
         h, p, *np.linalg.eigh(0.5 * (p + p.conj().T))))
-    row("C^2 = 1", np.linalg.norm(c @ c - eye))
-    row("[C, H] = 0", np.linalg.norm(c @ h - h @ c))
-    row("(TP)^2 = 1", np.linalg.norm(tp.square() - eye))
-    row("(CTP)^2 = 1", np.linalg.norm(ctp.square() - eye))
-    row("[TP, H] = 0", np.linalg.norm(tp.matrix @ np.conj(h) - h @ tp.matrix))
-    row("[C, TP] = 0", np.linalg.norm(c @ tp.matrix - tp.matrix @ np.conj(c)))
+    row("C^2 = 1", _fro(c @ c - eye))
+    row("[C, H] = 0", _fro(c @ h - h @ c))
+    row("(TP)^2 = 1", _fro(tp.square() - eye))
+    row("(CTP)^2 = 1", _fro(ctp.square() - eye))
+    row("[TP, H] = 0", _fro(tp.matrix @ np.conj(h) - h @ tp.matrix))
+    row("[C, TP] = 0", _fro(c @ tp.matrix - tp.matrix @ np.conj(c)))
     g = dec.phi_dag @ dec.psi  # S^dag P S as G^dag K G, as the congruence forms it
     p_tilde = operators._chain_product(dec, "P", g.conj().T, g, signs)
-    row("congruent metric involutory", np.linalg.norm(p_tilde @ p_tilde - eye))
+    row("congruent metric involutory", _fro(p_tilde @ p_tilde - eye))
     trace = float(np.trace(p_tilde).real)
     canonical = np.array_equal(signs, dec.canonical_signs)
     rows.append({"check": "canonical trace in {0, 1}",

@@ -1,12 +1,13 @@
 """Dense complex matrix kernel.
 
 Thin, tolerance-aware layer over LAPACK: the complex Schur form and its
-reordering, SVD-based numerical rank, LU solves, the matrix exponential, and
-``metric_eigenvalues``, the one rule by which every entry point decides
-whether a matrix is a Hermitian invertible metric (``_metric_decision``,
-which keeps the last metric it accepted).  Everything works on
-square ``complex128`` arrays of modest size (``N_MAX`` defaults to 64);
-matrices are treated as immutable values.
+reordering, SVD-based numerical rank, LU solves, the matrix exponential,
+``_fro``, the Frobenius norm that every residual and threshold of the
+package is measured by, and ``metric_eigenvalues``, the one rule by which
+every entry point decides whether a matrix is a Hermitian invertible metric
+(``_metric_decision``, which keeps the last metric it accepted).  Everything
+works on square ``complex128`` arrays of modest size (``N_MAX`` defaults to
+64); matrices are treated as immutable values.
 
 This is the only module that calls compiled scipy code.  ``zgees`` (Schur
 form), ``ztrsen`` (its reordering) and ``zgetrf``/``zgetrs`` (LU) come from
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -65,6 +67,18 @@ N_MAX = 64
 EXPM_NORM_BOUND = 1.0e3
 
 
+def _fro(a) -> float:
+    """``||A||_F`` (a vector's 2-norm), what ``np.linalg.norm(a)`` gives
+    without an axis, as one BLAS dot over A in its memory order: a
+    transposed operand is not copied.  inf where an entry is infinite or the
+    sum overflows, NaN where an entry is NaN."""
+    r = np.asarray(a).ravel(order="K")
+    x = math.sqrt(np.vdot(r, r).real)
+    if x != x:  # zdotc's cross terms turn an infinite or overflowing entry into NaN too
+        return math.nan if np.isnan(r).any() else math.inf
+    return x
+
+
 @dataclass(frozen=True)
 class Tolerance:
     """Absolute/relative tolerance pair used by every numerical decision."""
@@ -83,7 +97,7 @@ class Tolerance:
     def scaled(self, *mats: np.ndarray) -> float:
         """Threshold ``abs + rel * n * max ||A||_F`` over the operands."""
         return self.from_norms(max((m.shape[0] for m in mats), default=1),
-                               *(float(np.linalg.norm(m)) for m in mats))
+                               *map(_fro, mats))
 
     def from_norms(self, n: int, *norms: float) -> float:
         """``scaled`` of operands of size n, from their Frobenius norms."""
@@ -102,7 +116,7 @@ def as_cmatrix(a) -> np.ndarray:
         raise DimensionMismatch("empty matrix")
     if m.shape[0] > N_MAX:
         raise DimensionMismatch(f"dimension {m.shape[0]} exceeds configured bound {N_MAX}")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix has non-finite entries")
     return m
 
@@ -111,7 +125,7 @@ def as_vector(v, n: int | None = None) -> np.ndarray:
     w = np.asarray(v, dtype=np.complex128).reshape(-1)
     if n is not None and w.shape[0] != n:
         raise DimensionMismatch(f"expected a vector of length {n}, got {w.shape[0]}")
-    if not np.all(np.isfinite(w)):
+    if not np.isfinite(w).all():
         raise ValueError("vector has non-finite entries")
     return w
 
@@ -133,8 +147,9 @@ def schur(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
     t, _, _, z, _, info = _lapack.zgees(_no_sort, a)
     if info != 0:
         raise NonConvergence(f"Schur form not found: zgees QR iteration failed (info={info})")
-    resid = np.linalg.norm(a - z @ t @ z.conj().T)
-    if resid > max(tol.scaled(a), 1e3 * np.finfo(float).eps * a.shape[0] * np.linalg.norm(a)):
+    n, norm = a.shape[0], _fro(a)
+    resid = _fro(a - z @ t @ z.conj().T)
+    if resid > max(tol.from_norms(n, norm), 1e3 * np.finfo(float).eps * n * norm):
         raise NonConvergence(f"Schur residual {resid:.3e} above tolerance")
     return t, z
 
@@ -169,7 +184,7 @@ def solve(a, b, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     refuses near-singular A."""
     a = as_cmatrix(a)
     b = np.asarray(b, dtype=np.complex128)
-    if not np.all(np.isfinite(b)):
+    if not np.isfinite(b).all():
         raise ValueError("right-hand side has non-finite entries")
     # an exactly zero pivot (zgetrf info > 0) fails the pivot check too
     lu, piv, _ = _lapack.zgetrf(a)
@@ -220,7 +235,7 @@ def expm(a) -> np.ndarray:
     ``EXPM_NORM_BOUND``.
     """
     a = as_cmatrix(a)
-    norm = np.linalg.norm(a)
+    norm = _fro(a)
     if norm > EXPM_NORM_BOUND:
         raise Overflow(f"||A|| = {norm:.3e} exceeds expm bound {EXPM_NORM_BOUND:.0e}")
     nnz = np.count_nonzero(a)
@@ -252,7 +267,7 @@ def expm(a) -> np.ndarray:
 
 def hermitian_defect(a: np.ndarray) -> float:
     """``||A - A^dag||_F``, the distance that decides whether A is Hermitian."""
-    return float(np.linalg.norm(a - a.conj().T))
+    return _fro(a - a.conj().T)
 
 
 def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -275,11 +290,16 @@ class MetricDecision:
     """A metric the rule of ``metric_eigenvalues`` accepted, with what the
     rule measured: the eigenvalues ``w`` of its Hermitian part (ascending,
     read-only), ``defect`` = ||metric - metric^dag||_F and ``norm`` =
-    ||metric||_F."""
+    ||metric||_F, and what a classification reads of w: ``abs_min`` and
+    ``abs_max``, the least and the greatest |w|, and ``signature``, the
+    numbers of positive and of negative eigenvalues."""
 
     w: np.ndarray
     defect: float
     norm: float
+    abs_min: float
+    abs_max: float
+    signature: tuple[int, int]
 
 
 #: the last metric ``_metric_decision`` accepted: one (copy of the metric, tolerance, decision)
@@ -298,7 +318,9 @@ def _metric_decision(metric, tol: Tolerance) -> MetricDecision:
         return _last_metric[0][2]
     w, defect, norm = _metric_solve(metric, tol, np.linalg.eigvalsh)
     w.flags.writeable = False
-    decision = MetricDecision(w, defect, norm)
+    size = np.abs(w)
+    decision = MetricDecision(w, defect, norm, float(size.min()), float(size.max()),
+                              (int(np.count_nonzero(w > 0)), int(np.count_nonzero(w < 0))))
     _last_metric[:] = [(metric.copy(), tol, decision)]
     return decision
 
@@ -308,7 +330,7 @@ def _hermitian_threshold(metric: np.ndarray, tol: Tolerance) -> tuple[float, flo
     threshold is that of both halves of the rule of ``metric_eigenvalues``,
     returned once ``metric`` passes its first half: raises
     ``NonHermitianMetric`` unless ``||metric - metric^dag||_F`` is within it."""
-    norm, defect = float(np.linalg.norm(metric)), hermitian_defect(metric)
+    norm, defect = _fro(metric), hermitian_defect(metric)
     thr = tol.from_norms(metric.shape[0], norm)
     if not defect <= thr:
         raise NonHermitianMetric("metric is not Hermitian at tolerance")

@@ -37,7 +37,7 @@ from .errors import (
     NotInvolutory,
     UnpairedRealBlocks,
 )
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, _fro
 from .spectral import SpectralDecomposition, _refuse_unpaired
 
 
@@ -286,7 +286,7 @@ def canonical_involution(c, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int]:
     c = linalg.as_cmatrix(c)
     n = c.shape[0]
     eye = np.eye(n)
-    if np.linalg.norm(c @ c - eye) > tol.scaled(c, c):
+    if _fro(c @ c - eye) > tol.scaled(c, c):
         raise NotInvolutory("operator does not square to the identity at tolerance")
     r_minus = linalg.rank(c - eye, tol)
     r_plus = linalg.rank(c + eye, tol)

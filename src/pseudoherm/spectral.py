@@ -56,7 +56,7 @@ import numpy as np
 from . import linalg
 from .errors import (ClusterAmbiguity, DimensionMismatch, NonConvergence, NotPaired, Overflow,
                      SingularBasis)
-from .linalg import DEFAULT_TOL, Tolerance
+from .linalg import DEFAULT_TOL, Tolerance, _fro
 
 REAL = "real"
 PLUS = "plus"       # complex eigenvalue, positive imaginary part
@@ -276,7 +276,7 @@ def _pseudo_hermiticity_residual(h, eta, w, v) -> float:
     eigendecomposition of eta's Hermitian part: ``||eta H eta^-1 - H^dag||_F``
     with no inverse formed, eta first divided by ``max|w|`` so its scale cancels."""
     m = eta / np.abs(w).max()
-    return float(np.linalg.norm((m @ h - h.conj().T @ m) @ v / (w / np.abs(w).max())))
+    return _fro((m @ h - h.conj().T @ m) @ v / (w / np.abs(w).max()))
 
 
 def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[bool, bool]:
@@ -343,15 +343,15 @@ def _chain_certificate(h, eta, dec: SpectralDecomposition, m, g, tol: Tolerance)
             return None
         blocks, outside = dec.metric_blocks
         w = _block_eigenvalues(m, blocks)
-        psi2 = np.linalg.norm(dec.psi) ** 2
-        gap = np.abs(w).min() - np.linalg.norm(m[outside])
-        if not gap > eta_thr * psi2:
+        psi_norm = _fro(dec.psi)
+        gap = np.abs(w).min() - _fro(m[outside])
+        if not gap > eta_thr * psi_norm * psi_norm:
             return None
-        r, k = np.linalg.norm(g - g.conj().T), np.sqrt(psi2) * np.linalg.norm(dec.phi)
+        r, k = _fro(g - g.conj().T), psi_norm * _fro(dec.phi)
         thr, definite = tol.scaled(h), bool(w.min() > 0)
         if k * r / gap <= thr:
             return True, definite
-        if r / (k * np.linalg.norm(m)) > thr:
+        if r / (k * _fro(m)) > thr:
             return False, definite
     return None
 
@@ -566,9 +566,8 @@ def _extract_chains(b: np.ndarray, tol: Tolerance):
     built, by a QR of those and an SVD of the kernel's projection.
     """
     n = b.shape[0]
-    with np.errstate(over="ignore"):  # a non-finite norm fails the bound
-        if np.linalg.norm(b) <= tol.abs:
-            return [[e] for e in np.eye(n, dtype=np.complex128)]
+    if _fro(b) <= tol.abs:  # a non-finite norm fails the bound
+        return [[e] for e in np.eye(n, dtype=np.complex128)]
     power = np.eye(n, dtype=np.complex128)
     bases = [power]  # right singular vectors of b^0, b^1, ...: row space, then kernel
     nullities = [0]  # of b^0, b^1, ...: the power index is len(nullities)
@@ -623,9 +622,7 @@ def default_cluster_tol(h: np.ndarray) -> float:
     Eigenvalues of a defective cluster scatter like a cube root of the
     backward error for blocks up to size 3, hence the exponent.
     """
-    n = h.shape[0]
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(h))
+    n, norm = h.shape[0], _fro(h)
     if not np.isfinite(norm):
         raise Overflow("||H||_F overflows the float range")
     return 25.0 * (n * n * np.finfo(float).eps * max(1.0, norm)) ** (1.0 / 3.0)
@@ -770,12 +767,12 @@ def _decompose(h: np.ndarray, tol: Tolerance) -> tuple[SpectralDecomposition, bo
     except Exception as exc:
         raise ClusterAmbiguity(f"chain basis numerically singular: {exc}") from exc
     dec = _assemble(centers[order], block_dims, max(real_thresh, delta), s_mat, s_inv)
-    h_norm = float(np.linalg.norm(h))
+    h_norm = _fro(h)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
-        resid, thr = np.linalg.norm(reconstruct(dec) - h), tol.from_norms(n, h_norm)
+        resid, thr = _fro(reconstruct(dec) - h), tol.from_norms(n, h_norm)
     if not resid <= thr:
         raise ClusterAmbiguity(f"chain basis does not reconstruct H: ||Psi J Phi^dag - H||_F "
                                f"= {resid:.3e} above the tolerance {thr:.3e}")
     # ||S||_F from its column norms
-    rounding = n * np.finfo(float).eps * np.linalg.norm(scale) * np.linalg.norm(s_inv)
+    rounding = n * np.finfo(float).eps * _fro(scale) * _fro(s_inv)
     return dec, bool(resid <= _ROUNDING * rounding * h_norm)

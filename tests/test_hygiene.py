@@ -1,8 +1,8 @@
 """Source hygiene: no module imports a name it never uses, no function
 ignores a parameter, every defined function is used somewhere, no module
 reads another object's private attributes, only ``spectral`` constructs a
-decomposition, only ``linalg`` touches scipy, and importing the package
-leaves ``scipy.linalg`` unloaded."""
+decomposition, only ``linalg`` touches scipy, importing the package leaves
+``scipy.linalg`` unloaded, and every Frobenius norm is ``linalg._fro``."""
 
 import ast
 import os
@@ -224,3 +224,43 @@ def test_import_leaves_scipy_linalg_unloaded(module):
             "assert 'scipy.linalg' not in loaded, loaded\n"
             "assert loaded == ['scipy.linalg._flapack', 'scipy.linalg._matfuncs_expm'], loaded\n")
     subprocess.run([sys.executable, "-c", code], env=env, check=True, timeout=120)
+
+
+def _whole_array_norms(source: str) -> list[int]:
+    """Line numbers of each ``numpy.linalg.norm`` call without an axis (the
+    whole array's norm), by any of ``np.linalg.norm``, ``numpy.linalg.norm``
+    or a ``norm`` imported from ``numpy.linalg``; ``axis=None`` counts as
+    none."""
+    tree = ast.parse(source)
+    bare = {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+            for alias in node.names if alias.name == "norm"}
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        f = node.func
+        if not ((isinstance(f, ast.Attribute) and f.attr == "norm"
+                 and ast.unparse(f.value) in ("np.linalg", "numpy.linalg"))
+                or (isinstance(f, ast.Name) and f.id in bare)):
+            continue
+        axis = [k.value for k in node.keywords if k.arg == "axis"] + node.args[2:3]
+        if not axis or (isinstance(axis[0], ast.Constant) and axis[0].value is None):
+            lines.append(node.lineno)
+    return lines
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_every_frobenius_norm_is_the_kernel(path):
+    """A whole-array norm is measured by ``linalg._fro``, so that every
+    residual and threshold, and expm's bound and the propagator's route
+    test, read one kernel."""
+    assert _whole_array_norms(path.read_text(encoding="utf-8")) == []
+
+
+def test_whole_array_norm_is_detected():
+    source = ("import numpy as np\nimport numpy\nfrom numpy.linalg import norm as nrm\n"
+              "np.linalg.norm(a)\nnp.linalg.norm(a, axis=0)\nnumpy.linalg.norm(a, 'fro')\n"
+              "nrm(b)\nnp.linalg.norm(a, None, 1)\nnp.linalg.norm(a, axis=None)\n"
+              "x.norm(a)\nlinalg.norm(a)\nnrm(b, axis=-1)\n")
+    assert _whole_array_norms(source) == [4, 6, 7, 9]

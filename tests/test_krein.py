@@ -399,11 +399,11 @@ def _report_by_svd(op, metric, tol=DEFAULT_TOL):
         raise SingularOperator("operator is singular at tolerance; classification "
                                "is defined for invertible operators only")
     gram = m.conj().T @ metric @ m
-    residuals = {
-        SymmetryClass.P_UNITARY: float(np.linalg.norm(gram - metric)),
-        SymmetryClass.P_PSEUDOUNITARY: float(np.linalg.norm(gram + metric)),
-        SymmetryClass.P_ANTIUNITARY: float(np.linalg.norm(gram - metric.T)),
-        SymmetryClass.P_PSEUDOANTIUNITARY: float(np.linalg.norm(gram + metric.T)),
+    residuals = {  # measured by the kernel of every residual of the package
+        SymmetryClass.P_UNITARY: linalg._fro(gram - metric),
+        SymmetryClass.P_PSEUDOUNITARY: linalg._fro(gram + metric),
+        SymmetryClass.P_ANTIUNITARY: linalg._fro(gram - metric.T),
+        SymmetryClass.P_PSEUDOANTIUNITARY: linalg._fro(gram + metric.T),
     }
     eligible = ([SymmetryClass.P_ANTIUNITARY, SymmetryClass.P_PSEUDOANTIUNITARY]
                 if sym.antilinear else [SymmetryClass.P_UNITARY, SymmetryClass.P_PSEUDOUNITARY])
@@ -589,7 +589,7 @@ def test_reports_against_one_metric_decide_it_once(monkeypatch):
     assert first == _report_by_svd(u, p)
     kept = linalg._last_metric[0][2]
     assert np.array_equal(kept.w, _metric_rule(p, DEFAULT_TOL)) and not kept.w.flags.writeable
-    assert kept.defect == np.linalg.norm(p - p.conj().T) and kept.norm == np.linalg.norm(p)
+    assert kept.defect == linalg._fro(p - p.conj().T) and kept.norm == linalg._fro(p)
 
 
 @pytest.mark.usefixtures("cold_memo")
@@ -663,6 +663,21 @@ def test_warm_memo_reports_equal_cold_ones():
             linalg._last_metric.clear()
             cold.append(classification_report(op, p))
         assert warm == cold == [_report_by_svd(u, p), _report_by_svd(tp, p)], label
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_the_decision_carries_what_a_report_reads():
+    """Over the seed-7 pools' parities, the decision the metric rule keeps
+    holds the least and the greatest |w| and the signature of the
+    eigenvalues w of P's Hermitian part, and a report's signature is the
+    decision's."""
+    for label, u, _, p in _seed_pool_pairs(7):
+        report = classification_report(u, p)
+        kept = linalg._last_metric[0][2]
+        w = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
+        assert np.array_equal(kept.w, w), label
+        assert (kept.abs_min, kept.abs_max) == (np.abs(w).min(), np.abs(w).max()), label
+        assert kept.signature == report.signature == (np.sum(w > 0), np.sum(w < 0)), label
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e155])

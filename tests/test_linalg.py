@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from pseudoherm import evolution, linalg
+from pseudoherm import evolution, linalg, spectral
 from pseudoherm.errors import DimensionMismatch, NonConvergence, Overflow, Singular
 from pseudoherm.linalg import EXPM_NORM_BOUND, Tolerance
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
@@ -375,3 +375,93 @@ def test_solve_refuses_a_non_finite_right_hand_side():
 def test_rank_refuses_an_empty_matrix():
     with pytest.raises(DimensionMismatch, match="empty matrix"):
         linalg.rank(np.zeros((0, 0)))
+
+
+def _layouts():
+    """Complex and real operands in every memory layout the package hands
+    the Frobenius kernel: C and F order, conjugate-transposed and strided
+    views, vectors, and empty arrays."""
+    rng = np.random.default_rng(11)
+    out = []
+    for n in (1, 2, 5, 8, 64):
+        z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        x = rng.normal(size=(n, n))
+        out += [pytest.param(z, id=f"c{n}"), pytest.param(np.asfortranarray(z), id=f"f{n}"),
+                pytest.param(z.conj().T, id=f"h{n}"), pytest.param(z[::2, 1::2], id=f"s{n}"),
+                pytest.param(z[:, 0], id=f"col{n}"), pytest.param(x, id=f"r{n}"),
+                pytest.param(x.T, id=f"rt{n}"), pytest.param(1e-150 * z, id=f"tiny{n}")]
+    return out + [pytest.param(np.zeros((0, 0), dtype=complex), id="empty"),
+                  pytest.param(np.zeros(0), id="empty-vector")]
+
+
+@pytest.mark.parametrize("a", _layouts())
+def test_fro_is_numpys_frobenius_norm(a):
+    want = np.linalg.norm(a)
+    got = linalg._fro(a)
+    assert type(got) is float
+    assert abs(got - want) <= 2 * a.size * np.finfo(float).eps * want
+
+
+@pytest.mark.parametrize("a, want", [
+    (np.array([np.inf, 1.0]), np.inf),
+    (np.array([[1.0, 2.0], [3.0, -np.inf]]), np.inf),
+    (np.array([np.inf + 1j, 2.0]), np.inf),
+    (np.array([complex(1.0, -np.inf), 1j]), np.inf),
+    (np.array([np.nan, 1.0]), np.nan),
+    (np.array([complex(np.nan, 1.0), np.inf]), np.nan),
+    (np.full((3, 3), 1e200), np.inf),
+    (np.full((3, 3), 1e200 * (1 + 1j)), np.inf),
+    (np.full(4, complex(-1e200, 1e200)), np.inf),
+    (np.array([1e200j, 1.0]), np.inf),
+], ids=["inf", "-inf", "inf+1j", "1-infj", "nan", "nan-and-inf", "1e200", "1e200(1+j)",
+        "1e200(-1+j)", "1e200j"])
+def test_fro_is_inf_or_nan_where_numpys_norm_is(a, want):
+    """An infinite entry and a sum past the float range give inf, a NaN
+    entry NaN, as ``np.linalg.norm`` does; and no RuntimeWarning."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        reference = np.linalg.norm(a)
+    assert np.array_equal(reference, want, equal_nan=True)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = linalg._fro(a)
+    assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_scaled_is_the_threshold_of_the_kernels_norms():
+    rng = np.random.default_rng(3)
+    tol = Tolerance(abs=1e-9, rel=1e-7)
+    for n in (2, 8, 64):
+        ms = [rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)) for _ in range(3)]
+        ms += [ms[0].conj().T, np.asfortranarray(ms[1]), rng.normal(size=(n, n))]
+        for k in range(1, len(ms) + 1):
+            assert tol.scaled(*ms[:k]) == tol.from_norms(n, *map(linalg._fro, ms[:k]))
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_expm_and_the_propagators_route_refuse_alike_at_the_bound():
+    """The propagator takes its chain route only where expm would accept
+    -iHt, both deciding on ``_fro(-iHt)``: at every t around the bound the
+    propagator raises ``Overflow`` exactly when expm does."""
+    rng = np.random.default_rng(5)
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    spectral.analyze(h, allow_unpaired=True)  # keeps the decomposition the chain route reads
+    assert spectral._kept_exact(h) is not None
+
+    def refused(call, *args):
+        try:
+            call(*args)
+        except Overflow:
+            return True
+        return False
+
+    t = EXPM_NORM_BOUND / linalg._fro(h)
+    for _ in range(6):
+        t = np.nextafter(t, 0.0)
+    seen = set()
+    for _ in range(12):
+        over = linalg._fro(-1j * t * h) > EXPM_NORM_BOUND
+        assert refused(linalg.expm, -1j * t * h) == refused(evolution.propagator, h, t) == over, t
+        seen.add(over)
+        t = np.nextafter(t, np.inf)
+    assert seen == {True, False}

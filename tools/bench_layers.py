@@ -50,7 +50,11 @@ cluster) in ms and in reference units, its time over the mean of the two
 reference samples, so that the host's speed changes cancel.  Each of
 ``PROCESSES`` fresh worker processes, run one after another, makes
 ``REPEATS`` rounds, each timing every layer of every row once, so a
-layer's samples spread over the whole run.  The workers' samples are pooled:
+layer's samples spread over the whole run.  A layer's time depends on what
+the layer timed before it left in the caches, so the layer order changes
+every round (``round_order``): over any ``len(LAYERS)`` rounds each layer
+follows each other layer of its row once, and a layer whose neighbour
+changed between two trees is not measured after that neighbour alone.  The workers' samples are pooled:
 the same code measured in two processes can differ by 10-30% at n <= 16,
 more than within one process, and the pooled quartiles show that spread.
 Per row and layer the file holds the median and the quartiles (q1, q3) in
@@ -194,6 +198,17 @@ def _calls(h):
             sorted(g.block_dims for g in dec.groups if sum(g.block_dims) > 1))
 
 
+def round_order(r: int) -> list[str]:
+    """The layers in the order of round r: the zig-zag 0, 1, L-1, 2, L-2, ...
+    of their indices, L = ``len(LAYERS)`` (even), each shifted by r mod L.
+    These are the rows of a Williams square: the steps between neighbours
+    are the L - 1 distinct nonzero residues, so over L rounds each layer
+    follows each other layer exactly once."""
+    size = len(LAYERS)
+    zigzag = [0] + [(k + 1) // 2 if k % 2 else size - k // 2 for k in range(1, size)]
+    return [LAYERS[(i + r) % size] for i in zigzag]
+
+
 def _summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3}
@@ -202,7 +217,8 @@ def _summary(values):
 def sample_layers(ref) -> tuple[list[dict], dict]:
     """The grid rows, and per ``"row/layer"`` the samples of ``REPEATS``
     rounds in ms and in reference units; each round times every layer of
-    every row once, so that each layer's samples spread over the run."""
+    every row once, in the order ``round_order`` gives, so that each
+    layer's samples spread over the run and over the layers before it."""
     import numpy as np
 
     from pseudoherm.spectral import synthesize
@@ -212,6 +228,7 @@ def sample_layers(ref) -> tuple[list[dict], dict]:
         for structure in STRUCTURES:
             h, _ = synthesize(_spec(structure, n))
             calls, analyze, clusters, blocks = _calls(h)
+            plans.append({})
             rows.append({"n": n, "structure": structure, "multi_member_clusters": clusters,
                          "nontrivial_groups": [list(d) for d in blocks],
                          "input_sha256": hashlib.sha256(np.ascontiguousarray(h).tobytes())
@@ -224,11 +241,14 @@ def sample_layers(ref) -> tuple[list[dict], dict]:
                     batch = max(1, round(BATCH_S / (perf_counter() - t0)))
                     key = f"{len(rows) - 1}/{name}"
                     samples[key] = {"calls_per_sample": batch, "ms": [], "ref": []}
-                    plans.append((call, batch, batch * (clusters if name == "staircase" else 1),
-                                  samples[key], analyze if name in AFTER_ANALYZE else None))
+                    plans[-1][name] = (call, batch,
+                                       batch * (clusters if name == "staircase" else 1),
+                                       samples[key], analyze if name in AFTER_ANALYZE else None)
     ref.sample()
-    for _ in range(REPEATS):
-        for call, batch, per_call, out, before in plans:
+    for r in range(REPEATS):
+        order = round_order(r)
+        for call, batch, per_call, out, before in (
+                plan[name] for plan in plans for name in order if name in plan):
             if before is not None:
                 before()
             t0 = perf_counter()

@@ -24,6 +24,8 @@ per op of each counted kernel:
     expm      linalg.expm
     decompose spectral._decompose (an analysis made afresh; a call of
               analyze that returns the kept decomposition makes none)
+    norm      numpy.linalg.norm without an axis (a whole array's norm, each
+              paying numpy's generic dispatch; linalg._fro is not counted)
 
 The counters wrap the module attributes only while an op runs, so building
 the pool is not counted.  ``--src`` picks the pseudoherm source tree to run
@@ -41,7 +43,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("small-mixed", "large-defective", "long-evolution")
 KERNELS = ("schur", "zgees", "svd", "qr", "eigvalsh", "eigh", "blocks", "inv", "expm",
-           "decompose")
+           "decompose", "norm")
 
 
 def census(workload: str, seed: int) -> tuple[int, Counter]:
@@ -58,13 +60,16 @@ def census(workload: str, seed: int) -> tuple[int, Counter]:
                (np.linalg, "svd", "svd"), (np.linalg, "qr", "qr"),
                (np.linalg, "eigvalsh", "eigvalsh"), (np.linalg, "eigh", "eigh"),
                (np.linalg, "inv", "inv"), (linalg, "inv", "inv"), (linalg, "expm", "expm"),
-               (spectral, "_decompose", "decompose")]
+               (spectral, "_decompose", "decompose"), (np.linalg, "norm", "norm")]
     originals = [getattr(module, attr) for module, attr, _ in wrapped]
 
     def counted(kernel, real):
         def call(*args, **kwargs):
-            square = kernel not in ("eigvalsh", "eigh") or np.shape(args[0]) == (n[0], n[0])
-            calls[kernel if square else "blocks"] += 1
+            if kernel != "norm":
+                square = kernel not in ("eigvalsh", "eigh") or np.shape(args[0]) == (n[0], n[0])
+                calls[kernel if square else "blocks"] += 1
+            elif kwargs.get("axis", args[2] if len(args) > 2 else None) is None:
+                calls["norm"] += 1
             return real(*args, **kwargs)
         return call
 
