@@ -13,17 +13,17 @@ a prescribed structure (``synthesize``), and verifies the chain-basis
 invariants.
 
 ``analyze`` works on the complex Schur form ``H = Z T Z^dag``.  It clusters
-the diagonal of ``T`` by single linkage.  The eigenvectors of all simple
-(size-1) clusters come from ``T`` by one back-substitution sweep, mapped
-through ``Z``.  Each cluster of size m >= 2 is moved by a reordering of the
-Schur form (LAPACK ``ztrsen``, called through ``linalg.reorder_schur``) to
-the leading m x m block ``T11``.  The rank staircase runs on
-``T11 - center*I`` alone, and its chains map to chains of H through the
-leading m Schur vectors ``Z1``, since ``H Z1 = Z1 T11``.  A block within
-``tol.abs`` in Frobenius norm is semisimple by that bound alone, with ``Z1``
-as its chains; any other takes one SVD per power, and one more SVD and a QR
-per chain height only when its chains differ in length.  Only these clusters
-are visited in Python; the other bookkeeping is array operations.
+the diagonal of ``T`` by single linkage; one back-substitution sweep of
+``T``, mapped through ``Z``, gives each simple cluster's eigenvector and,
+for a cluster C of size m >= 2, solutions X_C of ``(T - center*I) x = 0``
+with C's rows held at zero: C's eigenvectors when ``||X_C||_F ||R||_F <=
+tol.abs``, R the residual on C's rows, to first order a bound on
+``||T11 - center*I||_F`` of C's block in a reordered Schur form.  Only the
+other, defective clusters are visited in Python: a reordering (LAPACK
+``ztrsen``, ``linalg.reorder_schur``) moves each to the leading block
+``T11``, whose rank staircase gives chains that map to H's through the
+leading m Schur vectors ``Z1``, since ``H Z1 = Z1 T11``.  The cluster
+tables are array passes; ``_assemble`` makes one pass over the groups.
 
 Realness is decided once, by the snap of near-real cluster centers onto the
 real axis: a group is real exactly when its eigenvalue's imaginary part is 0.
@@ -499,37 +499,50 @@ def _assemble(eigenvalues, block_dims, pair_tol: float, psi: np.ndarray,
 # analysis
 
 
-def _cluster(eigs: np.ndarray, delta: float) -> list[np.ndarray]:
+def _cluster(eigs: np.ndarray, delta: float) -> np.ndarray:
     """Single-linkage clustering of eigenvalues at link distance ``delta``.
 
-    Returns index arrays: the connected components of the graph linking
-    eigenvalues at most ``delta`` apart, each in lexsort (real, imag) order,
-    listed in the lexsort order of their first members.
+    Returns each eigenvalue's cluster id: the connected components of the
+    graph linking eigenvalues at most ``delta`` apart, numbered 0, 1, ... in
+    the lexsort (real, imag) order of their first members.
     """
     n = eigs.size
     order = np.lexsort((eigs.imag, eigs.real))
+    rank = order.argsort()
     reach = (np.abs(eigs[:, None] - eigs[None, :]) <= delta).astype(np.float64)
     if np.count_nonzero(reach) == n:  # no two eigenvalues link
-        return list(order[:, None])
+        return rank
     while True:  # transitive closure by squaring: at most log2(n) rounds
         grown = (reach @ reach > 0).astype(np.float64)
-        if np.array_equal(grown, reach):
+        if (grown == reach).all():
             break
         reach = grown
-    # the lexsort rank of each component's first member, in lexsort order;
-    # a stable sort on it groups the components and keeps their members' order
-    label = np.where(reach > 0, np.argsort(order)[None, :], n).min(axis=1)[order]
-    grouped = np.argsort(label, kind="stable")
-    return np.split(order[grouped], np.flatnonzero(np.diff(label[grouped])) + 1)
+    # the lexsort rank of each component's first member; its id counts those up to it
+    label = np.where(reach > 0, rank[None, :], n).min(axis=1)
+    return (np.cumsum((label == rank)[order]) - 1)[label]
+
+
+def _cluster_table(eigs: np.ndarray, ids: np.ndarray):
+    """``(sizes, centers, radii)`` of the clusters ``ids`` numbers, from the
+    members in lexsort (real, imag) order: a center is its members' mean, bit
+    for bit ``mean()``, and a simple cluster is its own center, at radius 0."""
+    members, sizes = np.lexsort((eigs.imag, eigs.real, ids)), np.bincount(ids)
+    start = sizes.cumsum() - sizes
+    centers = eigs[members[start]]
+    for m in set(sizes[sizes > 1].tolist()):  # one row-wise mean per cluster size
+        of_size = (sizes == m).nonzero()[0]
+        centers[of_size] = eigs[members[start[of_size, None] + np.arange(m)]].sum(axis=1) / m
+    radii = np.maximum.reduceat(np.abs(eigs[members] - centers[ids[members]]), start)
+    return sizes, centers, radii
 
 
 def _check_gaps(centers: np.ndarray, radii: np.ndarray, delta: float):
     """Raise ``ClusterAmbiguity`` unless every two clusters are at least ten
     times their scale ``max(r_i + r_j, delta)`` apart; names the first
     failing pair (i < j) in row-major order."""
-    gap = np.abs(np.subtract.outer(centers, centers))
-    i, j = np.nonzero(gap < 10.0 * np.maximum(np.add.outer(radii, radii), delta))
-    upper = np.flatnonzero(i < j)
+    gap = np.abs(centers[:, None] - centers)
+    i, j = (gap < 10.0 * np.maximum(radii[:, None] + radii, delta)).nonzero()
+    upper = (i < j).nonzero()[0]
     if upper.size:
         i, j = i[upper[0]], j[upper[0]]
         raise ClusterAmbiguity(
@@ -544,30 +557,29 @@ def _unresolvable(nullity: int, m: int) -> ClusterAmbiguity:
         f"tolerance")
 
 
-def _extract_chains(b: np.ndarray, tol: Tolerance):
-    """Jordan chains of the (numerically) nilpotent m x m matrix ``b``.
+def _extract_chains(b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, tuple]:
+    """Jordan chains of the (numerically) nilpotent m x m matrix ``b`` as
+    ``(block, dims)``: the columns of ``block`` chain after chain, heights 1
+    up, and ``dims`` the chain lengths, longest first.
 
-    ``analyze`` passes, for each eigenvalue cluster of size m >= 2, the
+    ``analyze`` passes, for each defective eigenvalue cluster of size m, the
     leading block ``T11 - center*I`` of a Schur form reordered to put the
     cluster first, so all of ``b`` must be nilpotent.  Uses the rank-of-powers
     staircase: ``w_k = nullity(b^k) - nullity(b^(k-1))`` counts blocks of size
     >= k; one SVD of each power gives its rank threshold
-    (``tol.abs + tol.rel * s_max``), its kernel and its row space.  A block
-    with ``||b||_F <= tol.abs`` has every singular value under the first cut,
-    so it is semisimple (m chains of length 1) without an SVD.
+    (``tol.abs + tol.rel * s_max``), its kernel and its row space.
 
     When every chain has the same length p, the generators span the row space
     of ``b^(p-1)``: its right singular vectors outside its kernel, from that
     power's SVD, mixed for p >= 2 by the unitary DFT so that ``b^(p-1)`` has
     one gain on each and the unit-head gauge scales every chain alike (for
-    p = 1, b^0 = I: the unit vectors, however the block was decided).
-    Otherwise generators of height k are picked in ``ker(b^k)`` independent of
-    ``ker(b^(k-1))`` and of the height-k vectors of longer chains already
-    built, by a QR of those and an SVD of the kernel's projection.
+    p = 1, b^0 = I: the unit vectors).  Otherwise generators of height k are
+    picked in ``ker(b^k)`` independent of ``ker(b^(k-1))`` and of the
+    height-k vectors of longer chains already built, by a QR of those and an
+    SVD of the kernel's projection.  Each length's generators take their
+    lower heights as matrix products with b.
     """
     n = b.shape[0]
-    if _fro(b) <= tol.abs:  # a non-finite norm fails the bound
-        return [[e] for e in np.eye(n, dtype=np.complex128)]
     power = np.eye(n, dtype=np.complex128)
     bases = [power]  # right singular vectors of b^0, b^1, ...: row space, then kernel
     nullities = [0]  # of b^0, b^1, ...: the power index is len(nullities)
@@ -588,32 +600,28 @@ def _extract_chains(b: np.ndarray, tol: Tolerance):
     if any(weyr[j] < weyr[j + 1] for j in range(depth - 1)):
         raise ClusterAmbiguity("inconsistent rank staircase for eigenvalue cluster")
 
-    chains = []          # list of lists of vectors, heights 1..p (index 0 = eigvec)
-    height_vectors = []  # vectors at the current height from longer chains
+    heights, dims = [], []  # per chain length k: (k, m, chains), its chains' vectors by height
     for kk in range(depth, 0, -1):
         new_count = weyr[kk - 1] - weyr[kk]
-        gens = []
         if new_count == weyr[0]:  # one chain length: b^(kk-1)'s row space, from its SVD
             gens = bases[kk - 1][:, :new_count]
             if kk > 1:  # mixed by the unitary DFT, so that b^(kk-1) has one gain on each
                 k = np.arange(new_count)
                 gens = gens @ np.exp(-2j * np.pi / new_count * np.outer(k, k)) / np.sqrt(new_count)
-            gens = gens.T
         elif new_count:  # chains of several lengths
-            q, _ = np.linalg.qr(np.column_stack([bases[kk - 1][:, n - nullities[kk - 1]:]]
-                                                + height_vectors))
+            q, _ = np.linalg.qr(np.concatenate([bases[kk - 1][:, n - nullities[kk - 1]:]]
+                                               + [h[kk - 1] for h in heights], axis=1))
             vk = bases[kk][:, n - nullities[kk]:]
             wh = np.linalg.svd(vk - q @ (q.conj().T @ vk), full_matrices=False)[2]
-            gens = [vk @ w.conj() for w in wh[:new_count]]
-        for gen in gens:
-            chain = [gen]
-            for _ in range(kk - 1):
-                chain.append(b @ chain[-1])
-            chain.reverse()  # heights 1..kk
-            chains.append(chain)
-        # descend: height-(kk-1) vectors of all chains of length >= kk
-        height_vectors = [c[kk - 2] for c in chains if len(c) >= kk] if kk >= 2 else []
-    return chains
+            gens = vk @ wh[:new_count].conj().T
+        else:
+            continue
+        chain = [gens]
+        for _ in range(kk - 1):
+            chain.append(b @ chain[-1])
+        heights.append(np.array(chain[::-1]))
+        dims += [kk] * new_count
+    return np.concatenate([h.transpose(1, 2, 0).reshape(n, -1) for h in heights], 1), tuple(dims)
 
 
 def default_cluster_tol(h: np.ndarray) -> float:
@@ -645,10 +653,10 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
             allow_unpaired: bool = False) -> SpectralDecomposition:
     """Extract eigenvalue groups, Jordan block dimensions and chain bases.
 
-    The block sizes of each multi-member cluster are its rank staircase's
-    (``_extract_chains``); a cluster of identical blocks, such as the paired
-    real groups of the reflecting symmetry, takes its generators from the
-    staircase's own SVDs, and a semisimple one none at all.  Raises
+    A multi-member cluster within the semisimplicity bound (module
+    docstring) takes the sweep's vectors; any other its rank staircase's
+    block sizes (``_extract_chains``), and if its blocks are identical, its
+    generators from the staircase's own SVDs.  Raises
     ``ClusterAmbiguity`` when distinct eigenvalue clusters cannot be
     separated at the requested tolerance, or when the result does not
     reconstruct H (``||Psi J Phi^dag - H||_F`` above ``tol.scaled(H)``), and
@@ -691,75 +699,67 @@ def _decompose(h: np.ndarray, tol: Tolerance) -> tuple[SpectralDecomposition, bo
     t, z = linalg.schur(h, tol)
     eigs = np.diag(t)
 
-    # a simple cluster is its own center, at radius 0
-    clusters = _cluster(eigs, delta)
-    sizes = np.fromiter(map(len, clusters), np.intp, len(clusters))
-    first = np.concatenate(clusters)[np.cumsum(sizes) - sizes]
-    multi = np.flatnonzero(sizes > 1)
-    centers, radii = eigs[first], np.zeros(sizes.size)
-    for p in multi:
-        centers[p] = eigs[clusters[p]].mean()
-        radii[p] = np.abs(eigs[clusters[p]] - centers[p]).max()
+    ids = _cluster(eigs, delta)
+    sizes, centers, radii = _cluster_table(eigs, ids)
     _check_gaps(centers, radii, delta)
 
-    # snap near-real centers to the real axis: the one realness decision
+    # snap near-real centers to the real axis, the one realness decision; a
+    # simple cluster's snap must move t_kk by rounding only (1 x 1 staircase)
     real_thresh = max(tol.abs, 0.1 * delta)
-    centers = np.where(np.abs(centers.imag) <= real_thresh + tol.rel * np.abs(centers),
-                       centers.real, centers)
-
-    # the 1 x 1 staircase, all simple clusters at once: t_kk - center must be
-    # numerically zero, else refused before any multi-member cluster is visited
-    off = np.abs(eigs[first] - centers)
-    if np.any((sizes == 1) & (off > tol.abs + tol.rel * off)):
+    snap = np.abs(centers.imag) <= real_thresh + tol.rel * np.abs(centers)
+    off = np.abs(centers.imag) * snap
+    if ((sizes == 1) & (off > tol.abs + tol.rel * off)).any():
         raise _unresolvable(0, 1)
+    centers = np.where(snap, centers.real, centers)
 
-    # eigenvectors of the simple clusters by one back-substitution sweep, as
-    # in LAPACK ztrevc: (T - t_kk I) x = 0 with x_k = 1 and zeros below k.
-    # Every divisor t_ii - t_kk is >= 9 delta: _check_gaps puts t_kk at least
-    # 10 max(r, delta) from the center of t_ii's cluster, of radius r.
-    singles = np.flatnonzero(sizes == 1)[np.argsort(first[sizes == 1])]  # by eigenvalue index
-    simple = first[singles]
-    x, lam = np.zeros((n, simple.size), dtype=np.complex128), eigs[simple]
-    x[simple, np.arange(simple.size)] = 1.0
-    above = np.searchsorted(simple, np.arange(n), side="right")  # columns with k > i
-    for i, j in zip(range(n - 1, -1, -1), above[::-1].tolist()):
-        x[i, j:] = -(t[i, i + 1:] @ x[i + 1:, j:]) / (t[i, i] - lam[j:])
+    # one back-substitution sweep, as in LAPACK ztrevc: (T - lam_k I) x = 0,
+    # x_k = 1, zeros below k and on the rows of k's own cluster (divisor inf),
+    # lam_k = t_kk or k's cluster's center; the others are >= ~9 delta (_check_gaps)
+    multi = sizes[ids] > 1
+    lam = np.where(multi, centers[ids], eigs)
+    div = np.where(ids[:, None] == ids, np.inf, eigs[:, None] - lam)
+    x = np.eye(n, dtype=np.complex128)
+    for i in range(n - 2, -1, -1):
+        x[i, i + 1:] = -(t[i, i + 1:] @ x[i + 1:, i + 1:]) / div[i, i + 1:]
 
-    # chains of each multi-member cluster, after the simple eigenvectors
-    columns, dims = [z @ x], {}
-    for p in multi:
-        c, center = clusters[p], complex(centers[p])
-        # move the cluster to the leading m x m block of the Schur form; the
-        # leading m Schur vectors span its invariant subspace, so chains of
-        # the block map to chains of H through them
-        select = np.zeros(n, dtype=np.int32)
-        select[c] = 1
-        t_re, z_re, m, info = linalg.reorder_schur(t, z, select)
-        if info != 0 or m != c.size:
+    # a multi-member cluster C is semisimple when ||X_C||_F ||R||_F <= tol.abs,
+    # R = (T - center I) X_C on C's rows, X_C the identity there: to first order
+    # a bound on ||T11 - center I||_F of C's reordered block.  The others are
+    # defective: reordered, then the rank staircase
+    s_mat, dims, defective = z @ x, [(1,) * m for m in sizes.tolist()], []
+    if multi.any():
+        own, xc = multi.nonzero()[0], x[:, multi]
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bound is defective
+            r = t[own] @ xc - x[own[:, None], own] * lam[own]
+            r2 = np.where(ids[own, None] == ids[own], (r.conj() * r).real, 0.0).sum(axis=0)
+            x2 = np.bincount(ids[own], (xc.conj() * xc).real.sum(axis=0), sizes.size)
+            bound = np.sqrt(np.bincount(ids[own], r2, sizes.size) * x2)
+            defective = (~(bound <= tol.abs) & (sizes > 1)).nonzero()[0].tolist()
+    for p in defective:
+        select, center = ids == p, complex(centers[p])
+        t_re, z_re, m, info = linalg.reorder_schur(t, z, select.astype(np.int32))
+        if info != 0 or m != sizes[p]:
             raise ClusterAmbiguity(
                 f"Schur reordering of the eigenvalue cluster at {center:.6g} "
-                f"failed (info={info}, {m} of {c.size} eigenvalues moved)")
-        chains = _extract_chains(t_re[:m, :m] - center * np.eye(m), tol)
-        dims[p] = tuple(len(ch) for ch in chains)
-        columns.append(z_re[:, :m] @ np.column_stack([v for ch in chains for v in ch]))
+                f"failed (info={info}, {m} of {sizes[p]} eigenvalues moved)")
+        block, dims[p] = _extract_chains(t_re[:m, :m] - center * np.eye(m), tol)
+        s_mat[:, select] = z_re[:, :m] @ block
 
     # deterministic group order: by real part, then |Im|, plus member first
-    order = np.lexsort((-centers.imag, np.round(np.abs(centers.imag), 9),
-                        np.round(centers.real, 9)))
-    block_dims = [dims.get(p, (1,)) for p in order]
+    order = np.lexsort((-centers.imag, np.abs(centers.imag).round(9), centers.real.round(9)))
+    block_dims = [dims[p] for p in order.tolist()]
 
     # S in group order: the columns sorted stably by their cluster's group rank,
     # each chain scaled to a unit eigenvector with a real-positive lead entry
-    label = np.concatenate((singles, np.repeat(multi, sizes[multi])))
-    s_mat = np.hstack(columns)[:, np.argsort(np.argsort(order)[label], kind="stable")]
+    s_mat = s_mat[:, order.argsort()[ids].argsort(kind="stable")]
     chain_dims = np.array([d for group in block_dims for d in group])
-    heads = s_mat[:, np.cumsum(chain_dims) - chain_dims]
+    heads = s_mat[:, chain_dims.cumsum() - chain_dims]
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(heads, axis=0)
     if not np.isfinite(norms).all():
         raise Overflow("a chain vector's norm overflows the float range")
-    lead = heads[np.argmax(np.abs(heads) > 1e-8 * norms, axis=0), np.arange(heads.shape[1])]
-    s_mat = s_mat * np.repeat(1.0 / (norms * (lead / np.abs(lead))), chain_dims)
+    lead = heads[(np.abs(heads) > 1e-8 * norms).argmax(axis=0), np.arange(heads.shape[1])]
+    s_mat = s_mat * (1.0 / (norms * (lead / np.abs(lead)))).repeat(chain_dims)
     # invert with S's columns equilibrated: the pivot test ignores H's scale
     scale = np.linalg.norm(s_mat, axis=0)
     try:

@@ -1,4 +1,4 @@
-"""Shared fixtures."""
+"""Shared fixtures and referees."""
 
 import mpmath
 import numpy as np
@@ -85,3 +85,23 @@ def gate_referee(monkeypatch):
     monkeypatch.setattr(spectral, "_pseudo_hermiticity", exact_rule)
     monkeypatch.setattr(evolution, "_pseudo_hermiticity", exact_rule)
     monkeypatch.setattr(evolution, "_decomposition", decomposition)
+
+
+def referee_cluster(eigs, delta):
+    """The single-linkage clustering that ``spectral._cluster`` replaced, kept
+    as its referee: index arrays, each cluster's members in lexsort (real,
+    imag) order, the clusters in the lexsort order of their first members."""
+    n = eigs.size
+    order = np.lexsort((eigs.imag, eigs.real))
+    reach = (np.abs(eigs[:, None] - eigs[None, :]) <= delta).astype(np.float64)
+    if np.count_nonzero(reach) == n:
+        return list(order[:, None])
+    while True:
+        grown = (reach @ reach > 0).astype(np.float64)
+        if np.array_equal(grown, reach):
+            break
+        reach = grown
+    label = np.where(reach > 0, np.argsort(order)[None, :], n).min(axis=1)[order]
+    grouped = np.argsort(label, kind="stable")
+    return np.split(order[grouped], np.flatnonzero(np.diff(label[grouped])) + 1)
+

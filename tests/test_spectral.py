@@ -1,7 +1,9 @@
 """Jordan structure extraction and synthesis round trips."""
 
 import ast
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from pseudoherm.spectral import (
     reconstruct,
     synthesize,
 )
+
+from conftest import referee_cluster
 
 # every (H, eta) decided here is also put to the evolution gate's certificate
 pytestmark = pytest.mark.usefixtures("gate_referee")
@@ -301,8 +305,17 @@ def test_cluster_matches_single_linkage_loop(seed):
     points.append(np.repeat(points[0][:2], 2))
     eigs = np.concatenate(points).astype(np.complex128)
     rng.shuffle(eigs)
-    got = spectral._cluster(eigs, delta)
-    assert [sorted(c.tolist()) for c in got] == [sorted(c) for c in _loop_cluster(eigs, delta)]
+    ids = spectral._cluster(eigs, delta)
+    got = [np.flatnonzero(ids == k).tolist() for k in range(ids.max() + 1)]
+    assert got == [sorted(c) for c in _loop_cluster(eigs, delta)]
+    # the referee's clusters, and their members' means and radii bit for bit
+    clusters = referee_cluster(eigs, delta)
+    assert got == [sorted(c.tolist()) for c in clusters]
+    sizes, centers, radii = spectral._cluster_table(eigs, ids)
+    assert sizes.tolist() == [c.size for c in clusters]
+    means = np.array([eigs[c].mean() for c in clusters])
+    assert np.array_equal(centers.view(float), means.view(float))
+    assert radii.tolist() == [np.abs(eigs[c] - z).max() for c, z in zip(clusters, means)]
 
 
 
@@ -466,7 +479,8 @@ def test_simple_eigenvalues_need_no_schur_reordering(monkeypatch, h):
 
 
 @pytest.mark.usefixtures("cold_memo")
-def test_schur_reordering_runs_once_per_multi_member_cluster(monkeypatch):
+def test_schur_reordering_runs_once_per_defective_cluster(monkeypatch):
+    # the (1, 1) cluster at 2 is semisimple by the sweep's bound: no reordering
     spec = SynthesisSpec(groups=(
         JordanBlockSpec(0.0, (3,)), JordanBlockSpec(2.0, (1, 1)), JordanBlockSpec(-1.5, (1,)),
         JordanBlockSpec(1 + 1j, (1,)), JordanBlockSpec(1 - 1j, (1,)), JordanBlockSpec(3.5, (1,)),
@@ -477,7 +491,7 @@ def test_schur_reordering_runs_once_per_multi_member_cluster(monkeypatch):
     monkeypatch.setattr(linalg, "reorder_schur", lambda t, z, select: (
         moved.append(int(select.sum())) or reorder(t, z, select)))
     dec = analyze(h)
-    assert sorted(moved) == [2, 3]
+    assert moved == [3]
     assert _same_structure(dec, dec_syn)
     assert _failed_checks(h, dec) == []
 
@@ -617,27 +631,75 @@ def _degenerate_spec(n, dims, cond, seed):
                          basis_seed=int(rng.integers(2 ** 62)), basis_cond=cond)
 
 
+def _reordered_blocks(h, dec):
+    """``(group, b, z1, member)`` for each multi-member group of ``dec``: ``b
+    = T11 - E I`` and ``z1`` the leading Schur vectors of H's Schur form
+    reordered, by the test, to put the group's cluster (the Schur indices
+    ``member``) first, T11 its leading block and E the group's eigenvalue."""
+    t, z = linalg.schur(h)
+    eigs = np.diag(t)
+    ids = spectral._cluster(eigs, spectral.default_cluster_tol(h))
+    out = []
+    for g in dec.groups:
+        if sum(g.block_dims) > 1:
+            member = ids == ids[np.argmin(np.abs(eigs - g.eigenvalue))]
+            t_re, z_re, m, info = linalg.reorder_schur(t, z, member.astype(np.int32))
+            assert info == 0 and m == sum(g.block_dims) == member.sum()
+            out.append((g, t_re[:m, :m] - g.eigenvalue * np.eye(m), z_re[:, :m], member))
+    return out
+
+
 @pytest.mark.usefixtures("cold_memo")
 @pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1), (2, 2), (3, 3)], ids=str)
 @pytest.mark.parametrize("n", [8, 32, 64])
-def test_identical_blocks_match_the_svd_staircase(monkeypatch, n, dims):
-    """Each multi-member cluster's block sizes are those of an SVD of every
-    power of its block, and the result passes the check battery."""
-    blocks = []
-    extract = spectral._extract_chains
-
-    def spy(b, tol):
-        chains = extract(b, tol)
-        blocks.append((b, sorted(map(len, chains))))
-        return chains
-    monkeypatch.setattr(spectral, "_extract_chains", spy)
+def test_identical_blocks_match_the_svd_staircase(n, dims):
+    """Each multi-member group's block sizes are those of an SVD of every
+    power of its cluster's block in a Schur form the test reorders itself,
+    whether ``analyze`` reordered it (a defective cluster) or not (a
+    semisimple one), and the result passes the check battery."""
     for cond in (1.0, 10.0, 100.0, 1e3):
         h, dec_syn = synthesize(_degenerate_spec(n, dims, cond, 0))
-        blocks.clear()
         dec = analyze(h)
-        assert blocks and all(got == _svd_staircase_dims(b) for b, got in blocks), cond
+        blocks = _reordered_blocks(h, dec)
+        assert blocks and all(sorted(g.block_dims) == _svd_staircase_dims(b)
+                              for g, b, *_ in blocks), cond
         assert _same_structure(dec, dec_syn), cond
         assert _failed_checks(h, dec) == [], cond
+
+
+@pytest.mark.usefixtures("cold_memo")
+@pytest.mark.parametrize("dims", [(1, 1), (1, 1, 1)], ids=str)
+@pytest.mark.parametrize("n", [8, 32, 64])
+def test_semisimple_sweep_vectors_span_the_reordered_schur_vectors(monkeypatch, n, dims):
+    """A semisimple cluster within the sweep's bound takes its eigenvectors
+    from the back-substitution sweep, with no reordering; they span the
+    subspace of the leading Schur vectors of a Schur form reordered to put
+    the cluster first: the sine of every principal angle between the two is
+    within the rounding unit of a reconstruction, ``_ROUNDING`` n eps
+    ||Psi||_F ||Phi||_F (1.6 of n eps ||Psi||_F ||Phi||_F at most on
+    seeds 0-7), and the staircase of the reordered block gives the same
+    block sizes.  Up to basis condition 100 every such cluster is within
+    the bound; at 1e3, where ||X_C||_F ||R||_F reads 1e-10 to 3e-9, the
+    test's clusters take the staircase."""
+    reorder, reordered = linalg.reorder_schur, []
+    monkeypatch.setattr(linalg, "reorder_schur", lambda t, z, select: reordered.append(
+        select.astype(bool)) or reorder(t, z, select))
+    for cond in (1.0, 10.0, 100.0, 1e3):
+        h, _ = synthesize(_degenerate_spec(n, dims, cond, 1))
+        reordered.clear()
+        dec = analyze(h)
+        done = list(reordered)
+        assert cond == 1e3 or done == [], cond
+        blocks = _reordered_blocks(h, dec)
+        assert len(blocks) == (2 if 2 * sum(dims) <= n else 1), cond
+        rounding = n * np.finfo(float).eps * np.linalg.norm(dec.psi) * np.linalg.norm(dec.phi)
+        for g, b, z1, member in blocks:
+            assert g.block_dims == dims and _svd_staircase_dims(b) == list(dims), cond
+            if any(np.array_equal(member, sel) for sel in done):
+                continue
+            q = np.linalg.qr(np.array([c.psi[0] for c in g.chains]).T)[0]
+            sines = np.linalg.svd(q - z1 @ (z1.conj().T @ q), compute_uv=False)
+            assert sines.max() <= spectral._ROUNDING * rounding, (cond, sines.max() / rounding)
 
 
 @pytest.mark.usefixtures("cold_memo")
@@ -659,13 +721,27 @@ def test_a_single_block_takes_one_svd_per_power_and_no_qr(monkeypatch, p):
     assert calls == {"svd": p, "qr": 0}
 
 
+@pytest.mark.usefixtures("cold_memo")
+def test_a_small_residual_in_a_long_sweep_basis_is_a_jordan_block():
+    """[[0.1, 10, 0], [0, 0, 5e-11], [0, 0, 0]] has one 2-block at 0.  The
+    sweep's residual on the cluster's rows is 5e-11, within tol.abs = 1e-10,
+    but its vector over the cluster's first member has norm 100, and the
+    reordered block couples the two by about 100 * 5e-11 = 5e-9: the
+    semisimplicity bound ||X_C||_F ||R||_F = 5e-9 sends the cluster to the
+    staircase, which finds the 2-block."""
+    h = np.array([[0.1, 10, 0], [0, 0, 5e-11], [0, 0, 0]])
+    dec = analyze(h)
+    assert [(g.eigenvalue, g.block_dims) for g in dec.groups] == [(0, (2,)), (0.1, (1,))]
+    assert np.linalg.norm(reconstruct(dec) - h) < 1e-12
+
+
 def test_a_semisimple_block_over_the_norm_bound_keeps_the_unit_vectors(monkeypatch):
     # ||b||_F = 1.27e-10 misses the bound tol.abs = 1e-10, but both singular
     # values are under the cut: one SVD decides it, and the basis is the same
     calls = _count_calls(monkeypatch, "svd", "qr")
-    chains = spectral._extract_chains(np.diag([9e-11, 9e-11]).astype(complex), DEFAULT_TOL)
+    block, dims = spectral._extract_chains(np.diag([9e-11, 9e-11]).astype(complex), DEFAULT_TOL)
     assert calls == {"svd": 1, "qr": 0}
-    assert [np.array(c).tolist() for c in chains] == [[[1, 0]], [[0, 1]]]
+    assert dims == (1, 1) and block.tolist() == [[1, 0], [0, 1]]
 
 
 @pytest.mark.parametrize("p, scale", [(3, 1e78), (3, 1e100), (3, 1e120), (3, 1e140),
@@ -724,12 +800,99 @@ def test_every_chain_head_has_unit_norm_and_a_real_positive_lead(h):
 def test_cluster_centers_are_their_members_means_bit_for_bit():
     h, _ = synthesize(_spec(np.random.default_rng(11), 24, (3, 3, 2), 2, cond=10.0))
     eigs = np.diag(linalg.schur(h)[0])
-    means = [eigs[c].mean() for c in spectral._cluster(eigs, spectral.default_cluster_tol(h))]
+    ids = spectral._cluster(eigs, spectral.default_cluster_tol(h))
+    lexsorted = np.lexsort((eigs.imag, eigs.real))  # each cluster's members in this order
+    means = [eigs[lexsorted[ids[lexsorted] == k]].mean() for k in range(ids.max() + 1)]
     got = sorted((g.eigenvalue for g in analyze(h).groups), key=lambda z: (z.real, z.imag))
     want = sorted((complex(m.real, 0.0) if abs(m.imag) < 1e-6 else complex(m) for m in means),
                   key=lambda z: (z.real, z.imag))
     assert got == want
     assert any(len(g.chains[0].psi) > 1 for g in analyze(h).groups)
+
+
+# --- the cluster tables and the sweep's decisions against their referees -----
+
+def _profiled_calls(call, outside) -> int:
+    """Python and C function calls ``call()`` makes, by ``sys.setprofile``,
+    counting a call to the function ``outside`` as one."""
+    count, inside = [0], [None]
+
+    def profile(frame, event, _arg):
+        if inside[0] is None:
+            count[0] += event in ("call", "c_call")
+            if event == "call" and frame.f_code is outside.__code__:
+                inside[0] = frame
+        elif event == "return" and frame is inside[0]:
+            inside[0] = None
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    return count[0]
+
+
+def test_analyze_makes_as_many_calls_at_every_size():
+    """The cluster tables, the sweep and its semisimplicity bound are
+    whole-array passes: on simple spectra with two conjugate pairs,
+    ``analyze`` makes the same number of function calls at n = 8, 32 and
+    64 (ufuncs and operators make none), ``_assemble``'s pass over the
+    groups counted as one call."""
+    counts = []
+    for n in (8, 32, 64):
+        h, _ = synthesize(_spec(np.random.default_rng([n, 2]), n, pairs=2, cond=10.0))
+        spectral._decompose(h, DEFAULT_TOL)  # warm: first calls may import
+        counts.append(_profiled_calls(lambda: spectral._decompose(h, DEFAULT_TOL),
+                                      spectral._assemble))
+    assert counts[0] == counts[1] == counts[2], counts
+
+
+def _seed_pools():
+    """The inputs of the benchmark's timed and defect pools of seeds 1-3."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import inputs
+    finally:
+        sys.path.pop(0)
+    for workload in ("small-mixed", "large-defective", "long-evolution"):
+        for seed in (1, 2, 3):
+            timed, defects = inputs.generate(workload, seed)
+            for case in timed + defects:
+                yield f"{workload}/{seed}/{case.label}", case.h
+
+
+def test_clusters_and_semisimple_decisions_match_the_referees_on_the_seed_pools(monkeypatch):
+    """On the benchmark's seed 1-3 inputs, every clustering ``analyze`` makes,
+    refused or not, has the partition of the referee ``_cluster``; and in
+    every decomposition it makes, each multi-member cluster it does not
+    reorder has, in a Schur form the test reorders itself, a block within
+    ``tol.abs`` of its eigenvalue times I in Frobenius norm, the bound that
+    took a block as semisimple before the sweep decided it."""
+    clusterings, reordered = [], []
+    cluster, reorder = spectral._cluster, linalg.reorder_schur
+    monkeypatch.setattr(spectral, "_cluster", lambda *a: clusterings.append(
+        (a, cluster(*a))) or clusterings[-1][1])
+    monkeypatch.setattr(linalg, "reorder_schur", lambda t, z, select: reordered.append(
+        select.astype(bool)) or reorder(t, z, select))
+    swept = made = 0
+    for label, h in _seed_pools():
+        clusterings.clear()
+        reordered.clear()
+        try:
+            dec = spectral._decompose(linalg.as_cmatrix(h), DEFAULT_TOL)[0]
+        except PseudohermError:
+            dec = None
+        for args, ids in clusterings:
+            want = [sorted(c.tolist()) for c in referee_cluster(*args)]
+            assert [np.flatnonzero(ids == k).tolist() for k in range(len(want))] == want, label
+        if dec is not None:
+            made, done = made + 1, list(reordered)
+            for _, b, _, member in _reordered_blocks(h, dec):
+                if not any(np.array_equal(member, sel) for sel in done):
+                    swept += 1
+                    assert np.linalg.norm(b) <= DEFAULT_TOL.abs, label
+    assert made >= 300 and swept >= 100, (made, swept)
 
 
 # --- metamorphic relations of analyze ------------------------------------------

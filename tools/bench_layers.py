@@ -16,9 +16,14 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
 
     schur          linalg.schur
     clustering     spectral.default_cluster_tol, _cluster, the cluster
-                   centers and radii, and _check_gaps
-    staircase      spectral._extract_chains on a multi-member cluster's
-                   reordered Schur block, per cluster (absent without one)
+                   table (_cluster_table: sizes, centers and radii) and
+                   _check_gaps; on a tree without _cluster_table, whose
+                   _cluster lists each cluster's indices, the centers and
+                   radii by the loop over the clusters of that tree's analyze
+    staircase      spectral._extract_chains on the reordered Schur block of
+                   each cluster that analyze sends to the rank staircase
+                   (its defective ones; every multi-member one on a tree
+                   that reorders them all), per cluster (absent without one)
     assembly       spectral._assemble of the analyzed chain basis, called with
                    what analyze passed it (each group's eigenvalue and block
                    sizes, the pair tolerance, S and S^-1)
@@ -153,8 +158,11 @@ def _calls(h):
     def clustering():
         delta = spectral.default_cluster_tol(h)
         clusters = spectral._cluster(eigs, delta)
-        centers = np.array([eigs[c].mean() for c in clusters])
-        radii = np.array([np.abs(eigs[c] - z).max() for c, z in zip(clusters, centers)])
+        if hasattr(spectral, "_cluster_table"):
+            _, centers, radii = spectral._cluster_table(eigs, clusters)
+        else:
+            centers = np.array([eigs[c].mean() for c in clusters])
+            radii = np.array([np.abs(eigs[c] - z).max() for c, z in zip(clusters, centers)])
         spectral._check_gaps(centers, radii, delta)
 
     def staircase():
@@ -229,7 +237,7 @@ def sample_layers(ref) -> tuple[list[dict], dict]:
             h, _ = synthesize(_spec(structure, n))
             calls, analyze, clusters, blocks = _calls(h)
             plans.append({})
-            rows.append({"n": n, "structure": structure, "multi_member_clusters": clusters,
+            rows.append({"n": n, "structure": structure, "staircase_clusters": clusters,
                          "nontrivial_groups": [list(d) for d in blocks],
                          "input_sha256": hashlib.sha256(np.ascontiguousarray(h).tobytes())
                          .hexdigest()})

@@ -26,6 +26,13 @@ per op of each counted kernel:
               analyze that returns the kept decomposition makes none)
     norm      numpy.linalg.norm without an axis (a whole array's norm, each
               paying numpy's generic dispatch; linalg._fro is not counted)
+    reorder   linalg.reorder_schur (LAPACK ztrsen: one per defective
+              eigenvalue cluster that analyze sends to the rank staircase)
+    calls     Python and C function calls, the ``call`` and ``c_call``
+              events of ``sys.setprofile``, over a second pass of the pool
+              with no counter wrapped; ufuncs and operators make no event
+    analyze   those of ``calls`` made inside spectral.analyze, the call
+              itself included
 
 The counters wrap the module attributes only while an op runs, so building
 the pool is not counted.  ``--src`` picks the pseudoherm source tree to run
@@ -43,7 +50,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("small-mixed", "large-defective", "long-evolution")
 KERNELS = ("schur", "zgees", "svd", "qr", "eigvalsh", "eigh", "blocks", "inv", "expm",
-           "decompose", "norm")
+           "decompose", "norm", "reorder", "calls", "analyze")
 
 
 def census(workload: str, seed: int) -> tuple[int, Counter]:
@@ -60,7 +67,8 @@ def census(workload: str, seed: int) -> tuple[int, Counter]:
                (np.linalg, "svd", "svd"), (np.linalg, "qr", "qr"),
                (np.linalg, "eigvalsh", "eigvalsh"), (np.linalg, "eigh", "eigh"),
                (np.linalg, "inv", "inv"), (linalg, "inv", "inv"), (linalg, "expm", "expm"),
-               (spectral, "_decompose", "decompose"), (np.linalg, "norm", "norm")]
+               (spectral, "_decompose", "decompose"), (np.linalg, "norm", "norm"),
+               (linalg, "reorder_schur", "reorder")]
     originals = [getattr(module, attr) for module, attr, _ in wrapped]
 
     def counted(kernel, real):
@@ -82,6 +90,23 @@ def census(workload: str, seed: int) -> tuple[int, Counter]:
     finally:
         for (module, attr, _), real in zip(wrapped, originals):
             setattr(module, attr, real)
+    inside = []  # the analyze frame while one runs
+
+    def profile(frame, event, _):
+        if event in ("call", "c_call"):
+            calls["calls"] += 1
+            if not inside and event == "call" and frame.f_code is spectral.analyze.__code__:
+                inside.append(frame)
+            calls["analyze"] += bool(inside)
+        elif event == "return" and inside and frame is inside[0]:
+            inside.clear()
+
+    for case in pool:
+        sys.setprofile(profile)
+        try:
+            pipeline.run_op(case)
+        finally:
+            sys.setprofile(None)
     return len(pool), calls
 
 
