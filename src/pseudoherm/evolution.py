@@ -111,26 +111,23 @@ def propagator(h, t: float) -> np.ndarray:
 
     Where the last ``analyze`` kept a decomposition of this H that
     reconstructs it to rounding (``spectral._kept_exact``), as after an op's
-    analysis, U(t) is Psi e^{-iJt} Phi^dag in its chain basis, one product
-    over ``dec.terms``, and no ``expm`` runs.  That is the exponential of
-    H' = Psi J Phi^dag, within 8 n eps ||Psi||_F ||Phi||_F ||H||_F of H, the
-    rounding of the basis; U(0) is Psi Phi^dag, the identity within the
-    basis's biorthonormality residual.  Any other H, and any -iHt that
-    ``linalg.expm`` refuses (decided on expm's own ||-iHt||_F), goes to
-    ``expm``: ``ValueError`` for a non-finite -iHt, ``Overflow`` past
-    ``EXPM_NORM_BOUND``.  No H is analyzed here."""
+    analysis, U(t) = Psi e^{-iJt} Phi^dag is the one product ``(Psi[:, column]
+    taylor e^{rate t} t^power) @ Phi^dag[column + power]`` over ``dec.terms``,
+    and no ``expm`` runs: the exponential of H' = Psi J Phi^dag, within
+    8 n eps ||Psi||_F ||Phi||_F ||H||_F of H, the rounding of the basis; U(0)
+    is Psi Phi^dag, the identity within its biorthonormality residual.  Any
+    other H, and any -iHt that ``linalg.expm`` refuses (decided on expm's own
+    ||-iHt||_F), goes to ``expm``: ``ValueError`` for a non-finite -iHt,
+    ``Overflow`` past ``EXPM_NORM_BOUND``.  No H is analyzed here."""
     t, h = float(t), np.asarray(h, dtype=np.complex128)
     dec = _kept_exact(h)
     with np.errstate(invalid="ignore", over="ignore"):  # expm refuses a non-finite -iHt
         a = -1j * t * h
         if dec is not None and _fro(a) <= linalg.EXPM_NORM_BOUND:  # expm's test
-            column, power, _, _, rate = dec.terms
-            left, right = dec.propagator_factors
+            column, power, _, taylor, rate = dec.terms
             # an exponential past the float range is left inf, as expm's squarings leave it
-            coef = np.exp(rate * t)
-            if column.size > dec.n:  # a chain longer than 1: its powers of t
-                coef *= t ** power
-            return (left * coef) @ right
+            coef = np.exp(rate * t) * t ** power
+            return (dec.psi[:, column] * taylor * coef) @ dec.phi_dag[column + power]
     return linalg.expm(a)
 
 

@@ -1,9 +1,10 @@
 """Dense complex matrix kernel.
 
 Thin, tolerance-aware layer over LAPACK: the complex Schur form and its
-reordering, SVD-based numerical rank, LU solves, the matrix exponential,
-``_fro``, the Frobenius norm that every residual and threshold of the
-package is measured by, and ``metric_eigenvalues``, the one rule by which
+reordering (unchecked; ``spectral.analyze`` refuses what fails to reconstruct
+H), SVD-based numerical rank, LU solves, the matrix exponential, ``_fro``,
+the Frobenius norm that every residual and threshold of the package is
+measured by, and ``metric_eigenvalues``, the one rule by which
 every entry point decides whether a matrix is a Hermitian invertible metric
 (``_metric_decision``, which keeps the last metric it accepted).  Everything
 works on square ``complex128`` arrays of modest size (``N_MAX`` defaults to
@@ -135,22 +136,18 @@ def _no_sort(_w):
     return None
 
 
-def schur(a, tol: Tolerance = DEFAULT_TOL) -> tuple[np.ndarray, np.ndarray]:
+def schur(a) -> tuple[np.ndarray, np.ndarray]:
     """Complex Schur form ``A = Z T Z^dag``: ``T`` upper triangular, ``Z`` unitary.
 
     One LAPACK ``zgees`` call, no workspace query: at n <= ``N_MAX`` = 64 the
     Hessenberg reduction (ZGEHRD crossover 128) and the QR iteration (ZHSEQR
     small-matrix limit 75) take unblocked paths, so the workspace cannot change
-    T or Z.  A residual ``||A - Z T Z^dag||`` above the tolerance is refused.
+    T or Z.  A failed QR iteration is ``NonConvergence``.  The factors are not
+    checked: ``spectral.analyze``'s reconstruction refusal is their check.
     """
-    a = as_cmatrix(a)
-    t, _, _, z, _, info = _lapack.zgees(_no_sort, a)
+    t, _, _, z, _, info = _lapack.zgees(_no_sort, as_cmatrix(a))
     if info != 0:
         raise NonConvergence(f"Schur form not found: zgees QR iteration failed (info={info})")
-    n, norm = a.shape[0], _fro(a)
-    resid = _fro(a - z @ t @ z.conj().T)
-    if resid > max(tol.from_norms(n, norm), 1e3 * np.finfo(float).eps * n * norm):
-        raise NonConvergence(f"Schur residual {resid:.3e} above tolerance")
     return t, z
 
 
@@ -163,9 +160,9 @@ def reorder_schur(t: np.ndarray, z: np.ndarray,
     return t_re, z_re, m, info
 
 
-def eigenvalues(a, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues with multiplicity: the diagonal of the Schur form."""
-    return np.diag(schur(a, tol)[0]).copy()
+def eigenvalues(a) -> np.ndarray:
+    """Eigenvalues with multiplicity: the diagonal of the (unchecked) Schur form."""
+    return np.diag(schur(a)[0]).copy()
 
 
 def singular_values(a) -> np.ndarray:

@@ -215,18 +215,6 @@ class SpectralDecomposition:
         rate = -1j * self.group_eigenvalues[self.chain_group[chain]]
         return ChainTerms(*map(_read_only, (column, power, chain, _TAYLOR[power], rate)))
 
-    @cached_property
-    def propagator_factors(self) -> tuple[np.ndarray, np.ndarray]:
-        """``(left, right)`` with U(t) = Psi e^{-iJt} Phi^dag = ``(left *
-        e^{rate t} t^power) @ right`` over ``terms``: left = Psi[:, column]
-        taylor and right = Phi^dag[column + power], or Psi and Phi^dag
-        themselves when every chain has length 1.  Built, read-only, the
-        first time the propagator reads it."""
-        column, power, _, taylor, _ = self.terms
-        if column.size == self.n:
-            return self.psi, self.phi_dag
-        return _read_only(self.psi[:, column] * taylor), _read_only(self.phi_dag[column + power])
-
 
 @dataclass(frozen=True)
 class SynthesisSpec:
@@ -540,21 +528,14 @@ def _check_gaps(centers: np.ndarray, radii: np.ndarray, delta: float):
     """Raise ``ClusterAmbiguity`` unless every two clusters are at least ten
     times their scale ``max(r_i + r_j, delta)`` apart; names the first
     failing pair (i < j) in row-major order."""
-    gap = np.abs(centers[:, None] - centers)
-    i, j = (gap < 10.0 * np.maximum(radii[:, None] + radii, delta)).nonzero()
+    gap, scale = np.abs(centers[:, None] - centers), np.maximum(radii[:, None] + radii, delta)
+    i, j = (gap < 10.0 * scale).nonzero()
     upper = (i < j).nonzero()[0]
     if upper.size:
         i, j = i[upper[0]], j[upper[0]]
         raise ClusterAmbiguity(
-            f"eigenvalue clusters at {centers[i]:.6g} and {centers[j]:.6g} "
-            f"are separated by {gap[i, j]:.3e}, below 10x the cluster scale")
-
-
-def _unresolvable(nullity: int, m: int) -> ClusterAmbiguity:
-    return ClusterAmbiguity(
-        f"rank staircase saturates at nullity {nullity}, but the eigenvalue "
-        f"cluster has multiplicity {m}; the cluster is not resolvable at this "
-        f"tolerance")
+            f"eigenvalue clusters at {centers[i]:.6g} and {centers[j]:.6g} are separated "
+            f"by {gap[i, j]:.3e}, below 10x the cluster scale {scale[i, j]:.3e}")
 
 
 def _extract_chains(b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, tuple]:
@@ -591,10 +572,15 @@ def _extract_chains(b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, tuple]:
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"rank staircase: SVD of power {len(nullities)} of the "
                                  f"eigenvalue cluster block failed ({exc})") from exc
-        nullities.append(int(np.count_nonzero(s <= tol.abs + tol.rel * s[0])))
+        cut = tol.abs + tol.rel * s[0]
+        nullities.append(int(np.count_nonzero(s <= cut)))
         bases.append(vh.conj().T)
     if nullities[-1] != n:
-        raise _unresolvable(nullities[-1], n)
+        raise ClusterAmbiguity(
+            f"rank staircase saturates at nullity {nullities[-1]}, but the eigenvalue cluster "
+            f"has multiplicity {n}: power {len(nullities) - 1} keeps the singular value "
+            f"{s[n - nullities[-1] - 1]:.3e} above its cut {cut:.3e}; the cluster is not "
+            f"resolvable at this tolerance")
     depth = len(nullities) - 1
     weyr = [nullities[j] - nullities[j - 1] for j in range(1, depth + 1)] + [0]
     if any(weyr[j] < weyr[j + 1] for j in range(depth - 1)):
@@ -696,7 +682,7 @@ def _decompose(h: np.ndarray, tol: Tolerance) -> tuple[SpectralDecomposition, bo
     and whether it reconstructs H to rounding (``_ROUNDING``)."""
     n = h.shape[0]
     delta = default_cluster_tol(h)
-    t, z = linalg.schur(h, tol)
+    t, z = linalg.schur(h)
     eigs = np.diag(t)
 
     ids = _cluster(eigs, delta)
@@ -708,8 +694,13 @@ def _decompose(h: np.ndarray, tol: Tolerance) -> tuple[SpectralDecomposition, bo
     real_thresh = max(tol.abs, 0.1 * delta)
     snap = np.abs(centers.imag) <= real_thresh + tol.rel * np.abs(centers)
     off = np.abs(centers.imag) * snap
-    if ((sizes == 1) & (off > tol.abs + tol.rel * off)).any():
-        raise _unresolvable(0, 1)
+    moved = ((sizes == 1) & (off > tol.abs + tol.rel * off)).nonzero()[0]
+    if moved.size:
+        k = moved[0]
+        raise ClusterAmbiguity(
+            f"simple eigenvalue {centers[k]:.6g} is snapped to the real axis, but its "
+            f"|Im| = {off[k]:.3e} is above the bound {tol.abs + tol.rel * off[k]:.3e} "
+            f"of its 1x1 rank staircase")
     centers = np.where(snap, centers.real, centers)
 
     # one back-substitution sweep, as in LAPACK ztrevc: (T - lam_k I) x = 0,

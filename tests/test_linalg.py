@@ -6,12 +6,14 @@ import sys
 import types
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.linalg as sla
 
 from pseudoherm import evolution, linalg, spectral
-from pseudoherm.errors import DimensionMismatch, NonConvergence, Overflow, Singular
+from pseudoherm.errors import (ClusterAmbiguity, DimensionMismatch, NonConvergence, Overflow,
+                               Singular)
 from pseudoherm.linalg import EXPM_NORM_BOUND, Tolerance
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
 
@@ -246,6 +248,33 @@ def test_expm_structured_inputs_match_scipy():
     assert _expm_relative_error(x + 0j) <= 1e-12
 
 
+def _triangular_expm_inputs():
+    """20 seeded triangular matrices, upper and lower in turn, n = 2..6 and
+    ||A||_F from 1e-2 to 800, then -iHt of the model's upper and lower
+    Jordan regimes over the 200-point grid of t in [0, 10]."""
+    rng = np.random.default_rng(0)
+    for k, norm in enumerate(np.geomspace(1e-2, 800, 20)):
+        n = 2 + k % 5
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        x = np.triu(x) if k % 2 == 0 else np.tril(x)
+        yield x * (norm / np.linalg.norm(x))
+    for r, s in ((1.0, 0.0), (0.0, 2.0)):
+        h = evolution.mashhoon_papini(evolution.MashhoonPapiniParams(1.0, r, s))[0]
+        yield from (-1j * t * h for t in np.linspace(0, 10, 200))
+
+
+def test_triangular_expm_is_accurate_against_the_referee():
+    # the triangular squaring (_square_triangular) sets the diagonal and the
+    # first off-diagonal exactly after each squaring: it reads 1.0e-15 here,
+    # plain squarings 1.3e-13; scipy squares alike, so only a referee shows it
+    worst = 0.0
+    for a in _triangular_expm_inputs():
+        with mpmath.workdps(40):
+            want = np.array(mpmath.expm(mpmath.matrix(a.tolist())).tolist(), dtype=complex)
+        worst = max(worst, np.abs(linalg.expm(a) - want).max() / np.abs(want).max())
+    assert worst <= 1e-14
+
+
 @pytest.mark.parametrize("norm", (1e-3, 1.0, 50.0))
 def test_expm_returns_c_order_like_scipy(norm):
     # a later product with U(t) rounds differently on another layout
@@ -307,16 +336,25 @@ def test_schur_reports_a_failed_qr_iteration(monkeypatch):
         linalg.schur(_dense(4, 1))
 
 
-def test_schur_refuses_a_factorization_with_a_large_residual(monkeypatch):
-    real = linalg._lapack.zgees
+@pytest.mark.usefixtures("cold_memo")
+def test_analyze_refuses_a_schur_factorization_with_a_large_residual(monkeypatch):
+    # schur returns its factors unchecked; analyze's reconstruction test is
+    # their check: with T shifted by 1e-3, ||Psi J Phi^dag - H||_F reads
+    # 3e-3 to 5e-2 against a tolerance of 2e-9 to 6e-7
+    real = linalg._lapack
 
     def bad_zgees(select, a, **kw):
-        out = real(select, a, **kw)
+        out = real.zgees(select, a, **kw)
         return (out[0] + 1e-3, *out[1:])
 
-    monkeypatch.setattr(linalg, "_lapack", types.SimpleNamespace(zgees=bad_zgees))
-    with pytest.raises(NonConvergence, match="Schur residual .* above tolerance"):
-        linalg.schur(_dense(4, 1))
+    monkeypatch.setattr(linalg, "_lapack", types.SimpleNamespace(
+        zgees=bad_zgees, ztrsen=real.ztrsen, zgetrf=real.zgetrf, zgetrs=real.zgetrs))
+    for n in (4, 16, 64):
+        h = _dense(n, 1)
+        t, z = linalg.schur(h)
+        assert np.linalg.norm(h - z @ t @ z.conj().T) > 1e-3
+        with pytest.raises(ClusterAmbiguity, match=r"^chain basis does not reconstruct H: "):
+            spectral.analyze(h)
 
 
 @pytest.mark.parametrize("stage,code", [("pick_pade_structure", -1),

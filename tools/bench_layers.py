@@ -17,13 +17,10 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
     schur          linalg.schur
     clustering     spectral.default_cluster_tol, _cluster, the cluster
                    table (_cluster_table: sizes, centers and radii) and
-                   _check_gaps; on a tree without _cluster_table, whose
-                   _cluster lists each cluster's indices, the centers and
-                   radii by the loop over the clusters of that tree's analyze
+                   _check_gaps
     staircase      spectral._extract_chains on the reordered Schur block of
                    each cluster that analyze sends to the rank staircase
-                   (its defective ones; every multi-member one on a tree
-                   that reorders them all), per cluster (absent without one)
+                   (its defective ones), per cluster (absent without one)
     assembly       spectral._assemble of the analyzed chain basis, called with
                    what analyze passed it (each group's eigenvalue and block
                    sizes, the pair tolerance, S and S^-1)
@@ -68,9 +65,10 @@ before numpy.
 
 The file also holds the tracked refusal counts: the one-block ensemble
 (``_spec`` of ``tests/test_spectral.py`` with n in {16, 32}, p = 1..8, cond
-1..1e3, seeds 0..4), the metamorphic table of ``tests/test_spectral.py``
-and the model sweep of ``tests/test_evolution.py``, with the wrong and over
-threshold counts beside them.
+1..1e3, seeds 0..4), the metamorphic table and the basis-condition sweep
+(per structure and condition) of ``tests/test_spectral.py`` and the model
+sweep of ``tests/test_evolution.py``, with the wrong and over threshold or
+failing counts beside them.
 
 ``--src`` picks the pseudoherm source tree to run (default: this checkout's
 ``src``), so that a change and its parent are measured by one copy of this
@@ -157,12 +155,7 @@ def _calls(h):
 
     def clustering():
         delta = spectral.default_cluster_tol(h)
-        clusters = spectral._cluster(eigs, delta)
-        if hasattr(spectral, "_cluster_table"):
-            _, centers, radii = spectral._cluster_table(eigs, clusters)
-        else:
-            centers = np.array([eigs[c].mean() for c in clusters])
-            radii = np.array([np.abs(eigs[c] - z).max() for c, z in zip(clusters, centers)])
+        _, centers, radii = spectral._cluster_table(eigs, spectral._cluster(eigs, delta))
         spectral._check_gaps(centers, radii, delta)
 
     def staircase():
@@ -172,10 +165,9 @@ def _calls(h):
     signs = operators._sign_array(dec, "canonical")
     parity, tp = operators.build_parity(dec), operators.build_tp(dec)
     step = evolution.propagator(h, STEP)
-    kept = getattr(linalg, "_last_metric", [])  # the metric memo, where the tree has one
 
     def classify():
-        kept.clear()
+        linalg._last_metric.clear()
         krein.classification_report(step, parity)
         krein.classification_report(tp, parity)
 
@@ -349,7 +341,9 @@ def refusal_counts() -> dict:
             except PseudohermError:
                 sweep["refused"] += 1
     return {"one_block_ensemble": ensemble, "metamorphic_scaled": scaled,
-            "metamorphic_transforms": transformed, "model_sweep": sweep}
+            "metamorphic_transforms": transformed, "model_sweep": sweep,
+            "basis_cond_sweep": {"conds": list(ts.BASIS_CONDS), "seeds": 10,
+                                 **ts._basis_cond_sweep()}}
 
 
 def main(argv=None) -> int:
