@@ -28,9 +28,9 @@ The gate is decided in the chain basis too, where ``analyze`` accepts H
 metric's Hermitian part, has its inertia (Sylvester's law); M's
 {E, conj(E)} blocks bound the metric's eigenvalues away from zero (Weyl,
 Ostrowski); and the norm of Psi^dag (eta_h H - H^dag eta_h) Psi bounds
-``is_pseudo_hermitian``'s residual within cond(Psi) on both sides.  Only
-where a bound cannot decide, and where ``analyze`` refuses H, does the
-exact rule decide, with its n x n eigensolve of the metric.
+``is_pseudo_hermitian``'s residual from above, within cond(Psi).  Where
+they prove nothing, and where ``analyze`` refuses H, the exact rule decides,
+with its n x n eigensolve of the metric: it is the gate's one refuser.
 
 ``mashhoon_papini`` builds the two-level effective Hamiltonian
 
@@ -79,7 +79,7 @@ class EvolutionRequest:
         if metric.shape != h.shape:
             raise DimensionMismatch(f"H is {h.shape} but the metric is {metric.shape}")
         state = linalg.as_vector(self.initial_state, h.shape[0])
-        if _fro(state) == 0:
+        if not state.any():
             raise ValueError("initial state is zero")
         grid = tuple(map(float, self.t_grid))
         if not np.isfinite(grid).all():
@@ -132,20 +132,24 @@ def propagator(h, t: float) -> np.ndarray:
 
 
 def metric_normalize(state, metric) -> np.ndarray:
-    """Scale a state to unit metric norm (positive definite metrics only)."""
+    """Scale a state to unit metric norm (positive definite metrics only),
+    after a power of two that brings its largest part into [1/2, 1): exact, so
+    the norm neither over- nor underflows, and an ordinary state keeps its bits."""
+    parts = np.ascontiguousarray(linalg.as_vector(state)).view(np.float64)
+    state = np.ldexp(parts, -np.frexp(np.abs(parts).max())[1]).view(np.complex128)
     nrm = krein_inner(state, state, metric).real
     if nrm <= 0:
         raise IndefiniteMetric("state has non-positive metric norm; cannot normalize")
-    return linalg.as_vector(state) / np.sqrt(nrm)
+    return state / np.sqrt(nrm)
 
 
 def _decomposition(req: EvolutionRequest):
     """``(dec, M, definite)`` past the gate of both series: ``dec = analyze(H)``,
     M = Psi^dag eta_h Psi in its chain basis (eta_h the metric's Hermitian
     part) and whether eta is positive definite, or ``(None, None, definite)``
-    where ``analyze`` refuses H.  The gate is ``spectral._chain_certificate``
-    where it decides, else the exact rule of ``is_pseudo_hermitian``; the
-    two refuse alike, in the same order."""
+    where ``analyze`` refuses H.  ``spectral._chain_certificate`` accepts
+    where its bounds prove acceptance; the exact rule of
+    ``is_pseudo_hermitian`` decides the rest and is the gate's one refuser."""
     try:
         dec = analyze(req.h, req.tol)
     except PseudohermError:
@@ -227,7 +231,7 @@ def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
     if not definite:
         raise IndefiniteMetric("transition probabilities are defined only for positive definite "
                                "metrics; use krein_norm_series for indefinite ones")
-    if _fro(linalg.as_vector(final_state, req.h.shape[0])) == 0:
+    if not linalg.as_vector(final_state, req.h.shape[0]).any():
         raise ValueError("final state is zero")
     initial = metric_normalize(req.initial_state, req.metric)
     bra = metric_normalize(final_state, req.metric).conj() @ req.metric

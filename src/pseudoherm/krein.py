@@ -280,7 +280,6 @@ def check_battery(h, dec: SpectralDecomposition, sigma="canonical",
         return rows
     rows.append({"check": "conjugate pairing", "pass": True, "residual": 0.0})
 
-    signs = operators._sign_array(dec, sigma)
     p = operators.build_parity(dec, sigma)
     c = operators.build_charge(dec, sigma)
     tp = operators.build_tp(dec, sigma)
@@ -294,11 +293,10 @@ def check_battery(h, dec: SpectralDecomposition, sigma="canonical",
     row("(CTP)^2 = 1", _fro(ctp.square() - eye))
     row("[TP, H] = 0", _fro(tp.matrix @ np.conj(h) - h @ tp.matrix))
     row("[C, TP] = 0", _fro(c @ tp.matrix - tp.matrix @ np.conj(c)))
-    g = dec.phi_dag @ dec.psi  # S^dag P S as G^dag K G, as the congruence forms it
-    p_tilde = operators._chain_product(dec, "P", g.conj().T, g, signs)
-    row("congruent metric involutory", _fro(p_tilde @ p_tilde - eye))
-    trace = float(np.trace(p_tilde).real)
-    canonical = np.array_equal(signs, dec.canonical_signs)
+    cong = congruence_to_involutory(dec, sigma)
+    row("congruent metric involutory", _fro(cong.p_tilde @ cong.p_tilde - eye))
+    trace = cong.trace
+    canonical = np.array_equal(operators._sign_array(dec, sigma), dec.canonical_signs)
     rows.append({"check": "canonical trace in {0, 1}",
                  "pass": not canonical or (abs(trace - round(trace)) <= 1e-6
                                            and round(trace) in (0, 1)),

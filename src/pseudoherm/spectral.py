@@ -307,12 +307,12 @@ def _block_eigenvalues(m: np.ndarray, blocks) -> np.ndarray:
 
 
 def _chain_certificate(h, eta, dec: SpectralDecomposition, m, g, tol: Tolerance):
-    """``(is_pseudo_hermitian(h, eta, tol), eta positive definite)`` read from
-    M = Psi^dag eta_h Psi and G = Psi^dag eta_h H Psi, Psi = ``dec.psi`` and
-    eta_h the Hermitian part of eta, or None where a bound cannot decide;
-    ``NonHermitianMetric`` as the exact rule gives it.  With Phi^dag = Psi^-1,
-    eta_h H eta_h^-1 - H^dag = Phi (G - G^dag) M^-1 Psi^dag, and with
-    k = ||Psi||_F ||Phi||_F >= cond(Psi):
+    """``(True, eta positive definite)`` where M = Psi^dag eta_h Psi and
+    G = Psi^dag eta_h H Psi, Psi = ``dec.psi`` and eta_h the Hermitian part of
+    eta, prove that ``is_pseudo_hermitian(h, eta, tol)`` accepts, else None:
+    it never refuses.  ``NonHermitianMetric`` as the exact rule gives it.  With
+    Phi^dag = Psi^-1, eta_h H eta_h^-1 - H^dag = Phi (G - G^dag) M^-1 Psi^dag,
+    and with k = ||Psi||_F ||Phi||_F >= cond(Psi):
 
     - Weyl: every eigenvalue of M is within ||O||_F of one of its blocks on
       ``dec.metric_blocks``, O the rest of M; so none lies within
@@ -320,8 +320,7 @@ def _chain_certificate(h, eta, dec: SpectralDecomposition, m, g, tol: Tolerance)
       Sylvester's law eta_h, has the blocks' inertia;
     - Ostrowski: eta_h's eigenvalues are M's over factors at most
       ||Psi||_2^2, so none lies within d / ||Psi||_F^2 of zero;
-    - the residual ||eta_h H eta_h^-1 - H^dag||_F lies between
-      ||G - G^dag||_F / (k ||M||_F) and k ||G - G^dag||_F / d.
+    - the residual ||eta_h H eta_h^-1 - H^dag||_F is at most k ||G - G^dag||_F / d.
 
     A refusal of the metric rule is left undecided, so that the exact rule
     names the metric eigenvalue that fails it, and so is a non-finite M or G."""
@@ -335,12 +334,8 @@ def _chain_certificate(h, eta, dec: SpectralDecomposition, m, g, tol: Tolerance)
         gap = np.abs(w).min() - _fro(m[outside])
         if not gap > eta_thr * psi_norm * psi_norm:
             return None
-        r, k = _fro(g - g.conj().T), psi_norm * _fro(dec.phi)
-        thr, definite = tol.scaled(h), bool(w.min() > 0)
-        if k * r / gap <= thr:
-            return True, definite
-        if r / (k * _fro(m)) > thr:
-            return False, definite
+        if psi_norm * _fro(dec.phi) * _fro(g - g.conj().T) / gap <= tol.scaled(h):
+            return True, bool(w.min() > 0)
     return None
 
 
@@ -576,11 +571,12 @@ def _extract_chains(b: np.ndarray, tol: Tolerance) -> tuple[np.ndarray, tuple]:
         nullities.append(int(np.count_nonzero(s <= cut)))
         bases.append(vh.conj().T)
     if nullities[-1] != n:
+        kept = s[n - nullities[-1] - 1]
         raise ClusterAmbiguity(
             f"rank staircase saturates at nullity {nullities[-1]}, but the eigenvalue cluster "
             f"has multiplicity {n}: power {len(nullities) - 1} keeps the singular value "
-            f"{s[n - nullities[-1] - 1]:.3e} above its cut {cut:.3e}; the cluster is not "
-            f"resolvable at this tolerance")
+            f"{kept:.3e} above its cut {cut:.3e}, by {(kept - cut) / cut:.2e} of the cut; "
+            f"the cluster is not resolvable at this tolerance")
     depth = len(nullities) - 1
     weyr = [nullities[j] - nullities[j - 1] for j in range(1, depth + 1)] + [0]
     if any(weyr[j] < weyr[j + 1] for j in range(depth - 1)):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import pseudoherm
-from pseudoherm import cli, errors, krein, operators, serialization, spectral
+from pseudoherm import cli, errors, krein, linalg, operators, serialization, spectral
 from pseudoherm.cli import main
 from pseudoherm.evolution import MashhoonPapiniParams, mashhoon_papini
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
@@ -336,13 +336,20 @@ def test_check_table_is_the_library_battery(tmp_path, capsys):
     assert json.loads(json.dumps(krein.check_battery(h, dec))) == table
 
 
-def test_check_does_not_rebuild_the_congruence(sixone, monkeypatch, capsys):
-    def fail(*args, **kwargs):
-        raise AssertionError("check called congruence_to_involutory")
-
-    monkeypatch.setattr(krein, "congruence_to_involutory", fail)
+def test_check_reads_the_congruent_metric_from_the_congruence(sixone, monkeypatch, capsys):
+    # S^dag P S is formed once, by congruence_to_involutory: the battery's
+    # "congruent metric involutory" and "canonical trace" rows read its P~
+    made, congruence = [], krein.congruence_to_involutory
+    monkeypatch.setattr(krein, "congruence_to_involutory",
+                        lambda *args: made.append(congruence(*args)) or made[-1])
     assert main(["check", "--input", str(sixone)]) == 0
-    assert json.loads(capsys.readouterr().out)["results"]["all_pass"]
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert results["all_pass"]
+    (cong,) = made
+    table = {row["check"]: row["residual"] for row in results["table"]}
+    assert table["congruent metric involutory"] == linalg._fro(cong.p_tilde @ cong.p_tilde
+                                                               - np.eye(2))
+    assert table["canonical trace in {0, 1}"] == cong.trace
 
 
 def test_check_passes_a_small_scale_jordan_block(tmp_path, capsys):
@@ -507,6 +514,22 @@ def test_cli_refuses_a_near_singular_metric_on_every_path(tmp_path):
                  "--op", str(o_path)]) == 3
     with pytest.raises(errors.SingularMetric):
         krein.classify(np.eye(2), m25)
+
+
+@pytest.mark.parametrize("h_scale, metric_scale", [(1e100, 1e100), (1e150, 1e30)])
+def test_evolve_accepts_a_hermitian_h_under_a_scaled_identity(tmp_path, capsys, h_scale,
+                                                                metric_scale):
+    # the squares of G - G^dag overflow here, so the chain-basis bound proves
+    # nothing and the exact rule, which accepts, decides the gate
+    h = h_scale * np.array([[1.0, 0.5], [0.5, 2.0]], dtype=complex)
+    out = tmp_path / "norm.csv"
+    assert main(["evolve", "--input", str(_write_matrix(tmp_path, "h.json", h)),
+                 "--metric", str(_write_matrix(tmp_path, "m.json", metric_scale * np.eye(2))),
+                 "--initial", str(_write_vector(tmp_path, "ini.json", [1.0, 0.0])),
+                 "--t0", "0", "--t1", "1", "--steps", "5", "--out", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    norms = [float(line.split(",")[1]) for line in out.read_text().strip().split("\n")[1:]]
+    assert norms == pytest.approx([metric_scale] * 5, rel=1e-14)
 
 
 def test_pplus_refusal_prints_plain_eigenvalues(tmp_path, capsys):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
-from conftest import referee, referee_propagator
+from conftest import _outcome, referee, referee_propagator
 from pseudoherm import evolution, krein, linalg, spectral
 from pseudoherm.errors import (
     ClusterAmbiguity,
@@ -516,9 +516,9 @@ def _near_threshold_cases():
 def test_the_chain_certificate_never_overrules_the_exact_rule_near_its_threshold():
     # H + c tol.scaled(H) E, E of unit Frobenius norm: the exact residual
     # moves across the threshold, and the certificate must either leave the
-    # decision to the exact rule or agree with it.  It decides some on
-    # either side: the model's real regime is accepted at c = 0.1 and its
-    # pair regime refused at c = 10
+    # decision to the exact rule or agree with it.  It decides only
+    # acceptances (the model's real regime at c = 0.1, for one), and every
+    # case it leaves open at c = 10 the exact rule refuses
     decided = set()
     for h, metric in _near_threshold_cases():
         rng = np.random.default_rng(h.shape[0])
@@ -530,7 +530,66 @@ def test_the_chain_certificate_never_overrules_the_exact_rule_near_its_threshold
                 assert certified is None or certified == exact, (c, certified, exact)
                 if certified is not None:
                     decided.add(certified[0])
-    assert decided == {True, False}
+                elif c == 10.0:
+                    assert exact[0] is False, (c, exact)
+    assert decided == {True}
+
+
+#: exponents k of the scale sweep, in which H and eta are each scaled by 10^k
+GATE_SCALES = range(-300, 301, 100)
+
+
+def _gate_scale_pairs():
+    """``(label, H, eta)``: a Hermitian H under the identity, and the library's
+    own P and P+ of model and synthesized Hamiltonians."""
+    yield "hermitian", np.array([[1, 0.5], [0.5, 2]], dtype=complex), np.eye(2)
+    for e, r, s in ((1.0, 1.0, 1.0), (1.0, 1.0, -1.0), (0.3, 1.0, 0.0)):
+        h, regime, dec = mashhoon_papini(MashhoonPapiniParams(e, r, s))
+        yield f"{regime} P", h, build_parity(dec)
+        if regime == REGIME_REAL:
+            yield f"{regime} P+", h, build_positive_metric(dec)
+    for structure in ("real", "mixed"):
+        h, dec = _synthesized(16, structure, 10.0)
+        yield f"synthesized-{structure} P", h, build_parity(dec)
+        if structure == "real":
+            yield f"synthesized-{structure} P+", h, build_positive_metric(dec)
+
+
+def _gate_scale_sweep():
+    """One ``(label, a, b, certified, accepted, series)`` per case: a pair of
+    ``_gate_scale_pairs`` with H scaled by 10^a and eta by 10^b, a and b in
+    ``GATE_SCALES``, H's scales ending where ``analyze`` refuses it with
+    ``Overflow``.  ``certified`` is the certificate's outcome (``referee``),
+    ``accepted`` that of ``is_pseudo_hermitian``, and ``series`` those of
+    ``krein_norm_series`` and ``transition_probability``: a value, or the type
+    of the ``PseudohermError`` raised.  A warning is raised as an error."""
+    for label, h, eta in _gate_scale_pairs():
+        n = h.shape[0]
+        for a in GATE_SCALES:
+            if _outcome(lambda: analyze(10.0 ** a * h)) is Overflow:
+                break
+            for b in GATE_SCALES:
+                h_k, eta_k = 10.0 ** a * h, 10.0 ** b * eta
+                req = EvolutionRequest(h=h_k, metric=eta_k, t_grid=(0.0, 1.0),
+                                       initial_state=np.arange(1, n + 1) + 0.5j)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    series = (_outcome(lambda: krein_norm_series(req)),
+                              _outcome(lambda: transition_probability(req, np.ones(n))))
+                yield (label, a, b, referee(h_k, eta_k)[0],
+                       _outcome(lambda: is_pseudo_hermitian(h_k, eta_k)), series)
+
+
+def test_the_gate_refuses_only_what_the_exact_rule_refuses_at_any_scale():
+    # at H = 1e100 [[1, 0.5], [0.5, 2]] under 1e100 I the squares of G - G^dag
+    # overflow, ||G - G^dag||_F reads inf and the certificate proves nothing:
+    # the exact rule, which accepts, decides
+    cases = list(_gate_scale_sweep())
+    assert len(cases) >= 8 * 5 * 7  # every pair up to H at 1e100, under 7 scales of eta
+    for label, a, b, certified, accepted, series in cases:
+        assert certified is None or certified[0] is True, (label, a, b, certified)
+        assert accepted is not True or NotPseudoHermitian not in series, (label, a, b, series)
+    assert ("hermitian", 100, 100) in {case[:3] for case in cases}
 
 
 @pytest.mark.parametrize("h, analyzed", [([[1, 1], [0, 2]], True), (_REFUSED_H, False)],
@@ -733,3 +792,24 @@ def test_model_parameters_must_be_finite(name, value):
 def test_a_state_of_negative_metric_norm_is_not_normalized():
     with pytest.raises(IndefiniteMetric, match="non-positive metric norm"):
         evolution.metric_normalize([0.0, 1.0], np.diag([1.0, -1.0]))
+
+
+@pytest.mark.parametrize("route", ["analyzed", "refused"])
+def test_probabilities_do_not_depend_on_the_scale_of_the_states(route):
+    # the metric norm of a 1e160 state overflows unless the state is scaled
+    # first, and the Frobenius norm of a 1e-170 state underflows to zero
+    if route == "analyzed":
+        h, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))
+        metric = build_positive_metric(dec)
+    else:
+        h, metric = _REFUSED_H, np.eye(2)
+    initial, final = np.array([1.0, 0.5j]), np.array([0.3, 1.0])
+    probabilities = []
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1e-170, 1.0, 1e160):
+            req = EvolutionRequest(h=h, metric=metric, initial_state=scale * initial,
+                                   t_grid=(0.0, 0.5, 1.0, 2.0))
+            probabilities.append(transition_probability(req, scale * final))
+    assert np.abs(np.array(probabilities) - probabilities[1]).max() < 1e-14
+    assert min(probabilities[1]) > 0.1

@@ -1,6 +1,7 @@
 """Jordan structure extraction and synthesis round trips."""
 
 import ast
+import re
 import sys
 import warnings
 from pathlib import Path
@@ -515,6 +516,19 @@ def test_a_failed_1x1_staircase_is_refused_before_any_cluster_is_visited(monkeyp
     _refuse_reordering(monkeypatch)
     with pytest.raises(ClusterAmbiguity, match=r"^simple eigenvalue 5\+1e-05j is snapped "):
         analyze(np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 5 + 1e-5j]]))
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_a_saturated_staircase_prints_its_margin():
+    # at s = -1e-10 the kept singular value is over its cut by about 3e-7 of
+    # the cut, so both print as 1.000e-10; the relative excess shows the margin
+    with pytest.raises(ClusterAmbiguity) as exc:
+        analyze(mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, -1e-10))[0])
+    found = re.fullmatch(
+        r"rank staircase saturates at nullity 1, but the eigenvalue cluster has multiplicity "
+        r"2: power 2 keeps the singular value 1\.000e-10 above its cut 1\.000e-10, by "
+        r"(\S+) of the cut; the cluster is not resolvable at this tolerance", str(exc.value))
+    assert found and 1e-7 < float(found[1]) < 1e-6, str(exc.value)
 
 
 @pytest.mark.usefixtures("cold_memo")

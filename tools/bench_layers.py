@@ -68,7 +68,10 @@ The file also holds the tracked refusal counts: the one-block ensemble
 1..1e3, seeds 0..4), the metamorphic table and the basis-condition sweep
 (per structure and condition) of ``tests/test_spectral.py`` and the model
 sweep of ``tests/test_evolution.py``, with the wrong and over threshold or
-failing counts beside them.
+failing counts beside them, and the gate's scale sweep of
+``tests/test_evolution.py`` (``_gate_scale_sweep``): the cases that either
+evolution series refuses with ``NotPseudoHermitian`` although
+``is_pseudo_hermitian`` accepts them.
 
 ``--src`` picks the pseudoherm source tree to run (default: this checkout's
 ``src``), so that a change and its parent are measured by one copy of this
@@ -288,9 +291,10 @@ def refusal_counts() -> dict:
     counts, from the generators of the tier-1 tests."""
     import numpy as np
 
+    import test_evolution as te
     import test_spectral as ts
     from pseudoherm import evolution
-    from pseudoherm.errors import PseudohermError
+    from pseudoherm.errors import NotPseudoHermitian, PseudohermError
     from pseudoherm.linalg import DEFAULT_TOL
     from pseudoherm.spectral import analyze, synthesize
 
@@ -340,8 +344,14 @@ def refusal_counts() -> dict:
                 analyze(evolution.mashhoon_papini(evolution.MashhoonPapiniParams(1.0, 1.0, s))[0])
             except PseudohermError:
                 sweep["refused"] += 1
+
+    gate = {"refused": 0, "of": 0}
+    for *_, accepted, series in te._gate_scale_sweep():
+        gate["of"] += 1
+        gate["refused"] += accepted is True and NotPseudoHermitian in series
     return {"one_block_ensemble": ensemble, "metamorphic_scaled": scaled,
             "metamorphic_transforms": transformed, "model_sweep": sweep,
+            "gate_scale_sweep": gate,
             "basis_cond_sweep": {"conds": list(ts.BASIS_CONDS), "seeds": 10,
                                  **ts._basis_cond_sweep()}}
 
