@@ -23,14 +23,12 @@ Where ``analyze`` refuses H, each grid point takes its own propagator
 way ``Overflow`` is raised only when a value stops being finite, including
 a point's ``|t| ||H||_F``.
 
-The gate is decided in the chain basis too, where ``analyze`` accepts H
-(``spectral._chain_certificate``).  M = Psi^dag eta_h Psi, eta_h the
-metric's Hermitian part, has its inertia (Sylvester's law); M's
-{E, conj(E)} blocks bound the metric's eigenvalues away from zero (Weyl,
-Ostrowski); and the norm of Psi^dag (eta_h H - H^dag eta_h) Psi bounds
-``is_pseudo_hermitian``'s residual from above, within cond(Psi).  Where
-they prove nothing, and where ``analyze`` refuses H, the exact rule decides,
-with its n x n eigensolve of the metric: it is the gate's one refuser.
+The gate is the one rule of ``is_pseudo_hermitian``
+(``spectral._pseudo_hermiticity``) on either route.  It decides the metric
+through ``linalg._metric_decision``, so a metric the op has already decided
+costs no eigensolve, and accepts by a norm bound on the residual
+||eta_h H eta_h^-1 - H^dag||_F, eta_h the metric's Hermitian part; only
+where the bound fails is the residual itself formed, and a refusal names it.
 
 ``mashhoon_papini`` builds the two-level effective Hamiltonian
 
@@ -56,8 +54,7 @@ from .errors import (DimensionMismatch, IndefiniteMetric, NotPseudoHermitian, Ov
                      PseudohermError)
 from .krein import krein_inner
 from .linalg import DEFAULT_TOL, Tolerance, _fro
-from .spectral import (_assemble, _chain_certificate, _chain_products, _kept_exact,
-                       _pseudo_hermiticity, analyze)
+from .spectral import _assemble, _kept_exact, _pseudo_hermiticity, analyze
 
 REGIME_REAL = "RealNondegenerate"
 REGIME_COMPLEX = "ComplexPair"
@@ -144,25 +141,17 @@ def metric_normalize(state, metric) -> np.ndarray:
 
 
 def _decomposition(req: EvolutionRequest):
-    """``(dec, M, definite)`` past the gate of both series: ``dec = analyze(H)``,
-    M = Psi^dag eta_h Psi in its chain basis (eta_h the metric's Hermitian
-    part) and whether eta is positive definite, or ``(None, None, definite)``
-    where ``analyze`` refuses H.  ``spectral._chain_certificate`` accepts
-    where its bounds prove acceptance; the exact rule of
-    ``is_pseudo_hermitian`` decides the rest and is the gate's one refuser."""
+    """``(dec, definite)`` past the gate of both series: ``dec = analyze(H)``,
+    or None where ``analyze`` refuses H, and whether eta is positive definite,
+    read from the metric decision's signature.  The gate is the rule of
+    ``is_pseudo_hermitian``; its refusal is ``NotPseudoHermitian``."""
+    refusal, definite = _pseudo_hermiticity(req.h, req.metric, req.tol)
+    if refusal is not None:
+        raise NotPseudoHermitian(refusal)
     try:
-        dec = analyze(req.h, req.tol)
+        return analyze(req.h, req.tol), definite
     except PseudohermError:
-        dec = m = decided = None
-    else:
-        m, g = _chain_products(req.h, req.metric, dec)
-        decided = _chain_certificate(req.h, req.metric, dec, m, g, req.tol)
-    if decided is None:
-        decided = _pseudo_hermiticity(req.h, req.metric, req.tol)
-    preserved, definite = decided
-    if not preserved:
-        raise NotPseudoHermitian("H is not pseudo-Hermitian with respect to this metric")
-    return dec, m, definite
+        return None, definite
 
 
 #: the reach of a first-order expansion: (sqrt(eps))^2 / 2 = eps / 2 is dropped
@@ -224,10 +213,9 @@ def _states(h, state, grid) -> np.ndarray:
 
 def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
     """``|<<final, U(t) initial>>|^2`` over the time grid, with both states metric-normalized;
-    past the gate only the metric's sign is left, which the gate decided with
-    the rest: in the chain basis from the inertia of M's {E, conj(E)} blocks,
-    which is the metric's (Sylvester), else from the metric's eigenvalues."""
-    t, (dec, _, definite) = np.asarray(req.t_grid), _decomposition(req)
+    past the gate only the metric's sign is left, which the gate read from
+    the metric decision's signature."""
+    t, (dec, definite) = np.asarray(req.t_grid), _decomposition(req)
     if not definite:
         raise IndefiniteMetric("transition probabilities are defined only for positive definite "
                                "metrics; use krein_norm_series for indefinite ones")
@@ -248,23 +236,26 @@ def krein_norm_series(req: EvolutionRequest) -> list[float]:
     """``<<psi(t), psi(t)>>`` over the grid; constant in time, since the gate
     of ``_decomposition`` admits only a metric-pseudo-Hermitian H.
 
-    In the chain basis it is ``c(t)^dag M c(t)``, with the gate's M =
-    Psi^dag eta_h Psi, whose quadratic form is the real part of eta's, kept
-    only between eigenvalues E_a, E_b = conj(E_a): what pseudo-Hermiticity
-    leaves of it.  Each term is conj(s_j) s_k M[a, b] of two terms s_j psi_a
-    and s_k psi_b of ``_components``, so no product with eta is formed; a
-    growing pair component meets only its decaying partner, through
-    e^{i (conj(E_a) - E_b) t}, and a real one no exponential at all."""
-    t, (dec, m, _) = np.asarray(req.t_grid), _decomposition(req)
-    if dec is None:
-        with np.errstate(over="ignore", invalid="ignore"):
+    In the chain basis it is ``c(t)^dag M c(t)``, M = Psi^dag eta_h Psi
+    made exactly Hermitian, eta_h the metric's Hermitian part, so M's
+    quadratic form is the real part of eta's, kept only between eigenvalues
+    E_a, E_b = conj(E_a): what pseudo-Hermiticity leaves of it.  Each term is
+    conj(s_j) s_k M[a, b] of two terms s_j psi_a and s_k psi_b of
+    ``_components``; a growing pair component meets only its decaying
+    partner, through e^{i (conj(E_a) - E_b) t}, and a real one no exponential
+    at all.  ``Overflow`` when M or a term is not finite."""
+    t, (dec, _) = np.asarray(req.t_grid), _decomposition(req)
+    with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses a non-finite value
+        if dec is None:
             psi = _states(req.h, req.initial_state, t)
             return _finite(np.sum(psi.conj() * (req.metric @ psi), axis=0).real).tolist()
-    column, coef, chain, power = _components(dec, req.initial_state)
-    chain_group, eigenvalues = dec.chain_group, dec.group_eigenvalues
-    group = chain_group[chain]
-    left, right = np.nonzero(chain_group[dec.chain_conj[chain]][:, None] == group)
-    coef = coef[left].conj() * coef[right] * m[column[left], column[right]]
+        m = dec.psi.conj().T @ (0.5 * (req.metric + req.metric.conj().T) @ dec.psi)
+        m = 0.5 * (m + m.conj().T)
+        column, coef, chain, power = _components(dec, req.initial_state)
+        chain_group, eigenvalues = dec.chain_group, dec.group_eigenvalues
+        group = chain_group[chain]
+        left, right = np.nonzero(chain_group[dec.chain_conj[chain]][:, None] == group)
+        coef = coef[left].conj() * coef[right] * m[column[left], column[right]]
     rate = 1j * (eigenvalues[group[left]].conj() - eigenvalues[group[right]])
     return _on_grid(coef, power[left] + power[right], rate, t).real.tolist()
 

@@ -309,7 +309,8 @@ def _metric_decision(metric, tol: Tolerance) -> MetricDecision:
     tolerance, as ``spectral.analyze`` keeps the last H: a call with an equal
     metric (``np.array_equal``) and an equal tolerance returns that decision
     without an eigensolve, so that an op classifying several operators
-    against one metric decides it once.  A refusal is not kept."""
+    against one metric and evolving under it (``spectral._pseudo_hermiticity``,
+    the evolution gate) decides it once.  A refusal is not kept."""
     metric = as_cmatrix(metric)
     if _last_metric and _last_metric[0][1] == tol and np.array_equal(_last_metric[0][0], metric):
         return _last_metric[0][2]
@@ -326,8 +327,17 @@ def _hermitian_threshold(metric: np.ndarray, tol: Tolerance) -> tuple[float, flo
     """``(tol.scaled(metric), ||metric - metric^dag||_F, ||metric||_F)``; the
     threshold is that of both halves of the rule of ``metric_eigenvalues``,
     returned once ``metric`` passes its first half: raises
-    ``NonHermitianMetric`` unless ``||metric - metric^dag||_F`` is within it."""
+    ``NonHermitianMetric`` unless ``||metric - metric^dag||_F`` is within it.
+    Where either norm overflows, both are taken again after an exact power
+    of two that brings the metric's largest part into [1/2, 2), and scaled
+    back as Python floats: a norm is inf, with no warning, only past the
+    float range."""
     norm, defect = _fro(metric), hermitian_defect(metric)
+    if math.inf in (norm, defect):
+        big = float(np.abs(np.ascontiguousarray(metric).view(np.float64)).max())
+        exp = min(math.frexp(big)[1], 1023)
+        scaled = metric * 2.0 ** -exp
+        norm, defect = _fro(scaled) * 2.0 ** exp, hermitian_defect(scaled) * 2.0 ** exp
     thr = tol.from_norms(metric.shape[0], norm)
     if not defect <= thr:
         raise NonHermitianMetric("metric is not Hermitian at tolerance")

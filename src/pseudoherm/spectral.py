@@ -140,10 +140,7 @@ class SpectralDecomposition:
     ``chain_conj`` and the real block halves follow one matching rule: within
     one size, the k-th chain meets the k-th chain of that size in its
     partner, the other member of a conjugate pair or, for a real chain, the
-    other half of its group's chains.  ``metric_blocks`` lays out the blocks
-    of M = Psi^dag eta Psi over each group and its conjugate partner (an
-    unpaired group alone), where M of a metric that H preserves is block
-    diagonal."""
+    other half of its group's chains."""
 
     psi: np.ndarray
     phi: np.ndarray
@@ -161,8 +158,6 @@ class SpectralDecomposition:
     real_block_halves: tuple[np.ndarray, tuple]  # partner in the other half, else -1,
     # and the (eigenvalue, block_dims) of every real group whose blocks do not pair up
     unpaired: tuple                        # (eigenvalue, block_dims) of each unpaired group
-    metric_blocks: tuple[tuple[np.ndarray, ...], np.ndarray]  # the columns of each block,
-    # one (blocks, size) array per size, ascending, and the n x n mask outside the blocks
 
     @property
     def n(self) -> int:
@@ -267,86 +262,39 @@ def _pseudo_hermiticity_residual(h, eta, w, v) -> float:
     return _fro((m @ h - h.conj().T @ m) @ v / (w / np.abs(w).max()))
 
 
-def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[bool, bool]:
-    """``(is_pseudo_hermitian(h, eta, tol), eta positive definite)``: the
-    exact rule, with one n x n ``eigh`` of eta."""
+def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[str | None, bool]:
+    """``(refusal, eta positive definite)``, refusal None where
+    ``is_pseudo_hermitian(h, eta, tol)`` accepts, else why it refuses.  The
+    metric is decided by ``linalg._metric_decision``, the op's kept decision,
+    with eigenvalues w.  With eta_h the Hermitian part of eta divided by
+    max|w| and X = eta_h H - H^dag eta_h, the residual ||X eta_h^-1||_F is at
+    most ||X||_F max|w| / min|w|: this bound accepts, and only where it fails
+    is the residual formed (``_pseudo_hermiticity_residual``, one n x n
+    ``eigh``) to decide."""
     h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
     if h.shape != eta.shape:
         raise DimensionMismatch(f"H is {h.shape} but the metric is {eta.shape}")
-    (w, v), _, _ = linalg._metric_solve(eta, tol, np.linalg.eigh)
-    with np.errstate(over="ignore", invalid="ignore"):  # an infinite threshold is refused
-        resid, thr = _pseudo_hermiticity_residual(h, (eta + eta.conj().T) / 2, w, v), tol.scaled(h)
-    if not np.isfinite(thr):
-        raise Overflow("||H||_F overflows the float range")
-    return bool(resid <= thr), bool(w[0] > 0)
+    rule = linalg._metric_decision(eta, tol)
+    definite = rule.signature[1] == 0
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
+        thr, eta_h = tol.scaled(h), (eta + eta.conj().T) / 2
+        if not np.isfinite(thr):
+            raise Overflow("||H||_F overflows the float range")
+        m = eta_h / rule.abs_max
+        if _fro(m @ h - h.conj().T @ m) * (rule.abs_max / rule.abs_min) <= thr:
+            return None, definite
+        resid = _pseudo_hermiticity_residual(h, eta_h, *np.linalg.eigh(eta_h))
+    if resid <= thr:
+        return None, definite
+    return (f"H is not pseudo-Hermitian with respect to this metric: ||eta H eta^-1 - H^dag||_F "
+            f"= {resid:.3e} above the threshold {thr:.3e} ({resid / thr:.3g} times it)"), definite
 
 
 def is_pseudo_hermitian(h, eta, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True iff eta passes the rule of ``linalg.metric_eigenvalues`` and then
     ``||eta H eta^-1 - H^dag||_F <= tol.scaled(H)`` at any scale of eta (see
     ``_pseudo_hermiticity_residual``); ``Overflow`` if ``||H||_F`` overflows."""
-    return _pseudo_hermiticity(h, eta, tol)[0]
-
-
-def _block_eigenvalues(m: np.ndarray, blocks) -> np.ndarray:
-    """Eigenvalues of the Hermitian diagonal blocks of ``m`` on ``blocks``,
-    ``metric_blocks``' column arrays: closed forms for sizes 1 and 2, one
-    batched ``eigvalsh`` for each larger size."""
-    out = []
-    for cols in blocks:
-        a = m[cols[:, 0], cols[:, 0]].real
-        if cols.shape[1] == 1:
-            out.append(a)
-        elif cols.shape[1] == 2:
-            d = m[cols[:, 1], cols[:, 1]].real
-            root = np.hypot(0.5 * (a - d), np.abs(m[cols[:, 0], cols[:, 1]]))
-            out += [0.5 * (a + d) - root, 0.5 * (a + d) + root]
-        else:
-            out.append(np.linalg.eigvalsh(m[cols[:, :, None], cols[:, None, :]]).ravel())
-    return np.concatenate(out)
-
-
-def _chain_certificate(h, eta, dec: SpectralDecomposition, m, g, tol: Tolerance):
-    """``(True, eta positive definite)`` where M = Psi^dag eta_h Psi and
-    G = Psi^dag eta_h H Psi, Psi = ``dec.psi`` and eta_h the Hermitian part of
-    eta, prove that ``is_pseudo_hermitian(h, eta, tol)`` accepts, else None:
-    it never refuses.  ``NonHermitianMetric`` as the exact rule gives it.  With
-    Phi^dag = Psi^-1, eta_h H eta_h^-1 - H^dag = Phi (G - G^dag) M^-1 Psi^dag,
-    and with k = ||Psi||_F ||Phi||_F >= cond(Psi):
-
-    - Weyl: every eigenvalue of M is within ||O||_F of one of its blocks on
-      ``dec.metric_blocks``, O the rest of M; so none lies within
-      d = min|block eigenvalue| - ||O||_F of zero, and if d > 0, M, and by
-      Sylvester's law eta_h, has the blocks' inertia;
-    - Ostrowski: eta_h's eigenvalues are M's over factors at most
-      ||Psi||_2^2, so none lies within d / ||Psi||_F^2 of zero;
-    - the residual ||eta_h H eta_h^-1 - H^dag||_F is at most k ||G - G^dag||_F / d.
-
-    A refusal of the metric rule is left undecided, so that the exact rule
-    names the metric eigenvalue that fails it, and so is a non-finite M or G."""
-    eta_thr = linalg._hermitian_threshold(eta, tol)[0]
-    with np.errstate(over="ignore", invalid="ignore"):  # a NaN fails every comparison
-        if not np.isfinite(m).all():
-            return None
-        blocks, outside = dec.metric_blocks
-        w = _block_eigenvalues(m, blocks)
-        psi_norm = _fro(dec.psi)
-        gap = np.abs(w).min() - _fro(m[outside])
-        if not gap > eta_thr * psi_norm * psi_norm:
-            return None
-        if psi_norm * _fro(dec.phi) * _fro(g - g.conj().T) / gap <= tol.scaled(h):
-            return True, bool(w.min() > 0)
-    return None
-
-
-def _chain_products(h, eta, dec: SpectralDecomposition) -> tuple[np.ndarray, np.ndarray]:
-    """``(M, G)`` = (Psi^dag eta_h Psi, Psi^dag eta_h H Psi) for
-    ``_chain_certificate``, eta_h the Hermitian part of eta and M made
-    exactly Hermitian; left non-finite where they overflow."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        e = 0.5 * (eta + eta.conj().T) @ dec.psi
-        m = dec.psi.conj().T @ e
-        return 0.5 * (m + m.conj().T), e.conj().T @ (h @ dec.psi)
+    return _pseudo_hermiticity(h, eta, tol)[0] is None
 
 
 # ---------------------------------------------------------------------------
@@ -413,9 +361,8 @@ def _assemble(eigenvalues, block_dims, pair_tol: float, psi: np.ndarray,
     marked read-only, their columns taken by the groups' chains in order.
     The same pass builds the group and chain tables, listing each group's
     chains by size for ``_match`` to pair a conjugate pair's members and a
-    real group's halves, and the layout of ``metric_blocks``, once per
-    decomposition, for the evolution gate.  No per-group or per-chain object
-    is built here (``groups`` is built on first read)."""
+    real group's halves.  No per-group or per-chain object is built here
+    (``groups`` is built on first read)."""
     psi, phi_dag = _read_only(psi), _read_only(phi_dag)
     phi = _read_only(phi_dag.conj().T)
     values = _read_only(np.array(eigenvalues, dtype=np.complex128))
@@ -457,14 +404,6 @@ def _assemble(eigenvalues, block_dims, pair_tol: float, psi: np.ndarray,
     chain = np.repeat(np.arange(dim.size), dim)
     height = np.arange(chain.size) - start[chain]
     group = np.array([ng for ng, _ in labels], dtype=np.intp)
-    # each column's block: the first group of its conjugate pair, else its own group;
-    # the columns sorted stably by their block's size, then by block
-    first = {}
-    block = np.array([first.setdefault(ng if p is None else -1 - p, ng)
-                      for ng, p in enumerate(pair_ids)], dtype=np.intp)
-    block = block[group[chain]]
-    size = np.bincount(block)[block]
-    order = np.lexsort((block, size))
     return SpectralDecomposition(
         psi=psi, phi=phi, phi_dag=phi_dag, group_eigenvalues=values, group_kinds=tuple(kinds),
         group_pair_ids=tuple(pair_ids), chain_labels=tuple(labels), chain_group=_read_only(group),
@@ -472,10 +411,7 @@ def _assemble(eigenvalues, block_dims, pair_tol: float, psi: np.ndarray,
         columns=(_read_only(chain), _read_only(height), _read_only(dim[chain] - 1 - height)),
         chain_conj=_read_only(np.array(conj)), canonical_signs=_read_only(np.array(signs)),
         real_block_halves=(_read_only(np.array(half)), tuple(violations)),
-        unpaired=tuple((evs[j], block_dims[j]) for j in unmatched),
-        metric_blocks=(tuple(_read_only(order[size[order] == k].reshape(-1, k))
-                             for k in sorted(set(size.tolist()))),
-                       _read_only(block[:, None] != block)))
+        unpaired=tuple((evs[j], block_dims[j]) for j in unmatched))
 
 
 # ---------------------------------------------------------------------------

@@ -667,7 +667,8 @@ def test_evolve_refuses_an_overflowing_step_in_one_line(h, t1, final, message, t
                          ids=["krein", "probability", "krein-1e10", "probability-1e10"])
 def test_evolve_refuses_an_h_that_does_not_preserve_its_metric(final, scale, tmp_path, capsys):
     # the nilpotent H under the identity, at any scale; --final used to print
-    # 0, 1, 4, 9
+    # 0, 1, 4, 9.  The refusal names the residual ||H - H^dag||_F = sqrt(2),
+    # the threshold tol.scaled(H) and their ratio
     path = _write_matrix(tmp_path, "h.json", np.array([[0.0, 1.0], [0.0, 0.0]]))
     eye = _write_matrix(tmp_path, "eye.json", scale * np.eye(2))
     e1 = _write_vector(tmp_path, "e1.json", [1.0, 0.0])
@@ -677,7 +678,9 @@ def test_evolve_refuses_an_h_that_does_not_preserve_its_metric(final, scale, tmp
                 + (["--final", str(e1)] if final else [])) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: H is not pseudo-Hermitian with respect to this metric\n"
+    assert captured.err == ("error: H is not pseudo-Hermitian with respect to this metric: "
+                            "||eta H eta^-1 - H^dag||_F = 1.414e+00 above the threshold "
+                            "3.000e-10 (4.71e+09 times it)\n")
 
 
 def test_matrix_document_with_a_wrong_n_is_refused():

@@ -26,7 +26,7 @@ from pseudoherm.spectral import (
 
 from conftest import referee_cluster
 
-# every (H, eta) decided here is also put to the evolution gate's certificate
+# every (H, eta) decided here is also put to the gate's norm bound and the exact residual
 pytestmark = pytest.mark.usefixtures("gate_referee")
 
 
@@ -208,6 +208,18 @@ def test_is_pseudo_hermitian_ignores_the_scale_of_the_metric():
     for c in (1.0, 1e10):
         assert not is_pseudo_hermitian([[1, 0, 0], [0, 1, 0], [1, 0, 1]],
                                        c * np.diag([1.0, 1.0, 6e-10])), c
+
+
+@pytest.mark.parametrize("c", [1e154, 1e200, 1e300])
+def test_a_large_metric_is_not_refused_as_singular(c):
+    # ||c I||_F overflowed for c >= 1e154, and with it the threshold that
+    # called every eigenvalue of the metric zero
+    metric = c * np.eye(2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert is_pseudo_hermitian([[1, 0.5], [0.5, 2]], metric)
+        w = linalg.metric_eigenvalues(metric)
+    assert np.abs(w - c).max() <= 4 * np.finfo(float).eps * c  # eigvalsh rescales c I
 
 
 _G = (0.3, -0.7, 1 + 0.5j, 1 - 0.5j, 2.0)

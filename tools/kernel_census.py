@@ -17,9 +17,9 @@ per op of each counted kernel:
               (metric eigenvalues)
     eigh      numpy.linalg.eigh of an n x n operand (metric eigenvalues and
               eigenvectors)
-    blocks    numpy.linalg.eigvalsh or eigh of any other operand: the batched
-              solves of the diagonal blocks of M = Psi^dag eta Psi that the
-              evolution gate reads in the chain basis
+    blocks    numpy.linalg.eigvalsh or eigh of any other operand; no op
+              makes one, so a nonzero count shows an eigensolve that the
+              metric questions, all n x n, do not account for
     inv       numpy.linalg.inv and linalg.inv (LU)
     expm      linalg.expm
     decompose spectral._decompose (an analysis made afresh; a call of
