@@ -2,19 +2,21 @@
 
 A Hermitian invertible metric splits the space into its positive and negative
 spectral subspaces and defines the indefinite product ``<psi| eta |phi>``.
-Whether a matrix is one is decided by the rule of ``linalg.metric_eigenvalues``,
-which refuses a non-Hermitian metric with ``NonHermitianMetric`` and one with
-an eigenvalue within ``tol.scaled(metric)`` of zero with ``SingularMetric``.
-``classification_report`` reads it through ``linalg._metric_decision``,
-which keeps the last metric it accepted with its eigenvalues w,
-``||eta - eta^dag||_F``, ``||eta||_F``, min|w|, max|w| and the signature, as
-``spectral.analyze`` keeps the last H: the reports of one op against one
-metric run one eigensolve, and none reads w itself.
+Whether a matrix is one is decided by ``linalg._metric_decision``, which
+refuses a non-Hermitian metric with ``NonHermitianMetric`` and keeps the last
+metric it accepted with ``||eta - eta^dag||_F``, ``||eta||_F``, bounds on
+min|w| and max|w|, w the eigenvalues of eta's Hermitian part, and the
+signature, as ``spectral.analyze`` keeps the last H.  A P or P+ that
+``operators`` built is decided from its chain-basis K with no eigensolve; a
+user's metric by one n x n ``eigvalsh``, which refuses one with an
+eigenvalue within ``tol.scaled(metric)`` of zero with ``SingularMetric``.
+The reports of one op against one metric decide it once, and none reads w.
 The invertibility of a classified operator M is certified instead of
 decomposed: Weyl's inequality for singular values gives ``sigma_min(M) >=
-(min|w| - d - r) / (||M||_F (max|w| + d))``, w the metric eigenvalues, d =
-``||eta - eta^dag||_F / 2`` and r the smallest class residual, and the SVD
-rank test runs only when this bound is not above twice the rank cut.
+(min|w| - d - r) / (||M||_F (max|w| + d))``, d = ``||eta - eta^dag||_F / 2``
+and r the smallest class residual, which the decision's bounds on min|w| and
+max|w| keep true, and the SVD rank test runs only when this bound is not
+above twice the rank cut.
 
 Congruence by the chain basis S turns any generalized parity into the
 involutory Hermitian canonical metric K = S^dag P S (formed as G^dag K G, G =
@@ -113,7 +115,7 @@ def krein_inner(psi, phi, metric) -> complex:
 def build_krein_space(metric, tol: Tolerance = DEFAULT_TOL) -> KreinSpace:
     """Spectral splitting of a Hermitian invertible metric (refused by the
     rule of ``linalg.metric_eigenvalues``), from one ``eigh``."""
-    (w, v), _, _ = linalg._metric_solve(metric, tol, np.linalg.eigh)
+    (w, v), _, _ = linalg._metric_solve(metric, tol, vectors=True)
     pos = v[:, w > 0]
     neg = v[:, w < 0]
     return KreinSpace(
@@ -154,8 +156,10 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
     be invertible; its rank is tested only when the residuals cannot prove
     that (see the module docstring).  The metric is decided by
     ``linalg._metric_decision``, which keeps the last metric, so the reports
-    of one op against one metric decide it once.  ``Overflow`` when the Gram
-    product, a residual or the threshold is not finite."""
+    of one op against one metric decide it once: a P or P+ that
+    ``operators`` built from its K, with no eigensolve, any other metric by
+    one n x n ``eigvalsh``.  ``Overflow`` when the Gram product, a residual
+    or the threshold is not finite."""
     sym = SymmetryOperator.of(op)
     metric = linalg.as_cmatrix(metric)
     m = sym.matrix
@@ -286,7 +290,7 @@ def check_battery(h, dec: SpectralDecomposition, sigma="canonical",
     ctp = operators.build_ctp(dec, sigma, sigma)
     eye = np.eye(dec.n)
     row("pseudo-Hermiticity P H P^-1 = H^dag", spectral._pseudo_hermiticity_residual(
-        h, p, *np.linalg.eigh(0.5 * (p + p.conj().T))))
+        h, p, *linalg.hermitian_eigh(p)))
     row("C^2 = 1", _fro(c @ c - eye))
     row("[C, H] = 0", _fro(c @ h - h @ c))
     row("(TP)^2 = 1", _fro(tp.square() - eye))

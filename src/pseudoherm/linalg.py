@@ -4,11 +4,15 @@ Thin, tolerance-aware layer over LAPACK: the complex Schur form and its
 reordering (unchecked; ``spectral.analyze`` refuses what fails to reconstruct
 H), SVD-based numerical rank, LU solves, the matrix exponential, ``_fro``,
 the Frobenius norm that every residual and threshold of the package is
-measured by, and ``metric_eigenvalues``, the one rule by which
-every entry point decides whether a matrix is a Hermitian invertible metric
-(``_metric_decision``, which keeps the last metric it accepted).  Everything
-works on square ``complex128`` arrays of modest size (``N_MAX`` defaults to
-64); matrices are treated as immutable values.
+measured by, ``hermitian_eigh``, the package's one eigendecomposition, and
+``_metric_decision``, the one rule by which every entry point decides
+whether a matrix is a Hermitian invertible metric, keeping the last metric
+it accepted.  A metric that ``operators`` built, P = Phi K Phi^dag with K a
+signed permutation of the chains, carries its chain-basis record
+(``_carry``) and is decided from K with no eigensolve; any other, a user's
+metric, by the n x n rule of ``metric_eigenvalues``, one ``eigvalsh``.
+Everything works on square ``complex128`` arrays of modest size (``N_MAX``
+defaults to 64); matrices are treated as immutable values.
 
 This is the only module that calls compiled scipy code.  ``zgees`` (Schur
 form), ``ztrsen`` (its reordering) and ``zgetrf``/``zgetrs`` (LU) come from
@@ -273,25 +277,29 @@ def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
 
 
 def metric_eigenvalues(metric, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Eigenvalues of a Hermitian invertible metric, ascending: the one
-    decision whether a matrix can serve as a metric.  Raises
-    ``NonHermitianMetric`` unless it is Hermitian at ``tol``, and
-    ``SingularMetric`` when an eigenvalue of its Hermitian part lies within
-    ``tol.scaled(metric)`` of zero.  Decided by ``_metric_decision``, which
-    keeps the last metric it accepted."""
-    return _metric_decision(metric, tol).w.copy()
+    """Eigenvalues of a Hermitian invertible metric, ascending: the n x n
+    rule by which a matrix is a metric, one ``eigvalsh`` of its Hermitian
+    part.  Raises ``NonHermitianMetric`` unless it is Hermitian at ``tol``,
+    and ``SingularMetric`` when an eigenvalue of its Hermitian part lies
+    within ``tol.scaled(metric)`` of zero.  Nothing is kept."""
+    return _metric_solve(metric, tol)[0]
+
+
+def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``(w, V)``, ``V diag(w) V^dag`` the Hermitian part ``(A + A^dag) / 2``
+    of A, w ascending: one n x n ``eigh``."""
+    return np.linalg.eigh(0.5 * (a + a.conj().T))
 
 
 @dataclass(frozen=True)
 class MetricDecision:
-    """A metric the rule of ``metric_eigenvalues`` accepted, with what the
-    rule measured: the eigenvalues ``w`` of its Hermitian part (ascending,
-    read-only), ``defect`` = ||metric - metric^dag||_F and ``norm`` =
-    ||metric||_F, and what a classification reads of w: ``abs_min`` and
-    ``abs_max``, the least and the greatest |w|, and ``signature``, the
-    numbers of positive and of negative eigenvalues."""
+    """A metric the rule of ``_metric_decision`` accepted, with what the rule
+    measured: ``defect`` = ||metric - metric^dag||_F and ``norm`` =
+    ||metric||_F, and what a classification reads of the eigenvalues w of
+    its Hermitian part: ``abs_min`` <= min|w| and ``abs_max`` >= max|w|
+    (equal to them where an ``eigvalsh`` decided the metric), and
+    ``signature``, the numbers of positive and of negative w."""
 
-    w: np.ndarray
     defect: float
     norm: float
     abs_min: float
@@ -302,25 +310,91 @@ class MetricDecision:
 #: the last metric ``_metric_decision`` accepted: one (copy of the metric, tolerance, decision)
 _last_metric: list = []
 
+#: the last ``_CARRIED`` metrics ``operators`` built from one decomposition
+#: (an op's P, P+ and paired P), newest first: (the metric as built, its
+#: bytes, the decomposition, the gather ``(src, sign)`` of its K, or None for
+#: K = I).  A metric built from another decomposition drops them, so that no
+#: earlier op's basis and metrics are kept alive.
+_carried: list = []
+_CARRIED = 3
+
+#: eps, the unit of the rounding margin of a chain-basis product A K B^dag:
+#: the bound sqrt(2) gamma_{n+2} ||A||_F ||B||_F of its complex dot products
+#: of length n (Higham, Accuracy and Stability of Numerical Algorithms
+#: (2002), Lemma 3.5) is below (n + 2) eps ||A||_F ||B||_F, which also
+#: covers the rounding of the Frobenius norm taken of it
+_EPS = float(np.finfo(float).eps)
+
+
+def _carry(metric: np.ndarray, dec, k) -> np.ndarray:
+    """``metric``, which ``operators`` built as Phi K Phi^dag over the chain
+    basis of ``dec``, K the signed permutation of the column gather ``k =
+    (src, sign)`` (``operators._coefficients``; None for K = I), recorded
+    with its bytes, so that ``_metric_decision`` decides this very array,
+    unchanged, from K."""
+    kept = [record for record in _carried if record[2] is dec]
+    _carried[:] = [(metric, metric.tobytes(), dec, k)] + kept[:_CARRIED - 1]
+    return metric
+
 
 def _metric_decision(metric, tol: Tolerance) -> MetricDecision:
-    """The rule of ``metric_eigenvalues``, one n x n ``eigvalsh``, and what it
-    measured.  The last metric accepted is kept with a copy of it and its
-    tolerance, as ``spectral.analyze`` keeps the last H: a call with an equal
-    metric (``np.array_equal``) and an equal tolerance returns that decision
-    without an eigensolve, so that an op classifying several operators
-    against one metric and evolving under it (``spectral._pseudo_hermiticity``,
-    the evolution gate) decides it once.  A refusal is not kept."""
+    """The rule by which a matrix is a metric, and what it measured.  A
+    metric that ``operators`` built (``_carry``), handed in as the very array
+    and bit for bit as built, is decided from its K (``_chain_decision``);
+    any other by the n x n rule of ``metric_eigenvalues``, one ``eigvalsh``.
+    The last metric accepted is kept with a copy of it and its tolerance, as
+    ``spectral.analyze`` keeps the last H: a call with an equal metric
+    (``np.array_equal``) and an equal tolerance returns that decision, so
+    that an op classifying several operators against one metric and
+    evolving under it (``spectral._pseudo_hermiticity``, the evolution gate)
+    decides it once.  A refusal is not kept."""
     metric = as_cmatrix(metric)
     if _last_metric and _last_metric[0][1] == tol and np.array_equal(_last_metric[0][0], metric):
         return _last_metric[0][2]
-    w, defect, norm = _metric_solve(metric, tol, np.linalg.eigvalsh)
-    w.flags.writeable = False
-    size = np.abs(w)
-    decision = MetricDecision(w, defect, norm, float(size.min()), float(size.max()),
-                              (int(np.count_nonzero(w > 0)), int(np.count_nonzero(w < 0))))
+    decision = _chain_decision(metric, tol)
+    if decision is None:
+        w, defect, norm = _metric_solve(metric, tol)
+        size = np.abs(w)
+        decision = MetricDecision(defect, norm, float(size.min()), float(size.max()),
+                                  (int(np.count_nonzero(w > 0)), int(np.count_nonzero(w < 0))))
     _last_metric[:] = [(metric.copy(), tol, decision)]
     return decision
+
+
+def _chain_decision(metric: np.ndarray, tol: Tolerance) -> MetricDecision | None:
+    """The decision on a carried metric P = Phi K Phi^dag, with no
+    eigensolve; None for a metric not carried, or where the bound on min|w|
+    below is not positive (cond(P) near 1 / (n eps)), which the n x n rule
+    then decides.  Hermiticity is judged as by the n x n rule
+    (``NonHermitianMetric``).  By Sylvester's law of inertia P's signature
+    is K's, ((n + tr K) / 2, (n - tr K) / 2), and P is invertible as Phi is:
+    no ``SingularMetric``.  P^-1 = Psi K Psi^dag (as Phi^dag = Psi^-1, which
+    the decomposition holds to the rounding of its S^-1) is one gather and
+    one product, and the eigenvalues w of P satisfy min|w| = 1 / ||P^-1||_2
+    >= 1 / ||P^-1||_F and max|w| = ||P||_2 <= ||P||_F.  The rounding of
+    P's formation moves the eigenvalues of the built P's Hermitian part by at
+    most delta = (n + 2) eps ||Phi||_F^2 (``_EPS``), which ``abs_min``
+    subtracts and ``abs_max`` adds; the product Psi K Psi^dag's own
+    rounding, (n + 2) eps ||Psi||_F^2, is added to its norm."""
+    for built, bits, dec, k in _carried:
+        if built is metric:
+            break
+    else:
+        return None
+    if metric.tobytes() != bits:
+        return None
+    _, defect, norm = _hermitian_threshold(metric, tol)
+    n, psi = metric.shape[0], dec.psi
+    unit = (n + 2) * _EPS
+    phi_norm, psi_norm = _fro(dec.phi), _fro(psi)
+    delta = unit * phi_norm * phi_norm
+    inverse = (psi if k is None else psi[:, k[0]] * k[1]) @ psi.conj().T
+    abs_min = 1.0 / (_fro(inverse) + unit * psi_norm * psi_norm) - delta
+    if not abs_min > 0:
+        return None
+    trace = n if k is None else int(k[1][k[0] == np.arange(n)].sum())
+    return MetricDecision(defect, norm, abs_min, norm + delta,
+                          ((n + trace) // 2, (n - trace) // 2))
 
 
 def _hermitian_threshold(metric: np.ndarray, tol: Tolerance) -> tuple[float, float, float]:
@@ -344,14 +418,16 @@ def _hermitian_threshold(metric: np.ndarray, tol: Tolerance) -> tuple[float, flo
     return thr, defect, norm
 
 
-def _metric_solve(metric, tol: Tolerance, solve):
-    """``(out, ||metric - metric^dag||_F, ||metric||_F)``, ``out`` what
-    ``solve`` (``eigvalsh``, or ``eigh`` for the eigenvectors too) returns on
-    the Hermitian part of ``metric``, under the rule of ``metric_eigenvalues``."""
+def _metric_solve(metric, tol: Tolerance, vectors: bool = False):
+    """``(out, ||metric - metric^dag||_F, ||metric||_F)`` under the n x n
+    rule of ``metric_eigenvalues``: ``out`` the eigenvalues of the Hermitian
+    part of ``metric`` (``eigvalsh``), or with ``vectors`` its
+    ``hermitian_eigh``."""
     metric = as_cmatrix(metric)
     thr, defect, norm = _hermitian_threshold(metric, tol)
-    out = solve(0.5 * (metric + metric.conj().T))
-    w = out[0] if isinstance(out, tuple) else out
+    out = hermitian_eigh(metric) if vectors else np.linalg.eigvalsh(
+        0.5 * (metric + metric.conj().T))
+    w = out[0] if vectors else out
     nearest = w[np.abs(w).argmin()]
     if abs(nearest) <= thr:
         raise SingularMetric(f"metric eigenvalue {nearest:.3e} within tolerance of zero")

@@ -9,6 +9,9 @@ column gather over the decomposition's chain arrays, so each builder makes
 one gather of ``left``'s columns and one product: Phi K Phi^dag for the
 metrics (P and the paired parity; P+ is Phi Phi^dag), Psi K Phi^dag for C and
 R, Psi K Phi^T for TP, CTP and the quaternionic T, and Psi K Psi^T for T.
+The three metrics carry their chain-basis record, the decomposition and
+K's gather (``linalg._carry``), so that the metric rule decides each from
+K, with no eigensolve, while it is handed in as built.
 The linear builders return the matrix; the antilinear ones (T, TP, CTP, the
 quaternionic T) return a ``SymmetryOperator`` with ``antilinear=True``, read
 as "matrix followed by entrywise conjugation": ``A v = M conj(v)``.  The
@@ -178,10 +181,18 @@ def _chain_product(dec: SpectralDecomposition, op: str, left: np.ndarray,
 # operator constructions
 
 
+def _parity(dec: SpectralDecomposition, signs) -> np.ndarray:
+    """Phi K Phi^dag for the K of ``_coefficients(dec, "P", signs)``, as
+    ``_chain_product`` forms it, carried (``linalg._carry``)."""
+    _refuse_unpaired(dec, False)
+    src, sign = _coefficients(dec, "P", signs)
+    return linalg._carry((dec.phi[:, src] * sign) @ dec.phi_dag, dec, (src, sign))
+
+
 def build_parity(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
     """Hermitian metric from phi-dyads with intra-chain index reversal and
     conjugate-pair cross terms; renders H pseudo-Hermitian."""
-    return _chain_product(dec, "P", dec.phi, dec.phi_dag, _sign_array(dec, sigma))
+    return _parity(dec, _sign_array(dec, sigma))
 
 
 def build_charge(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
@@ -235,7 +246,7 @@ def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
         raise NotDiagonalizableReal(
             "no positive definite metric exists: " + "; ".join(violations),
             reason="Theorem 1")
-    return dec.phi @ dec.phi_dag
+    return linalg._carry(dec.phi @ dec.phi_dag, dec, None)
 
 
 def _paired_real_layout(dec: SpectralDecomposition, reason: str = "Proposition 4"):
@@ -260,8 +271,7 @@ def build_reflecting(dec: SpectralDecomposition):
     """
     half = _paired_real_layout(dec)
     signs = np.where((half >= 0) & (half < np.arange(half.size)), -1, 1)
-    return (_chain_product(dec, "R", dec.psi, dec.phi_dag),
-            _chain_product(dec, "P", dec.phi, dec.phi_dag, signs))
+    return _chain_product(dec, "R", dec.psi, dec.phi_dag), _parity(dec, signs)
 
 
 def build_quaternionic_T(dec: SpectralDecomposition) -> SymmetryOperator:

@@ -265,12 +265,15 @@ def _pseudo_hermiticity_residual(h, eta, w, v) -> float:
 def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[str | None, bool]:
     """``(refusal, eta positive definite)``, refusal None where
     ``is_pseudo_hermitian(h, eta, tol)`` accepts, else why it refuses.  The
-    metric is decided by ``linalg._metric_decision``, the op's kept decision,
-    with eigenvalues w.  With eta_h the Hermitian part of eta divided by
+    metric is decided by ``linalg._metric_decision``, the op's kept decision:
+    a P or P+ that ``operators`` built from its K, with no eigensolve, a
+    user's metric by one n x n ``eigvalsh``.  With w the eigenvalues of
+    eta's Hermitian part, eta_h that part divided by the decision's bound on
     max|w| and X = eta_h H - H^dag eta_h, the residual ||X eta_h^-1||_F is at
-    most ||X||_F max|w| / min|w|: this bound accepts, and only where it fails
-    is the residual formed (``_pseudo_hermiticity_residual``, one n x n
-    ``eigh``) to decide."""
+    most ||X||_F max|w| / min|w|, which the decision's bounds on max|w| and
+    min|w| only enlarge: this bound accepts, and only where it fails is the
+    residual formed (``_pseudo_hermiticity_residual``, one n x n
+    ``linalg.hermitian_eigh``) to decide."""
     h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
     if h.shape != eta.shape:
         raise DimensionMismatch(f"H is {h.shape} but the metric is {eta.shape}")
@@ -283,7 +286,7 @@ def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[str | None, bool]:
         m = eta_h / rule.abs_max
         if _fro(m @ h - h.conj().T @ m) * (rule.abs_max / rule.abs_min) <= thr:
             return None, definite
-        resid = _pseudo_hermiticity_residual(h, eta_h, *np.linalg.eigh(eta_h))
+        resid = _pseudo_hermiticity_residual(h, eta_h, *linalg.hermitian_eigh(eta))
     if resid <= thr:
         return None, definite
     return (f"H is not pseudo-Hermitian with respect to this metric: ||eta H eta^-1 - H^dag||_F "

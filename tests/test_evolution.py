@@ -489,33 +489,32 @@ def _counted(monkeypatch, calls, name):
 @pytest.mark.usefixtures("cold_memo")
 @pytest.mark.parametrize("cond", [1.0, 10.0, 100.0])
 @pytest.mark.parametrize("n", [16, 32, 64])
-def test_the_chain_certificate_decides_the_library_metrics(monkeypatch, n, cond):
-    # the chain-basis certificate that named this test is gone: the gate's
-    # norm bound accepts P of a mixed spectrum, and P and P+ of a real one,
-    # so no eigh runs; and in op order (two reports and the Krein series on
-    # P, then the probability on P+) each metric costs one n x n eigvalsh,
-    # the kept decision serving the rest
-    cases = []
-    for structure in ("mixed", "real"):
-        h, dec = _synthesized(n, structure, cond)
-        cases += [(h, dec, build_parity(dec), False)]
-        if structure == "real":
-            cases += [(h, dec, build_positive_metric(dec), True)]
-    for h, _, metric, _ in cases:
-        assert referee(h, metric)[0] <= linalg.DEFAULT_TOL.scaled(h)
+def test_no_eigensolve_decides_the_library_metrics_in_op_order(monkeypatch, n, cond):
+    # in op order (analyze, the builders, two reports and the Krein series
+    # on P, then the probability on P+) the metric rule decides P and P+
+    # from their K, and the gate's norm bound accepts P of a mixed spectrum,
+    # and P and P+ of a real one: no eigvalsh and no eigh runs
     calls = []
     for name in ("eigvalsh", "eigh"):
         _counted(monkeypatch, calls, name)
-    for h, dec, metric, definite in cases:
-        req = EvolutionRequest(h=h, metric=metric, initial_state=np.ones(n), t_grid=(0.0, 1.0))
+    for structure in ("mixed", "real"):
+        h, dec = _synthesized(n, structure, cond)
+        metrics = [(build_parity(dec), False)]
+        if structure == "real":
+            metrics += [(build_positive_metric(dec), True)]
+        for metric, _ in metrics:
+            assert referee(h, metric)[0] <= linalg.DEFAULT_TOL.scaled(h)
         analyze(h)
-        if definite:
-            transition_probability(req, np.arange(n))
-        else:
-            krein.classification_report(propagator(h, 0.05), metric)
-            krein.classification_report(build_tp(dec), metric)
-            krein_norm_series(req)
-    assert calls == [("eigvalsh", n)] * len(cases)
+        for metric, definite in metrics:
+            req = EvolutionRequest(h=h, metric=metric, initial_state=np.ones(n),
+                                   t_grid=(0.0, 1.0))
+            if definite:
+                transition_probability(req, np.arange(n))
+            else:
+                krein.classification_report(propagator(h, 0.05), metric)
+                krein.classification_report(build_tp(dec), metric)
+                krein_norm_series(req)
+    assert calls == []
 
 
 def _near_threshold_cases():
@@ -529,10 +528,10 @@ def _near_threshold_cases():
     yield h, build_parity(dec)
 
 
-def test_the_chain_certificate_never_overrules_the_exact_rule_near_its_threshold():
+def test_the_gates_norm_bound_never_overrules_the_exact_rule_near_its_threshold():
     # H + c tol.scaled(H) E, E of unit Frobenius norm: the exact residual
-    # moves across the threshold, and the gate's norm bound, which replaced
-    # the chain certificate, must refuse where the exact residual refuses.
+    # moves across the threshold, and the gate's norm bound must refuse
+    # where the exact residual refuses.
     # It accepts some cases (the model's real regime at c = 0.1, for one),
     # and at c = 10 every case is refused by both and by the gate's rule
     accepted = set()

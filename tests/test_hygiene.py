@@ -2,7 +2,8 @@
 ignores a parameter, every defined function is used somewhere, no module
 reads another object's private attributes, only ``spectral`` constructs a
 decomposition, only ``linalg`` touches scipy, importing the package leaves
-``scipy.linalg`` unloaded, and every Frobenius norm is ``linalg._fro``."""
+``scipy.linalg`` unloaded, every Frobenius norm is ``linalg._fro``, and only
+``linalg`` runs an eigensolve."""
 
 import ast
 import os
@@ -264,3 +265,33 @@ def test_whole_array_norm_is_detected():
               "nrm(b)\nnp.linalg.norm(a, None, 1)\nnp.linalg.norm(a, axis=None)\n"
               "x.norm(a)\nlinalg.norm(a)\nnrm(b, axis=-1)\n")
     assert _whole_array_norms(source) == [4, 6, 7, 9]
+
+
+def _eigensolves(source: str) -> list[int]:
+    """Line numbers of each use, called or passed, of numpy's ``eigvalsh`` or
+    ``eigh``: ``np.linalg.<name>``, ``numpy.linalg.<name>``, or a name
+    imported from ``numpy.linalg``."""
+    tree = ast.parse(source)
+    solvers = {"eigvalsh", "eigh"}
+    bare = {alias.asname or alias.name for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg"
+            for alias in node.names if alias.name in solvers}
+    return sorted(node.lineno for node in ast.walk(tree)
+                  if (isinstance(node, ast.Attribute) and node.attr in solvers
+                      and ast.unparse(node.value) in ("np.linalg", "numpy.linalg"))
+                  or (isinstance(node, ast.Name) and node.id in bare))
+
+
+@pytest.mark.parametrize("path", [p for p in sorted(SRC.glob("*.py")) if p.name != "linalg.py"],
+                         ids=lambda p: p.name)
+def test_only_linalg_runs_an_eigensolve(path):
+    """Every eigenvalue question goes through ``linalg``: the metric rule
+    (``_metric_decision``, ``metric_eigenvalues``) or ``hermitian_eigh``."""
+    assert _eigensolves(path.read_text(encoding="utf-8")) == []
+
+
+def test_eigensolve_is_detected():
+    source = ("import numpy as np\nimport numpy\nfrom numpy.linalg import eigh as e\n"
+              "np.linalg.eigvalsh(a)\nsolve(a, np.linalg.eigh)\nnumpy.linalg.eigh(a)\n"
+              "e(a)\nlinalg.eigh(a)\nnp.linalg.eig(a)\nlinalg.hermitian_eigh(a)\n")
+    assert _eigensolves(source) == [4, 5, 6, 7]

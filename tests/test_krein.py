@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pseudoherm import evolution, krein, linalg, spectral
+from pseudoherm import evolution, krein, linalg, operators, spectral
 from pseudoherm.errors import (
     DimensionMismatch,
     NonHermitianMetric,
@@ -436,14 +436,19 @@ def _count(monkeypatch, module, name):
     return calls
 
 
+def _kernel_and_model_decs() -> dict:
+    """The kernel cases' decompositions and those of the four two-level
+    regimes, by label."""
+    regimes = {"real": (2.0, 0.5), "complex": (2.0, -0.5), "jordan": (2.0, 0.0),
+               "scalar": (0.0, 0.0)}
+    return dict(_CASES) | {f"two-level-{regime}": mashhoon_papini(MashhoonPapiniParams(0.5, *rs))[2]
+                           for regime, rs in regimes.items()}
+
+
 def _pipeline_cases():
     """(label, H, P, U(t), TP) of every paired kernel case and of the four
     two-level regimes."""
-    regimes = {"real": (2.0, 0.5), "complex": (2.0, -0.5), "jordan": (2.0, 0.0),
-               "scalar": (0.0, 0.0)}
-    decs = dict(_CASES) | {f"two-level-{regime}": mashhoon_papini(MashhoonPapiniParams(0.5, *rs))[2]
-                           for regime, rs in regimes.items()}
-    for label, dec in decs.items():
+    for label, dec in _kernel_and_model_decs().items():
         if not dec.unpaired:
             h = spectral.reconstruct(dec)
             u = evolution.propagator(h, 0.5 / max(1.0, np.linalg.norm(h)))
@@ -578,17 +583,18 @@ def test_operands_of_different_sizes_are_refused_before_any_decomposition(monkey
 @pytest.mark.usefixtures("cold_memo")
 def test_reports_against_one_metric_decide_it_once(monkeypatch):
     """Two reports against one metric, and one against an equal copy of it,
-    run one n x n ``eigvalsh``; the memo's decision is the eigensolve's."""
+    run one n x n ``eigvalsh``; the memo's decision is the eigensolve's.
+    The metric is a copy of P, so the n x n rule decides it."""
     h, p, u = _small_case()
-    tp = build_tp(spectral.analyze(h))
+    tp, metric = build_tp(spectral.analyze(h)), p.copy()
     eigs = _count(monkeypatch, np.linalg, "eigvalsh")
-    first = classification_report(u, p)
-    assert classification_report(tp, p).symmetry_class is SymmetryClass.P_ANTIUNITARY
-    assert classification_report(u, p.copy()) == first
+    first = classification_report(u, metric)
+    assert classification_report(tp, metric).symmetry_class is SymmetryClass.P_ANTIUNITARY
+    assert classification_report(u, metric.copy()) == first
     assert eigs == ["eigvalsh"]
     assert first == _report_by_svd(u, p)
-    kept = linalg._last_metric[0][2]
-    assert np.array_equal(kept.w, _metric_rule(p, DEFAULT_TOL)) and not kept.w.flags.writeable
+    kept, w = linalg._last_metric[0][2], np.abs(_metric_rule(p, DEFAULT_TOL))
+    assert (kept.abs_min, kept.abs_max) == (w.min(), w.max())
     assert kept.defect == linalg._fro(p - p.conj().T) and kept.norm == linalg._fro(p)
 
 
@@ -632,9 +638,9 @@ def test_a_refused_metric_is_refused_again(metric, refusal):
     assert linalg._last_metric == [kept]
 
 
-def _seed_pool_pairs(seed):
-    """``(label, U, TP, P)`` of every input of the benchmark's seeded pools
-    whose parity exists, U the propagator the benchmark's op classifies."""
+def _seed_pools(seed):
+    """``(label, case, dec)`` of every input of the benchmark's seeded pools
+    whose parity exists, ``dec = analyze(case.h)``."""
     sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
     try:
         import inputs
@@ -644,8 +650,15 @@ def _seed_pool_pairs(seed):
         for case in inputs.generate(workload, seed)[0]:
             dec = spectral.analyze(case.h, allow_unpaired=True)
             if not dec.unpaired:
-                yield (f"{workload}/{case.label}", evolution.propagator(case.h, case.t_prop),
-                       build_tp(dec), build_parity(dec))
+                yield f"{workload}/{seed}/{case.label}", case, dec
+
+
+def _seed_pool_pairs(seed):
+    """``(label, U, TP, P)`` of every input of the benchmark's seeded pools
+    whose parity exists, U the propagator the benchmark's op classifies."""
+    for label, case, dec in _seed_pools(seed):
+        yield (label, evolution.propagator(case.h, case.t_prop), build_tp(dec),
+               build_parity(dec))
 
 
 @pytest.mark.usefixtures("cold_memo")
@@ -668,16 +681,108 @@ def test_warm_memo_reports_equal_cold_ones():
 @pytest.mark.usefixtures("cold_memo")
 def test_the_decision_carries_what_a_report_reads():
     """Over the seed-7 pools' parities, the decision the metric rule keeps
-    holds the least and the greatest |w| and the signature of the
-    eigenvalues w of P's Hermitian part, and a report's signature is the
+    on a copy of P holds the least and the greatest |w| and the signature of
+    the eigenvalues w of P's Hermitian part; on P itself, decided from its
+    K, the same signature and bounds on |w|.  A report's signature is the
     decision's."""
     for label, u, _, p in _seed_pool_pairs(7):
-        report = classification_report(u, p)
-        kept = linalg._last_metric[0][2]
         w = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
-        assert np.array_equal(kept.w, w), label
-        assert (kept.abs_min, kept.abs_max) == (np.abs(w).min(), np.abs(w).max()), label
-        assert kept.signature == report.signature == (np.sum(w > 0), np.sum(w < 0)), label
+        size, signature = np.abs(w), (np.sum(w > 0), np.sum(w < 0))
+        for metric in (p.copy(), p):
+            linalg._last_metric.clear()
+            report = classification_report(u, metric)
+            kept = linalg._last_metric[0][2]
+            assert kept.signature == report.signature == signature, label
+            if metric is p:
+                assert kept.abs_min <= size.min() and kept.abs_max >= size.max(), label
+            else:
+                assert (kept.abs_min, kept.abs_max) == (size.min(), size.max()), label
+
+
+def _library_metrics(seeds):
+    """``(label, kind, metric)`` of every P, paired P and P+ that
+    ``operators`` builds on the paired kernel cases, the four two-level
+    regimes and the benchmark's seeded pools."""
+    decs = list(_kernel_and_model_decs().items())
+    decs += [(label, dec) for seed in seeds for label, _, dec in _seed_pools(seed)]
+    for label, dec in decs:
+        if dec.unpaired:
+            continue
+        yield label, "P", build_parity(dec)
+        if not dec.real_block_halves[1]:
+            yield label, "paired P", build_reflecting(dec)[1]
+        if not operators.positive_metric_violations(dec):
+            yield label, "P+", operators.build_positive_metric(dec)
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_the_library_metrics_decided_from_k_agree_with_the_eigensolve(monkeypatch):
+    """Referee of the decision from K: each P, paired P and P+ the library
+    builds is accepted both from its K, with no eigensolve, and by the n x n
+    ``eigvalsh`` rule, with one signature; K's [abs_min, abs_max] brackets
+    the eigenvalues' |w|."""
+    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
+    kinds = set()
+    for label, kind, metric in _library_metrics((1, 2, 3)):
+        linalg._last_metric.clear()
+        chain = linalg._metric_decision(metric, DEFAULT_TOL)
+        assert eigs == [], (label, kind)
+        w = linalg.metric_eigenvalues(metric)
+        eigs.clear()
+        size = np.abs(w)
+        assert chain.signature == (np.sum(w > 0), np.sum(w < 0)), (label, kind)
+        assert chain.abs_min <= size.min() and chain.abs_max >= size.max(), (label, kind)
+        kinds.add(kind)
+    assert kinds == {"P", "paired P", "P+"}
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_a_carried_metric_is_decided_from_k_up_to_its_rounding_margin(monkeypatch):
+    """A P built from a synthesized basis of condition 1e6 is decided from K,
+    which brackets |w|, where the n x n rule calls it singular; at 1e8 the
+    margin of P's formation swamps K's bound on min|w|, and the n x n rule
+    decides (and refuses it)."""
+    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
+    groups = (JordanBlockSpec(0.3, (1,)), JordanBlockSpec(-0.7, (1,)),
+              JordanBlockSpec(1.0, (2,)), JordanBlockSpec(2.0, (1,)))
+    for cond in (1e6, 1e8):
+        _, dec = synthesize(SynthesisSpec(groups, basis_seed=2, basis_cond=cond))
+        p = build_parity(dec)
+        with pytest.raises(SingularMetric):
+            _metric_rule(p, DEFAULT_TOL)
+        eigs.clear()
+        linalg._last_metric.clear()
+        if cond == 1e6:
+            size = np.abs(np.linalg.eigvalsh(0.5 * (p + p.conj().T)))
+            eigs.clear()
+            chain = linalg._metric_decision(p, DEFAULT_TOL)
+            assert eigs == [] and chain.signature == (3, 2)
+            assert 0 < chain.abs_min <= size.min() and chain.abs_max >= size.max()
+        else:
+            with pytest.raises(SingularMetric):
+                linalg._metric_decision(p, DEFAULT_TOL)
+            assert eigs == ["eigvalsh"]
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_a_stale_carrier_goes_to_the_eigensolve(monkeypatch):
+    """A copy of a built P with one entry changed, and a built P written into
+    in place after it was decided, are each decided by the n x n rule, and
+    each report is the one the eigensolve-first reference gives."""
+    _, p, u = _small_case()
+    changed = p.copy()
+    changed[0, 0] += 1e-3
+    want = [_report_by_svd(u, p), _report_by_svd(u, changed)]
+    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
+    got = [classification_report(u, p)]
+    assert eigs == []
+    got.append(classification_report(u, changed))
+    assert eigs == ["eigvalsh"]
+    p[0, 0] += 1e-3
+    linalg._last_metric.clear()
+    got.append(classification_report(u, p))
+    assert eigs == ["eigvalsh"] * 2
+    assert got == want + [want[1]]
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e155])

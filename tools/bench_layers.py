@@ -41,9 +41,13 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
                    metric P+ (absent where P+ does not exist)
 
 Both series run on ``GRID_POINTS`` uniform points from 0 to
-``min(GRID_END, 0.8 EXPM_NORM_BOUND / ||H||_F)``.  Each sample of the gate
-and of the series, and of the propagator, is preceded, untimed, by
-``spectral.analyze(h)``, as in an op, where each follows the analysis of its H.
+``min(GRID_END, 0.8 EXPM_NORM_BOUND / ||H||_F)``.  Each sample of the
+classification, the propagator, the gate and the series is preceded,
+untimed, by the state it meets in an op: ``spectral.analyze(h)``, the row's
+P and P+ built afresh, and no metric decision kept
+(``linalg._last_metric`` emptied), as is each call that sizes its batch.
+So a sample does not depend on which metric the layer timed before it left
+decided, and the first call of each sample decides its metric.
 
 A sample repeats one layer's call for about ``BATCH_S`` and is timed
 between two samples of the benchmark's reference kernel (``perfbench/
@@ -97,8 +101,8 @@ STRUCTURES = ("simple", "jordan", "paired")
 JORDAN_BLOCKS = {2: (2,), 4: (3,), 16: (4, 2), 32: (5, 3, 2), 64: (5, 4, 3, 2)}
 LAYERS = ("schur", "clustering", "staircase", "assembly", "chain_product", "congruence",
           "classify", "evolution", "expm", "gate", "krein_series", "probability")
-#: the layers that run after an untimed ``analyze`` of their H
-AFTER_ANALYZE = ("evolution", "gate", "krein_series", "probability")
+#: the layers each of whose samples follows an untimed ``prepare`` (``_calls``)
+PREPARED = ("classify", "evolution", "gate", "krein_series", "probability")
 COND = 100.0
 STEP = 0.05
 GRID_POINTS = 200
@@ -166,23 +170,35 @@ def _calls(h):
             extract(b, tol)
 
     signs = operators._sign_array(dec, "canonical")
-    parity, tp = operators.build_parity(dec), operators.build_tp(dec)
+    tp = operators.build_tp(dec)
     step = evolution.propagator(h, STEP)
-
-    def classify():
-        linalg._last_metric.clear()
-        krein.classification_report(step, parity)
-        krein.classification_report(tp, parity)
-
     grid = tuple(np.linspace(0.0, min(GRID_END, 0.8 * linalg.EXPM_NORM_BOUND / np.linalg.norm(h)),
                              GRID_POINTS))
     psi0 = np.array([1, 1j]) @ np.random.default_rng(h.shape[0]).normal(size=(2, h.shape[0]))
-    series = evolution.EvolutionRequest(h=h, metric=parity, initial_state=psi0, t_grid=grid)
     try:
-        probability = evolution.EvolutionRequest(
-            h=h, metric=operators.build_positive_metric(dec), initial_state=psi0, t_grid=grid)
+        operators.build_positive_metric(dec)
+        definite = True
     except MathematicalRefusal:
-        probability = None
+        definite = False
+    requests = {}
+
+    def prepare():
+        """The state of an op before a layer that reads H's analysis or a
+        metric: H analyzed, its P and P+ just built and no metric decided."""
+        spectral.analyze(h)
+        requests["series"] = evolution.EvolutionRequest(
+            h=h, metric=operators.build_parity(dec), initial_state=psi0, t_grid=grid)
+        if definite:
+            requests["probability"] = evolution.EvolutionRequest(
+                h=h, metric=operators.build_positive_metric(dec), initial_state=psi0, t_grid=grid)
+        linalg._last_metric.clear()
+
+    def classify():
+        linalg._last_metric.clear()
+        krein.classification_report(step, requests["series"].metric)
+        krein.classification_report(tp, requests["series"].metric)
+
+    prepare()
     calls = {"schur": lambda: linalg.schur(h),
              "clustering": clustering,
              "staircase": staircase if blocks else None,
@@ -193,11 +209,11 @@ def _calls(h):
              "classify": classify,
              "evolution": lambda: evolution.propagator(h, STEP),
              "expm": lambda: linalg.expm(-1j * STEP * h),
-             "gate": lambda: evolution._decomposition(series),
-             "krein_series": lambda: evolution.krein_norm_series(series),
-             "probability": probability and (
-                 lambda: evolution.transition_probability(probability, psi0[::-1]))}
-    return (calls, lambda: spectral.analyze(h), len(blocks),
+             "gate": lambda: evolution._decomposition(requests["series"]),
+             "krein_series": lambda: evolution.krein_norm_series(requests["series"]),
+             "probability": (lambda: evolution.transition_probability(
+                 requests["probability"], psi0[::-1])) if definite else None}
+    return (calls, prepare, len(blocks),
             sorted(g.block_dims for g in dec.groups if sum(g.block_dims) > 1))
 
 
@@ -230,7 +246,7 @@ def sample_layers(ref) -> tuple[list[dict], dict]:
     for n in SIZES:
         for structure in STRUCTURES:
             h, _ = synthesize(_spec(structure, n))
-            calls, analyze, clusters, blocks = _calls(h)
+            calls, prepare, clusters, blocks = _calls(h)
             plans.append({})
             rows.append({"n": n, "structure": structure, "staircase_clusters": clusters,
                          "nontrivial_groups": [list(d) for d in blocks],
@@ -238,15 +254,18 @@ def sample_layers(ref) -> tuple[list[dict], dict]:
                          .hexdigest()})
             for name, call in calls.items():
                 if call is not None:
-                    call()  # warm up, then size the batch from one timed call
-                    t0 = perf_counter()
-                    call()
+                    before = prepare if name in PREPARED else None
+                    for _ in range(2):  # warm up, then size the batch from one timed call
+                        if before is not None:
+                            before()
+                        t0 = perf_counter()
+                        call()
                     batch = max(1, round(BATCH_S / (perf_counter() - t0)))
                     key = f"{len(rows) - 1}/{name}"
                     samples[key] = {"calls_per_sample": batch, "ms": [], "ref": []}
                     plans[-1][name] = (call, batch,
                                        batch * (clusters if name == "staircase" else 1),
-                                       samples[key], analyze if name in AFTER_ANALYZE else None)
+                                       samples[key], before)
     ref.sample()
     for r in range(REPEATS):
         order = round_order(r)

@@ -13,10 +13,13 @@ per op of each counted kernel:
     svd       numpy.linalg.svd (rank tests and the analyze rank staircase)
     qr        numpy.linalg.qr (the staircase's generators of clusters whose
               chains have several lengths)
-    eigvalsh  numpy.linalg.eigvalsh of an n x n operand, n the op's dimension
-              (metric eigenvalues)
-    eigh      numpy.linalg.eigh of an n x n operand (metric eigenvalues and
-              eigenvectors)
+    eigvalsh  numpy.linalg.eigvalsh of an n x n operand, n the op's dimension:
+              the n x n metric rule, which decides a user's metric; the P
+              and P+ an op builds are decided from their chain-basis K, so
+              an op makes none
+    eigh      numpy.linalg.eigh of an n x n operand (linalg.hermitian_eigh:
+              metric eigenvalues and eigenvectors, and the gate's exact
+              residual where its norm bound fails)
     blocks    numpy.linalg.eigvalsh or eigh of any other operand; no op
               makes one, so a nonzero count shows an eigensolve that the
               metric questions, all n x n, do not account for
