@@ -27,7 +27,8 @@ The gate is the one rule of ``is_pseudo_hermitian``
 (``spectral._pseudo_hermiticity``) on either route.  It decides the metric
 through ``linalg._metric_decision``, so a metric the op has already decided
 costs nothing more, a P or P+ that ``operators`` built is decided from its
-K with no eigensolve, and a user's metric by one n x n ``eigvalsh``.  It
+K with no eigensolve where K proves it a metric, and a user's metric by one
+n x n ``eigvalsh``.  It
 accepts by a norm bound on the residual ||eta_h H eta_h^-1 - H^dag||_F,
 eta_h the metric's Hermitian part; only where the bound fails is the
 residual itself formed, and a refusal names it.

@@ -7,9 +7,10 @@ refuses a non-Hermitian metric with ``NonHermitianMetric`` and keeps the last
 metric it accepted with ``||eta - eta^dag||_F``, ``||eta||_F``, bounds on
 min|w| and max|w|, w the eigenvalues of eta's Hermitian part, and the
 signature, as ``spectral.analyze`` keeps the last H.  A P or P+ that
-``operators`` built is decided from its chain-basis K with no eigensolve; a
-user's metric by one n x n ``eigvalsh``, which refuses one with an
-eigenvalue within ``tol.scaled(metric)`` of zero with ``SingularMetric``.
+``operators`` built is decided from its chain-basis K with no eigensolve
+where K proves it a metric; a user's metric, and one K does not prove, by
+one n x n ``eigvalsh``, which refuses one with an eigenvalue within
+``tol.scaled(metric)`` of zero with ``SingularMetric``.
 The reports of one op against one metric decide it once, and none reads w.
 The invertibility of a classified operator M is certified instead of
 decomposed: Weyl's inequality for singular values gives ``sigma_min(M) >=
@@ -157,8 +158,8 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
     that (see the module docstring).  The metric is decided by
     ``linalg._metric_decision``, which keeps the last metric, so the reports
     of one op against one metric decide it once: a P or P+ that
-    ``operators`` built from its K, with no eigensolve, any other metric by
-    one n x n ``eigvalsh``.  ``Overflow`` when the Gram product, a residual
+    ``operators`` built from its K, with no eigensolve, where K proves it a
+    metric, any other metric by one n x n ``eigvalsh``.  ``Overflow`` when the Gram product, a residual
     or the threshold is not finite."""
     sym = SymmetryOperator.of(op)
     metric = linalg.as_cmatrix(metric)

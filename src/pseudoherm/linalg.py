@@ -9,8 +9,10 @@ measured by, ``hermitian_eigh``, the package's one eigendecomposition, and
 whether a matrix is a Hermitian invertible metric, keeping the last metric
 it accepted.  A metric that ``operators`` built, P = Phi K Phi^dag with K a
 signed permutation of the chains, carries its chain-basis record
-(``_carry``) and is decided from K with no eigensolve; any other, a user's
-metric, by the n x n rule of ``metric_eigenvalues``, one ``eigvalsh``.
+(``_carry``) and is decided from K with no eigensolve wherever K proves it a
+metric; any other, a user's metric, by the n x n rule of
+``metric_eigenvalues``, one ``eigvalsh``.  The verdict is the n x n rule's
+either way.
 Everything works on square ``complex128`` arrays of modest size (``N_MAX``
 defaults to 64); matrices are treated as immutable values.
 
@@ -307,7 +309,8 @@ class MetricDecision:
     signature: tuple[int, int]
 
 
-#: the last metric ``_metric_decision`` accepted: one (copy of the metric, tolerance, decision)
+#: the last metric ``_metric_decision`` accepted: one (copy of the metric,
+#: tolerance, the carried array it was decided as or None, decision)
 _last_metric: list = []
 
 #: the last ``_CARRIED`` metrics ``operators`` built from one decomposition
@@ -337,60 +340,76 @@ def _carry(metric: np.ndarray, dec, k) -> np.ndarray:
     return metric
 
 
+def _carrier(metric: np.ndarray):
+    """The record of ``_carried`` of this very array, if it is bit for bit
+    as built; else None."""
+    for record in _carried:
+        if record[0] is metric:
+            return record if metric.tobytes() == record[1] else None
+    return None
+
+
 def _metric_decision(metric, tol: Tolerance) -> MetricDecision:
     """The rule by which a matrix is a metric, and what it measured.  A
     metric that ``operators`` built (``_carry``), handed in as the very array
-    and bit for bit as built, is decided from its K (``_chain_decision``);
-    any other by the n x n rule of ``metric_eigenvalues``, one ``eigvalsh``.
-    The last metric accepted is kept with a copy of it and its tolerance, as
-    ``spectral.analyze`` keeps the last H: a call with an equal metric
-    (``np.array_equal``) and an equal tolerance returns that decision, so
-    that an op classifying several operators against one metric and
-    evolving under it (``spectral._pseudo_hermiticity``, the evolution gate)
-    decides it once.  A refusal is not kept."""
+    and bit for bit as built, is decided from its K where that proves it a
+    metric (``_chain_decision``); any other, and one that K does not prove,
+    by the n x n rule of ``metric_eigenvalues``, one ``eigvalsh``.  The
+    verdict is the n x n rule's either way.  The last metric accepted is
+    kept with a copy of it, its tolerance and the carried array it was
+    decided as (None for the n x n rule), as ``spectral.analyze`` keeps the
+    last H: a call with an equal metric (``np.array_equal``), an equal
+    tolerance and the same provenance (that very carried array, or an array
+    not carried) returns that decision, so that an op classifying several
+    operators against one metric and evolving under it
+    (``spectral._pseudo_hermiticity``, the evolution gate) decides it once,
+    and a decision never depends on which metric was decided before.  A
+    refusal is not kept."""
     metric = as_cmatrix(metric)
-    if _last_metric and _last_metric[0][1] == tol and np.array_equal(_last_metric[0][0], metric):
-        return _last_metric[0][2]
-    decision = _chain_decision(metric, tol)
+    if _last_metric:
+        kept, kept_tol, source, decision = _last_metric[0]
+        if kept_tol == tol and np.array_equal(kept, metric) and (
+                metric is source if source is not None else _carrier(metric) is None):
+            return decision
+    record = _carrier(metric)
+    decision = None if record is None else _chain_decision(metric, record, tol)
     if decision is None:
         w, defect, norm = _metric_solve(metric, tol)
         size = np.abs(w)
         decision = MetricDecision(defect, norm, float(size.min()), float(size.max()),
                                   (int(np.count_nonzero(w > 0)), int(np.count_nonzero(w < 0))))
-    _last_metric[:] = [(metric.copy(), tol, decision)]
+    _last_metric[:] = [(metric.copy(), tol, None if record is None else metric, decision)]
     return decision
 
 
-def _chain_decision(metric: np.ndarray, tol: Tolerance) -> MetricDecision | None:
-    """The decision on a carried metric P = Phi K Phi^dag, with no
-    eigensolve; None for a metric not carried, or where the bound on min|w|
-    below is not positive (cond(P) near 1 / (n eps)), which the n x n rule
-    then decides.  Hermiticity is judged as by the n x n rule
+def _chain_decision(metric: np.ndarray, record, tol: Tolerance) -> MetricDecision | None:
+    """The decision on a carried metric P = Phi K Phi^dag (``record`` its
+    entry of ``_carried``), with no eigensolve; None where the bound on
+    min|w| below does not clear the n x n rule's threshold
+    ``tol.scaled(P)``, which the n x n rule then decides, so that both
+    accept the same metrics.  Hermiticity is judged as by the n x n rule
     (``NonHermitianMetric``).  By Sylvester's law of inertia P's signature
-    is K's, ((n + tr K) / 2, (n - tr K) / 2), and P is invertible as Phi is:
-    no ``SingularMetric``.  P^-1 = Psi K Psi^dag (as Phi^dag = Psi^-1, which
-    the decomposition holds to the rounding of its S^-1) is one gather and
-    one product, and the eigenvalues w of P satisfy min|w| = 1 / ||P^-1||_2
-    >= 1 / ||P^-1||_F and max|w| = ||P||_2 <= ||P||_F.  The rounding of
-    P's formation moves the eigenvalues of the built P's Hermitian part by at
-    most delta = (n + 2) eps ||Phi||_F^2 (``_EPS``), which ``abs_min``
-    subtracts and ``abs_max`` adds; the product Psi K Psi^dag's own
-    rounding, (n + 2) eps ||Psi||_F^2, is added to its norm."""
-    for built, bits, dec, k in _carried:
-        if built is metric:
-            break
-    else:
-        return None
-    if metric.tobytes() != bits:
-        return None
-    _, defect, norm = _hermitian_threshold(metric, tol)
+    is K's, ((n + tr K) / 2, (n - tr K) / 2).  P^-1 = Psi K Psi^dag is one
+    gather and one product, and the eigenvalues w of P satisfy min|w| =
+    1 / ||P^-1||_2 >= 1 / ||P^-1||_F and max|w| = ||P||_2 <= ||P||_F.  The
+    rounding of P's formation moves the eigenvalues of the built P's
+    Hermitian part by at most delta = (n + 2) eps ||Phi||_F^2 (``_EPS``),
+    which ``abs_min`` subtracts and ``abs_max`` adds; the product Psi K
+    Psi^dag's own rounding, (n + 2) eps ||Psi||_F^2, is added to its norm.
+    The margin does not cover the decomposition's own error in Phi^dag =
+    Psi^-1, which holds to the rounding of its S^-1 (relative error about
+    cond(S) eps): ``abs_min`` bounds min|w| only up to it, and as it must
+    clear the threshold, that error can matter only for a metric whose
+    min|w| lies right at it."""
+    _, _, dec, k = record
+    thr, defect, norm = _hermitian_threshold(metric, tol)
     n, psi = metric.shape[0], dec.psi
     unit = (n + 2) * _EPS
     phi_norm, psi_norm = _fro(dec.phi), _fro(psi)
     delta = unit * phi_norm * phi_norm
     inverse = (psi if k is None else psi[:, k[0]] * k[1]) @ psi.conj().T
     abs_min = 1.0 / (_fro(inverse) + unit * psi_norm * psi_norm) - delta
-    if not abs_min > 0:
+    if not abs_min > thr:
         return None
     trace = n if k is None else int(k[1][k[0] == np.arange(n)].sum())
     return MetricDecision(defect, norm, abs_min, norm + delta,

@@ -11,7 +11,8 @@ metrics (P and the paired parity; P+ is Phi Phi^dag), Psi K Phi^dag for C and
 R, Psi K Phi^T for TP, CTP and the quaternionic T, and Psi K Psi^T for T.
 The three metrics carry their chain-basis record, the decomposition and
 K's gather (``linalg._carry``), so that the metric rule decides each from
-K, with no eigensolve, while it is handed in as built.
+K, with no eigensolve, while it is handed in as built and K proves it a
+metric.
 The linear builders return the matrix; the antilinear ones (T, TP, CTP, the
 quaternionic T) return a ``SymmetryOperator`` with ``antilinear=True``, read
 as "matrix followed by entrywise conjugation": ``A v = M conj(v)``.  The
@@ -168,31 +169,26 @@ def _coefficients(dec: SpectralDecomposition, op: str,
 
 
 def _chain_product(dec: SpectralDecomposition, op: str, left: np.ndarray,
-                   right: np.ndarray, signs=None) -> np.ndarray:
+                   right: np.ndarray, signs=None, carry: bool = False) -> np.ndarray:
     """``left @ K @ right`` for the K of ``_coefficients`` (``NotPaired`` if a
     complex eigenvalue has no partner, as K then does not exist): one gather
-    of ``left``'s columns and one matrix product."""
+    of ``left``'s columns and one matrix product.  With ``carry``, the
+    product is a metric Phi K Phi^dag, returned with its gather recorded
+    (``linalg._carry``)."""
     _refuse_unpaired(dec, False)
     src, sign = _coefficients(dec, op, signs)
-    return (left[:, src] * sign) @ right
+    product = (left[:, src] * sign) @ right
+    return linalg._carry(product, dec, (src, sign)) if carry else product
 
 
 # ---------------------------------------------------------------------------
 # operator constructions
 
 
-def _parity(dec: SpectralDecomposition, signs) -> np.ndarray:
-    """Phi K Phi^dag for the K of ``_coefficients(dec, "P", signs)``, as
-    ``_chain_product`` forms it, carried (``linalg._carry``)."""
-    _refuse_unpaired(dec, False)
-    src, sign = _coefficients(dec, "P", signs)
-    return linalg._carry((dec.phi[:, src] * sign) @ dec.phi_dag, dec, (src, sign))
-
-
 def build_parity(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
     """Hermitian metric from phi-dyads with intra-chain index reversal and
     conjugate-pair cross terms; renders H pseudo-Hermitian."""
-    return _parity(dec, _sign_array(dec, sigma))
+    return _chain_product(dec, "P", dec.phi, dec.phi_dag, _sign_array(dec, sigma), carry=True)
 
 
 def build_charge(dec: SpectralDecomposition, sigma="canonical") -> np.ndarray:
@@ -271,7 +267,8 @@ def build_reflecting(dec: SpectralDecomposition):
     """
     half = _paired_real_layout(dec)
     signs = np.where((half >= 0) & (half < np.arange(half.size)), -1, 1)
-    return _chain_product(dec, "R", dec.psi, dec.phi_dag), _parity(dec, signs)
+    return (_chain_product(dec, "R", dec.psi, dec.phi_dag),
+            _chain_product(dec, "P", dec.phi, dec.phi_dag, signs, carry=True))
 
 
 def build_quaternionic_T(dec: SpectralDecomposition) -> SymmetryOperator:

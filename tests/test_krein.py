@@ -593,7 +593,7 @@ def test_reports_against_one_metric_decide_it_once(monkeypatch):
     assert classification_report(u, metric.copy()) == first
     assert eigs == ["eigvalsh"]
     assert first == _report_by_svd(u, p)
-    kept, w = linalg._last_metric[0][2], np.abs(_metric_rule(p, DEFAULT_TOL))
+    kept, w = linalg._last_metric[0][3], np.abs(_metric_rule(p, DEFAULT_TOL))
     assert (kept.abs_min, kept.abs_max) == (w.min(), w.max())
     assert kept.defect == linalg._fro(p - p.conj().T) and kept.norm == linalg._fro(p)
 
@@ -691,7 +691,7 @@ def test_the_decision_carries_what_a_report_reads():
         for metric in (p.copy(), p):
             linalg._last_metric.clear()
             report = classification_report(u, metric)
-            kept = linalg._last_metric[0][2]
+            kept = linalg._last_metric[0][3]
             assert kept.signature == report.signature == signature, label
             if metric is p:
                 assert kept.abs_min <= size.min() and kept.abs_max >= size.max(), label
@@ -737,31 +737,42 @@ def test_the_library_metrics_decided_from_k_agree_with_the_eigensolve(monkeypatc
 
 
 @pytest.mark.usefixtures("cold_memo")
-def test_a_carried_metric_is_decided_from_k_up_to_its_rounding_margin(monkeypatch):
-    """A P built from a synthesized basis of condition 1e6 is decided from K,
-    which brackets |w|, where the n x n rule calls it singular; at 1e8 the
-    margin of P's formation swamps K's bound on min|w|, and the n x n rule
-    decides (and refuses it)."""
+@pytest.mark.parametrize("cond", [1e6, 1e8])
+def test_a_carried_metric_k_cannot_prove_goes_to_the_eigensolve(monkeypatch, cond):
+    """A P built from a synthesized basis of condition 1e6 or 1e8, whose
+    min|w| lies under the rule's threshold, is not accepted from K: K's
+    bound on min|w| does not clear the threshold, so the n x n rule decides
+    and refuses it, as it refuses a copy of it."""
     eigs = _count(monkeypatch, np.linalg, "eigvalsh")
     groups = (JordanBlockSpec(0.3, (1,)), JordanBlockSpec(-0.7, (1,)),
               JordanBlockSpec(1.0, (2,)), JordanBlockSpec(2.0, (1,)))
-    for cond in (1e6, 1e8):
-        _, dec = synthesize(SynthesisSpec(groups, basis_seed=2, basis_cond=cond))
-        p = build_parity(dec)
-        with pytest.raises(SingularMetric):
-            _metric_rule(p, DEFAULT_TOL)
-        eigs.clear()
+    _, dec = synthesize(SynthesisSpec(groups, basis_seed=2, basis_cond=cond))
+    p = build_parity(dec)
+    with pytest.raises(SingularMetric) as copied:
+        _metric_rule(p.copy(), DEFAULT_TOL)
+    eigs.clear()
+    with pytest.raises(SingularMetric) as carried:
+        linalg._metric_decision(p, DEFAULT_TOL)
+    assert eigs == ["eigvalsh"] and str(carried.value) == str(copied.value)
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_a_decision_does_not_depend_on_the_metric_decided_before(monkeypatch):
+    """An equal copy of a P decided from its K is decided by the n x n rule,
+    and P after that copy from its K again: each decision is the one a cold
+    memo gives."""
+    _, p, _ = _small_case()
+    copy = p.copy()
+    cold = []
+    for metric in (p, copy):
         linalg._last_metric.clear()
-        if cond == 1e6:
-            size = np.abs(np.linalg.eigvalsh(0.5 * (p + p.conj().T)))
-            eigs.clear()
-            chain = linalg._metric_decision(p, DEFAULT_TOL)
-            assert eigs == [] and chain.signature == (3, 2)
-            assert 0 < chain.abs_min <= size.min() and chain.abs_max >= size.max()
-        else:
-            with pytest.raises(SingularMetric):
-                linalg._metric_decision(p, DEFAULT_TOL)
-            assert eigs == ["eigvalsh"]
+        cold.append(linalg._metric_decision(metric, DEFAULT_TOL))
+    assert cold[0] != cold[1]
+    linalg._last_metric.clear()
+    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
+    assert [linalg._metric_decision(m, DEFAULT_TOL) for m in (p, copy, p, copy, copy)] == \
+        cold + cold + [cold[1]]
+    assert eigs == ["eigvalsh"] * 2
 
 
 @pytest.mark.usefixtures("cold_memo")
