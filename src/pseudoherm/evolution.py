@@ -25,13 +25,13 @@ a point's ``|t| ||H||_F``.
 
 The gate is the one rule of ``is_pseudo_hermitian``
 (``spectral._pseudo_hermiticity``) on either route.  It decides the metric
-through ``linalg._metric_decision``, so a metric the op has already decided
-costs nothing more, a P or P+ that ``operators`` built is decided from its
-K with no eigensolve where K proves it a metric, and a user's metric by one
-n x n ``eigvalsh``.  It
-accepts by a norm bound on the residual ||eta_h H eta_h^-1 - H^dag||_F,
-eta_h the metric's Hermitian part; only where the bound fails is the
-residual itself formed, and a refusal names it.
+through ``linalg._metric_decision``, so a P or P+ that ``operators`` built
+and the op has already decided costs nothing more (its record keeps the
+decision, made from its K with no eigensolve where K proves it a metric),
+and a user's metric costs one n x n ``eigvalsh``.  It accepts by a norm
+bound on the residual ||eta_h H eta_h^-1 - H^dag||_F, eta_h the metric's
+Hermitian part; only where the bound fails is the residual itself formed,
+and a refusal names it.
 
 ``mashhoon_papini`` builds the two-level effective Hamiltonian
 

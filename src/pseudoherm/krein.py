@@ -3,15 +3,15 @@
 A Hermitian invertible metric splits the space into its positive and negative
 spectral subspaces and defines the indefinite product ``<psi| eta |phi>``.
 Whether a matrix is one is decided by ``linalg._metric_decision``, which
-refuses a non-Hermitian metric with ``NonHermitianMetric`` and keeps the last
-metric it accepted with ``||eta - eta^dag||_F``, ``||eta||_F``, bounds on
-min|w| and max|w|, w the eigenvalues of eta's Hermitian part, and the
-signature, as ``spectral.analyze`` keeps the last H.  A P or P+ that
-``operators`` built is decided from its chain-basis K with no eigensolve
-where K proves it a metric; a user's metric, and one K does not prove, by
-one n x n ``eigvalsh``, which refuses one with an eigenvalue within
-``tol.scaled(metric)`` of zero with ``SingularMetric``.
-The reports of one op against one metric decide it once, and none reads w.
+refuses a non-Hermitian metric with ``NonHermitianMetric`` and returns
+``||eta - eta^dag||_F``, ``||eta||_F``, bounds on min|w| and max|w|, w the
+eigenvalues of eta's Hermitian part, and the signature.  A P or P+ that
+``operators`` built is decided once, from its chain-basis K with no
+eigensolve where K proves it a metric, and its record keeps the decision,
+so the reports of one op against its P decide P once; a user's metric, and
+one K does not prove, by one n x n ``eigvalsh`` per call, which refuses one
+with an eigenvalue within ``tol.scaled(metric)`` of zero with
+``SingularMetric``.  No report reads w.
 The invertibility of a classified operator M is certified instead of
 decomposed: Weyl's inequality for singular values gives ``sigma_min(M) >=
 (min|w| - d - r) / (||M||_F (max|w| + d))``, d = ``||eta - eta^dag||_F / 2``
@@ -156,10 +156,10 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
     larger (otherwise NONE, with the residuals reported).  The operator must
     be invertible; its rank is tested only when the residuals cannot prove
     that (see the module docstring).  The metric is decided by
-    ``linalg._metric_decision``, which keeps the last metric, so the reports
-    of one op against one metric decide it once: a P or P+ that
-    ``operators`` built from its K, with no eigensolve, where K proves it a
-    metric, any other metric by one n x n ``eigvalsh``.  ``Overflow`` when the Gram product, a residual
+    ``linalg._metric_decision``: a P or P+ that ``operators`` built once,
+    from its K with no eigensolve where K proves it a metric, so the reports
+    of one op against its P decide P once; any other metric by one n x n
+    ``eigvalsh`` per call.  ``Overflow`` when the Gram product, a residual
     or the threshold is not finite."""
     sym = SymmetryOperator.of(op)
     metric = linalg.as_cmatrix(metric)

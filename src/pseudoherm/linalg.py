@@ -6,13 +6,13 @@ H), SVD-based numerical rank, LU solves, the matrix exponential, ``_fro``,
 the Frobenius norm that every residual and threshold of the package is
 measured by, ``hermitian_eigh``, the package's one eigendecomposition, and
 ``_metric_decision``, the one rule by which every entry point decides
-whether a matrix is a Hermitian invertible metric, keeping the last metric
-it accepted.  A metric that ``operators`` built, P = Phi K Phi^dag with K a
-signed permutation of the chains, carries its chain-basis record
-(``_carry``) and is decided from K with no eigensolve wherever K proves it a
-metric; any other, a user's metric, by the n x n rule of
-``metric_eigenvalues``, one ``eigvalsh``.  The verdict is the n x n rule's
-either way.
+whether a matrix is a Hermitian invertible metric.  A metric that
+``operators`` built, P = Phi K Phi^dag with K a signed permutation of the
+chains, carries its chain-basis record (``_carry``), which keeps the
+decisions made on it; it is decided once per tolerance, from K with no
+eigensolve wherever K proves it a metric.  Any other, a user's metric, is
+decided by the n x n rule of ``metric_eigenvalues``, one ``eigvalsh``, on
+every call.  The verdict is the n x n rule's either way.
 Everything works on square ``complex128`` arrays of modest size (``N_MAX``
 defaults to 64); matrices are treated as immutable values.
 
@@ -309,15 +309,12 @@ class MetricDecision:
     signature: tuple[int, int]
 
 
-#: the last metric ``_metric_decision`` accepted: one (copy of the metric,
-#: tolerance, the carried array it was decided as or None, decision)
-_last_metric: list = []
-
 #: the last ``_CARRIED`` metrics ``operators`` built from one decomposition
 #: (an op's P, P+ and paired P), newest first: (the metric as built, its
 #: bytes, the decomposition, the gather ``(src, sign)`` of its K, or None for
-#: K = I).  A metric built from another decomposition drops them, so that no
-#: earlier op's basis and metrics are kept alive.
+#: K = I, and the decisions ``_metric_decision`` made on it, by tolerance).
+#: A metric built from another decomposition drops them, so that no earlier
+#: op's basis and metrics are kept alive.
 _carried: list = []
 _CARRIED = 3
 
@@ -334,9 +331,9 @@ def _carry(metric: np.ndarray, dec, k) -> np.ndarray:
     basis of ``dec``, K the signed permutation of the column gather ``k =
     (src, sign)`` (``operators._coefficients``; None for K = I), recorded
     with its bytes, so that ``_metric_decision`` decides this very array,
-    unchanged, from K."""
+    unchanged, from K, and keeps its decisions there."""
     kept = [record for record in _carried if record[2] is dec]
-    _carried[:] = [(metric, metric.tobytes(), dec, k)] + kept[:_CARRIED - 1]
+    _carried[:] = [(metric, metric.tobytes(), dec, k, {})] + kept[:_CARRIED - 1]
     return metric
 
 
@@ -355,31 +352,24 @@ def _metric_decision(metric, tol: Tolerance) -> MetricDecision:
     and bit for bit as built, is decided from its K where that proves it a
     metric (``_chain_decision``); any other, and one that K does not prove,
     by the n x n rule of ``metric_eigenvalues``, one ``eigvalsh``.  The
-    verdict is the n x n rule's either way.  The last metric accepted is
-    kept with a copy of it, its tolerance and the carried array it was
-    decided as (None for the n x n rule), as ``spectral.analyze`` keeps the
-    last H: a call with an equal metric (``np.array_equal``), an equal
-    tolerance and the same provenance (that very carried array, or an array
-    not carried) returns that decision, so that an op classifying several
-    operators against one metric and evolving under it
-    (``spectral._pseudo_hermiticity``, the evolution gate) decides it once,
-    and a decision never depends on which metric was decided before.  A
-    refusal is not kept."""
+    verdict is the n x n rule's either way.  A decision on a carried metric
+    is kept in its record, one per tolerance, so that an op classifying
+    several operators against its P and evolving under it
+    (``spectral._pseudo_hermiticity``, the evolution gate) decides P once;
+    nothing else is kept, so no decision depends on a metric decided
+    before.  A refusal is not kept."""
     metric = as_cmatrix(metric)
-    if _last_metric:
-        kept, kept_tol, source, decision = _last_metric[0]
-        if kept_tol == tol and np.array_equal(kept, metric) and (
-                metric is source if source is not None else _carrier(metric) is None):
-            return decision
     record = _carrier(metric)
-    decision = None if record is None else _chain_decision(metric, record, tol)
-    if decision is None:
-        w, defect, norm = _metric_solve(metric, tol)
-        size = np.abs(w)
-        decision = MetricDecision(defect, norm, float(size.min()), float(size.max()),
-                                  (int(np.count_nonzero(w > 0)), int(np.count_nonzero(w < 0))))
-    _last_metric[:] = [(metric.copy(), tol, None if record is None else metric, decision)]
-    return decision
+    decisions = {} if record is None else record[4]
+    if tol not in decisions:
+        decision = None if record is None else _chain_decision(metric, record, tol)
+        if decision is None:
+            w, defect, norm = _metric_solve(metric, tol)
+            size = np.abs(w)
+            decision = MetricDecision(defect, norm, float(size.min()), float(size.max()),
+                                      (int(np.count_nonzero(w > 0)), int(np.count_nonzero(w < 0))))
+        decisions[tol] = decision
+    return decisions[tol]
 
 
 def _chain_decision(metric: np.ndarray, record, tol: Tolerance) -> MetricDecision | None:
@@ -401,7 +391,7 @@ def _chain_decision(metric: np.ndarray, record, tol: Tolerance) -> MetricDecisio
     cond(S) eps): ``abs_min`` bounds min|w| only up to it, and as it must
     clear the threshold, that error can matter only for a metric whose
     min|w| lies right at it."""
-    _, _, dec, k = record
+    _, _, dec, k, _ = record
     thr, defect, norm = _hermitian_threshold(metric, tol)
     n, psi = metric.shape[0], dec.psi
     unit = (n + 2) * _EPS

@@ -265,14 +265,14 @@ def _pseudo_hermiticity_residual(h, eta, w, v) -> float:
 def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[str | None, bool]:
     """``(refusal, eta positive definite)``, refusal None where
     ``is_pseudo_hermitian(h, eta, tol)`` accepts, else why it refuses.  The
-    metric is decided by ``linalg._metric_decision``, the op's kept decision:
-    a P or P+ that ``operators`` built from its K, with no eigensolve, where
-    K proves it a metric, a user's metric by one n x n ``eigvalsh``.  With w the eigenvalues of
-    eta's Hermitian part, eta_h that part divided by the decision's bound on
-    max|w| and X = eta_h H - H^dag eta_h, the residual ||X eta_h^-1||_F is at
-    most ||X||_F max|w| / min|w|, which the decision's bounds on max|w| and
-    min|w| only enlarge: this bound accepts, and only where it fails is the
-    residual formed (``_pseudo_hermiticity_residual``, one n x n
+    metric is decided by ``linalg._metric_decision``: a P or P+ that
+    ``operators`` built once, from its K where K proves it a metric, a user's
+    metric by one n x n ``eigvalsh`` per call.  With w the eigenvalues of eta's
+    Hermitian part, eta_h that part divided by the decision's bound on max|w|
+    and X = eta_h H - H^dag eta_h, the residual ||X eta_h^-1||_F is at most
+    ||X||_F max|w| / min|w|, which the decision's bounds on max|w| and min|w|
+    only enlarge: this bound accepts, and only where it fails is the residual
+    formed (``_pseudo_hermiticity_residual``, one n x n
     ``linalg.hermitian_eigh``) to decide."""
     h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
     if h.shape != eta.shape:

@@ -2,8 +2,9 @@
 ignores a parameter, every defined function is used somewhere, no module
 reads another object's private attributes, only ``spectral`` constructs a
 decomposition, only ``linalg`` touches scipy, importing the package leaves
-``scipy.linalg`` unloaded, every Frobenius norm is ``linalg._fro``, and only
-``linalg`` runs an eigensolve."""
+``scipy.linalg`` unloaded, every Frobenius norm is ``linalg._fro``, only
+``linalg`` runs an eigensolve, and the package keeps state in two places
+only."""
 
 import ast
 import os
@@ -295,3 +296,65 @@ def test_eigensolve_is_detected():
               "np.linalg.eigvalsh(a)\nsolve(a, np.linalg.eigh)\nnumpy.linalg.eigh(a)\n"
               "e(a)\nlinalg.eigh(a)\nnp.linalg.eig(a)\nlinalg.hermitian_eigh(a)\n")
     assert _eigensolves(source) == [4, 5, 6, 7]
+
+
+
+#: methods by which a list, dict or set is changed in place
+_MUTATORS = {"append", "extend", "insert", "clear", "pop", "popitem", "update", "setdefault",
+             "add", "remove", "discard", "sort", "reverse"}
+
+
+def _kept_state(source: str) -> list[str]:
+    """Module-level names a module keeps state in: each one a function
+    declares ``global``, each one bound at module level to a list, dict or
+    set display or comprehension that the module changes in place (by a
+    mutating method, an item or slice assignment or deletion, or an
+    augmented assignment), and each function memoized by ``cache`` or
+    ``lru_cache``."""
+    tree = ast.parse(source)
+    displays = (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)
+    containers = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and isinstance(node.value, displays):
+            containers.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.value, displays) \
+                and isinstance(node.target, ast.Name):
+            containers.add(node.target.id)
+    changed, kept = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Global):
+            kept.update(node.names)
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) \
+                and node.func.attr in _MUTATORS:
+            changed.add(ast.unparse(node.func.value))
+        elif isinstance(node, ast.Subscript) and isinstance(node.ctx, (ast.Store, ast.Del)):
+            changed.add(ast.unparse(node.value))
+        elif isinstance(node, ast.AugAssign):
+            changed.add(ast.unparse(node.target))
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                ast.unparse(d).split("(")[0].split(".")[-1] in ("cache", "lru_cache")
+                for d in node.decorator_list):
+            kept.add(node.name)
+    return sorted(kept | (containers & changed))
+
+
+def test_the_package_keeps_state_in_two_places():
+    """The package keeps state only in the last analysis
+    (``spectral._last``) and the built metrics' records
+    (``linalg._carried``), which hold the decisions made on those metrics:
+    no other memo can serve one call what an earlier call left."""
+    kept = [f"{path.stem}.{name}" for path in MODULES
+            for name in _kept_state(path.read_text(encoding="utf-8"))]
+    assert kept == ["linalg._carried", "spectral._last"]
+
+
+def test_kept_state_is_detected():
+    source = ("import functools\nfrom functools import lru_cache\n"
+              "_memo = {}\n_seen: list = []\n_TABLE = {'a': 1}\n_rows = [1, 2]\n"
+              "_counts = {}\n_gone = {1: 2}\n_state = None\n"
+              "def f(k):\n    global _state\n    _state = k\n    _memo[k] = 1\n"
+              "    _seen.append(k)\n    _counts[k] += 1\n    del _gone[1]\n"
+              "    local = []\n    local.append(k)\n    return _TABLE[k] + _rows[0]\n"
+              "@functools.cache\ndef g(x):\n    return x\n"
+              "@lru_cache(maxsize=4)\ndef h(x):\n    return x\n")
+    assert _kept_state(source) == ["_counts", "_gone", "_memo", "_seen", "_state", "g", "h"]

@@ -577,25 +577,49 @@ def test_operands_of_different_sizes_are_refused_before_any_decomposition(monkey
 
 
 # ---------------------------------------------------------------------------
-# the metric rule's memo, and operators whose Gram product overflows
+# the decisions a built metric's record keeps, and operators whose Gram
+# product overflows
 
 
 @pytest.mark.usefixtures("cold_memo")
 def test_reports_against_one_metric_decide_it_once(monkeypatch):
-    """Two reports against one metric, and one against an equal copy of it,
-    run one n x n ``eigvalsh``; the memo's decision is the eigensolve's.
-    The metric is a copy of P, so the n x n rule decides it."""
+    """Two reports against a built P and the gate under it run no n x n
+    ``eigvalsh``: P's record keeps the one decision made on it.  A copy of
+    P has no record, so each report against a copy runs one, and the copy's
+    decision is the eigensolve's."""
     h, p, u = _small_case()
     tp, metric = build_tp(spectral.analyze(h)), p.copy()
     eigs = _count(monkeypatch, np.linalg, "eigvalsh")
-    first = classification_report(u, metric)
-    assert classification_report(tp, metric).symmetry_class is SymmetryClass.P_ANTIUNITARY
-    assert classification_report(u, metric.copy()) == first
-    assert eigs == ["eigvalsh"]
+    first = classification_report(u, p)
+    assert classification_report(tp, p).symmetry_class is SymmetryClass.P_ANTIUNITARY
+    assert spectral.is_pseudo_hermitian(h, p)
+    assert eigs == [] and list(linalg._carrier(p)[4]) == [DEFAULT_TOL]
+    assert classification_report(u, metric) == classification_report(u, metric.copy()) == first
+    assert eigs == ["eigvalsh"] * 2
     assert first == _report_by_svd(u, p)
-    kept, w = linalg._last_metric[0][3], np.abs(_metric_rule(p, DEFAULT_TOL))
+    kept, w = linalg._metric_decision(metric, DEFAULT_TOL), np.abs(_metric_rule(p, DEFAULT_TOL))
     assert (kept.abs_min, kept.abs_max) == (w.min(), w.max())
     assert kept.defect == linalg._fro(p - p.conj().T) and kept.norm == linalg._fro(p)
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_a_built_metric_keeps_one_decision_per_tolerance(monkeypatch):
+    """A built P decided under two tolerances keeps two decisions in its
+    record, each the one a record with no decision gives; a repeat under
+    the first tolerance forms no Psi K Psi^dag product."""
+    _, p, _ = _small_case()
+    loose = linalg.Tolerance(abs=1e-9, rel=1e-9)
+    decisions = linalg._carrier(p)[4]
+    cold = []
+    for tol in (DEFAULT_TOL, loose):
+        decisions.clear()
+        cold.append(linalg._metric_decision(p, tol))
+    decisions.clear()
+    chains = _count(monkeypatch, linalg, "_chain_decision")
+    assert [linalg._metric_decision(p, tol) for tol in (DEFAULT_TOL, loose)] == cold
+    assert decisions == {DEFAULT_TOL: cold[0], loose: cold[1]}
+    assert linalg._metric_decision(p, DEFAULT_TOL) == cold[0]
+    assert chains == ["_chain_decision"] * 2
 
 
 @pytest.mark.usefixtures("cold_memo")
@@ -612,7 +636,7 @@ def test_a_changed_metric_or_tolerance_is_decided_again(monkeypatch):
     loose = linalg.Tolerance(abs=1e-9, rel=1e-9)
     reports = [classification_report(*args)
                for args in ((u, changed), (u, metric, loose), (u, metric))]
-    metric[0, 0] += 1e-3  # the memo holds a copy, so this array no longer matches it
+    metric[0, 0] += 1e-3  # a metric no record carries keeps no decision to go stale
     reports.append(classification_report(u, metric))
     assert len(eigs) == 5
     assert reports == [_report_by_svd(u, changed), _report_by_svd(u, p, loose),
@@ -626,16 +650,18 @@ def test_a_changed_metric_or_tolerance_is_decided_again(monkeypatch):
 ], ids=["non-hermitian", "singular"])
 def test_a_refused_metric_is_refused_again(metric, refusal):
     """A refusal is not kept: the next call raises it again, with the same
-    message, and the memo keeps the last metric it accepted."""
+    message, and the record of a built P decided before keeps its one
+    decision."""
+    _, p, u = _small_case()
+    classification_report(u, p)
+    decisions = dict(linalg._carrier(p)[4])
     eye = np.eye(2, dtype=complex)
-    classification_report(eye, eye)
-    kept = linalg._last_metric[0]
     with pytest.raises(refusal) as first:
         classification_report(eye, metric)
     with pytest.raises(refusal) as again:
         classification_report(eye, metric)
     assert str(again.value) == str(first.value)
-    assert linalg._last_metric == [kept]
+    assert linalg._carrier(p)[4] == decisions and len(decisions) == 1
 
 
 def _seed_pools(seed):
@@ -664,34 +690,35 @@ def _seed_pool_pairs(seed):
 @pytest.mark.usefixtures("cold_memo")
 def test_warm_memo_reports_equal_cold_ones():
     """Over the seed-7 pools' (U, P) and (TP, P), the second report against
-    each P, served by the memo, equals a report from a cold memo and the
-    eigensolve-first reference, field by field."""
-    cases = list(_seed_pool_pairs(7))
-    assert len(cases) >= 50
-    for label, u, tp, p in cases:
-        linalg._last_metric.clear()
+    each P, served by the decision P's record keeps, equals a report from a
+    record with no decision and the eigensolve-first reference, field by
+    field."""
+    cases = 0
+    for label, u, tp, p in _seed_pool_pairs(7):
+        decisions = linalg._carrier(p)[4]
         warm = [classification_report(u, p), classification_report(tp, p)]
         cold = []
         for op in (u, tp):
-            linalg._last_metric.clear()
+            decisions.clear()
             cold.append(classification_report(op, p))
         assert warm == cold == [_report_by_svd(u, p), _report_by_svd(tp, p)], label
+        cases += 1
+    assert cases >= 50
 
 
 @pytest.mark.usefixtures("cold_memo")
 def test_the_decision_carries_what_a_report_reads():
-    """Over the seed-7 pools' parities, the decision the metric rule keeps
-    on a copy of P holds the least and the greatest |w| and the signature of
-    the eigenvalues w of P's Hermitian part; on P itself, decided from its
-    K, the same signature and bounds on |w|.  A report's signature is the
-    decision's."""
+    """Over the seed-7 pools' parities, the metric rule's decision on a copy
+    of P holds the least and the greatest |w| and the signature of the
+    eigenvalues w of P's Hermitian part; on P itself, the decision its
+    record keeps, made from its K, the same signature and bounds on |w|.  A
+    report's signature is the decision's."""
     for label, u, _, p in _seed_pool_pairs(7):
         w = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
         size, signature = np.abs(w), (np.sum(w > 0), np.sum(w < 0))
         for metric in (p.copy(), p):
-            linalg._last_metric.clear()
             report = classification_report(u, metric)
-            kept = linalg._last_metric[0][3]
+            kept = linalg._metric_decision(metric, DEFAULT_TOL)
             assert kept.signature == report.signature == signature, label
             if metric is p:
                 assert kept.abs_min <= size.min() and kept.abs_max >= size.max(), label
@@ -724,9 +751,8 @@ def test_the_library_metrics_decided_from_k_agree_with_the_eigensolve(monkeypatc
     eigs = _count(monkeypatch, np.linalg, "eigvalsh")
     kinds = set()
     for label, kind, metric in _library_metrics((1, 2, 3)):
-        linalg._last_metric.clear()
         chain = linalg._metric_decision(metric, DEFAULT_TOL)
-        assert eigs == [], (label, kind)
+        assert eigs == [] and linalg._carrier(metric)[4] == {DEFAULT_TOL: chain}, (label, kind)
         w = linalg.metric_eigenvalues(metric)
         eigs.clear()
         size = np.abs(w)
@@ -754,32 +780,32 @@ def test_a_carried_metric_k_cannot_prove_goes_to_the_eigensolve(monkeypatch, con
     with pytest.raises(SingularMetric) as carried:
         linalg._metric_decision(p, DEFAULT_TOL)
     assert eigs == ["eigvalsh"] and str(carried.value) == str(copied.value)
+    assert linalg._carrier(p)[4] == {}
 
 
 @pytest.mark.usefixtures("cold_memo")
 def test_a_decision_does_not_depend_on_the_metric_decided_before(monkeypatch):
-    """An equal copy of a P decided from its K is decided by the n x n rule,
-    and P after that copy from its K again: each decision is the one a cold
-    memo gives."""
+    """An equal copy of a P decided from its K is decided by the n x n rule
+    on every call, one ``eigvalsh`` each, and P after that copy is served
+    the decision its record keeps: each decision is the one a record with
+    no decision gives."""
     _, p, _ = _small_case()
     copy = p.copy()
-    cold = []
-    for metric in (p, copy):
-        linalg._last_metric.clear()
-        cold.append(linalg._metric_decision(metric, DEFAULT_TOL))
+    cold = [linalg._metric_decision(metric, DEFAULT_TOL) for metric in (p, copy)]
     assert cold[0] != cold[1]
-    linalg._last_metric.clear()
+    linalg._carrier(p)[4].clear()
     eigs = _count(monkeypatch, np.linalg, "eigvalsh")
     assert [linalg._metric_decision(m, DEFAULT_TOL) for m in (p, copy, p, copy, copy)] == \
         cold + cold + [cold[1]]
-    assert eigs == ["eigvalsh"] * 2
+    assert eigs == ["eigvalsh"] * 3
 
 
 @pytest.mark.usefixtures("cold_memo")
 def test_a_stale_carrier_goes_to_the_eigensolve(monkeypatch):
     """A copy of a built P with one entry changed, and a built P written into
-    in place after it was decided, are each decided by the n x n rule, and
-    each report is the one the eigensolve-first reference gives."""
+    in place after it was decided, are each decided by the n x n rule, not
+    by the decision P's record keeps, and each report is the one the
+    eigensolve-first reference gives."""
     _, p, u = _small_case()
     changed = p.copy()
     changed[0, 0] += 1e-3
@@ -790,7 +816,6 @@ def test_a_stale_carrier_goes_to_the_eigensolve(monkeypatch):
     got.append(classification_report(u, changed))
     assert eigs == ["eigvalsh"]
     p[0, 0] += 1e-3
-    linalg._last_metric.clear()
     got.append(classification_report(u, p))
     assert eigs == ["eigvalsh"] * 2
     assert got == want + [want[1]]

@@ -28,7 +28,8 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
     congruence     krein.congruence_to_involutory
     classify       the op's two krein.classification_report calls against the
                    parity P, of the propagator of one step and of TP, the
-                   first deciding P afresh (any kept metric is dropped first)
+                   first deciding P afresh from its K (the decisions P's
+                   record keeps are dropped first)
     evolution      evolution.propagator over one step of 0.05: U(t) in the
                    chain basis of the kept decomposition, as in an op
     expm           linalg.expm of -0.05i H: the kernel of the series'
@@ -43,11 +44,11 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
 Both series run on ``GRID_POINTS`` uniform points from 0 to
 ``min(GRID_END, 0.8 EXPM_NORM_BOUND / ||H||_F)``.  Each sample of the
 classification, the propagator, the gate and the series is preceded,
-untimed, by the state it meets in an op: ``spectral.analyze(h)``, the row's
-P and P+ built afresh, and no metric decision kept
-(``linalg._last_metric`` emptied), as is each call that sizes its batch.
-So a sample does not depend on which metric the layer timed before it left
-decided, and the first call of each sample decides its metric.
+untimed, by the state it meets in an op: ``spectral.analyze(h)`` and the
+row's P and P+ built afresh, so that their records (``linalg._carry``) keep
+no metric decision, as is each call that sizes its batch.  So a sample
+does not depend on which metric the layer timed before it left decided,
+and the first call of each sample decides its metric.
 
 A sample repeats one layer's call for about ``BATCH_S`` and is timed
 between two samples of the benchmark's reference kernel (``perfbench/
@@ -191,10 +192,9 @@ def _calls(h):
         if definite:
             requests["probability"] = evolution.EvolutionRequest(
                 h=h, metric=operators.build_positive_metric(dec), initial_state=psi0, t_grid=grid)
-        linalg._last_metric.clear()
 
     def classify():
-        linalg._last_metric.clear()
+        linalg._carrier(requests["series"].metric)[4].clear()
         krein.classification_report(step, requests["series"].metric)
         krein.classification_report(tp, requests["series"].metric)
 

@@ -14,9 +14,9 @@ per op of each counted kernel:
     qr        numpy.linalg.qr (the staircase's generators of clusters whose
               chains have several lengths)
     eigvalsh  numpy.linalg.eigvalsh of an n x n operand, n the op's dimension:
-              the n x n metric rule, which decides a user's metric; the P
-              and P+ an op builds are decided from their chain-basis K, so
-              an op makes none
+              the n x n metric rule, which decides a user's metric, on every
+              call; the P and P+ an op builds are decided from their
+              chain-basis K, so an op makes none
     eigh      numpy.linalg.eigh of an n x n operand (linalg.hermitian_eigh:
               metric eigenvalues and eigenvectors, and the gate's exact
               residual where its norm bound fails)
