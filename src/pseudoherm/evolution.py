@@ -26,12 +26,13 @@ a point's ``|t| ||H||_F``.
 The gate is the one rule of ``is_pseudo_hermitian``
 (``spectral._pseudo_hermiticity``) on either route.  It decides the metric
 through ``linalg._metric_decision``, so a P or P+ that ``operators`` built
-and the op has already decided costs nothing more (its record keeps the
-decision, made from its K with no eigensolve where K proves it a metric),
-and a user's metric costs one n x n ``eigvalsh``.  It accepts by a norm
-bound on the residual ||eta_h H eta_h^-1 - H^dag||_F, eta_h the metric's
-Hermitian part; only where the bound fails is the residual itself formed,
-and a refusal names it.
+and the op has already decided costs nothing more (``EvolutionRequest``
+keeps it as built, and its chain form keeps the decision, made from its K
+with no eigensolve where K proves it a metric), and any other metric costs
+one n x n ``eigvalsh``.  It accepts by a norm bound on the residual
+||eta_h H eta_h^-1 - H^dag||_F, eta_h the metric's Hermitian part; only
+where the bound fails is the residual itself formed, and a refusal names
+it.
 
 ``mashhoon_papini`` builds the two-level effective Hamiltonian
 
@@ -87,7 +88,8 @@ class EvolutionRequest:
         if not grid or any(map(operator.le, grid[1:], grid)):
             raise ValueError("time grid must be non-empty and strictly increasing")
         object.__setattr__(self, "h", h)
-        object.__setattr__(self, "metric", metric)
+        if linalg._chain_form(self.metric) is None:  # a built one stays, for the gate
+            object.__setattr__(self, "metric", metric)
         object.__setattr__(self, "initial_state", state)
         object.__setattr__(self, "t_grid", grid)
 
@@ -224,8 +226,9 @@ def transition_probability(req: EvolutionRequest, final_state) -> list[float]:
                                "metrics; use krein_norm_series for indefinite ones")
     if not linalg.as_vector(final_state, req.h.shape[0]).any():
         raise ValueError("final state is zero")
-    initial = metric_normalize(req.initial_state, req.metric)
-    bra = metric_normalize(final_state, req.metric).conj() @ req.metric
+    metric = np.asarray(req.metric)
+    initial = metric_normalize(req.initial_state, metric)
+    bra = metric_normalize(final_state, metric).conj() @ metric
     if dec is None:
         with np.errstate(over="ignore", invalid="ignore"):
             amplitudes = _finite(bra @ _states(req.h, initial, t))
@@ -248,11 +251,12 @@ def krein_norm_series(req: EvolutionRequest) -> list[float]:
     partner, through e^{i (conj(E_a) - E_b) t}, and a real one no exponential
     at all.  ``Overflow`` when M or a term is not finite."""
     t, (dec, _) = np.asarray(req.t_grid), _decomposition(req)
+    metric = np.asarray(req.metric)
     with np.errstate(over="ignore", invalid="ignore"):  # _finite refuses a non-finite value
         if dec is None:
             psi = _states(req.h, req.initial_state, t)
-            return _finite(np.sum(psi.conj() * (req.metric @ psi), axis=0).real).tolist()
-        m = dec.psi.conj().T @ (0.5 * (req.metric + req.metric.conj().T) @ dec.psi)
+            return _finite(np.sum(psi.conj() * (metric @ psi), axis=0).real).tolist()
+        m = dec.psi.conj().T @ (0.5 * (metric + metric.conj().T) @ dec.psi)
         m = 0.5 * (m + m.conj().T)
         column, coef, chain, power = _components(dec, req.initial_state)
         chain_group, eigenvalues = dec.chain_group, dec.group_eigenvalues

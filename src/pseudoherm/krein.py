@@ -5,12 +5,12 @@ spectral subspaces and defines the indefinite product ``<psi| eta |phi>``.
 Whether a matrix is one is decided by ``linalg._metric_decision``, which
 refuses a non-Hermitian metric with ``NonHermitianMetric`` and returns
 ``||eta - eta^dag||_F``, ``||eta||_F``, bounds on min|w| and max|w|, w the
-eigenvalues of eta's Hermitian part, and the signature.  A P or P+ that
-``operators`` built is decided once, from its chain-basis K with no
-eigensolve where K proves it a metric, and its record keeps the decision,
-so the reports of one op against its P decide P once; a user's metric, and
-one K does not prove, by one n x n ``eigvalsh`` per call, which refuses one
-with an eigenvalue within ``tol.scaled(metric)`` of zero with
+eigenvalues of eta's Hermitian part, and the signature.  A P or P+ handed
+in as ``operators`` built it is decided once, from its chain-basis K with
+no eigensolve where K proves it a metric, and its chain form keeps the
+decision, so the reports of one op against its P decide P once; any other
+metric, and one K does not prove, by one n x n ``eigvalsh`` per call, which
+refuses one with an eigenvalue within ``tol.scaled(metric)`` of zero with
 ``SingularMetric``.  No report reads w.
 The invertibility of a classified operator M is certified instead of
 decomposed: Weyl's inequality for singular values gives ``sigma_min(M) >=
@@ -116,7 +116,7 @@ def krein_inner(psi, phi, metric) -> complex:
 def build_krein_space(metric, tol: Tolerance = DEFAULT_TOL) -> KreinSpace:
     """Spectral splitting of a Hermitian invertible metric (refused by the
     rule of ``linalg.metric_eigenvalues``), from one ``eigh``."""
-    (w, v), _, _ = linalg._metric_solve(metric, tol, vectors=True)
+    (w, v), _, _ = linalg._metric_solve(linalg.as_cmatrix(metric), tol, vectors=True)
     pos = v[:, w > 0]
     neg = v[:, w < 0]
     return KreinSpace(
@@ -156,17 +156,17 @@ def classification_report(op, metric, tol: Tolerance = DEFAULT_TOL) -> Classific
     larger (otherwise NONE, with the residuals reported).  The operator must
     be invertible; its rank is tested only when the residuals cannot prove
     that (see the module docstring).  The metric is decided by
-    ``linalg._metric_decision``: a P or P+ that ``operators`` built once,
-    from its K with no eigensolve where K proves it a metric, so the reports
-    of one op against its P decide P once; any other metric by one n x n
-    ``eigvalsh`` per call.  ``Overflow`` when the Gram product, a residual
-    or the threshold is not finite."""
+    ``linalg._metric_decision``: a P or P+ handed in as ``operators`` built
+    it once, from its K with no eigensolve where K proves it a metric, so
+    the reports of one op against its P decide P once; any other metric by
+    one n x n ``eigvalsh`` per call.  ``Overflow`` when the Gram product, a
+    residual or the threshold is not finite."""
     sym = SymmetryOperator.of(op)
-    metric = linalg.as_cmatrix(metric)
+    form, metric = linalg._chain_form(metric), linalg.as_cmatrix(metric)
     m = sym.matrix
     if m.shape != metric.shape:
         raise DimensionMismatch(f"operator is {m.shape} but the metric is {metric.shape}")
-    rule = linalg._metric_decision(metric, tol)
+    rule = linalg._metric_decision(metric, tol, form)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite value is refused below
         gram = m.conj().T @ metric @ m
         residuals = {

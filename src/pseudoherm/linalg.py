@@ -8,9 +8,10 @@ measured by, ``hermitian_eigh``, the package's one eigendecomposition, and
 ``_metric_decision``, the one rule by which every entry point decides
 whether a matrix is a Hermitian invertible metric.  A metric that
 ``operators`` built, P = Phi K Phi^dag with K a signed permutation of the
-chains, carries its chain-basis record (``_carry``), which keeps the
-decisions made on it; it is decided once per tolerance, from K with no
-eigensolve wherever K proves it a metric.  Any other, a user's metric, is
+chains, is a read-only ``ChainMetric`` carrying its chain form
+(``ChainForm``), which keeps the decisions made on it; it is decided once
+per tolerance, from K with no eigensolve wherever K proves it a metric.
+Any other, a user's metric or an array derived from a built one, is
 decided by the n x n rule of ``metric_eigenvalues``, one ``eigvalsh``, on
 every call.  The verdict is the n x n rule's either way.
 Everything works on square ``complex128`` arrays of modest size (``N_MAX``
@@ -273,18 +274,13 @@ def hermitian_defect(a: np.ndarray) -> float:
     return _fro(a - a.conj().T)
 
 
-def is_hermitian(a, tol: Tolerance = DEFAULT_TOL) -> bool:
-    a = as_cmatrix(a)
-    return hermitian_defect(a) <= tol.scaled(a)
-
-
 def metric_eigenvalues(metric, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Eigenvalues of a Hermitian invertible metric, ascending: the n x n
     rule by which a matrix is a metric, one ``eigvalsh`` of its Hermitian
     part.  Raises ``NonHermitianMetric`` unless it is Hermitian at ``tol``,
     and ``SingularMetric`` when an eigenvalue of its Hermitian part lies
     within ``tol.scaled(metric)`` of zero.  Nothing is kept."""
-    return _metric_solve(metric, tol)[0]
+    return _metric_solve(as_cmatrix(metric), tol)[0]
 
 
 def hermitian_eigh(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -309,15 +305,6 @@ class MetricDecision:
     signature: tuple[int, int]
 
 
-#: the last ``_CARRIED`` metrics ``operators`` built from one decomposition
-#: (an op's P, P+ and paired P), newest first: (the metric as built, its
-#: bytes, the decomposition, the gather ``(src, sign)`` of its K, or None for
-#: K = I, and the decisions ``_metric_decision`` made on it, by tolerance).
-#: A metric built from another decomposition drops them, so that no earlier
-#: op's basis and metrics are kept alive.
-_carried: list = []
-_CARRIED = 3
-
 #: eps, the unit of the rounding margin of a chain-basis product A K B^dag:
 #: the bound sqrt(2) gamma_{n+2} ||A||_F ||B||_F of its complex dot products
 #: of length n (Higham, Accuracy and Stability of Numerical Algorithms
@@ -326,43 +313,61 @@ _CARRIED = 3
 _EPS = float(np.finfo(float).eps)
 
 
-def _carry(metric: np.ndarray, dec, k) -> np.ndarray:
-    """``metric``, which ``operators`` built as Phi K Phi^dag over the chain
-    basis of ``dec``, K the signed permutation of the column gather ``k =
-    (src, sign)`` (``operators._coefficients``; None for K = I), recorded
-    with its bytes, so that ``_metric_decision`` decides this very array,
-    unchanged, from K, and keeps its decisions there."""
-    kept = [record for record in _carried if record[2] is dec]
-    _carried[:] = [(metric, metric.tobytes(), dec, k, {})] + kept[:_CARRIED - 1]
-    return metric
+@dataclass(frozen=True)
+class ChainForm:
+    """How ``operators`` built a metric Phi K Phi^dag: over the chain basis
+    of ``dec``, K the signed permutation of the column gather ``gather =
+    (src, sign)`` (``operators._coefficients``; None for K = I), and the
+    decisions ``_metric_decision`` made on it, by tolerance."""
+
+    dec: object
+    gather: tuple | None
+    decisions: dict
 
 
-def _carrier(metric: np.ndarray):
-    """The record of ``_carried`` of this very array, if it is bit for bit
-    as built; else None."""
-    for record in _carried:
-        if record[0] is metric:
-            return record if metric.tobytes() == record[1] else None
-    return None
+class ChainMetric(np.ndarray):
+    """A metric as ``operators`` built it: read-only, with its chain form
+    ``form``.  Only the built array carries one.  An array derived from it
+    (a copy, a slice, a transpose, an arithmetic result, ``np.asarray`` of
+    it, or one unpickled) has ``form`` None, and a write into it raises, so
+    a form always describes the very array that carries it."""
+
+    form = None
 
 
-def _metric_decision(metric, tol: Tolerance) -> MetricDecision:
-    """The rule by which a matrix is a metric, and what it measured.  A
-    metric that ``operators`` built (``_carry``), handed in as the very array
-    and bit for bit as built, is decided from its K where that proves it a
-    metric (``_chain_decision``); any other, and one that K does not prove,
-    by the n x n rule of ``metric_eigenvalues``, one ``eigvalsh``.  The
-    verdict is the n x n rule's either way.  A decision on a carried metric
-    is kept in its record, one per tolerance, so that an op classifying
-    several operators against its P and evolving under it
+def _chain_metric(metric: np.ndarray, dec, gather) -> ChainMetric:
+    """``metric``, built as Phi K Phi^dag over the chain basis of ``dec``
+    with the K of ``gather`` (``ChainForm``), made read-only and carrying
+    its chain form."""
+    metric.flags.writeable = False
+    built = metric.view(ChainMetric)
+    built.form = ChainForm(dec, gather, {})
+    return built
+
+
+def _chain_form(metric) -> ChainForm | None:
+    """The chain form ``metric`` carries, None for any matrix but a metric
+    handed in as ``operators`` built it."""
+    return metric.form if isinstance(metric, ChainMetric) else None
+
+
+def _metric_decision(metric: np.ndarray, tol: Tolerance,
+                     form: ChainForm | None) -> MetricDecision:
+    """The rule by which a matrix that ``as_cmatrix`` accepted is a metric,
+    and what it measured; ``form`` is the chain form read off the argument
+    it was converted from (``_chain_form``).  A metric that ``operators``
+    built is decided from its K where that proves it a metric
+    (``_chain_decision``); any other, and one that K does not prove, by the
+    n x n rule of ``metric_eigenvalues``, one ``eigvalsh``.  The verdict is
+    the n x n rule's either way.  A decision on a built metric is kept in
+    its form, one per tolerance, so that an op classifying several
+    operators against its P and evolving under it
     (``spectral._pseudo_hermiticity``, the evolution gate) decides P once;
     nothing else is kept, so no decision depends on a metric decided
     before.  A refusal is not kept."""
-    metric = as_cmatrix(metric)
-    record = _carrier(metric)
-    decisions = {} if record is None else record[4]
+    decisions = {} if form is None else form.decisions
     if tol not in decisions:
-        decision = None if record is None else _chain_decision(metric, record, tol)
+        decision = None if form is None else _chain_decision(metric, form, tol)
         if decision is None:
             w, defect, norm = _metric_solve(metric, tol)
             size = np.abs(w)
@@ -372,12 +377,12 @@ def _metric_decision(metric, tol: Tolerance) -> MetricDecision:
     return decisions[tol]
 
 
-def _chain_decision(metric: np.ndarray, record, tol: Tolerance) -> MetricDecision | None:
-    """The decision on a carried metric P = Phi K Phi^dag (``record`` its
-    entry of ``_carried``), with no eigensolve; None where the bound on
-    min|w| below does not clear the n x n rule's threshold
-    ``tol.scaled(P)``, which the n x n rule then decides, so that both
-    accept the same metrics.  Hermiticity is judged as by the n x n rule
+def _chain_decision(metric: np.ndarray, form: ChainForm,
+                    tol: Tolerance) -> MetricDecision | None:
+    """The decision on a built metric P = Phi K Phi^dag of chain form
+    ``form``, with no eigensolve; None where the bound on min|w| below does
+    not clear the n x n rule's threshold ``tol.scaled(P)``, which the n x n
+    rule then decides, so that both accept the same metrics.  Hermiticity is judged as by the n x n rule
     (``NonHermitianMetric``).  By Sylvester's law of inertia P's signature
     is K's, ((n + tr K) / 2, (n - tr K) / 2).  P^-1 = Psi K Psi^dag is one
     gather and one product, and the eigenvalues w of P satisfy min|w| =
@@ -391,11 +396,10 @@ def _chain_decision(metric: np.ndarray, record, tol: Tolerance) -> MetricDecisio
     cond(S) eps): ``abs_min`` bounds min|w| only up to it, and as it must
     clear the threshold, that error can matter only for a metric whose
     min|w| lies right at it."""
-    _, _, dec, k, _ = record
     thr, defect, norm = _hermitian_threshold(metric, tol)
-    n, psi = metric.shape[0], dec.psi
+    n, psi, k = metric.shape[0], form.dec.psi, form.gather
     unit = (n + 2) * _EPS
-    phi_norm, psi_norm = _fro(dec.phi), _fro(psi)
+    phi_norm, psi_norm = _fro(form.dec.phi), _fro(psi)
     delta = unit * phi_norm * phi_norm
     inverse = (psi if k is None else psi[:, k[0]] * k[1]) @ psi.conj().T
     abs_min = 1.0 / (_fro(inverse) + unit * psi_norm * psi_norm) - delta
@@ -429,10 +433,9 @@ def _hermitian_threshold(metric: np.ndarray, tol: Tolerance) -> tuple[float, flo
 
 def _metric_solve(metric, tol: Tolerance, vectors: bool = False):
     """``(out, ||metric - metric^dag||_F, ||metric||_F)`` under the n x n
-    rule of ``metric_eigenvalues``: ``out`` the eigenvalues of the Hermitian
-    part of ``metric`` (``eigvalsh``), or with ``vectors`` its
-    ``hermitian_eigh``."""
-    metric = as_cmatrix(metric)
+    rule of ``metric_eigenvalues`` for a ``metric`` that ``as_cmatrix``
+    accepted: ``out`` the eigenvalues of the Hermitian part of ``metric``
+    (``eigvalsh``), or with ``vectors`` its ``hermitian_eigh``."""
     thr, defect, norm = _hermitian_threshold(metric, tol)
     out = hermitian_eigh(metric) if vectors else np.linalg.eigvalsh(
         0.5 * (metric + metric.conj().T))

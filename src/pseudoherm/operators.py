@@ -9,10 +9,11 @@ column gather over the decomposition's chain arrays, so each builder makes
 one gather of ``left``'s columns and one product: Phi K Phi^dag for the
 metrics (P and the paired parity; P+ is Phi Phi^dag), Psi K Phi^dag for C and
 R, Psi K Phi^T for TP, CTP and the quaternionic T, and Psi K Psi^T for T.
-The three metrics carry their chain-basis record, the decomposition and
-K's gather (``linalg._carry``), so that the metric rule decides each from
-K, with no eigensolve, while it is handed in as built and K proves it a
-metric.
+The three metrics are read-only ``linalg.ChainMetric`` arrays carrying
+their chain form, the decomposition and K's gather, so that the metric rule
+decides each from K, with no eigensolve, while it is handed in as built and
+K proves it a metric; a copy or any other array derived from one is a plain
+matrix to the rule.
 The linear builders return the matrix; the antilinear ones (T, TP, CTP, the
 quaternionic T) return a ``SymmetryOperator`` with ``antilinear=True``, read
 as "matrix followed by entrywise conjugation": ``A v = M conj(v)``.  The
@@ -38,10 +39,8 @@ from . import linalg
 from .errors import (
     DimensionMismatch,
     NotDiagonalizableReal,
-    NotInvolutory,
     UnpairedRealBlocks,
 )
-from .linalg import DEFAULT_TOL, Tolerance, _fro
 from .spectral import SpectralDecomposition, _refuse_unpaired
 
 
@@ -173,12 +172,12 @@ def _chain_product(dec: SpectralDecomposition, op: str, left: np.ndarray,
     """``left @ K @ right`` for the K of ``_coefficients`` (``NotPaired`` if a
     complex eigenvalue has no partner, as K then does not exist): one gather
     of ``left``'s columns and one matrix product.  With ``carry``, the
-    product is a metric Phi K Phi^dag, returned with its gather recorded
-    (``linalg._carry``)."""
+    product is a metric Phi K Phi^dag, returned carrying its chain form
+    (``linalg._chain_metric``)."""
     _refuse_unpaired(dec, False)
     src, sign = _coefficients(dec, op, signs)
     product = (left[:, src] * sign) @ right
-    return linalg._carry(product, dec, (src, sign)) if carry else product
+    return linalg._chain_metric(product, dec, (src, sign)) if carry else product
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +241,7 @@ def build_positive_metric(dec: SpectralDecomposition) -> np.ndarray:
         raise NotDiagonalizableReal(
             "no positive definite metric exists: " + "; ".join(violations),
             reason="Theorem 1")
-    return linalg._carry(dec.phi @ dec.phi_dag, dec, None)
+    return linalg._chain_metric(dec.phi @ dec.phi_dag, dec, None)
 
 
 def _paired_real_layout(dec: SpectralDecomposition, reason: str = "Proposition 4"):
@@ -276,29 +275,3 @@ def build_quaternionic_T(dec: SpectralDecomposition) -> SymmetryOperator:
     coincides with R T P for the paired parity."""
     _paired_real_layout(dec, reason="Theorem 2")
     return SymmetryOperator(_chain_product(dec, "Tfrak", dec.psi, dec.phi.T), antilinear=True)
-
-
-def involutory_symmetry_exists(dec: SpectralDecomposition) -> bool:
-    """A nontrivial involutory symmetry commuting with H exists iff H has at
-    least two independent eigenvectors."""
-    return dec.chain_dim.size >= 2
-
-
-def canonical_involution(c, tol: Tolerance = DEFAULT_TOL) -> tuple[int, int]:
-    """(+1, -1) eigenvalue multiplicities of an involutory operator.
-
-    Also certifies diagonalizability via ``rank(C-1) + rank(C+1) = n``
-    (an involution cannot carry a nilpotent part).
-    """
-    c = linalg.as_cmatrix(c)
-    n = c.shape[0]
-    eye = np.eye(n)
-    if _fro(c @ c - eye) > tol.scaled(c, c):
-        raise NotInvolutory("operator does not square to the identity at tolerance")
-    r_minus = linalg.rank(c - eye, tol)
-    r_plus = linalg.rank(c + eye, tol)
-    if r_minus + r_plus != n:
-        raise NotInvolutory(
-            f"rank(C-1)+rank(C+1) = {r_minus + r_plus} != {n}; "
-            "involution check inconsistent at tolerance")
-    return n - r_minus, n - r_plus

@@ -265,19 +265,19 @@ def _pseudo_hermiticity_residual(h, eta, w, v) -> float:
 def _pseudo_hermiticity(h, eta, tol: Tolerance) -> tuple[str | None, bool]:
     """``(refusal, eta positive definite)``, refusal None where
     ``is_pseudo_hermitian(h, eta, tol)`` accepts, else why it refuses.  The
-    metric is decided by ``linalg._metric_decision``: a P or P+ that
-    ``operators`` built once, from its K where K proves it a metric, a user's
-    metric by one n x n ``eigvalsh`` per call.  With w the eigenvalues of eta's
+    metric is decided by ``linalg._metric_decision``: a P or P+ handed in as
+    ``operators`` built it once, from its K where K proves it a metric, any
+    other metric by one n x n ``eigvalsh`` per call.  With w the eigenvalues of eta's
     Hermitian part, eta_h that part divided by the decision's bound on max|w|
     and X = eta_h H - H^dag eta_h, the residual ||X eta_h^-1||_F is at most
     ||X||_F max|w| / min|w|, which the decision's bounds on max|w| and min|w|
     only enlarge: this bound accepts, and only where it fails is the residual
     formed (``_pseudo_hermiticity_residual``, one n x n
     ``linalg.hermitian_eigh``) to decide."""
-    h, eta = linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
+    form, h, eta = linalg._chain_form(eta), linalg.as_cmatrix(h), linalg.as_cmatrix(eta)
     if h.shape != eta.shape:
         raise DimensionMismatch(f"H is {h.shape} but the metric is {eta.shape}")
-    rule = linalg._metric_decision(eta, tol)
+    rule = linalg._metric_decision(eta, tol, form)
     definite = rule.signature[1] == 0
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite residual is refused
         thr, eta_h = tol.scaled(h), (eta + eta.conj().T) / 2
@@ -602,12 +602,12 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
 
 def _kept_exact(h: np.ndarray) -> SpectralDecomposition | None:
     """The decomposition the last ``analyze`` kept, under any tolerance, if
-    the complex128 h is its H bit for bit and it reconstructs H to rounding
-    (``_ROUNDING``); else None.  A lookup: nothing is analyzed and nothing
-    kept changes."""
+    the complex128 h equals its H, as ``analyze``'s memo compares them, and
+    it reconstructs H to rounding (``_ROUNDING``); else None.  A lookup:
+    nothing is analyzed and nothing kept changes."""
     if _last and _last[0][3]:
         kept = _last[0][0]
-        if kept.shape == h.shape and kept.tobytes() == h.tobytes():
+        if kept.shape == h.shape and (kept == h).all():
             return _last[0][2]
     return None
 

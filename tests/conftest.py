@@ -10,16 +10,12 @@ from pseudoherm.errors import DimensionMismatch, PseudohermError
 
 @pytest.fixture
 def cold_memo():
-    """Empty the last-result memo of ``spectral.analyze`` and the built
-    metrics' records (``linalg._carried``), with the metric decisions they
-    keep, before and after the test, so that a kernel the test stubs or
-    counts runs on its first call and what the stub made is not served to a
-    later test."""
+    """Empty the last-result memo of ``spectral.analyze`` before and after
+    the test, so that a kernel the test stubs or counts runs on its first
+    call and what the stub made is not served to a later test."""
     spectral._last.clear()
-    linalg._carried.clear()
     yield
     spectral._last.clear()
-    linalg._carried.clear()
 
 
 def _outcome(call):

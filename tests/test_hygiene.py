@@ -338,14 +338,14 @@ def _kept_state(source: str) -> list[str]:
     return sorted(kept | (containers & changed))
 
 
-def test_the_package_keeps_state_in_two_places():
+def test_the_package_keeps_state_in_one_place():
     """The package keeps state only in the last analysis
-    (``spectral._last``) and the built metrics' records
-    (``linalg._carried``), which hold the decisions made on those metrics:
-    no other memo can serve one call what an earlier call left."""
+    (``spectral._last``); the decisions made on a built metric live on the
+    metric itself (``linalg.ChainForm``): no other memo can serve one call
+    what an earlier call left."""
     kept = [f"{path.stem}.{name}" for path in MODULES
             for name in _kept_state(path.read_text(encoding="utf-8"))]
-    assert kept == ["linalg._carried", "spectral._last"]
+    assert kept == ["spectral._last"]
 
 
 def test_kept_state_is_detected():

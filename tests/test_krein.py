@@ -1,5 +1,6 @@
 """Indefinite-metric machinery: inner product, congruence, classification."""
 
+import pickle
 import sys
 import warnings
 from pathlib import Path
@@ -577,27 +578,33 @@ def test_operands_of_different_sizes_are_refused_before_any_decomposition(monkey
 
 
 # ---------------------------------------------------------------------------
-# the decisions a built metric's record keeps, and operators whose Gram
+# the decisions a built metric's chain form keeps, and operators whose Gram
 # product overflows
+
+
+def _decide(metric, tol=DEFAULT_TOL):
+    """The metric decision as the library's entry points ask for it: the
+    chain form read off the argument, then the validated matrix."""
+    return linalg._metric_decision(linalg.as_cmatrix(metric), tol, linalg._chain_form(metric))
 
 
 @pytest.mark.usefixtures("cold_memo")
 def test_reports_against_one_metric_decide_it_once(monkeypatch):
     """Two reports against a built P and the gate under it run no n x n
-    ``eigvalsh``: P's record keeps the one decision made on it.  A copy of
-    P has no record, so each report against a copy runs one, and the copy's
-    decision is the eigensolve's."""
+    ``eigvalsh``: P's chain form keeps the one decision made on it.  A copy
+    of P carries no form, so each report against a copy runs one, and the
+    copy's decision is the eigensolve's."""
     h, p, u = _small_case()
     tp, metric = build_tp(spectral.analyze(h)), p.copy()
     eigs = _count(monkeypatch, np.linalg, "eigvalsh")
     first = classification_report(u, p)
     assert classification_report(tp, p).symmetry_class is SymmetryClass.P_ANTIUNITARY
     assert spectral.is_pseudo_hermitian(h, p)
-    assert eigs == [] and list(linalg._carrier(p)[4]) == [DEFAULT_TOL]
+    assert eigs == [] and list(p.form.decisions) == [DEFAULT_TOL]
     assert classification_report(u, metric) == classification_report(u, metric.copy()) == first
     assert eigs == ["eigvalsh"] * 2
     assert first == _report_by_svd(u, p)
-    kept, w = linalg._metric_decision(metric, DEFAULT_TOL), np.abs(_metric_rule(p, DEFAULT_TOL))
+    kept, w = _decide(metric), np.abs(_metric_rule(p, DEFAULT_TOL))
     assert (kept.abs_min, kept.abs_max) == (w.min(), w.max())
     assert kept.defect == linalg._fro(p - p.conj().T) and kept.norm == linalg._fro(p)
 
@@ -605,20 +612,20 @@ def test_reports_against_one_metric_decide_it_once(monkeypatch):
 @pytest.mark.usefixtures("cold_memo")
 def test_a_built_metric_keeps_one_decision_per_tolerance(monkeypatch):
     """A built P decided under two tolerances keeps two decisions in its
-    record, each the one a record with no decision gives; a repeat under
+    chain form, each the one a form with no decision gives; a repeat under
     the first tolerance forms no Psi K Psi^dag product."""
     _, p, _ = _small_case()
     loose = linalg.Tolerance(abs=1e-9, rel=1e-9)
-    decisions = linalg._carrier(p)[4]
+    decisions = p.form.decisions
     cold = []
     for tol in (DEFAULT_TOL, loose):
         decisions.clear()
-        cold.append(linalg._metric_decision(p, tol))
+        cold.append(_decide(p, tol))
     decisions.clear()
     chains = _count(monkeypatch, linalg, "_chain_decision")
-    assert [linalg._metric_decision(p, tol) for tol in (DEFAULT_TOL, loose)] == cold
+    assert [_decide(p, tol) for tol in (DEFAULT_TOL, loose)] == cold
     assert decisions == {DEFAULT_TOL: cold[0], loose: cold[1]}
-    assert linalg._metric_decision(p, DEFAULT_TOL) == cold[0]
+    assert _decide(p) == cold[0]
     assert chains == ["_chain_decision"] * 2
 
 
@@ -636,7 +643,7 @@ def test_a_changed_metric_or_tolerance_is_decided_again(monkeypatch):
     loose = linalg.Tolerance(abs=1e-9, rel=1e-9)
     reports = [classification_report(*args)
                for args in ((u, changed), (u, metric, loose), (u, metric))]
-    metric[0, 0] += 1e-3  # a metric no record carries keeps no decision to go stale
+    metric[0, 0] += 1e-3  # a metric that carries no form keeps no decision to go stale
     reports.append(classification_report(u, metric))
     assert len(eigs) == 5
     assert reports == [_report_by_svd(u, changed), _report_by_svd(u, p, loose),
@@ -650,18 +657,18 @@ def test_a_changed_metric_or_tolerance_is_decided_again(monkeypatch):
 ], ids=["non-hermitian", "singular"])
 def test_a_refused_metric_is_refused_again(metric, refusal):
     """A refusal is not kept: the next call raises it again, with the same
-    message, and the record of a built P decided before keeps its one
+    message, and the chain form of a built P decided before keeps its one
     decision."""
     _, p, u = _small_case()
     classification_report(u, p)
-    decisions = dict(linalg._carrier(p)[4])
+    decisions = dict(p.form.decisions)
     eye = np.eye(2, dtype=complex)
     with pytest.raises(refusal) as first:
         classification_report(eye, metric)
     with pytest.raises(refusal) as again:
         classification_report(eye, metric)
     assert str(again.value) == str(first.value)
-    assert linalg._carrier(p)[4] == decisions and len(decisions) == 1
+    assert p.form.decisions == decisions and len(decisions) == 1
 
 
 def _seed_pools(seed):
@@ -690,12 +697,12 @@ def _seed_pool_pairs(seed):
 @pytest.mark.usefixtures("cold_memo")
 def test_warm_memo_reports_equal_cold_ones():
     """Over the seed-7 pools' (U, P) and (TP, P), the second report against
-    each P, served by the decision P's record keeps, equals a report from a
-    record with no decision and the eigensolve-first reference, field by
-    field."""
+    each P, served by the decision P's chain form keeps, equals a report
+    from a form with no decision and the eigensolve-first reference, field
+    by field."""
     cases = 0
     for label, u, tp, p in _seed_pool_pairs(7):
-        decisions = linalg._carrier(p)[4]
+        decisions = p.form.decisions
         warm = [classification_report(u, p), classification_report(tp, p)]
         cold = []
         for op in (u, tp):
@@ -711,14 +718,14 @@ def test_the_decision_carries_what_a_report_reads():
     """Over the seed-7 pools' parities, the metric rule's decision on a copy
     of P holds the least and the greatest |w| and the signature of the
     eigenvalues w of P's Hermitian part; on P itself, the decision its
-    record keeps, made from its K, the same signature and bounds on |w|.  A
+    chain form keeps, made from its K, the same signature and bounds on |w|.  A
     report's signature is the decision's."""
     for label, u, _, p in _seed_pool_pairs(7):
         w = np.linalg.eigvalsh(0.5 * (p + p.conj().T))
         size, signature = np.abs(w), (np.sum(w > 0), np.sum(w < 0))
         for metric in (p.copy(), p):
             report = classification_report(u, metric)
-            kept = linalg._metric_decision(metric, DEFAULT_TOL)
+            kept = _decide(metric)
             assert kept.signature == report.signature == signature, label
             if metric is p:
                 assert kept.abs_min <= size.min() and kept.abs_max >= size.max(), label
@@ -751,8 +758,8 @@ def test_the_library_metrics_decided_from_k_agree_with_the_eigensolve(monkeypatc
     eigs = _count(monkeypatch, np.linalg, "eigvalsh")
     kinds = set()
     for label, kind, metric in _library_metrics((1, 2, 3)):
-        chain = linalg._metric_decision(metric, DEFAULT_TOL)
-        assert eigs == [] and linalg._carrier(metric)[4] == {DEFAULT_TOL: chain}, (label, kind)
+        chain = _decide(metric)
+        assert eigs == [] and metric.form.decisions == {DEFAULT_TOL: chain}, (label, kind)
         w = linalg.metric_eigenvalues(metric)
         eigs.clear()
         size = np.abs(w)
@@ -778,34 +785,33 @@ def test_a_carried_metric_k_cannot_prove_goes_to_the_eigensolve(monkeypatch, con
         _metric_rule(p.copy(), DEFAULT_TOL)
     eigs.clear()
     with pytest.raises(SingularMetric) as carried:
-        linalg._metric_decision(p, DEFAULT_TOL)
+        _decide(p)
     assert eigs == ["eigvalsh"] and str(carried.value) == str(copied.value)
-    assert linalg._carrier(p)[4] == {}
+    assert p.form.decisions == {}
 
 
 @pytest.mark.usefixtures("cold_memo")
 def test_a_decision_does_not_depend_on_the_metric_decided_before(monkeypatch):
     """An equal copy of a P decided from its K is decided by the n x n rule
     on every call, one ``eigvalsh`` each, and P after that copy is served
-    the decision its record keeps: each decision is the one a record with
+    the decision its chain form keeps: each decision is the one a form with
     no decision gives."""
     _, p, _ = _small_case()
     copy = p.copy()
-    cold = [linalg._metric_decision(metric, DEFAULT_TOL) for metric in (p, copy)]
+    cold = [_decide(metric) for metric in (p, copy)]
     assert cold[0] != cold[1]
-    linalg._carrier(p)[4].clear()
+    p.form.decisions.clear()
     eigs = _count(monkeypatch, np.linalg, "eigvalsh")
-    assert [linalg._metric_decision(m, DEFAULT_TOL) for m in (p, copy, p, copy, copy)] == \
-        cold + cold + [cold[1]]
+    assert [_decide(m) for m in (p, copy, p, copy, copy)] == cold + cold + [cold[1]]
     assert eigs == ["eigvalsh"] * 3
 
 
 @pytest.mark.usefixtures("cold_memo")
 def test_a_stale_carrier_goes_to_the_eigensolve(monkeypatch):
-    """A copy of a built P with one entry changed, and a built P written into
-    in place after it was decided, are each decided by the n x n rule, not
-    by the decision P's record keeps, and each report is the one the
-    eigensolve-first reference gives."""
+    """A built P cannot go stale: a write into it raises, and it keeps its
+    decision.  A copy of it with one entry changed is decided by the n x n
+    rule, not by the decision P's chain form keeps, and each report is the
+    one the eigensolve-first reference gives."""
     _, p, u = _small_case()
     changed = p.copy()
     changed[0, 0] += 1e-3
@@ -815,10 +821,29 @@ def test_a_stale_carrier_goes_to_the_eigensolve(monkeypatch):
     assert eigs == []
     got.append(classification_report(u, changed))
     assert eigs == ["eigvalsh"]
-    p[0, 0] += 1e-3
+    with pytest.raises(ValueError, match="read-only"):
+        p[0, 0] += 1e-3
     got.append(classification_report(u, p))
-    assert eigs == ["eigvalsh"] * 2
-    assert got == want + [want[1]]
+    assert eigs == ["eigvalsh"]
+    assert got == want + [want[0]]
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_an_array_derived_from_a_built_metric_carries_no_form(monkeypatch):
+    """A copy, a slice, the transpose, an arithmetic result, ``np.asarray``
+    of a built P and P pickled and loaded carry no chain form: a report
+    against each decides it by the n x n rule, one ``eigvalsh`` each, and is
+    the one the eigensolve-first reference gives.  A write into P raises."""
+    _, p, u = _small_case()
+    derived = [p.copy(), p[:], p.T, p + 0, np.asarray(p), pickle.loads(pickle.dumps(p))]
+    want = [_report_by_svd(u, metric) for metric in derived]
+    eigs = _count(monkeypatch, np.linalg, "eigvalsh")
+    for k, metric in enumerate(derived):
+        assert linalg._chain_form(metric) is None
+        assert classification_report(u, metric) == want[k]
+        assert eigs == ["eigvalsh"] * (k + 1)
+    with pytest.raises(ValueError, match="read-only"):
+        p[0, 0] = 0
 
 
 @pytest.mark.parametrize("scale", [1e100, 1e155])

@@ -119,10 +119,8 @@ def test_expm_basic_and_overflow():
 
 def test_hermitian_and_definite_predicates():
     h = np.array([[2, 1j], [-1j, 2]], dtype=np.complex128)
-    assert linalg.is_hermitian(h)
     assert linalg.metric_eigenvalues(h).min() > 0
     assert linalg.metric_eigenvalues(np.diag([1.0, -1.0]).astype(complex)).min() < 0
-    assert not linalg.is_hermitian(np.array([[0, 1], [0, 0]], dtype=np.complex128))
 
 
 # --- the kernels against scipy.linalg ---------------------------------------

@@ -5,11 +5,10 @@ import dataclasses
 import numpy as np
 import pytest
 
-from pseudoherm import krein, operators, spectral
+from pseudoherm import krein, linalg, operators, spectral
 from pseudoherm.errors import (
     DimensionMismatch,
     NotDiagonalizableReal,
-    NotInvolutory,
     NotPaired,
     UnpairedRealBlocks,
 )
@@ -27,9 +26,7 @@ from pseudoherm.operators import (
     build_reflecting,
     build_time_reversal,
     build_tp,
-    canonical_involution,
     canonical_sign_sequence,
-    involutory_symmetry_exists,
 )
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, analyze, synthesize
 from test_acceptance import _paired_spec, _unpaired_spec
@@ -101,9 +98,10 @@ def test_antilinear_results_are_antilinear_carriers():
                   build_quaternionic_T(dec), krein.congruence_to_involutory(dec).t_tilde]
     for op in antilinear:
         assert isinstance(op, SymmetryOperator) and op.antilinear
-    linear = [build_parity(dec), build_charge(dec), build_positive_metric(dec),
-              *build_reflecting(dec)]
-    for m in linear:
+    r, paired = build_reflecting(dec)
+    for m in (build_parity(dec), build_positive_metric(dec), paired):
+        assert type(m) is linalg.ChainMetric and not m.flags.writeable
+    for m in (build_charge(dec), r):
         assert type(m) is np.ndarray
 
 
@@ -250,24 +248,6 @@ def test_unpaired_complex_refusal():
     dec = analyze(h, allow_unpaired=True)
     with pytest.raises(NotPaired):
         build_parity(dec)
-
-
-def test_canonical_involution_counts():
-    assert canonical_involution(np.diag([1.0, 1.0, -1.0]).astype(complex)) == (2, 1)
-    with pytest.raises(NotInvolutory):
-        canonical_involution(2 * np.eye(2, dtype=np.complex128))
-    # C^2 - 1 is 2.4e-10, inside the tolerance, but C - 1 still has rank 1
-    with pytest.raises(NotInvolutory, match=r"^rank\(C-1\)\+rank\(C\+1\) = 3 != 2; "):
-        canonical_involution(np.array([[1.0, 1.2e-10], [0.0, 1.0]]))
-
-
-def test_involutory_symmetry_existence():
-    _, dec = synthesize(SynthesisSpec(groups=(JordanBlockSpec(0.0, (1, 1)),),
-                                      basis_seed=0))
-    assert involutory_symmetry_exists(dec)
-    _, dec1 = synthesize(SynthesisSpec(groups=(JordanBlockSpec(0.0, (2,)),),
-                                       basis_seed=0))
-    assert not involutory_symmetry_exists(dec1)
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
     classify       the op's two krein.classification_report calls against the
                    parity P, of the propagator of one step and of TP, the
                    first deciding P afresh from its K (the decisions P's
-                   record keeps are dropped first)
+                   chain form keeps are dropped first)
     evolution      evolution.propagator over one step of 0.05: U(t) in the
                    chain basis of the kept decomposition, as in an op
     expm           linalg.expm of -0.05i H: the kernel of the series'
@@ -45,10 +45,10 @@ Both series run on ``GRID_POINTS`` uniform points from 0 to
 ``min(GRID_END, 0.8 EXPM_NORM_BOUND / ||H||_F)``.  Each sample of the
 classification, the propagator, the gate and the series is preceded,
 untimed, by the state it meets in an op: ``spectral.analyze(h)`` and the
-row's P and P+ built afresh, so that their records (``linalg._carry``) keep
-no metric decision, as is each call that sizes its batch.  So a sample
-does not depend on which metric the layer timed before it left decided,
-and the first call of each sample decides its metric.
+row's P and P+ built afresh, so that their chain forms (``linalg.ChainForm``)
+keep no metric decision, as is each call that sizes its batch.  So a sample
+does not depend on which metric the layer timed before it left decided, and
+the first call of each sample decides its metric.
 
 A sample repeats one layer's call for about ``BATCH_S`` and is timed
 between two samples of the benchmark's reference kernel (``perfbench/
@@ -194,7 +194,7 @@ def _calls(h):
                 h=h, metric=operators.build_positive_metric(dec), initial_state=psi0, t_grid=grid)
 
     def classify():
-        linalg._carrier(requests["series"].metric)[4].clear()
+        requests["series"].metric.form.decisions.clear()
         krein.classification_report(step, requests["series"].metric)
         krein.classification_report(tp, requests["series"].metric)
 
