@@ -80,10 +80,6 @@ class SingularOperator(MathematicalRefusal):
     pass
 
 
-class NotInvolutory(MathematicalRefusal):
-    pass
-
-
 class NotAntiunitary(MathematicalRefusal):
     pass
 

@@ -12,14 +12,15 @@ result is kept, so an op that analyzed H does not analyze it again.  There
 e^{-iJt} has a closed form, e^{-iEt} times a polynomial in t per Jordan
 chain, whose terms ``dec.terms`` lists once per decomposition; the state's
 chain coordinates evolve by them, and no ``expm`` runs.  The propagator
-reads the same terms, U(t) = Psi e^{-iJt} Phi^dag, where the kept
-decomposition is of its H and reconstructs it to rounding, as after an op's
-analysis; it analyzes nothing itself, and takes ``linalg.expm`` for any
-other H.  The Krein norm pairs each eigenvalue only with its conjugate: a
-real eigenvalue takes no exponential, and a growing pair component meets
-only its decaying partner, so the series stays bounded at any horizon.
-Where ``analyze`` refuses H, each grid point takes its own propagator
-(``_states``), exponentiated in parts inside ``EXPM_NORM_BOUND``.  Either
+reads the same terms, U(t) = Psi e^{-iJt} Phi^dag, where ``analyze`` of its
+own H accepts H and its decomposition reconstructs H to rounding, and takes
+``linalg.expm`` for any other H: its route is decided by (H, t) alone, and
+after an op's analysis of H costs no Schur form.  The Krein norm pairs each
+eigenvalue only with its conjugate: a real eigenvalue takes no exponential,
+and a growing pair component meets only its decaying partner, so the series
+stays bounded at any horizon.  Where ``analyze`` refuses H, each grid point
+takes its own ``linalg.expm`` (``_states``), exponentiated in parts inside
+``EXPM_NORM_BOUND``.  Either
 way ``Overflow`` is raised only when a value stops being finite, including
 a point's ``|t| ||H||_F``.
 
@@ -58,7 +59,7 @@ from .errors import (DimensionMismatch, IndefiniteMetric, NotPseudoHermitian, Ov
                      PseudohermError)
 from .krein import krein_inner
 from .linalg import DEFAULT_TOL, Tolerance, _fro
-from .spectral import _assemble, _kept_exact, _pseudo_hermiticity, analyze
+from .spectral import _assemble, _kept, _pseudo_hermiticity, analyze
 
 REGIME_REAL = "RealNondegenerate"
 REGIME_COMPLEX = "ComplexPair"
@@ -109,23 +110,29 @@ class MashhoonPapiniParams:
 
 
 def propagator(h, t: float) -> np.ndarray:
-    """Evolution operator ``U(t) = exp(-i H t)``.
+    """Evolution operator ``U(t) = exp(-i H t)``, its route decided by H and t alone.
 
-    Where the last ``analyze`` kept a decomposition of this H that
-    reconstructs it to rounding (``spectral._kept_exact``), as after an op's
-    analysis, U(t) = Psi e^{-iJt} Phi^dag is the one product ``(Psi[:, column]
-    taylor e^{rate t} t^power) @ Phi^dag[column + power]`` over ``dec.terms``,
-    and no ``expm`` runs: the exponential of H' = Psi J Phi^dag, within
+    Where ``analyze`` at ``DEFAULT_TOL`` accepts H, unpaired groups allowed,
+    and its decomposition reconstructs H to rounding (``spectral._kept``), U(t)
+    = Psi e^{-iJt} Phi^dag is the one product ``(Psi[:, column] taylor
+    e^{rate t} t^power) @ Phi^dag[column + power]`` over ``dec.terms``, and
+    no ``expm`` runs: the exponential of H' = Psi J Phi^dag, within
     8 n eps ||Psi||_F ||Phi||_F ||H||_F of H, the rounding of the basis; U(0)
-    is Psi Phi^dag, the identity within its biorthonormality residual.  Any
-    other H, and any -iHt that ``linalg.expm`` refuses (decided on expm's own
-    ||-iHt||_F), goes to ``expm``: ``ValueError`` for a non-finite -iHt,
-    ``Overflow`` past ``EXPM_NORM_BOUND``.  No H is analyzed here."""
+    is Psi Phi^dag, the identity within its biorthonormality residual.  After
+    an op's ``analyze(H)`` the decomposition is the kept one; a cold call makes
+    and keeps it, and an H that ``analyze`` refuses is decomposed again on each
+    call, since a refusal is not kept.  Any other H, and any -iHt that
+    ``linalg.expm`` refuses (decided on expm's own ||-iHt||_F), goes to
+    ``expm``: ``ValueError`` for a non-finite H or -iHt, ``Overflow`` past
+    ``EXPM_NORM_BOUND``."""
     t, h = float(t), np.asarray(h, dtype=np.complex128)
-    dec = _kept_exact(h)
+    try:
+        dec, exact = _kept(h, DEFAULT_TOL)
+    except PseudohermError:
+        exact = False
     with np.errstate(invalid="ignore", over="ignore"):  # expm refuses a non-finite -iHt
         a = -1j * t * h
-        if dec is not None and _fro(a) <= linalg.EXPM_NORM_BOUND:  # expm's test
+        if exact and _fro(a) <= linalg.EXPM_NORM_BOUND:  # expm's test
             column, power, _, taylor, rate = dec.terms
             # an exponential past the float range is left inf, as expm's squarings leave it
             coef = np.exp(rate * t) * t ** power
@@ -201,7 +208,7 @@ def _finite(values: np.ndarray) -> np.ndarray:
 
 def _states(h, state, grid) -> np.ndarray:
     """Columns ``U(t) state`` over the grid, for an H that ``analyze``
-    refuses: one propagator per point, ``U(t) = U(t / m)^m`` with the fewest
+    refuses: one ``linalg.expm`` per point, ``U(t) = U(t / m)^m`` with the fewest
     m that keep ``|t / m| ||H||_F`` inside ``EXPM_NORM_BOUND``.  A point whose
     ``|t| ||H||_F`` overflows is refused with ``Overflow``; a state that
     overflows is left non-finite for the caller to refuse."""
@@ -212,7 +219,7 @@ def _states(h, state, grid) -> np.ndarray:
         if not np.isfinite(reach):
             raise Overflow("|t| ||H||_F overflows the float range")
         m = max(1, int(np.ceil(reach / linalg.EXPM_NORM_BOUND)))
-        out[:, k] = np.linalg.matrix_power(propagator(h, t / m), m) @ state
+        out[:, k] = np.linalg.matrix_power(linalg.expm(-1j * (t / m) * h), m) @ state
     return out
 
 

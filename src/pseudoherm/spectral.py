@@ -557,7 +557,7 @@ def default_cluster_tol(h: np.ndarray) -> float:
     return 25.0 * (n * n * np.finfo(float).eps * max(1.0, norm)) ** (1.0 / 3.0)
 
 
-#: the last decomposition ``analyze`` made: one (copy of H, tolerance,
+#: the last decomposition ``_kept`` made: one (copy of H, tolerance,
 #: decomposition, whether it reconstructs H to rounding)
 _last: list = []
 
@@ -590,26 +590,19 @@ def analyze(h, tol: Tolerance = DEFAULT_TOL, *,
     requests for its H cost a comparison.  ``NotPaired`` is decided on every
     call from the decomposition's ``unpaired`` groups; a refusal is not kept.
     """
+    return _refuse_unpaired(_kept(h, tol)[0], allow_unpaired)
+
+
+def _kept(h, tol: Tolerance) -> tuple[SpectralDecomposition, bool]:
+    """``analyze``'s memo: the decomposition of H, its unpaired groups
+    allowed, and whether it reconstructs H to rounding (``_ROUNDING``).  The
+    kept one where H and the tolerance equal the last call's, else one made
+    afresh and kept in its place."""
     h = np.asarray(h, dtype=np.complex128)
-    if _last and _last[0][1] == tol and np.array_equal(_last[0][0], h):
-        dec = _last[0][2]  # h equals a matrix as_cmatrix accepted
-    else:
+    if not (_last and _last[0][1] == tol and np.array_equal(_last[0][0], h)):
         h = linalg.as_cmatrix(h)
-        dec, exact = _decompose(h, tol)
-        _last[:] = [(h.copy(), tol, dec, exact)]
-    return _refuse_unpaired(dec, allow_unpaired)
-
-
-def _kept_exact(h: np.ndarray) -> SpectralDecomposition | None:
-    """The decomposition the last ``analyze`` kept, under any tolerance, if
-    the complex128 h equals its H, as ``analyze``'s memo compares them, and
-    it reconstructs H to rounding (``_ROUNDING``); else None.  A lookup:
-    nothing is analyzed and nothing kept changes."""
-    if _last and _last[0][3]:
-        kept = _last[0][0]
-        if kept.shape == h.shape and (kept == h).all():
-            return _last[0][2]
-    return None
+        _last[:] = [(h.copy(), tol, *_decompose(h, tol))]
+    return _last[0][2], _last[0][3]
 
 
 def _decompose(h: np.ndarray, tol: Tolerance) -> tuple[SpectralDecomposition, bool]:

@@ -813,7 +813,7 @@ _EXIT_CODES = {
     "Singular": 2, "Overflow": 2, "NumericalAmbiguity": 2, "ClusterAmbiguity": 2,
     "MathematicalRefusal": 3, "NotPaired": 3, "NotDiagonalizableReal": 3,
     "UnpairedRealBlocks": 3, "SingularMetric": 3, "NonHermitianMetric": 3,
-    "SingularBasis": 3, "SingularOperator": 3, "NotInvolutory": 3, "NotAntiunitary": 3,
+    "SingularBasis": 3, "SingularOperator": 3, "NotAntiunitary": 3,
     "NotPseudoHermitian": 3, "IndefiniteMetric": 3, "ZeroLeadingCoefficient": 3,
 }
 

@@ -370,11 +370,11 @@ def test_a_hermitian_h_evolves_to_t_1e4(monkeypatch, route):
 def test_a_step_past_the_bound_is_exponentiated_in_parts(monkeypatch):
     # one gap of 1e3 at ||H||_F = 2 is two parts of 500, each at 1e3
     h, _, dec = mashhoon_papini(MashhoonPapiniParams(1.0, 1.0, 1.0))
-    exponentiated = []
-    monkeypatch.setattr(evolution, "propagator",
-                        lambda h_, t: exponentiated.append(t) or propagator(h_, t))
+    exponentiated, expm = [], linalg.expm
+    monkeypatch.setattr(linalg, "expm", lambda a: exponentiated.append(a) or expm(a))
     got = evolution._states(h, np.array([0, 1], dtype=complex), (1e3,))
-    assert exponentiated == [500.0]
+    assert len(exponentiated) == 1
+    assert np.array_equal(exponentiated[0], -1j * 500.0 * h)
     want = propagator(h, 500.0) @ propagator(h, 500.0) @ np.array([0, 1])
     assert np.abs(got[:, 0] - want).max() < 1e-12
 

@@ -3,8 +3,8 @@ ignores a parameter, every defined function is used somewhere, no module
 reads another object's private attributes, only ``spectral`` constructs a
 decomposition, only ``linalg`` touches scipy, importing the package leaves
 ``scipy.linalg`` unloaded, every Frobenius norm is ``linalg._fro``, only
-``linalg`` runs an eigensolve, and the package keeps state in two places
-only."""
+``linalg`` runs an eigensolve, the package keeps state in one place only,
+and no module but ``spectral`` names that state."""
 
 import ast
 import os
@@ -358,3 +358,32 @@ def test_kept_state_is_detected():
               "@functools.cache\ndef g(x):\n    return x\n"
               "@lru_cache(maxsize=4)\ndef h(x):\n    return x\n")
     assert _kept_state(source) == ["_counts", "_gone", "_memo", "_seen", "_state", "g", "h"]
+
+
+def _names_the_memo(source: str) -> list[int]:
+    """Lines that name ``_last``, the last analysis ``spectral`` keeps: as a
+    name, as an attribute or in an import."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and node.id == "_last" \
+                or isinstance(node, ast.Attribute) and node.attr == "_last" \
+                or isinstance(node, ast.ImportFrom) and any(a.name == "_last"
+                                                            for a in node.names):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", [p for p in SRC.glob("*.py") if p.name != "spectral.py"],
+                         ids=lambda p: p.name)
+def test_only_spectral_names_its_memo(path):
+    """What ``analyze`` kept is reached only through ``analyze`` and
+    ``spectral._kept``, which decide it from H and the tolerance: no route
+    elsewhere can read the memo and so depend on what ran before it."""
+    assert _names_the_memo(path.read_text(encoding="utf-8")) == []
+
+
+def test_naming_the_memo_is_detected():
+    source = ("from . import spectral\nfrom .spectral import _last, analyze\n"
+              "def f(h):\n    kept = spectral._last\n    return _last or kept\n"
+              "last = [1]\n_last_seen = None\n")
+    assert _names_the_memo(source) == [2, 4, 5]

@@ -555,9 +555,12 @@ def test_the_battery_measures_pseudo_hermiticity_on_p_itself(monkeypatch):
 def test_pipeline_operators_need_no_svd(monkeypatch):
     """The U(t) and TP classifications of every paired kernel case and of
     the four two-level regimes, and ``is_pseudo_hermitian`` of their H under
-    their P, make no SVD; a singular operator still reaches the rank test."""
+    their P, make no SVD; a singular operator still reaches the rank test.
+    The cases are built first: the propagator analyzes its H, whose rank
+    staircase makes SVDs."""
+    cases = list(_pipeline_cases())
     svds = _count(monkeypatch, np.linalg, "svd")
-    for label, h, p, u, tp in _pipeline_cases():
+    for label, h, p, u, tp in cases:
         assert classification_report(u, p).symmetry_class is SymmetryClass.P_UNITARY, label
         assert classification_report(tp, p).symmetry_class is SymmetryClass.P_ANTIUNITARY, label
         assert spectral.is_pseudo_hermitian(h, p), label

@@ -1,12 +1,14 @@
 """The propagator's two routes and the per-point route of both series.
 
-Where the last ``analyze`` kept a decomposition of H that reconstructs it to
-rounding, ``propagator`` forms U(t) = Psi e^{-iJt} Phi^dag in its chain
-basis, and no ``expm`` runs; for any other H ``linalg.expm`` exponentiates
--iHt, and the propagator analyzes nothing.  Both are put against the
-50-digit mpmath referee of the evolution tests.  The series' per-point
-route, for an H that ``analyze`` refuses, exponentiates each point without
-analyzing H again.
+``propagator`` decides its route from ``analyze`` of its own H at
+``DEFAULT_TOL`` (``spectral._kept``): where that decomposition exists and
+reconstructs H to rounding, it forms U(t) = Psi e^{-iJt} Phi^dag in its
+chain basis, and no ``expm`` runs; for any other H ``linalg.expm``
+exponentiates -iHt.  The route, and so every bit of U, is a function of
+(H, t): what was analyzed before the call does not change it.  Both routes
+are put against the 50-digit mpmath referee of the evolution tests.  The
+series' per-point route, for an H that ``analyze`` refuses, exponentiates
+each point with ``expm`` without analyzing H again.
 """
 
 import numpy as np
@@ -14,8 +16,8 @@ import pytest
 
 from conftest import referee_propagator
 from pseudoherm import evolution, linalg, spectral
-from pseudoherm.errors import ClusterAmbiguity, Overflow
-from pseudoherm.linalg import EXPM_NORM_BOUND
+from pseudoherm.errors import Overflow, PseudohermError
+from pseudoherm.linalg import DEFAULT_TOL, EXPM_NORM_BOUND, Tolerance
 from pseudoherm.spectral import JordanBlockSpec, SynthesisSpec, synthesize
 
 EPS = np.finfo(float).eps
@@ -43,6 +45,11 @@ CHAIN_CASES = [
     )
     for cond in conds
 ]
+
+
+def _synthesized(groups, cond) -> np.ndarray:
+    return synthesize(SynthesisSpec(groups, basis_seed=0, basis_cond=cond),
+                      allow_unpaired=True)[0]
 
 
 def _referee(h, t) -> np.ndarray:
@@ -75,7 +82,7 @@ def test_the_chain_route_agrees_with_expm_and_the_referee(monkeypatch, groups, c
     rounding alone (0.42 at most).  Near the bound it is the closer of the
     two in six cases of eight, by up to 4e4 (the 5-block at basis condition
     10), and 8 times further in one (the 4-block at 1e3)."""
-    h, _ = synthesize(SynthesisSpec(groups, basis_seed=0, basis_cond=cond), allow_unpaired=True)
+    h = _synthesized(groups, cond)
     dec = spectral.analyze(h, allow_unpaired=True)
     n, norm = h.shape[0], np.linalg.norm(h)
     k = np.linalg.norm(dec.psi) * np.linalg.norm(dec.phi)
@@ -118,27 +125,81 @@ def test_a_nearly_defective_h_takes_the_chain_route_only_at_rounding(monkeypatch
 
 
 @pytest.mark.usefixtures("cold_memo")
-def test_the_propagator_analyzes_nothing_and_keeps_the_kept(monkeypatch):
-    """An H that ``analyze`` refuses, and an H that it accepts but has not
-    analyzed last, take one ``expm`` and no decomposition; the decomposition
-    kept for another H stays kept."""
-    with pytest.raises(ClusterAmbiguity):
-        spectral.analyze(REFUSED_H, allow_unpaired=True)
-    h, _ = synthesize(SynthesisSpec(_groups((0.1, (2,)), (-0.8, (1,))), basis_seed=0))
-    kept = spectral.analyze(h)
+def test_the_propagator_analyzes_its_own_h(monkeypatch):
+    """A cold H that ``analyze`` accepts makes one decomposition, which is
+    kept, and no ``expm``; a later call, and the op's ``analyze`` of it, make
+    none.  An H that ``analyze`` refuses makes one failed decomposition and
+    one ``expm`` per call, since a refusal is not kept."""
     cold = np.array([[1.0, 2.0], [0.0, -0.5]], dtype=complex)
     decompositions = _count_decompose(monkeypatch)
     calls, expm = _count_expm(monkeypatch)
-    for other in (REFUSED_H, cold):
-        u = evolution.propagator(other, 0.7)
-        assert len(calls) == 1
-        assert np.array_equal(u, expm(-1j * 0.7 * other))
-        assert np.abs(u - _referee(other, 0.7)).max() <= 4 * EPS
-        calls.clear()
-    assert decompositions == []
-    assert spectral.analyze(h) is kept
+    for _ in range(2):
+        u = evolution.propagator(cold, 0.7)
+        assert len(decompositions) == 1 and calls == []
+        assert np.abs(u - _referee(cold, 0.7)).max() <= 4 * EPS
+    spectral.analyze(cold)
+    assert len(decompositions) == 1
+    decompositions.clear()
+    for k in (1, 2):
+        u = evolution.propagator(REFUSED_H, 0.7)
+        assert len(decompositions) == len(calls) == k
+        assert np.array_equal(u, expm(-1j * 0.7 * REFUSED_H))
+        assert np.abs(u - _referee(REFUSED_H, 0.7)).max() <= 4 * EPS
 
 
+#: the model's real regime (1, 1, 1)
+MODEL_REAL_H = evolution.mashhoon_papini(evolution.MashhoonPapiniParams(1.0, 1.0, 1.0))[0]
+
+#: H whose propagator must not depend on what was analyzed before it, with
+#: whether it takes the chain route: the chain cases, an H that ``analyze``
+#: refuses, the nearly defective [[1, 1], [d, 1]] (only d = 1e-15
+#: reconstructs to rounding) and the model's real regime
+ROUTE_CASES = [
+    *(pytest.param(_synthesized(*p.values), True, id=p.id) for p in CHAIN_CASES),
+    pytest.param(REFUSED_H, False, id="refused"),
+    *(pytest.param(np.array([[1.0, 1.0], [d, 1.0]], dtype=complex), d == 1e-15,
+                   id=f"defective-{d:g}") for d in (5e-11, 1e-13, 1e-15)),
+    pytest.param(MODEL_REAL_H, True, id="model-real"),
+]
+
+
+@pytest.mark.usefixtures("cold_memo")
+@pytest.mark.parametrize("h, chain_route", ROUTE_CASES)
+def test_the_route_is_a_function_of_h_and_t(monkeypatch, h, chain_route):
+    """U(t) is bit for bit the same when the propagator is called cold,
+    after ``analyze(H)``, after ``analyze`` of H at a looser tolerance and
+    after ``analyze`` of another H; the cold call's route is the expected
+    one, at t = 0.7, 0.3 / ||H||_F and 0.999 EXPM_NORM_BOUND / ||H||_F."""
+    norm = np.linalg.norm(h)
+    times = (0.7, 0.3 / norm, 0.999 * EXPM_NORM_BOUND / norm)
+    calls, _ = _count_expm(monkeypatch)
+
+    def after(before, tol=DEFAULT_TOL) -> list[bytes]:
+        spectral._last.clear()
+        if before is not None:
+            try:
+                spectral.analyze(before, tol, allow_unpaired=True)
+            except PseudohermError:
+                pass
+        return [evolution.propagator(h, t).tobytes() for t in times]
+
+    cold = after(None)
+    assert len(calls) == (0 if chain_route else len(times))
+    assert after(h) == cold
+    assert after(h, Tolerance(1e-6, 1e-6)) == cold
+    assert after(np.array([[1.0, 2.0], [0.0, -0.5]], dtype=complex)) == cold
+
+
+@pytest.mark.usefixtures("cold_memo")
+def test_the_per_point_route_ignores_the_kept_decomposition():
+    """``evolution._states`` over 601 points to t = 600 on the model's real
+    regime, which steps past ``EXPM_NORM_BOUND`` in two parts from t = 500,
+    is bit for bit the same with and without a kept decomposition of H."""
+    h = MODEL_REAL_H
+    state, grid = np.array([1.0, 0.5j]), np.linspace(0.0, 600.0, 601)
+    cold = evolution._states(h, state, grid)
+    spectral.analyze(h)
+    assert evolution._states(h, state, grid).tobytes() == cold.tobytes()
 @pytest.mark.usefixtures("cold_memo")
 def test_both_routes_refuse_on_expms_own_norm():
     """|t| ||H||_F reads exactly ``EXPM_NORM_BOUND`` here but ||-iHt||_F one

@@ -31,10 +31,12 @@ Each layer is timed alone, on the intermediate results of one ``analyze``:
                    first deciding P afresh from its K (the decisions P's
                    chain form keeps are dropped first)
     evolution      evolution.propagator over one step of 0.05: U(t) in the
-                   chain basis of the kept decomposition, as in an op
+                   chain basis of analyze(H), the kept decomposition after
+                   an op's analysis, so the call costs a memo lookup
     expm           linalg.expm of -0.05i H: the kernel of the series'
-                   per-point route, and of the propagator on an H that is
-                   not the kept one
+                   per-point route, and of the propagator on an H that
+                   analyze refuses or whose decomposition does not
+                   reconstruct it to rounding
     gate           evolution._decomposition of the krein_series request: the
                    pseudo-Hermiticity decision that opens each series
     krein_series   evolution.krein_norm_series under the parity P
